@@ -28,13 +28,10 @@ use crate::table::Table;
 /// the `faults` section; version 3 added the optional `scaling` section
 /// (throughput-vs-workers series); version 4 added the optional audit
 /// sections (`offload_stages`, `drift`, `slo`); version 5 added the
-/// optional `flows` section (stateful flow-table accounting). Earlier
-/// artifacts still parse (with the missing sections defaulted) so
-/// existing baselines stay valid.
+/// optional `flows` section (stateful flow-table accounting).
+/// [`BenchReport::parse`] reads exactly this version: every checked-in
+/// baseline is blessed at it.
 pub const SCHEMA_VERSION: u64 = 5;
-
-/// Oldest schema version [`BenchReport::parse`] accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// End-to-end latency percentile summary, nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -322,13 +319,12 @@ pub struct BenchReport {
     pub latency: LatencySummary,
     /// Balancer convergence.
     pub balancer: BalancerReport,
-    /// Fault-injection and recovery accounting (all-zero on clean runs;
-    /// defaults to zero when parsing version-1 artifacts).
+    /// Fault-injection and recovery accounting (all-zero on clean runs).
     pub faults: FaultsSection,
     /// Per-element attribution, sorted by node.
     pub elements: Vec<ElementReport>,
     /// Throughput-vs-workers sweep, when the run was a scaling sweep
-    /// (`None` for single-configuration runs and pre-v3 artifacts).
+    /// (`None` for single-configuration runs).
     pub scaling: Option<ScalingSection>,
     /// Offload stage decomposition (`None` unless stage stats were on).
     pub offload_stages: Option<OffloadStagesSection>,
@@ -336,8 +332,7 @@ pub struct BenchReport {
     pub drift: Option<DriftSection>,
     /// SLO budget verdict (`None` unless an SLO was configured).
     pub slo: Option<SloSection>,
-    /// Stateful flow-table totals (`None` for stateless apps and pre-v5
-    /// artifacts).
+    /// Stateful flow-table totals (`None` for stateless apps).
     pub flows: Option<FlowsSection>,
 }
 
@@ -738,10 +733,9 @@ impl BenchReport {
                 .to_string())
         };
         let schema_version = u64_of("schema_version")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
+        if schema_version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {schema_version} \
-                 (this build reads {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema_version {schema_version} (this build reads {SCHEMA_VERSION})"
             ));
         }
         let lat = need("latency")?;
@@ -773,41 +767,33 @@ impl BenchReport {
                 });
             }
         }
-        // Version-1 artifacts predate fault accounting; they were by
-        // definition clean runs, so zero defaults are exact, not a guess.
+        let f = need("faults")?;
         let mut faults = FaultsSection::default();
-        if let Some(f) = obj.get("faults") {
-            let fu = |k: &str| -> Result<u64, String> {
-                f.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("faults.{k} missing or not an integer"))
-            };
-            faults.injected = fu("injected")?;
-            faults.retried = fu("retried")?;
-            faults.fell_back_packets = fu("fell_back_packets")?;
-            faults.dropped_packets = fu("dropped_packets")?;
-            faults.panics_contained = fu("panics_contained")?;
-            if let Some(spans) = f.get("quarantines").and_then(Value::as_arr) {
-                for q in spans {
-                    faults.quarantines.push(QuarantineSpan {
-                        start_ns: q
-                            .get("start_ns")
-                            .and_then(Value::as_u64)
-                            .ok_or("quarantine span missing start_ns")?,
-                        end_ns: match q.get("end_ns") {
-                            Some(Value::Null) | None => None,
-                            Some(v) => {
-                                Some(v.as_u64().ok_or("quarantine end_ns is not an integer")?)
-                            }
-                        },
-                    });
-                }
+        let fu = |k: &str| -> Result<u64, String> {
+            f.get(k)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("faults.{k} missing or not an integer"))
+        };
+        faults.injected = fu("injected")?;
+        faults.retried = fu("retried")?;
+        faults.fell_back_packets = fu("fell_back_packets")?;
+        faults.dropped_packets = fu("dropped_packets")?;
+        faults.panics_contained = fu("panics_contained")?;
+        if let Some(spans) = f.get("quarantines").and_then(Value::as_arr) {
+            for q in spans {
+                faults.quarantines.push(QuarantineSpan {
+                    start_ns: q
+                        .get("start_ns")
+                        .and_then(Value::as_u64)
+                        .ok_or("quarantine span missing start_ns")?,
+                    end_ns: match q.get("end_ns") {
+                        Some(Value::Null) | None => None,
+                        Some(v) => Some(v.as_u64().ok_or("quarantine end_ns is not an integer")?),
+                    },
+                });
             }
-        } else if schema_version >= 2 {
-            return Err("missing field 'faults' (required from schema_version 2)".to_string());
         }
-        // Scaling is optional at every version: sweeps write it, single
-        // runs don't, and pre-v3 artifacts never have it.
+        // Scaling is optional: sweeps write it, single runs don't.
         let mut scaling = None;
         if let Some(sc) = obj.get("scaling") {
             let runtime = sc
@@ -838,8 +824,8 @@ impl BenchReport {
             }
             scaling = Some(ScalingSection { runtime, series });
         }
-        // The audit sections are optional at every version: audited runs
-        // write them, plain runs and pre-v4 artifacts don't.
+        // The audit sections are optional: audited runs write them, plain
+        // runs don't.
         let mut offload_stages = None;
         if let Some(st) = obj.get("offload_stages") {
             let tasks = st
@@ -1752,21 +1738,6 @@ mod tests {
         assert!(BenchReport::parse(&text)
             .unwrap_err()
             .contains("schema_version"));
-    }
-
-    #[test]
-    fn parse_accepts_v1_artifacts_with_zero_fault_defaults() {
-        // A version-1 artifact: no `faults` section at all.
-        let mut text = sample().to_json().replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 1",
-        );
-        let start = text.find("  \"faults\": {").unwrap();
-        let end = text[start..].find("},\n").unwrap() + start + 3;
-        text.replace_range(start..end, "");
-        let parsed = BenchReport::parse(&text).unwrap();
-        assert_eq!(parsed.schema_version, 1);
-        assert_eq!(parsed.faults, FaultsSection::default());
     }
 
     #[test]

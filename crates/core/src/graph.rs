@@ -87,6 +87,21 @@ pub struct RunOutcome {
     pub drops: u64,
 }
 
+/// A point trace event for `batch` at node `nid`, under the batch's
+/// current causal span.
+fn batch_event(
+    ctx: &ElemCtx<'_>,
+    nid: NodeId,
+    batch: &PacketBatch,
+    kind: TraceEventKind,
+    packets: usize,
+) -> TraceEvent {
+    let id = batch.banno().get(anno::TRACE_ID);
+    TraceEvent::point(ctx.now, ctx.worker, id, kind, packets)
+        .at_node(nid.0)
+        .spans(batch.banno().get(anno::SPAN_ID), 0)
+}
+
 /// A per-worker replica of the user's pipeline.
 pub struct ElementGraph {
     nodes: Vec<Node>,
@@ -481,17 +496,9 @@ impl ElementGraph {
                     let span = self.alloc_span();
                     batch.banno_mut().set(anno::SPAN_ID, span);
                     if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.push(TraceEvent {
-                            t: ctx.now,
-                            worker: ctx.worker as u32,
-                            batch: batch.banno().get(anno::TRACE_ID),
-                            node: Some(nid.0 as u32),
-                            kind: TraceEventKind::OffloadEnqueue,
-                            packets: batch.len() as u32,
-                            dur: Time::ZERO,
-                            span,
-                            parent,
-                        });
+                        let enqueue = TraceEventKind::OffloadEnqueue;
+                        let ev = batch_event(ctx, nid, &batch, enqueue, batch.len());
+                        tr.push(ev.spans(span, parent));
                     }
                 }
                 outcome.offloads.push(OffloadRequest { node: nid, batch });
@@ -539,15 +546,8 @@ impl ElementGraph {
             acc.service.record_ns(visit_ns);
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.push(TraceEvent {
-                    t: ctx.now,
-                    worker: ctx.worker as u32,
-                    batch: batch.banno().get(anno::TRACE_ID),
-                    node: Some(nid.0 as u32),
-                    kind: TraceEventKind::Element,
-                    packets: live as u32,
                     dur: Time::from_ns(visit_ns),
-                    span: batch.banno().get(anno::SPAN_ID),
-                    parent: 0,
+                    ..batch_event(ctx, nid, &batch, TraceEventKind::Element, live as usize)
                 });
             }
             self.route(ctx, cost, counters, nid, batch, &mut work, outcome);
@@ -597,17 +597,8 @@ impl ElementGraph {
         if node_drops > 0 {
             self.profiles[nid.0].drops += node_drops;
             if let Some(tr) = self.trace.as_deref_mut() {
-                tr.push(TraceEvent {
-                    t: ctx.now,
-                    worker: ctx.worker as u32,
-                    batch: batch.banno().get(anno::TRACE_ID),
-                    node: Some(nid.0 as u32),
-                    kind: TraceEventKind::Drop,
-                    packets: node_drops as u32,
-                    dur: Time::ZERO,
-                    span: batch.banno().get(anno::SPAN_ID),
-                    parent: 0,
-                });
+                let drops = node_drops as usize;
+                tr.push(batch_event(ctx, nid, &batch, TraceEventKind::Drop, drops));
             }
         }
         if batch.is_empty() {
@@ -628,17 +619,8 @@ impl ElementGraph {
 
         // 2. A real branch: reorganize per policy.
         if let Some(tr) = self.trace.as_deref_mut() {
-            tr.push(TraceEvent {
-                t: ctx.now,
-                worker: ctx.worker as u32,
-                batch: batch.banno().get(anno::TRACE_ID),
-                node: Some(nid.0 as u32),
-                kind: TraceEventKind::Branch,
-                packets: batch.len() as u32,
-                dur: Time::ZERO,
-                span: batch.banno().get(anno::SPAN_ID),
-                parent: 0,
-            });
+            let branch = TraceEventKind::Branch;
+            tr.push(batch_event(ctx, nid, &batch, branch, batch.len()));
         }
         match self.policy {
             BranchPolicy::SplitAlways => {
@@ -682,17 +664,8 @@ impl ElementGraph {
                     .sum();
                 if diverged > 0 {
                     if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.push(TraceEvent {
-                            t: ctx.now,
-                            worker: ctx.worker as u32,
-                            batch: batch.banno().get(anno::TRACE_ID),
-                            node: Some(nid.0 as u32),
-                            kind: TraceEventKind::BranchMiss,
-                            packets: diverged as u32,
-                            dur: Time::ZERO,
-                            span: batch.banno().get(anno::SPAN_ID),
-                            parent: 0,
-                        });
+                        let miss = TraceEventKind::BranchMiss;
+                        tr.push(batch_event(ctx, nid, &batch, miss, diverged as usize));
                     }
                 }
                 let mut per_port: Vec<Option<PacketBatch>> = (0..ports).map(|_| None).collect();

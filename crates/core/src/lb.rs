@@ -728,6 +728,20 @@ pub fn shared(lb: Box<dyn LoadBalancer>) -> SharedBalancer {
     std::sync::Arc::new(parking_lot::Mutex::new(lb))
 }
 
+/// The distinct balancer instances behind per-worker handles, in first-
+/// occurrence order: handles may all be clones of one shared instance
+/// (global `w`) or one per worker, and run-wide notifications must reach
+/// each instance exactly once.
+pub fn distinct(handles: &[SharedBalancer]) -> Vec<SharedBalancer> {
+    let mut out: Vec<SharedBalancer> = Vec::new();
+    for b in handles {
+        if !out.iter().any(|seen| std::sync::Arc::ptr_eq(seen, b)) {
+            out.push(b.clone());
+        }
+    }
+    out
+}
+
 /// Builds one balancer per worker, for runtimes that keep `w` per worker
 /// instead of globally.
 ///

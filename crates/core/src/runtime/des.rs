@@ -17,31 +17,28 @@ use nba_io::{
 use nba_sim::{Ctx, Engine, Entity, EntityId, SimQueue, Time, Wake};
 
 use crate::audit::{DecisionContext, DriftDetector, OffloadStage, SloTracker, StageProfiles};
-use crate::batch::{anno, PacketBatch};
-use crate::capture::TxRecord;
-use crate::element::{ComputeMode, ElemCtx, KernelIo, OffloadSpec};
+use crate::batch::{anno, Anno, PacketBatch};
+use crate::element::{ComputeMode, KernelIo, OffloadSpec};
 use crate::element::{DbInput, DbOutput, Postprocess};
 use crate::fault::{
     Admission, CircuitBreaker, FaultConfig, FaultInjector, FaultKind, FaultPlan, FaultStats,
-    WorkerKill, WorkerStall,
 };
-use crate::graph::{ElementGraph, NodeId, OutEdge, RunOutcome};
+use crate::graph::{ElementGraph, NodeId, OutEdge};
 use crate::introspect::FlightRecorder;
 use crate::lb::SharedBalancer;
 use crate::nls::NodeLocalStorage;
 use crate::offload::{self, CompletedTask, OffloadTask};
+use crate::runtime::worker::{
+    merge_yields, wire_bits, Drill, Transport, WorkerCore, WorkerEnv, WorkerYield,
+};
 use crate::runtime::{BuildCtx, PipelineBuilder, RunReport, RuntimeConfig};
 use crate::stats::{Counters, LatencyHistogram, Snapshot, SystemInspector};
-use crate::supervise::{
-    HealthReport, HealthStats, Observation, ShardMonitor, SupervisorLog, WorkerHealth, WorkerState,
-};
-use crate::telemetry::{
-    merge_profiles, ElementProfile, SpanAlloc, TimeSample, TraceBuffer, TraceEvent, TraceEventKind,
-};
+use crate::supervise::{HealthStats, Supervisor, WorkerHealth};
+use crate::telemetry::{SpanAlloc, TimeSample, TraceBuffer, TraceEvent, TraceEventKind};
 
 use nba_gpu::TimelineStats;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A traffic source feeding one port (synthetic generator or trace replay).
@@ -71,22 +68,17 @@ impl Entity for SourceEntity {
     }
 }
 
-/// Telemetry that leaves the simulation when the engine is torn down: the
-/// engine owns the worker entities (and with them the graphs holding the
-/// per-element profiles and trace rings), so workers flush here on `Drop`.
-#[derive(Default)]
-struct TelemetrySink {
-    profiles: Vec<Vec<ElementProfile>>,
-    traces: Vec<Vec<TraceEvent>>,
-}
+/// What leaves the simulation when the engine is torn down: the engine
+/// owns the worker entities (and with them the graphs holding the
+/// per-element profiles, trace rings, and TX captures), so workers flush
+/// here on `Drop`.
+type TelemetrySink = Rc<RefCell<Vec<WorkerYield>>>;
 
-/// One simulated worker core running a pipeline replica.
+/// One simulated worker core: the DES driver of a [`WorkerCore`]. It owns
+/// the virtual clock (`busy_until`) and the simulated transport.
 struct WorkerEntity {
-    id: usize,
+    core: WorkerCore,
     cfg: RuntimeConfig,
-    graph: ElementGraph,
-    nls: NodeLocalStorage,
-    inspector: SystemInspector,
     counters: Arc<Counters>,
     /// RX queues this worker polls (queue `local_idx` of each local port).
     rx: Vec<SimQueue<Packet>>,
@@ -99,122 +91,72 @@ struct WorkerEntity {
     offload_q: SimQueue<OffloadTask>,
     device_entity: EntityId,
     latency: Rc<RefCell<LatencyHistogram>>,
-    warmup_until: Time,
     /// The worker core is busy until this time; early wakes are deferred
     /// (the engine may deliver completion wakes mid-"computation").
     busy_until: Time,
-    /// Where profiles/traces go when the engine drops this worker.
-    sink: Rc<RefCell<TelemetrySink>>,
-    /// Next batch trace id (only advances while tracing is enabled).
-    trace_seq: u64,
-    /// Conformance capture: every transmitted packet's record goes here
-    /// (None unless [`RuntimeConfig::capture`]).
-    capture: Option<Rc<RefCell<Vec<TxRecord>>>>,
-    /// Shared heartbeat slots the supervisor entity watches (same struct
-    /// the live runtime uses; single-threaded here, but the atomics are
-    /// free).
-    health: Arc<Vec<WorkerHealth>>,
-    /// Deterministic worker-fault drills from the [`FaultPlan`].
-    kill: Option<WorkerKill>,
-    stall: Option<WorkerStall>,
-    /// Packets pulled from RX so far — the drills' trigger clock, counted
-    /// identically to the live runtime's.
-    rx_pulled: u64,
-    stalled_done: bool,
+    sink: TelemetrySink,
 }
 
 impl Drop for WorkerEntity {
     fn drop(&mut self) {
-        let mut sink = self.sink.borrow_mut();
-        sink.profiles.push(self.graph.profiles());
-        let trace = self.graph.take_trace();
-        if !trace.is_empty() {
-            sink.traces.push(trace);
-        }
+        self.sink.borrow_mut().push(self.core.take_yield());
     }
 }
 
-impl WorkerEntity {
-    /// Applies a traversal outcome. `cycles_before` is the work already
-    /// charged this step: packets hit the wire only after the core spent
-    /// that time, so TX (and therefore latency) reflects pipeline depth.
-    fn handle_outcome(
-        &mut self,
-        now: Time,
-        cycles_before: u64,
-        outcome: RunOutcome,
-        trace_batch: u64,
-        trace_span: u64,
-        ctx: &mut Ctx,
-    ) -> u64 {
-        let mut cycles = outcome.cycles;
+/// The simulated transport of one worker step: NIC ports, the node's
+/// offload queue, and the cycle account that becomes the core's busy time.
+struct SimTransport<'a> {
+    now: Time,
+    /// Work charged so far this step.
+    cycles: u64,
+    cfg: &'a RuntimeConfig,
+    ports: &'a [PortHandle],
+    counters: &'a Counters,
+    latency: &'a RefCell<LatencyHistogram>,
+    offload_q: &'a SimQueue<OffloadTask>,
+    device_entity: EntityId,
+    ctx: &'a mut Ctx,
+}
+
+impl Transport for SimTransport<'_> {
+    fn transmit(&mut self, burst: &[(Packet, Anno)]) -> (u64, u64) {
         let cost = &self.cfg.cost;
-        let tx_at = now + cost.cycles(cycles_before + cycles);
-        if !outcome.tx.is_empty() {
-            if let Some(tr) = self.graph.trace_mut() {
-                tr.push(TraceEvent {
-                    t: now,
-                    worker: self.id as u32,
-                    batch: trace_batch,
-                    node: None,
-                    kind: TraceEventKind::Tx,
-                    packets: outcome.tx.len() as u32,
-                    dur: Time::ZERO,
-                    span: trace_span,
-                    parent: 0,
-                });
-            }
-        }
-        // Transmit packets that reached the pipeline exit.
-        let mut burst_ports = 0u64;
-        for (pkt, anno_set) in outcome.tx {
-            if let Some(cap) = &self.capture {
-                // Record the verdict before any port-count wrapping or TX
-                // queueing: semantics, not wire behavior.
-                cap.borrow_mut().push(TxRecord::capture(&pkt, &anno_set));
-            }
+        // Packets hit the wire only after the core spent the work charged
+        // so far, so TX (and therefore latency) reflects pipeline depth.
+        let tx_at = self.now + cost.cycles(self.cycles);
+        let (mut sent, mut bits, mut burst_ports) = (0, 0, 0u64);
+        for (pkt, anno_set) in burst {
             let out_port = anno_set.get(anno::IFACE_OUT) as usize % self.ports.len();
             burst_ports |= 1 << (out_port % 64);
-            cycles += cost.tx_per_packet;
-            let outcome = self.ports[out_port].borrow_mut().transmit(tx_at, &pkt);
+            self.cycles += cost.tx_per_packet;
+            let outcome = self.ports[out_port].borrow_mut().transmit(tx_at, pkt);
+            // TX-ring drops are counted by the port.
             if let nba_io::TxOutcome::Sent { done_at } = outcome {
-                Counters::add(&self.counters.tx_packets, 1);
-                // Input-normalized bits: encapsulating gateways report the
-                // traffic they absorbed, not the ESP-inflated output.
-                let bits = match anno_set.get(anno::ORIG_BITS) {
-                    0 => pkt.frame_bits(),
-                    b => b,
-                };
-                Counters::add(&self.counters.tx_frame_bits, bits);
-                if now >= self.warmup_until {
+                sent += 1;
+                bits += wire_bits(pkt, anno_set);
+                if self.now >= self.cfg.warmup {
                     let lat = done_at.saturating_sub(Time::from_ps(anno_set.get(anno::TIMESTAMP)))
                         + self.cfg.external_latency;
                     self.latency.borrow_mut().record(lat);
                     self.counters.observe_latency(lat.as_ns());
                 }
             }
-            // TX-ring drops are counted by the port.
         }
-        cycles += cost.tx_burst_fixed * burst_ports.count_ones() as u64;
-        // Ship suspended batches to the device thread.
-        for req in outcome.offloads {
-            cycles += cost.offload_enqueue;
-            Counters::add(&self.counters.offloaded_batches, 1);
-            let task = OffloadTask {
-                node: req.node,
-                worker: self.id,
-                batch: req.batch,
-                enqueued_at: now,
-            };
-            // The queue is unbounded; overload is prevented upstream by
-            // gating RX on its depth, so in-chain batches (e.g. AES->HMAC)
-            // are never dropped mid-pipeline.
-            self.offload_q
-                .push(task)
-                .unwrap_or_else(|_| unreachable!("offload queue is unbounded"));
-            ctx.wake(self.device_entity, now);
-        }
-        cycles
+        self.cycles += cost.tx_burst_fixed * u64::from(burst_ports.count_ones());
+        (sent, bits)
+    }
+
+    fn offload(&mut self, task: OffloadTask) -> Result<(), OffloadTask> {
+        // The queue is unbounded; overload is prevented upstream by gating
+        // RX on its depth, so in-chain batches (e.g. AES->HMAC) are never
+        // dropped mid-pipeline.
+        self.offload_q.push(task)?;
+        self.ctx.wake(self.device_entity, self.now);
+        Ok(())
+    }
+
+    fn charge(&mut self, cycles: u64) {
+        self.cycles += cycles;
     }
 }
 
@@ -223,165 +165,67 @@ impl Entity for WorkerEntity {
         if now < self.busy_until {
             return Wake::At(self.busy_until);
         }
-        // Deterministic worker drills, checked at the same point as the
-        // live runtime (top of the scheduling iteration, so the batch that
-        // crossed the threshold was still fully processed).
-        if let Some(k) = self.kill {
-            if self.rx_pulled >= k.at_packet {
-                self.health[self.id].crash();
-                return Wake::Done;
-            }
-        }
-        if let Some(s) = self.stall {
-            if !self.stalled_done && self.rx_pulled >= s.at_packet {
-                self.stalled_done = true;
-                self.busy_until = now + Time::from_secs_f64(s.millis / 1e3);
+        match self.core.drill() {
+            Some(Drill::Kill) => return Wake::Done,
+            Some(Drill::Stall(millis)) => {
+                self.busy_until = now + Time::from_secs_f64(millis / 1e3);
                 return Wake::At(self.busy_until);
             }
+            None => {}
         }
-        let cost = self.cfg.cost.clone();
-        let mut cycles = cost.sched_iteration;
-        let mut did_work = false;
+        let cfg = &self.cfg;
+        let mut tp = SimTransport {
+            now,
+            cycles: cfg.cost.sched_iteration,
+            cfg,
+            ports: &self.ports,
+            counters: &self.counters,
+            latency: &self.latency,
+            offload_q: &self.offload_q,
+            device_entity: self.device_entity,
+            ctx,
+        };
 
         // 1. Reap offload completions (the IO loop checks these first).
-        while let Some(mut done) = self.completions.pop() {
+        let mut did_work = false;
+        while let Some(done) = self.completions.pop() {
             did_work = true;
-            self.health[self.id].advance(done.batch.len() as u64);
-            cycles += cost.completion_check;
-            let trace_batch = done.batch.banno().get(anno::TRACE_ID);
-            let mut trace_span = 0;
-            if self.graph.trace_enabled() {
-                // Completion opens a new span whose parent is the device's
-                // launch span (the enqueue span on never-launched fallbacks)
-                // — the cross-thread link the Chrome exporter renders.
-                let parent = done.span();
-                trace_span = self.graph.alloc_span();
-                done.batch.banno_mut().set(anno::SPAN_ID, trace_span);
-                let kind = if done.fallback {
-                    TraceEventKind::OffloadFallback
-                } else {
-                    TraceEventKind::OffloadComplete
-                };
-                if let Some(tr) = self.graph.trace_mut() {
-                    tr.push(TraceEvent {
-                        t: now,
-                        worker: self.id as u32,
-                        batch: trace_batch,
-                        node: Some(done.node.0 as u32),
-                        kind,
-                        packets: done.batch.len() as u32,
-                        dur: Time::ZERO,
-                        span: trace_span,
-                        parent,
-                    });
-                }
-            }
-            let mut ectx = ElemCtx {
-                now,
-                compute: self.cfg.compute,
-                nls: &self.nls,
-                worker: self.id,
-                inspector: &self.inspector,
-            };
-            let outcome = if done.fallback {
-                // The device handed the batch back unprocessed: clear the
-                // stale device decision and re-run the offloadable's CPU
-                // path from the start of the (possibly fused) chain.
-                let mut batch = done.batch;
-                batch.banno_mut().set(anno::LB_DEVICE, 0);
-                self.graph
-                    .run_from(&mut ectx, &cost, &self.counters, done.node, batch)
-            } else {
-                self.graph
-                    .resume_offloaded(&mut ectx, &cost, &self.counters, done.node, done.batch)
-            };
-            cycles += self.handle_outcome(now, cycles, outcome, trace_batch, trace_span, ctx);
+            self.core.on_completion(now, done, &mut tp);
         }
 
         // 2. Poll RX queues round-robin and fetch one IO burst — unless the
         // offload path is backed up (run-to-completion backpressure: the
         // RX rings then overflow and the NIC drops, like real overload).
-        let gate = self.offload_q.len() >= self.cfg.device_backlog_batches;
-        let mut pkts: Vec<Packet> = Vec::with_capacity(self.cfg.io_batch);
+        let gate = self.offload_q.len() >= cfg.device_backlog_batches;
+        let mut pkts: Vec<Packet> = Vec::with_capacity(cfg.io_batch);
         if !self.rx.is_empty() && !gate {
             let nq = self.rx.len();
             for k in 0..nq {
-                let q = &self.rx[(self.rx_rr + k) % nq];
-                let want = self.cfg.io_batch - pkts.len();
+                let want = cfg.io_batch - pkts.len();
                 if want == 0 {
                     break;
                 }
-                q.pop_into(&mut pkts, want);
+                self.rx[(self.rx_rr + k) % nq].pop_into(&mut pkts, want);
             }
             self.rx_rr = (self.rx_rr + 1) % nq;
         }
-
-        if pkts.is_empty() {
-            if did_work {
-                self.busy_until = now + cost.cycles(cycles);
-                return Wake::At(self.busy_until);
-            }
-            return Wake::At(now + self.cfg.poll_interval);
+        if pkts.is_empty() && !did_work {
+            return Wake::At(now + cfg.poll_interval);
         }
-
-        cycles += cost.rx_burst_fixed + cost.rx_per_packet * pkts.len() as u64;
-        Counters::add(&self.counters.rx_packets, pkts.len() as u64);
-        self.health[self.id].advance(pkts.len() as u64);
-        self.rx_pulled += pkts.len() as u64;
 
         // 3. Wrap into computation batches and run the pipeline.
+        if !pkts.is_empty() {
+            tp.charge(cfg.cost.rx_burst_fixed + cfg.cost.rx_per_packet * pkts.len() as u64);
+        }
         let mut iter = pkts.into_iter().peekable();
         while iter.peek().is_some() {
-            let mut batch = PacketBatch::with_capacity(self.cfg.comp_batch);
-            for _ in 0..self.cfg.comp_batch {
-                match iter.next() {
-                    Some(p) => {
-                        batch.push(p);
-                    }
-                    None => break,
-                }
+            let mut batch = PacketBatch::with_capacity(cfg.comp_batch);
+            for p in iter.by_ref().take(cfg.comp_batch) {
+                batch.push(p);
             }
-            cycles += cost.batch_alloc;
-            Counters::add(&self.counters.batches, 1);
-            let mut trace_batch = 0;
-            let mut trace_span = 0;
-            if self.graph.trace_enabled() {
-                // Stamp a unique id so the batch's lifecycle can be followed
-                // through the trace (nothing on the processing path reads
-                // the slot, so stamping cannot change behaviour) plus the
-                // batch's root causal span.
-                self.trace_seq += 1;
-                trace_batch = ((self.id as u64 + 1) << 40) | self.trace_seq;
-                batch.banno_mut().set(anno::TRACE_ID, trace_batch);
-                trace_span = self.graph.alloc_span();
-                batch.banno_mut().set(anno::SPAN_ID, trace_span);
-                if let Some(tr) = self.graph.trace_mut() {
-                    tr.push(TraceEvent {
-                        t: now,
-                        worker: self.id as u32,
-                        batch: trace_batch,
-                        node: None,
-                        kind: TraceEventKind::Rx,
-                        packets: batch.len() as u32,
-                        dur: Time::ZERO,
-                        span: trace_span,
-                        parent: 0,
-                    });
-                }
-            }
-            let mut ectx = ElemCtx {
-                now,
-                compute: self.cfg.compute,
-                nls: &self.nls,
-                worker: self.id,
-                inspector: &self.inspector,
-            };
-            let outcome = self
-                .graph
-                .run_batch(&mut ectx, &cost, &self.counters, batch);
-            cycles += self.handle_outcome(now, cycles, outcome, trace_batch, trace_span, ctx);
+            self.core.on_batch(now, batch, 0, &mut tp);
         }
-        self.busy_until = now + cost.cycles(cycles);
+        self.busy_until = now + cfg.cost.cycles(tp.cycles);
         Wake::At(self.busy_until)
     }
 
@@ -422,8 +266,10 @@ struct DeviceEntity {
     cfg: RuntimeConfig,
     tasks: SimQueue<OffloadTask>,
     /// Aggregation buffers per offloadable node id, with the arrival time
-    /// of each buffer's oldest batch (the launch deadline anchor).
-    agg: HashMap<usize, (Time, Vec<OffloadTask>)>,
+    /// of each buffer's oldest batch (the launch deadline anchor). Ordered:
+    /// aggregates launch in node order, so a run with several offloadable
+    /// nodes is a pure function of its seed.
+    agg: BTreeMap<usize, (Time, Vec<OffloadTask>)>,
     specs: HashMap<usize, OffloadSpec>,
     /// Datablock-reuse chains: node -> immediately following offloadable
     /// node whose datablock is identical (empty unless enabled).
@@ -524,7 +370,7 @@ impl DeviceEntity {
         // First launch span of this flush: the parent for retry events and
         // the flight-recorder trigger on a quarantine trip.
         let mut flush_span = 0;
-        let first_worker = tasks.first().map_or(0, |t| t.worker as u32);
+        let first_worker = tasks.first().map_or(0, |t| t.worker);
         let first_batch = tasks
             .first()
             .map_or(0, |t| t.batch.banno().get(anno::TRACE_ID));
@@ -540,17 +386,10 @@ impl DeviceEntity {
                 if flush_span == 0 {
                     flush_span = span;
                 }
-                tr.push(TraceEvent {
-                    t: now,
-                    worker: t.worker as u32,
-                    batch: t.batch.banno().get(anno::TRACE_ID),
-                    node: Some(node as u32),
-                    kind: TraceEventKind::OffloadLaunch,
-                    packets: t.batch.len() as u32,
-                    dur: Time::ZERO,
-                    span,
-                    parent,
-                });
+                let id = t.batch.banno().get(anno::TRACE_ID);
+                let launch = TraceEventKind::OffloadLaunch;
+                let ev = TraceEvent::point(now, t.worker, id, launch, t.batch.len());
+                tr.push(ev.at_node(node).spans(span, parent));
             }
         }
         let cost = &self.cfg.cost;
@@ -683,17 +522,12 @@ impl DeviceEntity {
             retries_left -= 1;
             FaultStats::add(&self.fstats.retried, 1);
             if let Some(tr) = &self.trace {
-                tr.borrow_mut().push(TraceEvent {
-                    t: attempt_at,
-                    worker: first_worker,
-                    batch: first_batch,
-                    node: Some(node as u32),
-                    kind: TraceEventKind::OffloadRetry,
-                    packets: staged.items as u32,
-                    dur: Time::ZERO,
-                    span: self.spans.as_ref().map_or(0, SpanAlloc::next),
-                    parent: flush_span,
-                });
+                let retry = TraceEventKind::OffloadRetry;
+                let ev =
+                    TraceEvent::point(attempt_at, first_worker, first_batch, retry, staged.items);
+                let span = self.spans.as_ref().map_or(0, SpanAlloc::next);
+                tr.borrow_mut()
+                    .push(ev.at_node(node).spans(span, flush_span));
             }
             attempt_at += self.fault.retry_backoff;
         };
@@ -1056,106 +890,26 @@ impl Entity for SamplerEntity {
     }
 }
 
-/// Shared state between the supervisor entity and the run assembly: the
-/// transition log plus each shard's state machine, read out at teardown.
-struct SupState {
-    monitors: Vec<ShardMonitor>,
-    log: SupervisorLog,
-}
-
-/// The DES mirror of the live runtime's supervisor thread: ticks the same
-/// [`ShardMonitor`] watchdog over the same heartbeat slots and re-steers
-/// the shared per-socket RSS tables away from dead shards. The DES never
-/// respawns (an engine entity that returned `Done` stays gone) — a crashed
-/// shard stays quarantined, which is exactly the bounded-loss half of the
-/// drill the differential suite compares against the live runtime.
+/// The DES driver of the shared [`Supervisor`]: a timer that ticks it every
+/// check interval with the simulated RX backlog. The DES never respawns (an
+/// engine entity that returned `Done` stays gone) — a crashed shard stays
+/// quarantined, which is exactly the bounded-loss half of the drill the
+/// differential suite compares against the live runtime.
 struct SupervisorEntity {
     interval: Time,
     horizon: Time,
-    wps: usize,
-    health: Arc<Vec<WorkerHealth>>,
+    /// Shared with the run assembly, which closes the report at teardown.
+    sup: Rc<RefCell<Supervisor>>,
     /// RX queues per worker, for the backlog half of the stall heuristic.
     rx: Vec<Vec<SimQueue<Packet>>>,
-    /// One shared indirection table per socket (all its ports steer
-    /// through it).
-    tables: Vec<Arc<RssTable>>,
-    balancer: SharedBalancer,
-    hstats: Arc<HealthStats>,
-    state: Rc<RefCell<SupState>>,
-    /// The flow plane: a dead worker's shard is invalidated (the
-    /// documented half of the invalidate-on-death policy).
-    flow_registry: crate::flow::FlowRegistry,
 }
 
 impl Entity for SupervisorEntity {
     fn step(&mut self, now: Time, _ctx: &mut Ctx) -> Wake {
-        let mut st = self.state.borrow_mut();
-        let workers = self.health.len();
-        for w in 0..workers {
-            let h = &self.health[w];
-            h.epoch.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if h.done.load(std::sync::atomic::Ordering::Acquire) {
-                continue;
-            }
-            let backlog: u64 = self.rx[w].iter().map(|q| q.len() as u64).sum();
-            let obs = Observation {
-                progress: h.progress.load(std::sync::atomic::Ordering::Relaxed),
-                alive: h.alive.load(std::sync::atomic::Ordering::Acquire),
-                backlog,
-            };
-            let Some(t) = st.monitors[w].observe(obs) else {
-                continue;
-            };
-            let socket = w / self.wps;
-            let local = (w % self.wps) as u16;
-            let mut moved = 0usize;
-            match t.to {
-                WorkerState::Dead => {
-                    let survivors: Vec<u16> = (0..self.wps)
-                        .filter(|&l| {
-                            let g = socket * self.wps + l;
-                            g != w && st.monitors[g].state() != WorkerState::Dead
-                        })
-                        .map(|l| l as u16)
-                        .collect();
-                    moved = self.tables[socket].remap_dead(local, &survivors);
-                    if moved > 0 {
-                        HealthStats::add(&self.hstats.resteers, 1);
-                        HealthStats::add(&self.hstats.buckets_moved, moved as u64);
-                    }
-                    // The quarantine lands in the decision-audit log, the
-                    // same replayable trail the device breaker leaves.
-                    self.balancer.lock().observe_device_health(false);
-                    // Invalidate-on-death: every flow a crashed shard held
-                    // is accounted as lost (`evict_death`) — survivors see
-                    // re-steered flows as fresh foreign inserts. Stalled
-                    // (but alive) shards keep their tables: their thread
-                    // still owns the state and may recover.
-                    if t.reason == crate::supervise::TransitionReason::Crash {
-                        self.flow_registry.invalidate_shard(w);
-                    }
-                }
-                WorkerState::Recovering => {
-                    moved = self.tables[socket].restore(local);
-                    if moved > 0 {
-                        HealthStats::add(&self.hstats.resteers, 1);
-                        HealthStats::add(&self.hstats.buckets_moved, moved as u64);
-                    }
-                    self.balancer.lock().observe_device_health(true);
-                }
-                WorkerState::Healthy | WorkerState::Suspect => {}
-            }
-            h.state
-                .store(t.to.as_u8(), std::sync::atomic::Ordering::Relaxed);
-            st.log.record(
-                now.as_ns(),
-                w as u32,
-                t,
-                obs.progress,
-                obs.backlog,
-                moved as u32,
-            );
-        }
+        let rx = &self.rx;
+        self.sup
+            .borrow_mut()
+            .tick(now.as_ns(), |w| rx[w].iter().map(|q| q.len() as u64).sum());
         if now >= self.horizon {
             Wake::Done
         } else {
@@ -1166,6 +920,14 @@ impl Entity for SupervisorEntity {
     fn name(&self) -> &str {
         "worker-supervisor"
     }
+}
+
+/// Takes back state that was shared with engine entities, all of which the
+/// engine teardown has dropped by the time this is called.
+fn unshare<T>(rc: Rc<RefCell<T>>, what: &str) -> T {
+    Rc::try_unwrap(rc)
+        .map(RefCell::into_inner)
+        .unwrap_or_else(|_| panic!("{what} uniquely owned after engine teardown"))
 }
 
 /// Runs one experiment end to end and reports the measurement window.
@@ -1354,7 +1116,7 @@ pub fn run_with_sources(
 
     // Telemetry plumbing: the drop-time sink for worker-held state, the
     // device-side trace ring, and the sampler's output vector.
-    let sink = Rc::new(RefCell::new(TelemetrySink::default()));
+    let sink: TelemetrySink = Rc::default();
     let device_trace: Option<Rc<RefCell<TraceBuffer>>> = (cfg.telemetry.trace_capacity > 0)
         .then(|| Rc::new(RefCell::new(TraceBuffer::new(cfg.telemetry.trace_capacity))));
     let samples: Rc<RefCell<Vec<TimeSample>>> = Rc::new(RefCell::new(Vec::new()));
@@ -1387,10 +1149,6 @@ pub fn run_with_sources(
         .clone()
         .map(|s| Rc::new(RefCell::new(SloTracker::new(s))));
 
-    // TX conformance capture (differential suite only).
-    let capture_sink: Option<Rc<RefCell<Vec<TxRecord>>>> =
-        cfg.capture.then(|| Rc::new(RefCell::new(Vec::new())));
-
     // Workers.
     let mut rx_handles: Vec<Vec<SimQueue<Packet>>> = Vec::with_capacity(total_workers);
     for w in 0..total_workers {
@@ -1402,13 +1160,19 @@ pub fn run_with_sources(
             .map(|p| ports[p].borrow().rx_queue(local as u16))
             .collect();
         rx_handles.push(rx.clone());
-        let graph = graphs.remove(0);
-        let entity = WorkerEntity {
-            id: w,
-            cfg: cfg.clone(),
-            graph,
+        let env = WorkerEnv {
             nls: nls[socket].clone(),
             inspector: inspector.clone(),
+            cost: cfg.cost.clone(),
+            compute: cfg.compute,
+            fstats: fstats.clone(),
+            health: health.clone(),
+            capture: cfg.capture,
+            flight: None,
+        };
+        let entity = WorkerEntity {
+            core: WorkerCore::new(w, graphs.remove(0), env, Some(&cfg.fault.plan)),
+            cfg: cfg.clone(),
             counters: counters[w].clone(),
             rx,
             rx_rr: w,
@@ -1417,16 +1181,8 @@ pub fn run_with_sources(
             offload_q: offload_qs[socket].clone(),
             device_entity: device_ids[socket],
             latency: latencies[w].clone(),
-            warmup_until: cfg.warmup,
             busy_until: Time::ZERO,
             sink: sink.clone(),
-            trace_seq: 0,
-            capture: capture_sink.clone(),
-            health: health.clone(),
-            kill: cfg.fault.plan.kill_for(w as u32),
-            stall: cfg.fault.plan.stall_for(w as u32),
-            rx_pulled: 0,
-            stalled_done: false,
         };
         let id = engine.add(Box::new(entity), Time::ZERO);
         debug_assert_eq!(id.0, w);
@@ -1456,7 +1212,7 @@ pub fn run_with_sources(
         let entity = DeviceEntity {
             cfg: cfg.clone(),
             tasks: offload_qs[s].clone(),
-            agg: HashMap::new(),
+            agg: BTreeMap::new(),
             specs: specs.clone(),
             fuse_next: fuse_next.clone(),
             gpu: gpu.clone(),
@@ -1495,31 +1251,26 @@ pub fn run_with_sources(
         engine.add(Box::new(entity), Time::ZERO);
     }
 
-    // The supervisor: same watchdog machine as the live runtime's
-    // supervisor thread, always on (a clean run just produces an empty
-    // log).
-    let scfg = cfg.fault.supervisor.clone();
-    let sup_state = Rc::new(RefCell::new(SupState {
-        monitors: (0..total_workers)
-            .map(|_| ShardMonitor::new(scfg.stall_windows))
-            .collect(),
-        log: SupervisorLog::new(),
-    }));
-    {
-        let entity = SupervisorEntity {
+    // The supervisor: the same `Supervisor` the live runtime's supervisor
+    // thread drives, always on (a clean run just produces an empty log).
+    let scfg = &cfg.fault.supervisor;
+    let supervisor = Rc::new(RefCell::new(Supervisor::new(
+        scfg,
+        health.clone(),
+        hstats,
+        rss_tables,
+        vec![balancer.clone(); total_workers],
+        flow_registry.clone(),
+    )));
+    engine.add(
+        Box::new(SupervisorEntity {
             interval: Time::from_ns(scfg.check_interval.as_ns().max(1)),
             horizon,
-            wps,
-            health: health.clone(),
+            sup: supervisor.clone(),
             rx: rx_handles.clone(),
-            tables: rss_tables.clone(),
-            balancer: balancer.clone(),
-            hstats: hstats.clone(),
-            state: sup_state.clone(),
-            flow_registry: flow_registry.clone(),
-        };
-        engine.add(Box::new(entity), Time::ZERO);
-    }
+        }),
+        Time::ZERO,
+    );
 
     // The time-series sampler, added last: at equal timestamps it observes
     // the state *after* every worker/device/source has acted.
@@ -1543,22 +1294,19 @@ pub fn run_with_sources(
     // Warmup, snapshot, measure, snapshot.
     engine.run_until(cfg.warmup);
     let start = inspector.snapshot();
-    let offered_start: u64 = ports
-        .iter()
-        .map(|p| {
-            let c = p.borrow().counters();
-            c.rx_delivered + c.rx_dropped
-        })
-        .sum();
+    let offered_so_far = || -> u64 {
+        ports
+            .iter()
+            .map(|p| {
+                let c = p.borrow().counters();
+                c.rx_delivered + c.rx_dropped
+            })
+            .sum()
+    };
+    let offered_start = offered_so_far();
     engine.run_until(horizon);
     let end = inspector.snapshot();
-    let offered_end: u64 = ports
-        .iter()
-        .map(|p| {
-            let c = p.borrow().counters();
-            c.rx_delivered + c.rx_dropped
-        })
-        .sum();
+    let offered_end = offered_so_far();
     let rx_dropped: u64 = ports.iter().map(|p| p.borrow().counters().rx_dropped).sum();
 
     let window = end - start;
@@ -1571,65 +1319,28 @@ pub fn run_with_sources(
 
     // Tear the engine down so worker entities flush their telemetry.
     drop(engine);
-    let sink = Rc::try_unwrap(sink)
-        .ok()
-        .expect("telemetry sink uniquely owned after engine teardown")
-        .into_inner();
-    let elements = merge_profiles(sink.profiles);
-    let mut trace: Vec<TraceEvent> = sink.traces.into_iter().flatten().collect();
+    let mut trace: Vec<TraceEvent> = Vec::new();
+    let (elements, tx_capture) = merge_yields(unshare(sink, "telemetry sink"), &mut trace);
     if let Some(dt) = device_trace {
-        trace.extend(
-            Rc::try_unwrap(dt)
-                .expect("device trace uniquely owned after engine teardown")
-                .into_inner()
-                .into_events(),
-        );
+        trace.extend(unshare(dt, "device trace").into_events());
     }
     trace.sort_by_key(|e| e.t);
-    let samples = Rc::try_unwrap(samples)
-        .expect("sample vector uniquely owned after engine teardown")
-        .into_inner();
-    let mut quarantines = Rc::try_unwrap(quarantine_sink)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|_| panic!("quarantine sink uniquely owned after engine teardown"));
+    let samples = unshare(samples, "sample vector");
+    let mut quarantines = unshare(quarantine_sink, "quarantine sink");
     quarantines.sort_by_key(|(start, _)| *start);
-    let tx_capture = capture_sink
-        .map(|c| {
-            Rc::try_unwrap(c)
-                .map(RefCell::into_inner)
-                .unwrap_or_else(|_| panic!("capture sink uniquely owned after engine teardown"))
-        })
-        .unwrap_or_default();
 
-    // Self-healing loss accounting: whatever a dead shard left behind —
+    // Self-healing loss accounting: whatever a crashed shard left behind —
     // packets still queued in its RX rings and completions it never
-    // reaped — is attributed loss, mirroring the live teardown.
-    let sup_state = Rc::try_unwrap(sup_state)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|_| panic!("supervisor state uniquely owned after engine teardown"));
-    let states: Vec<WorkerState> = sup_state.monitors.iter().map(ShardMonitor::state).collect();
-    let mut lost_ring: u64 = 0;
-    let mut lost_flight: u64 = 0;
-    for (w, st) in states.iter().enumerate() {
-        if *st != WorkerState::Dead {
-            continue;
-        }
-        lost_ring += rx_handles[w].iter().map(|q| q.len() as u64).sum::<u64>();
+    // reaped — is attributed loss. The horizon is a measurement cut, not a
+    // drain: what live shards still hold is unprocessed, not lost.
+    let health = supervisor.borrow_mut().finish(false, 0, |w| {
+        let ring = rx_handles[w].iter().map(|q| q.len() as u64).sum();
+        let mut flight = 0;
         while let Some(done) = completion_qs[w].pop() {
-            lost_flight += done.batch.len() as u64;
+            flight += done.batch.len() as u64;
         }
-    }
-    if lost_ring > 0 {
-        HealthStats::add(&hstats.lost_in_ring, lost_ring);
-    }
-    if lost_flight > 0 {
-        HealthStats::add(&hstats.lost_in_flight, lost_flight);
-    }
-    let health = HealthReport {
-        states,
-        log: sup_state.log,
-        stats: hstats.snapshot(),
-    };
+        (ring, flight)
+    });
 
     let tx_mpps = window.tx_packets as f64 / dur.as_secs_f64() / 1e6;
     // Each `lock()` gets its own statement: temporaries in struct-literal
@@ -1659,11 +1370,7 @@ pub fn run_with_sources(
             quarantines,
         },
         tx_capture,
-        stages: stages.map(|s| {
-            Rc::try_unwrap(s)
-                .map(RefCell::into_inner)
-                .unwrap_or_else(|_| panic!("stage profiles uniquely owned after engine teardown"))
-        }),
+        stages: stages.map(|s| unshare(s, "stage profiles")),
         drift: drift.map(|d| d.borrow().report()),
         decisions,
         flight: flight.map(|f| f.dumps()).unwrap_or_default(),

@@ -5,9 +5,12 @@
 //!   traffic sources over calibrated costs.
 //! * [`live`] — the same element graphs on real OS threads with channels,
 //!   demonstrating the framework as an actual concurrent packet processor.
+//! * [`worker`] — the worker step both of them drive: they differ only in
+//!   clock and transport.
 
 pub mod des;
 pub mod live;
+pub mod worker;
 
 use std::sync::Arc;
 

@@ -2,9 +2,9 @@
 //!
 //! PR 4's circuit breaker made the *device* path self-healing; this module
 //! does the same for the *worker* plane. Each shard publishes a heartbeat
-//! ([`WorkerHealth`]: a progress counter plus liveness flags); a supervisor
-//! ticks a watchdog and drives a per-shard state machine
-//! ([`ShardMonitor`]) through
+//! ([`WorkerHealth`]: a progress counter plus liveness flags); the
+//! [`Supervisor`] — one implementation, ticked by both runtimes — runs the
+//! watchdog and drives a per-shard state machine ([`ShardMonitor`]) through
 //!
 //! ```text
 //!              no progress + backlog          T stalled windows / crash
@@ -31,10 +31,14 @@
 //! drop) instead of blocking, with every shed accounted.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
+use nba_io::RssTable;
 use nba_sim::Time;
 
+use crate::flow::FlowRegistry;
 use crate::json::{self, Value};
+use crate::lb::SharedBalancer;
 
 /// The supervision state of one worker shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,8 +209,7 @@ pub struct Observation {
 }
 
 /// The pure per-shard watchdog state machine (deterministically testable;
-/// the supervisor thread and the DES supervisor entity both drive one of
-/// these per shard).
+/// a [`Supervisor`] drives one of these per shard).
 #[derive(Debug, Clone)]
 pub struct ShardMonitor {
     state: WorkerState,
@@ -287,8 +290,8 @@ impl ShardMonitor {
     }
 }
 
-/// The heartbeat one worker shard publishes (all relaxed atomics — gauges,
-/// not synchronization).
+/// The heartbeat one worker shard publishes (gauges, not synchronization —
+/// except the `done`/`alive` pair, see [`WorkerHealth::finish`]).
 #[derive(Debug, Default)]
 pub struct WorkerHealth {
     /// Monotone progress counter: packets pulled from RX plus completions
@@ -322,7 +325,10 @@ impl WorkerHealth {
         self.progress.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Worker-side: mark a graceful end-of-run exit.
+    /// Worker-side: mark a graceful end-of-run exit. `done` is released
+    /// before `alive` is cleared; [`Supervisor::tick`] acquires them in the
+    /// opposite order, so it can never see the crash pair `!alive && !done`
+    /// for a worker that finished.
     pub fn finish(&self) {
         self.done.store(true, Ordering::Release);
         self.alive.store(false, Ordering::Release);
@@ -450,6 +456,211 @@ impl HealthReport {
     /// True when no supervision event fired and nothing was lost.
     pub fn is_clean(&self) -> bool {
         self.log.events.is_empty() && self.stats.is_clean()
+    }
+}
+
+/// The supervisor's per-tick body, shared by both runtimes: it watches the
+/// heartbeats, drives one [`ShardMonitor`] per shard, and reacts to every
+/// edge — re-steer a dead shard's RSS buckets onto survivors, invalidate a
+/// crashed shard's flows, hand the buckets back on recovery, log it all. A
+/// driver owns only the cadence (a DES timer entity, or a sleeping thread)
+/// and, in live, the respawn of a crashed worker's thread.
+pub struct Supervisor {
+    monitors: Vec<ShardMonitor>,
+    log: SupervisorLog,
+    health: Arc<Vec<WorkerHealth>>,
+    hstats: Arc<HealthStats>,
+    /// RSS indirection tables: worker `w` is queue `w % stride` of table
+    /// `w / stride` (one table per socket in the DES, one overall in live).
+    tables: Vec<Arc<RssTable>>,
+    stride: usize,
+    /// Worker `w`'s balancer handle (possibly all clones of one instance).
+    balancers: Vec<SharedBalancer>,
+    flows: FlowRegistry,
+}
+
+impl Supervisor {
+    /// A supervisor over `health.len()` shards, all starting Healthy.
+    pub fn new(
+        cfg: &SupervisorConfig,
+        health: Arc<Vec<WorkerHealth>>,
+        hstats: Arc<HealthStats>,
+        tables: Vec<Arc<RssTable>>,
+        balancers: Vec<SharedBalancer>,
+        flows: FlowRegistry,
+    ) -> Supervisor {
+        assert_eq!(balancers.len(), health.len(), "one balancer per shard");
+        Supervisor {
+            monitors: vec![ShardMonitor::new(cfg.stall_windows); health.len()],
+            log: SupervisorLog::new(),
+            stride: health.len().div_ceil(tables.len().max(1)).max(1),
+            health,
+            hstats,
+            tables,
+            balancers,
+            flows,
+        }
+    }
+
+    /// Current state of shard `w`.
+    pub fn state(&self, w: usize) -> WorkerState {
+        self.monitors[w].state()
+    }
+
+    /// One watchdog tick at `t_ns` since run start. `backlog_of(w)` is the
+    /// item count waiting in shard `w`'s RX rings. Returns the edges that
+    /// fired, already reacted to and logged.
+    pub fn tick(
+        &mut self,
+        t_ns: u64,
+        backlog_of: impl Fn(usize) -> u64,
+    ) -> Vec<(usize, Transition)> {
+        let mut fired = Vec::new();
+        for w in 0..self.monitors.len() {
+            let h = &self.health[w];
+            h.epoch.fetch_add(1, Ordering::Relaxed);
+            // `alive` before `done`: `finish()` releases `done` first, so a
+            // cleared `alive` acquired here makes `done` visible below and
+            // a worker finishing mid-tick is never mistaken for a crash.
+            let alive = h.alive.load(Ordering::Acquire);
+            if h.done.load(Ordering::Acquire) {
+                // A finished worker is not a dead one.
+                continue;
+            }
+            let obs = Observation {
+                progress: h.progress.load(Ordering::Relaxed),
+                alive,
+                backlog: backlog_of(w),
+            };
+            let Some(t) = self.monitors[w].observe(obs) else {
+                continue;
+            };
+            let moved = match t.to {
+                WorkerState::Dead => self.quarantine(w, t.reason),
+                // A presumed-dead (stalled) worker resumed on its own.
+                WorkerState::Recovering => self.restore(w),
+                WorkerState::Healthy | WorkerState::Suspect => 0,
+            };
+            self.commit(t_ns, w, t, obs.progress, obs.backlog, moved);
+            fired.push((w, t));
+        }
+        fired
+    }
+
+    /// The driver put a replacement worker on crashed shard `w` (fresh
+    /// rings, fresh graph replica): count the respawn, walk the shard to
+    /// Recovering and hand its home buckets back.
+    pub fn recovered(&mut self, w: usize, t_ns: u64) {
+        HealthStats::add(&self.hstats.respawns, 1);
+        if let Some(t) = self.monitors[w].force(WorkerState::Recovering, TransitionReason::Respawn)
+        {
+            let moved = self.restore(w);
+            let progress = self.health[w].progress.load(Ordering::Relaxed);
+            self.commit(t_ns, w, t, progress, 0, moved);
+        }
+    }
+
+    /// Teardown: attributes what crashed, never-replaced shards left behind
+    /// and closes the report. `leftovers(w)` returns `(packets still queued
+    /// in w's RX rings, packets in completions nobody reaped)`; the latter
+    /// is drained by the call. `drained` says the run ended by quiescing
+    /// every thread (live) rather than by a measurement cut at a horizon
+    /// (DES): then every unreaped completion is stranded for good, not
+    /// just a crashed shard's. `orphaned_ring` is what sits in rings a
+    /// respawn replaced.
+    pub fn finish(
+        &mut self,
+        drained: bool,
+        orphaned_ring: u64,
+        mut leftovers: impl FnMut(usize) -> (u64, u64),
+    ) -> HealthReport {
+        let (mut lost_ring, mut lost_flight) = (orphaned_ring, 0);
+        for (w, h) in self.health.iter().enumerate() {
+            let crashed = !h.alive.load(Ordering::Acquire) && !h.done.load(Ordering::Acquire);
+            if crashed || drained {
+                let (ring, flight) = leftovers(w);
+                lost_ring += if crashed { ring } else { 0 };
+                lost_flight += flight;
+            }
+        }
+        HealthStats::add(&self.hstats.lost_in_ring, lost_ring);
+        HealthStats::add(&self.hstats.lost_in_flight, lost_flight);
+        HealthReport {
+            states: self.monitors.iter().map(ShardMonitor::state).collect(),
+            log: std::mem::take(&mut self.log),
+            stats: self.hstats.snapshot(),
+        }
+    }
+
+    /// Quarantines dead shard `w`: re-steers its buckets onto its table's
+    /// live survivors (untouched buckets keep their flow affinity; dead or
+    /// finished workers are never targets). Returns the buckets moved.
+    fn quarantine(&mut self, w: usize, reason: TransitionReason) -> usize {
+        let base = w / self.stride * self.stride;
+        let end = (base + self.stride).min(self.monitors.len());
+        let survivors: Vec<u16> = (base..end)
+            .filter(|&s| {
+                s != w
+                    && self.monitors[s].state() != WorkerState::Dead
+                    && !self.health[s].done.load(Ordering::Acquire)
+            })
+            .map(|s| (s - base) as u16)
+            .collect();
+        let moved = self.tables[w / self.stride].remap_dead((w - base) as u16, &survivors);
+        if moved > 0 {
+            self.count_resteer(moved);
+            // Survivors inherit load discontinuously: let their balancers
+            // reset observation windows instead of hill-climbing across
+            // the step.
+            let share = (moved / survivors.len().max(1)).max(1);
+            for &s in &survivors {
+                self.balancers[base + usize::from(s)]
+                    .lock()
+                    .on_resteer(share);
+            }
+        }
+        // The quarantine lands in the dead shard's decision-audit log, the
+        // same replayable HealthDown trail the device breaker leaves.
+        self.balancers[w].lock().observe_device_health(false);
+        // Invalidate-on-death: every flow a crashed shard held is
+        // accounted as lost (`evict_death`) — survivors see re-steered
+        // flows as fresh foreign inserts. Stalled (but alive) shards keep
+        // their tables: their thread still owns the state and may recover.
+        if reason == TransitionReason::Crash {
+            self.flows.invalidate_shard(w);
+        }
+        moved
+    }
+
+    /// The one restore path: hands shard `w` its home buckets back and
+    /// re-admits it in its balancer's audit trail.
+    fn restore(&mut self, w: usize) -> usize {
+        let moved = self.tables[w / self.stride].restore((w % self.stride) as u16);
+        if moved > 0 {
+            self.count_resteer(moved);
+        }
+        self.balancers[w].lock().observe_device_health(true);
+        moved
+    }
+
+    fn count_resteer(&self, moved: usize) {
+        HealthStats::add(&self.hstats.resteers, 1);
+        HealthStats::add(&self.hstats.buckets_moved, moved as u64);
+    }
+
+    /// Publishes the new state to observers and appends the log record.
+    fn commit(
+        &mut self,
+        t_ns: u64,
+        w: usize,
+        t: Transition,
+        progress: u64,
+        backlog: u64,
+        moved: usize,
+    ) {
+        self.health[w].state.store(t.to.as_u8(), Ordering::Relaxed);
+        self.log
+            .record(t_ns, w as u32, t, progress, backlog, moved as u32);
     }
 }
 

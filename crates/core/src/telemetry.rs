@@ -289,6 +289,47 @@ pub struct TraceEvent {
     pub parent: u64,
 }
 
+impl TraceEvent {
+    /// A zero-duration point event with no node and no spans; refine with
+    /// [`TraceEvent::at_node`] and [`TraceEvent::spans`].
+    pub fn point(
+        t: Time,
+        worker: usize,
+        batch: u64,
+        kind: TraceEventKind,
+        packets: usize,
+    ) -> TraceEvent {
+        TraceEvent {
+            t,
+            worker: worker as u32,
+            batch,
+            node: None,
+            kind,
+            packets: packets as u32,
+            dur: Time::ZERO,
+            span: 0,
+            parent: 0,
+        }
+    }
+
+    /// The same event, attributed to graph node `node`.
+    pub fn at_node(self, node: usize) -> TraceEvent {
+        TraceEvent {
+            node: Some(node as u32),
+            ..self
+        }
+    }
+
+    /// The same event, carrying causal span `span` under `parent`.
+    pub fn spans(self, span: u64, parent: u64) -> TraceEvent {
+        TraceEvent {
+            span,
+            parent,
+            ..self
+        }
+    }
+}
+
 /// A bounded ring of [`TraceEvent`]s: pushes never allocate past capacity,
 /// the oldest events are overwritten and counted.
 #[derive(Debug, Clone)]

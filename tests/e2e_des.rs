@@ -219,6 +219,46 @@ fn determinism_same_seed_same_report() {
     assert_eq!(a.window.dropped, b.window.dropped);
     assert_eq!(a.latency.count(), b.latency.count());
     assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
+
+    // Two offloadable nodes (AES + HMAC), line-rate overload, and an
+    // adaptive balancer sitting near the device: the device thread has
+    // aggregates of both nodes to launch in one step, so the order it
+    // visits them in must not depend on per-process hash state. (The
+    // benchmark's `des_ipsec_alb` input shows the same on the paper
+    // testbed; this is its small-topology form, seconds instead of a
+    // minute in a debug build.)
+    let cfg = RuntimeConfig {
+        compute: ComputeMode::HeadersOnly,
+        warmup: Time::from_ms(3),
+        measure: Time::from_ms(5),
+        ..RuntimeConfig::test_default()
+    };
+    let traffic = traffic_per_port(
+        &cfg.topology,
+        &TrafficConfig {
+            offered_gbps: 10.0,
+            size: SizeDist::Fixed(64),
+            ..TrafficConfig::default()
+        },
+    );
+    let run = || {
+        let alb = lb::Adaptive::new(lb::AlbConfig {
+            initial_w: 0.9,
+            ..lb::AlbConfig::scaled_down(200)
+        });
+        let r = des::run(
+            &cfg,
+            &pipelines::ipsec_gateway(&app),
+            &lb::shared(Box::new(alb)),
+            &traffic,
+        );
+        assert!(r.rx_dropped > 0, "not overloaded: {r:?}");
+        (r.tx_packets, r.window.dropped, r.latency.count(), r.final_w)
+    };
+    let first = run();
+    for _ in 0..4 {
+        assert_eq!(run(), first, "same seed, different report");
+    }
 }
 
 #[test]

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 use nba_apps::ipv4::RoutingTableV4;
 use nba_apps::ipv6::RoutingTableV6;
 use nba_crypto::{Aes128Ctr, HmacSha1, Sha1};
-use nba_io::checksum;
 use nba_io::toeplitz::Toeplitz;
+use nba_io::{checksum, spsc, Mempool};
 use nba_matcher::{AhoCorasick, Regex};
 
 fn bench_crypto(c: &mut Criterion) {
@@ -86,6 +86,44 @@ fn bench_io(c: &mut Criterion) {
     let t = Toeplitz::default();
     g.bench_function("toeplitz/ipv4-4tuple", |b| {
         b.iter(|| t.hash_ipv4_l4(0x0a000001, 0xc0a80001, 1234, 53))
+    });
+    // The two hand-off primitives, per item and per 64-item burst (same
+    // thread: the synchronisation instructions, not the cache misses).
+    const BURST: usize = 64;
+    let (tx, rx) = spsc::channel::<u64>(4096);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("spsc_single", |b| {
+        b.iter(|| {
+            tx.push(7).expect("ring has room");
+            rx.pop()
+        })
+    });
+    let mut burst: Vec<u64> = Vec::with_capacity(BURST);
+    g.throughput(Throughput::Elements(BURST as u64));
+    g.bench_function("spsc_burst_64", |b| {
+        b.iter(|| {
+            burst.extend(0..BURST as u64);
+            tx.push_burst(&mut burst);
+            let mut sum = 0;
+            rx.pop_burst(BURST, |v| sum += v);
+            sum
+        })
+    });
+    let pool = Mempool::new(BURST);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("mempool_single", |b| {
+        b.iter(|| {
+            let buf = pool.alloc().expect("pool holds a buffer");
+            pool.free(buf);
+        })
+    });
+    let mut bufs = Vec::with_capacity(BURST);
+    g.throughput(Throughput::Elements(BURST as u64));
+    g.bench_function("mempool_bulk_64", |b| {
+        b.iter(|| {
+            pool.alloc_bulk(BURST, &mut bufs);
+            pool.free_bulk(bufs.drain(..));
+        })
     });
     g.finish();
 }

@@ -266,6 +266,16 @@ impl PacketBatch {
         out
     }
 
+    /// Empties the batch for reuse, keeping its allocations: a retired
+    /// shell refilled from the RX rings costs no allocation per burst.
+    pub fn reset(&mut self) {
+        self.slots.clear();
+        self.annos.clear();
+        self.results.clear();
+        self.banno = Anno::default();
+        self.live = 0;
+    }
+
     /// Sum of live frame bits (throughput accounting).
     pub fn frame_bits(&self) -> u64 {
         self.slots.iter().flatten().map(|p| p.frame_bits()).sum()

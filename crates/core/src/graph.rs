@@ -85,6 +85,10 @@ pub struct RunOutcome {
     pub cycles: u64,
     /// Packets dropped.
     pub drops: u64,
+    /// An emptied batch shell the traversal retired at the pipeline exit,
+    /// handed back so the worker refills it from RX instead of allocating
+    /// per burst.
+    pub spent: Option<PacketBatch>,
 }
 
 /// A point trace event for `batch` at node `nid`, under the batch's
@@ -728,6 +732,7 @@ impl ElementGraph {
             OutEdge::Exit => {
                 outcome.tx.extend(batch.drain());
                 outcome.cycles += cost.batch_free;
+                outcome.spent.get_or_insert(batch);
             }
             OutEdge::Discard => {
                 let n = batch.len() as u64;

@@ -219,7 +219,7 @@ impl Entity for WorkerEntity {
         }
         let mut iter = pkts.into_iter().peekable();
         while iter.peek().is_some() {
-            let mut batch = PacketBatch::with_capacity(cfg.comp_batch);
+            let mut batch = self.core.rx_batch(cfg.comp_batch);
             for p in iter.by_ref().take(cfg.comp_batch) {
                 batch.push(p);
             }

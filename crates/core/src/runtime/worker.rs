@@ -128,6 +128,9 @@ pub struct WorkerCore {
     trace_seq: u64,
     flight_seq: u64,
     capture: Option<Vec<TxRecord>>,
+    /// The batch shell the last traversal retired, kept for the next RX
+    /// burst ([`WorkerCore::rx_batch`]).
+    spare: Option<PacketBatch>,
 }
 
 impl WorkerCore {
@@ -150,6 +153,7 @@ impl WorkerCore {
             trace_seq: 0,
             flight_seq: 0,
             capture: env.capture.then(Vec::new),
+            spare: None,
             env,
         }
     }
@@ -162,6 +166,22 @@ impl WorkerCore {
     /// This worker's heartbeat slot.
     pub fn heartbeat(&self) -> &WorkerHealth {
         &self.env.health[self.id]
+    }
+
+    /// An empty batch to fill from RX: the shell the previous traversal
+    /// retired when there is one, so the steady state allocates no batch
+    /// per burst.
+    pub fn rx_batch(&mut self, capacity: usize) -> PacketBatch {
+        self.spare
+            .take()
+            .unwrap_or_else(|| PacketBatch::with_capacity(capacity))
+    }
+
+    /// Hands back a batch shell for [`rx_batch`](Self::rx_batch) to reuse
+    /// (an RX poll that came up empty, a traversal's retired batch).
+    pub fn retire(&mut self, mut shell: PacketBatch) {
+        shell.reset();
+        self.spare = Some(shell);
     }
 
     /// The kill/stall drill check; call at the top of every iteration.
@@ -353,11 +373,14 @@ impl WorkerCore {
     fn handle_outcome<T: Transport>(
         &mut self,
         now: Time,
-        outcome: RunOutcome,
+        mut outcome: RunOutcome,
         batch_id: u64,
         span: u64,
         tp: &mut T,
     ) {
+        if let Some(shell) = outcome.spent.take() {
+            self.retire(shell);
+        }
         // Charged before TX: packets hit the wire only after the core
         // spent the traversal's time, so TX (and therefore latency)
         // reflects pipeline depth.
@@ -376,6 +399,9 @@ impl WorkerCore {
             let (packets, bits) = tp.transmit(&outcome.tx);
             Counters::add(&self.counters.tx_packets, packets);
             Counters::add(&self.counters.tx_frame_bits, bits);
+            // The burst is on the wire: its buffers go home together, one
+            // pool lock per ingress pool instead of one per packet.
+            Packet::recycle(outcome.tx.drain(..).map(|(pkt, _)| pkt));
         }
         for req in outcome.offloads {
             tp.charge(self.env.cost.offload_enqueue);

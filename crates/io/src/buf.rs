@@ -8,6 +8,16 @@
 //! mempools to make batch-split allocation affordable, and the framework's
 //! cost model charges allocation/release costs whenever these are used on the
 //! data path.
+//!
+//! The pool is one mutex-guarded free list, so what it costs is how often
+//! it is locked. The per-packet calls ([`Mempool::alloc`], [`Mempool::free`])
+//! lock once each; the burst calls ([`Mempool::alloc_bulk`],
+//! [`Mempool::free_bulk`]) lock once per burst; and a [`MempoolCache`] — the
+//! DPDK per-lcore mempool cache — lets one thread allocate packet by packet
+//! while touching the shared pool once per burst. Accounting is the same on
+//! every path and is exact: a buffer is *outstanding* from the moment the
+//! pool hands it out (to a caller or into a cache) until it is freed back,
+//! and the budget bounds outstanding buffers, cached ones included.
 
 use std::sync::{Arc, Mutex};
 
@@ -203,9 +213,11 @@ struct PoolInner {
 /// A recycling pool of [`PacketBuf`]s with a hard buffer budget.
 ///
 /// Clones share the same pool. The pool is thread-safe so pooled packets can
-/// cross worker threads in the live runtime; in the discrete-event runtime
-/// the single engine thread makes the mutex uncontended, mirroring DPDK's
-/// per-lcore mempool caches.
+/// cross worker threads in the live runtime, where the IO thread allocates
+/// through a [`MempoolCache`] and workers free whole TX bursts, so the lock
+/// is taken per burst from either side. The discrete-event runtime calls
+/// [`Mempool::alloc`] per packet from its single engine thread (an
+/// uncontended lock), which keeps pool exhaustion exact per packet.
 #[derive(Debug)]
 pub struct Mempool {
     inner: Arc<Mutex<PoolInner>>,
@@ -266,13 +278,59 @@ impl Mempool {
 
     /// Returns a buffer to the pool.
     pub fn free(&self, buf: PacketBuf) {
-        let mut p = self.inner.lock().expect("mempool poisoned");
-        debug_assert!(p.outstanding > 0, "double free into mempool");
-        p.outstanding = p.outstanding.saturating_sub(1);
-        p.stats.frees += 1;
-        if p.free.len() < p.capacity {
-            p.free.push(buf);
+        self.free_bulk(std::iter::once(buf));
+    }
+
+    /// Takes up to `n` cleared buffers under one lock, appending them to
+    /// `out`; returns how many were granted. A short grant is whatever the
+    /// budget still allowed and is not an error; a grant of *none* counts
+    /// one [`MempoolStats::exhausted`] event (per refused call, not per
+    /// buffer asked for).
+    pub fn alloc_bulk(&self, n: usize, out: &mut Vec<PacketBuf>) -> usize {
+        if n == 0 {
+            return 0;
         }
+        let (recycled, fresh, buf_capacity, headroom) = {
+            let mut p = self.inner.lock().expect("mempool poisoned");
+            let grant = n.min(p.capacity - p.outstanding);
+            if grant == 0 {
+                p.stats.exhausted += 1;
+                return 0;
+            }
+            p.outstanding += grant;
+            p.stats.allocs += grant as u64;
+            let recycled = grant.min(p.free.len());
+            let keep = p.free.len() - recycled;
+            let headroom = p.headroom;
+            out.extend(p.free.drain(keep..).map(|mut buf| {
+                buf.reset(headroom);
+                buf
+            }));
+            (recycled, grant - recycled, p.buf_capacity, headroom)
+        };
+        // Buffers the free list could not supply are created outside the
+        // lock (zeroing 2 KiB each is the slow part of a cold pool).
+        out.extend((0..fresh).map(|_| PacketBuf::with_capacity(buf_capacity, headroom)));
+        recycled + fresh
+    }
+
+    /// Returns a burst of buffers to the pool under one lock. The iterator
+    /// runs while the lock is held, so it should only hand buffers over.
+    pub fn free_bulk(&self, bufs: impl IntoIterator<Item = PacketBuf>) {
+        let mut p = self.inner.lock().expect("mempool poisoned");
+        for buf in bufs {
+            debug_assert!(p.outstanding > 0, "double free into mempool");
+            p.outstanding = p.outstanding.saturating_sub(1);
+            p.stats.frees += 1;
+            if p.free.len() < p.capacity {
+                p.free.push(buf);
+            }
+        }
+    }
+
+    /// True when `other` is a handle to this same pool.
+    pub fn same_pool(&self, other: &Mempool) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Buffers currently handed out.
@@ -289,6 +347,74 @@ impl Mempool {
     /// A copy of the pool statistics.
     pub fn stats(&self) -> MempoolStats {
         self.inner.lock().expect("mempool poisoned").stats
+    }
+}
+
+/// One thread's private stash of buffers from a [`Mempool`] — DPDK's
+/// per-lcore mempool cache. [`MempoolCache::alloc`] serves from the stash
+/// and refills it with one [`Mempool::alloc_bulk`] of `burst` buffers when
+/// it runs dry, so a thread allocating packet by packet locks the shared
+/// pool once per burst.
+///
+/// Each stashed buffer comes with the pool handle its packet will carry,
+/// cloned at refill time. The handle's reference count is the one cache
+/// line every pooled packet touches on *both* threads (cloned where the
+/// packet is built, dropped where it is retired); bumping it in one tight
+/// loop per burst, as the retiring side's [`crate::Packet::recycle`] does,
+/// keeps that line from bouncing between cores once per packet.
+///
+/// Deliberately not `Clone` and owned by the thread that uses it. Cached
+/// buffers count as outstanding against the pool's budget (they were
+/// granted), and dropping the cache flushes them back, so after every
+/// packet and every cache is gone `outstanding() == 0` and
+/// `allocs == frees`.
+#[derive(Debug)]
+pub struct MempoolCache {
+    pool: Mempool,
+    /// Granted buffers, and one pre-cloned pool handle per buffer.
+    bufs: Vec<PacketBuf>,
+    handles: Vec<Mempool>,
+    burst: usize,
+}
+
+impl MempoolCache {
+    /// A cache over `pool` that refills `burst` buffers at a time (at
+    /// least one) and never holds more than that.
+    pub fn new(pool: Mempool, burst: usize) -> MempoolCache {
+        let burst = burst.max(1);
+        MempoolCache {
+            pool,
+            bufs: Vec::with_capacity(burst),
+            handles: Vec::with_capacity(burst),
+            burst,
+        }
+    }
+
+    /// Takes a cleared buffer and the handle of the pool it returns to,
+    /// refilling from the shared pool when the stash is empty. `None` when
+    /// the refill was refused: the pool's budget is exhausted (counted once
+    /// there, per refused refill).
+    pub fn alloc(&mut self) -> Option<(PacketBuf, Mempool)> {
+        if self.bufs.is_empty() {
+            let granted = self.pool.alloc_bulk(self.burst, &mut self.bufs);
+            let pool = &self.pool;
+            self.handles
+                .extend(std::iter::repeat_with(|| pool.clone()).take(granted));
+        }
+        self.bufs.pop().zip(self.handles.pop())
+    }
+
+    /// Buffers currently stashed.
+    pub fn cached(&self) -> usize {
+        self.bufs.len()
+    }
+}
+
+impl Drop for MempoolCache {
+    fn drop(&mut self) {
+        if !self.bufs.is_empty() {
+            self.pool.free_bulk(self.bufs.drain(..));
+        }
     }
 }
 
@@ -355,6 +481,49 @@ mod tests {
         assert_eq!(b.headroom(), 32);
         assert_eq!(pool.stats().allocs, 2);
         assert_eq!(pool.stats().frees, 1);
+    }
+
+    #[test]
+    fn bulk_calls_share_the_budget_and_the_ledger() {
+        let pool = Mempool::with_buf_shape(6, 256, 32);
+        let mut held = Vec::new();
+        assert_eq!(pool.alloc_bulk(4, &mut held), 4);
+        assert_eq!(pool.alloc_bulk(4, &mut held), 2, "short grant at budget");
+        assert_eq!(pool.stats().exhausted, 0, "a short grant is not refused");
+        assert_eq!(pool.alloc_bulk(4, &mut held), 0);
+        assert!(pool.alloc().is_none());
+        assert_eq!(pool.stats().exhausted, 2, "once per refused call");
+        assert_eq!((pool.outstanding(), pool.available()), (6, 0));
+        held[0].fill(32, b"dirty");
+        pool.free_bulk(held.drain(..));
+        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.alloc_bulk(6, &mut held), 6);
+        assert!(held.iter().all(|b| b.is_empty() && b.headroom() == 32));
+        let stats = pool.stats();
+        assert_eq!((stats.allocs, stats.frees), (12, 6));
+    }
+
+    #[test]
+    fn cache_refills_per_burst_and_flushes_on_drop() {
+        let pool = Mempool::new(10);
+        let mut cache = MempoolCache::new(pool.clone(), 4);
+        let (a, home) = cache.alloc().unwrap();
+        assert!(home.same_pool(&pool), "the handle is the cache's pool");
+        assert_eq!(cache.cached(), 3);
+        assert_eq!(pool.outstanding(), 4, "cached buffers are outstanding");
+        let mut held = vec![a];
+        held.extend(std::iter::from_fn(|| cache.alloc()).map(|(buf, _)| buf));
+        assert_eq!(held.len(), 10, "the whole budget is reachable");
+        assert_eq!(pool.stats().exhausted, 1, "one refused refill");
+        assert!(cache.alloc().is_none());
+        assert_eq!(pool.stats().exhausted, 2);
+        pool.free_bulk(held.drain(..5));
+        held.push(cache.alloc().unwrap().0);
+        assert_eq!((cache.cached(), pool.outstanding()), (3, 9));
+        drop(cache);
+        assert_eq!(pool.outstanding(), held.len(), "drop flushes the stash");
+        assert!(pool.same_pool(&pool.clone()));
+        assert!(!pool.same_pool(&Mempool::new(10)));
     }
 
     #[test]

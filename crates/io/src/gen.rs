@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use nba_sim::Time;
 
-use crate::buf::{Mempool, DEFAULT_HEADROOM};
+use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
 use crate::proto::{self, FrameBuilder};
 
@@ -305,90 +305,122 @@ impl TrafficGen {
     ///
     /// Packets carry `ts_gen` pacing timestamps spaced so the stream's wire
     /// rate equals the configured offered load. Returns the number emitted.
+    /// A slot whose allocation fails is lost (counted, pacing advanced): an
+    /// exhausted pool drops offered load, it does not delay it.
     pub fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
         let mut emitted = 0;
         while self.next_ts < until {
-            let len = self.cfg.size.sample(&mut self.rng).max(self.min_len());
-            let ts = self.next_ts;
             // Advance pacing before any alloc-failure path so overload
             // cannot stall virtual time.
-            let wire_bits = ((len + WIRE_OVERHEAD_BYTES) * 8) as f64;
-            self.next_ts += Time::from_secs_f64(wire_bits / (self.cfg.offered_gbps * 1e9));
-            self.seq += 1;
-
-            let Some(mut buf) = pool.alloc() else {
+            let (len, ts) = self.next_slot();
+            let Some(buf) = pool.alloc() else {
                 self.stats.alloc_failures += 1;
                 continue;
             };
-            // SYN-flood slots come from one-shot random sources that are
-            // never drawn again (no state to complete a handshake with).
-            let flood = self.cfg.l4 == L4Proto::Tcp
-                && self.cfg.syn_flood_per_mille > 0
-                && self.rng.gen_range(0..1000) < self.cfg.syn_flood_per_mille;
-            let (flow, flags, tcp_seq) = if flood {
-                (self.fresh_flow(), proto::TCP_SYN, 0)
-            } else {
-                let idx = self.pick_flow();
-                let pkts = self.state[idx].pkts;
-                let last =
-                    self.cfg.flow_lifetime_pkts > 0 && pkts + 1 >= self.cfg.flow_lifetime_pkts;
-                let flags = if pkts == 0 {
-                    proto::TCP_SYN
-                } else if last {
-                    proto::TCP_FIN | proto::TCP_ACK
-                } else {
-                    proto::TCP_ACK | proto::TCP_PSH
-                };
-                let flow = self.flows[idx];
-                if last {
-                    // Lifetime churn: the flow expires; a fresh identity
-                    // arrives in its slot.
-                    self.flows[idx] = self.fresh_flow();
-                    self.state[idx] = FlowState::default();
-                } else {
-                    self.state[idx].pkts = pkts + 1;
-                }
-                (flow, flags, pkts as u32)
-            };
-            let frame = buf.set_region(DEFAULT_HEADROOM, len);
-            match (self.cfg.ip_version, self.cfg.l4) {
-                (IpVersion::V4, L4Proto::Udp) => {
-                    self.builder.src_port = flow.src_port;
-                    self.builder.dst_port = flow.dst_port;
-                    self.builder
-                        .build_ipv4(frame, len, flow.src_v4, flow.dst_v4);
-                    self.fill_payload(frame, FrameBuilder::MIN_V4_LEN);
-                }
-                (IpVersion::V4, L4Proto::Tcp) => {
-                    self.builder.src_port = flow.src_port;
-                    self.builder.dst_port = flow.dst_port;
-                    self.builder.build_ipv4_tcp(
-                        frame,
-                        len,
-                        flow.src_v4,
-                        flow.dst_v4,
-                        flags,
-                        tcp_seq,
-                    );
-                    // Payload untouched: TCP checksums cover the body, and
-                    // the stateful suites verify them end to end.
-                }
-                (IpVersion::V6, _) => {
-                    self.builder.src_port = flow.src_port;
-                    self.builder.dst_port = flow.dst_port;
-                    self.builder
-                        .build_ipv6(frame, len, flow.src_v6, flow.dst_v6);
-                    self.fill_payload(frame, FrameBuilder::MIN_V6_LEN);
-                }
-            }
-            let mut pkt = Packet::from_pool(buf, pool.clone());
-            pkt.ts_gen = ts;
-            self.stats.generated += 1;
-            self.stats.frame_bits += (len * 8) as u64;
             emitted += 1;
-            sink(pkt);
+            sink(self.build(len, ts, buf, pool.clone()));
         }
         emitted
+    }
+
+    /// Emits the next `count` packets of the same stream [`generate`]
+    /// produces (pacing timestamps included), allocating through a
+    /// per-thread `cache`. Returns the number emitted: short only when an
+    /// allocation was refused, in which case the burst stops *before*
+    /// consuming the slot, so the packet sequence of a seed does not depend
+    /// on when the pool ran dry.
+    ///
+    /// [`generate`]: TrafficGen::generate
+    pub fn generate_burst(
+        &mut self,
+        count: usize,
+        cache: &mut MempoolCache,
+        sink: &mut dyn FnMut(Packet),
+    ) -> u64 {
+        for emitted in 0..count {
+            let Some((buf, pool)) = cache.alloc() else {
+                self.stats.alloc_failures += 1;
+                return emitted as u64;
+            };
+            let (len, ts) = self.next_slot();
+            sink(self.build(len, ts, buf, pool));
+        }
+        count as u64
+    }
+
+    /// Opens the next slot of the stream: samples its frame length and
+    /// advances the pacing clock and sequence number.
+    fn next_slot(&mut self) -> (usize, Time) {
+        let len = self.cfg.size.sample(&mut self.rng).max(self.min_len());
+        let ts = self.next_ts;
+        let wire_bits = ((len + WIRE_OVERHEAD_BYTES) * 8) as f64;
+        self.next_ts += Time::from_secs_f64(wire_bits / (self.cfg.offered_gbps * 1e9));
+        self.seq += 1;
+        (len, ts)
+    }
+
+    /// Builds the frame of the slot [`next_slot`](Self::next_slot) opened
+    /// into `buf`, as a packet that returns to `pool`.
+    fn build(&mut self, len: usize, ts: Time, mut buf: PacketBuf, pool: Mempool) -> Packet {
+        // SYN-flood slots come from one-shot random sources that are
+        // never drawn again (no state to complete a handshake with).
+        let flood = self.cfg.l4 == L4Proto::Tcp
+            && self.cfg.syn_flood_per_mille > 0
+            && self.rng.gen_range(0..1000) < self.cfg.syn_flood_per_mille;
+        let (flow, flags, tcp_seq) = if flood {
+            (self.fresh_flow(), proto::TCP_SYN, 0)
+        } else {
+            let idx = self.pick_flow();
+            let pkts = self.state[idx].pkts;
+            let last = self.cfg.flow_lifetime_pkts > 0 && pkts + 1 >= self.cfg.flow_lifetime_pkts;
+            let flags = if pkts == 0 {
+                proto::TCP_SYN
+            } else if last {
+                proto::TCP_FIN | proto::TCP_ACK
+            } else {
+                proto::TCP_ACK | proto::TCP_PSH
+            };
+            let flow = self.flows[idx];
+            if last {
+                // Lifetime churn: the flow expires; a fresh identity
+                // arrives in its slot.
+                self.flows[idx] = self.fresh_flow();
+                self.state[idx] = FlowState::default();
+            } else {
+                self.state[idx].pkts = pkts + 1;
+            }
+            (flow, flags, pkts as u32)
+        };
+        let frame = buf.set_region(DEFAULT_HEADROOM, len);
+        match (self.cfg.ip_version, self.cfg.l4) {
+            (IpVersion::V4, L4Proto::Udp) => {
+                self.builder.src_port = flow.src_port;
+                self.builder.dst_port = flow.dst_port;
+                self.builder
+                    .build_ipv4(frame, len, flow.src_v4, flow.dst_v4);
+                self.fill_payload(frame, FrameBuilder::MIN_V4_LEN);
+            }
+            (IpVersion::V4, L4Proto::Tcp) => {
+                self.builder.src_port = flow.src_port;
+                self.builder.dst_port = flow.dst_port;
+                self.builder
+                    .build_ipv4_tcp(frame, len, flow.src_v4, flow.dst_v4, flags, tcp_seq);
+                // Payload untouched: TCP checksums cover the body, and
+                // the stateful suites verify them end to end.
+            }
+            (IpVersion::V6, _) => {
+                self.builder.src_port = flow.src_port;
+                self.builder.dst_port = flow.dst_port;
+                self.builder
+                    .build_ipv6(frame, len, flow.src_v6, flow.dst_v6);
+                self.fill_payload(frame, FrameBuilder::MIN_V6_LEN);
+            }
+        }
+        let mut pkt = Packet::from_pool(buf, pool);
+        pkt.ts_gen = ts;
+        self.stats.generated += 1;
+        self.stats.frame_bits += (len * 8) as u64;
+        pkt
     }
 
     fn fill_payload(&mut self, frame: &mut [u8], hdr_len: usize) {

@@ -35,10 +35,10 @@ pub mod rss;
 pub mod spsc;
 pub mod toeplitz;
 
-pub use buf::{Mempool, PacketBuf};
+pub use buf::{Mempool, MempoolCache, PacketBuf};
 pub use gen::{IpVersion, L4Proto, PayloadFill, SizeDist, TrafficConfig, TrafficGen};
 pub use packet::Packet;
 pub use pcap::{Limited, PacketSource, PcapWriter, Replay, TraceRecord};
 pub use port::{Port, PortHandle, TxOutcome};
-pub use rss::{RssFanout, RssTable, SteerPlan, RSS_BUCKETS};
+pub use rss::{RssFanout, RssTable, RSS_BUCKETS};
 pub use toeplitz::Toeplitz;

@@ -4,7 +4,10 @@
 //! packet is dropped (explicitly discarded or simply falls out of scope) its
 //! buffer automatically returns to the originating [`Mempool`], so buffer
 //! accounting can never leak across the modular pipeline — the property DPDK
-//! forces NBA to maintain manually.
+//! forces NBA to maintain manually. That per-packet drop is the safety net;
+//! a path that retires a whole burst at once (the worker's TX) hands it to
+//! [`Packet::recycle`], which returns the buffers with one pool lock per
+//! same-pool run instead of one per packet.
 
 use crate::buf::{Mempool, PacketBuf};
 use nba_sim::Time;
@@ -99,6 +102,25 @@ impl Packet {
     /// The underlying buffer, mutably (prepend/append/trim for encap).
     pub fn buf_mut(&mut self) -> &mut PacketBuf {
         self.buf.as_mut().expect("packet buffer already taken")
+    }
+
+    /// Retires a burst of packets, returning each pooled buffer to *its
+    /// own* pool with one lock per run of consecutive same-pool packets
+    /// (a TX burst from one ingress pool is a single run). Unpooled packets
+    /// are simply dropped. Equivalent to dropping every packet one by one,
+    /// in order — just cheaper.
+    pub fn recycle(pkts: impl IntoIterator<Item = Packet>) {
+        let mut pkts = pkts.into_iter().peekable();
+        while let Some(mut first) = pkts.next() {
+            let (Some(buf), Some(pool)) = (first.buf.take(), first.pool.take()) else {
+                continue;
+            };
+            let rest = std::iter::from_fn(|| {
+                let same = |p: &Packet| p.pool.as_ref().is_some_and(|q| q.same_pool(&pool));
+                pkts.next_if(same)?.buf.take()
+            });
+            pool.free_bulk(std::iter::once(buf).chain(rest));
+        }
     }
 }
 

@@ -9,22 +9,44 @@ use std::io::{self, Read, Write};
 
 use nba_sim::Time;
 
-use crate::buf::{Mempool, DEFAULT_HEADROOM};
+use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
 
 /// Anything that can emit timestamped packets into the runtime.
 ///
 /// Implemented by the synthetic [`crate::gen::TrafficGen`] and by
-/// [`Replay`]; the discrete-event runtime drives either.
+/// [`Replay`]. One stream, two ways to ask for it: the discrete-event
+/// runtime asks by virtual time ([`generate`](PacketSource::generate)), the
+/// live runtime's IO threads ask by count
+/// ([`generate_burst`](PacketSource::generate_burst)).
 pub trait PacketSource {
     /// Emits every packet due strictly before `until` into `sink`, pacing
     /// `ts_gen` timestamps accordingly. Returns the number emitted.
     fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64;
+
+    /// Emits the next `count` packets of the stream into `sink`, allocating
+    /// through the calling thread's `cache`. Returns the number emitted:
+    /// short only when the source ran out or an allocation was refused.
+    fn generate_burst(
+        &mut self,
+        count: usize,
+        cache: &mut MempoolCache,
+        sink: &mut dyn FnMut(Packet),
+    ) -> u64;
 }
 
 impl PacketSource for crate::gen::TrafficGen {
     fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
         crate::gen::TrafficGen::generate(self, until, pool, sink)
+    }
+
+    fn generate_burst(
+        &mut self,
+        count: usize,
+        cache: &mut MempoolCache,
+        sink: &mut dyn FnMut(Packet),
+    ) -> u64 {
+        crate::gen::TrafficGen::generate_burst(self, count, cache, sink)
     }
 }
 
@@ -166,29 +188,55 @@ impl Replay {
     }
 }
 
+impl Replay {
+    /// Opens the next slot: the record to replay and its pacing timestamp.
+    fn next_slot(&mut self) -> (usize, Time) {
+        let idx = self.idx;
+        self.idx = (self.idx + 1) % self.records.len();
+        let ts = self.next_ts;
+        let wire_bits = ((self.records[idx].frame.len() + WIRE_OVERHEAD_BYTES) * 8) as f64;
+        self.next_ts += Time::from_secs_f64(wire_bits / (self.offered_gbps * 1e9));
+        (idx, ts)
+    }
+
+    fn build(&mut self, idx: usize, ts: Time, mut buf: PacketBuf, pool: Mempool) -> Packet {
+        let frame = &self.records[idx].frame;
+        buf.fill(DEFAULT_HEADROOM.min(buf.capacity() - frame.len()), frame);
+        let mut pkt = Packet::from_pool(buf, pool);
+        pkt.ts_gen = ts;
+        self.emitted += 1;
+        pkt
+    }
+}
+
 impl PacketSource for Replay {
     fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
         let mut n = 0;
         while self.next_ts < until {
-            let rec = &self.records[self.idx];
-            self.idx = (self.idx + 1) % self.records.len();
-            let ts = self.next_ts;
-            let wire_bits = ((rec.frame.len() + WIRE_OVERHEAD_BYTES) * 8) as f64;
-            self.next_ts += Time::from_secs_f64(wire_bits / (self.offered_gbps * 1e9));
-            let Some(mut buf) = pool.alloc() else {
+            let (idx, ts) = self.next_slot();
+            let Some(buf) = pool.alloc() else {
                 continue;
             };
-            buf.fill(
-                DEFAULT_HEADROOM.min(buf.capacity() - rec.frame.len()),
-                &rec.frame,
-            );
-            let mut pkt = Packet::from_pool(buf, pool.clone());
-            pkt.ts_gen = ts;
-            self.emitted += 1;
             n += 1;
-            sink(pkt);
+            sink(self.build(idx, ts, buf, pool.clone()));
         }
         n
+    }
+
+    fn generate_burst(
+        &mut self,
+        count: usize,
+        cache: &mut MempoolCache,
+        sink: &mut dyn FnMut(Packet),
+    ) -> u64 {
+        for emitted in 0..count {
+            let Some((buf, pool)) = cache.alloc() else {
+                return emitted as u64;
+            };
+            let (idx, ts) = self.next_slot();
+            sink(self.build(idx, ts, buf, pool));
+        }
+        count as u64
     }
 }
 
@@ -240,6 +288,19 @@ impl<S: PacketSource> PacketSource for Limited<S> {
                 sink(pkt);
             }
         });
+        emitted
+    }
+
+    fn generate_burst(
+        &mut self,
+        count: usize,
+        cache: &mut MempoolCache,
+        sink: &mut dyn FnMut(Packet),
+    ) -> u64 {
+        // Asking by count never over-generates, so nothing is discarded.
+        let count = count.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        let emitted = self.inner.generate_burst(count, cache, sink);
+        self.remaining -= emitted;
         emitted
     }
 }
@@ -314,6 +375,66 @@ mod tests {
         });
         assert_eq!(prefix.len(), 50);
         assert_eq!(&frames[..50], &prefix[..]);
+    }
+
+    #[test]
+    fn by_count_yields_the_same_stream_as_by_time() {
+        // The live IO threads ask by count through a cache, the DES by
+        // virtual time: same seed, same packets, same pacing stamps.
+        let pool = Mempool::new(1 << 12);
+        let cfg = TrafficConfig {
+            l4: crate::gen::L4Proto::Tcp,
+            flows: 8,
+            flow_lifetime_pkts: 5,
+            syn_flood_per_mille: 100,
+            ..TrafficConfig::default()
+        };
+        let mut by_time = Vec::new();
+        TrafficGen::new(cfg.clone()).generate(Time::from_us(100), &pool, &mut |p| {
+            by_time.push((p.ts_gen, p.data().to_vec()));
+        });
+        assert!(by_time.len() > 100);
+
+        let mut cache = MempoolCache::new(pool.clone(), 32);
+        let mut capped = Limited::new(TrafficGen::new(cfg), by_time.len() as u64);
+        let mut by_count = Vec::new();
+        while !capped.exhausted() {
+            // Odd burst sizes: the stream must not depend on the chunking.
+            let n = capped.generate_burst(37, &mut cache, &mut |p| {
+                by_count.push((p.ts_gen, p.data().to_vec()));
+            });
+            assert!(n > 0);
+        }
+        assert_eq!(by_count, by_time);
+        assert_eq!(capped.generate_burst(37, &mut cache, &mut |_p| panic!()), 0);
+    }
+
+    #[test]
+    fn by_count_stops_short_on_exhaustion_without_consuming_the_stream() {
+        let pool = Mempool::new(1 << 12);
+        let mut whole = Vec::new();
+        TrafficGen::new(TrafficConfig::default()).generate(Time::from_us(5), &pool, &mut |p| {
+            whole.push(p.data().to_vec());
+        });
+        assert!(whole.len() > 24);
+
+        let tiny = Mempool::new(8);
+        let mut cache = MempoolCache::new(tiny.clone(), 4);
+        let mut gen = TrafficGen::new(TrafficConfig::default());
+        let mut held = Vec::new();
+        assert_eq!(gen.generate_burst(12, &mut cache, &mut |p| held.push(p)), 8);
+        assert_eq!(gen.stats().alloc_failures, 1);
+        assert_eq!(tiny.stats().exhausted, 1, "one refused refill");
+        // Free the buffers: the stream resumes exactly where it stopped.
+        let mut frames: Vec<Vec<u8>> = held.drain(..).map(|p| p.data().to_vec()).collect();
+        assert_eq!(
+            gen.generate_burst(8, &mut cache, &mut |p| frames.push(p.data().to_vec())),
+            8
+        );
+        assert_eq!(frames[..], whole[..16]);
+        drop(cache);
+        assert_eq!(tiny.outstanding(), 0);
+        assert_eq!(tiny.stats().allocs, tiny.stats().frees);
     }
 
     #[test]

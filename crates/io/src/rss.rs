@@ -5,8 +5,12 @@
 //! needs the same flow-affine steering but across OS threads. [`RssFanout`]
 //! owns one [`spsc::Producer`] per RX queue and performs exactly the NIC's
 //! sequence — Toeplitz-hash the headers, pick a queue through the
-//! indirection table, stamp the packet's RSS metadata, enqueue — so a flow's
-//! packets always land on the same worker, in order.
+//! indirection table, stamp the packet's RSS metadata ([`RssFanout::steer`],
+//! the one definition of stamping), enqueue — so a flow's packets always
+//! land on the same worker, in order. The live IO threads steer a whole
+//! generated burst, stage it per destination queue, and enqueue each stage
+//! with one [`RssFanout::push_burst`]; [`RssFanout::deliver`] is the
+//! one-packet form of the same two steps.
 
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,20 +136,6 @@ impl RssTable {
     }
 }
 
-/// Where a frame would be steered and how loaded that ring is right now
-/// (see [`RssFanout::steer_plan`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SteerPlan {
-    /// The queue (worker) the indirection table currently selects.
-    pub queue: u16,
-    /// The frame's Toeplitz RSS hash.
-    pub hash: u32,
-    /// Items queued on the target ring.
-    pub occupancy: usize,
-    /// The target ring's capacity.
-    pub capacity: usize,
-}
-
 /// Per-queue delivery counters of one fanout.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueCounters {
@@ -211,21 +201,6 @@ impl RssFanout {
         self.queues.len() as u16
     }
 
-    /// The routing decision for a frame plus the target ring's load,
-    /// computed without stamping or enqueueing — the inputs an overload
-    /// shedder consults before committing the packet to a ring.
-    pub fn steer_plan(&self, frame: &[u8]) -> SteerPlan {
-        let hash = rss_hash(&self.hasher, frame);
-        let q = self.table.worker_for(hash);
-        let ring = &self.queues[usize::from(q)];
-        SteerPlan {
-            queue: q,
-            hash,
-            occupancy: ring.len(),
-            capacity: ring.capacity(),
-        }
-    }
-
     /// The queue a frame with these bytes would be steered to right now.
     pub fn queue_for(&self, frame: &[u8]) -> u16 {
         self.table.worker_for(rss_hash(&self.hasher, frame))
@@ -236,23 +211,45 @@ impl RssFanout {
         &self.table
     }
 
-    /// Steers one packet: stamps its RSS hash / ingress metadata and pushes
-    /// it onto the ring the indirection table currently selects. On a full
-    /// ring the packet comes back via `Err` so the caller chooses NIC
-    /// semantics (count a drop) or lossless semantics (back off and retry).
-    pub fn deliver(&mut self, mut pkt: Packet) -> Result<u16, Packet> {
+    /// Steers one packet: Toeplitz-hashes its headers once, stamps the RSS
+    /// hash / ingress port / RX queue on it, and returns the queue the
+    /// indirection table currently selects. Nothing is enqueued; whoever
+    /// decides the packet's fate next (an overload shedder, the enqueue)
+    /// reads the stamps instead of hashing again.
+    pub fn steer(&self, pkt: &mut Packet) -> u16 {
         let hash = rss_hash(&self.hasher, pkt.data());
         let q = self.table.worker_for(hash);
         pkt.rss_hash = hash;
         pkt.port_in = self.port_id;
         pkt.queue_in = q;
-        match self.queues[usize::from(q)].push(pkt) {
-            Ok(()) => {
-                self.counters[usize::from(q)].delivered += 1;
-                Ok(q)
-            }
-            Err(pkt) => Err(pkt),
-        }
+        q
+    }
+
+    /// Enqueues steered packets bound for queue `q` from the front of
+    /// `staged`, in order, with one ring publish; returns how many the ring
+    /// took. Whatever a full ring refused stays in `staged` so the caller
+    /// chooses NIC semantics (count drops) or lossless semantics (back off
+    /// and retry).
+    pub fn push_burst(&mut self, q: u16, staged: &mut Vec<Packet>) -> usize {
+        let n = self.queues[usize::from(q)].push_burst(staged);
+        self.counters[usize::from(q)].delivered += n as u64;
+        n
+    }
+
+    /// Steers and enqueues one packet ([`steer`](Self::steer), then a
+    /// single push). On a full ring the stamped packet comes back via `Err`.
+    pub fn deliver(&mut self, mut pkt: Packet) -> Result<u16, Packet> {
+        let q = self.steer(&mut pkt);
+        self.queues[usize::from(q)].push(pkt)?;
+        self.counters[usize::from(q)].delivered += 1;
+        Ok(q)
+    }
+
+    /// Packets queued on queue `q`'s ring right now and the ring's
+    /// capacity — the load an overload shedder weighs before enqueue.
+    pub fn queue_load(&self, q: u16) -> (usize, usize) {
+        let ring = &self.queues[usize::from(q)];
+        (ring.len(), ring.capacity())
     }
 
     /// True once queue `q`'s consumer (its worker thread) is gone: items
@@ -272,9 +269,10 @@ impl RssFanout {
         std::mem::replace(&mut self.queues[usize::from(q)], producer)
     }
 
-    /// Records a drop against queue `q` (the caller gave up on a full ring).
-    pub fn count_drop(&mut self, q: u16) {
-        self.counters[usize::from(q)].dropped += 1;
+    /// Records `n` drops against queue `q` (the caller gave up on what a
+    /// full ring refused).
+    pub fn count_drops(&mut self, q: u16, n: u64) {
+        self.counters[usize::from(q)].dropped += n;
     }
 
     /// Per-queue counters, indexed by queue id.
@@ -316,6 +314,35 @@ mod tests {
             assert_eq!(got.queue_in, q);
             // Same steering decision as the DES NIC model.
             assert_eq!(q, queue_for_hash(got.rss_hash, 4));
+        }
+    }
+
+    #[test]
+    fn staged_bursts_keep_per_queue_generation_order() {
+        // steer + push_burst is deliver, a burst at a time: same stamps,
+        // same queue, and within a queue the order packets were generated.
+        let (mut f, rxs) = fanout(3, 64);
+        let pool = Mempool::new(1024);
+        let mut gen = TrafficGen::new(TrafficConfig::default());
+        let mut staged: Vec<Vec<Packet>> = (0..3).map(|_| Vec::new()).collect();
+        let mut expect: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 3];
+        gen.generate(Time::from_us(10), &pool, &mut |mut p| {
+            let q = usize::from(f.steer(&mut p));
+            assert_eq!((p.port_in, p.queue_in), (3, q as u16));
+            assert_eq!(q as u16, queue_for_hash(p.rss_hash, 3));
+            expect[q].push(p.data().to_vec());
+            staged[q].push(p);
+        });
+        for (q, stage) in staged.iter_mut().enumerate() {
+            let n = stage.len();
+            assert!(n > 0 && n <= 64);
+            assert_eq!(f.queue_load(q as u16), (0, 64));
+            assert_eq!(f.push_burst(q as u16, stage), n);
+            assert_eq!(f.queue_load(q as u16), (n, 64));
+            assert_eq!(f.counters()[q].delivered, n as u64);
+            let mut got = Vec::new();
+            rxs[q].pop_burst(n, |p| got.push(p.data().to_vec()));
+            assert_eq!(got, expect[q]);
         }
     }
 
@@ -457,7 +484,7 @@ mod tests {
         let mut dropped = 0u64;
         for pkt in pkts {
             if let Err(p) = f.deliver(pkt) {
-                f.count_drop(p.queue_in);
+                f.count_drops(p.queue_in, 1);
                 dropped += 1;
             }
         }

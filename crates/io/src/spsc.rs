@@ -19,23 +19,71 @@
 //! blocks and the cursors remain the only cross-thread synchronization that
 //! matters.
 //!
-//! Every ring also keeps always-on occupancy statistics (high-water mark,
-//! enqueue failures) in its control block; [`RingGauges`] is a cheap
-//! `Clone`-able observer handle over that block, so a reporter thread can
-//! watch a ring whose two halves have long since moved into other threads.
+//! **The burst is the unit of synchronization.** [`Producer::push_burst`]
+//! fills as many slots as the ring has room for and publishes them with
+//! *one* release store of `tail`; [`Consumer::pop_burst`] drains up to a
+//! burst and retires it with *one* release store of `head` (the `rte_ring`
+//! bulk enqueue/dequeue). Slots, capacity, occupancy and every gauge stay
+//! packet-granular — a burst is how often the cursors move, not what the
+//! ring holds. [`Producer::push`]/[`Consumer::pop`] are the one-item forms
+//! (the offload command rings use them).
+//!
+//! **Cursor traffic is kept off the other side's cache line.** `head` and
+//! `tail` each sit on their own 64-byte line, and each half caches the last
+//! value it saw of the *opposite* cursor, re-loading it only when the cached
+//! value cannot satisfy the request (too little room for the producer, too
+//! few items for the consumer). With a backlog — or with slack — in the
+//! ring, a side touches the other's line once per several bursts, not once
+//! per operation.
+//!
+//! Every ring also keeps always-on occupancy statistics in its control
+//! block; [`RingGauges`] is a cheap `Clone`-able observer handle over that
+//! block, so a reporter thread can watch a ring whose two halves have long
+//! since moved into other threads. The gauges are single-writer (the
+//! producer) and live on a third line, so maintaining them costs plain
+//! loads and stores, never a read-modify-write:
+//!
+//! * `occupancy` — `tail − head`, a racy snapshot in packets;
+//! * `high_water` — a never-under mark of the highest occupancy at push
+//!   time, `≤ capacity` (`head` is re-read only when the cached one would
+//!   raise the mark; the consumer may drain between that read and the
+//!   store, so the mark can over-state, never under-state);
+//! * `enqueue_failed` — push *attempts* the ring refused in whole or in
+//!   part: a refused `push` counts one, a `push_burst` that could not place
+//!   its whole burst counts one however many items were left over.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Aligns (and thereby pads) a value to its own 64-byte cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Line<T>(T);
+
+/// The producer-written occupancy statistics of one ring.
+#[derive(Debug)]
+struct ProducerStats {
+    /// Highest occupancy ever observed at push time.
+    high_water: AtomicUsize,
+    /// Push attempts refused in whole or in part.
+    enqueue_failed: AtomicU64,
+}
+
 /// The non-generic control block of one ring: the two cursors, the close
-/// flag, and the occupancy statistics. Shared (via [`RingGauges`]) with
+/// flags, and the occupancy statistics. Shared (via [`RingGauges`]) with
 /// observers that never touch the payload slots.
 #[derive(Debug)]
 struct Control {
     /// Consumer cursor: next slot index to pop. Monotonic, wraps via `% cap`.
-    head: AtomicUsize,
+    /// Written only by the consumer.
+    head: Line<AtomicUsize>,
     /// Producer cursor: next slot index to push. Monotonic, wraps via `% cap`.
-    tail: AtomicUsize,
+    /// Written only by the producer.
+    tail: Line<AtomicUsize>,
+    /// Written only by the producer (plain load + store, relaxed: gauges,
+    /// not synchronization points), off both cursor lines.
+    stats: Line<ProducerStats>,
     /// Set when the producer is dropped; the consumer drains then reports
     /// disconnection.
     closed: AtomicBool,
@@ -43,11 +91,6 @@ struct Control {
     /// again. Producers probe this to detect a crashed worker instead of
     /// silently accumulating `enqueue_failed` against a dead ring.
     consumer_gone: AtomicBool,
-    /// Highest occupancy ever observed at push time (relaxed; a gauge, not
-    /// a synchronization point).
-    high_water: AtomicUsize,
-    /// Pushes refused because the ring was full.
-    enqueue_failed: AtomicU64,
     /// Slot count, duplicated here so observers need no generic access.
     capacity: usize,
 }
@@ -58,20 +101,29 @@ struct Inner<T> {
 }
 
 /// The sending half of a bounded SPSC ring. Not `Clone`; dropping it closes
-/// the ring.
+/// the ring. `Send` but not `Sync`: the cached cursor makes sharing a
+/// `&Producer` across threads a compile error, which is the protocol.
 pub struct Producer<T> {
     inner: Arc<Inner<T>>,
+    /// Last `head` this side loaded; never ahead of the real one, so the
+    /// free space computed from it is a safe under-estimate.
+    cached_head: Cell<usize>,
 }
 
-/// The receiving half of a bounded SPSC ring. Not `Clone`.
+/// The receiving half of a bounded SPSC ring. Not `Clone`; `Send` but not
+/// `Sync`, like [`Producer`].
 pub struct Consumer<T> {
     inner: Arc<Inner<T>>,
+    /// Last `tail` this side loaded; never ahead of the real one, so the
+    /// items computed from it are all published.
+    cached_tail: Cell<usize>,
 }
 
 /// A read-only observer handle over one ring's occupancy statistics.
 /// `Clone`-able and payload-type-erased: take one before moving the
 /// producer/consumer halves into their threads and poll it from anywhere
-/// (the live runtime's reporter and stats endpoint do exactly that).
+/// (the live runtime's reporter and stats endpoint do exactly that). It
+/// keeps reading the final state after both halves are gone.
 #[derive(Clone, Debug)]
 pub struct RingGauges {
     ctl: Arc<Control>,
@@ -80,19 +132,21 @@ pub struct RingGauges {
 impl RingGauges {
     /// Items currently queued (racy snapshot; relaxed loads).
     pub fn occupancy(&self) -> usize {
-        let tail = self.ctl.tail.load(Ordering::Relaxed);
-        let head = self.ctl.head.load(Ordering::Relaxed);
+        let tail = self.ctl.tail.0.load(Ordering::Relaxed);
+        let head = self.ctl.head.0.load(Ordering::Relaxed);
         tail.saturating_sub(head)
     }
 
-    /// Highest occupancy ever observed at push time.
+    /// Highest occupancy ever observed at push time: a never-under mark,
+    /// at most [`capacity`](Self::capacity).
     pub fn high_water(&self) -> usize {
-        self.ctl.high_water.load(Ordering::Relaxed)
+        self.ctl.stats.0.high_water.load(Ordering::Relaxed)
     }
 
-    /// Cumulative pushes refused because the ring was full.
+    /// Cumulative push attempts the ring refused in whole or in part (a
+    /// partially placed burst counts once).
     pub fn enqueue_failed(&self) -> u64 {
-        self.ctl.enqueue_failed.load(Ordering::Relaxed)
+        self.ctl.stats.0.enqueue_failed.load(Ordering::Relaxed)
     }
 
     /// True once the consumer has been dropped (post-mortem observers use
@@ -117,51 +171,122 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let inner = Arc::new(Inner {
         slots,
         ctl: Arc::new(Control {
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+            head: Line(AtomicUsize::new(0)),
+            tail: Line(AtomicUsize::new(0)),
+            stats: Line(ProducerStats {
+                high_water: AtomicUsize::new(0),
+                enqueue_failed: AtomicU64::new(0),
+            }),
             closed: AtomicBool::new(false),
             consumer_gone: AtomicBool::new(false),
-            high_water: AtomicUsize::new(0),
-            enqueue_failed: AtomicU64::new(0),
             capacity,
         }),
     });
     (
         Producer {
             inner: Arc::clone(&inner),
+            cached_head: Cell::new(0),
         },
-        Consumer { inner },
+        Consumer {
+            inner,
+            cached_tail: Cell::new(0),
+        },
     )
 }
 
 impl<T> Producer<T> {
+    /// Free slots at `tail`, re-loading the consumer's cursor only when the
+    /// cached one cannot satisfy `want`.
+    fn room(&self, tail: usize, want: usize) -> usize {
+        let cap = self.inner.slots.len();
+        let mut free = cap - (tail - self.cached_head.get());
+        if free < want {
+            // Pairs with the consumer's release store of `head`: the slots
+            // it retired are empty before we refill them.
+            self.cached_head
+                .set(self.inner.ctl.head.0.load(Ordering::Acquire));
+            free = cap - (tail - self.cached_head.get());
+        }
+        free
+    }
+
+    /// Publishes `tail` (one release store: everything written to the slots
+    /// before it is visible to a consumer that acquires it) and maintains
+    /// the single-writer gauges with plain loads and stores.
+    fn publish(&self, tail: usize, refused: bool) {
+        let ctl = &self.inner.ctl;
+        ctl.tail.0.store(tail, Ordering::Release);
+        let stats = &ctl.stats.0;
+        let mark = stats.high_water.load(Ordering::Relaxed);
+        if tail - self.cached_head.get() > mark {
+            // The cached head only ever under-states what the consumer
+            // drained, so before raising the mark look again: otherwise a
+            // consumer that keeps up would still read as a full ring once
+            // `capacity` items had gone by.
+            self.cached_head.set(ctl.head.0.load(Ordering::Acquire));
+            let occupancy = tail - self.cached_head.get();
+            if occupancy > mark {
+                stats.high_water.store(occupancy, Ordering::Relaxed);
+            }
+        }
+        if refused {
+            self.count_refusal();
+        }
+    }
+
+    fn count_refusal(&self) {
+        let failed = &self.inner.ctl.stats.0.enqueue_failed;
+        failed.store(failed.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    fn fill(&self, at: usize, v: T) {
+        // Uncontended by protocol: the consumer will not touch this slot
+        // until it observes the tail advance in `publish`.
+        *self.inner.slots[at % self.inner.slots.len()]
+            .lock()
+            .expect("spsc slot poisoned") = Some(v);
+    }
+
     /// Enqueues `v`, or returns it back when the ring is full (counting the
     /// refusal in the ring's gauges).
     pub fn push(&self, v: T) -> Result<(), T> {
-        let inner = &self.inner;
-        let ctl = &inner.ctl;
-        let tail = ctl.tail.load(Ordering::Relaxed);
-        let head = ctl.head.load(Ordering::Acquire);
-        if tail - head == inner.slots.len() {
-            ctl.enqueue_failed.fetch_add(1, Ordering::Relaxed);
+        let tail = self.inner.ctl.tail.0.load(Ordering::Relaxed);
+        if self.room(tail, 1) == 0 {
+            self.count_refusal();
             return Err(v);
         }
-        // Uncontended by protocol: the consumer will not touch this slot
-        // until it observes the tail advance below.
-        *inner.slots[tail % inner.slots.len()]
-            .lock()
-            .expect("spsc slot poisoned") = Some(v);
-        ctl.tail.store(tail + 1, Ordering::Release);
-        // Occupancy after this push; head may have advanced since the read
-        // above, so this is a conservative (never-under) high-water mark.
-        ctl.high_water.fetch_max(tail + 1 - head, Ordering::Relaxed);
+        self.fill(tail, v);
+        self.publish(tail + 1, false);
         Ok(())
+    }
+
+    /// Enqueues items from the front of `burst`, in order, until the ring
+    /// is full, and publishes them with one release store. The enqueued
+    /// items are removed from `burst` (whatever the ring refused stays, in
+    /// order, for the caller to retry or give up on); returns how many were
+    /// enqueued. A burst larger than the ring's free space makes partial
+    /// progress and counts *one* refusal.
+    pub fn push_burst(&self, burst: &mut Vec<T>) -> usize {
+        if burst.is_empty() {
+            return 0;
+        }
+        let tail = self.inner.ctl.tail.0.load(Ordering::Relaxed);
+        let n = self.room(tail, burst.len()).min(burst.len());
+        for (i, v) in burst.drain(..n).enumerate() {
+            self.fill(tail + i, v);
+        }
+        if n > 0 {
+            self.publish(tail + n, !burst.is_empty());
+        } else {
+            self.count_refusal();
+        }
+        n
     }
 
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
-        let tail = self.inner.ctl.tail.load(Ordering::Relaxed);
-        let head = self.inner.ctl.head.load(Ordering::Acquire);
+        let tail = self.inner.ctl.tail.0.load(Ordering::Relaxed);
+        let head = self.inner.ctl.head.0.load(Ordering::Acquire);
         tail - head
     }
 
@@ -197,26 +322,57 @@ impl<T> Drop for Producer<T> {
 }
 
 impl<T> Consumer<T> {
-    /// Dequeues the oldest item, or `None` when the ring is currently empty.
-    pub fn pop(&self) -> Option<T> {
-        let inner = &self.inner;
-        let head = inner.ctl.head.load(Ordering::Relaxed);
-        let tail = inner.ctl.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
+    /// Items published at `head`, re-loading the producer's cursor only
+    /// when the cached one shows fewer than `want`.
+    fn ready(&self, head: usize, want: usize) -> usize {
+        if self.cached_tail.get() - head < want {
+            // Pairs with the producer's release store of `tail`: the slots
+            // it filled are written before we read them.
+            self.cached_tail
+                .set(self.inner.ctl.tail.0.load(Ordering::Acquire));
         }
-        let v = inner.slots[head % inner.slots.len()]
+        self.cached_tail.get() - head
+    }
+
+    fn take(&self, at: usize) -> Option<T> {
+        self.inner.slots[at % self.inner.slots.len()]
             .lock()
             .expect("spsc slot poisoned")
-            .take();
-        inner.ctl.head.store(head + 1, Ordering::Release);
+            .take()
+    }
+
+    /// Dequeues the oldest item, or `None` when the ring is currently empty.
+    pub fn pop(&self) -> Option<T> {
+        let head = self.inner.ctl.head.0.load(Ordering::Relaxed);
+        if self.ready(head, 1) == 0 {
+            return None;
+        }
+        let v = self.take(head);
+        self.inner.ctl.head.0.store(head + 1, Ordering::Release);
         v
+    }
+
+    /// Dequeues up to `max` of the oldest items into `sink`, in order, and
+    /// retires them with one release store. Returns how many were dequeued
+    /// (0 when the ring is currently empty).
+    pub fn pop_burst(&self, max: usize, mut sink: impl FnMut(T)) -> usize {
+        let head = self.inner.ctl.head.0.load(Ordering::Relaxed);
+        let n = self.ready(head, max).min(max);
+        for i in 0..n {
+            if let Some(v) = self.take(head + i) {
+                sink(v);
+            }
+        }
+        if n > 0 {
+            self.inner.ctl.head.0.store(head + n, Ordering::Release);
+        }
+        n
     }
 
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
-        let head = self.inner.ctl.head.load(Ordering::Relaxed);
-        let tail = self.inner.ctl.tail.load(Ordering::Acquire);
+        let head = self.inner.ctl.head.0.load(Ordering::Relaxed);
+        let tail = self.inner.ctl.tail.0.load(Ordering::Acquire);
         tail - head
     }
 
@@ -230,7 +386,8 @@ impl<T> Consumer<T> {
     pub fn is_disconnected(&self) -> bool {
         // Order matters: check closed before emptiness so a push racing the
         // producer's drop is never missed (close happens-after the last
-        // push's release store).
+        // push's release store). Emptiness is judged on a fresh load of
+        // `tail`, never the cached cursor, which may predate that push.
         self.inner.ctl.closed.load(Ordering::Acquire) && self.is_empty()
     }
 
@@ -247,7 +404,6 @@ impl<T> Drop for Consumer<T> {
         self.inner.ctl.consumer_gone.store(true, Ordering::Release);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +480,62 @@ mod tests {
     }
 
     #[test]
+    fn burst_moves_in_order_and_makes_partial_progress() {
+        let (tx, rx) = channel::<u32>(4);
+        let mut burst: Vec<u32> = (0..6).collect();
+        assert_eq!(tx.push_burst(&mut burst), 4, "fills what fits");
+        assert_eq!(burst, [4, 5], "the refused tail stays, in order");
+        let mut got = Vec::new();
+        assert_eq!(rx.pop_burst(3, |v| got.push(v)), 3, "bounded by max");
+        assert_eq!(tx.push_burst(&mut burst), 2);
+        assert!(burst.is_empty());
+        assert_eq!(rx.pop_burst(64, |v| got.push(v)), 3, "bounded by queued");
+        assert_eq!(got, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(rx.pop_burst(64, |v| got.push(v)), 0);
+        assert_eq!(tx.push_burst(&mut burst), 0, "empty burst is a no-op");
+        assert_eq!(tx.gauges().enqueue_failed(), 1, "only the partial burst");
+    }
+
+    #[test]
+    fn refused_bursts_count_once_each_and_gauges_outlive_the_ring() {
+        const REFUSED: u64 = 7;
+        let (tx, rx) = channel::<u32>(8);
+        let g = rx.gauges();
+        // Partially refused (8 of 12 fit), then wholly refused, then a
+        // refused single push: one count per attempt, not per item.
+        let mut burst: Vec<u32> = (0..12).collect();
+        assert_eq!(tx.push_burst(&mut burst), 8);
+        for _ in 1..REFUSED - 1 {
+            assert_eq!(tx.push_burst(&mut burst), 0);
+            assert_eq!(burst.len(), 4, "a refused burst is left untouched");
+        }
+        assert_eq!(tx.push(99), Err(99));
+        assert_eq!(g.enqueue_failed(), REFUSED);
+        assert_eq!(g.high_water(), 8);
+        assert!(g.high_water() <= g.capacity());
+        drop(tx);
+        drop(rx);
+        assert_eq!(
+            (g.occupancy(), g.high_water(), g.enqueue_failed()),
+            (8, 8, REFUSED)
+        );
+        assert!(g.consumer_gone());
+    }
+
+    #[test]
+    fn high_water_follows_a_consumer_that_keeps_up() {
+        // The producer caches `head`; the mark must still reflect what was
+        // really queued, not how many items have gone by.
+        let (tx, rx) = channel::<u32>(64);
+        for round in 0..100 {
+            let mut burst = vec![round; 4];
+            assert_eq!(tx.push_burst(&mut burst), 4);
+            assert_eq!(rx.pop_burst(4, drop), 4);
+        }
+        assert_eq!(tx.gauges().high_water(), 4);
+    }
+
+    #[test]
     fn producer_observes_consumer_death() {
         let (tx, rx) = channel::<u32>(4);
         let g = tx.gauges();
@@ -377,6 +589,40 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(rx.is_disconnected());
+        assert!(gauges.high_water() <= gauges.capacity());
+    }
+
+    #[test]
+    fn cross_thread_burst_stress_preserves_sequence() {
+        let (tx, rx) = channel::<u64>(64);
+        const N: u64 = 200_000;
+        let producer = std::thread::spawn(move || {
+            let mut next = 0u64;
+            let mut burst = Vec::with_capacity(48);
+            while next < N || !burst.is_empty() {
+                // Bursts of mixed size, some larger than the free space.
+                while burst.len() < 1 + (next % 48) as usize && next < N {
+                    burst.push(next);
+                    next += 1;
+                }
+                if tx.push_burst(&mut burst) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let mut expect = 0u64;
+        let gauges = rx.gauges();
+        while !rx.is_disconnected() {
+            let got = rx.pop_burst(32, |v| {
+                assert_eq!(v, expect, "ring reordered or duplicated");
+                expect += 1;
+            });
+            if got == 0 {
+                std::thread::yield_now();
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(expect, N, "disconnect hid queued items");
         assert!(gauges.high_water() <= gauges.capacity());
     }
 }

@@ -2,10 +2,14 @@
 
 use proptest::prelude::*;
 
-use nba_io::buf::{Mempool, PacketBuf};
+use std::collections::VecDeque;
+
+use nba_io::buf::{Mempool, MempoolCache, PacketBuf};
 use nba_io::checksum;
 use nba_io::proto::FrameBuilder;
+use nba_io::spsc;
 use nba_io::toeplitz::{queue_for_hash, Toeplitz};
+use nba_io::Packet;
 
 proptest! {
     /// The incremental checksum update (RFC 1624) always agrees with a
@@ -54,23 +58,167 @@ proptest! {
     }
 
     /// Mempool accounting never goes negative or exceeds capacity, under
-    /// any interleaving of allocs and frees.
+    /// any interleaving of per-packet, bulk and cached allocs and frees:
+    /// buffers parked in a thread cache count against the budget, a refused
+    /// refill counts `exhausted` once, and when every packet and every
+    /// cache is gone nothing is outstanding and `allocs == frees`.
     #[test]
-    fn mempool_accounting(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-        let pool = Mempool::new(16);
-        let mut held = Vec::new();
-        for alloc in ops {
-            if alloc {
-                if let Some(b) = pool.alloc() {
-                    held.push(b);
+    fn mempool_accounting(ops in proptest::collection::vec((0u8..7, 1usize..9), 1..200)) {
+        const BUDGET: usize = 16;
+        let pool = Mempool::new(BUDGET);
+        let mut caches = [
+            Some(MempoolCache::new(pool.clone(), 3)),
+            Some(MempoolCache::new(pool.clone(), 5)),
+        ];
+        let mut held: Vec<PacketBuf> = Vec::new();
+        let mut pkts: Vec<Packet> = Vec::new();
+        for (op, n) in ops {
+            let cached = |cs: &[Option<MempoolCache>]| -> usize {
+                cs.iter().flatten().map(MempoolCache::cached).sum()
+            };
+            match op {
+                0 => held.extend(pool.alloc()),
+                1 => {
+                    if let Some(b) = held.pop() {
+                        pool.free(b);
+                    }
                 }
-            } else if let Some(b) = held.pop() {
-                pool.free(b);
+                2 => {
+                    let before = pool.stats().exhausted;
+                    let got = pool.alloc_bulk(n, &mut held);
+                    prop_assert!(got <= n);
+                    prop_assert_eq!(pool.stats().exhausted - before, u64::from(got == 0));
+                }
+                3 => {
+                    let keep = held.len().saturating_sub(n);
+                    pool.free_bulk(held.drain(keep..));
+                }
+                4 | 5 => {
+                    // Through a cache, as a packet (the IO thread's path).
+                    if let Some(cache) = caches[usize::from(op - 4)].as_mut() {
+                        let refill = cache.cached() == 0;
+                        let before = pool.stats().exhausted;
+                        let got = cache.alloc();
+                        let refused = u64::from(refill && got.is_none());
+                        prop_assert_eq!(pool.stats().exhausted - before, refused);
+                        pkts.extend(got.map(|(buf, home)| Packet::from_pool(buf, home)));
+                    }
+                }
+                _ => {
+                    // A cache dies (flushes), or packets retire in bulk.
+                    if n == 1 {
+                        caches[pkts.len() % 2] = None;
+                    } else {
+                        let keep = pkts.len().saturating_sub(n);
+                        Packet::recycle(pkts.drain(keep..));
+                    }
+                }
             }
-            prop_assert_eq!(pool.outstanding(), held.len());
-            prop_assert!(pool.outstanding() <= 16);
-            prop_assert_eq!(pool.available(), 16 - held.len());
+            let out = held.len() + pkts.len() + cached(&caches);
+            prop_assert_eq!(pool.outstanding(), out);
+            prop_assert!(pool.outstanding() <= BUDGET);
+            prop_assert_eq!(pool.available(), BUDGET - out);
         }
+        pool.free_bulk(held.drain(..));
+        drop(pkts);
+        drop(caches);
+        prop_assert_eq!(pool.outstanding(), 0);
+        let stats = pool.stats();
+        prop_assert_eq!(stats.allocs, stats.frees);
+    }
+
+    /// A bulk `recycle` of a burst mixing two pools and unpooled packets
+    /// returns each buffer to its own pool, whatever the interleaving.
+    #[test]
+    fn recycle_returns_buffers_to_their_own_pools(
+        origins in proptest::collection::vec(0u8..3, 0..64),
+    ) {
+        let pools = [Mempool::new(64), Mempool::new(64)];
+        let burst: Vec<Packet> = origins
+            .iter()
+            .map(|&o| match pools.get(usize::from(o)) {
+                Some(pool) => Packet::from_pool(pool.alloc().unwrap(), pool.clone()),
+                None => Packet::from_bytes(b"unpooled"),
+            })
+            .collect();
+        for (i, pool) in pools.iter().enumerate() {
+            let mine = origins.iter().filter(|&&o| usize::from(o) == i).count();
+            prop_assert_eq!(pool.outstanding(), mine);
+        }
+        Packet::recycle(burst);
+        for (i, pool) in pools.iter().enumerate() {
+            let mine = origins.iter().filter(|&&o| usize::from(o) == i).count();
+            prop_assert_eq!(pool.outstanding(), 0);
+            prop_assert_eq!(pool.stats().frees, mine as u64);
+        }
+    }
+
+    /// Any interleaving of `push`, `push_burst`, `pop`, `pop_burst` behaves
+    /// like a bounded FIFO: order kept, never more than `capacity` queued,
+    /// a burst larger than the free space makes partial progress (the
+    /// refused tail stays with the caller, one refusal counted), and the
+    /// ring reports disconnected only after the producer is gone *and* the
+    /// queue drained — the cached cursors must not hide a final push.
+    #[test]
+    fn spsc_matches_a_bounded_fifo_model(
+        capacity in 1usize..12,
+        ops in proptest::collection::vec((0u8..4, 1usize..20), 1..120),
+    ) {
+        let (tx, rx) = spsc::channel::<u32>(capacity);
+        let gauges = rx.gauges();
+        let mut model: VecDeque<u32> = VecDeque::new();
+        let mut next = 0u32;
+        let mut refusals = 0u64;
+        for (op, n) in ops {
+            match op {
+                0 => {
+                    let full = model.len() == capacity;
+                    prop_assert_eq!(tx.push(next), if full { Err(next) } else { Ok(()) });
+                    if full {
+                        refusals += 1;
+                    } else {
+                        model.push_back(next);
+                        next += 1;
+                    }
+                }
+                1 => {
+                    let mut burst: Vec<u32> = (next..next + n as u32).collect();
+                    let fit = n.min(capacity - model.len());
+                    prop_assert_eq!(tx.push_burst(&mut burst), fit);
+                    // What the ring refused is still the caller's, in order.
+                    prop_assert_eq!(&burst[..], &(next + fit as u32..next + n as u32).collect::<Vec<_>>()[..]);
+                    model.extend(next..next + fit as u32);
+                    next += fit as u32;
+                    refusals += u64::from(fit < n);
+                }
+                2 => prop_assert_eq!(rx.pop(), model.pop_front()),
+                _ => {
+                    let mut got = Vec::new();
+                    let want = n.min(model.len());
+                    prop_assert_eq!(rx.pop_burst(n, |v| got.push(v)), want);
+                    prop_assert_eq!(got, model.drain(..want).collect::<Vec<_>>());
+                }
+            }
+            prop_assert_eq!(tx.len(), model.len());
+            prop_assert_eq!(rx.len(), model.len());
+            prop_assert_eq!(gauges.occupancy(), model.len());
+            prop_assert!(gauges.high_water() <= capacity);
+            prop_assert!(gauges.high_water() >= model.len());
+            prop_assert_eq!(gauges.enqueue_failed(), refusals);
+            prop_assert!(!rx.is_disconnected());
+        }
+        // A final push right before the producer goes away.
+        if model.len() < capacity {
+            tx.push(next).unwrap();
+            model.push_back(next);
+        }
+        drop(tx);
+        while let Some(want) = model.pop_front() {
+            prop_assert!(!rx.is_disconnected(), "still holds {want}");
+            prop_assert_eq!(rx.pop(), Some(want));
+        }
+        prop_assert!(rx.is_disconnected());
+        prop_assert_eq!(rx.pop_burst(8, |_| ()), 0);
     }
 
     /// Prepend/append/adj/trim keep the data window consistent.

@@ -110,7 +110,7 @@ pub struct FaultStats {
     pub dropped_batches: AtomicU64,
     /// Packets lost with those poison batches.
     pub dropped_packets: AtomicU64,
-    /// Panics caught and contained (live mode).
+    /// Panics caught and contained (worker and device steps).
     pub panics_contained: AtomicU64,
     /// Times the circuit breaker tripped into quarantine.
     pub quarantine_entered: AtomicU64,
@@ -308,13 +308,8 @@ impl CircuitBreaker {
         self.state != BreakerState::Closed
     }
 
-    /// Quarantine intervals so far; an open `None` end means the device
-    /// was still out when asked.
-    pub fn intervals(&self) -> &[(Time, Option<Time>)] {
-        &self.intervals
-    }
-
-    /// Consumes the breaker into its recorded quarantine intervals.
+    /// Consumes the breaker into its recorded quarantine intervals; an
+    /// open `None` end means the device was still out at teardown.
     pub fn into_intervals(self) -> Vec<(Time, Option<Time>)> {
         self.intervals
     }
@@ -351,9 +346,7 @@ mod tests {
         assert!(br.record_success(Time::from_ms(16)));
         assert!(!br.quarantined());
         assert_eq!(br.admit(Time::from_ms(17)), Admission::Normal);
-        let iv = br.intervals();
-        assert_eq!(iv.len(), 1);
-        assert_eq!(iv[0], (t0, Some(Time::from_ms(16))));
+        assert_eq!(br.into_intervals(), [(t0, Some(Time::from_ms(16)))]);
     }
 
     #[test]
@@ -368,8 +361,8 @@ mod tests {
         assert!(br.record_success(Time::from_ms(11)));
         // One interval covering the whole outage, ends at the re-admit.
         assert_eq!(
-            br.intervals(),
-            &[(Time::from_ms(0), Some(Time::from_ms(11)))]
+            br.into_intervals(),
+            [(Time::from_ms(0), Some(Time::from_ms(11)))]
         );
     }
 

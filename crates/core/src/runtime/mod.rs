@@ -7,8 +7,11 @@
 //!   demonstrating the framework as an actual concurrent packet processor.
 //! * [`worker`] — the worker step both of them drive: they differ only in
 //!   clock and transport.
+//! * [`device`] — the device step both of them drive: they differ only in
+//!   clock, launch policy and how one attempt executes.
 
 pub mod des;
+pub mod device;
 pub mod live;
 pub mod worker;
 
@@ -111,9 +114,9 @@ pub struct RuntimeConfig {
     /// Declarative latency/throughput budgets burned down sample window by
     /// sample window (None = no SLO accounting).
     pub slo: Option<crate::audit::SloConfig>,
-    /// Flight-recorder dump policy for drift events (the DES runtime has
-    /// no per-shard event rings; dumps carry the gauge snapshot and the
-    /// drift reason).
+    /// Flight-recorder dump policy for the device threads' quarantine and
+    /// drift dumps (DES workers record no events; a dump carries the
+    /// devices' launch/retry events, its trigger and the fault counters).
     pub flight: crate::introspect::FlightConfig,
     /// Record every flow-table operation into the run's
     /// [`crate::flow::FlowOpsLog`] (conformance testing only; off by
@@ -225,7 +228,7 @@ pub struct RunReport {
     /// The balancer's decision audit log (None unless enabled on the
     /// balancer before the run).
     pub decisions: Option<crate::audit::DecisionLog>,
-    /// Flight dumps raised during the run (drift events).
+    /// Flight dumps raised during the run (quarantine trips, drift events).
     pub flight: Vec<crate::introspect::FlightDump>,
     /// Self-healing plane: final worker states, the supervisor's replayable
     /// transition log, and shed/loss accounting (all-clean on a fault-free

@@ -75,7 +75,7 @@ pub struct WorkerEnv {
     /// Record a [`TxRecord`] per transmitted packet (conformance only).
     pub capture: bool,
     /// The always-on flight recorder of a live run (`None` in the DES,
-    /// whose recorder only takes drift dumps).
+    /// whose recorder only takes its device threads' events and dumps).
     pub flight: Option<Arc<FlightRecorder>>,
 }
 

@@ -26,9 +26,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nba_sim::Time;
+use parking_lot::Mutex;
 
+use crate::audit::SloTracker;
 use crate::runtime::RunReport;
-use crate::stats::LatencyHistogram;
+use crate::stats::{LatencyHistogram, Snapshot, SystemInspector};
 
 /// Telemetry knobs of a run (part of [`crate::runtime::RuntimeConfig`]).
 #[derive(Debug, Clone)]
@@ -208,6 +210,71 @@ pub struct TimeSample {
     /// SLO burn accounting for this window (`None` unless an SLO is
     /// configured on the run).
     pub slo: Option<crate::audit::SloSample>,
+}
+
+/// Builds the run time-series, one [`TimeSample`] per call: both runtimes'
+/// samplers are a timer around this. Read-only over the run's counters, so
+/// sampling cannot perturb what it observes.
+pub struct Sampler {
+    prev: Snapshot,
+    last_t: Time,
+    /// Scores every window (`None` unless an SLO is configured); shared
+    /// with the run assembly, which asks it for the final verdict.
+    slo: Option<Arc<Mutex<SloTracker>>>,
+}
+
+impl Sampler {
+    /// A sampler whose first window opens at time zero.
+    pub fn new(slo: Option<Arc<Mutex<SloTracker>>>) -> Sampler {
+        Sampler {
+            prev: Snapshot::default(),
+            last_t: Time::ZERO,
+            slo,
+        }
+    }
+
+    /// When the current window opened (the previous call's `t`).
+    pub fn last_t(&self) -> Time {
+        self.last_t
+    }
+
+    /// Closes the window at `t` and opens the next. `None` for an empty
+    /// window (`t` not past the previous call's).
+    pub fn sample(
+        &mut self,
+        t: Time,
+        inspector: &SystemInspector,
+        rx_dropped: u64,
+        offload_fraction: f64,
+        gpu_busy: Vec<f64>,
+        shards: Vec<ShardSample>,
+    ) -> Option<TimeSample> {
+        let snap = inspector.snapshot();
+        let sample = (t > self.last_t).then(|| {
+            let secs = (t - self.last_t).as_secs_f64();
+            let w = snap - self.prev;
+            let tx_mpps = w.tx_packets as f64 / secs / 1e6;
+            let latency_ewma_ns = inspector.worst_latency_ewma_ns();
+            let slo = self.slo.as_ref();
+            TimeSample {
+                t,
+                tx_packets: snap.tx_packets,
+                tx_mpps,
+                tx_gbps: w.tx_frame_bits as f64 / secs / 1e9,
+                dropped: snap.dropped,
+                rx_dropped,
+                latency_ewma_ns,
+                offloaded_batches: snap.offloaded_batches,
+                offload_fraction,
+                gpu_busy,
+                shards,
+                slo: slo.map(|tr| tr.lock().observe(latency_ewma_ns, tx_mpps)),
+            }
+        });
+        self.prev = snap;
+        self.last_t = t;
+        sample
+    }
 }
 
 /// What happened to a batch at one point of its life.

@@ -10,6 +10,8 @@
 //! `cudaStreamAddCallback` without its documented cross-queue
 //! synchronization pitfall the paper complains about.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use nba_sim::cost::GpuCostModel;
 use nba_sim::Time;
 
@@ -83,9 +85,15 @@ impl Gpu {
             }
         };
         self.mem.write(&in_buf, 0, input)?;
-        {
+        let ran = {
             let (i, o) = self.mem.in_out(&in_buf, &out_buf)?;
-            kernel(i, o, items);
+            catch_unwind(AssertUnwindSafe(|| kernel(i, o, items)))
+        };
+        if let Err(panic) = ran {
+            // The device thread contains a panicking kernel and keeps
+            // using this device: its buffers must not leak.
+            let _ = (self.mem.free(in_buf), self.mem.free(out_buf));
+            resume_unwind(panic);
         }
         self.mem.read(&out_buf, 0, output)?;
         let stream = self.timeline.best_stream();
@@ -186,6 +194,16 @@ mod tests {
         assert_eq!(err, MemError::OutOfMemory);
         // The input buffer must not leak.
         assert_eq!(gpu.mem_used(), 0);
+    }
+
+    #[test]
+    fn a_panicking_kernel_frees_its_buffers() {
+        let mut gpu = Gpu::new("test", model(), 1 << 20, 4);
+        let (input, mut output) = (vec![0u8; 64], vec![0u8; 64]);
+        let run = || gpu.run_task(Time::ZERO, &input, 1, 1.0, &mut output, &|_, _, _| panic!());
+        assert!(catch_unwind(AssertUnwindSafe(run)).is_err());
+        assert_eq!(gpu.mem_used(), 0);
+        assert_eq!(gpu.stats().tasks, 0, "nothing was submitted");
     }
 
     #[test]

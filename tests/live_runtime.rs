@@ -6,14 +6,16 @@ use std::time::Duration;
 
 use nba::apps::{pipelines, AppConfig};
 use nba::core::batch::{Anno, PacketResult};
-use nba::core::element::{ComputeMode, ElemCtx, Element};
+use nba::core::element::{
+    ComputeMode, DbInput, DbOutput, ElemCtx, Element, KernelIo, OffloadSpec, Postprocess,
+};
 use nba::core::graph::GraphBuilder;
-use nba::core::lb;
+use nba::core::lb::{self, LoadBalanceElement};
 use nba::core::runtime::live::{self, LiveConfig};
 use nba::core::runtime::{BuildCtx, PipelineBuilder};
 use nba::io::proto::{ether::EtherView, ipv4::Ipv4View, l4::TcpView};
 use nba::io::{L4Proto, Packet, PayloadFill, SizeDist, TrafficConfig};
-use nba::sim::Time;
+use nba::sim::{GpuProfile, Time};
 
 fn live_cfg() -> LiveConfig {
     LiveConfig {
@@ -144,6 +146,97 @@ fn live_worker_panics_are_contained() {
         report.totals.tx_packets > 1000,
         "the run died with the panic: {report:?}"
     );
+}
+
+/// Marks every `every`-th packet it sees (first byte 0xEE).
+struct MarkEvery {
+    every: u64,
+    seen: u64,
+}
+
+impl Element for MarkEvery {
+    fn class_name(&self) -> &'static str {
+        "MarkEvery"
+    }
+
+    fn process(&mut self, _: &mut ElemCtx<'_>, pkt: &mut Packet, _: &mut Anno) -> PacketResult {
+        self.seen += 1;
+        if self.seen.is_multiple_of(self.every) {
+            pkt.data_mut()[0] = 0xEE;
+        }
+        PacketResult::Out(0)
+    }
+}
+
+/// Offloadable no-op whose device kernel — and only the kernel — panics on
+/// a marked frame.
+struct PoisonKernel;
+
+impl Element for PoisonKernel {
+    fn class_name(&self) -> &'static str {
+        "PoisonKernel"
+    }
+
+    fn process(&mut self, _: &mut ElemCtx<'_>, _: &mut Packet, _: &mut Anno) -> PacketResult {
+        PacketResult::Out(0)
+    }
+
+    fn offload(&self) -> Option<OffloadSpec> {
+        Some(OffloadSpec {
+            input: DbInput::PartialPacket { offset: 0, len: 1 },
+            output: DbOutput::PerItem { len: 0 },
+            gpu: GpuProfile::default(),
+            kernel: Arc::new(|io: KernelIo<'_>| {
+                for i in 0..io.items {
+                    if io.item_in(i) == [0xEE] {
+                        panic!("injected kernel panic (expected in this test)");
+                    }
+                }
+            }),
+            heavy: false,
+            postprocess: Postprocess::WriteBack,
+        })
+    }
+}
+
+#[test]
+fn live_device_kernel_panics_are_contained_and_the_run_drains() {
+    let pipeline: PipelineBuilder = Arc::new(|ctx: &BuildCtx| {
+        let mut gb = GraphBuilder::new();
+        let mark = gb.add(Box::new(MarkEvery {
+            every: 1_000,
+            seen: 0,
+        }));
+        let lb = gb.add(Box::new(LoadBalanceElement::new(ctx.balancer.clone())));
+        let poison = gb.add(Box::new(PoisonKernel));
+        gb.connect(mark, 0, lb);
+        gb.connect(lb, 0, poison);
+        gb.connect_exit(poison, 0);
+        gb.entry(mark);
+        gb.build().expect("poison-kernel pipeline")
+    });
+    // Bounded and drained: the run ends when every offloaded batch came
+    // back, so a completion the device thread loses shows up as a run that
+    // sits out its 20 s deadline.
+    let cfg = LiveConfig {
+        duration: Duration::from_secs(20),
+        max_packets: Some(8_000),
+        drain: true,
+        ..live_cfg()
+    };
+    let report = live::run(&cfg, &pipeline, &lb::shared(Box::new(lb::GpuOnly)));
+    let (t, f) = (&report.totals, &report.faults.snapshot);
+    assert!(
+        report.elapsed < Duration::from_secs(5),
+        "a poisoned task's completion was lost: ran {:?}",
+        report.elapsed
+    );
+    assert!(f.panics_contained >= 1, "no panic was contained: {f:?}");
+    assert_eq!(t.rx_packets, 8_000);
+    assert_eq!(t.rx_packets, t.tx_packets + t.dropped, "{t:?}");
+    assert!(t.gpu_processed > 0, "clean tasks still use the device");
+    assert!(f.fell_back_packets > 0 && f.fell_back_packets < 8_000);
+    assert_eq!(report.health.stats.total_lost(), 0, "{:?}", report.health);
 }
 
 /// The burst hand-off on its awkward shapes: two IO threads fanning into

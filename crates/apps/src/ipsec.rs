@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use nba_core::batch::{Anno, PacketResult};
 use nba_core::element::{
     ComputeMode, DbInput, DbOutput, Disposition, ElemCtx, Element, ElementEffects, HeaderFact,
-    KernelIo, OffloadSpec, Postprocess,
+    Kernel, KernelIo, OffloadSpec, Postprocess,
 };
 use nba_crypto::{Aes128Ctr, HmacSha1};
 use nba_io::proto::esp::{
@@ -199,6 +199,20 @@ impl std::fmt::Debug for IPsecESPEncap {
     }
 }
 
+/// The kernel of an in-place element: each staged item lands in its output
+/// range and `apply` (the function the CPU path runs on the packet) runs
+/// there.
+fn in_place_kernel(sa: Arc<SaTable>, apply: fn(&SaTable, &mut [u8])) -> Kernel {
+    Arc::new(move |io: KernelIo<'_>| {
+        for i in 0..io.items {
+            let (item, r) = (io.item_in(i), io.item_out_range(i));
+            let out = &mut io.output[r];
+            out.copy_from_slice(item);
+            apply(&sa, out);
+        }
+    })
+}
+
 /// Encrypts the ESP payload in place with AES-128-CTR (offloadable).
 pub struct IPsecAES {
     sa: Arc<SaTable>,
@@ -251,7 +265,6 @@ impl Element for IPsecAES {
     }
 
     fn offload(&self) -> Option<OffloadSpec> {
-        let sa = self.sa.clone();
         Some(OffloadSpec {
             input: DbInput::WholePacket { offset: IP_OFF },
             output: DbOutput::InPlace { extra: 0 },
@@ -260,14 +273,7 @@ impl Element for IPsecAES {
                 fixed_ns: 3_000.0,
                 ns_per_byte: 220.0,
             },
-            kernel: Arc::new(move |io: KernelIo<'_>| {
-                for i in 0..io.items {
-                    let r = io.item_out_range(i);
-                    let item = io.item_in(i).to_vec();
-                    io.output[r.clone()].copy_from_slice(&item);
-                    aes_apply(&sa, &mut io.output[r]);
-                }
-            }),
+            kernel: in_place_kernel(self.sa.clone(), aes_apply),
             heavy: true,
             postprocess: Postprocess::WriteBack,
         })
@@ -329,7 +335,6 @@ impl Element for IPsecAuthHMAC {
     }
 
     fn offload(&self) -> Option<OffloadSpec> {
-        let sa = self.sa.clone();
         Some(OffloadSpec {
             input: DbInput::WholePacket { offset: IP_OFF },
             output: DbOutput::InPlace { extra: 0 },
@@ -338,14 +343,7 @@ impl Element for IPsecAuthHMAC {
                 fixed_ns: 4_000.0,
                 ns_per_byte: 260.0,
             },
-            kernel: Arc::new(move |io: KernelIo<'_>| {
-                for i in 0..io.items {
-                    let r = io.item_out_range(i);
-                    let item = io.item_in(i).to_vec();
-                    io.output[r.clone()].copy_from_slice(&item);
-                    hmac_apply(&sa, &mut io.output[r]);
-                }
-            }),
+            kernel: in_place_kernel(self.sa.clone(), hmac_apply),
             heavy: true,
             postprocess: Postprocess::WriteBack,
         })
@@ -503,7 +501,6 @@ impl Element for IPsecDecrypt {
     }
 
     fn offload(&self) -> Option<OffloadSpec> {
-        let sa = self.sa.clone();
         Some(OffloadSpec {
             input: DbInput::WholePacket { offset: IP_OFF },
             output: DbOutput::InPlace { extra: 0 },
@@ -511,14 +508,7 @@ impl Element for IPsecDecrypt {
                 fixed_ns: 3_000.0,
                 ns_per_byte: 220.0,
             },
-            kernel: Arc::new(move |io: KernelIo<'_>| {
-                for i in 0..io.items {
-                    let r = io.item_out_range(i);
-                    let item = io.item_in(i).to_vec();
-                    io.output[r.clone()].copy_from_slice(&item);
-                    aes_apply(&sa, &mut io.output[r]);
-                }
-            }),
+            kernel: in_place_kernel(self.sa.clone(), aes_apply),
             heavy: true,
             postprocess: Postprocess::WriteBack,
         })
@@ -730,36 +720,61 @@ mod tests {
         assert_eq!(seqs, vec![1, 2, 3]);
     }
 
+    /// Frame lengths of a 64-item task, spread over the IMIX range so the
+    /// items differ in block count and tail length.
+    fn task_lengths() -> impl Iterator<Item = usize> {
+        (0..64).map(|i| 64 + i * 1402 / 63)
+    }
+
+    /// Runs `spec`'s kernel over one task holding `items`.
+    fn run_kernel(spec: &OffloadSpec, items: &[&[u8]], out_lens: &[usize]) -> Vec<u8> {
+        let (staged, out_len) = KernelIo::stage(items, out_lens);
+        let mut out = vec![0u8; out_len];
+        (spec.kernel)(KernelIo::parse(&staged, &mut out));
+        out
+    }
+
     #[test]
     fn gpu_kernels_match_cpu_path() {
-        // Encrypt one packet on the "CPU" and one via the kernels; byte
-        // identical results expected.
+        // Encrypt each packet on the "CPU" and all of them as one task via
+        // the kernels; byte identical results expected.
         let sa = Arc::new(SaTable::new(9));
         let (nls, insp) = ctx_harness();
-        let mut f = vec![0u8; 200];
-        FrameBuilder::default().build_ipv4(&mut f, 200, 7, 0x55667788);
-        let mut cpu_pkt = Packet::from_bytes(&f);
         let mut encap = IPsecESPEncap::new(sa.clone());
-        run_one(&mut encap, &nls, &insp, &mut cpu_pkt);
-        let staged_frame = cpu_pkt.data().to_vec();
-
-        // CPU path.
         let mut aes = IPsecAES::new(sa.clone());
         let mut auth = IPsecAuthHMAC::new(sa.clone());
-        run_one(&mut aes, &nls, &insp, &mut cpu_pkt);
-        run_one(&mut auth, &nls, &insp, &mut cpu_pkt);
+        let mut staged_frames = Vec::new();
+        let mut cpu_frames = Vec::new();
+        for (i, len) in task_lengths().enumerate() {
+            let mut f = vec![0u8; len];
+            FrameBuilder::default().build_ipv4(&mut f, len, 7, 0x55667700 + i as u32);
+            let mut pkt = Packet::from_bytes(&f);
+            run_one(&mut encap, &nls, &insp, &mut pkt);
+            staged_frames.push(pkt.data().to_vec());
+            run_one(&mut aes, &nls, &insp, &mut pkt);
+            run_one(&mut auth, &nls, &insp, &mut pkt);
+            cpu_frames.push(pkt.data().to_vec());
+        }
 
-        // Kernel path over the same staged frame.
-        let item = &staged_frame[IP_OFF..];
-        let run_kernel = |spec: &OffloadSpec, input: &[u8]| -> Vec<u8> {
-            let (staged, out_len) = KernelIo::stage(&[input], &[input.len()]);
-            let mut out = vec![0u8; out_len];
-            (spec.kernel)(KernelIo::parse(&staged, &mut out));
-            out
+        let items: Vec<&[u8]> = staged_frames.iter().map(|f| &f[IP_OFF..]).collect();
+        let lens: Vec<usize> = items.iter().map(|item| item.len()).collect();
+        // A kernel's output buffer, cut back into its items.
+        let split = |out: &[u8]| -> Vec<Vec<u8>> {
+            let mut rest = out;
+            lens.iter()
+                .map(|&len| {
+                    let (item, tail) = rest.split_at(len);
+                    rest = tail;
+                    item.to_vec()
+                })
+                .collect()
         };
-        let after_aes = run_kernel(&aes.offload().unwrap(), item);
-        let after_auth = run_kernel(&auth.offload().unwrap(), &after_aes);
-        assert_eq!(&cpu_pkt.data()[IP_OFF..], &after_auth[..]);
+        let after_aes = split(&run_kernel(&aes.offload().unwrap(), &items, &lens));
+        let aes_items: Vec<&[u8]> = after_aes.iter().map(Vec::as_slice).collect();
+        let after_auth = split(&run_kernel(&auth.offload().unwrap(), &aes_items, &lens));
+        for (i, (cpu, kernel)) in cpu_frames.iter().zip(&after_auth).enumerate() {
+            assert!(cpu[IP_OFF..] == kernel[..], "item {i} ({} B)", cpu.len());
+        }
     }
 
     #[test]
@@ -835,17 +850,29 @@ mod tests {
 
     #[test]
     fn verify_kernel_matches_cpu_verdicts() {
-        let (pkt, sa, _) = encrypt_pipeline(200);
-        let verify = IPsecAuthVerify::new(sa.clone());
-        let spec = verify.offload().unwrap();
-        let good = &pkt.data()[14..];
-        let mut bad = good.to_vec();
-        bad[40] ^= 1;
-        let (staged, out_len) = KernelIo::stage(&[good, &bad], &[8, 8]);
-        let mut out = vec![0u8; out_len];
-        (spec.kernel)(KernelIo::parse(&staged, &mut out));
-        assert_eq!(u64::from_le_bytes(out[0..8].try_into().unwrap()), 1);
-        assert_eq!(u64::from_le_bytes(out[8..16].try_into().unwrap()), 0);
+        // One task of gateway output, every third item tampered with at a
+        // position that moves with the item.
+        let (nls, insp) = ctx_harness();
+        // Every `encrypt_pipeline` call builds the same SA table.
+        let (_, sa, _) = encrypt_pipeline(64);
+        let mut frames = Vec::new();
+        for (i, len) in task_lengths().enumerate() {
+            let mut frame = encrypt_pipeline(len).0.data().to_vec();
+            if i % 3 == 0 {
+                let at = ESP_OFF + i * (frame.len() - ESP_OFF) / 64;
+                frame[at] ^= 1;
+            }
+            frames.push(frame);
+        }
+        let mut verify = IPsecAuthVerify::new(sa);
+        let items: Vec<&[u8]> = frames.iter().map(|f| &f[IP_OFF..]).collect();
+        let out = run_kernel(&verify.offload().unwrap(), &items, &[8; 64]);
+        for (i, frame) in frames.iter().enumerate() {
+            let verdict = u64::from_le_bytes(out[8 * i..8 * i + 8].try_into().unwrap());
+            let cpu = run_one(&mut verify, &nls, &insp, &mut Packet::from_bytes(frame));
+            assert_eq!(verdict == 1, cpu == PacketResult::Out(0), "item {i}");
+            assert_eq!(verdict == 1, i % 3 != 0, "item {i}");
+        }
     }
 
     #[test]

@@ -348,8 +348,9 @@ impl<'a> KernelIo<'a> {
         }
     }
 
-    /// Input bytes of item `i`.
-    pub fn item_in(&self, i: usize) -> &[u8] {
+    /// Input bytes of item `i` (borrowed from the staged buffer, not from
+    /// `self`, so a kernel can hold them while it writes `output`).
+    pub fn item_in(&self, i: usize) -> &'a [u8] {
         &self.input[self.in_off[i] as usize..self.in_off[i + 1] as usize]
     }
 

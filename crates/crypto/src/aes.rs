@@ -2,8 +2,9 @@
 //!
 //! The IPsec gateway needs AES-128-CTR; CTR only uses the forward cipher, so
 //! only encryption is implemented. The paper's CPU path uses AES-NI through
-//! OpenSSL — here the *functional* behaviour is this portable implementation
-//! and the *cost* of AES-NI is a calibrated constant in the cost model.
+//! OpenSSL — here the *functional* behaviour is this portable table-driven
+//! implementation and the *cost* of AES-NI is a calibrated constant in the
+//! cost model. Lookups indexed by key-dependent bytes are not constant-time.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -36,20 +37,207 @@ pub const BLOCK_LEN: usize = 16;
 pub const KEY_LEN: usize = 16;
 
 /// Multiplies by x in GF(2^8) modulo the AES polynomial.
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+}
+
+/// `TE[0][x]` is the MixColumns image of the column `(S[x], 0, 0, 0)` as a
+/// big-endian word, i.e. `(2·S[x], S[x], S[x], 3·S[x])`; `TE[r]` is the same
+/// for row `r` (`TE[0]` rotated right by `r` bytes). One table lookup per
+/// state byte does SubBytes + MixColumns, the lookup's position does
+/// ShiftRows.
+const TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        let w = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        let mut r = 0;
+        while r < 4 {
+            te[r][x] = w.rotate_right(8 * r as u32);
+            r += 1;
+        }
+        x += 1;
+    }
+    te
+};
+
+/// The byte of `w` that starts at bit `shift`, as a table index.
+#[inline(always)]
+fn byte(w: u32, shift: u32) -> usize {
+    ((w >> shift) & 0xff) as usize
+}
+
+/// SubBytes on each byte of `w`.
+#[inline(always)]
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[usize::from(b)]))
+}
+
+/// A block as its four big-endian column words.
+#[inline(always)]
+fn columns(block: u128) -> [u32; 4] {
+    [
+        (block >> 96) as u32,
+        (block >> 64) as u32,
+        (block >> 32) as u32,
+        block as u32,
+    ]
+}
+
+/// Inverse of [`columns`].
+#[inline(always)]
+fn block_of(s: [u32; 4]) -> u128 {
+    u128::from(s[0]) << 96 | u128::from(s[1]) << 64 | u128::from(s[2]) << 32 | u128::from(s[3])
 }
 
 /// An expanded AES-128 key ready for encryption.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    /// Round key `r` is words `4r..4r + 4`, one big-endian word per column.
+    round_keys: [u32; 4 * (ROUNDS + 1)],
 }
 
 impl Aes128 {
     /// Expands a 128-bit key (FIPS-197 §5.2).
     pub fn new(key: &[u8; KEY_LEN]) -> Aes128 {
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        w[..4].copy_from_slice(&columns(u128::from_be_bytes(*key)));
+        for i in 4..w.len() {
+            let mut temp = w[i - 1];
+            if i % 4 == 0 {
+                temp = sub_word(temp.rotate_left(8)) ^ u32::from(RCON[i / 4 - 1]) << 24;
+            }
+            w[i] = w[i - 4] ^ temp;
+        }
+        Aes128 { round_keys: w }
+    }
+
+    /// Encrypts one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+        let [s] = self.encrypt_columns([columns(u128::from_be_bytes(*block))]);
+        *block = block_of(s).to_be_bytes();
+    }
+
+    /// Encrypts `N` independent blocks, each given as its column words. The
+    /// blocks advance one round at a time together, so the `N` dependency
+    /// chains overlap in the pipeline instead of running back to back.
+    #[inline(always)]
+    fn encrypt_columns<const N: usize>(&self, mut blocks: [[u32; 4]; N]) -> [[u32; 4]; N] {
+        let rk = &self.round_keys;
+        for s in &mut blocks {
+            *s = [s[0] ^ rk[0], s[1] ^ rk[1], s[2] ^ rk[2], s[3] ^ rk[3]];
+        }
+        for round in 1..ROUNDS {
+            let k = &rk[4 * round..4 * round + 4];
+            for s in &mut blocks {
+                // Output column c takes row r from input column c + r.
+                let col = |c: usize| {
+                    TE[0][byte(s[c], 24)]
+                        ^ TE[1][byte(s[(c + 1) % 4], 16)]
+                        ^ TE[2][byte(s[(c + 2) % 4], 8)]
+                        ^ TE[3][byte(s[(c + 3) % 4], 0)]
+                        ^ k[c]
+                };
+                *s = [col(0), col(1), col(2), col(3)];
+            }
+        }
+        // The last round has no MixColumns: plain S-box bytes.
+        let k = &rk[4 * ROUNDS..];
+        for s in &mut blocks {
+            let col = |c: usize| {
+                u32::from_be_bytes([
+                    SBOX[byte(s[c], 24)],
+                    SBOX[byte(s[(c + 1) % 4], 16)],
+                    SBOX[byte(s[(c + 2) % 4], 8)],
+                    SBOX[byte(s[(c + 3) % 4], 0)],
+                ]) ^ k[c]
+            };
+            *s = [col(0), col(1), col(2), col(3)];
+        }
+        blocks
+    }
+}
+
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.write_str("Aes128 { .. }")
+    }
+}
+
+/// Counter blocks encrypted together by [`Aes128Ctr::apply_keystream`].
+const LANES: usize = 4;
+
+/// AES-128 in counter mode.
+///
+/// The counter block layout follows NIST SP 800-38A: the full 16-byte
+/// initial counter block increments as a big-endian 128-bit integer.
+#[derive(Debug, Clone)]
+pub struct Aes128Ctr {
+    cipher: Aes128,
+}
+
+impl Aes128Ctr {
+    /// Creates a CTR-mode instance for `key`.
+    pub fn new(key: &[u8; KEY_LEN]) -> Aes128Ctr {
+        Aes128Ctr {
+            cipher: Aes128::new(key),
+        }
+    }
+
+    /// Encrypts or decrypts `data` in place (CTR is its own inverse) using
+    /// the given initial counter block.
+    pub fn apply_keystream(&self, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let mut counter = u128::from_be_bytes(*iv);
+        let mut groups = data.chunks_exact_mut(LANES * BLOCK_LEN);
+        for group in &mut groups {
+            let keystream = self
+                .cipher
+                .encrypt_columns::<LANES>(std::array::from_fn(|lane| {
+                    columns(counter.wrapping_add(lane as u128))
+                }));
+            for (chunk, ks) in group.chunks_exact_mut(BLOCK_LEN).zip(keystream) {
+                let chunk: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("exact chunk");
+                *chunk = (u128::from_be_bytes(*chunk) ^ block_of(ks)).to_be_bytes();
+            }
+            counter = counter.wrapping_add(LANES as u128);
+        }
+        // Fewer than LANES blocks left, the last one possibly partial.
+        for chunk in groups.into_remainder().chunks_mut(BLOCK_LEN) {
+            let [ks] = self.cipher.encrypt_columns([columns(counter)]);
+            for (d, k) in chunk.iter_mut().zip(block_of(ks).to_be_bytes()) {
+                *d ^= k;
+            }
+            counter = counter.wrapping_add(1);
+        }
+    }
+}
+
+/// The byte-wise FIPS-197 round functions the table-driven cipher replaced,
+/// kept as the independent reference the tests compare it against.
+#[cfg(test)]
+mod reference {
+    use super::{xtime, BLOCK_LEN, KEY_LEN, RCON, ROUNDS, SBOX};
+
+    pub fn encrypt_block(key: &[u8; KEY_LEN], block: &mut [u8; BLOCK_LEN]) {
+        let round_keys = expand(key);
+        let mut state = *block;
+        add_round_key(&mut state, &round_keys[0]);
+        for rk in &round_keys[1..ROUNDS] {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, rk);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &round_keys[ROUNDS]);
+        *block = state;
+    }
+
+    fn expand(key: &[u8; KEY_LEN]) -> [[u8; 16]; ROUNDS + 1] {
         let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             w[i].copy_from_slice(chunk);
@@ -73,102 +261,43 @@ impl Aes128 {
                 rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
             }
         }
-        Aes128 { round_keys }
+        round_keys
     }
 
-    /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
-        }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[ROUNDS]);
-        *block = state;
-    }
-}
-
-impl std::fmt::Debug for Aes128 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
-        f.write_str("Aes128 { .. }")
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk) {
-        *s ^= k;
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[usize::from(*b)];
-    }
-}
-
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    // State is column-major: byte (row r, column c) lives at c*4 + r.
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[c * 4],
-            state[c * 4 + 1],
-            state[c * 4 + 2],
-            state[c * 4 + 3],
-        ];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            state[c * 4 + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
-        }
-    }
-}
-
-/// AES-128 in counter mode.
-///
-/// The counter block layout follows NIST SP 800-38A: the full 16-byte
-/// initial counter block increments as a big-endian 128-bit integer.
-#[derive(Debug, Clone)]
-pub struct Aes128Ctr {
-    cipher: Aes128,
-}
-
-impl Aes128Ctr {
-    /// Creates a CTR-mode instance for `key`.
-    pub fn new(key: &[u8; KEY_LEN]) -> Aes128Ctr {
-        Aes128Ctr {
-            cipher: Aes128::new(key),
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for (s, k) in state.iter_mut().zip(rk) {
+            *s ^= k;
         }
     }
 
-    /// Encrypts or decrypts `data` in place (CTR is its own inverse) using
-    /// the given initial counter block.
-    pub fn apply_keystream(&self, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        let mut counter = u128::from_be_bytes(*iv);
-        for chunk in data.chunks_mut(BLOCK_LEN) {
-            let mut keystream = counter.to_be_bytes();
-            self.cipher.encrypt_block(&mut keystream);
-            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[usize::from(*b)];
+        }
+    }
+
+    fn shift_rows(state: &mut [u8; 16]) {
+        // State is column-major: byte (row r, column c) lives at c*4 + r.
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
             }
-            counter = counter.wrapping_add(1);
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[c * 4],
+                state[c * 4 + 1],
+                state[c * 4 + 2],
+                state[c * 4 + 3],
+            ];
+            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
+            for r in 0..4 {
+                state[c * 4 + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+            }
         }
     }
 }
@@ -176,6 +305,7 @@ impl Aes128Ctr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -246,6 +376,20 @@ mod tests {
         let mut again = [0u8; 48];
         Aes128Ctr::new(&key).apply_keystream(&iv, &mut again);
         assert_eq!(data, again);
+    }
+
+    proptest! {
+        #[test]
+        fn encrypt_block_matches_the_bytewise_reference(
+            key in any::<[u8; 16]>(),
+            block in any::<[u8; 16]>(),
+        ) {
+            let mut fast = block;
+            Aes128::new(&key).encrypt_block(&mut fast);
+            let mut slow = block;
+            reference::encrypt_block(&key, &mut slow);
+            prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]

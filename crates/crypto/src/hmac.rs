@@ -1,14 +1,14 @@
 //! HMAC-SHA1 (RFC 2104), plus the 96-bit truncation ESP uses (RFC 2404).
 
-use crate::sha1::{Sha1, BLOCK_LEN, DIGEST_LEN};
+use crate::sha1::{Midstate, Sha1, BLOCK_LEN, DIGEST_LEN};
 
 /// An HMAC-SHA1 keyed MAC.
 #[derive(Clone)]
 pub struct HmacSha1 {
-    /// SHA-1 state pre-seeded with the inner padded key block.
-    inner_init: Sha1,
-    /// SHA-1 state pre-seeded with the outer padded key block.
-    outer_init: Sha1,
+    /// SHA-1 after the inner padded key block.
+    inner_init: Midstate,
+    /// SHA-1 after the outer padded key block.
+    outer_init: Midstate,
 }
 
 impl HmacSha1 {
@@ -29,23 +29,23 @@ impl HmacSha1 {
         // Pre-compute the first compression of each pass so per-message cost
         // is two block hashes smaller — the trick the paper's gateway uses
         // by caching OpenSSL envelope contexts per flow.
-        let mut inner_init = Sha1::new();
-        inner_init.update(&ipad);
-        let mut outer_init = Sha1::new();
-        outer_init.update(&opad);
+        let after = |pad: &[u8; BLOCK_LEN]| {
+            let mut s = Sha1::new();
+            s.update(pad);
+            s.midstate()
+        };
         HmacSha1 {
-            inner_init,
-            outer_init,
+            inner_init: after(&ipad),
+            outer_init: after(&opad),
         }
     }
 
     /// Computes the full 20-byte MAC of `data`.
     pub fn mac(&self, data: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut inner = self.inner_init.clone();
+        let mut inner = Sha1::resume(self.inner_init);
         inner.update(data);
-        let inner_digest = inner.finalize();
-        let mut outer = self.outer_init.clone();
-        outer.update(&inner_digest);
+        let mut outer = Sha1::resume(self.outer_init);
+        outer.update(&inner.finalize());
         outer.finalize()
     }
 
@@ -80,7 +80,8 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // RFC 2202 test cases 1-3 and 6 (long key).
+    // All seven RFC 2202 HMAC-SHA1 cases, in the order 1-3, 6 (long key),
+    // 4, 5, 7.
     #[test]
     fn rfc2202_vectors() {
         let m = HmacSha1::new(&[0x0b; 20]);
@@ -105,6 +106,29 @@ mod tests {
         assert_eq!(
             hex(&m.mac(b"Test Using Larger Than Block-Size Key - Hash Key First")),
             "aa4ae5e15272d00e95705637ce8a3b55ed402112"
+        );
+
+        let key: Vec<u8> = (1..=25).collect();
+        assert_eq!(
+            hex(&HmacSha1::new(&key).mac(&[0xcd; 50])),
+            "4c9007f4026250c6bc8414f9bf50c86c2d7235da"
+        );
+
+        let m = HmacSha1::new(&[0x0c; 20]);
+        assert_eq!(
+            hex(&m.mac(b"Test With Truncation")),
+            "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04"
+        );
+        assert_eq!(
+            hex(&m.mac_truncated_96(b"Test With Truncation")),
+            "4c1a03424b55e07fe7f27be1"
+        );
+
+        let m = HmacSha1::new(&[0xaa; 80]);
+        assert_eq!(
+            hex(&m
+                .mac(b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data")),
+            "e8e99d0f45237d786d6bbaa7965c7808bbff1a91"
         );
     }
 

@@ -9,6 +9,16 @@ pub const DIGEST_LEN: usize = 20;
 /// SHA-1 block length in bytes.
 pub const BLOCK_LEN: usize = 64;
 
+/// The chaining value after a whole number of blocks: everything a hasher
+/// needs to pick up from there. HMAC keeps one per pass so a MAC starts from
+/// the already-compressed key block.
+#[derive(Clone, Copy)]
+pub(crate) struct Midstate {
+    h: [u32; 5],
+    /// Bytes absorbed so far (a multiple of [`BLOCK_LEN`]).
+    total: u64,
+}
+
 /// Streaming SHA-1 state.
 #[derive(Debug, Clone)]
 pub struct Sha1 {
@@ -29,11 +39,32 @@ impl Default for Sha1 {
 impl Sha1 {
     /// Creates a fresh hasher.
     pub fn new() -> Sha1 {
-        Sha1 {
+        Sha1::resume(Midstate {
             h: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
+            total: 0,
+        })
+    }
+
+    /// A hasher that continues from `mid`.
+    pub(crate) fn resume(mid: Midstate) -> Sha1 {
+        Sha1 {
+            h: mid.h,
             buffer: [0u8; BLOCK_LEN],
             buffered: 0,
-            total: 0,
+            total: mid.total,
+        }
+    }
+
+    /// The state to [`resume`](Sha1::resume) from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes absorbed so far do not end on a block boundary.
+    pub(crate) fn midstate(&self) -> Midstate {
+        assert_eq!(self.buffered, 0, "midstate inside a block");
+        Midstate {
+            h: self.h,
+            total: self.total,
         }
     }
 
@@ -50,13 +81,13 @@ impl Sha1 {
                 // Partial fill: nothing more to consume.
                 return;
             }
-            let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.h, &self.buffer);
             self.buffered = 0;
         }
+        // Full blocks go straight from the caller's slice.
         let mut chunks = rest.chunks_exact(BLOCK_LEN);
         for block in &mut chunks {
-            self.compress(block.try_into().unwrap());
+            compress(&mut self.h, block.try_into().expect("exact chunk"));
         }
         let tail = chunks.remainder();
         self.buffer[..tail.len()].copy_from_slice(tail);
@@ -65,21 +96,22 @@ impl Sha1 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to the last 8 bytes of a block, then the
+        // message length in bits. `buffered < BLOCK_LEN` always, so the 0x80
+        // fits; the length needs a second block when fewer than 8 bytes
+        // remain after it.
+        const LEN_AT: usize = BLOCK_LEN - 8;
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= LEN_AT {
+            compress(&mut self.h, &self.buffer);
+            self.buffer = [0u8; BLOCK_LEN];
         }
-        // Appending the length must not count toward the message length,
-        // but update() already mixed in the padding; the stored bit_len was
-        // captured before padding, so this is consistent.
-        let mut lenb = [0u8; 8];
-        lenb.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&lenb);
-        debug_assert_eq!(self.buffered, 0);
+        self.buffer[LEN_AT..].copy_from_slice(&self.total.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.h, &self.buffer);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.h.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -90,40 +122,79 @@ impl Sha1 {
         s.update(data);
         s.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.h;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | (!b & d), 0x5a827999),
-                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        self.h[0] = self.h[0].wrapping_add(a);
-        self.h[1] = self.h[1].wrapping_add(b);
-        self.h[2] = self.h[2].wrapping_add(c);
-        self.h[3] = self.h[3].wrapping_add(d);
-        self.h[4] = self.h[4].wrapping_add(e);
+/// Message-schedule word `t` (FIPS 180-4 §6.1.3, the 16-word circular form):
+/// `w` holds words `t - 16..t`, word `t` overwrites word `t - 16`.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    if t >= 16 {
+        w[t % 16] =
+            (w[(t + 13) % 16] ^ w[(t + 8) % 16] ^ w[(t + 2) % 16] ^ w[t % 16]).rotate_left(1);
+    }
+    w[t % 16]
+}
+
+/// Five rounds `$t..$t + 5` with round function `$f` and constant `$k`. The
+/// five working variables change roles from round to round instead of being
+/// shuffled, so after five rounds every name is back where it started.
+macro_rules! rounds5 {
+    ($f:ident, $k:expr, $w:ident, $t:expr, $a:ident $b:ident $c:ident $d:ident $e:ident) => {
+        rounds5!(@one $f, $k, $w, $t, $a $b $c $d $e);
+        rounds5!(@one $f, $k, $w, $t + 1, $e $a $b $c $d);
+        rounds5!(@one $f, $k, $w, $t + 2, $d $e $a $b $c);
+        rounds5!(@one $f, $k, $w, $t + 3, $c $d $e $a $b);
+        rounds5!(@one $f, $k, $w, $t + 4, $b $c $d $e $a);
+    };
+    (@one $f:ident, $k:expr, $w:ident, $t:expr, $a:ident $b:ident $c:ident $d:ident $e:ident) => {
+        $e = $e
+            .wrapping_add($a.rotate_left(5))
+            .wrapping_add($f($b, $c, $d))
+            .wrapping_add($k)
+            .wrapping_add(schedule(&mut $w, $t));
+        $b = $b.rotate_left(30);
+    };
+}
+
+/// Twenty rounds `$t..$t + 20`: one of the four groups that share a round
+/// function and constant.
+macro_rules! rounds20 {
+    ($f:ident, $k:expr, $w:ident, $t:expr, $($v:ident)+) => {
+        rounds5!($f, $k, $w, $t, $($v)+);
+        rounds5!($f, $k, $w, $t + 5, $($v)+);
+        rounds5!($f, $k, $w, $t + 10, $($v)+);
+        rounds5!($f, $k, $w, $t + 15, $($v)+);
+    };
+}
+
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
+}
+
+/// The SHA-1 compression function over one block.
+fn compress(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("exact chunk"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *h;
+    rounds20!(ch, 0x5a827999u32, w, 0, a b c d e);
+    rounds20!(parity, 0x6ed9eba1u32, w, 20, a b c d e);
+    rounds20!(maj, 0x8f1bbcdcu32, w, 40, a b c d e);
+    rounds20!(parity, 0xca62c1d6u32, w, 60, a b c d e);
+    for (h, v) in h.iter_mut().zip([a, b, c, d, e]) {
+        *h = h.wrapping_add(v);
     }
 }
 
@@ -154,6 +225,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "a megabyte of SHA-1 takes minutes under the interpreter"
+    )]
     fn million_a() {
         let mut s = Sha1::new();
         let chunk = [b'a'; 1000];
@@ -179,12 +254,31 @@ mod tests {
     }
 
     #[test]
-    fn boundary_lengths_pad_correctly() {
-        // Lengths around the 56-byte padding boundary.
-        for len in 54..=66 {
-            let data = vec![0x5au8; len];
-            // Must not panic and must be deterministic.
-            assert_eq!(Sha1::digest(&data), Sha1::digest(&data));
+    fn one_shot_matches_byte_at_a_time_at_the_padding_boundaries() {
+        // One-shot takes whole blocks from the slice and pads the tail in
+        // place; a byte at a time goes through the buffer only. The lengths
+        // sit on either side of where the padding spills into a second
+        // block, one and two blocks in.
+        let data: Vec<u8> = (0..=255u8).cycle().take(121).collect();
+        for len in [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 121] {
+            let mut s = Sha1::new();
+            for byte in &data[..len] {
+                s.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(s.finalize(), Sha1::digest(&data[..len]), "len = {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundary_digests_are_the_known_ones() {
+        // 55 bytes: the longest one-block message; 56: the shortest that
+        // needs a second block; 64: a full block plus a padding-only block.
+        for (len, want) in [
+            (55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"),
+            (56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"),
+            (64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"),
+        ] {
+            assert_eq!(hex(&Sha1::digest(&vec![b'a'; len])), want, "len = {len}");
         }
     }
 }

@@ -9,7 +9,7 @@ use nba_apps::ipv4::RoutingTableV4;
 use nba_apps::ipv6::RoutingTableV6;
 use nba_crypto::{Aes128Ctr, HmacSha1, Sha1};
 use nba_io::toeplitz::Toeplitz;
-use nba_io::{checksum, spsc, Mempool};
+use nba_io::{checksum, spsc, Mempool, SizeDist};
 use nba_matcher::{AhoCorasick, Regex};
 
 fn bench_crypto(c: &mut Criterion) {
@@ -44,6 +44,34 @@ fn bench_matching(c: &mut Criterion) {
             b.iter(|| rules.ac().first_match(h));
         });
     }
+    // One IMIX batch of 64 scan ranges (frame minus the Ethernet header,
+    // a-z filler, ATTACK1 in every 16th) against the default rule set, one
+    // haystack at a time and four in lockstep.
+    let default_rules = nba_apps::ids::RuleSet::synthetic(3, 512, 16);
+    let batch: Vec<Vec<u8>> = (0..64)
+        .map(|i| {
+            let len = SizeDist::Imix.sample(&mut rng) - 14;
+            let mut hay: Vec<u8> = (0..len).map(|_| b'a' + rng.gen::<u8>() % 26).collect();
+            if i % 16 == 0 {
+                let at = rng.gen_range(28..len - 7);
+                hay[at..at + 7].copy_from_slice(b"ATTACK1");
+            }
+            hay
+        })
+        .collect();
+    let hays: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+    let mut verdicts = vec![None; hays.len()];
+    g.throughput(Throughput::Bytes(hays.iter().map(|h| h.len() as u64).sum()));
+    g.bench_function("aho-corasick/imix-batch-64/first_match", |b| {
+        b.iter(|| {
+            for (v, h) in verdicts.iter_mut().zip(&hays) {
+                *v = default_rules.ac().first_match(h);
+            }
+        })
+    });
+    g.bench_function("aho-corasick/imix-batch-64/first_match_each", |b| {
+        b.iter(|| default_rules.ac().first_match_each(&hays, &mut verdicts))
+    });
     let ac = AhoCorasick::new(&["needle", "haystack", "pattern"]);
     g.bench_function("aho-corasick/small-set-256B", |b| {
         let hay = vec![b'x'; 256];

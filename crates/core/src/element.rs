@@ -2,11 +2,14 @@
 //!
 //! NBA reuses Click's element model with three changes:
 //!
-//! * batches are the universal I/O unit, but elements expose only a
-//!   **per-packet** interface — the framework runs the iteration loop and
-//!   handles branch bookkeeping ("hiding computation batching"),
-//! * **per-batch** elements exist for coarse-grained operations (queues,
-//!   load-balancer decisions),
+//! * batches are the universal I/O unit: the framework hands an element
+//!   the whole batch ([`Element::process_batch`]) and handles branch
+//!   bookkeeping afterwards; most elements write only the **per-packet**
+//!   [`Element::process`] and inherit the iteration loop ("hiding
+//!   computation batching"),
+//! * elements override the batch body for coarse-grained operations
+//!   (queues, load-balancer decisions) or to run their per-packet work as
+//!   one loop over the batch (signature matching),
 //! * **offloadable** elements additionally declare an accelerator-side
 //!   function with declarative input/output formats (datablocks, Table 2).
 //!
@@ -21,12 +24,14 @@ use nba_sim::{CpuProfile, GpuProfile, Time};
 use crate::batch::{Anno, PacketBatch, PacketResult};
 use crate::nls::NodeLocalStorage;
 
-/// How the framework should invoke an element.
+/// How the framework charges an element's modelled CPU cost. Both kinds
+/// run through [`Element::process_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElementKind {
-    /// The framework iterates over packets calling [`Element::process`].
+    /// Per live packet: dispatch plus [`Element::cpu_profile`] at the
+    /// packet's length.
     PerPacket,
-    /// The framework calls [`Element::process_batch`] once per batch.
+    /// Once per batch: the profile's fixed cycles.
     PerBatch,
 }
 
@@ -219,12 +224,13 @@ pub trait Element: Send {
         1
     }
 
-    /// Per-packet or per-batch invocation.
+    /// Whether the modelled cost is charged per packet or per batch.
     fn kind(&self) -> ElementKind {
         ElementKind::PerPacket
     }
 
-    /// Processes one packet (per-packet elements).
+    /// Processes one packet. Most elements implement only this and inherit
+    /// the iteration loop from [`process_batch`](Self::process_batch).
     ///
     /// The default implementation forwards to output 0.
     fn process(
@@ -236,14 +242,24 @@ pub trait Element: Send {
         PacketResult::Out(0)
     }
 
-    /// Processes a whole batch (per-batch elements). Per-packet results in
-    /// the batch are respected by the framework afterwards.
+    /// Processes a whole batch: the one body the framework calls, once per
+    /// (element, batch). It must leave a [`PacketResult`] on every live
+    /// slot it wants routed anywhere but where the slot's last result says;
+    /// masked slots are not its business.
     ///
-    /// The default is a pass-through (all packets continue to output 0);
-    /// the framework never calls this for [`ElementKind::PerPacket`]
-    /// elements — it runs the iteration loop itself so batching costs stay
-    /// under its control (§3.2 "hiding computation batching").
-    fn process_batch(&mut self, _ctx: &mut ElemCtx<'_>, _batch: &mut PacketBatch) {}
+    /// The default is the per-packet adapter (§3.2 "hiding computation
+    /// batching"): [`process`](Self::process) on each live slot and its
+    /// annotations, the result recorded on the slot. Elements override it
+    /// for coarse-grained work (load-balancer decisions) or to run their
+    /// per-packet work as one loop over the batch (matching).
+    fn process_batch(&mut self, ctx: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
+        for i in 0..batch.slot_count() {
+            if let Some((pkt, anno)) = batch.packet_and_anno_mut(i) {
+                let r = self.process(ctx, pkt, anno);
+                batch.set_result(i, r);
+            }
+        }
+    }
 
     /// The modeled CPU cost of processing one packet of `len` bytes.
     fn cpu_profile(&self) -> CpuProfile {

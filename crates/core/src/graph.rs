@@ -513,30 +513,22 @@ impl ElementGraph {
             let wall_start = self.wall_profiling.then(std::time::Instant::now);
             let cycles_before = outcome.cycles;
             outcome.cycles += cost.element_call;
+            // The modelled cost is charged here, per live packet at its
+            // length on entry or once per batch; the work itself is one
+            // call either way.
+            let profile = node.element.cpu_profile();
             match node.element.kind() {
-                ElementKind::PerBatch => {
-                    let profile = node.element.cpu_profile();
-                    outcome.cycles += profile.fixed_cycles;
-                    node.element.process_batch(ctx, &mut batch);
-                }
+                ElementKind::PerBatch => outcome.cycles += profile.fixed_cycles,
                 ElementKind::PerPacket => {
-                    let profile = node.element.cpu_profile();
-                    let indices: Vec<usize> = batch.live_indices().collect();
                     if is_offloadable {
-                        Counters::add(&counters.cpu_processed, indices.len() as u64);
+                        Counters::add(&counters.cpu_processed, live);
                     }
-                    for i in indices {
-                        let Some((pkt, anno_ref)) = batch.packet_and_anno_mut(i) else {
-                            continue;
-                        };
+                    for pkt in batch.live_indices().filter_map(|i| batch.packet(i)) {
                         outcome.cycles += cost.per_packet_dispatch + profile.cycles(pkt.len());
-                        let mut a = *anno_ref;
-                        let r = node.element.process(ctx, pkt, &mut a);
-                        *batch.anno_mut(i) = a;
-                        batch.set_result(i, r);
                     }
                 }
             }
+            node.element.process_batch(ctx, &mut batch);
             let charged = outcome.cycles - cycles_before;
             let acc = &mut self.profiles[nid.0];
             acc.batches += 1;
@@ -761,10 +753,10 @@ fn argmax(counts: &[u64]) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::ComputeMode;
+    use crate::element::{ComputeMode, DbInput, DbOutput, OffloadSpec, Postprocess};
     use crate::nls::NodeLocalStorage;
     use crate::stats::SystemInspector;
-    use nba_sim::Time;
+    use nba_sim::{CpuProfile, Time};
     use std::sync::Arc;
 
     /// Forwards every packet to a fixed port.
@@ -1014,6 +1006,112 @@ mod tests {
         assert_eq!(out2.tx.len(), 8);
         // 50/50 with default prediction 0: one alloc for port 1's packets.
         assert_eq!(Counters::get(&c.split_allocs), 1);
+    }
+
+    /// Offloadable, implements only `process`: stamps the frame length
+    /// into a slot and drops frames shorter than 64 bytes.
+    struct StampLen;
+
+    impl Element for StampLen {
+        fn class_name(&self) -> &'static str {
+            "StampLen"
+        }
+        fn process(&mut self, _: &mut ElemCtx<'_>, p: &mut Packet, a: &mut Anno) -> PacketResult {
+            a.set(anno::AC_MATCH, p.len() as u64);
+            if p.len() < 64 {
+                PacketResult::Drop
+            } else {
+                PacketResult::Out(0)
+            }
+        }
+        fn cpu_profile(&self) -> CpuProfile {
+            CpuProfile {
+                fixed_cycles: 40,
+                cycles_per_byte: 2.5,
+            }
+        }
+        fn offload(&self) -> Option<OffloadSpec> {
+            Some(OffloadSpec {
+                input: DbInput::WholePacket { offset: 0 },
+                output: DbOutput::PerItem { len: 8 },
+                gpu: nba_sim::GpuProfile::default(),
+                kernel: Arc::new(|_| {}),
+                heavy: false,
+                postprocess: Postprocess::Annotation(anno::AC_MATCH),
+            })
+        }
+    }
+
+    /// Implements only `process_batch`: drops the first live slot, stamps
+    /// the rest.
+    struct BatchOnly;
+
+    impl Element for BatchOnly {
+        fn class_name(&self) -> &'static str {
+            "BatchOnly"
+        }
+        fn kind(&self) -> ElementKind {
+            ElementKind::PerBatch
+        }
+        fn process_batch(&mut self, _: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
+            let live: Vec<usize> = batch.live_indices().collect();
+            batch.set_result(live[0], PacketResult::Drop);
+            for &i in &live[1..] {
+                batch.anno_mut(i).set(anno::AC_MATCH, 7);
+            }
+        }
+        fn cpu_profile(&self) -> CpuProfile {
+            CpuProfile::fixed(33)
+        }
+    }
+
+    #[test]
+    fn both_element_kinds_run_through_the_batch_body() {
+        let cost = CostModel::paper_default();
+        let lens = [64usize, 60, 1500, 128, 594];
+        let mixed = || {
+            let mut b = PacketBatch::with_capacity(lens.len());
+            for len in lens {
+                b.push(Packet::from_bytes(&vec![0u8; len]));
+            }
+            b.mask(3);
+            b
+        };
+        let single = |el: Box<dyn Element>| {
+            let mut gb = GraphBuilder::new();
+            let n = gb.add(el);
+            gb.connect_exit(n, 0);
+            gb.build().unwrap()
+        };
+
+        // Per-packet element: dispatch + profile at each live length, the
+        // short frame dropped, the masked slot never seen.
+        let (nls, insp, c) = harness();
+        let out = run(&mut single(Box::new(StampLen)), &c, &nls, &insp, mixed());
+        let stamped: Vec<u64> = out.tx.iter().map(|(_, a)| a.get(anno::AC_MATCH)).collect();
+        assert_eq!(stamped, vec![64, 1500, 594]);
+        assert_eq!(out.drops, 1);
+        let per_packet: u64 = [64u64, 60, 1500, 594]
+            .iter()
+            .map(|len| cost.per_packet_dispatch + 40 + len * 5 / 2)
+            .sum();
+        assert_eq!(
+            out.cycles,
+            cost.element_call + per_packet + cost.drop_per_packet + cost.batch_free
+        );
+        assert_eq!(Counters::get(&c.cpu_processed), 4);
+
+        // Per-batch element: its fixed cycles once, its results respected.
+        let (nls, insp, c) = harness();
+        let out = run(&mut single(Box::new(BatchOnly)), &c, &nls, &insp, mixed());
+        let stamped: Vec<u64> = out.tx.iter().map(|(_, a)| a.get(anno::AC_MATCH)).collect();
+        assert_eq!(stamped, vec![7, 7, 7]);
+        assert_eq!(out.drops, 1);
+        assert_eq!(
+            out.cycles,
+            cost.element_call + 33 + cost.drop_per_packet + cost.batch_free
+        );
+        assert_eq!(Counters::get(&c.cpu_processed), 0);
     }
 
     #[test]

@@ -424,35 +424,33 @@ impl TrafficGen {
     }
 
     fn fill_payload(&mut self, frame: &mut [u8], hdr_len: usize) {
-        // Take a local copy of the fill spec to keep the borrow checker
-        // happy while using self.rng below.
-        match &self.cfg.payload {
-            PayloadFill::Zeros => {}
-            PayloadFill::Ascii => {
-                let body = &mut frame[hdr_len..];
-                for b in body.iter_mut() {
-                    *b = b'a' + (self.rng.gen::<u8>() % 26);
-                }
+        let (needle, every) = match &self.cfg.payload {
+            PayloadFill::Zeros => return,
+            PayloadFill::Ascii => (&[][..], 0),
+            PayloadFill::Plant { needle, every } => (&needle[..], u64::from(*every)),
+        };
+        let body = &mut frame[hdr_len..];
+        // One draw per eight bytes: a letter from each byte of the word.
+        let letters = |word: u64, out: &mut [u8]| {
+            for (b, r) in out.iter_mut().zip(word.to_le_bytes()) {
+                *b = b'a' + r % 26;
             }
-            PayloadFill::Plant { needle, every } => {
-                let needle = needle.clone();
-                let every = *every;
-                let body = &mut frame[hdr_len..];
-                for b in body.iter_mut() {
-                    *b = b'a' + (self.rng.gen::<u8>() % 26);
-                }
-                if every > 0
-                    && self.seq.is_multiple_of(u64::from(every))
-                    && body.len() >= needle.len()
-                {
-                    let at = if body.len() == needle.len() {
-                        0
-                    } else {
-                        self.rng.gen_range(0..body.len() - needle.len())
-                    };
-                    body[at..at + needle.len()].copy_from_slice(&needle);
-                }
-            }
+        };
+        let mut chunks = body.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            letters(self.rng.gen(), chunk);
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            letters(self.rng.gen(), tail);
+        }
+        if every > 0 && self.seq.is_multiple_of(every) && body.len() >= needle.len() {
+            let at = if body.len() == needle.len() {
+                0
+            } else {
+                self.rng.gen_range(0..body.len() - needle.len())
+            };
+            body[at..at + needle.len()].copy_from_slice(needle);
         }
     }
 }
@@ -579,6 +577,89 @@ mod tests {
             .count();
         assert!(hits >= pkts.len() / 5, "{hits} of {}", pkts.len());
         assert!(hits <= pkts.len() / 3);
+    }
+
+    const NEEDLE: &[u8] = b"ATTACK1";
+
+    fn planted(size: SizeDist, every: u32) -> TrafficConfig {
+        TrafficConfig {
+            size,
+            payload: PayloadFill::Plant {
+                needle: NEEDLE.to_vec(),
+                every,
+            },
+            ..TrafficConfig::default()
+        }
+    }
+
+    /// Where the needle sits in a UDP body, after checking that every other
+    /// byte is a lowercase letter.
+    fn needle_offset(body: &[u8]) -> Option<usize> {
+        let at = body.windows(NEEDLE.len()).position(|w| w == NEEDLE);
+        let filler = |b: &[u8]| b.iter().all(u8::is_ascii_lowercase);
+        match at {
+            Some(at) => assert!(filler(&body[..at]) && filler(&body[at + NEEDLE.len()..])),
+            None => assert!(filler(body), "{body:?}"),
+        }
+        at
+    }
+
+    #[test]
+    fn filler_is_lowercase_and_the_needle_lands_on_schedule() {
+        // IMIX bodies are 22, 552 and 1476 bytes: whole words and tails.
+        let (pkts, _) = run_gen(planted(SizeDist::Imix, 16), Time::from_us(400));
+        assert!(pkts.len() > 64, "{} pkts", pkts.len());
+        for (i, p) in pkts.iter().enumerate() {
+            let body = &p.data()[FrameBuilder::MIN_V4_LEN..];
+            // `seq` counts from 1: the 16th, 32nd, ... slots are planted.
+            assert_eq!(needle_offset(body).is_some(), (i + 1) % 16 == 0, "slot {i}");
+        }
+        let ascii = TrafficConfig {
+            payload: PayloadFill::Ascii,
+            ..planted(SizeDist::Imix, 0)
+        };
+        for p in run_gen(ascii, Time::from_us(100)).0 {
+            assert_eq!(needle_offset(&p.data()[FrameBuilder::MIN_V4_LEN..]), None);
+        }
+    }
+
+    #[test]
+    fn fill_handles_bodies_around_a_word_and_around_the_needle() {
+        for body_len in [0, 1, 7, 8, 9, 15, 16, 17] {
+            let size = SizeDist::Fixed(FrameBuilder::MIN_V4_LEN + body_len);
+            let (pkts, _) = run_gen(planted(size, 1), Time::from_us(2));
+            assert!(pkts.len() >= 4);
+            for p in &pkts {
+                let body = &p.data()[FrameBuilder::MIN_V4_LEN..];
+                assert_eq!(body.len(), body_len);
+                // Planted wherever it fits; a body of exactly the needle's
+                // length is the needle.
+                let at = needle_offset(body);
+                assert_eq!(at.is_some(), body_len >= NEEDLE.len(), "body {body_len}");
+                assert!(body_len != NEEDLE.len() || at == Some(0));
+            }
+        }
+    }
+
+    #[test]
+    fn by_time_and_by_count_emit_one_planted_stream() {
+        let cfg = planted(SizeDist::Imix, 4);
+        let pool = Mempool::new(1 << 12);
+        let mut by_time = Vec::new();
+        TrafficGen::new(cfg.clone()).generate(Time::from_us(100), &pool, &mut |p| {
+            by_time.push((p.ts_gen, p.data().to_vec()));
+        });
+        assert!(by_time.len() > 40);
+        let mut cache = MempoolCache::new(pool.clone(), 32);
+        let mut gen = TrafficGen::new(cfg);
+        let mut by_count = Vec::new();
+        while by_count.len() < by_time.len() {
+            let want = 7.min(by_time.len() - by_count.len());
+            gen.generate_burst(want, &mut cache, &mut |p| {
+                by_count.push((p.ts_gen, p.data().to_vec()));
+            });
+        }
+        assert_eq!(by_count, by_time);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! approaches". This crate provides both:
 //!
 //! * [`aho::AhoCorasick`] — multi-pattern matching compiled to a dense DFA
-//!   (trie + BFS failure links collapsed into 256-way transition tables),
+//!   (trie + BFS failure links collapsed into one transition table, a
+//!   column per byte class), scanned one haystack at a time or a batch of
+//!   them in lockstep,
 //! * [`regex::Regex`] — a PCRE-subset engine (parser → Thompson NFA →
 //!   subset-construction DFA) with IDS search-anywhere semantics.
 //!

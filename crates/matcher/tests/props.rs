@@ -38,6 +38,33 @@ proptest! {
         prop_assert_eq!(got, naive_matches(&patterns, &hay));
     }
 
+    /// The lockstep batch scan, the single scan and the naive oracle agree
+    /// on every haystack: the earliest-ending match, and of the patterns
+    /// ending there the longest, the lowest index among equals.
+    #[test]
+    fn ac_lockstep_agrees_with_single_and_naive(
+        patterns in proptest::collection::vec(small_alphabet_bytes(5), 1..6),
+        hays in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::sample::select(vec![b'a', b'b', b'c', b'd']), 0..=1600),
+            0..=70),
+    ) {
+        let ac = AhoCorasick::new(&patterns);
+        let refs: Vec<&[u8]> = hays.iter().map(Vec::as_slice).collect();
+        let mut got = vec![None; refs.len()];
+        ac.first_match_each(&refs, &mut got);
+        for (hay, got) in hays.iter().zip(&got) {
+            let naive = naive_matches(&patterns, hay);
+            let want = naive
+                .iter()
+                .map(|&(pi, end)| (end, std::cmp::Reverse(patterns[pi].len()), pi))
+                .min()
+                .map(|(end, _, pi)| (pi, end));
+            prop_assert_eq!(ac.first_match(hay).map(|m| (m.pattern, m.end)), want);
+            prop_assert_eq!(got.map(|m| (m.pattern, m.end)), want);
+        }
+    }
+
     /// is_match equals "any pattern is a substring".
     #[test]
     fn ac_is_match_equals_contains(

@@ -33,55 +33,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use nba_sim::Time;
 
-use crate::json::{self, Value};
+use crate::json::{self, bool_field, f64_bits_field, f64_to_bits_hex, str_field, u64_field, Value};
 use crate::lb::AlbConfig;
 use crate::stats::LatencyHistogram;
 use crate::telemetry::{json_escape, json_f64};
-
-// ---------------------------------------------------------------------------
-// f64 <-> bit-pattern codec
-// ---------------------------------------------------------------------------
-
-/// Encodes an `f64` as its IEEE-754 bit pattern in fixed-width hex. JSON
-/// numbers are `f64` in our parser and cannot round-trip arbitrary `u64`
-/// payloads, so bit-exact fields travel as strings.
-pub fn f64_to_bits_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Decodes [`f64_to_bits_hex`].
-pub fn f64_from_bits_hex(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bit pattern {s:?}: {e}"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::Num(n)) => Ok(*n as u64),
-        Some(Value::Str(s)) => s.parse().map_err(|e| format!("bad {key}: {e}")),
-        _ => Err(format!("missing field {key}")),
-    }
-}
-
-fn f64_bits_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Str(s)) => f64_from_bits_hex(s),
-        _ => Err(format!("missing bit-pattern field {key}")),
-    }
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing field {key}"))
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing field {key}"))
-}
 
 // ---------------------------------------------------------------------------
 // Decision audit
@@ -320,6 +275,9 @@ pub struct DecisionLog {
     pub dropped: u64,
 }
 
+/// The `schema` of a [`DecisionLog`]'s JSONL header.
+const LOG_SCHEMA: &str = "nba-decision-log";
+
 impl DecisionLog {
     /// An empty log for a balancer with the given header.
     pub fn new(balancer: &str, cfg: AlbConfig, initial_w: f64, capacity: usize) -> DecisionLog {
@@ -359,15 +317,15 @@ impl DecisionLog {
                 .all(|(a, b)| a.bit_eq(b))
     }
 
-    /// Serializes the log as JSONL: one header line, one line per record.
+    /// Serializes the log as JSONL: one header line (the record count
+    /// included, so a truncated file is refused), one line per record.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"nba-decision-log\",\"balancer\":\"{}\",\"capacity\":{},\
+        let header = format!(
+            ",\"balancer\":\"{}\",\"capacity\":{},\
              \"dropped\":{},\"initial_w\":\"{}\",\"bound_ns\":{},\
              \"clock_pkts\":{},\"clock_max\":{},\"cfg\":{{\"delta\":\"{}\",\
              \"update_interval_ps\":\"{}\",\"avg_window\":{},\"min_wait\":{},\
-             \"max_wait\":{},\"initial_w\":\"{}\"}}}}\n",
+             \"max_wait\":{},\"initial_w\":\"{}\"}}",
             json_escape(&self.balancer),
             self.capacity,
             self.dropped,
@@ -381,22 +339,15 @@ impl DecisionLog {
             self.cfg.min_wait,
             self.cfg.max_wait,
             f64_to_bits_hex(self.cfg.initial_w),
-        ));
-        for rec in &self.records {
-            out.push_str(&rec.to_json_line());
-            out.push('\n');
-        }
-        out
+        );
+        json::write_log(LOG_SCHEMA, "records", &header, &self.records, |r| {
+            r.to_json_line()
+        })
     }
 
     /// Parses [`DecisionLog::to_jsonl`] output.
     pub fn from_jsonl(s: &str) -> Result<DecisionLog, String> {
-        let mut lines = s.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty decision log")?;
-        let h = json::parse(header).map_err(|e| format!("bad header: {e:?}"))?;
-        if str_field(&h, "type")? != "nba-decision-log" {
-            return Err("not a decision log (missing type header)".to_owned());
-        }
+        let (h, records) = json::read_log(s, LOG_SCHEMA, "records", DecisionRecord::from_json)?;
         let cfg_v = h.get("cfg").ok_or("missing cfg")?;
         let cfg = AlbConfig {
             delta: f64_bits_field(cfg_v, "delta")?,
@@ -410,21 +361,16 @@ impl DecisionLog {
             (Ok(p), Ok(m)) => Some((p, m)),
             _ => None,
         };
-        let mut log = DecisionLog {
+        Ok(DecisionLog {
             balancer: str_field(&h, "balancer")?.to_owned(),
             cfg,
             initial_w: f64_bits_field(&h, "initial_w")?,
             bound_ns: u64_field(&h, "bound_ns").ok(),
             clock,
             capacity: u64_field(&h, "capacity")? as usize,
-            records: Vec::new(),
+            records,
             dropped: u64_field(&h, "dropped")?,
-        };
-        for line in lines {
-            let v = json::parse(line).map_err(|e| format!("bad record: {e:?}"))?;
-            log.records.push(DecisionRecord::from_json(&v)?);
-        }
-        Ok(log)
+        })
     }
 
     /// Renders the log as a human-readable timeline, one line per record:

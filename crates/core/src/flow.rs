@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{self, Value};
+use crate::json::{self, str_field, u64_field, Value};
 use crate::nls::NodeLocalStorage;
 
 /// Flow buckets per shard — one sub-table per RSS indirection bucket, so
@@ -685,20 +685,6 @@ impl FlowOp {
     }
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        other => Err(format!("field `{key}`: expected integer, got {other:?}")),
-    }
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    match v.get(key) {
-        Some(Value::Str(s)) => Ok(s),
-        other => Err(format!("field `{key}`: expected string, got {other:?}")),
-    }
-}
-
 /// Replay summary of a [`FlowOpsLog`]: live flows per shard at the end,
 /// the flows each dead shard lost, and the migrated set.
 #[derive(Debug, Clone, Default)]
@@ -723,6 +709,9 @@ pub struct FlowOpsLog {
     pub ops: Vec<FlowOp>,
 }
 
+/// The `schema` of a [`FlowOpsLog`]'s JSONL header.
+const LOG_SCHEMA: &str = "nba-flow-ops";
+
 impl FlowOpsLog {
     /// Bit-exact equality (all-integer records).
     pub fn bit_eq(&self, other: &FlowOpsLog) -> bool {
@@ -744,37 +733,12 @@ impl FlowOpsLog {
 
     /// Serializes to JSON lines (header first, one op per line).
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"nba-flow-ops\",\"version\":1,\"ops\":{}}}\n",
-            self.ops.len()
-        );
-        for op in &self.ops {
-            out.push_str(&op.to_json_line());
-            out.push('\n');
-        }
-        out
+        json::write_log(LOG_SCHEMA, "ops", "", &self.ops, |op| op.to_json_line())
     }
 
     /// Parses [`FlowOpsLog::to_jsonl`] output.
     pub fn from_jsonl(s: &str) -> Result<FlowOpsLog, String> {
-        let mut lines = s.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty flow-ops log")?;
-        let h = json::parse(header).map_err(|e| format!("bad header: {e:?}"))?;
-        if str_field(&h, "schema")? != "nba-flow-ops" {
-            return Err("not a flow-ops log".into());
-        }
-        let declared = u64_field(&h, "ops")?;
-        let mut ops = Vec::new();
-        for line in lines {
-            let v = json::parse(line).map_err(|e| format!("bad op: {e:?}"))?;
-            ops.push(FlowOp::from_json(&v)?);
-        }
-        if ops.len() as u64 != declared {
-            return Err(format!(
-                "header declares {declared} ops, found {}",
-                ops.len()
-            ));
-        }
+        let (_, ops) = json::read_log(s, LOG_SCHEMA, "ops", FlowOp::from_json)?;
         Ok(FlowOpsLog { ops })
     }
 
@@ -1249,6 +1213,58 @@ mod tests {
         assert_eq!(report.totals().evict_death, 0);
         assert_eq!(report.totals().evict_idle, 1);
         assert!(replay.live.values().all(|s| s.is_empty()));
+    }
+
+    #[test]
+    fn journal_wire_bytes_are_pinned() {
+        // A replayable log written by an older build must still read back.
+        let log = FlowOpsLog {
+            ops: vec![
+                FlowOp {
+                    shard: 1,
+                    bucket: 7,
+                    bseq: 1,
+                    epoch: 3,
+                    op: FlowOpKind::Insert,
+                    key_digest: key(5).digest(),
+                    value: 42,
+                },
+                FlowOp {
+                    shard: 1,
+                    bucket: 7,
+                    bseq: 2,
+                    epoch: 9,
+                    op: FlowOpKind::Evict(EvictReason::Idle),
+                    key_digest: key(5).digest(),
+                    value: 42,
+                },
+                FlowOp {
+                    shard: 1,
+                    bucket: u16::MAX,
+                    bseq: 0,
+                    epoch: 0,
+                    op: FlowOpKind::Invalidate,
+                    key_digest: 0,
+                    value: 0,
+                },
+            ],
+        };
+        assert_eq!(
+            log.to_jsonl(),
+            concat!(
+                r#"{"schema":"nba-flow-ops","version":1,"ops":3}"#,
+                "\n",
+                r#"{"shard":1,"bucket":7,"bseq":1,"epoch":3,"op":"insert","key":"10d27ebb60931ee5","value":42}"#,
+                "\n",
+                r#"{"shard":1,"bucket":7,"bseq":2,"epoch":9,"op":"evict_idle","key":"10d27ebb60931ee5","value":42}"#,
+                "\n",
+                r#"{"shard":1,"bucket":65535,"bseq":0,"epoch":0,"op":"invalidate","key":"0000000000000000","value":0}"#,
+                "\n",
+            )
+        );
+        assert!(FlowOpsLog::from_jsonl(&log.to_jsonl())
+            .unwrap()
+            .bit_eq(&log));
     }
 
     #[test]

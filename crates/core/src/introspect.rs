@@ -19,6 +19,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,9 +33,11 @@ use nba_sim::Time;
 use crate::fault::{FaultSnapshot, FaultStats};
 use crate::lb::SharedBalancer;
 use crate::stats::{LatencyHistogram, SystemInspector};
-use crate::supervise::{HealthStats, WorkerHealth};
-use crate::telemetry::TraceEvent;
-use crate::telemetry::{json_escape, json_f64, merge_histograms, trace_event_json, TimeSample};
+use crate::supervise::{HealthStats, WorkerHealth, WorkerState};
+use crate::telemetry::{self, TraceEvent};
+use crate::telemetry::{
+    json_escape, json_f64, merge_histograms, trace_event_json, ShardSample, TimeSample,
+};
 
 // ---------------------------------------------------------------------------
 // Flight recorder.
@@ -318,6 +321,62 @@ impl FlightDump {
 // In-flight stats endpoint.
 // ---------------------------------------------------------------------------
 
+/// Sums RX-ring gauges into `(occupancy, high water, enqueue failures)`,
+/// reading each ring once.
+pub(crate) fn ring_totals<G: Deref<Target = RingGauges>>(
+    rings: impl IntoIterator<Item = G>,
+) -> (u64, u64, u64) {
+    rings.into_iter().fold((0, 0, 0), |(occ, hw, failed), g| {
+        (
+            occ + g.occupancy() as u64,
+            hw + g.high_water() as u64,
+            failed + g.enqueue_failed(),
+        )
+    })
+}
+
+/// The per-shard gauges of a live run, read by the reporter thread,
+/// `/status`, `/metrics`, the supervisor tick and the teardown ledger.
+#[derive(Clone)]
+pub struct ShardGauges {
+    /// RX-ring gauges, `[worker][io_thread]`. Each slot is swappable: the
+    /// supervisor replaces a gauge when it respawns a crashed worker with a
+    /// fresh ring, so observers read the rings actually in service.
+    pub rings: Arc<Vec<Vec<Mutex<RingGauges>>>>,
+    /// Packets shed toward each worker by the IO overload policy.
+    pub shed: Arc<Vec<AtomicU64>>,
+    /// Per-worker balancer handles (`w`, balancer self-description).
+    pub balancers: Vec<SharedBalancer>,
+}
+
+impl ShardGauges {
+    /// Packets queued in shard `w`'s RX rings.
+    pub fn occupancy(&self, w: usize) -> u64 {
+        ring_totals(self.rings[w].iter().map(|g| g.lock())).0
+    }
+
+    /// Every shard's gauges: one lock pass per ring, one balancer lock per
+    /// shard.
+    pub fn snapshot(&self) -> Vec<ShardSample> {
+        self.rings
+            .iter()
+            .enumerate()
+            .map(|(w, rings)| {
+                let (ring_occupancy, ring_high_water, enqueue_failed) =
+                    ring_totals(rings.iter().map(|g| g.lock()));
+                ShardSample {
+                    shard: w as u32,
+                    ring_occupancy,
+                    ring_high_water,
+                    enqueue_failed,
+                    shed: self.shed[w].load(Ordering::Relaxed),
+                    w: self.balancers[w].lock().offload_fraction(),
+                }
+            })
+            .collect()
+    }
+}
+
 /// Everything the stats endpoint reads. All handles are shared with the
 /// live runtime's threads; every read is a snapshot, never a lock held
 /// across packet processing.
@@ -330,12 +389,8 @@ pub struct StatsState {
     pub fstats: Arc<FaultStats>,
     /// The flight recorder (quarantine flag, dump count).
     pub flight: Arc<FlightRecorder>,
-    /// Per-worker balancer handles (`w`, balancer self-description).
-    pub balancers: Vec<SharedBalancer>,
-    /// RX-ring gauges, `[worker][io_thread]`. Each slot is swappable: the
-    /// supervisor replaces a gauge when it respawns a crashed worker with a
-    /// fresh ring.
-    pub rx_gauges: Arc<Vec<Vec<Mutex<RingGauges>>>>,
+    /// Per-shard ring gauges, shed counters and balancers.
+    pub shards: ShardGauges,
     /// Ring-full drop counters, per worker.
     pub rx_drops: Arc<Vec<AtomicU64>>,
     /// The reporter's samples so far (the `w` trajectory).
@@ -350,8 +405,6 @@ pub struct StatsState {
     /// The shared self-healing ledger: sheds, strandings, re-steers,
     /// respawns. All atomics, sampled per request.
     pub hstats: Arc<HealthStats>,
-    /// Packets shed toward each worker by the IO overload policy.
-    pub shed: Arc<Vec<AtomicU64>>,
     /// The stateful flow plane's registry; its report is `None` (and no
     /// flow metrics are emitted) unless a stateful element registered a
     /// shard.
@@ -359,24 +412,16 @@ pub struct StatsState {
 }
 
 impl StatsState {
-    fn shard_gauge(&self, w: usize) -> (u64, u64, u64) {
-        let rings = match self.rx_gauges.get(w) {
-            Some(r) => r,
-            None => return (0, 0, 0),
-        };
-        let occ = rings.iter().map(|g| g.lock().occupancy() as u64).sum();
-        let hw = rings.iter().map(|g| g.lock().high_water() as u64).sum();
-        let failed = rings.iter().map(|g| g.lock().enqueue_failed()).sum();
-        (occ, hw, failed)
-    }
-
     /// The `/status` JSON document.
     pub fn status_json(&self) -> String {
         let elapsed = self.started.elapsed().as_secs_f64();
         let totals = self.inspector.snapshot();
-        let shards: Vec<String> = (0..self.balancers.len())
-            .map(|w| {
-                let (occ, hw, failed) = self.shard_gauge(w);
+        let shards: Vec<String> = self
+            .shards
+            .snapshot()
+            .iter()
+            .map(|s| {
+                let w = s.shard as usize;
                 let dropped = self
                     .rx_drops
                     .get(w)
@@ -385,13 +430,15 @@ impl StatsState {
                     .health
                     .get(w)
                     .map_or("healthy", |slot| slot.observed_state().as_str());
-                let b = self.balancers[w].lock();
                 format!(
-                    "{{\"shard\":{w},\"state\":\"{state}\",\"ring_occupancy\":{occ},\
-                     \"ring_high_water\":{hw},\"enqueue_failed\":{failed},\
+                    "{{\"shard\":{w},\"state\":\"{state}\",\"ring_occupancy\":{},\
+                     \"ring_high_water\":{},\"enqueue_failed\":{},\
                      \"rx_dropped\":{dropped},\"w\":{},\"balancer\":{}}}",
-                    json_f64(b.offload_fraction()),
-                    b.status_json()
+                    s.ring_occupancy,
+                    s.ring_high_water,
+                    s.enqueue_failed,
+                    json_f64(s.w),
+                    self.shards.balancers[w].lock().status_json()
                 )
             })
             .collect();
@@ -417,21 +464,7 @@ impl StatsState {
             .collect();
         // SLO burn from the latest reporter window; null when no SLO is
         // configured (or before the first sample).
-        let slo = self
-            .samples
-            .lock()
-            .last()
-            .and_then(|s| s.slo)
-            .map_or("null".to_string(), |s| {
-                format!(
-                    "{{\"latency_ok\":{},\"throughput_ok\":{},\"latency_burn\":{},\
-                     \"throughput_burn\":{}}}",
-                    s.latency_ok,
-                    s.throughput_ok,
-                    json_f64(s.latency_burn),
-                    json_f64(s.throughput_burn)
-                )
-            });
+        let slo = telemetry::slo_json(self.samples.lock().last().and_then(|s| s.slo));
         let (drift_events, drift_rel, drift_stage) = self.drift.snapshot();
         let drift = format!(
             "{{\"events\":{drift_events},\"rel_err\":{},\"worst_stage\":{}}}",
@@ -453,225 +486,36 @@ impl StatsState {
         )
     }
 
-    /// The `/metrics` Prometheus text document.
+    /// The `/metrics` Prometheus text document: the live-only families,
+    /// then the sections the post-run export shares, each rendered by the
+    /// one writer in [`crate::telemetry`] that owns it.
     pub fn prometheus(&self) -> String {
         let totals = self.inspector.snapshot();
-        let mut out = String::new();
-        let mut scalar = |name: &str, kind: &str, help: &str, value: String| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-            ));
-        };
-        scalar(
-            "nba_up",
-            "gauge",
-            "1 while the run is live.",
-            "1".to_string(),
-        );
-        scalar(
-            "nba_tx_packets_total",
-            "counter",
-            "Packets transmitted.",
-            totals.tx_packets.to_string(),
-        );
-        scalar(
-            "nba_dropped_total",
-            "counter",
-            "Packets dropped by elements.",
-            totals.dropped.to_string(),
-        );
-        scalar(
-            "nba_rx_dropped_total",
-            "counter",
-            "Packets dropped at full RX rings.",
-            self.rx_drops
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .sum::<u64>()
-                .to_string(),
-        );
-        scalar(
-            "nba_offloaded_batches_total",
-            "counter",
-            "Batches sent to the device thread.",
-            totals.offloaded_batches.to_string(),
-        );
-        scalar(
-            "nba_quarantined",
-            "gauge",
-            "1 while the device circuit breaker is open.",
-            u32::from(self.flight.quarantined()).to_string(),
-        );
+        let rx_dropped = self
+            .rx_drops
+            .iter()
+            .map(|d| d.load(Ordering::Relaxed))
+            .sum();
+        let states: Vec<WorkerState> = self
+            .health
+            .iter()
+            .map(WorkerHealth::observed_state)
+            .collect();
+        let slo = self.samples.lock().last().and_then(|s| s.slo);
         let (drift_events, drift_rel, _) = self.drift.snapshot();
-        scalar(
-            "nba_cost_drift_events_total",
-            "counter",
-            "Cost-model drift events raised.",
-            drift_events.to_string(),
-        );
-        scalar(
-            "nba_cost_drift_rel_err",
-            "gauge",
-            "Smoothed relative error of the offload cost model.",
-            json_f64(drift_rel),
-        );
-        if let Some(slo) = self.samples.lock().last().and_then(|s| s.slo) {
-            scalar(
-                "nba_slo_latency_burn",
-                "gauge",
-                "Latency SLO burn rate so far.",
-                json_f64(slo.latency_burn),
-            );
-            scalar(
-                "nba_slo_throughput_burn",
-                "gauge",
-                "Throughput SLO burn rate so far.",
-                json_f64(slo.throughput_burn),
-            );
-            scalar(
-                "nba_slo_latency_ok",
-                "gauge",
-                "1 while the latest window met the latency budget.",
-                u32::from(slo.latency_ok).to_string(),
-            );
-            scalar(
-                "nba_slo_throughput_ok",
-                "gauge",
-                "1 while the latest window met the throughput floor.",
-                u32::from(slo.throughput_ok).to_string(),
-            );
-        }
-        let mut per_shard = |name: &str, kind: &str, help: &str, f: &dyn Fn(usize) -> String| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            for w in 0..self.balancers.len() {
-                out.push_str(&format!("{name}{{shard=\"{w}\"}} {}\n", f(w)));
-            }
-        };
-        per_shard(
-            "nba_ring_occupancy",
-            "gauge",
-            "Packets queued in a worker's RX rings.",
-            &|w| self.shard_gauge(w).0.to_string(),
-        );
-        per_shard(
-            "nba_ring_high_water",
-            "gauge",
-            "High-water mark of a worker's RX rings.",
-            &|w| self.shard_gauge(w).1.to_string(),
-        );
-        per_shard(
-            "nba_ring_enqueue_failed_total",
-            "counter",
-            "Ring-full enqueue failures into a worker's RX rings.",
-            &|w| self.shard_gauge(w).2.to_string(),
-        );
-        per_shard(
-            "nba_shard_offload_fraction",
-            "gauge",
-            "A worker balancer's current offload fraction w.",
-            &|w| json_f64(self.balancers[w].lock().offload_fraction()),
-        );
-        per_shard(
-            "nba_shed_total",
-            "counter",
-            "Packets shed toward the shard by the IO overload policy.",
-            &|w| {
-                self.shed
-                    .get(w)
-                    .map_or(0, |c| c.load(Ordering::Relaxed))
-                    .to_string()
-            },
-        );
-        // Self-healing plane: live supervisor state per shard plus the
-        // shared loss/recovery ledger (same families the post-run
-        // Prometheus export renders, so dashboards work on both).
-        out.push_str(
-            "# HELP nba_worker_state Supervisor state per shard \
-             (0=healthy 1=suspect 2=dead 3=recovering)\n# TYPE nba_worker_state gauge\n",
-        );
-        for (w, slot) in self.health.iter().enumerate() {
-            let st = slot.observed_state();
-            out.push_str(&format!(
-                "nba_worker_state{{shard=\"{w}\",state=\"{}\"}} {}\n",
-                st.as_str(),
-                st.as_u8()
-            ));
-        }
-        let h = self.hstats.snapshot();
-        out.push_str("# HELP nba_shed_packets_total Packets shed by the IO overload policy\n");
-        out.push_str("# TYPE nba_shed_packets_total counter\n");
-        for (policy, n) in [
-            ("drop_tail", h.shed_drop_tail),
-            ("priority", h.shed_priority),
-            ("probabilistic", h.shed_probabilistic),
-        ] {
-            out.push_str(&format!(
-                "nba_shed_packets_total{{policy=\"{policy}\"}} {n}\n"
-            ));
-        }
-        for (name, help, v) in [
-            (
-                "nba_lost_in_ring_packets_total",
-                "Packets stranded in RX rings of dead workers",
-                h.lost_in_ring,
-            ),
-            (
-                "nba_lost_in_flight_packets_total",
-                "Offload completions stranded when their worker died",
-                h.lost_in_flight,
-            ),
-            (
-                "nba_resteers_total",
-                "RSS re-steer operations performed by the supervisor",
-                h.resteers,
-            ),
-            (
-                "nba_resteer_buckets_moved_total",
-                "RSS indirection buckets moved across all re-steers",
-                h.buckets_moved,
-            ),
-            (
-                "nba_worker_respawns_total",
-                "Crashed workers respawned by the supervisor",
-                h.respawns,
-            ),
-            (
-                "nba_ring_disconnects_total",
-                "Dead worker rings observed by IO threads",
-                h.ring_disconnects,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        }
-        // Stateful flow plane: live per-shard occupancy and the eviction
-        // breakdown, sampled from the registry per request. Absent on
-        // flow-free runs so their exposition stays byte-identical.
+        let mut out = String::new();
+        let o = &mut out;
+        telemetry::prom_live(o, totals.offloaded_batches, self.flight.quarantined(), slo);
+        telemetry::prom_packets(o, totals.tx_packets, rx_dropped, totals.dropped);
+        telemetry::prom_shards(o, &self.shards.snapshot());
+        telemetry::prom_health(o, &states, &self.hstats.snapshot());
         if let Some(fl) = self.flows.report() {
-            out.push_str("# HELP nba_flows_live Live flow-table entries per worker shard\n");
-            out.push_str("# TYPE nba_flows_live gauge\n");
-            for (w, s) in &fl.shards {
-                out.push_str(&format!("nba_flows_live{{shard=\"{w}\"}} {}\n", s.live));
-            }
-            let t = fl.totals();
-            out.push_str("# HELP nba_flow_evictions_total Flow-table evictions by reason\n");
-            out.push_str("# TYPE nba_flow_evictions_total counter\n");
-            for (reason, n) in [
-                ("idle", t.evict_idle),
-                ("embryonic", t.evict_embryonic),
-                ("closed", t.evict_closed),
-                ("worker_death", t.evict_death),
-            ] {
-                out.push_str(&format!(
-                    "nba_flow_evictions_total{{reason=\"{reason}\"}} {n}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "# HELP nba_nat_ports_in_use NAT external ports currently bound\n\
-                 # TYPE nba_nat_ports_in_use gauge\nnba_nat_ports_in_use {}\n",
-                t.nat_ports_in_use
-            ));
+            telemetry::prom_flows(o, &fl);
+        }
+        telemetry::prom_faults(o, &self.fstats.snapshot());
+        telemetry::prom_drift(o, drift_events, drift_rel);
+        if let Some(s) = slo {
+            telemetry::prom_slo_burn(o, s.latency_burn, s.throughput_burn);
         }
         out
     }
@@ -882,10 +726,13 @@ mod tests {
     fn test_state() -> (StatsState, nba_io::spsc::Producer<u32>) {
         let counters = vec![Arc::new(Counters::default())];
         Counters::add(&counters[0].tx_packets, 123);
+        // Three packets queued under a high-water mark of five.
         let (tx, rx) = nba_io::spsc::channel::<u32>(8);
-        for i in 0..3 {
+        for i in 0..5 {
             tx.push(i).unwrap();
         }
+        rx.pop();
+        rx.pop();
         let flight = Arc::new(FlightRecorder::new(1, FlightConfig::default()));
         flight.set_quarantined(true);
         let mut hist = LatencyHistogram::new();
@@ -910,23 +757,86 @@ mod tests {
                 throughput_burn: 2.5,
             }),
         }]));
+        // A stateful element's flow shard and a device that saw faults, so
+        // `/metrics` renders the flow and fault families too.
+        let flows = crate::flow::FlowRegistry::new();
+        let shard = flows.shard(0);
+        shard.stats.inserts.store(6, Ordering::Relaxed);
+        shard.stats.evict_idle.store(2, Ordering::Relaxed);
+        shard.stats.live.store(4, Ordering::Relaxed);
+        let fstats = Arc::new(FaultStats::default());
+        FaultStats::add(&fstats.injected_transient, 3);
+        FaultStats::add(&fstats.retried, 3);
         let state = StatsState {
             started: Instant::now(),
             inspector: SystemInspector::new(counters),
-            fstats: Arc::new(FaultStats::default()),
+            fstats,
             flight,
-            balancers: vec![lb::shared(Box::new(FixedFraction::new(0.25)))],
-            rx_gauges: Arc::new(vec![vec![Mutex::new(rx.gauges())]]),
+            shards: ShardGauges {
+                rings: Arc::new(vec![vec![Mutex::new(rx.gauges())]]),
+                shed: Arc::new(vec![AtomicU64::new(5)]),
+                balancers: vec![lb::shared(Box::new(FixedFraction::new(0.25)))],
+            },
             rx_drops: Arc::new(vec![AtomicU64::new(7)]),
             samples,
             latency: Arc::new(vec![Mutex::new(hist)]),
             drift: Arc::new(crate::audit::DriftGauge::default()),
             health: Arc::new(vec![WorkerHealth::new()]),
             hstats: Arc::new(HealthStats::default()),
-            shed: Arc::new(vec![AtomicU64::new(5)]),
-            flows: crate::flow::FlowRegistry::new(),
+            flows,
         };
         (state, tx)
+    }
+
+    /// The exact `/metrics` bytes of [`test_state`], pinned in
+    /// `tests/golden/metrics_live.txt` like the post-run export's golden.
+    /// Re-bless after an intentional change with `NBA_BLESS=1`.
+    #[test]
+    fn metrics_match_golden_file() {
+        let (state, _tx) = test_state();
+        let got = state.prometheus();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics_live.txt");
+        if std::env::var("NBA_BLESS").is_ok() {
+            std::fs::write(path, &got).expect("bless golden file");
+        }
+        let want = std::fs::read_to_string(path)
+            .expect("golden file missing — run once with NBA_BLESS=1 to create it");
+        assert_eq!(
+            got, want,
+            "/metrics drifted from the golden file; if the change is \
+             intentional, re-bless with NBA_BLESS=1"
+        );
+    }
+
+    /// `/status` and `/metrics` read each shard's rings in one pass, so a
+    /// shard's gauges are one moment's: never more queued than the ring's
+    /// high-water mark.
+    #[test]
+    fn status_and_metrics_read_one_shard_snapshot() {
+        use crate::json::Value;
+        let (state, _tx) = test_state();
+        let doc = crate::json::parse(&state.status_json()).expect("status parses");
+        let shards = doc.get("shards").and_then(Value::as_arr).unwrap();
+        let field = |s: &Value, k| s.get(k).and_then(Value::as_u64).unwrap();
+        let status: Vec<(u64, u64)> = shards
+            .iter()
+            .map(|s| (field(s, "ring_occupancy"), field(s, "ring_high_water")))
+            .collect();
+        let metrics = state.prometheus();
+        let gauge = |name: &str| -> Vec<u64> {
+            metrics
+                .lines()
+                .filter_map(|l| l.strip_prefix(name)?.strip_prefix("{shard="))
+                .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+                .collect()
+        };
+        let scraped: Vec<(u64, u64)> = gauge("nba_ring_occupancy")
+            .into_iter()
+            .zip(gauge("nba_ring_high_water"))
+            .collect();
+        assert_eq!(status, vec![(3, 5)]);
+        assert_eq!(scraped, status);
+        assert!(status.iter().all(|(occ, hw)| hw >= occ));
     }
 
     #[test]

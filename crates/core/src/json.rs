@@ -92,6 +92,102 @@ impl Value {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Field accessors and the framing of the replayable JSONL logs
+// ---------------------------------------------------------------------------
+
+/// The integer field `key`: a whole non-negative number, or a decimal
+/// string for a value a JSON number (`f64`) cannot carry exactly.
+pub fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
+    match v.get(key) {
+        Some(Value::Str(s)) => s.parse().map_err(|e| format!("field `{key}`: {e}")),
+        other => other
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("field `{key}`: expected integer, got {other:?}")),
+    }
+}
+
+/// The string field `key`.
+pub fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    match v.get(key) {
+        Some(Value::Str(s)) => Ok(s),
+        other => Err(format!("field `{key}`: expected string, got {other:?}")),
+    }
+}
+
+/// The boolean field `key`.
+pub fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
+    match v.get(key) {
+        Some(Value::Bool(b)) => Ok(*b),
+        other => Err(format!("field `{key}`: expected bool, got {other:?}")),
+    }
+}
+
+/// Encodes an `f64` as its IEEE-754 bit pattern in fixed-width hex. JSON
+/// numbers are `f64` in our parser and cannot round-trip arbitrary `u64`
+/// payloads, so bit-exact fields travel as strings.
+pub fn f64_to_bits_hex(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// The `f64` field `key`, written by [`f64_to_bits_hex`].
+pub fn f64_bits_field(v: &Value, key: &str) -> Result<f64, String> {
+    let s = str_field(v, key)?;
+    u64::from_str_radix(s, 16)
+        .map(f64::from_bits)
+        .map_err(|e| format!("field `{key}`: bad f64 bit pattern {s:?}: {e}"))
+}
+
+/// Writes a replayable log: one header line — `schema`, `version`, the
+/// record count under `count_key`, then `extra` (pre-rendered
+/// `,"key":value` header fields) — and one line per record.
+pub fn write_log<R>(
+    schema: &str,
+    count_key: &str,
+    extra: &str,
+    records: &[R],
+    line: impl Fn(&R) -> String,
+) -> String {
+    let mut out = format!(
+        "{{\"schema\":\"{schema}\",\"version\":1,\"{count_key}\":{}{extra}}}\n",
+        records.len()
+    );
+    for r in records {
+        out.push_str(&line(r));
+        out.push('\n');
+    }
+    out
+}
+
+/// Reads [`write_log`] output back: the header must name `schema`, and
+/// exactly the declared number of records must follow, so a truncated log
+/// is refused rather than read as a shorter one. Returns the header and
+/// the records `record` parsed.
+pub fn read_log<R>(
+    s: &str,
+    schema: &str,
+    count_key: &str,
+    record: impl Fn(&Value) -> Result<R, String>,
+) -> Result<(Value, Vec<R>), String> {
+    let mut lines = s.lines().filter(|l| !l.trim().is_empty());
+    let header = lines.next().ok_or_else(|| format!("empty {schema} log"))?;
+    let h = parse(header).map_err(|e| format!("bad header: {e}"))?;
+    if h.get("schema").and_then(Value::as_str) != Some(schema) {
+        return Err(format!("not a {schema} log"));
+    }
+    let declared = u64_field(&h, count_key)?;
+    let records = lines
+        .map(|l| record(&parse(l).map_err(|e| format!("bad record: {e}"))?))
+        .collect::<Result<Vec<R>, String>>()?;
+    if records.len() as u64 != declared {
+        return Err(format!(
+            "header declares {declared} {count_key}, found {}",
+            records.len()
+        ));
+    }
+    Ok((h, records))
+}
+
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -408,5 +504,40 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn fields_are_strict() {
+        let v =
+            parse(r#"{"n":3,"neg":-3,"frac":3.5,"big":"18446744073709551615","b":true}"#).unwrap();
+        assert_eq!(u64_field(&v, "n"), Ok(3));
+        assert_eq!(u64_field(&v, "big"), Ok(u64::MAX));
+        assert!(u64_field(&v, "neg").is_err());
+        assert!(u64_field(&v, "frac").is_err());
+        assert!(u64_field(&v, "missing").is_err());
+        assert!(str_field(&v, "n").is_err());
+        assert_eq!(bool_field(&v, "b"), Ok(true));
+        let bits = parse(&format!("{{\"x\":\"{}\"}}", f64_to_bits_hex(-0.0))).unwrap();
+        assert_eq!(
+            f64_bits_field(&bits, "x").map(f64::to_bits),
+            Ok((-0.0f64).to_bits())
+        );
+    }
+
+    #[test]
+    fn log_framing_checks_schema_and_count() {
+        let text = write_log("t", "items", ",\"k\":7", &[1u64, 2, 3], |n| {
+            format!("{{\"n\":{n}}}")
+        });
+        assert!(text.starts_with("{\"schema\":\"t\",\"version\":1,\"items\":3,\"k\":7}\n"));
+        let n = |v: &Value| u64_field(v, "n");
+        let (h, got) = read_log(&text, "t", "items", n).unwrap();
+        assert_eq!((u64_field(&h, "k"), got), (Ok(7), vec![1, 2, 3]));
+        assert!(read_log(&text, "other", "items", n).is_err());
+        let cut: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        assert!(
+            read_log(&cut, "t", "items", n).is_err(),
+            "truncated log accepted"
+        );
     }
 }

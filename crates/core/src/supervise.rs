@@ -37,7 +37,7 @@ use nba_io::RssTable;
 use nba_sim::Time;
 
 use crate::flow::FlowRegistry;
-use crate::json::{self, Value};
+use crate::json::{self, str_field, u64_field, Value};
 use crate::lb::SharedBalancer;
 
 /// The supervision state of one worker shard.
@@ -722,20 +722,6 @@ impl SupervisionEvent {
     }
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        other => Err(format!("field `{key}`: expected integer, got {other:?}")),
-    }
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    match v.get(key) {
-        Some(Value::Str(s)) => Ok(s),
-        other => Err(format!("field `{key}`: expected string, got {other:?}")),
-    }
-}
-
 /// The supervisor's transition log: an append-only record of every
 /// quarantine / re-steer / recovery edge, replayable offline.
 #[derive(Debug, Clone, Default)]
@@ -743,6 +729,9 @@ pub struct SupervisorLog {
     /// The transitions, in the order they fired.
     pub events: Vec<SupervisionEvent>,
 }
+
+/// The `schema` of a [`SupervisorLog`]'s JSONL header.
+const LOG_SCHEMA: &str = "nba-supervisor-log";
 
 impl SupervisorLog {
     /// An empty log.
@@ -781,37 +770,12 @@ impl SupervisorLog {
 
     /// Serializes to JSON lines (one event per line, header first).
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"nba-supervisor-log\",\"version\":1,\"events\":{}}}\n",
-            self.events.len()
-        );
-        for e in &self.events {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
-        out
+        json::write_log(LOG_SCHEMA, "events", "", &self.events, |e| e.to_json_line())
     }
 
     /// Parses [`SupervisorLog::to_jsonl`] output.
     pub fn from_jsonl(s: &str) -> Result<SupervisorLog, String> {
-        let mut lines = s.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty supervisor log")?;
-        let h = json::parse(header).map_err(|e| format!("bad header: {e:?}"))?;
-        if str_field(&h, "schema")? != "nba-supervisor-log" {
-            return Err("not a supervisor log".into());
-        }
-        let declared = u64_field(&h, "events")?;
-        let mut events = Vec::new();
-        for line in lines {
-            let v = json::parse(line).map_err(|e| format!("bad event: {e:?}"))?;
-            events.push(SupervisionEvent::from_json(&v)?);
-        }
-        if events.len() as u64 != declared {
-            return Err(format!(
-                "header declares {declared} events, found {}",
-                events.len()
-            ));
-        }
+        let (_, events) = json::read_log(s, LOG_SCHEMA, "events", SupervisionEvent::from_json)?;
         Ok(SupervisorLog { events })
     }
 
@@ -1170,6 +1134,23 @@ mod tests {
             }
         }
         assert_eq!(log.events.len(), 4, "{}", log.explain());
+        // The wire bytes are pinned: a replayable log written by an older
+        // build must still read back.
+        assert_eq!(
+            log.to_jsonl(),
+            concat!(
+                r#"{"schema":"nba-supervisor-log","version":1,"events":4}"#,
+                "\n",
+                r#"{"seq":0,"t_ns":500000,"worker":2,"from":"healthy","to":"suspect","reason":"stall","progress":4,"backlog":2,"buckets_moved":0}"#,
+                "\n",
+                r#"{"seq":1,"t_ns":1000000,"worker":2,"from":"suspect","to":"dead","reason":"stall","progress":4,"backlog":2,"buckets_moved":32}"#,
+                "\n",
+                r#"{"seq":2,"t_ns":1500000,"worker":2,"from":"dead","to":"recovering","reason":"resumed","progress":9,"backlog":1,"buckets_moved":0}"#,
+                "\n",
+                r#"{"seq":3,"t_ns":2000000,"worker":2,"from":"recovering","to":"dead","reason":"crash","progress":9,"backlog":7,"buckets_moved":32}"#,
+                "\n",
+            )
+        );
         let parsed = SupervisorLog::from_jsonl(&log.to_jsonl()).unwrap();
         assert!(parsed.bit_eq(&log));
         let finals = parsed.replay().expect("log must replay");

@@ -16,21 +16,27 @@
 //!   branch misses, and the offload round trip to TX. Zero overhead when
 //!   [`TelemetryConfig::trace_capacity`] is 0 (the buffer does not exist).
 //!
-//! Exporters are dependency-free: JSONL writers for each stream and a
-//! Prometheus text rendering of a [`crate::runtime::RunReport`].
+//! Exporters are dependency-free: JSONL writers for each stream, and the
+//! Prometheus text rendering — every metric family written once, shared by
+//! the post-run export of a [`crate::runtime::RunReport`] and the live
+//! `/metrics` endpoint ([`crate::introspect::StatsServer`]).
 //! Determinism contract: a run with telemetry fully enabled produces a
 //! bit-identical throughput report to the same run with it disabled —
 //! observation only reads simulation state and writes side tables.
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nba_sim::Time;
 use parking_lot::Mutex;
 
-use crate::audit::SloTracker;
+use crate::audit::{OffloadStage, SloSample, SloTracker};
+use crate::fault::FaultSnapshot;
+use crate::flow::FlowReport;
 use crate::runtime::RunReport;
 use crate::stats::{LatencyHistogram, Snapshot, SystemInspector};
+use crate::supervise::{HealthSnapshot, WorkerState};
 
 /// Telemetry knobs of a run (part of [`crate::runtime::RuntimeConfig`]).
 #[derive(Debug, Clone)]
@@ -529,16 +535,6 @@ pub fn samples_to_jsonl(samples: &[TimeSample]) -> String {
                 )
             })
             .collect();
-        let slo = match &s.slo {
-            None => String::from("null"),
-            Some(sl) => format!(
-                "{{\"latency_ok\":{},\"throughput_ok\":{},\"latency_burn\":{},\"throughput_burn\":{}}}",
-                sl.latency_ok,
-                sl.throughput_ok,
-                json_f64(sl.latency_burn),
-                json_f64(sl.throughput_burn),
-            ),
-        };
         out.push_str(&format!(
             "{{\"t_us\":{},\"tx_packets\":{},\"tx_mpps\":{},\"tx_gbps\":{},\"dropped\":{},\"rx_dropped\":{},\"latency_ewma_ns\":{},\"offloaded_batches\":{},\"w\":{},\"gpu_busy\":[{}],\"shards\":[{}],\"slo\":{}}}\n",
             s.t.as_ns() / 1000,
@@ -552,10 +548,24 @@ pub fn samples_to_jsonl(samples: &[TimeSample]) -> String {
             json_f64(s.offload_fraction),
             gpu.join(","),
             shards.join(","),
-            slo,
+            slo_json(s.slo),
         ));
     }
     out
+}
+
+/// One window's SLO verdict as a JSON object, `null` without one (the
+/// time-series JSONL and `/status` both carry it).
+pub(crate) fn slo_json(slo: Option<SloSample>) -> String {
+    slo.map_or("null".to_string(), |s| {
+        format!(
+            "{{\"latency_ok\":{},\"throughput_ok\":{},\"latency_burn\":{},\"throughput_burn\":{}}}",
+            s.latency_ok,
+            s.throughput_ok,
+            json_f64(s.latency_burn),
+            json_f64(s.throughput_burn),
+        )
+    })
 }
 
 /// Renders a batch-lifecycle trace as one JSON object per line.
@@ -905,432 +915,466 @@ pub fn prom_label_escape(s: &str) -> String {
     out
 }
 
-fn prom_metric(out: &mut String, name: &str, help: &str, kind: &str, value: String) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-    ));
+/// Renders a Prometheus label set, `{key="value",…}`, every value escaped
+/// with [`prom_label_escape`].
+fn prom_labels(pairs: &[(&str, &dyn Display)]) -> String {
+    let body: Vec<String> = pairs
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", prom_label_escape(&v.to_string())))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// Writes one metric family: its `# HELP` and `# TYPE` headers, then one
+/// sample line per `(labels, value)` (labels from [`prom_labels`], empty
+/// for an unlabelled sample). `spec` is the family's whole definition,
+/// `"<name> <type> <help>"`. Each family is written by exactly one of the
+/// section writers below, which both the post-run export
+/// ([`report_to_prometheus`]) and the live `/metrics` endpoint call, so a
+/// family has one name, type and help text wherever it appears.
+fn family<V: Display>(
+    out: &mut String,
+    spec: &str,
+    samples: impl IntoIterator<Item = (String, V)>,
+) {
+    let mut parts = spec.splitn(3, ' ');
+    let (Some(name), Some(kind), Some(help)) = (parts.next(), parts.next(), parts.next()) else {
+        panic!("family spec {spec:?} is not `<name> <type> <help>`");
+    };
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    for (labels, value) in samples {
+        out.push_str(&format!("{name}{labels} {value}\n"));
+    }
+}
+
+/// [`family`] with one unlabelled sample.
+fn scalar(out: &mut String, spec: &str, value: impl Display) {
+    family(out, spec, [(String::new(), value)]);
+}
+
+/// Packets transmitted, dropped at full RX rings, and dropped inside the
+/// pipeline.
+pub(crate) fn prom_packets(out: &mut String, tx: u64, rx_dropped: u64, dropped: u64) {
+    for (spec, v) in [
+        (
+            "nba_tx_packets_total counter Packets transmitted in the measurement window",
+            tx,
+        ),
+        (
+            "nba_rx_dropped_total counter RX-ring drops in the measurement window",
+            rx_dropped,
+        ),
+        (
+            "nba_pipeline_dropped_total counter \
+             Packets dropped inside the pipeline in the measurement window",
+            dropped,
+        ),
+    ] {
+        scalar(out, spec, v);
+    }
+}
+
+/// Per-shard RX-ring and balancer gauges.
+pub(crate) fn prom_shards(out: &mut String, shards: &[ShardSample]) {
+    let per_shard = |out: &mut String, spec: &str, value: fn(&ShardSample) -> String| {
+        let samples = shards
+            .iter()
+            .map(|sh| (prom_labels(&[("shard", &sh.shard)]), value(sh)));
+        family(out, spec, samples);
+    };
+    per_shard(
+        out,
+        "nba_ring_occupancy gauge Packets queued in the shard's RX rings at the last sample",
+        |sh| sh.ring_occupancy.to_string(),
+    );
+    per_shard(
+        out,
+        "nba_ring_high_water gauge Highest RX-ring occupancy observed by the shard",
+        |sh| sh.ring_high_water.to_string(),
+    );
+    per_shard(
+        out,
+        "nba_ring_enqueue_failed_total counter \
+         Full-ring enqueue refusals on the shard's RX rings",
+        |sh| sh.enqueue_failed.to_string(),
+    );
+    per_shard(
+        out,
+        "nba_shed_total counter Packets shed toward the shard by the IO overload policy",
+        |sh| sh.shed.to_string(),
+    );
+    per_shard(
+        out,
+        "nba_shard_offload_fraction gauge \
+         The shard balancer's offloading fraction w at the last sample",
+        |sh| json_f64(sh.w),
+    );
+}
+
+/// The supervisor state of each shard (none when the run had no
+/// supervisor) and the shed/loss/recovery ledger.
+pub(crate) fn prom_health(out: &mut String, states: &[WorkerState], h: &HealthSnapshot) {
+    if !states.is_empty() {
+        let samples = states.iter().enumerate().map(|(w, st)| {
+            let labels = prom_labels(&[("shard", &w), ("state", &st.as_str())]);
+            (labels, st.as_u8())
+        });
+        family(
+            out,
+            "nba_worker_state gauge \
+             Final supervisor state per shard (0=healthy 1=suspect 2=dead 3=recovering)",
+            samples,
+        );
+    }
+    let shed = [
+        ("drop_tail", h.shed_drop_tail),
+        ("priority", h.shed_priority),
+        ("probabilistic", h.shed_probabilistic),
+    ];
+    family(
+        out,
+        "nba_shed_packets_total counter Packets shed by the IO overload policy",
+        shed.map(|(policy, n)| (prom_labels(&[("policy", &policy)]), n)),
+    );
+    for (spec, v) in [
+        (
+            "nba_lost_in_ring_packets_total counter Packets stranded in RX rings of dead workers",
+            h.lost_in_ring,
+        ),
+        (
+            "nba_lost_in_flight_packets_total counter \
+             Offload completions stranded when their worker died",
+            h.lost_in_flight,
+        ),
+        (
+            "nba_resteers_total counter RSS re-steer operations performed by the supervisor",
+            h.resteers,
+        ),
+        (
+            "nba_resteer_buckets_moved_total counter \
+             RSS indirection buckets moved across all re-steers",
+            h.buckets_moved,
+        ),
+        (
+            "nba_worker_respawns_total counter Crashed workers respawned by the supervisor",
+            h.respawns,
+        ),
+        (
+            "nba_ring_disconnects_total counter Dead worker rings observed by IO threads",
+            h.ring_disconnects,
+        ),
+    ] {
+        scalar(out, spec, v);
+    }
+}
+
+/// The stateful flow plane: live entries per shard, evictions by reason,
+/// and the table-wide totals.
+pub(crate) fn prom_flows(out: &mut String, fl: &FlowReport) {
+    family(
+        out,
+        "nba_flows_live gauge Live flow-table entries per worker shard",
+        fl.shards
+            .iter()
+            .map(|(w, s)| (prom_labels(&[("shard", w)]), s.live)),
+    );
+    let t = fl.totals();
+    let evictions = [
+        ("idle", t.evict_idle),
+        ("embryonic", t.evict_embryonic),
+        ("closed", t.evict_closed),
+        ("worker_death", t.evict_death),
+    ];
+    family(
+        out,
+        "nba_flow_evictions_total counter Flow-table evictions by reason",
+        evictions.map(|(reason, n)| (prom_labels(&[("reason", &reason)]), n)),
+    );
+    for (spec, v) in [
+        (
+            "nba_flow_inserts_total counter Flow-table insertions across all shards",
+            t.inserts,
+        ),
+        (
+            "nba_flow_table_full_drops_total counter \
+             Packets dropped because a flow-table shard was full",
+            t.table_full_drops,
+        ),
+        (
+            "nba_flow_migrations_total counter \
+             Foreign-bucket flows adopted by survivors after a re-steer",
+            t.migrated_in,
+        ),
+        (
+            "nba_nat_ports_in_use gauge NAT external ports currently bound",
+            t.nat_ports_in_use,
+        ),
+    ] {
+        scalar(out, spec, v);
+    }
+}
+
+/// Fault-tolerance accounting (all zero on a clean run).
+pub(crate) fn prom_faults(out: &mut String, f: &FaultSnapshot) {
+    let injected = [
+        ("timeout", f.injected_timeout),
+        ("transient", f.injected_transient),
+        ("corrupt", f.injected_corrupt),
+        ("device_death", f.injected_dead),
+    ];
+    family(
+        out,
+        "nba_fault_injected_total counter Device faults injected, by kind",
+        injected.map(|(kind, n)| (prom_labels(&[("kind", &kind)]), n)),
+    );
+    for (spec, v) in [
+        (
+            "nba_fault_retried_total counter Device task attempts retried after a transient error",
+            f.retried,
+        ),
+        (
+            "nba_fault_fell_back_packets_total counter \
+             Packets re-executed on the CPU path after a device failure",
+            f.fell_back_packets,
+        ),
+        (
+            "nba_fault_dropped_packets_total counter \
+             Packets lost with poison batches dropped by panic containment",
+            f.dropped_packets,
+        ),
+        (
+            "nba_fault_panics_contained_total counter \
+             Panics caught by worker/device panic containment",
+            f.panics_contained,
+        ),
+        (
+            "nba_fault_quarantines_total counter \
+             Times a device circuit breaker tripped into quarantine",
+            f.quarantine_entered,
+        ),
+        (
+            "nba_fault_readmissions_total counter \
+             Times a half-open probe re-admitted a quarantined device",
+            f.quarantine_exited,
+        ),
+    ] {
+        scalar(out, spec, v);
+    }
+}
+
+/// Cost-model drift accounting.
+pub(crate) fn prom_drift(out: &mut String, events: u64, rel_err: f64) {
+    scalar(
+        out,
+        "nba_cost_drift_events_total counter \
+         Cost-model drift events raised (the detector latches at 1)",
+        events,
+    );
+    scalar(
+        out,
+        "nba_cost_drift_rel_err gauge \
+         Smoothed relative error between predicted and measured offload cost",
+        json_f64(rel_err),
+    );
+}
+
+/// SLO error-budget burn rates.
+pub(crate) fn prom_slo_burn(out: &mut String, latency_burn: f64, throughput_burn: f64) {
+    scalar(
+        out,
+        "nba_slo_latency_burn gauge \
+         Fraction of the latency error budget burned (>1 = budget blown)",
+        json_f64(latency_burn),
+    );
+    scalar(
+        out,
+        "nba_slo_throughput_burn gauge \
+         Fraction of the throughput error budget burned (>1 = budget blown)",
+        json_f64(throughput_burn),
+    );
+}
+
+/// The families only a run in progress has: liveness, batches offloaded so
+/// far, the device breaker, and whether the latest sample window met each
+/// SLO budget (when an SLO is configured).
+pub(crate) fn prom_live(
+    out: &mut String,
+    offloaded_batches: u64,
+    quarantined: bool,
+    slo: Option<SloSample>,
+) {
+    scalar(out, "nba_up gauge 1 while the run is live", 1);
+    scalar(
+        out,
+        "nba_offloaded_batches_total counter Batches sent to the device thread",
+        offloaded_batches,
+    );
+    scalar(
+        out,
+        "nba_quarantined gauge 1 while the device circuit breaker is open",
+        u8::from(quarantined),
+    );
+    if let Some(s) = slo {
+        scalar(
+            out,
+            "nba_slo_latency_ok gauge 1 while the latest window met the latency budget",
+            u8::from(s.latency_ok),
+        );
+        scalar(
+            out,
+            "nba_slo_throughput_ok gauge 1 while the latest window met the throughput floor",
+            u8::from(s.throughput_ok),
+        );
+    }
 }
 
 /// Renders a [`RunReport`] in the Prometheus text exposition format.
 pub fn report_to_prometheus(r: &RunReport) -> String {
     let mut out = String::new();
-    prom_metric(
-        &mut out,
-        "nba_tx_gbps",
-        "Transmitted frame gigabits per second over the measurement window",
-        "gauge",
-        json_f64(r.tx_gbps),
-    );
-    prom_metric(
-        &mut out,
-        "nba_tx_mpps",
-        "Transmitted packets per second (millions) over the measurement window",
-        "gauge",
-        json_f64(r.tx_mpps()),
-    );
-    prom_metric(
-        &mut out,
-        "nba_offered_gbps",
-        "Offered load in gigabits per second",
-        "gauge",
-        json_f64(r.offered_gbps),
-    );
-    prom_metric(
-        &mut out,
-        "nba_tx_packets_total",
-        "Packets transmitted in the measurement window",
-        "counter",
-        r.tx_packets.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_rx_dropped_total",
-        "RX-ring drops in the measurement window",
-        "counter",
-        r.rx_dropped.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_pipeline_dropped_total",
-        "Packets dropped inside the pipeline in the measurement window",
-        "counter",
-        r.window.dropped.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_offload_fraction",
-        "Final offloading fraction w of the shared balancer",
-        "gauge",
-        json_f64(r.final_w),
-    );
-    prom_metric(
-        &mut out,
-        "nba_latency_p50_ns",
-        "Median round-trip latency in nanoseconds",
-        "gauge",
-        r.latency.percentile(50.0).as_ns().to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_latency_p99_ns",
-        "99th-percentile round-trip latency in nanoseconds",
-        "gauge",
-        r.latency.percentile(99.0).as_ns().to_string(),
-    );
-
-    out.push_str("# HELP nba_gpu_tasks_total Offload tasks completed per device\n");
-    out.push_str("# TYPE nba_gpu_tasks_total counter\n");
-    for (i, g) in r.gpu.iter().enumerate() {
-        out.push_str(&format!("nba_gpu_tasks_total{{gpu=\"{i}\"}} {}\n", g.tasks));
+    let o = &mut out;
+    for (spec, v) in [
+        (
+            "nba_tx_gbps gauge \
+             Transmitted frame gigabits per second over the measurement window",
+            json_f64(r.tx_gbps),
+        ),
+        (
+            "nba_tx_mpps gauge \
+             Transmitted packets per second (millions) over the measurement window",
+            json_f64(r.tx_mpps()),
+        ),
+        (
+            "nba_offered_gbps gauge Offered load in gigabits per second",
+            json_f64(r.offered_gbps),
+        ),
+    ] {
+        scalar(o, spec, v);
     }
-    out.push_str("# HELP nba_gpu_kernel_busy_seconds Compute-engine busy time per device\n");
-    out.push_str("# TYPE nba_gpu_kernel_busy_seconds counter\n");
-    for (i, g) in r.gpu.iter().enumerate() {
-        out.push_str(&format!(
-            "nba_gpu_kernel_busy_seconds{{gpu=\"{i}\"}} {}\n",
-            json_f64(g.kernel_busy.as_secs_f64())
-        ));
+    prom_packets(o, r.tx_packets, r.rx_dropped, r.window.dropped);
+    for (spec, v) in [
+        (
+            "nba_offload_fraction gauge Final offloading fraction w of the shared balancer",
+            json_f64(r.final_w),
+        ),
+        (
+            "nba_latency_p50_ns gauge Median round-trip latency in nanoseconds",
+            r.latency.percentile(50.0).as_ns().to_string(),
+        ),
+        (
+            "nba_latency_p99_ns gauge 99th-percentile round-trip latency in nanoseconds",
+            r.latency.percentile(99.0).as_ns().to_string(),
+        ),
+    ] {
+        scalar(o, spec, v);
     }
 
-    out.push_str("# HELP nba_element_packets_total Packets presented to each element\n");
-    out.push_str("# TYPE nba_element_packets_total counter\n");
-    for p in &r.elements {
-        out.push_str(&format!(
-            "nba_element_packets_total{{node=\"{}\",element=\"{}\"}} {}\n",
-            p.node,
-            prom_label_escape(p.element),
-            p.packets
-        ));
-    }
-    out.push_str("# HELP nba_element_busy_seconds Busy time accumulated by each element\n");
-    out.push_str("# TYPE nba_element_busy_seconds counter\n");
-    for p in &r.elements {
-        out.push_str(&format!(
-            "nba_element_busy_seconds{{node=\"{}\",element=\"{}\"}} {}\n",
-            p.node,
-            prom_label_escape(p.element),
-            json_f64(p.busy.as_secs_f64())
-        ));
-    }
+    let gpus = || {
+        r.gpu
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (prom_labels(&[("gpu", &i)]), g))
+    };
+    family(
+        o,
+        "nba_gpu_tasks_total counter Offload tasks completed per device",
+        gpus().map(|(l, g)| (l, g.tasks)),
+    );
+    family(
+        o,
+        "nba_gpu_kernel_busy_seconds counter Compute-engine busy time per device",
+        gpus().map(|(l, g)| (l, json_f64(g.kernel_busy.as_secs_f64()))),
+    );
+    let elements = || {
+        r.elements.iter().map(|p| {
+            (
+                prom_labels(&[("node", &p.node), ("element", &p.element)]),
+                p,
+            )
+        })
+    };
+    family(
+        o,
+        "nba_element_packets_total counter Packets presented to each element",
+        elements().map(|(l, p)| (l, p.packets)),
+    );
+    family(
+        o,
+        "nba_element_busy_seconds counter Busy time accumulated by each element",
+        elements().map(|(l, p)| (l, json_f64(p.busy.as_secs_f64()))),
+    );
 
-    // Per-shard ring/balancer gauges at the final sample (live runtime
+    // Per-shard gauges at the final sample that has them (live runtime
     // only; the DES runtime leaves `shards` empty).
     if let Some(last) = r.samples.iter().rev().find(|s| !s.shards.is_empty()) {
-        let mut shard_metric =
-            |name: &str, help: &str, kind: &str, value: &dyn Fn(&ShardSample) -> String| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-                for sh in &last.shards {
-                    out.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", sh.shard, value(sh)));
-                }
-            };
-        shard_metric(
-            "nba_ring_occupancy",
-            "Packets queued in the shard's RX rings at the last sample",
-            "gauge",
-            &|sh| sh.ring_occupancy.to_string(),
-        );
-        shard_metric(
-            "nba_ring_high_water",
-            "Highest RX-ring occupancy observed by the shard",
-            "gauge",
-            &|sh| sh.ring_high_water.to_string(),
-        );
-        shard_metric(
-            "nba_ring_enqueue_failed_total",
-            "Full-ring enqueue refusals on the shard's RX rings",
-            "counter",
-            &|sh| sh.enqueue_failed.to_string(),
-        );
-        shard_metric(
-            "nba_shed_total",
-            "Packets shed toward the shard by the IO overload policy",
-            "counter",
-            &|sh| sh.shed.to_string(),
-        );
-        shard_metric(
-            "nba_shard_offload_fraction",
-            "The shard balancer's offloading fraction w at the last sample",
-            "gauge",
-            &|sh| json_f64(sh.w),
-        );
+        prom_shards(o, &last.shards);
     }
-
-    // Self-healing plane: final worker states and shed/loss accounting
-    // from the supervisor (live runtime; the DES mirrors the same report).
-    if !r.health.states.is_empty() {
-        out.push_str(
-            "# HELP nba_worker_state Final supervisor state per shard \
-             (0=healthy 1=suspect 2=dead 3=recovering)\n# TYPE nba_worker_state gauge\n",
-        );
-        for (w, st) in r.health.states.iter().enumerate() {
-            out.push_str(&format!(
-                "nba_worker_state{{shard=\"{w}\",state=\"{}\"}} {}\n",
-                st.as_str(),
-                st.as_u8()
-            ));
-        }
-    }
-    let h = &r.health.stats;
-    out.push_str("# HELP nba_shed_packets_total Packets shed by the IO overload policy\n");
-    out.push_str("# TYPE nba_shed_packets_total counter\n");
-    for (policy, n) in [
-        ("drop_tail", h.shed_drop_tail),
-        ("priority", h.shed_priority),
-        ("probabilistic", h.shed_probabilistic),
-    ] {
-        out.push_str(&format!(
-            "nba_shed_packets_total{{policy=\"{policy}\"}} {n}\n"
-        ));
-    }
-    prom_metric(
-        &mut out,
-        "nba_lost_in_ring_packets_total",
-        "Packets stranded in RX rings of dead workers",
-        "counter",
-        h.lost_in_ring.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_lost_in_flight_packets_total",
-        "Offload completions stranded when their worker died",
-        "counter",
-        h.lost_in_flight.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_resteers_total",
-        "RSS re-steer operations performed by the supervisor",
-        "counter",
-        h.resteers.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_resteer_buckets_moved_total",
-        "RSS indirection buckets moved across all re-steers",
-        "counter",
-        h.buckets_moved.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_worker_respawns_total",
-        "Crashed workers respawned by the supervisor",
-        "counter",
-        h.respawns.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_ring_disconnects_total",
-        "Dead worker rings observed by IO threads",
-        "counter",
-        h.ring_disconnects.to_string(),
-    );
-
-    // Stateful flow plane (absent unless a stateful element ran, so
-    // flow-free runs keep their exact exposition bytes).
+    prom_health(o, &r.health.states, &r.health.stats);
+    // Absent unless a stateful element ran, so flow-free runs keep their
+    // exact exposition bytes.
     if let Some(fl) = &r.flows {
-        out.push_str("# HELP nba_flows_live Live flow-table entries per worker shard\n");
-        out.push_str("# TYPE nba_flows_live gauge\n");
-        for (w, s) in &fl.shards {
-            out.push_str(&format!("nba_flows_live{{shard=\"{w}\"}} {}\n", s.live));
-        }
-        let t = fl.totals();
-        out.push_str("# HELP nba_flow_evictions_total Flow-table evictions by reason\n");
-        out.push_str("# TYPE nba_flow_evictions_total counter\n");
-        for (reason, n) in [
-            ("idle", t.evict_idle),
-            ("embryonic", t.evict_embryonic),
-            ("closed", t.evict_closed),
-            ("worker_death", t.evict_death),
-        ] {
-            out.push_str(&format!(
-                "nba_flow_evictions_total{{reason=\"{reason}\"}} {n}\n"
-            ));
-        }
-        prom_metric(
-            &mut out,
-            "nba_flow_inserts_total",
-            "Flow-table insertions across all shards",
-            "counter",
-            t.inserts.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_flow_table_full_drops_total",
-            "Packets dropped because a flow-table shard was full",
-            "counter",
-            t.table_full_drops.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_flow_migrations_total",
-            "Foreign-bucket flows adopted by survivors after a re-steer",
-            "counter",
-            t.migrated_in.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_nat_ports_in_use",
-            "NAT external ports currently bound",
-            "gauge",
-            t.nat_ports_in_use.to_string(),
-        );
+        prom_flows(o, fl);
     }
-
-    // Fault-tolerance accounting (all zero on a clean run).
-    let f = &r.faults.snapshot;
-    out.push_str("# HELP nba_fault_injected_total Device faults injected, by kind\n");
-    out.push_str("# TYPE nba_fault_injected_total counter\n");
-    for (kind, n) in [
-        ("timeout", f.injected_timeout),
-        ("transient", f.injected_transient),
-        ("corrupt", f.injected_corrupt),
-        ("device_death", f.injected_dead),
-    ] {
-        out.push_str(&format!(
-            "nba_fault_injected_total{{kind=\"{kind}\"}} {n}\n"
-        ));
-    }
-    prom_metric(
-        &mut out,
-        "nba_fault_retried_total",
-        "Device task attempts retried after a transient error",
-        "counter",
-        f.retried.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_fault_fell_back_packets_total",
-        "Packets re-executed on the CPU path after a device failure",
-        "counter",
-        f.fell_back_packets.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_fault_dropped_packets_total",
-        "Packets lost with poison batches dropped by panic containment",
-        "counter",
-        f.dropped_packets.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_fault_panics_contained_total",
-        "Panics caught by worker/device panic containment",
-        "counter",
-        f.panics_contained.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_fault_quarantines_total",
-        "Times a device circuit breaker tripped into quarantine",
-        "counter",
-        f.quarantine_entered.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_fault_readmissions_total",
-        "Times a half-open probe re-admitted a quarantined device",
-        "counter",
-        f.quarantine_exited.to_string(),
-    );
+    prom_faults(o, &r.faults.snapshot);
 
     // Offload stage decomposition (absent unless stage stats were on).
     if let Some(st) = &r.stages {
-        prom_metric(
-            &mut out,
-            "nba_offload_stage_tasks_total",
-            "Offload tasks decomposed into per-stage timings",
-            "counter",
-            st.tasks.to_string(),
+        scalar(
+            o,
+            "nba_offload_stage_tasks_total counter Offload tasks decomposed into per-stage timings",
+            st.tasks,
         );
-        let mut stage_metric = |name: &str, help: &str, value: &dyn Fn(usize) -> String| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            for s in crate::audit::OffloadStage::ALL {
-                out.push_str(&format!(
-                    "{name}{{stage=\"{}\"}} {}\n",
-                    s.as_str(),
-                    value(s.index())
-                ));
-            }
+        let per_stage = |o: &mut String, spec: &str, value: &dyn Fn(OffloadStage) -> String| {
+            let samples = OffloadStage::ALL
+                .iter()
+                .map(|&s| (prom_labels(&[("stage", &s.as_str())]), value(s)));
+            family(o, spec, samples);
         };
-        stage_metric(
-            "nba_offload_stage_mean_ns",
-            "Mean time an offload task spent in each sub-stage",
-            &|i| json_f64(st.mean_ns(crate::audit::OffloadStage::ALL[i])),
+        per_stage(
+            o,
+            "nba_offload_stage_mean_ns gauge Mean time an offload task spent in each sub-stage",
+            &|s| json_f64(st.mean_ns(s)),
         );
-        stage_metric(
-            "nba_offload_stage_p99_ns",
-            "99th-percentile time an offload task spent in each sub-stage",
-            &|i| st.hist[i].percentile_ns(99.0).to_string(),
+        per_stage(
+            o,
+            "nba_offload_stage_p99_ns gauge \
+             99th-percentile time an offload task spent in each sub-stage",
+            &|s| st.hist[s.index()].percentile_ns(99.0).to_string(),
         );
-        stage_metric(
-            "nba_offload_stage_seconds_total",
-            "Total time accumulated in each offload sub-stage",
-            &|i| json_f64(st.total_ns[i] as f64 / 1e9),
+        per_stage(
+            o,
+            "nba_offload_stage_seconds_total gauge \
+             Total time accumulated in each offload sub-stage",
+            &|s| json_f64(st.total_ns[s.index()] as f64 / 1e9),
         );
     }
 
-    // Cost-model drift accounting (absent unless drift detection was on).
     if let Some(d) = &r.drift {
-        prom_metric(
-            &mut out,
-            "nba_cost_drift_events_total",
-            "Cost-model drift events raised (the detector latches at 1)",
-            "counter",
-            d.events.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_cost_drift_rel_err",
-            "Smoothed relative error between predicted and measured offload cost",
-            "gauge",
-            json_f64(d.rel_err),
-        );
+        prom_drift(o, d.events, d.rel_err);
     }
-
-    // SLO budget verdict (absent unless an SLO was configured).
     if let Some(s) = &r.slo {
-        prom_metric(
-            &mut out,
-            "nba_slo_latency_burn",
-            "Fraction of the latency error budget burned (>1 = budget blown)",
-            "gauge",
-            json_f64(s.latency_burn),
-        );
-        prom_metric(
-            &mut out,
-            "nba_slo_throughput_burn",
-            "Fraction of the throughput error budget burned (>1 = budget blown)",
-            "gauge",
-            json_f64(s.throughput_burn),
-        );
-        prom_metric(
-            &mut out,
-            "nba_slo_windows_total",
-            "Sample windows scored against the SLO budgets",
-            "counter",
-            s.windows.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_slo_latency_violations_total",
-            "Sample windows that violated the latency budget",
-            "counter",
-            s.latency_violations.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_slo_throughput_violations_total",
-            "Sample windows that violated the throughput floor",
-            "counter",
-            s.throughput_violations.to_string(),
-        );
-        prom_metric(
-            &mut out,
-            "nba_slo_met",
-            "1 when every SLO budget held over the run, else 0",
-            "gauge",
-            u64::from(s.met).to_string(),
-        );
+        prom_slo_burn(o, s.latency_burn, s.throughput_burn);
+        for (spec, v) in [
+            (
+                "nba_slo_windows_total counter Sample windows scored against the SLO budgets",
+                s.windows,
+            ),
+            (
+                "nba_slo_latency_violations_total counter \
+                 Sample windows that violated the latency budget",
+                s.latency_violations,
+            ),
+            (
+                "nba_slo_throughput_violations_total counter \
+                 Sample windows that violated the throughput floor",
+                s.throughput_violations,
+            ),
+            (
+                "nba_slo_met gauge 1 when every SLO budget held over the run, else 0",
+                u64::from(s.met),
+            ),
+        ] {
+            scalar(o, spec, v);
+        }
     }
     out
 }

@@ -1,7 +1,9 @@
 //! Golden-file test of the Prometheus text exporter: the exact bytes a
 //! fixed [`RunReport`] renders to, pinned in `tests/golden/prometheus.txt`.
-//! Every metric must carry `# HELP`/`# TYPE` headers and label values must
-//! be escaped per the exposition format.
+//! Every metric must carry `# HELP`/`# TYPE` headers, label values must be
+//! escaped per the exposition format, and every family the live `/metrics`
+//! golden (`tests/golden/metrics_live.txt`) shares with this export must be
+//! declared identically in both.
 //!
 //! Re-bless after an intentional format change with
 //! `NBA_BLESS=1 cargo test -p nba-core --test prometheus_golden`.
@@ -154,20 +156,32 @@ fn prometheus_export_matches_golden_file() {
     );
 }
 
-/// Structural invariants the golden bytes imply, asserted directly so a
-/// careless re-bless cannot silently drop them: every emitted metric name
-/// is preceded by its `# HELP` and `# TYPE` headers, and escaped label
-/// values stay on one line.
-#[test]
-fn every_metric_has_help_and_type_headers() {
-    let out = report_to_prometheus(&fixture());
-    let mut declared: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    for line in out.lines() {
+/// The live `/metrics` golden (rendered by `nba-core`'s `introspect` unit
+/// tests from their stats-endpoint fixture).
+fn live_metrics() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics_live.txt");
+    std::fs::read_to_string(path).expect("live /metrics golden file")
+}
+
+/// Every sample line is preceded by its family's `# HELP` and `# TYPE`
+/// headers; returns each family's `(HELP line, TYPE line)`.
+fn families(out: &str) -> std::collections::BTreeMap<&str, (&str, &str)> {
+    let mut headers = std::collections::BTreeMap::new();
+    let mut lines = out.lines();
+    while let Some(line) = lines.next() {
         if let Some(rest) = line.strip_prefix("# HELP ") {
-            declared.insert(rest.split_whitespace().next().unwrap_or(""));
-            continue;
-        }
-        if line.starts_with("# TYPE ") || line.is_empty() {
+            let name = rest.split_whitespace().next().unwrap_or("");
+            let kind = lines.next().expect("# TYPE follows # HELP");
+            assert_eq!(
+                kind.strip_prefix("# TYPE ")
+                    .and_then(|t| t.split_whitespace().next()),
+                Some(name),
+                "# TYPE must follow # HELP of the same family: {kind}"
+            );
+            assert!(
+                headers.insert(name, (line, kind)).is_none(),
+                "{name} declared twice"
+            );
             continue;
         }
         let name = line
@@ -175,10 +189,23 @@ fn every_metric_has_help_and_type_headers() {
             .next()
             .expect("metric lines start with a name");
         assert!(
-            declared.contains(name),
+            headers.contains_key(name),
             "sample line before its # HELP header: {line}"
         );
     }
+    headers
+}
+
+/// Structural invariants the golden bytes imply, asserted directly so a
+/// careless re-bless cannot silently drop them: every emitted metric name
+/// is preceded by its `# HELP` and `# TYPE` headers — in the post-run
+/// export and on `/metrics` alike — and escaped label values stay on one
+/// line.
+#[test]
+fn every_metric_has_help_and_type_headers() {
+    let out = report_to_prometheus(&fixture());
+    families(&out);
+    families(&live_metrics());
     assert!(
         out.contains(r#"element="Queue \"fast\\slow\"""#),
         "label escaping missing: {out}"
@@ -197,4 +224,22 @@ fn every_metric_has_help_and_type_headers() {
     assert!(out.contains("nba_cost_drift_events_total 1"), "{out}");
     assert!(out.contains("nba_slo_throughput_burn 2"), "{out}");
     assert!(out.contains("nba_slo_met 0"), "{out}");
+}
+
+/// One definition per family: a family the post-run export and `/metrics`
+/// both serve carries the same `# HELP` and `# TYPE` lines in each.
+#[test]
+fn post_run_and_live_families_agree() {
+    let post = report_to_prometheus(&fixture());
+    let live = live_metrics();
+    let (post, live) = (families(&post), families(&live));
+    let shared: Vec<&str> = post
+        .keys()
+        .filter(|k| live.contains_key(*k))
+        .copied()
+        .collect();
+    assert!(shared.len() >= 10, "too few shared families: {shared:?}");
+    for name in shared {
+        assert_eq!(post[name], live[name], "{name} is defined twice");
+    }
 }

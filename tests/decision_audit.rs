@@ -193,6 +193,18 @@ fn decision_log_round_trips_and_reproduces() {
     assert!(replayed.bit_eq(&a), "replay after round trip diverged");
 }
 
+/// A log cut short is refused, not read back as a shorter log that then
+/// "replays bit-exactly" — the header declares the record count.
+#[test]
+fn truncated_decision_log_is_rejected() {
+    let text = des_decisions(&router()).to_jsonl();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() > 2, "need records to cut");
+    let cut = lines[..lines.len() - 1].join("\n") + "\n";
+    let err = DecisionLog::from_jsonl(&cut).expect_err("truncated log accepted");
+    assert!(err.contains("declares"), "{err}");
+}
+
 /// The drift drill: a seeded transient-fault storm makes measured launch
 /// time (retry backoff the cost model never predicts) exceed the predicted
 /// device cost, so the detector must latch an event, name the launch

@@ -206,7 +206,7 @@ fn des_sweep(
             let traffic = traffic_per_port(&cfg.topology, traffic);
             let r = des::run(&cfg, pipeline, &balancer, &traffic);
             println!(
-                "  des workers={n}: {:.2} Gbps ({:.2} Mpps)",
+                "  des workers={n}: modelled {:.2} Gbps ({:.2} Mpps)",
                 r.tx_gbps,
                 r.tx_mpps()
             );
@@ -271,7 +271,7 @@ fn live_sweep(
             let factory = balancer_factory_for(mode)?;
             let r = live::run_sharded(&cfg, pipeline, &factory);
             println!(
-                "  live workers={n}: {:.2} Gbps ({:.2} Mpps)",
+                "  live workers={n}: measured {:.2} Gbps ({:.2} Mpps)",
                 r.gbps, r.mpps
             );
             // The self-healing ledger, when anything happened: worker
@@ -498,7 +498,7 @@ fn cmd_run(args: &[String]) -> i32 {
         return 2;
     }
     println!(
-        "{app}: {:.2} Gbps ({:.2} Mpps), p50 {}ns p99 {}ns, w {:.3} -> {out_path}",
+        "{app}: DES-modelled {:.2} Gbps ({:.2} Mpps), p50 {}ns p99 {}ns, w {:.3} -> {out_path}",
         report.tx_gbps,
         report.tx_mpps,
         report.latency.p50_ns,

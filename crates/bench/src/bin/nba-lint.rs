@@ -1,189 +1,19 @@
-//! `nba-lint`: the standalone static pipeline verifier CLI.
+//! `nba-lint`: the standalone static-analysis CLI.
 //!
-//! Usage: `nba-lint [flags...] <config.click>...`
+//! Usage: `nba-lint [--json] [--deny-warnings] [--timing]
+//! [--max-overhead=PCT] <config.click>...`
 //!
-//! Flags:
-//!
-//! * `--deep`           — also run `nba-verify` (path-sensitive abstract
-//!   interpretation, `NBA04x`) and the static queue-law capacity checks
-//!   (`NBA05x`) over the run configuration. Without it only the shallow,
-//!   path-insensitive `nba-lint` families are reported.
-//! * `--json`           — one schema-versioned JSON report per file.
-//! * `--deny-warnings`  — exit nonzero on *any* diagnostic, warnings
-//!   included (CI keeps shipped configs spotless).
-//! * `--timing`         — print, per file, how long the deep pass takes
-//!   relative to the whole pipeline-construction step (parse, element
-//!   instantiation, wiring, shallow lint, deep verify) — the price a
-//!   runtime preflight pays at startup.
-//! * `--max-overhead=P` — with `--timing`, exit nonzero if the deep pass
-//!   exceeds `P` percent of pipeline construction summed over all files
-//!   (aggregate, because expensive element state — routing tables, match
-//!   automata — is built once and shared, so per-file ratios are noisy).
-//!
-//! Capacity-model overrides (the `NBA05x` checks run against the live
-//! runtime's defaults unless told otherwise):
-//!
-//! * `--workers=N` `--batch=N` `--ring=N` `--aggregate=N` `--drain`
-//!
-//! Exit status: 0 clean (or warnings without `--deny-warnings`), 1 any
-//! error-severity diagnostic / denied warning / overhead breach, 2 usage
-//! or configuration errors.
+//! Builds each pipeline configuration and runs the one analysis a runtime
+//! preflight runs — structural, annotation-slot, datablock, branch-shape
+//! and path checks, plus the `NBA05x` queue laws against the live
+//! runtime's default capacity model — without starting a run. Flags and
+//! exit status are those of the shared front end (`nba_bench::lint`),
+//! which `probe --check` runs too with `--deny-warnings` always on.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
-use nba_apps::{pipelines, AppConfig};
-use nba_core::graph::BranchPolicy;
-use nba_core::lb;
-use nba_core::nls::NodeLocalStorage;
-use nba_core::runtime::live::LiveConfig;
-use nba_core::runtime::BuildCtx;
-use nba_core::verify::{check_capacity, CapacityModel};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: nba-lint [--deep] [--json] [--deny-warnings] [--timing] \
-         [--max-overhead=PCT] [--workers=N] [--batch=N] [--ring=N] \
-         [--aggregate=N] [--drain] <config.click>..."
-    );
-    std::process::exit(2);
-}
-
-fn num_flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter().find_map(|a| {
-        a.strip_prefix(name)
-            .and_then(|rest| rest.strip_prefix('='))
-            .map(|n| n.parse().unwrap_or_else(|_| usage()))
-    })
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let deep = flag("--deep");
-    let json = flag("--json");
-    let deny_warnings = flag("--deny-warnings");
-    let timing = flag("--timing");
-    let max_overhead: Option<f64> = args.iter().find_map(|a| {
-        a.strip_prefix("--max-overhead=")
-            .map(|n| n.parse().unwrap_or_else(|_| usage()))
-    });
-
-    // The capacity model under test: the live runtime's defaults with any
-    // per-flag overrides, mirroring what `live::run` would preflight.
-    let mut live_cfg = LiveConfig::default();
-    if let Some(n) = num_flag(&args, "--workers") {
-        live_cfg.workers = n;
-    }
-    if let Some(n) = num_flag(&args, "--batch") {
-        live_cfg.batch = n;
-    }
-    if let Some(n) = num_flag(&args, "--ring") {
-        live_cfg.ring_capacity = n;
-    }
-    if let Some(n) = num_flag(&args, "--aggregate") {
-        live_cfg.aggregate = n;
-    }
-    live_cfg.drain = flag("--drain");
-    let cap = CapacityModel::from_live(&live_cfg);
-
-    let files: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    if files.is_empty() {
-        usage();
-    }
-
-    // A throwaway build context: linting instantiates elements only to
-    // read their static metadata (ports, claims, effects, offload specs).
-    let bctx = BuildCtx {
-        worker: 0,
-        socket: 0,
-        nls: NodeLocalStorage::new(),
-        balancer: lb::shared(Box::new(lb::CpuOnly)),
-        policy: BranchPolicy::Predict,
-    };
-    let app = AppConfig::default();
-    let reg = pipelines::registry(&bctx, &app);
-
-    let mut failed = false;
-    let mut total_build = std::time::Duration::ZERO;
-    let mut total_deep = std::time::Duration::ZERO;
-    for f in &files {
-        let src = match std::fs::read_to_string(f) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{f}: cannot read: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let t0 = Instant::now();
-        let checked = match nba_core::build_graph_checked(&src, &reg, bctx.policy) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{f}: configuration error: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let build_time = t0.elapsed();
-        let mut report = checked.report;
-        if deep {
-            report.diagnostics.extend(check_capacity(&cap).diagnostics);
-        } else {
-            // Shallow mode: keep only the `nba-lint` families (the deep
-            // pass already ran inside `build_graph_checked`; its path
-            // diagnostics are `NBA04x`, capacity is `NBA05x`).
-            report.diagnostics.retain(|d| d.code.as_str() < "NBA040");
-        }
-
-        if json {
-            print!("{}", report.render_json());
-        } else if report.is_clean() {
-            println!("{f}: ok ({} elements)", checked.graph.len());
-        } else {
-            print!("{}", report.render_text());
-            println!("{f}: {} diagnostic(s)", report.diagnostics.len());
-        }
-        failed |= report.has_errors() || (deny_warnings && !report.is_clean());
-
-        if timing {
-            // The deep pass re-run in isolation, amortized: what fraction
-            // of the pipeline-construction step (which a runtime preflight
-            // repeats wholesale at startup) the verifier accounts for.
-            const ITERS: u32 = 100;
-            let t1 = Instant::now();
-            for _ in 0..ITERS {
-                let mut r = nba_core::LintReport::default();
-                nba_core::verify::apply_deep(&checked.graph, Some(&checked.source), &mut r);
-                check_capacity(&cap);
-            }
-            let deep_time = t1.elapsed() / ITERS;
-            total_build += build_time;
-            total_deep += deep_time;
-            println!(
-                "{f}: verify {:.1} us of {:.1} us construction ({:.2}%)",
-                deep_time.as_secs_f64() * 1e6,
-                build_time.as_secs_f64() * 1e6,
-                100.0 * deep_time.as_secs_f64() / build_time.as_secs_f64().max(1e-9)
-            );
-        }
-    }
-    if timing {
-        let pct = 100.0 * total_deep.as_secs_f64() / total_build.as_secs_f64().max(1e-9);
-        println!(
-            "total: verify {:.1} us of {:.1} us construction ({pct:.2}%)",
-            total_deep.as_secs_f64() * 1e6,
-            total_build.as_secs_f64() * 1e6
-        );
-        if let Some(limit) = max_overhead {
-            if pct > limit {
-                eprintln!("verifier overhead {pct:.2}% exceeds limit {limit}%");
-                failed = true;
-            }
-        }
-    }
-    std::process::exit(i32::from(failed));
+    let status = nba_bench::lint::run("nba-lint", &args, false, &mut std::io::stdout());
+    ExitCode::from(status.expect("write to stdout"))
 }

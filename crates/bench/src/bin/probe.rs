@@ -25,82 +25,32 @@
 //!
 //! Static analysis:
 //!
-//! * `probe --check [--json] <config.click>...` — run the `nba-lint`
-//!   verifier over pipeline configurations without starting a run. Exits
-//!   nonzero if any file fails to parse or produces *any* diagnostic
-//!   (warnings included — CI keeps shipped configs spotless).
+//! * `probe --check [flags...] <config.click>...` — the `nba-lint` front end
+//!   (`nba_bench::lint`, same flags and output) with `--deny-warnings`
+//!   always on: any diagnostic, warnings included, is a nonzero exit (CI
+//!   keeps shipped configs spotless).
 use nba_apps::{pipelines, AppConfig};
 use nba_bench::report::BenchReport;
-use nba_core::graph::BranchPolicy;
 use nba_core::lb;
-use nba_core::nls::NodeLocalStorage;
-use nba_core::runtime::{des, traffic_per_port, BuildCtx, RuntimeConfig};
+use nba_core::runtime::{des, traffic_per_port, RuntimeConfig};
 use nba_core::telemetry::{
     self, profile_table, report_to_prometheus, samples_to_jsonl, trace_to_chrome, trace_to_jsonl,
 };
 use nba_io::{IpVersion, SizeDist, TrafficConfig};
 use nba_sim::Time;
 
-/// `probe --check`: lint configuration files and exit. Strict by design —
-/// any diagnostic (even a warning) is a nonzero exit so CI keeps the
-/// shipped example pipelines spotless.
-fn check_configs(files: &[&str], json: bool) -> ! {
-    if files.is_empty() {
-        eprintln!("usage: probe --check [--json] <config.click>...");
-        std::process::exit(2);
-    }
-    // A throwaway build context: --check instantiates elements only to read
-    // their static metadata (ports, slot claims, offload specs).
-    let bctx = BuildCtx {
-        worker: 0,
-        socket: 0,
-        nls: NodeLocalStorage::new(),
-        balancer: lb::shared(Box::new(lb::CpuOnly)),
-        policy: BranchPolicy::Predict,
-    };
-    let app = AppConfig::default();
-    let reg = pipelines::registry(&bctx, &app);
-    let mut failed = false;
-    for f in files {
-        let src = match std::fs::read_to_string(f) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{f}: cannot read: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match nba_core::build_graph_checked(&src, &reg, bctx.policy) {
-            Ok(checked) => {
-                if json {
-                    println!("{}", checked.report.render_json());
-                } else if checked.report.is_clean() {
-                    println!("{f}: ok ({} elements)", checked.graph.len());
-                } else {
-                    print!("{}", checked.report.render_text());
-                    println!("{f}: {} diagnostic(s)", checked.report.diagnostics.len());
-                }
-                failed |= !checked.report.is_clean();
-            }
-            Err(e) => {
-                eprintln!("{f}: configuration error: {e}");
-                failed = true;
-            }
-        }
-    }
-    std::process::exit(i32::from(failed));
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--check") {
+        let rest: Vec<String> = args.iter().filter(|a| *a != "--check").cloned().collect();
+        let status = nba_bench::lint::run("probe --check", &rest, true, &mut std::io::stdout());
+        std::process::exit(status.expect("write to stdout").into());
+    }
     let positional: Vec<&str> = args
         .iter()
         .map(String::as_str)
         .filter(|a| !a.starts_with("--"))
         .collect();
-    if args.iter().any(|a| a == "--check") {
-        check_configs(&positional, args.iter().any(|a| a == "--json"));
-    }
     let which = positional.first().copied().unwrap_or("v6");
     let size: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
     let mode = positional.get(2).copied().unwrap_or("cpu");

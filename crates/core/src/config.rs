@@ -27,9 +27,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::analysis::{Code, Diagnostic, LintReport, SourceMap};
 use crate::element::Element;
 use crate::graph::{BranchPolicy, ElementGraph, GraphBuilder, NodeId};
-use crate::lint::{Code, Diagnostic, LintReport, SourceMap};
 
 /// An element factory: builds an element from its quoted parameters.
 pub type Factory = Arc<dyn Fn(&[String]) -> Result<Box<dyn Element>, String> + Send + Sync>;
@@ -296,10 +296,10 @@ pub fn build_graph_checked(
 ) -> Result<CheckedGraph, ConfigError> {
     let (decls, conns) = parse(src)?;
     let (graph, source, pre) = assemble(&decls, &conns, registry, policy)?;
-    let lint = crate::lint::verify_graph(&graph, Some(&source));
     let mut report = LintReport { diagnostics: pre };
-    report.diagnostics.extend(lint.diagnostics);
-    crate::verify::apply_deep(&graph, Some(&source), &mut report);
+    report
+        .diagnostics
+        .extend(crate::analysis::analyze(&graph, Some(&source), None).diagnostics);
     Ok(CheckedGraph {
         graph,
         report,
@@ -902,7 +902,7 @@ mod tests {
         .unwrap();
         let d = checked
             .report
-            .with_code(crate::lint::Code::PortArity)
+            .with_code(Code::PortArity)
             .next()
             .expect("NBA002");
         assert_eq!(d.line, Some(4));

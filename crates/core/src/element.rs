@@ -64,7 +64,7 @@ pub enum ComputeMode {
 }
 
 /// Which annotation set a [`SlotClaim`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SlotScope {
     /// A per-packet annotation slot.
     Packet,
@@ -134,11 +134,12 @@ impl SlotClaim {
     }
 }
 
-/// A protocol-header validity fact the deep verifier (`nba-verify`)
-/// tracks along pipeline paths. Facts are *established* by validator
-/// elements (e.g. `CheckIPHeader` on its valid port) and *required* by
-/// header-dependent elements (lookups, TTL decrements, crypto framing):
-/// reaching a requirer before any establisher is diagnostic `NBA043`.
+/// A protocol-header validity fact the static analyser
+/// ([`crate::analysis`]) tracks along pipeline paths. Facts are
+/// *established* by validator elements (e.g. `CheckIPHeader` on its valid
+/// port) and *required* by header-dependent elements (lookups, TTL
+/// decrements, crypto framing): reaching a requirer before any
+/// establisher is diagnostic `NBA043`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeaderFact {
     /// The frame carries a structurally valid IPv4 header (version,
@@ -158,8 +159,9 @@ impl HeaderFact {
     }
 }
 
-/// What an element may do to the batch population, declared for the deep
-/// verifier's batch-disposition analysis (`NBA042` blackhole detection).
+/// What an element may do to the batch population, declared for the
+/// static analyser's batch-disposition analysis (`NBA042` blackhole
+/// detection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Disposition {
     /// Every live packet continues to some output port.
@@ -173,11 +175,12 @@ pub enum Disposition {
     DropAll,
 }
 
-/// Declarative dataflow effects of one element, consumed by the
-/// path-sensitive verifier (`crate::verify`). Everything defaults to "no
-/// effect": elements only declare what they actually do. These complement
-/// [`Element::slot_claims`] — claims say *which* slots are touched,
-/// effects say what the element guarantees or assumes *along a path*.
+/// Declarative dataflow effects of one element, consumed by the static
+/// analyser's path-sensitive passes ([`crate::analysis`]). Everything
+/// defaults to "no effect": elements only declare what they actually do.
+/// These complement [`Element::slot_claims`] — claims say *which* slots
+/// are touched, effects say what the element guarantees or assumes *along
+/// a path*.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ElementEffects {
     /// Header facts guaranteed to hold for every packet leaving the given
@@ -210,8 +213,8 @@ pub trait Element: Send {
         &[]
     }
 
-    /// Declarative dataflow effects for the path-sensitive verifier
-    /// (`crate::verify`): header facts established per output port, facts
+    /// Declarative dataflow effects for the static analyser's path passes
+    /// (`crate::analysis`): header facts established per output port, facts
     /// required on entry, default-tolerant slot reads, and the batch
     /// disposition. The default declares no effects, which is sound (the
     /// verifier assumes nothing) but forfeits path-sensitive precision.

@@ -316,24 +316,13 @@ impl ElementGraph {
         self.policy
     }
 
-    /// Runs the `nba-lint` static verifier over this graph (structural,
-    /// annotation-slot, datablock, and branch-shape checks). Graphs built
-    /// from configuration text get source line spans via
-    /// [`crate::config::build_graph_checked`]; this entry point reports
-    /// node ids and element class names only.
-    pub fn verify(&self) -> crate::lint::LintReport {
-        crate::lint::verify_graph(self, None)
-    }
-
-    /// Like [`ElementGraph::verify`] but also runs `nba-verify`, the
-    /// path-sensitive deep pass: shallow findings the fixpoint disproves
-    /// are demoted, and the `NBA04x` path-family diagnostics (unwritten
-    /// reads per path, dead branches, silent blackholes, header use
-    /// before validation, transitive datablock hazards) are appended.
-    pub fn verify_deep(&self) -> crate::lint::LintReport {
-        let mut report = crate::lint::verify_graph(self, None);
-        crate::verify::apply_deep(self, None, &mut report);
-        report
+    /// Runs the static analyser over this graph: every pass of
+    /// [`crate::analysis::analyze`] except the capacity laws, which need a
+    /// run configuration. Graphs built from configuration text get source
+    /// line spans via [`crate::config::build_graph_checked`]; this entry
+    /// point reports node ids and element class names only.
+    pub fn verify(&self) -> crate::analysis::LintReport {
+        crate::analysis::analyze(self, None, None)
     }
 
     /// The edge out of `id`'s output `port`, if that port exists (used by

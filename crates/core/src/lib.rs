@@ -12,14 +12,11 @@
 //!   problem, and batch-level branch prediction,
 //! * [`config`] — the Click configuration language dialect (quoted
 //!   parameters) with an element registry,
-//! * [`lint`] — `nba-lint`, the static pipeline verifier: structural,
-//!   annotation-slot, datablock, and branch-shape checks with stable
-//!   `NBA0xx` diagnostic codes,
-//! * [`verify`] — `nba-verify`, the path-sensitive deep verifier: an
-//!   abstract interpretation over the element graph (per-slot write
-//!   lattice, header-validity facts, datablock rewrite effects) emitting
-//!   the `NBA04x` path family, plus static queue-law capacity checks
-//!   (`NBA05x`) over the runtime configurations,
+//! * [`analysis`] — the static analyser behind `nba-lint`: one pass
+//!   pipeline over one graph model (structural, annotation-slot,
+//!   datablock, branch-shape, and path-sensitive checks, plus static
+//!   queue-law capacity checks over the runtime configurations) with
+//!   stable `NBA0xx` diagnostic codes,
 //! * [`introspect`] — the live introspection plane: the per-shard flight
 //!   recorder and the in-flight stats endpoint,
 //! * [`audit`] — the decision-audit & SLO plane: replayable balancer
@@ -40,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod analysis;
 pub mod audit;
 pub mod batch;
 pub mod capture;
@@ -51,15 +49,17 @@ pub mod graph;
 pub mod introspect;
 pub mod json;
 pub mod lb;
-pub mod lint;
 pub mod nls;
 pub mod offload;
 pub mod runtime;
 pub mod stats;
 pub mod supervise;
 pub mod telemetry;
-pub mod verify;
 
+pub use analysis::{
+    check_capacity, AbsState, CapacityModel, Code, Diagnostic, LintReport, Severity, SlotState,
+    SourceMap, SCHEMA_VERSION,
+};
 pub use audit::{
     AuditConfig, DecisionClock, DecisionContext, DecisionKind, DecisionLog, DecisionRecord,
     DriftConfig, DriftDetector, DriftGauge, DriftReport, OffloadStage, SloConfig, SloReport,
@@ -82,7 +82,6 @@ pub use lb::{
     Adaptive, AlbConfig, BalancerFactory, CpuOnly, FixedFraction, GpuOnly, LatencyBounded,
     LoadBalancer, SharedBalancer,
 };
-pub use lint::{Code, Diagnostic, LintReport, Severity, SourceMap, SCHEMA_VERSION};
 pub use nls::NodeLocalStorage;
 pub use runtime::{BuildCtx, PipelineBuilder, RunReport, RuntimeConfig};
 pub use stats::{Counters, LatencyHistogram, Snapshot, SystemInspector};
@@ -93,4 +92,3 @@ pub use supervise::{
 pub use telemetry::{
     ElementProfile, TelemetryConfig, TimeSample, TraceBuffer, TraceEvent, TraceEventKind,
 };
-pub use verify::{apply_deep, check_capacity, deep_verify, AbsState, CapacityModel, SlotState};

@@ -621,12 +621,11 @@ pub fn run_with_sources(
         };
         let mut g = build(&bctx);
         if w == 0 {
-            // Mandatory deep preflight on the first replica (all replicas
-            // are clones of one pipeline): shallow lint plus the
-            // path-sensitive pass and the static queue-law checks over
-            // this run's capacity model. Warnings are logged; Error-
-            // severity findings refuse to start.
-            crate::verify::preflight(&g, &crate::verify::CapacityModel::from_runtime(cfg));
+            // Mandatory preflight on the first replica (all replicas are
+            // clones of one pipeline): the full analysis over this run's
+            // capacity model. Warnings are logged; Error-severity
+            // findings refuse to start.
+            crate::analysis::preflight(&g, &crate::analysis::CapacityModel::from_runtime(cfg));
         }
         g.enable_trace(cfg.telemetry.trace_capacity);
         graphs.push(g);

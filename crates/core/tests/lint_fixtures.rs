@@ -1,9 +1,10 @@
-//! One failing fixture pipeline per `nba-lint` diagnostic code, asserting
+//! One failing fixture pipeline per analyser diagnostic code, asserting
 //! both the stable code and the configuration source line it points at —
 //! the contract `probe --check` and editor integrations build on.
 
 use std::sync::Arc;
 
+use nba_core::analysis::{check_capacity, preflight, CapacityModel, Code, LintReport, Severity};
 use nba_core::batch::{anno, Anno, PacketResult};
 use nba_core::config::{build_graph, build_graph_checked, ElementRegistry};
 use nba_core::element::{
@@ -11,7 +12,7 @@ use nba_core::element::{
     OffloadSpec, Postprocess, SlotClaim,
 };
 use nba_core::graph::{BranchPolicy, GraphBuilder};
-use nba_core::lint::{Code, Severity};
+use nba_core::runtime::live::LiveConfig;
 use nba_core::runtime::{des, traffic_per_port, PipelineBuilder, RuntimeConfig};
 use nba_io::Packet;
 use nba_sim::{GpuProfile, Time};
@@ -379,8 +380,6 @@ fn nba043_header_use_before_validation() {
 
 #[test]
 fn nba050_ring_under_burst_bound() {
-    use nba_core::runtime::live::LiveConfig;
-    use nba_core::verify::{check_capacity, CapacityModel};
     let m = CapacityModel::from_live(&LiveConfig {
         ring_capacity: 64,
         batch: 64,
@@ -394,8 +393,6 @@ fn nba050_ring_under_burst_bound() {
 
 #[test]
 fn nba051_aggregate_exceeds_inflight_cap() {
-    use nba_core::runtime::live::LiveConfig;
-    use nba_core::verify::{check_capacity, CapacityModel};
     let m = CapacityModel::from_live(&LiveConfig {
         workers: 1,
         aggregate: 64,
@@ -407,14 +404,17 @@ fn nba051_aggregate_exceeds_inflight_cap() {
     assert_eq!(hits[0].severity, Severity::Error);
 }
 
+/// Different classes write FLOW_ID on *disjoint* fork arms.
+const DISJOINT_COLLISION: &str = "src :: FromInput();\nf :: Fork();\nw1 :: WriteFlow();\n\
+                                  w2 :: StampFlow();\nsrc -> f;\nf [0] -> w1 -> ToOutput;\n\
+                                  f [1] -> w2 -> ToOutput;";
+
 #[test]
 fn deep_demotion_lets_disjoint_collision_build_strict() {
-    // Different classes write FLOW_ID on *disjoint* fork arms: the shallow
-    // NBA012 Error is demoted to Warn by the fixpoint proof, so the strict
-    // frontend accepts the config.
-    let src = "src :: FromInput();\nf :: Fork();\nw1 :: WriteFlow();\nw2 :: StampFlow();\n\
-               src -> f;\nf [0] -> w1 -> ToOutput;\nf [1] -> w2 -> ToOutput;";
-    let checked = build_graph_checked(src, &registry(), BranchPolicy::Predict).unwrap();
+    // No packet traverses both writers, so the NBA012 collision is raised
+    // as a Warn and the strict frontend accepts the config.
+    let checked =
+        build_graph_checked(DISJOINT_COLLISION, &registry(), BranchPolicy::Predict).unwrap();
     let d = checked
         .report
         .with_code(Code::SlotCollision)
@@ -422,7 +422,8 @@ fn deep_demotion_lets_disjoint_collision_build_strict() {
         .unwrap();
     assert_eq!(d.severity, Severity::Warn);
     assert!(d.message.contains("[deep:"), "{}", d.message);
-    build_graph(src, &registry(), BranchPolicy::Predict).expect("demoted config builds strict");
+    build_graph(DISJOINT_COLLISION, &registry(), BranchPolicy::Predict)
+        .expect("warn-only config builds strict");
     // In sequence (one path traverses both writers) it stays an Error.
     let seq = "src :: FromInput();\nw1 :: WriteFlow();\nw2 :: StampFlow();\n\
                src -> w1 -> w2 -> ToOutput;";
@@ -433,6 +434,37 @@ fn deep_demotion_lets_disjoint_collision_build_strict() {
         .next()
         .unwrap();
     assert_eq!(d.severity, Severity::Error);
+}
+
+/// One analysis behind every caller: `ElementGraph::verify` on the
+/// programmatic form of [`DISJOINT_COLLISION`], `build_graph_checked` on
+/// its text, and the runtime preflight all report the same findings.
+#[test]
+fn every_caller_agrees_on_a_disjoint_collision() {
+    let reg = registry();
+    let el = |class: &str| reg.get(class).expect("fixture class")(&[]).expect("fixture builds");
+    let mut gb = GraphBuilder::new();
+    let f = gb.add(el("Fork"));
+    let w1 = gb.add(el("WriteFlow"));
+    let w2 = gb.add(el("StampFlow"));
+    gb.connect(f, 0, w1);
+    gb.connect(f, 1, w2);
+    gb.connect_exit(w1, 0);
+    gb.connect_exit(w2, 0);
+    let g = gb.build().unwrap();
+
+    let findings = |r: &LintReport| -> Vec<(Code, Severity, Option<usize>)> {
+        r.diagnostics
+            .iter()
+            .map(|d| (d.code, d.severity, d.node))
+            .collect()
+    };
+    let checked = build_graph_checked(DISJOINT_COLLISION, &reg, BranchPolicy::Predict).unwrap();
+    let want = vec![(Code::SlotCollision, Severity::Warn, Some(w2.0))];
+    assert_eq!(findings(&checked.report), want);
+    assert_eq!(findings(&g.verify()), want);
+    let cap = CapacityModel::from_live(&LiveConfig::default());
+    assert_eq!(findings(&preflight(&g, &cap)), want);
 }
 
 /// The runtimes refuse to start a pipeline that fails verification: the

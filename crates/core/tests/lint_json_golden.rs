@@ -1,4 +1,4 @@
-//! Golden-file test of the lint/verify JSON report: the exact bytes a
+//! Golden-file test of the analyser's JSON report: the exact bytes a
 //! fixed diagnostic mix renders to, pinned in `tests/golden/lint_report.json`.
 //! The envelope is schema-versioned (`schema_version`), so any change to
 //! the wire shape — a renamed key, a new field, a different escape — shows
@@ -8,10 +8,10 @@
 //! Re-bless after an intentional format change with
 //! `NBA_BLESS=1 cargo test -p nba-core --test lint_json_golden`.
 
+use nba_core::analysis::SCHEMA_VERSION;
 use nba_core::batch::{anno, Anno, PacketResult};
 use nba_core::element::{ElemCtx, Element, SlotClaim};
 use nba_core::graph::GraphBuilder;
-use nba_core::lint::SCHEMA_VERSION;
 use nba_io::Packet;
 
 /// Minimal fixture element: everything static, nothing behavioral.
@@ -36,7 +36,7 @@ impl Element for Fx {
     }
 }
 
-/// A graph exercising several diagnostic shapes at once: a demoted-to-warn
+/// A graph exercising several diagnostic shapes at once: a warn-level
 /// collision (`NBA012` on disjoint branches, `[deep: ...]` suffix) and a
 /// path-family finding (`NBA040` with an element-chain witness) whose
 /// message carries JSON-relevant `"quotes"` via a class name.
@@ -74,7 +74,7 @@ fn fixture_json() -> String {
     gb.connect_exit(rd, 0);
     gb.connect_exit(wb, 0);
     let g = gb.build().unwrap();
-    g.verify_deep().render_json()
+    g.verify().render_json()
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn lint_json_matches_golden() {
     assert_eq!(
         got, want,
         "lint JSON drifted from tests/golden/lint_report.json; if the \
-         change is intentional, bump nba_core::lint::SCHEMA_VERSION for \
+         change is intentional, bump nba_core::analysis::SCHEMA_VERSION for \
          breaking shape changes and re-bless with NBA_BLESS=1"
     );
 }

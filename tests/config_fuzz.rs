@@ -199,7 +199,7 @@ proptest! {
         drain in any::<bool>(),
     ) {
         use nba::core::runtime::live::LiveConfig;
-        use nba::core::verify::{check_capacity, CapacityModel};
+        use nba::core::analysis::{check_capacity, CapacityModel};
         let m = CapacityModel::from_live(&LiveConfig {
             workers,
             batch,

@@ -8,6 +8,7 @@
 //! through node-local storage.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use nba_core::config::{build_graph, ConfigError, ElementRegistry};
@@ -62,47 +63,52 @@ impl Default for AppConfig {
 // --- Process-global table caches (startup state, excluded from timing) ---
 
 /// One process-global cache of shared startup tables keyed by their
-/// construction parameters.
-type TableCache<K, V> = OnceLock<Mutex<HashMap<K, Arc<V>>>>;
+/// construction parameters. The map lock is held only to find a key's
+/// slot; a table is built under its own slot, so building one table never
+/// blocks a lookup of another (concurrent runs with different
+/// configurations do not wait on each other's startup).
+type TableCache<K, V> = OnceLock<Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>>;
+
+/// The table cached under `key`, built by `build` on first use.
+fn cached<K: Hash + Eq, V>(cache: &TableCache<K, V>, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+    let slot = cache
+        .get_or_init(Default::default)
+        .lock()
+        .expect("table cache poisoned")
+        .entry(key)
+        .or_default()
+        .clone();
+    slot.get_or_init(|| Arc::new(build())).clone()
+}
 
 /// The shared IPv4 table for `(seed, routes, ports)`.
 pub fn v4_table(seed: u64, routes: usize, hops: u16) -> Arc<RoutingTableV4> {
     static CACHE: TableCache<(u64, usize, u16), RoutingTableV4> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let mut map = cache.lock().expect("v4 cache poisoned");
-    map.entry((seed, routes, hops))
-        .or_insert_with(|| Arc::new(RoutingTableV4::random(seed, routes, hops.max(1) * 4)))
-        .clone()
+    cached(&CACHE, (seed, routes, hops), || {
+        RoutingTableV4::random(seed, routes, hops.max(1) * 4)
+    })
 }
 
 /// The shared IPv6 table for `(seed, routes, ports)`.
 pub fn v6_table(seed: u64, routes: usize, hops: u16) -> Arc<RoutingTableV6> {
     static CACHE: TableCache<(u64, usize, u16), RoutingTableV6> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let mut map = cache.lock().expect("v6 cache poisoned");
-    map.entry((seed, routes, hops))
-        .or_insert_with(|| Arc::new(RoutingTableV6::random(seed, routes, hops.max(1) * 4)))
-        .clone()
+    cached(&CACHE, (seed, routes, hops), || {
+        RoutingTableV6::random(seed, routes, hops.max(1) * 4)
+    })
 }
 
 /// The shared SA database for `seed`.
 pub fn sa_table(seed: u64) -> Arc<SaTable> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<SaTable>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let mut map = cache.lock().expect("sa cache poisoned");
-    map.entry(seed)
-        .or_insert_with(|| Arc::new(SaTable::new(seed)))
-        .clone()
+    static CACHE: TableCache<u64, SaTable> = OnceLock::new();
+    cached(&CACHE, seed, || SaTable::new(seed))
 }
 
 /// The shared IDS rule set for `(seed, literals, regexes)`.
 pub fn rule_set(seed: u64, literals: usize, regexes: usize) -> Arc<RuleSet> {
     static CACHE: TableCache<(u64, usize, usize), RuleSet> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let mut map = cache.lock().expect("rules cache poisoned");
-    map.entry((seed, literals, regexes))
-        .or_insert_with(|| Arc::new(RuleSet::synthetic(seed, literals, regexes)))
-        .clone()
+    cached(&CACHE, (seed, literals, regexes), || {
+        RuleSet::synthetic(seed, literals, regexes)
+    })
 }
 
 // --- Pipelines (Figure 8) ---

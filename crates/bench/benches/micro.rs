@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks of the substrates: crypto, matching, lookup,
-//! checksums, RSS hashing, and batch operations.
+//! checksums, RSS hashing, the DES source's slots, and batch operations.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -9,8 +11,9 @@ use nba_apps::ipv4::RoutingTableV4;
 use nba_apps::ipv6::RoutingTableV6;
 use nba_crypto::{Aes128Ctr, HmacSha1, Sha1};
 use nba_io::toeplitz::Toeplitz;
-use nba_io::{checksum, spsc, Mempool, SizeDist};
+use nba_io::{checksum, spsc, Mempool, Port, RssTable, SizeDist, TrafficConfig, TrafficGen};
 use nba_matcher::{AhoCorasick, Regex};
+use nba_sim::Time;
 
 fn bench_crypto(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto");
@@ -112,6 +115,7 @@ fn bench_io(c: &mut Criterion) {
         b.iter(|| checksum::internet_checksum(&data))
     });
     let t = Toeplitz::default();
+    g.throughput(Throughput::Elements(1));
     g.bench_function("toeplitz/ipv4-4tuple", |b| {
         b.iter(|| t.hash_ipv4_l4(0x0a000001, 0xc0a80001, 1234, 53))
     });
@@ -137,8 +141,33 @@ fn bench_io(c: &mut Criterion) {
             sum
         })
     });
-    let pool = Mempool::new(BURST);
+    // One slot of the DES source on the modelled testbed's per-port stream
+    // (64 B UDP, 10 Gbps), through a port steering by an RSS table as the
+    // DES ports do. Refused: the slot's queue is full, so the slot is drawn
+    // and counted, and nothing is allocated or written. Admitted: the slot
+    // takes a buffer, is written and enqueued, and the packet is popped and
+    // freed again so the queue never fills.
+    let des_slot = |refused: bool, b: &mut criterion::Bencher| {
+        let pool = Mempool::new(64);
+        let mut port = Port::new(0, 10.0, 1, 1);
+        port.set_rss_table(Arc::new(RssTable::new(1)));
+        let mut gen = TrafficGen::new(TrafficConfig::default());
+        if refused {
+            gen.offer(Time::MAX, 1, &pool, &mut port);
+        }
+        let queue = port.rx_queue(0);
+        b.iter(|| {
+            let slots = gen.offer(Time::MAX, 1, &pool, &mut port);
+            if !refused {
+                drop(queue.pop());
+            }
+            slots
+        })
+    };
     g.throughput(Throughput::Elements(1));
+    g.bench_function("des-source/refused-slot", |b| des_slot(true, b));
+    g.bench_function("des-source/admitted-slot", |b| des_slot(false, b));
+    let pool = Mempool::new(BURST);
     g.bench_function("mempool_single", |b| {
         b.iter(|| {
             let buf = pool.alloc().expect("pool holds a buffer");

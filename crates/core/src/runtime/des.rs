@@ -40,6 +40,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A traffic source feeding one port (synthetic generator or trace replay).
+/// It offers the port every slot of each window; the port admits or
+/// refuses each one before the frame is built, so the frames an
+/// overloaded port drops are never allocated or written.
 struct SourceEntity {
     gen: Box<dyn PacketSource>,
     port: PortHandle,
@@ -50,10 +53,8 @@ struct SourceEntity {
 
 impl Entity for SourceEntity {
     fn step(&mut self, now: Time, _ctx: &mut Ctx) -> Wake {
-        let port = Rc::clone(&self.port);
-        self.gen.generate(now, &self.pool, &mut |p: Packet| {
-            port.borrow_mut().deliver(p)
-        });
+        self.gen
+            .offer(now, u64::MAX, &self.pool, &mut self.port.borrow_mut());
         if now >= self.horizon {
             Wake::Done
         } else {

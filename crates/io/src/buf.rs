@@ -216,8 +216,11 @@ struct PoolInner {
 /// cross worker threads in the live runtime, where the IO thread allocates
 /// through a [`MempoolCache`] and workers free whole TX bursts, so the lock
 /// is taken per burst from either side. The discrete-event runtime calls
-/// [`Mempool::alloc`] per packet from its single engine thread (an
-/// uncontended lock), which keeps pool exhaustion exact per packet.
+/// [`Mempool::alloc`] from its single engine thread (an uncontended lock)
+/// once per frame its simulated NIC admits — a frame the NIC refuses
+/// takes no buffer — which keeps pool exhaustion exact per packet. An
+/// exhausted pool loses the frame but not the slot's random draws, so
+/// what a source offers never depends on the receiver's pool.
 #[derive(Debug)]
 pub struct Mempool {
     inner: Arc<Mutex<PoolInner>>,

@@ -17,7 +17,9 @@ use nba_sim::Time;
 
 use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
+use crate::port::Port;
 use crate::proto::{self, FrameBuilder};
+use crate::toeplitz::Toeplitz;
 
 /// Frame-size distribution of a generated stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +164,7 @@ impl Default for TrafficConfig {
     }
 }
 
-/// One pre-generated flow identity.
+/// One flow identity, with the RSS hash a NIC computes from its frames.
 #[derive(Debug, Clone, Copy)]
 struct Flow {
     src_v4: u32,
@@ -171,16 +173,59 @@ struct Flow {
     dst_v6: u128,
     src_port: u16,
     dst_port: u16,
+    /// The receive-descriptor hash: `port::rss_hash` of every frame this
+    /// identity sends (the 4-tuple for UDP, the addresses for TCP).
+    rss_hash: u32,
+}
+
+impl Flow {
+    /// Draws a random identity and hashes it the way the NIC will.
+    fn draw(rng: &mut SmallRng, cfg: &TrafficConfig, nic: &Toeplitz) -> Flow {
+        let src_v4 = rng.gen();
+        let dst_v4 = rng.gen();
+        // Randomize all 96 bits below the documentation /32 so prefixes at
+        // every length see diverse traffic.
+        let src_v6 = 0x2001_0db8 << 96 | (rng.gen::<u128>() >> 32);
+        let dst_v6 = 0x2001_0db8 << 96 | (rng.gen::<u128>() >> 32);
+        let src_port = rng.gen_range(1024..u16::MAX);
+        let dst_port = rng.gen_range(1..1024);
+        let rss_hash = match (cfg.ip_version, cfg.l4) {
+            (IpVersion::V4, L4Proto::Udp) => nic.hash_ipv4_l4(src_v4, dst_v4, src_port, dst_port),
+            (IpVersion::V4, L4Proto::Tcp) => nic.hash_ipv4(src_v4, dst_v4),
+            (IpVersion::V6, _) => nic.hash_ipv6_l4(src_v6, dst_v6, src_port, dst_port),
+        };
+        Flow {
+            src_v4,
+            dst_v4,
+            src_v6,
+            dst_v6,
+            src_port,
+            dst_port,
+            rss_hash,
+        }
+    }
+}
+
+/// One slot of the stream, drawn but not yet written: everything its frame
+/// will say except the payload filler's bytes.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    len: usize,
+    ts: Time,
+    flow: Flow,
+    tcp_flags: u8,
+    tcp_seq: u32,
 }
 
 /// Generator statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GenStats {
-    /// Frames generated (offered).
+    /// Frames built. A slot the port refused builds none.
     pub generated: u64,
     /// Sum of generated frame bits.
     pub frame_bits: u64,
-    /// Frames not generated because the buffer pool was exhausted.
+    /// Slots that got no buffer because the pool was exhausted. Such a slot
+    /// still makes its draws, so the stream does not depend on the pool.
     pub alloc_failures: u64,
 }
 
@@ -192,9 +237,20 @@ struct FlowState {
 }
 
 /// A deterministic offered-load packet source.
+///
+/// Every slot of the stream is made in two steps. *Drawing* it makes its
+/// random choices — length, pacing stamp, flow, TCP flags, payload filler —
+/// and *writing* it puts the frame into a buffer. The flow's RSS hash is
+/// known from the draw, so a by-time source ([`offer`](TrafficGen::offer))
+/// can be refused by the NIC before it writes anything. A slot makes the
+/// same draws whether it is written, refused or short of a buffer, so one
+/// seed is one stream.
 pub struct TrafficGen {
     cfg: TrafficConfig,
     rng: SmallRng,
+    /// The NIC's hasher (`Port` hashes with the default key), for the
+    /// descriptor hash of every flow identity drawn.
+    nic: Toeplitz,
     flows: Vec<Flow>,
     /// Per-flow lifecycle state (TCP flags, lifetime churn).
     state: Vec<FlowState>,
@@ -202,6 +258,8 @@ pub struct TrafficGen {
     zipf_cdf: Vec<f64>,
     builder: FrameBuilder,
     next_ts: Time,
+    /// The last frame length paced and its wire time at the offered rate.
+    gap: (usize, Time),
     seq: u64,
     stats: GenStats,
 }
@@ -221,17 +279,9 @@ impl TrafficGen {
             "TCP generation is IPv4-only"
         );
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let nic = Toeplitz::default();
         let flows = (0..cfg.flows)
-            .map(|_| Flow {
-                src_v4: rng.gen(),
-                dst_v4: rng.gen(),
-                // Randomize all 96 bits below the documentation /32 so
-                // prefixes at every length see diverse traffic.
-                src_v6: 0x2001_0db8 << 96 | (rng.gen::<u128>() >> 32),
-                dst_v6: 0x2001_0db8 << 96 | (rng.gen::<u128>() >> 32),
-                src_port: rng.gen_range(1024..u16::MAX),
-                dst_port: rng.gen_range(1..1024),
-            })
+            .map(|_| Flow::draw(&mut rng, &cfg, &nic))
             .collect::<Vec<_>>();
         let zipf_cdf = if cfg.zipf_alpha > 0.0 {
             let mut acc = 0.0;
@@ -251,11 +301,13 @@ impl TrafficGen {
         TrafficGen {
             cfg,
             rng,
+            nic,
             flows,
             state,
             zipf_cdf,
             builder: FrameBuilder::default(),
             next_ts: Time::ZERO,
+            gap: (0, Time::ZERO),
             seq: 0,
             stats: GenStats::default(),
         }
@@ -289,36 +341,59 @@ impl TrafficGen {
         }
     }
 
-    /// Draws a fresh flow identity (lifetime churn replacement).
+    /// Draws a fresh flow identity (lifetime churn replacement, SYN-flood
+    /// source).
     fn fresh_flow(&mut self) -> Flow {
-        Flow {
-            src_v4: self.rng.gen(),
-            dst_v4: self.rng.gen(),
-            src_v6: 0x2001_0db8 << 96 | (self.rng.gen::<u128>() >> 32),
-            dst_v6: 0x2001_0db8 << 96 | (self.rng.gen::<u128>() >> 32),
-            src_port: self.rng.gen_range(1024..u16::MAX),
-            dst_port: self.rng.gen_range(1..1024),
+        Flow::draw(&mut self.rng, &self.cfg, &self.nic)
+    }
+
+    /// Offers every slot due strictly before `until`, at most `max_slots`
+    /// of them, to `port`; returns how many slots it offered.
+    ///
+    /// Each slot makes all its draws, then asks the port to
+    /// [`admit`](Port::admit) its flow's RSS hash. Only an admitted slot
+    /// takes a buffer from `pool` and writes its frame; a refused one
+    /// (counted by the port) allocates nothing and writes nothing. An
+    /// admitted slot the pool cannot serve is lost and counted in
+    /// [`GenStats::alloc_failures`].
+    pub fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64 {
+        let mut slots = 0;
+        while slots < max_slots && self.next_ts < until {
+            let slot = self.draw();
+            slots += 1;
+            let Some(q) = port.admit(slot.flow.rss_hash) else {
+                self.skip_payload(&slot);
+                continue;
+            };
+            match pool.alloc() {
+                Some(buf) => {
+                    let pkt = self.write(&slot, buf, pool.clone());
+                    port.enqueue(q, slot.flow.rss_hash, pkt);
+                }
+                None => self.lose(&slot),
+            }
         }
+        slots
     }
 
     /// Emits every packet due strictly before `until` into `sink`.
     ///
     /// Packets carry `ts_gen` pacing timestamps spaced so the stream's wire
     /// rate equals the configured offered load. Returns the number emitted.
-    /// A slot whose allocation fails is lost (counted, pacing advanced): an
-    /// exhausted pool drops offered load, it does not delay it.
+    /// A slot whose allocation fails is lost (counted, its draws still
+    /// made): an exhausted pool drops offered load, it neither delays nor
+    /// reshapes it.
     pub fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
         let mut emitted = 0;
         while self.next_ts < until {
-            // Advance pacing before any alloc-failure path so overload
-            // cannot stall virtual time.
-            let (len, ts) = self.next_slot();
-            let Some(buf) = pool.alloc() else {
-                self.stats.alloc_failures += 1;
-                continue;
-            };
-            emitted += 1;
-            sink(self.build(len, ts, buf, pool.clone()));
+            let slot = self.draw();
+            match pool.alloc() {
+                Some(buf) => {
+                    emitted += 1;
+                    sink(self.write(&slot, buf, pool.clone()));
+                }
+                None => self.lose(&slot),
+            }
         }
         emitted
     }
@@ -342,79 +417,105 @@ impl TrafficGen {
                 self.stats.alloc_failures += 1;
                 return emitted as u64;
             };
-            let (len, ts) = self.next_slot();
-            sink(self.build(len, ts, buf, pool));
+            let slot = self.draw();
+            sink(self.write(&slot, buf, pool));
         }
         count as u64
     }
 
-    /// Opens the next slot of the stream: samples its frame length and
-    /// advances the pacing clock and sequence number.
-    fn next_slot(&mut self) -> (usize, Time) {
+    /// Draws the next slot: samples its frame length, advances the pacing
+    /// clock and sequence number, and picks its flow, advancing that flow's
+    /// lifecycle. Every draw of the slot but the payload filler's happens
+    /// here.
+    fn draw(&mut self) -> Slot {
         let len = self.cfg.size.sample(&mut self.rng).max(self.min_len());
         let ts = self.next_ts;
-        let wire_bits = ((len + WIRE_OVERHEAD_BYTES) * 8) as f64;
-        self.next_ts += Time::from_secs_f64(wire_bits / (self.cfg.offered_gbps * 1e9));
+        if self.gap.0 != len {
+            let wire_bits = ((len + WIRE_OVERHEAD_BYTES) * 8) as f64;
+            self.gap = (
+                len,
+                Time::from_secs_f64(wire_bits / (self.cfg.offered_gbps * 1e9)),
+            );
+        }
+        self.next_ts += self.gap.1;
         self.seq += 1;
-        (len, ts)
-    }
-
-    /// Builds the frame of the slot [`next_slot`](Self::next_slot) opened
-    /// into `buf`, as a packet that returns to `pool`.
-    fn build(&mut self, len: usize, ts: Time, mut buf: PacketBuf, pool: Mempool) -> Packet {
         // SYN-flood slots come from one-shot random sources that are
         // never drawn again (no state to complete a handshake with).
         let flood = self.cfg.l4 == L4Proto::Tcp
             && self.cfg.syn_flood_per_mille > 0
             && self.rng.gen_range(0..1000) < self.cfg.syn_flood_per_mille;
-        let (flow, flags, tcp_seq) = if flood {
-            (self.fresh_flow(), proto::TCP_SYN, 0)
-        } else {
-            let idx = self.pick_flow();
-            let pkts = self.state[idx].pkts;
-            let last = self.cfg.flow_lifetime_pkts > 0 && pkts + 1 >= self.cfg.flow_lifetime_pkts;
-            let flags = if pkts == 0 {
-                proto::TCP_SYN
-            } else if last {
-                proto::TCP_FIN | proto::TCP_ACK
-            } else {
-                proto::TCP_ACK | proto::TCP_PSH
+        if flood {
+            return Slot {
+                len,
+                ts,
+                flow: self.fresh_flow(),
+                tcp_flags: proto::TCP_SYN,
+                tcp_seq: 0,
             };
-            let flow = self.flows[idx];
-            if last {
-                // Lifetime churn: the flow expires; a fresh identity
-                // arrives in its slot.
-                self.flows[idx] = self.fresh_flow();
-                self.state[idx] = FlowState::default();
-            } else {
-                self.state[idx].pkts = pkts + 1;
-            }
-            (flow, flags, pkts as u32)
+        }
+        let idx = self.pick_flow();
+        let pkts = self.state[idx].pkts;
+        let last = self.cfg.flow_lifetime_pkts > 0 && pkts + 1 >= self.cfg.flow_lifetime_pkts;
+        let tcp_flags = if pkts == 0 {
+            proto::TCP_SYN
+        } else if last {
+            proto::TCP_FIN | proto::TCP_ACK
+        } else {
+            proto::TCP_ACK | proto::TCP_PSH
         };
+        let flow = self.flows[idx];
+        if last {
+            // Lifetime churn: the flow expires; a fresh identity arrives in
+            // its slot.
+            self.flows[idx] = self.fresh_flow();
+            self.state[idx] = FlowState::default();
+        } else {
+            self.state[idx].pkts = pkts + 1;
+        }
+        Slot {
+            len,
+            ts,
+            flow,
+            tcp_flags,
+            tcp_seq: pkts as u32,
+        }
+    }
+
+    /// Writes a drawn slot's frame into `buf`, making the payload filler's
+    /// draws, as a packet that returns to `pool`.
+    fn write(&mut self, slot: &Slot, mut buf: PacketBuf, pool: Mempool) -> Packet {
+        let Slot {
+            len,
+            ts,
+            flow,
+            tcp_flags,
+            tcp_seq,
+        } = *slot;
         let frame = buf.set_region(DEFAULT_HEADROOM, len);
+        self.builder.src_port = flow.src_port;
+        self.builder.dst_port = flow.dst_port;
         match (self.cfg.ip_version, self.cfg.l4) {
             (IpVersion::V4, L4Proto::Udp) => {
-                self.builder.src_port = flow.src_port;
-                self.builder.dst_port = flow.dst_port;
                 self.builder
                     .build_ipv4(frame, len, flow.src_v4, flow.dst_v4);
-                self.fill_payload(frame, FrameBuilder::MIN_V4_LEN);
             }
             (IpVersion::V4, L4Proto::Tcp) => {
-                self.builder.src_port = flow.src_port;
-                self.builder.dst_port = flow.dst_port;
-                self.builder
-                    .build_ipv4_tcp(frame, len, flow.src_v4, flow.dst_v4, flags, tcp_seq);
-                // Payload untouched: TCP checksums cover the body, and
-                // the stateful suites verify them end to end.
+                self.builder.build_ipv4_tcp(
+                    frame,
+                    len,
+                    flow.src_v4,
+                    flow.dst_v4,
+                    tcp_flags,
+                    tcp_seq,
+                );
             }
             (IpVersion::V6, _) => {
-                self.builder.src_port = flow.src_port;
-                self.builder.dst_port = flow.dst_port;
                 self.builder
                     .build_ipv6(frame, len, flow.src_v6, flow.dst_v6);
-                self.fill_payload(frame, FrameBuilder::MIN_V6_LEN);
             }
+        }
+        if let Some(hdr_len) = self.body_offset() {
+            self.fill_payload(&mut frame[hdr_len..]);
         }
         let mut pkt = Packet::from_pool(buf, pool);
         pkt.ts_gen = ts;
@@ -423,13 +524,28 @@ impl TrafficGen {
         pkt
     }
 
-    fn fill_payload(&mut self, frame: &mut [u8], hdr_len: usize) {
-        let (needle, every) = match &self.cfg.payload {
-            PayloadFill::Zeros => return,
-            PayloadFill::Ascii => (&[][..], 0),
-            PayloadFill::Plant { needle, every } => (&needle[..], u64::from(*every)),
-        };
-        let body = &mut frame[hdr_len..];
+    /// Loses a drawn slot the pool could not serve: counted, and its payload
+    /// draws still made, so an exhausted pool changes no later frame.
+    fn lose(&mut self, slot: &Slot) {
+        self.stats.alloc_failures += 1;
+        self.skip_payload(slot);
+    }
+
+    /// Where the payload filler starts: past the UDP headers. TCP bodies
+    /// stay untouched, since TCP checksums cover the body and the stateful
+    /// suites verify them end to end.
+    fn body_offset(&self) -> Option<usize> {
+        match (self.cfg.ip_version, self.cfg.l4) {
+            (IpVersion::V4, L4Proto::Udp) => Some(FrameBuilder::MIN_V4_LEN),
+            (IpVersion::V4, L4Proto::Tcp) => None,
+            (IpVersion::V6, _) => Some(FrameBuilder::MIN_V6_LEN),
+        }
+    }
+
+    fn fill_payload(&mut self, body: &mut [u8]) {
+        if matches!(self.cfg.payload, PayloadFill::Zeros) {
+            return;
+        }
         // One draw per eight bytes: a letter from each byte of the word.
         let letters = |word: u64, out: &mut [u8]| {
             for (b, r) in out.iter_mut().zip(word.to_le_bytes()) {
@@ -444,13 +560,49 @@ impl TrafficGen {
         if !tail.is_empty() {
             letters(self.rng.gen(), tail);
         }
-        if every > 0 && self.seq.is_multiple_of(every) && body.len() >= needle.len() {
-            let at = if body.len() == needle.len() {
-                0
-            } else {
-                self.rng.gen_range(0..body.len() - needle.len())
-            };
-            body[at..at + needle.len()].copy_from_slice(needle);
+        if let Some(span) = self.plant_span(body.len()) {
+            let at = self.plant_at(span);
+            if let PayloadFill::Plant { needle, .. } = &self.cfg.payload {
+                body[at..at + needle.len()].copy_from_slice(needle);
+            }
+        }
+    }
+
+    /// Makes the draws [`fill_payload`](Self::fill_payload) would make for
+    /// the slot's body, writing nothing.
+    fn skip_payload(&mut self, slot: &Slot) {
+        let Some(hdr_len) = self.body_offset() else {
+            return;
+        };
+        if matches!(self.cfg.payload, PayloadFill::Zeros) {
+            return;
+        }
+        let body_len = slot.len - hdr_len;
+        for _ in 0..body_len.div_ceil(8) {
+            self.rng.gen::<u64>();
+        }
+        if let Some(span) = self.plant_span(body_len) {
+            self.plant_at(span);
+        }
+    }
+
+    /// Whether the current slot plants the needle into a body of
+    /// `body_len` bytes, and if so how many start offsets it may take
+    /// (0: the needle fills the body).
+    fn plant_span(&self, body_len: usize) -> Option<usize> {
+        let PayloadFill::Plant { needle, every } = &self.cfg.payload else {
+            return None;
+        };
+        let due = *every > 0 && self.seq.is_multiple_of(u64::from(*every));
+        (due && body_len >= needle.len()).then(|| body_len - needle.len())
+    }
+
+    /// Draws where the needle starts, among `span` offsets.
+    fn plant_at(&mut self, span: usize) -> usize {
+        if span == 0 {
+            0
+        } else {
+            self.rng.gen_range(0..span)
         }
     }
 }
@@ -777,14 +929,29 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_counts_failures_but_time_advances() {
+        // The same windows over an unbounded pool: the stream a remote
+        // generator sends, whatever the receiver's pool says.
+        let (whole, _) = run_gen(TrafficConfig::default(), Time::from_us(30));
+        let same_slot_in_whole = |p: &Packet| {
+            let twin = whole.iter().find(|w| w.ts_gen == p.ts_gen).unwrap();
+            assert_eq!(p.data(), twin.data(), "frame at {:?}", p.ts_gen);
+        };
         let pool = Mempool::new(4);
         let mut gen = TrafficGen::new(TrafficConfig::default());
         let mut kept = Vec::new();
         gen.generate(Time::from_us(10), &pool, &mut |p| kept.push(p));
         assert_eq!(kept.len(), 4);
         assert!(gen.stats().alloc_failures > 0);
-        // Later windows still progress.
+        // Later windows still progress, and stay empty while the pool is dry.
         let n = gen.generate(Time::from_us(20), &pool, &mut |_p| {});
         assert_eq!(n, 0);
+        // Once the buffers come back, the frames are the unbounded run's:
+        // the lost slots made their flow draws too.
+        kept.iter().for_each(same_slot_in_whole);
+        kept.clear();
+        gen.generate(Time::from_us(30), &pool, &mut |p| kept.push(p));
+        assert_eq!(kept.len(), 4);
+        assert!(kept[0].ts_gen >= Time::from_us(20));
+        kept.iter().for_each(same_slot_in_whole);
     }
 }

@@ -11,18 +11,24 @@ use nba_sim::Time;
 
 use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
+use crate::port::{rss_hash, Port};
+use crate::toeplitz::Toeplitz;
 
 /// Anything that can emit timestamped packets into the runtime.
 ///
 /// Implemented by the synthetic [`crate::gen::TrafficGen`] and by
 /// [`Replay`]. One stream, two ways to ask for it: the discrete-event
-/// runtime asks by virtual time ([`generate`](PacketSource::generate)), the
-/// live runtime's IO threads ask by count
-/// ([`generate_burst`](PacketSource::generate_burst)).
+/// runtime offers it to a simulated NIC by virtual time
+/// ([`offer`](PacketSource::offer)), the live runtime's IO threads ask by
+/// count ([`generate_burst`](PacketSource::generate_burst)).
 pub trait PacketSource {
-    /// Emits every packet due strictly before `until` into `sink`, pacing
-    /// `ts_gen` timestamps accordingly. Returns the number emitted.
-    fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64;
+    /// Offers every slot due strictly before `until`, at most `max_slots`
+    /// of them, to `port`, pacing `ts_gen` timestamps accordingly; returns
+    /// how many slots were offered. Each slot is put to the port's
+    /// [`admit`](Port::admit) rule by its descriptor RSS hash *before* a
+    /// buffer is taken from `pool` or a byte written, so a frame the NIC
+    /// refuses never exists. Admitted frames are enqueued on the port.
+    fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64;
 
     /// Emits the next `count` packets of the stream into `sink`, allocating
     /// through the calling thread's `cache`. Returns the number emitted:
@@ -36,8 +42,8 @@ pub trait PacketSource {
 }
 
 impl PacketSource for crate::gen::TrafficGen {
-    fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
-        crate::gen::TrafficGen::generate(self, until, pool, sink)
+    fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64 {
+        crate::gen::TrafficGen::offer(self, until, max_slots, pool, port)
     }
 
     fn generate_burst(
@@ -158,6 +164,8 @@ pub fn read_pcap<R: Read>(mut input: R) -> io::Result<Vec<TraceRecord>> {
 /// looping the trace as long as the runtime asks for packets.
 pub struct Replay {
     records: Vec<TraceRecord>,
+    /// Each record's receive-descriptor RSS hash, under the NIC's key.
+    hashes: Vec<u32>,
     offered_gbps: f64,
     next_ts: Time,
     idx: usize,
@@ -173,8 +181,11 @@ impl Replay {
     pub fn new(records: Vec<TraceRecord>, offered_gbps: f64) -> Replay {
         assert!(!records.is_empty(), "cannot replay an empty trace");
         assert!(offered_gbps > 0.0, "offered load must be positive");
+        let nic = Toeplitz::default();
+        let hashes = records.iter().map(|r| rss_hash(&nic, &r.frame)).collect();
         Replay {
             records,
+            hashes,
             offered_gbps,
             next_ts: Time::ZERO,
             idx: 0,
@@ -186,9 +197,7 @@ impl Replay {
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
-}
 
-impl Replay {
     /// Opens the next slot: the record to replay and its pacing timestamp.
     fn next_slot(&mut self) -> (usize, Time) {
         let idx = self.idx;
@@ -210,17 +219,21 @@ impl Replay {
 }
 
 impl PacketSource for Replay {
-    fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
-        let mut n = 0;
-        while self.next_ts < until {
+    fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64 {
+        let mut slots = 0;
+        while slots < max_slots && self.next_ts < until {
             let (idx, ts) = self.next_slot();
-            let Some(buf) = pool.alloc() else {
+            slots += 1;
+            let hash = self.hashes[idx];
+            let Some(q) = port.admit(hash) else {
                 continue;
             };
-            n += 1;
-            sink(self.build(idx, ts, buf, pool.clone()));
+            if let Some(buf) = pool.alloc() {
+                let pkt = self.build(idx, ts, buf, pool.clone());
+                port.enqueue(q, hash, pkt);
+            }
         }
-        n
+        slots
     }
 
     fn generate_burst(
@@ -240,20 +253,22 @@ impl PacketSource for Replay {
     }
 }
 
-/// Caps any [`PacketSource`] at a fixed packet budget.
+/// Caps any [`PacketSource`] at a fixed budget of stream slots.
 ///
 /// The differential conformance suite runs the same seeded generator under
 /// two very different clocks (the DES virtual clock and the live runtime's
-/// real time); a budget makes "the first `n` packets" a well-defined
-/// workload on both, since generator output depends only on the RNG
-/// sequence, never on wall time.
+/// real time); a budget makes "the first `n` slots" a well-defined workload
+/// on both, since generator output depends only on the RNG sequence, never
+/// on wall time. By time, every offered slot counts, whether the NIC
+/// admitted it or not; by count, every emitted packet (a burst never skips
+/// a slot).
 pub struct Limited<S> {
     inner: S,
     remaining: u64,
 }
 
 impl<S> Limited<S> {
-    /// Wraps `inner`, allowing at most `budget` packets in total.
+    /// Wraps `inner`, allowing at most `budget` slots in total.
     pub fn new(inner: S, budget: u64) -> Limited<S> {
         Limited {
             inner,
@@ -261,7 +276,7 @@ impl<S> Limited<S> {
         }
     }
 
-    /// Packets still allowed.
+    /// Slots still allowed.
     pub fn remaining(&self) -> u64 {
         self.remaining
     }
@@ -273,22 +288,12 @@ impl<S> Limited<S> {
 }
 
 impl<S: PacketSource> PacketSource for Limited<S> {
-    fn generate(&mut self, until: Time, pool: &Mempool, sink: &mut dyn FnMut(Packet)) -> u64 {
-        if self.remaining == 0 {
-            return 0;
-        }
-        let mut emitted = 0u64;
-        let remaining = &mut self.remaining;
-        self.inner.generate(until, pool, &mut |pkt| {
-            // Excess packets of the final window are discarded here; their
-            // buffers return to the pool on drop.
-            if *remaining > 0 {
-                *remaining -= 1;
-                emitted += 1;
-                sink(pkt);
-            }
-        });
-        emitted
+    fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64 {
+        let slots = self
+            .inner
+            .offer(until, max_slots.min(self.remaining), pool, port);
+        self.remaining -= slots;
+        slots
     }
 
     fn generate_burst(
@@ -297,7 +302,6 @@ impl<S: PacketSource> PacketSource for Limited<S> {
         cache: &mut MempoolCache,
         sink: &mut dyn FnMut(Packet),
     ) -> u64 {
-        // Asking by count never over-generates, so nothing is discarded.
         let count = count.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
         let emitted = self.inner.generate_burst(count, cache, sink);
         self.remaining -= emitted;
@@ -341,21 +345,52 @@ mod tests {
         assert!(read_pcap(&wrong_link[..]).is_err());
     }
 
+    /// A port with one RX queue of `depth` descriptors.
+    fn port(depth: usize) -> Port {
+        Port::new(0, 10.0, 1, depth)
+    }
+
+    /// Everything queued on the port, in arrival order.
+    fn drain(port: &Port) -> Vec<Packet> {
+        std::iter::from_fn(|| port.rx_queue(0).pop()).collect()
+    }
+
     #[test]
     fn limited_caps_emission_exactly() {
         let pool = Mempool::new(1 << 12);
+        let mut nic = port(1 << 12);
         let mut capped = Limited::new(TrafficGen::new(TrafficConfig::default()), 100);
-        let mut got = 0u64;
-        // Far more than 100 packets' worth of virtual time.
-        let n = capped.generate(Time::from_ms(10), &pool, &mut |_p| got += 1);
+        // Far more than 100 slots' worth of virtual time.
+        let n = capped.offer(Time::from_ms(10), u64::MAX, &pool, &mut nic);
         assert_eq!(n, 100);
-        assert_eq!(got, 100);
+        assert_eq!(drain(&nic).len(), 100);
         assert!(capped.exhausted());
         assert_eq!(
-            capped.generate(Time::from_ms(20), &pool, &mut |_p| got += 1),
+            capped.offer(Time::from_ms(20), u64::MAX, &pool, &mut nic),
             0
         );
-        assert_eq!(got, 100);
+        assert_eq!(nic.counters().rx_delivered, 100);
+    }
+
+    #[test]
+    fn limited_counts_offered_slots_not_admitted_frames() {
+        // Eight descriptors for a 100-slot budget: the port refuses most
+        // slots, and every refusal spends budget like an admission does.
+        let pool = Mempool::new(1 << 12);
+        let mut nic = Port::new(0, 10.0, 2, 4);
+        let mut capped = Limited::new(TrafficGen::new(TrafficConfig::default()), 100);
+        assert_eq!(capped.offer(Time::from_us(5), 30, &pool, &mut nic), 30);
+        assert_eq!(capped.remaining(), 70);
+        assert_eq!(
+            capped.offer(Time::from_ms(10), u64::MAX, &pool, &mut nic),
+            70
+        );
+        assert!(capped.exhausted());
+        let c = nic.counters();
+        assert_eq!(c.rx_delivered + c.rx_dropped, 100);
+        assert!(c.rx_delivered <= 8 && c.rx_dropped >= 92, "{c:?}");
+        // Refused frames never took a buffer.
+        assert_eq!(pool.stats().allocs, c.rx_delivered);
     }
 
     #[test]
@@ -368,11 +403,10 @@ mod tests {
         });
         assert!(frames.len() > 50);
 
+        let mut nic = port(64);
         let mut capped = Limited::new(TrafficGen::new(TrafficConfig::default()), 50);
-        let mut prefix = Vec::new();
-        capped.generate(Time::from_ms(1), &pool, &mut |p| {
-            prefix.push(p.data().to_vec());
-        });
+        capped.offer(Time::from_ms(1), u64::MAX, &pool, &mut nic);
+        let prefix: Vec<Vec<u8>> = drain(&nic).iter().map(|p| p.data().to_vec()).collect();
         assert_eq!(prefix.len(), 50);
         assert_eq!(&frames[..50], &prefix[..]);
     }
@@ -454,13 +488,14 @@ mod tests {
         // ...then replay it and compare frame bytes in order.
         let recs = read_pcap(&file[..]).unwrap();
         let mut replay = Replay::new(recs, 10.0);
-        let mut replayed = Vec::new();
-        replay.generate(Time::from_us(200), &pool, &mut |p| {
-            replayed.push(p.data().to_vec());
-        });
+        let mut nic = port(1 << 12);
+        replay.offer(Time::from_us(200), u64::MAX, &pool, &mut nic);
+        let replayed = drain(&nic);
         assert!(replayed.len() >= captured.len().min(8));
         for (a, b) in captured.iter().zip(&replayed) {
-            assert_eq!(a, b);
+            assert_eq!(a, b.data());
+            // The per-record descriptor hash is the NIC's hash of the bytes.
+            assert_eq!(b.rss_hash, rss_hash(&Toeplitz::default(), a));
         }
     }
 
@@ -472,10 +507,11 @@ mod tests {
         }];
         let pool = Mempool::new(1 << 12);
         let mut r = Replay::new(recs, 10.0);
-        let mut count = 0u64;
-        r.generate(Time::from_us(100), &pool, &mut |_p| count += 1);
+        let mut nic = port(1 << 12);
+        let count = r.offer(Time::from_us(100), u64::MAX, &pool, &mut nic);
         // 10 Gbps of 64-byte frames = one per 67.2 ns => ~1488 in 100 us.
         assert!((1400..1600).contains(&count), "count = {count}");
+        assert_eq!(nic.counters().rx_delivered, count);
         assert_eq!(r.emitted(), count);
     }
 }

@@ -7,6 +7,14 @@
 //! is dropped, which is how the simulation expresses "the port is the
 //! bottleneck, not the CPU" — exactly the regime of the paper's line-rate
 //! results.
+//!
+//! RX has one admission rule, [`Port::admit`]: the RSS hash picks a queue
+//! and a queue with no free descriptor refuses the frame. A NIC decides
+//! this from the receive descriptor, before the frame reaches host memory,
+//! so the simulated sources ([`crate::PacketSource::offer`]) ask *before*
+//! they take a buffer or write a byte, and a refused frame costs the host
+//! nothing. [`Port::deliver`] is the same rule for a frame that already
+//! exists: hash its headers, admit, enqueue.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,7 +32,7 @@ use crate::toeplitz::{queue_for_hash, Toeplitz};
 pub struct PortCounters {
     /// Frames delivered into RX queues.
     pub rx_delivered: u64,
-    /// Frames dropped because the target RX queue was full.
+    /// Frames refused because their RX queue was full ([`Port::admit`]).
     pub rx_dropped: u64,
     /// Frames transmitted.
     pub tx_frames: u64,
@@ -135,21 +143,43 @@ impl Port {
         Time::from_secs_f64(wire_bits as f64 / self.speed_bps)
     }
 
-    /// Delivers an arriving frame: computes the RSS hash from the headers,
-    /// selects an RX queue, and enqueues (or drops on overflow).
-    pub fn deliver(&mut self, mut pkt: Packet) {
-        let hash = rss_hash(&self.hasher, pkt.data());
+    /// The port's one admission rule: the RX queue a frame with RSS hash
+    /// `hash` steers to, if that queue has a free descriptor. A refusal is
+    /// counted as an RX drop. A source holds the port mutably from this
+    /// answer until it enqueues the frame, so an admitted frame always fits.
+    pub fn admit(&mut self, hash: u32) -> Option<u16> {
         let q = match &self.rss {
             Some(t) => t.worker_for(hash),
             None => queue_for_hash(hash, self.rx_queue_count()),
         };
+        if self.rx_queues[usize::from(q)].free_space() == 0 {
+            self.counters.rx_dropped += 1;
+            return None;
+        }
+        Some(q)
+    }
+
+    /// Places a frame [`admit`](Port::admit) accepted onto RX queue `q`,
+    /// stamping its RSS hash, ingress port and queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if queue `q` is full, i.e. the frame was not admitted.
+    pub(crate) fn enqueue(&mut self, q: u16, hash: u32, mut pkt: Packet) {
         pkt.rss_hash = hash;
         pkt.port_in = self.id;
         pkt.queue_in = q;
-        // Overflow drops are counted by the queue itself and folded into
-        // `counters()`.
-        if self.rx_queues[usize::from(q)].push(pkt).is_ok() {
-            self.counters.rx_delivered += 1;
+        let pushed = self.rx_queues[usize::from(q)].push(pkt).is_ok();
+        assert!(pushed, "RX queue {q} is full: the frame was never admitted");
+        self.counters.rx_delivered += 1;
+    }
+
+    /// Delivers a frame that already exists: hashes its headers, then
+    /// [`admit`](Port::admit)s and enqueues it (or drops it on overflow).
+    pub fn deliver(&mut self, pkt: Packet) {
+        let hash = rss_hash(&self.hasher, pkt.data());
+        if let Some(q) = self.admit(hash) {
+            self.enqueue(q, hash, pkt);
         }
     }
 
@@ -170,14 +200,15 @@ impl Port {
 
     /// A copy of the counters.
     pub fn counters(&self) -> PortCounters {
-        let mut c = self.counters;
-        c.rx_dropped += self.rx_queues.iter().map(|q| q.dropped()).sum::<u64>();
-        c
+        self.counters
     }
 }
 
-/// Computes the RSS hash of a frame the way the NIC would: 4-tuple for
-/// TCP/UDP, 2-tuple for other IP, 0 for non-IP.
+/// Computes the RSS hash of a frame the way the modelled NIC does: the
+/// 4-tuple for UDP, the address 2-tuple for TCP and other IP, 0 for non-IP.
+///
+/// The NIC does not hash TCP ports, so a TCP flow's hash depends on its
+/// addresses alone — never on a header field that changes along the flow.
 pub fn rss_hash(hasher: &Toeplitz, frame: &[u8]) -> u32 {
     let Ok(eth) = EtherView::parse(frame) else {
         return 0;
@@ -187,14 +218,10 @@ pub fn rss_hash(hasher: &Toeplitz, frame: &[u8]) -> u32 {
             let Ok(ip) = Ipv4View::parse(eth.payload()) else {
                 return 0;
             };
-            match ip.protocol() {
-                proto::IPPROTO_UDP | proto::IPPROTO_TCP => match UdpView::parse(ip.payload()) {
-                    // TCP ports sit at the same offsets as UDP's.
-                    Ok(udp) => {
-                        hasher.hash_ipv4_l4(ip.src(), ip.dst(), udp.src_port(), udp.dst_port())
-                    }
-                    Err(_) => hasher.hash_ipv4(ip.src(), ip.dst()),
-                },
+            match (ip.protocol(), UdpView::parse(ip.payload())) {
+                (proto::IPPROTO_UDP, Ok(udp)) => {
+                    hasher.hash_ipv4_l4(ip.src(), ip.dst(), udp.src_port(), udp.dst_port())
+                }
                 _ => hasher.hash_ipv4(ip.src(), ip.dst()),
             }
         }
@@ -202,13 +229,10 @@ pub fn rss_hash(hasher: &Toeplitz, frame: &[u8]) -> u32 {
             let Ok(ip) = Ipv6View::parse(eth.payload()) else {
                 return 0;
             };
-            match ip.next_header() {
-                proto::IPPROTO_UDP | proto::IPPROTO_TCP => match UdpView::parse(ip.payload()) {
-                    Ok(udp) => {
-                        hasher.hash_ipv6_l4(ip.src(), ip.dst(), udp.src_port(), udp.dst_port())
-                    }
-                    Err(_) => hasher.hash_ipv6(ip.src(), ip.dst()),
-                },
+            match (ip.next_header(), UdpView::parse(ip.payload())) {
+                (proto::IPPROTO_UDP, Ok(udp)) => {
+                    hasher.hash_ipv6_l4(ip.src(), ip.dst(), udp.src_port(), udp.dst_port())
+                }
                 _ => hasher.hash_ipv6(ip.src(), ip.dst()),
             }
         }
@@ -257,6 +281,25 @@ mod tests {
     }
 
     #[test]
+    fn admit_refuses_a_full_queue_and_counts_the_drop() {
+        // Two one-descriptor queues; hashes 0 and 2 steer to queue 0, 1 to 1.
+        let mut port = Port::new(3, 10.0, 2, 1);
+        assert_eq!(port.admit(0), Some(0));
+        port.enqueue(0, 0, udp_frame(1, 2, 64));
+        assert_eq!(port.admit(2), None);
+        assert_eq!(port.admit(1), Some(1));
+        let c = port.counters();
+        assert_eq!((c.rx_delivered, c.rx_dropped), (1, 1));
+        let pkt = port.rx_queue(0).pop().unwrap();
+        assert_eq!((pkt.rss_hash, pkt.port_in, pkt.queue_in), (0, 3, 0));
+        // `deliver` is the same rule behind a header hash.
+        let frame = udp_frame(7, 9, 64);
+        let q = queue_for_hash(rss_hash(&Toeplitz::default(), frame.data()), 2);
+        port.deliver(frame);
+        assert_eq!(port.rx_queue(q).len(), 1);
+    }
+
+    #[test]
     fn wire_time_of_min_frame_at_10g() {
         let port = Port::new(0, 10.0, 1, 64);
         // 672 bits at 10 Gbps = 67.2 ns.
@@ -295,6 +338,34 @@ mod tests {
         assert!((512..=520).contains(&sent), "sent = {sent}");
         assert!(dropped > 0);
         assert_eq!(port.counters().tx_dropped as u32, dropped);
+    }
+
+    #[test]
+    fn tcp_hashes_on_addresses_whatever_the_sequence_number() {
+        // A sequence number whose high half would read as a valid UDP
+        // length must not move the flow to another queue.
+        let hasher = Toeplitz::default();
+        let b = FrameBuilder {
+            src_port: 40_000,
+            dst_port: 80,
+            ..FrameBuilder::default()
+        };
+        for seq in [0, 7 << 16, 16 << 16, 40 << 16] {
+            let mut frame = vec![0u8; 128];
+            b.build_ipv4_tcp(
+                &mut frame,
+                128,
+                0x0a00_0001,
+                0xc0a8_0001,
+                proto::TCP_ACK,
+                seq,
+            );
+            assert_eq!(
+                rss_hash(&hasher, &frame),
+                hasher.hash_ipv4(0x0a00_0001, 0xc0a8_0001),
+                "seq {seq:#x}"
+            );
+        }
     }
 
     #[test]

@@ -27,52 +27,58 @@ pub const SYMMETRIC_RSS_KEY: [u8; 40] = {
     key
 };
 
+#[cfg(test)]
+mod bit_serial;
+
+/// Input byte positions the 320-bit key reaches: byte `i` is hashed against
+/// key bits `8i .. 8i + 39`, so from byte 40 on every window is past the
+/// key and contributes nothing.
+const KEY_REACH: usize = 40;
+
 /// A Toeplitz hasher with a fixed key.
+///
+/// The hash is linear over XOR, so each input byte contributes a 32-bit
+/// value that depends only on the byte and its position. Construction
+/// tabulates those contributions for every position the key reaches, and
+/// [`hash`](Toeplitz::hash) is one lookup and one XOR per input byte.
 #[derive(Debug, Clone)]
 pub struct Toeplitz {
-    key: [u8; 40],
+    /// `table[i][b]`: what byte value `b` at input position `i` XORs into
+    /// the hash.
+    table: Box<[[u32; 256]]>,
 }
 
 impl Default for Toeplitz {
     fn default() -> Self {
-        Toeplitz {
-            key: DEFAULT_RSS_KEY,
-        }
+        Toeplitz::with_key(DEFAULT_RSS_KEY)
     }
 }
 
 impl Toeplitz {
     /// Creates a hasher with a custom 40-byte key.
     pub fn with_key(key: [u8; 40]) -> Toeplitz {
-        Toeplitz { key }
+        let mut table = vec![[0u32; 256]; KEY_REACH].into_boxed_slice();
+        for (pos, row) in table.iter_mut().enumerate() {
+            // Fill from the least significant bit up: once the values
+            // below `high` are known, each `high | low` adds one bit's
+            // 32-bit key window to `low`'s.
+            for bit in (0..8).rev() {
+                let window = key_window(&key, pos * 8 + bit);
+                let high = 0x80 >> bit;
+                for low in 0..high {
+                    row[high | low] = row[low] ^ window;
+                }
+            }
+        }
+        Toeplitz { table }
     }
 
     /// Hashes an arbitrary big-endian input byte string.
     pub fn hash(&self, input: &[u8]) -> u32 {
-        // The running 32-bit key window starts at the key's first 4 bytes
-        // and shifts left one bit per input bit.
-        let mut window = u64::from(u32::from_be_bytes(self.key[0..4].try_into().unwrap())) << 32
-            | u64::from(u32::from_be_bytes(self.key[4..8].try_into().unwrap()));
-        let mut next_key_byte = 8;
-        let mut bits_used = 0u32;
-        let mut result = 0u32;
-        for &byte in input {
-            for bit in (0..8).rev() {
-                if byte >> bit & 1 == 1 {
-                    result ^= (window >> 32) as u32;
-                }
-                window <<= 1;
-                bits_used += 1;
-                if bits_used == 8 {
-                    bits_used = 0;
-                    if next_key_byte < self.key.len() {
-                        window |= u64::from(self.key[next_key_byte]);
-                        next_key_byte += 1;
-                    }
-                }
-            }
-        }
-        result
+        input
+            .iter()
+            .zip(self.table.iter())
+            .fold(0, |hash, (&byte, row)| hash ^ row[usize::from(byte)])
     }
 
     /// Hashes an IPv4 2-tuple (source address, destination address).
@@ -110,6 +116,17 @@ impl Toeplitz {
         input[34..36].copy_from_slice(&dst_port.to_be_bytes());
         self.hash(&input)
     }
+}
+
+/// The 32 key bits starting at bit `at` (bits past the key's end are zero):
+/// the window a set input bit at offset `at` XORs into the hash.
+fn key_window(key: &[u8; 40], at: usize) -> u32 {
+    let byte = |i: usize| u64::from(key.get(i).copied().unwrap_or(0));
+    let first = at / 8;
+    let word = (0..5).fold(0u64, |w, i| w << 8 | byte(first + i));
+    // `word` holds 40 key bits from the byte containing `at`; drop the
+    // `at % 8` leading ones and keep the next 32.
+    ((word << (at % 8)) >> 8) as u32
 }
 
 /// Maps a 32-bit RSS hash onto `queues` RX queues via the low-order bits of
@@ -217,5 +234,25 @@ mod tests {
     #[test]
     fn empty_input_hashes_to_zero() {
         assert_eq!(Toeplitz::default().hash(&[]), 0);
+    }
+
+    #[test]
+    fn every_byte_at_every_position_matches_the_bit_serial_hash() {
+        // Past the key's reach too: bytes from position 40 on add nothing.
+        for key in [DEFAULT_RSS_KEY, SYMMETRIC_RSS_KEY] {
+            let t = Toeplitz::with_key(key);
+            let mut input = [0u8; KEY_REACH + 8];
+            for pos in 0..input.len() {
+                for byte in 0..=255 {
+                    input[pos] = byte;
+                    assert_eq!(
+                        t.hash(&input[..=pos]),
+                        bit_serial::hash(&key, &input[..=pos]),
+                        "byte {byte:#04x} at {pos}"
+                    );
+                }
+                input[pos] = 0;
+            }
+        }
     }
 }

@@ -2,14 +2,118 @@
 
 use proptest::prelude::*;
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use nba_io::buf::{Mempool, MempoolCache, PacketBuf};
 use nba_io::checksum;
+use nba_io::port::rss_hash;
 use nba_io::proto::FrameBuilder;
 use nba_io::spsc;
 use nba_io::toeplitz::{queue_for_hash, Toeplitz};
-use nba_io::Packet;
+use nba_io::{IpVersion, L4Proto, Packet, PayloadFill, Port, SizeDist, TrafficConfig, TrafficGen};
+use nba_sim::Time;
+
+/// One generator shape per `kind`: v4 UDP, v4 TCP with lifetime churn and a
+/// SYN flood, v6, Zipf-skewed, sequential; `payload` picks zero, ASCII or
+/// planted UDP bodies (TCP bodies are never filled).
+fn traffic(kind: u8, payload: u8, imix: bool, seed: u64) -> TrafficConfig {
+    let base = TrafficConfig {
+        offered_gbps: 40.0,
+        size: if imix {
+            SizeDist::Imix
+        } else {
+            SizeDist::Fixed(64)
+        },
+        flows: 64,
+        payload: match payload {
+            0 => PayloadFill::Zeros,
+            1 => PayloadFill::Ascii,
+            _ => PayloadFill::Plant {
+                needle: b"ATTACK1".to_vec(),
+                every: 3,
+            },
+        },
+        seed,
+        ..TrafficConfig::default()
+    };
+    match kind {
+        0 => base,
+        1 => TrafficConfig {
+            l4: L4Proto::Tcp,
+            flow_lifetime_pkts: 5,
+            syn_flood_per_mille: 200,
+            ..base
+        },
+        2 => TrafficConfig {
+            ip_version: IpVersion::V6,
+            ..base
+        },
+        3 => TrafficConfig {
+            zipf_alpha: 1.1,
+            ..base
+        },
+        _ => TrafficConfig {
+            sequential: true,
+            ..base
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// What the DES source offers a port: (a) every enqueued frame carries
+    /// the descriptor hash the NIC computes from its bytes; (b) refusal
+    /// does not change the stream — the frames that get through 2-slot
+    /// queues are exactly the unconstrained stream's frames at the same
+    /// `ts_gen`; (c) every offered slot is either delivered or refused.
+    #[test]
+    fn offered_frames_carry_the_nic_hash_and_refusal_keeps_the_stream(
+        kind in 0u8..5,
+        payload in 0u8..3,
+        imix in any::<bool>(),
+        queues in 1u16..5,
+        seed in any::<u64>(),
+    ) {
+        let cfg = traffic(kind, payload, imix, seed);
+        let horizon = Time::from_us(12);
+        let pool = Mempool::new(1 << 12);
+        let mut whole: HashMap<Time, Vec<u8>> = HashMap::new();
+        TrafficGen::new(cfg.clone()).generate(horizon, &pool, &mut |p| {
+            whole.insert(p.ts_gen, p.data().to_vec());
+        });
+
+        let nic = Toeplitz::default();
+        let mut port = Port::new(0, 10.0, queues, 2);
+        let mut gen = TrafficGen::new(cfg);
+        let (mut slots, mut admitted) = (0, 0u64);
+        let mut check = |port: &Port| -> Result<(), TestCaseError> {
+            for q in 0..queues {
+                while let Some(p) = port.rx_queue(q).pop() {
+                    prop_assert_eq!(p.rss_hash, rss_hash(&nic, p.data()));
+                    prop_assert_eq!(p.queue_in, q);
+                    prop_assert_eq!(Some(p.data()), whole.get(&p.ts_gen).map(Vec::as_slice));
+                    admitted += 1;
+                }
+            }
+            Ok(())
+        };
+        // Drain every third half-microsecond window: the queues overflow
+        // in between.
+        for step in 1..=24 {
+            slots += gen.offer(Time::from_ns(step * 500), u64::MAX, &pool, &mut port);
+            if step % 3 == 0 {
+                check(&port)?;
+            }
+        }
+        prop_assert_eq!(slots, whole.len() as u64);
+        let c = port.counters();
+        prop_assert_eq!(c.rx_delivered + c.rx_dropped, slots);
+        prop_assert_eq!(c.rx_delivered, admitted);
+        prop_assert!(c.rx_dropped > 0, "no slot was refused");
+        prop_assert_eq!(gen.stats().generated, admitted);
+    }
+}
 
 proptest! {
     /// The incremental checksum update (RFC 1624) always agrees with a

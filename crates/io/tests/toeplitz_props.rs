@@ -1,14 +1,31 @@
 //! RSS steering invariants the scale-out live runtime depends on:
 //! determinism (a flow always lands on the same worker), symmetry under
 //! the symmetric key (both directions of a connection land on the same
-//! worker), and bounded skew (uniform flows spread across queues).
+//! worker), and bounded skew (uniform flows spread across queues) — plus
+//! the byte-table hasher's agreement with the specification's bit-serial
+//! definition.
 
 use proptest::prelude::*;
 
 use nba_io::toeplitz::{queue_for_hash, Toeplitz, DEFAULT_RSS_KEY, SYMMETRIC_RSS_KEY};
 
+#[path = "../src/toeplitz/bit_serial.rs"]
+mod bit_serial;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The byte-table hash equals the bit-serial reference on any input up
+    /// to the longest RSS tuple (IPv6 addresses + ports, 36 bytes) and
+    /// beyond, under both shipped keys.
+    #[test]
+    fn byte_table_equals_bit_serial(
+        input in proptest::collection::vec(any::<u8>(), 0..=44),
+        symmetric in any::<bool>(),
+    ) {
+        let key = if symmetric { SYMMETRIC_RSS_KEY } else { DEFAULT_RSS_KEY };
+        prop_assert_eq!(Toeplitz::with_key(key).hash(&input), bit_serial::hash(&key, &input));
+    }
 
     /// Flow affinity: the same 5-tuple always maps to the same queue, for
     /// any queue count — the property that lets each worker own per-flow

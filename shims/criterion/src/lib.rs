@@ -2,10 +2,11 @@
 //!
 //! The build environment has no registry access, so benches link against
 //! this API-compatible subset instead. It does no statistical analysis:
-//! each benchmark body is warmed briefly, timed over a fixed number of
-//! iterations, and a single mean-time line is printed (with throughput
-//! when configured). Good for smoke-running benches and catching
-//! regressions by eye; not a measurement-grade harness.
+//! each benchmark body is warmed briefly, timed over rounds of doubling
+//! iteration counts until one round lasts long enough to swamp the clock
+//! reads, and that round's mean is printed as a single line (with
+//! throughput when configured). Good for smoke-running benches and
+//! catching regressions by eye; not a measurement-grade harness.
 
 #![forbid(unsafe_code)]
 
@@ -48,11 +49,14 @@ impl std::fmt::Display for BenchmarkId {
 
 /// Passed to benchmark closures; drives the timed iterations.
 pub struct Bencher {
-    mean: Duration,
+    mean_ns: f64,
 }
 
 const WARMUP_ITERS: u32 = 3;
+/// Iterations of the first timed round.
 const TIMED_ITERS: u32 = 30;
+/// A round at least this long is the measurement.
+const MIN_ROUND: Duration = Duration::from_millis(20);
 
 impl Bencher {
     /// Times `routine`, storing the mean per-iteration duration.
@@ -60,20 +64,26 @@ impl Bencher {
         for _ in 0..WARMUP_ITERS {
             black_box(routine());
         }
-        let start = Instant::now();
-        for _ in 0..TIMED_ITERS {
-            black_box(routine());
+        let mut iters = TIMED_ITERS;
+        loop {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            let elapsed = start.elapsed();
+            if elapsed >= MIN_ROUND || iters >= u32::MAX / 2 {
+                self.mean_ns = elapsed.as_secs_f64() * 1e9 / f64::from(iters);
+                return;
+            }
+            iters *= 2;
         }
-        self.mean = start.elapsed() / TIMED_ITERS;
     }
 }
 
 fn run_one(name: &str, throughput: Option<Throughput>, f: impl FnOnce(&mut Bencher)) {
-    let mut b = Bencher {
-        mean: Duration::ZERO,
-    };
+    let mut b = Bencher { mean_ns: 0.0 };
     f(&mut b);
-    let ns = b.mean.as_nanos().max(1) as f64;
+    let ns = b.mean_ns.max(0.1);
     let rate = match throughput {
         Some(Throughput::Bytes(n)) => {
             format!("  {:>10.1} MiB/s", n as f64 / ns * 1e9 / (1024.0 * 1024.0))

@@ -128,7 +128,15 @@ macro_rules! impl_sample_uniform {
                 let span = (hi as u128)
                     .wrapping_sub(lo as u128)
                     .wrapping_add(u128::from(inclusive));
-                lo.wrapping_add((u128::from(rng.next_u64()) % span) as $t)
+                let x = rng.next_u64();
+                // The same remainder either way; a 64-bit division is the
+                // cheap one, and only the full inclusive u64 range needs 65
+                // bits of span.
+                let offset = match u64::try_from(span) {
+                    Ok(span) => x % span,
+                    Err(_) => x,
+                };
+                lo.wrapping_add(offset as $t)
             }
         }
     )*};

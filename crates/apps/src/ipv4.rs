@@ -356,13 +356,11 @@ impl Element for IPLookup {
 
     fn post_offload(&mut self, _: &mut ElemCtx<'_>, batch: &mut nba_core::batch::PacketBatch) {
         // The kernel marks lookup misses with u64::MAX: drop those.
-        let live: Vec<usize> = batch.live_indices().collect();
-        for i in live {
-            if batch.anno(i).get(anno::IFACE_OUT) == u64::MAX {
-                batch.set_result(i, PacketResult::Drop);
-            } else {
-                batch.set_result(i, PacketResult::Out(0));
-            }
+        for (_, anno, result) in batch.live_mut() {
+            *result = match anno.get(anno::IFACE_OUT) {
+                u64::MAX => PacketResult::Drop,
+                _ => PacketResult::Out(0),
+            };
         }
     }
 }

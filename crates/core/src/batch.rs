@@ -254,16 +254,78 @@ impl PacketBatch {
             .map(|(i, _)| i)
     }
 
-    /// Drains all live packets with their annotations.
-    pub fn drain(&mut self) -> Vec<(Packet, Anno)> {
-        let mut out = Vec::with_capacity(self.live);
-        for i in 0..self.slots.len() {
-            if let Some(p) = self.slots[i].take() {
-                out.push((p, self.annos[i]));
+    /// The live packets, in slot order.
+    pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> + '_ {
+        self.slots.iter().flatten()
+    }
+
+    /// Every live slot's packet, annotation set and result cell, in slot
+    /// order: the loop a batch body runs, without per-slot bounds checks.
+    pub fn live_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&mut Packet, &mut Anno, &mut PacketResult)> + '_ {
+        self.slots
+            .iter_mut()
+            .zip(&mut self.annos)
+            .zip(&mut self.results)
+            .filter_map(|((slot, anno), result)| Some((slot.as_mut()?, anno, result)))
+    }
+
+    /// The output port slot `i` leaves on, clamped to `last`, or `None`
+    /// if the slot is masked or its result is a drop.
+    pub(crate) fn port_of(&self, i: usize, last: u8) -> Option<u8> {
+        match self.results[i] {
+            PacketResult::Out(p) if self.slots[i].is_some() => Some(p.min(last)),
+            _ => None,
+        }
+    }
+
+    /// One pass over the slots after an element ran: drops the live
+    /// packets whose result is [`PacketResult::Drop`] (their buffers return
+    /// to their pools) and counts the rest into `counts` by output port,
+    /// ports past the end clamped to the last one. Returns the number
+    /// dropped.
+    ///
+    /// The pass leaves every empty slot's result at `Out(0)`, so that when
+    /// the next element sends every packet out of port 0 — the common
+    /// case — the results alone say so and no slot is read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` is empty.
+    pub(crate) fn settle(&mut self, counts: &mut [u64]) -> u64 {
+        const ONWARD: PacketResult = PacketResult::Out(0);
+        if self.results.iter().all(|&r| r == ONWARD) {
+            counts[0] += self.live as u64;
+            return 0;
+        }
+        let last = counts.len() - 1;
+        let mut dropped = 0;
+        for (slot, result) in self.slots.iter_mut().zip(&mut self.results) {
+            match (slot.is_some(), *result) {
+                (true, PacketResult::Out(p)) => counts[usize::from(p).min(last)] += 1,
+                (true, PacketResult::Drop) => {
+                    *slot = None;
+                    *result = ONWARD;
+                    dropped += 1;
+                }
+                (false, _) => *result = ONWARD,
+            }
+        }
+        self.live -= dropped;
+        dropped as u64
+    }
+
+    /// Moves all live packets with their annotations onto the end of
+    /// `out`, in slot order, leaving the batch empty.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<(Packet, Anno)>) {
+        out.reserve(self.live);
+        for (slot, anno) in self.slots.iter_mut().zip(&self.annos) {
+            if let Some(p) = slot.take() {
+                out.push((p, *anno));
             }
         }
         self.live = 0;
-        out
     }
 
     /// Empties the batch for reuse, keeping its allocations: a retired
@@ -365,16 +427,61 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_batch() {
+    fn drain_into_appends_live_packets_and_empties_batch() {
         let mut b = PacketBatch::with_capacity(3);
-        for _ in 0..3 {
-            b.push(pkt(64));
+        for len in [64, 65, 66] {
+            b.push(pkt(len));
         }
         b.mask(0);
-        let drained = b.drain();
-        assert_eq!(drained.len(), 2);
+        let mut out = vec![(pkt(60), Anno::default())];
+        b.drain_into(&mut out);
+        let lens: Vec<usize> = out.iter().map(|(p, _)| p.len()).collect();
+        assert_eq!(lens, vec![60, 65, 66]);
         assert!(b.is_empty());
         assert_eq!(b.frame_bits(), 0);
+    }
+
+    #[test]
+    fn settle_drops_and_counts_by_clamped_port() {
+        let mut b = PacketBatch::with_capacity(6);
+        for _ in 0..6 {
+            b.push(pkt(64));
+        }
+        b.mask(5);
+        b.set_result(0, PacketResult::Drop);
+        b.set_result(1, PacketResult::Out(1));
+        b.set_result(2, PacketResult::Out(7));
+        b.set_result(5, PacketResult::Drop);
+        let mut counts = [0u64; 2];
+        assert_eq!(b.settle(&mut counts), 1);
+        assert_eq!(counts, [2, 2]);
+        assert_eq!(b.len(), 4);
+        assert_eq!(b.port_of(0, 1), None);
+        assert_eq!(b.port_of(2, 1), Some(1));
+        assert_eq!(b.port_of(3, 1), Some(0));
+        assert_eq!(b.port_of(5, 1), None);
+    }
+
+    #[test]
+    fn live_mut_visits_live_slots_in_order() {
+        let mut b = PacketBatch::with_capacity(4);
+        for len in [64, 65, 66, 67] {
+            b.push(pkt(len));
+        }
+        b.mask(1);
+        for (p, a, r) in b.live_mut() {
+            a.set(anno::AC_MATCH, p.len() as u64);
+            *r = PacketResult::Out(p.len() as u8 - 64);
+        }
+        let seen: Vec<u64> = b
+            .live_indices()
+            .map(|i| b.anno(i).get(anno::AC_MATCH))
+            .collect();
+        assert_eq!(seen, vec![64, 66, 67]);
+        assert_eq!(b.result(1), PacketResult::Out(0));
+        assert_eq!(b.result(3), PacketResult::Out(3));
+        let lens: Vec<usize> = b.packets().map(Packet::len).collect();
+        assert_eq!(lens, vec![64, 66, 67]);
     }
 
     #[test]

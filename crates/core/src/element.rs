@@ -256,15 +256,15 @@ pub trait Element: Send {
     /// for coarse-grained work (load-balancer decisions) or to run their
     /// per-packet work as one loop over the batch (matching).
     fn process_batch(&mut self, ctx: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
-        for i in 0..batch.slot_count() {
-            if let Some((pkt, anno)) = batch.packet_and_anno_mut(i) {
-                let r = self.process(ctx, pkt, anno);
-                batch.set_result(i, r);
-            }
+        for (pkt, anno, result) in batch.live_mut() {
+            *result = self.process(ctx, pkt, anno);
         }
     }
 
     /// The modeled CPU cost of processing one packet of `len` bytes.
+    ///
+    /// Like [`kind`](Self::kind) and [`offload`](Self::offload), the graph
+    /// reads this once when it is built, not per visit.
     fn cpu_profile(&self) -> CpuProfile {
         CpuProfile::default()
     }
@@ -282,9 +282,8 @@ pub trait Element: Send {
     /// (lookup miss, match hit) override this so the CPU and GPU paths
     /// route identically.
     fn post_offload(&mut self, _ctx: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
-        let live: Vec<usize> = batch.live_indices().collect();
-        for i in live {
-            batch.set_result(i, PacketResult::Out(0));
+        for (_, _, result) in batch.live_mut() {
+            *result = PacketResult::Out(0);
         }
     }
 }

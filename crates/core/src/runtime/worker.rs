@@ -403,6 +403,8 @@ impl WorkerCore {
             // pool lock per ingress pool instead of one per packet.
             Packet::recycle(outcome.tx.drain(..).map(|(pkt, _)| pkt));
         }
+        // The emptied vector carries the next traversal's TX packets.
+        self.graph.recycle_tx(std::mem::take(&mut outcome.tx));
         for req in outcome.offloads {
             tp.charge(self.env.cost.offload_enqueue);
             Counters::add(&self.counters.offloaded_batches, 1);

@@ -27,13 +27,17 @@ pub const DEFAULT_BUF_CAPACITY: usize = 2048;
 pub const DEFAULT_HEADROOM: usize = 128;
 
 /// A fixed-capacity packet byte buffer with headroom.
+///
+/// Offset and length are stored as `u32` (a buffer holds at most 4 GiB),
+/// which keeps a [`crate::Packet`] at 48 bytes: three 16-byte words, so the
+/// packet moves between batches, rings and TX vectors in aligned copies.
 #[derive(Debug, Clone)]
 pub struct PacketBuf {
     bytes: Box<[u8]>,
     /// Offset of the first data byte.
-    data_off: usize,
+    data_off: u32,
     /// Length of valid data starting at `data_off`.
-    data_len: usize,
+    data_len: u32,
 }
 
 impl PacketBuf {
@@ -41,12 +45,13 @@ impl PacketBuf {
     ///
     /// # Panics
     ///
-    /// Panics if `headroom > capacity`.
+    /// Panics if `headroom > capacity` or `capacity` exceeds 4 GiB.
     pub fn with_capacity(capacity: usize, headroom: usize) -> PacketBuf {
         assert!(headroom <= capacity, "headroom exceeds capacity");
+        assert!(u32::try_from(capacity).is_ok(), "capacity exceeds 4 GiB");
         PacketBuf {
             bytes: vec![0u8; capacity].into_boxed_slice(),
-            data_off: headroom,
+            data_off: headroom as u32,
             data_len: 0,
         }
     }
@@ -63,17 +68,17 @@ impl PacketBuf {
 
     /// Bytes available before the data (for prepending).
     pub fn headroom(&self) -> usize {
-        self.data_off
+        self.data_off as usize
     }
 
     /// Bytes available after the data (for appending).
     pub fn tailroom(&self) -> usize {
-        self.bytes.len() - self.data_off - self.data_len
+        self.bytes.len() - self.headroom() - self.len()
     }
 
     /// Length of the valid data.
     pub fn len(&self) -> usize {
-        self.data_len
+        self.data_len as usize
     }
 
     /// `true` if the buffer holds no data.
@@ -83,12 +88,21 @@ impl PacketBuf {
 
     /// The valid data bytes.
     pub fn data(&self) -> &[u8] {
-        &self.bytes[self.data_off..self.data_off + self.data_len]
+        &self.bytes[self.headroom()..self.headroom() + self.len()]
     }
 
     /// The valid data bytes, mutably.
     pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes[self.data_off..self.data_off + self.data_len]
+        let (off, len) = (self.headroom(), self.len());
+        &mut self.bytes[off..off + len]
+    }
+
+    /// Sets the data region; callers have checked it fits the buffer, so
+    /// both ends fit a `u32`.
+    fn set(&mut self, off: usize, len: usize) {
+        debug_assert!(off + len <= self.bytes.len());
+        self.data_off = off as u32;
+        self.data_len = len as u32;
     }
 
     /// Replaces the contents with `payload`, restoring default headroom.
@@ -104,8 +118,7 @@ impl PacketBuf {
             headroom,
             self.bytes.len()
         );
-        self.data_off = headroom;
-        self.data_len = payload.len();
+        self.set(headroom, payload.len());
         self.bytes[headroom..headroom + payload.len()].copy_from_slice(payload);
     }
 
@@ -114,12 +127,9 @@ impl PacketBuf {
     ///
     /// Returns `None` if there is not enough headroom.
     pub fn prepend(&mut self, n: usize) -> Option<&mut [u8]> {
-        if n > self.data_off {
-            return None;
-        }
-        self.data_off -= n;
-        self.data_len += n;
-        Some(&mut self.bytes[self.data_off..self.data_off + n])
+        let off = self.headroom().checked_sub(n)?;
+        self.set(off, self.len() + n);
+        Some(&mut self.bytes[off..off + n])
     }
 
     /// Extends the data area at the back by `n` bytes and returns the new
@@ -130,8 +140,8 @@ impl PacketBuf {
         if n > self.tailroom() {
             return None;
         }
-        let start = self.data_off + self.data_len;
-        self.data_len += n;
+        let start = self.headroom() + self.len();
+        self.set(self.headroom(), self.len() + n);
         Some(&mut self.bytes[start..start + n])
     }
 
@@ -139,11 +149,10 @@ impl PacketBuf {
     ///
     /// Returns `false` (and leaves the buffer unchanged) if `n > len`.
     pub fn adj(&mut self, n: usize) -> bool {
-        if n > self.data_len {
+        if n > self.len() {
             return false;
         }
-        self.data_off += n;
-        self.data_len -= n;
+        self.set(self.headroom() + n, self.len() - n);
         true
     }
 
@@ -151,10 +160,10 @@ impl PacketBuf {
     ///
     /// Returns `false` (and leaves the buffer unchanged) if `n > len`.
     pub fn trim(&mut self, n: usize) -> bool {
-        if n > self.data_len {
+        if n > self.len() {
             return false;
         }
-        self.data_len -= n;
+        self.set(self.headroom(), self.len() - n);
         true
     }
 
@@ -170,16 +179,13 @@ impl PacketBuf {
             "region of {len} bytes at {headroom} exceeds capacity {}",
             self.bytes.len()
         );
-        self.data_off = headroom;
-        self.data_len = len;
+        self.set(headroom, len);
         &mut self.bytes[headroom..headroom + len]
     }
 
     /// Clears the data and restores the given headroom.
     pub fn reset(&mut self, headroom: usize) {
-        debug_assert!(headroom <= self.bytes.len());
-        self.data_off = headroom;
-        self.data_len = 0;
+        self.set(headroom, 0);
     }
 }
 

@@ -163,6 +163,11 @@ mod tests {
     }
 
     #[test]
+    fn packet_is_three_16_byte_words() {
+        assert_eq!(std::mem::size_of::<Packet>(), 48);
+    }
+
+    #[test]
     fn data_mut_edits_frame() {
         let mut p = Packet::from_bytes(b"abc");
         p.data_mut()[0] = b'x';

@@ -177,11 +177,15 @@ pub struct SupervisorConfig {
     pub respawn: bool,
 }
 
+/// The default stall budget is 50 ms, several scheduler quanta: a worker
+/// that is runnable but waiting for a CPU (threads outnumbering cores) is
+/// never convicted. A crash needs no budget — it is convicted at the next
+/// 1 ms tick.
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            check_interval: Time::from_us(500),
-            stall_windows: 4,
+            check_interval: Time::from_ms(1),
+            stall_windows: 50,
             respawn: true,
         }
     }
@@ -1259,5 +1263,10 @@ mod tests {
     fn detection_budget_covers_stall_windows() {
         let cfg = SupervisorConfig::default();
         assert!(cfg.detection_budget() >= Time::from_us(2500));
+        // A stall must outlast several scheduler quanta; a crash is seen
+        // within one tick.
+        let stall_ns = cfg.check_interval.as_ns() * u64::from(cfg.stall_windows);
+        assert!(stall_ns >= Time::from_ms(50).as_ns());
+        assert!(cfg.check_interval <= Time::from_ms(1));
     }
 }

@@ -114,7 +114,7 @@ fn des_decisions(build: &PipelineBuilder) -> DecisionLog {
 
 /// One live run with a single audited worker; returns its decision log.
 fn live_decisions(build: &PipelineBuilder) -> DecisionLog {
-    let mut cfg = LiveConfig {
+    let cfg = LiveConfig {
         workers: 1,
         duration: Duration::from_secs(20), // deadline only; drains in ms
         traffic: traffic(),
@@ -124,11 +124,6 @@ fn live_decisions(build: &PipelineBuilder) -> DecisionLog {
         drain: true,
         ..LiveConfig::default()
     };
-    // A patient supervisor: the streams compared here must not pick up a
-    // spurious `health_down` because this binary's other tests descheduled
-    // the worker past the 2 ms stall budget (ROADMAP item 1 is about that
-    // budget, not this test).
-    cfg.fault.supervisor.check_interval = Time::from_ms(50);
     let factory = lb::replicated(|| Box::new(audited_adaptive()) as Box<dyn LoadBalancer>);
     let report = live::run_sharded(&cfg, build, &factory);
     assert_eq!(report.rx_dropped, 0, "draining live run must be lossless");

@@ -31,7 +31,7 @@ use nba::core::runtime::live::LiveReport;
 use nba::core::runtime::live::{self, LiveConfig};
 use nba::core::runtime::{des, PipelineBuilder, RunReport, RuntimeConfig};
 use nba::core::supervise::TransitionReason;
-use nba::core::{FaultConfig, FaultPlan, HealthReport, WorkerState};
+use nba::core::{FaultConfig, FaultPlan, HealthReport, SupervisorConfig, WorkerState};
 use nba::io::{
     IpVersion, L4Proto, Limited, PacketSource, PayloadFill, SizeDist, TrafficConfig, TrafficGen,
 };
@@ -186,6 +186,9 @@ fn kill_plan(worker: u32, at_packet: u64) -> FaultConfig {
     }
 }
 
+/// A stall drill under a 2 ms stall budget (500 µs × 4), so a `millis`
+/// well past it is convicted Dead(stall), re-steered, and handed back on
+/// resume. The default budget is longer than these short runs.
 fn stall_plan(worker: u32, at_packet: u64, millis: f64) -> FaultConfig {
     FaultConfig {
         plan: FaultPlan {
@@ -195,6 +198,11 @@ fn stall_plan(worker: u32, at_packet: u64, millis: f64) -> FaultConfig {
                 millis,
             }],
             ..FaultPlan::default()
+        },
+        supervisor: SupervisorConfig {
+            check_interval: Time::from_us(500),
+            stall_windows: 4,
+            ..SupervisorConfig::default()
         },
         ..FaultConfig::default()
     }
@@ -790,7 +798,7 @@ fn missing_records(clean: &[Verdict], drill: &[Verdict]) -> Vec<Verdict> {
 /// and every lost packet and lost flow is attributed.
 ///
 /// `require_migrates` is DES-only: its virtual-time pacing guarantees
-/// traffic keeps flowing after the ~2.5 ms detection budget, so fresh
+/// traffic keeps flowing after the crash is seen (≤ one 1 ms tick), so fresh
 /// flows *must* land on survivors. The live runtime blasts the packet
 /// budget in microseconds — usually drained before the watchdog fires —
 /// so migrations there are possible but not guaranteed.
@@ -906,8 +914,8 @@ fn conntrack_worker_kill_drill_attributes_flow_loss() {
     };
     let build = pipelines::conntrack_fw(&cfg);
     // Slow, churning traffic: at 0.15 Gbps the BUDGET spans ~10 ms of
-    // virtual time, so the DES re-steer (≤2.5 ms detection budget after
-    // the kill) happens with packets still flowing, and 8-packet flow
+    // virtual time, so the DES re-steer (at the first 1 ms tick after the
+    // kill) happens with packets still flowing, and 8-packet flow
     // lifetimes put fresh flows on the dead worker's buckets afterwards.
     let t = TrafficConfig {
         offered_gbps: 0.15,

@@ -15,7 +15,7 @@ use nba::core::runtime::live::{self, LiveConfig};
 use nba::core::runtime::{BuildCtx, PipelineBuilder};
 use nba::io::proto::{ether::EtherView, ipv4::Ipv4View, l4::TcpView};
 use nba::io::{L4Proto, Packet, PayloadFill, SizeDist, TrafficConfig};
-use nba::sim::{GpuProfile, Time};
+use nba::sim::GpuProfile;
 
 fn live_cfg() -> LiveConfig {
     LiveConfig {
@@ -245,7 +245,7 @@ fn live_device_kernel_panics_are_contained_and_the_run_drains() {
 /// of the burst. TCP flows that churn every 16 packets carry their own
 /// sequence numbers, so per-flow order is checkable from the TX capture.
 fn awkward_shape(drain: bool) -> LiveConfig {
-    let mut cfg = LiveConfig {
+    LiveConfig {
         workers: 3,
         io_threads: 2,
         ring_capacity: 32,
@@ -261,12 +261,7 @@ fn awkward_shape(drain: bool) -> LiveConfig {
             ..TrafficConfig::default()
         },
         ..live_cfg()
-    };
-    // Five-plus threads on a small host: give a descheduled worker a whole
-    // scheduler quantum before presuming it dead, so no flow is re-steered
-    // mid-run (ROADMAP item 1 is about that budget, not this test).
-    cfg.fault.supervisor.check_interval = Time::from_ms(50);
-    cfg
+    }
 }
 
 fn run_router(cfg: &LiveConfig) -> live::LiveReport {

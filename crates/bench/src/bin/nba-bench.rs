@@ -11,7 +11,7 @@
 //!   the adaptive balancer so the artifact captures convergence stats.
 //!   `--faults` takes a seeded fault plan (see `FaultPlan::parse`, e.g.
 //!   `seed=7,transient=0.2,die_at_ms=30,revive_at_ms=60`, or the worker
-//!   drills `worker_kill=1@50000` / `worker_stall=1@50000+20`); the
+//!   drills `worker_kill=1@50000` / `worker_stall=1@50000+80`); the
 //!   artifact's `faults` section records what happened. `--shed` sets the
 //!   live runtime's overload policy
 //!   (`policy=drop_tail|priority|probabilistic,occupancy=R,slo=on|off`).

@@ -687,6 +687,18 @@ mod tests {
     }
 
     #[test]
+    fn encapsulation_lands_in_the_buffer_slack() {
+        // Physical bytes follow the frame: ESP's header, padding and ICV
+        // fit the slack past the data, so encapsulating never reallocates.
+        for (len, most) in [(64, 256), (1024, 1216)] {
+            let (pkt, _, _) = encrypt_pipeline(len);
+            let buf = pkt.buf();
+            assert!(buf.allocated() <= most, "{len} B: {}", buf.allocated());
+            assert_eq!(buf.capacity(), nba_io::buf::DEFAULT_BUF_CAPACITY);
+        }
+    }
+
+    #[test]
     fn ciphertext_differs_from_plaintext() {
         let (pkt, _, original) = encrypt_pipeline(256);
         assert_ne!(&pkt.data()[CT_OFF..CT_OFF + original.len()], &original[..]);

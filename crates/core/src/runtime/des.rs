@@ -847,7 +847,7 @@ pub fn run_with_sources(
             .iter()
             .map(|p| {
                 let c = p.borrow().counters();
-                c.rx_delivered + c.rx_dropped
+                c.rx_delivered + c.rx_dropped + c.rx_nombuf
             })
             .sum()
     };
@@ -855,7 +855,11 @@ pub fn run_with_sources(
     engine.run_until(horizon);
     let end = inspector.snapshot();
     let offered_end = offered_so_far();
-    let rx_dropped: u64 = ports.iter().map(|p| p.borrow().counters().rx_dropped).sum();
+    let port_sum = |f: fn(&nba_io::port::PortCounters) -> u64| -> u64 {
+        ports.iter().map(|p| f(&p.borrow().counters())).sum()
+    };
+    let rx_dropped = port_sum(|c| c.rx_dropped);
+    let rx_nombuf = port_sum(|c| c.rx_nombuf);
 
     let window = end - start;
     let dur = cfg.measure;
@@ -906,6 +910,7 @@ pub fn run_with_sources(
         offered_packets,
         offered_gbps,
         rx_dropped,
+        rx_nombuf,
         window,
         slo: slo_tracker.map(|tr| tr.lock().report(latency.percentile_ns(99.0), tx_mpps)),
         latency,

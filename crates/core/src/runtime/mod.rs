@@ -187,12 +187,16 @@ pub struct RunReport {
     pub tx_gbps: f64,
     /// Transmitted packets in the window.
     pub tx_packets: u64,
-    /// Offered (generated) packets in the window.
+    /// Offered (generated) packets in the window: delivered into an RX
+    /// queue, refused by a full one, or lost for want of a buffer.
     pub offered_packets: u64,
     /// Offered frame gigabits per second.
     pub offered_gbps: f64,
     /// RX-queue drops in the window (overload signal).
     pub rx_dropped: u64,
+    /// Frames the NIC admitted but the pool had no buffer for, over the
+    /// whole run (DPDK's `rx_nombuf`; 0 unless a pool ran dry).
+    pub rx_nombuf: u64,
     /// Counter deltas over the window.
     pub window: Snapshot,
     /// Round-trip latency distribution (recorded after warmup).

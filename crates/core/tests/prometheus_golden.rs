@@ -70,6 +70,7 @@ fn fixture() -> RunReport {
         offered_packets: 1_100_000,
         offered_gbps: 10.0,
         rx_dropped: 42,
+        rx_nombuf: 0,
         window: Snapshot {
             dropped: 7,
             ..Snapshot::default()

@@ -4,6 +4,25 @@
 //! data starts at an offset so that encapsulating elements (e.g. the IPsec
 //! ESP encapsulator) can prepend headers without copying the payload.
 //!
+//! # What a buffer costs in memory
+//!
+//! A buffer has a *logical* capacity and *physical* bytes. The logical
+//! capacity ([`PacketBuf::capacity`]: 2048 bytes, 128 of them headroom, by
+//! default) is what every operation checks against: [`PacketBuf::fill`],
+//! [`PacketBuf::set_region`], [`PacketBuf::append`], [`PacketBuf::prepend`],
+//! [`PacketBuf::headroom`] and [`PacketBuf::tailroom`] answer exactly as a
+//! zero-filled buffer of that size would. The physical bytes
+//! ([`PacketBuf::allocated`]) cover only `[0, headroom + len)` plus 64 bytes
+//! of slack, rounded up to a multiple of 64: a 64 B frame behind the default
+//! headroom holds 256 bytes, a 1024 B frame 1216, and either still has room
+//! for an ESP trailer. They grow on demand, up to the logical capacity, when
+//! a call needs bytes beyond them, keep every byte written so far, and keep
+//! their size when the buffer is recycled. A buffer fresh from a [`Mempool`]
+//! allocates nothing until it is written. Bytes exposed for the first time
+//! read as zero, as they would in a zero-filled full-size buffer, so no
+//! caller can tell the two apart. A pool's budget counts buffers, never
+//! bytes.
+//!
 //! A [`Mempool`] recycles buffers: the paper leans on DPDK's NUMA-aware
 //! mempools to make batch-split allocation affordable, and the framework's
 //! cost model charges allocation/release costs whenever these are used on the
@@ -25,34 +44,49 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_BUF_CAPACITY: usize = 2048;
 /// Default headroom reserved before packet data (DPDK uses 128).
 pub const DEFAULT_HEADROOM: usize = 128;
+/// Physical bytes a buffer keeps past the end of its data when it grows, so
+/// an ESP encapsulation (header, IV, padding and ICV: at most 53 bytes)
+/// lands without a second allocation.
+const SLACK: usize = 64;
+/// Physical sizes are whole multiples of one cache line, so the allocator
+/// sees few distinct sizes.
+const GRAIN: usize = 64;
 
-/// A fixed-capacity packet byte buffer with headroom.
+/// A packet byte buffer with headroom: a fixed logical capacity over
+/// physical bytes sized to what it has held (see the module docs).
 ///
-/// Offset and length are stored as `u32` (a buffer holds at most 4 GiB),
-/// which keeps a [`crate::Packet`] at 48 bytes: three 16-byte words, so the
-/// packet moves between batches, rings and TX vectors in aligned copies.
+/// Offset, length and logical capacity are stored as `u16` (a buffer holds
+/// at most 64 KiB), which keeps a [`crate::Packet`] at 48 bytes: three
+/// 16-byte words, so the packet moves between batches, rings and TX vectors
+/// in aligned copies.
 #[derive(Debug, Clone)]
 pub struct PacketBuf {
+    /// The physical bytes: the first `bytes.len()` of the logical area.
+    /// They only grow, and cover the data whenever there is any.
     bytes: Box<[u8]>,
     /// Offset of the first data byte.
-    data_off: u32,
+    data_off: u16,
     /// Length of valid data starting at `data_off`.
-    data_len: u32,
+    data_len: u16,
+    /// The logical capacity every operation checks against.
+    capacity: u16,
 }
 
 impl PacketBuf {
-    /// Creates an empty buffer with the given capacity and headroom.
+    /// Creates an empty buffer with the given capacity and headroom. It
+    /// allocates nothing until it is written.
     ///
     /// # Panics
     ///
-    /// Panics if `headroom > capacity` or `capacity` exceeds 4 GiB.
+    /// Panics if `headroom > capacity` or `capacity` exceeds 65 535 bytes.
     pub fn with_capacity(capacity: usize, headroom: usize) -> PacketBuf {
         assert!(headroom <= capacity, "headroom exceeds capacity");
-        assert!(u32::try_from(capacity).is_ok(), "capacity exceeds 4 GiB");
+        let capacity = u16::try_from(capacity).expect("capacity exceeds 65535 bytes");
         PacketBuf {
-            bytes: vec![0u8; capacity].into_boxed_slice(),
-            data_off: headroom as u32,
+            bytes: Box::default(),
+            data_off: headroom as u16,
             data_len: 0,
+            capacity,
         }
     }
 
@@ -61,24 +95,30 @@ impl PacketBuf {
         PacketBuf::with_capacity(DEFAULT_BUF_CAPACITY, DEFAULT_HEADROOM)
     }
 
-    /// Total byte capacity.
+    /// Total byte capacity (logical: what the buffer may hold).
     pub fn capacity(&self) -> usize {
+        usize::from(self.capacity)
+    }
+
+    /// Physical bytes the buffer holds now; never more than
+    /// [`capacity`](Self::capacity).
+    pub fn allocated(&self) -> usize {
         self.bytes.len()
     }
 
     /// Bytes available before the data (for prepending).
     pub fn headroom(&self) -> usize {
-        self.data_off as usize
+        usize::from(self.data_off)
     }
 
     /// Bytes available after the data (for appending).
     pub fn tailroom(&self) -> usize {
-        self.bytes.len() - self.headroom() - self.len()
+        self.capacity() - self.headroom() - self.len()
     }
 
     /// Length of the valid data.
     pub fn len(&self) -> usize {
-        self.data_len as usize
+        usize::from(self.data_len)
     }
 
     /// `true` if the buffer holds no data.
@@ -88,21 +128,41 @@ impl PacketBuf {
 
     /// The valid data bytes.
     pub fn data(&self) -> &[u8] {
-        &self.bytes[self.headroom()..self.headroom() + self.len()]
+        // Only an empty region can lie past the physical bytes.
+        let (off, len) = (self.headroom(), self.len());
+        self.bytes.get(off..off + len).unwrap_or_default()
     }
 
     /// The valid data bytes, mutably.
     pub fn data_mut(&mut self) -> &mut [u8] {
         let (off, len) = (self.headroom(), self.len());
-        &mut self.bytes[off..off + len]
+        self.bytes.get_mut(off..off + len).unwrap_or_default()
     }
 
-    /// Sets the data region; callers have checked it fits the buffer, so
-    /// both ends fit a `u32`.
+    /// Sets the data region; callers have checked it fits the logical
+    /// capacity, so both ends fit a `u16`.
     fn set(&mut self, off: usize, len: usize) {
-        debug_assert!(off + len <= self.bytes.len());
-        self.data_off = off as u32;
-        self.data_len = len as u32;
+        debug_assert!(off + len <= self.capacity());
+        self.data_off = off as u16;
+        self.data_len = len as u16;
+    }
+
+    /// Makes the physical bytes cover `[0, end)`, `end` being within the
+    /// logical capacity.
+    fn reserve(&mut self, end: usize) {
+        if end > self.bytes.len() {
+            self.grow(end);
+        }
+    }
+
+    /// Reallocates the physical bytes to cover `end` plus the slack, keeping
+    /// every byte held so far; the new ones read as zero.
+    #[cold]
+    fn grow(&mut self, end: usize) {
+        let size = (end + SLACK).next_multiple_of(GRAIN).min(self.capacity());
+        let mut bytes = vec![0u8; size].into_boxed_slice();
+        bytes[..self.bytes.len()].copy_from_slice(&self.bytes);
+        self.bytes = bytes;
     }
 
     /// Replaces the contents with `payload`, restoring default headroom.
@@ -111,15 +171,17 @@ impl PacketBuf {
     ///
     /// Panics if the payload does not fit behind the headroom.
     pub fn fill(&mut self, headroom: usize, payload: &[u8]) {
+        let end = headroom + payload.len();
         assert!(
-            headroom + payload.len() <= self.bytes.len(),
+            end <= self.capacity(),
             "payload of {} bytes does not fit (headroom {}, capacity {})",
             payload.len(),
             headroom,
-            self.bytes.len()
+            self.capacity()
         );
+        self.reserve(end);
         self.set(headroom, payload.len());
-        self.bytes[headroom..headroom + payload.len()].copy_from_slice(payload);
+        self.bytes[headroom..end].copy_from_slice(payload);
     }
 
     /// Extends the data area at the front by `n` bytes and returns the new
@@ -128,6 +190,7 @@ impl PacketBuf {
     /// Returns `None` if there is not enough headroom.
     pub fn prepend(&mut self, n: usize) -> Option<&mut [u8]> {
         let off = self.headroom().checked_sub(n)?;
+        self.reserve(self.headroom() + self.len());
         self.set(off, self.len() + n);
         Some(&mut self.bytes[off..off + n])
     }
@@ -141,6 +204,7 @@ impl PacketBuf {
             return None;
         }
         let start = self.headroom() + self.len();
+        self.reserve(start + n);
         self.set(self.headroom(), self.len() + n);
         Some(&mut self.bytes[start..start + n])
     }
@@ -174,13 +238,15 @@ impl PacketBuf {
     ///
     /// Panics if the region does not fit in the buffer.
     pub fn set_region(&mut self, headroom: usize, len: usize) -> &mut [u8] {
+        let end = headroom + len;
         assert!(
-            headroom + len <= self.bytes.len(),
+            end <= self.capacity(),
             "region of {len} bytes at {headroom} exceeds capacity {}",
-            self.bytes.len()
+            self.capacity()
         );
+        self.reserve(end);
         self.set(headroom, len);
-        &mut self.bytes[headroom..headroom + len]
+        &mut self.bytes[headroom..end]
     }
 
     /// Clears the data and restores the given headroom.
@@ -260,7 +326,8 @@ impl Mempool {
         }
     }
 
-    /// Takes a cleared buffer from the pool.
+    /// Takes a cleared buffer from the pool: a recycled one, or a fresh one
+    /// that allocates nothing until it is written.
     ///
     /// Returns `None` when the pool budget is exhausted (DPDK behaviour:
     /// allocation failure, caller drops the packet).
@@ -278,10 +345,7 @@ impl Mempool {
                 buf.reset(headroom);
                 Some(buf)
             }
-            None => {
-                let cap = p.buf_capacity;
-                Some(PacketBuf::with_capacity(cap, headroom))
-            }
+            None => Some(PacketBuf::with_capacity(p.buf_capacity, headroom)),
         }
     }
 
@@ -299,28 +363,24 @@ impl Mempool {
         if n == 0 {
             return 0;
         }
-        let (recycled, fresh, buf_capacity, headroom) = {
-            let mut p = self.inner.lock().expect("mempool poisoned");
-            let grant = n.min(p.capacity - p.outstanding);
-            if grant == 0 {
-                p.stats.exhausted += 1;
-                return 0;
-            }
-            p.outstanding += grant;
-            p.stats.allocs += grant as u64;
-            let recycled = grant.min(p.free.len());
-            let keep = p.free.len() - recycled;
-            let headroom = p.headroom;
-            out.extend(p.free.drain(keep..).map(|mut buf| {
-                buf.reset(headroom);
-                buf
-            }));
-            (recycled, grant - recycled, p.buf_capacity, headroom)
-        };
-        // Buffers the free list could not supply are created outside the
-        // lock (zeroing 2 KiB each is the slow part of a cold pool).
-        out.extend((0..fresh).map(|_| PacketBuf::with_capacity(buf_capacity, headroom)));
-        recycled + fresh
+        let mut p = self.inner.lock().expect("mempool poisoned");
+        let grant = n.min(p.capacity - p.outstanding);
+        if grant == 0 {
+            p.stats.exhausted += 1;
+            return 0;
+        }
+        p.outstanding += grant;
+        p.stats.allocs += grant as u64;
+        let recycled = grant.min(p.free.len());
+        let keep = p.free.len() - recycled;
+        let (buf_capacity, headroom) = (p.buf_capacity, p.headroom);
+        out.extend(p.free.drain(keep..).map(|mut buf| {
+            buf.reset(headroom);
+            buf
+        }));
+        // What the free list could not supply is fresh and allocates nothing.
+        out.extend((recycled..grant).map(|_| PacketBuf::with_capacity(buf_capacity, headroom)));
+        grant
     }
 
     /// Returns a burst of buffers to the pool under one lock. The iterator
@@ -469,6 +529,46 @@ mod tests {
     }
 
     #[test]
+    fn physical_bytes_follow_the_frame_and_survive_recycling() {
+        let mut b = PacketBuf::new();
+        assert_eq!(
+            (b.allocated(), b.data()),
+            (0, &[][..]),
+            "empty costs nothing"
+        );
+        b.fill(DEFAULT_HEADROOM, &[7; 64]);
+        // 128 + 64 bytes of frame, 64 of slack.
+        assert_eq!(b.allocated(), 256);
+        assert_eq!((b.capacity(), b.tailroom()), (2048, 2048 - 192));
+        // An ESP-sized trailer lands in the slack.
+        b.append(53).unwrap().fill(1);
+        assert_eq!(b.allocated(), 256);
+        // Recycled: the bytes stay, and so does what they held.
+        b.reset(DEFAULT_HEADROOM);
+        assert_eq!(b.allocated(), 256);
+        let region = b.set_region(DEFAULT_HEADROOM, 1024);
+        assert_eq!(&region[..64], &[7; 64][..]);
+        assert_eq!(&region[64..117], &[1; 53][..]);
+        assert!(region[117..].iter().all(|&x| x == 0), "new bytes are zero");
+        assert_eq!(b.allocated(), 1216);
+        // Never beyond the logical capacity.
+        b.set_region(DEFAULT_HEADROOM, 2048 - DEFAULT_HEADROOM);
+        assert_eq!(b.allocated(), 2048);
+        let mut small = PacketBuf::with_capacity(100, 10);
+        small.fill(10, &[3; 80]);
+        assert_eq!(small.allocated(), 100);
+    }
+
+    #[test]
+    fn an_unwritten_buffer_prepends_into_zeroed_headroom() {
+        let mut b = PacketBuf::with_capacity(256, 32);
+        assert!(b.data_mut().is_empty());
+        assert_eq!(b.prepend(4).unwrap(), &[0; 4][..]);
+        assert_eq!((b.headroom(), b.len(), b.tailroom()), (28, 4, 224));
+        assert!(b.allocated() >= 32);
+    }
+
+    #[test]
     fn mempool_budget_is_enforced() {
         let pool = Mempool::new(2);
         let a = pool.alloc().unwrap();
@@ -483,11 +583,13 @@ mod tests {
     fn mempool_recycles_buffers_cleared() {
         let pool = Mempool::with_buf_shape(4, 256, 32);
         let mut a = pool.alloc().unwrap();
+        assert_eq!(a.allocated(), 0, "a fresh buffer allocates nothing");
         a.fill(32, b"dirty");
         pool.free(a);
         let b = pool.alloc().unwrap();
         assert!(b.is_empty());
         assert_eq!(b.headroom(), 32);
+        assert_eq!(b.allocated(), 128, "recycled with its bytes");
         assert_eq!(pool.stats().allocs, 2);
         assert_eq!(pool.stats().frees, 1);
     }

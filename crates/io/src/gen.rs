@@ -354,8 +354,8 @@ impl TrafficGen {
     /// [`admit`](Port::admit) its flow's RSS hash. Only an admitted slot
     /// takes a buffer from `pool` and writes its frame; a refused one
     /// (counted by the port) allocates nothing and writes nothing. An
-    /// admitted slot the pool cannot serve is lost and counted in
-    /// [`GenStats::alloc_failures`].
+    /// admitted slot the pool cannot serve is lost and counted in the
+    /// port's `rx_nombuf` and in [`GenStats::alloc_failures`].
     pub fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64 {
         let mut slots = 0;
         while slots < max_slots && self.next_ts < until {
@@ -370,7 +370,10 @@ impl TrafficGen {
                     let pkt = self.write(&slot, buf, pool.clone());
                     port.enqueue(q, slot.flow.rss_hash, pkt);
                 }
-                None => self.lose(&slot),
+                None => {
+                    port.nombuf();
+                    self.lose(&slot);
+                }
             }
         }
         slots

@@ -9,7 +9,7 @@ use std::io::{self, Read, Write};
 
 use nba_sim::Time;
 
-use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_HEADROOM};
+use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_BUF_CAPACITY, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
 use crate::port::{rss_hash, Port};
 use crate::toeplitz::Toeplitz;
@@ -177,9 +177,20 @@ impl Replay {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty or the rate is not positive.
+    /// Panics if the trace is empty, if a record is longer than a packet
+    /// buffer ([`DEFAULT_BUF_CAPACITY`] bytes; the message names the
+    /// record's index and length), or if the rate is not positive.
     pub fn new(records: Vec<TraceRecord>, offered_gbps: f64) -> Replay {
         assert!(!records.is_empty(), "cannot replay an empty trace");
+        let oversize = records
+            .iter()
+            .position(|r| r.frame.len() > DEFAULT_BUF_CAPACITY);
+        if let Some(i) = oversize {
+            panic!(
+                "trace record {i} is {} bytes, longer than a {DEFAULT_BUF_CAPACITY}-byte packet buffer",
+                records[i].frame.len()
+            );
+        }
         assert!(offered_gbps > 0.0, "offered load must be positive");
         let nic = Toeplitz::default();
         let hashes = records.iter().map(|r| rss_hash(&nic, &r.frame)).collect();
@@ -228,9 +239,12 @@ impl PacketSource for Replay {
             let Some(q) = port.admit(hash) else {
                 continue;
             };
-            if let Some(buf) = pool.alloc() {
-                let pkt = self.build(idx, ts, buf, pool.clone());
-                port.enqueue(q, hash, pkt);
+            match pool.alloc() {
+                Some(buf) => {
+                    let pkt = self.build(idx, ts, buf, pool.clone());
+                    port.enqueue(q, hash, pkt);
+                }
+                None => port.nombuf(),
             }
         }
         slots
@@ -497,6 +511,40 @@ mod tests {
             // The per-record descriptor hash is the NIC's hash of the bytes.
             assert_eq!(b.rss_hash, rss_hash(&Toeplitz::default(), a));
         }
+    }
+
+    #[test]
+    fn admitted_slots_without_a_buffer_are_counted_as_rx_nombuf() {
+        // Deep queues and an eight-buffer pool: the port admits every slot
+        // and the pool, not the queue, loses the rest.
+        let recs = vec![TraceRecord {
+            ts: Time::ZERO,
+            frame: vec![0u8; 64],
+        }];
+        let sources: [Box<dyn PacketSource>; 2] = [
+            Box::new(TrafficGen::new(TrafficConfig::default())),
+            Box::new(Replay::new(recs, 10.0)),
+        ];
+        for mut source in sources {
+            let pool = Mempool::new(8);
+            let mut nic = port(1 << 12);
+            let slots = source.offer(Time::from_us(5), u64::MAX, &pool, &mut nic);
+            let c = nic.counters();
+            assert!(slots > 8 && c.rx_dropped == 0, "{slots} slots, {c:?}");
+            assert_eq!(c.rx_delivered + c.rx_dropped + c.rx_nombuf, slots);
+            assert_eq!((c.rx_delivered, c.rx_nombuf), (8, slots - 8));
+            assert_eq!(pool.stats().exhausted, c.rx_nombuf);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace record 1 is 4000 bytes")]
+    fn replay_refuses_a_record_longer_than_a_buffer() {
+        let rec = |len| TraceRecord {
+            ts: Time::ZERO,
+            frame: vec![0u8; len],
+        };
+        Replay::new(vec![rec(64), rec(4000)], 10.0);
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct PortCounters {
     pub rx_delivered: u64,
     /// Frames refused because their RX queue was full ([`Port::admit`]).
     pub rx_dropped: u64,
+    /// Admitted frames lost because the pool had no buffer for them
+    /// (DPDK's `rx_nombuf`). They never reach an RX queue.
+    pub rx_nombuf: u64,
     /// Frames transmitted.
     pub tx_frames: u64,
     /// Sum of transmitted frame bits (the paper's Gbps accounting).
@@ -172,6 +175,12 @@ impl Port {
         let pushed = self.rx_queues[usize::from(q)].push(pkt).is_ok();
         assert!(pushed, "RX queue {q} is full: the frame was never admitted");
         self.counters.rx_delivered += 1;
+    }
+
+    /// Counts a frame [`admit`](Port::admit) accepted that got no buffer
+    /// ([`PortCounters::rx_nombuf`]); its descriptor stays free.
+    pub(crate) fn nombuf(&mut self) {
+        self.counters.rx_nombuf += 1;
     }
 
     /// Delivers a frame that already exists: hashes its headers, then

@@ -363,6 +363,90 @@ proptest! {
         }
     }
 
+    /// A right-sized buffer is indistinguishable from a full-sized one:
+    /// random `fill` / `set_region` / `append` / `prepend` / `adj` /
+    /// `trim` / `reset` sequences, and reuse with a larger region, give the
+    /// same results, bytes, headroom, tailroom and capacity as today's
+    /// arithmetic over a zero-filled vector of the whole capacity, and the
+    /// physical bytes never exceed the logical capacity.
+    #[test]
+    fn right_sized_buffers_match_a_full_sized_model(
+        capacity in 64usize..2049,
+        ops in proptest::collection::vec((0u8..8, any::<u16>(), any::<u16>(), any::<u8>()), 1..60),
+    ) {
+        let headroom = capacity / 16;
+        let mut b = PacketBuf::with_capacity(capacity, headroom);
+        let (mut bytes, mut off, mut len) = (vec![0u8; capacity], headroom, 0usize);
+        for (op, x, y, k) in ops {
+            let (x, y) = (usize::from(x) % (capacity + 1), usize::from(y) % (capacity + 1));
+            // Writes a recognizable pattern into a region the caller owns.
+            let pattern = |region: &mut [u8]| region.iter_mut().for_each(|v| *v = k);
+            match op {
+                0 => {
+                    let (h, n) = (x, y.min(capacity - x));
+                    let payload = vec![k; n];
+                    b.fill(h, &payload);
+                    bytes[h..h + n].copy_from_slice(&payload);
+                    (off, len) = (h, n);
+                }
+                1 | 7 => {
+                    // 7: recycle, then reuse the buffer for a larger region.
+                    let h = if op == 7 { b.reset(x); x } else { x };
+                    let n = if op == 7 { (len + y).min(capacity - h) } else { y.min(capacity - h) };
+                    let region = b.set_region(h, n);
+                    prop_assert_eq!(&*region, &bytes[h..h + n]);
+                    if k % 2 == 1 {
+                        pattern(region);
+                        pattern(&mut bytes[h..h + n]);
+                    }
+                    (off, len) = (h, n);
+                }
+                2 => {
+                    let fits = x <= capacity - off - len;
+                    let got = b.append(x);
+                    prop_assert_eq!(got.is_some(), fits);
+                    if let Some(region) = got {
+                        prop_assert_eq!(&*region, &bytes[off + len..off + len + x]);
+                        pattern(region);
+                        pattern(&mut bytes[off + len..off + len + x]);
+                        len += x;
+                    }
+                }
+                3 => {
+                    let got = b.prepend(x);
+                    prop_assert_eq!(got.is_some(), x <= off);
+                    if let Some(region) = got {
+                        prop_assert_eq!(&*region, &bytes[off - x..off]);
+                        pattern(region);
+                        pattern(&mut bytes[off - x..off]);
+                        (off, len) = (off - x, len + x);
+                    }
+                }
+                4 => {
+                    prop_assert_eq!(b.adj(x), x <= len);
+                    if x <= len {
+                        (off, len) = (off + x, len - x);
+                    }
+                }
+                5 => {
+                    prop_assert_eq!(b.trim(x), x <= len);
+                    if x <= len {
+                        len -= x;
+                    }
+                }
+                _ => {
+                    b.reset(x);
+                    (off, len) = (x, 0);
+                }
+            }
+            prop_assert_eq!(b.data(), &bytes[off..off + len]);
+            prop_assert_eq!(b.headroom(), off);
+            prop_assert_eq!(b.tailroom(), capacity - off - len);
+            prop_assert_eq!(b.capacity(), capacity);
+            prop_assert!(b.allocated() <= capacity);
+        }
+    }
+
     /// Any frame built by the builder parses back with a valid checksum.
     #[test]
     fn built_frames_always_valid(

@@ -6,7 +6,7 @@ use nba::apps::{pipelines, AppConfig};
 use nba::core::element::ComputeMode;
 use nba::core::lb;
 use nba::core::runtime::{des, traffic_per_port, RunReport, RuntimeConfig};
-use nba::io::{IpVersion, PayloadFill, SizeDist, TrafficConfig};
+use nba::io::{IpVersion, Limited, PacketSource, PayloadFill, SizeDist, TrafficConfig, TrafficGen};
 use nba::sim::Time;
 
 fn app_for(cfg: &RuntimeConfig) -> AppConfig {
@@ -290,6 +290,38 @@ fn overload_drops_but_keeps_running() {
     assert!(report.tx_packets > 0);
     // Throughput must be well below offered.
     assert!(report.tx_gbps < report.offered_gbps);
+}
+
+#[test]
+fn exhausted_pool_losses_are_counted_as_rx_nombuf() {
+    // A pool far smaller than the RX queues: the NIC admits slots the pool
+    // cannot serve. Every offered slot is enqueued, refused (`rx_dropped`)
+    // or lost for want of a buffer (`rx_nombuf`), and every enqueued one
+    // leaves by TX or a pipeline drop before the horizon.
+    const BUDGET: u64 = 4000;
+    let cfg = RuntimeConfig {
+        pool_size: 16,
+        warmup: Time::ZERO,
+        measure: Time::from_ms(4),
+        ..RuntimeConfig::test_default()
+    };
+    let app = app_for(&cfg);
+    let sources: Vec<Box<dyn PacketSource>> = light_traffic(&cfg, 5.0)
+        .into_iter()
+        .map(|t| Box::new(Limited::new(TrafficGen::new(t), BUDGET)) as Box<dyn PacketSource>)
+        .collect();
+    let offered = BUDGET * sources.len() as u64;
+    let r = des::run_with_sources(
+        &cfg,
+        &pipelines::ipv4_router(&app),
+        &lb::shared(Box::new(lb::CpuOnly)),
+        sources,
+        10.0,
+    );
+    assert!(r.rx_nombuf > 0, "the pool never ran dry: {r:?}");
+    assert_eq!(r.offered_packets, offered);
+    let enqueued = r.window.tx_packets + r.window.dropped;
+    assert_eq!(enqueued + r.rx_dropped + r.rx_nombuf, offered);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the substrates: crypto, matching, lookup,
-//! checksums, RSS hashing, the DES source's slots, batch operations, and
-//! one batch through each hot-path pipeline.
+//! checksums, RSS hashing, the DES source's slots, the live RX path, batch
+//! operations, and one batch through each hot-path pipeline.
 
 use std::sync::Arc;
 
@@ -21,8 +21,8 @@ use nba_crypto::{Aes128Ctr, HmacSha1, Sha1};
 use nba_io::proto::FrameBuilder;
 use nba_io::toeplitz::Toeplitz;
 use nba_io::{
-    checksum, port, spsc, L4Proto, Mempool, Packet, PayloadFill, Port, RssTable, SizeDist,
-    TrafficConfig, TrafficGen,
+    checksum, spsc, L4Proto, Mempool, MempoolCache, Packet, PayloadFill, Port, RssFanout, RssTable,
+    SizeDist, TrafficConfig, TrafficGen,
 };
 use nba_matcher::{AhoCorasick, Regex};
 use nba_sim::{CostModel, Time};
@@ -161,6 +161,27 @@ fn bench_io(c: &mut Criterion) {
             sum
         })
     });
+    // The live IO thread's per-burst work, and the worker's pop, on one
+    // thread: generate 64 packets through the thread's mempool cache, steer
+    // each by its descriptor hash into its queue's stage, push the stage as
+    // one burst, pop it, and recycle the buffers.
+    let mut cache = MempoolCache::new(Mempool::new(4 * BURST), BURST);
+    let mut gen = TrafficGen::new(TrafficConfig::default());
+    let (ring, drain) = spsc::channel(4096);
+    let mut fanout = RssFanout::new(0, vec![ring]);
+    let mut stage: Vec<Packet> = Vec::with_capacity(BURST);
+    let mut popped: Vec<Packet> = Vec::with_capacity(BURST);
+    g.bench_function("rx-path/burst-64", |b| {
+        b.iter(|| {
+            gen.generate_burst(BURST, &mut cache, &mut |mut p| {
+                fanout.steer(&mut p);
+                stage.push(p);
+            });
+            fanout.push_burst(0, &mut stage);
+            drain.pop_burst(BURST, |p| popped.push(p));
+            Packet::recycle(popped.drain(..));
+        })
+    });
     // One slot of the DES source on the modelled testbed's per-port stream
     // (64 B UDP, 10 Gbps), through a port steering by an RSS table as the
     // DES ports do. Refused: the slot's queue is full, so the slot is drawn
@@ -238,9 +259,7 @@ fn graph_row(c: &mut Criterion, name: &str, pipeline: PipelineBuilder, traffic: 
         gen.generate(vnow, &pool, &mut |p| held.push(p));
     }
     held.truncate(BATCH);
-    let hasher = Toeplitz::default();
     for (i, p) in held.iter_mut().enumerate() {
-        p.rss_hash = port::rss_hash(&hasher, p.data());
         // The packet's index, to find its pristine frame whatever order
         // the pipeline transmits it in.
         p.ts_gen = Time::from_ps(i as u64);

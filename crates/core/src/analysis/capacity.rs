@@ -1,7 +1,7 @@
 //! Static queue-law checks (the `NBA05x` family).
 //!
 //! The live runtime's steering stage is a network of bounded queues: each
-//! IO thread Toeplitz-steers frames into one bounded SPSC RX ring per
+//! IO thread RSS-steers frames into one bounded SPSC RX ring per
 //! worker, each worker feeds a bounded SPSC task ring toward the device
 //! thread, and the device thread aggregates batches before launching a
 //! kernel. Whether that network can deadlock or must drop under burst is

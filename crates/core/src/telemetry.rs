@@ -286,7 +286,7 @@ impl Sampler {
 /// What happened to a batch at one point of its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// An IO thread Toeplitz-steered a burst of packets into a worker's
+    /// An IO thread RSS-steered a burst of packets into a worker's
     /// SPSC ring (live runtime only; `worker` is the destination shard,
     /// `node` carries the IO thread index).
     Steer,

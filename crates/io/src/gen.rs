@@ -368,7 +368,7 @@ impl TrafficGen {
             match pool.alloc() {
                 Some(buf) => {
                     let pkt = self.write(&slot, buf, pool.clone());
-                    port.enqueue(q, slot.flow.rss_hash, pkt);
+                    port.enqueue(q, pkt);
                 }
                 None => {
                     port.nombuf();
@@ -485,7 +485,8 @@ impl TrafficGen {
     }
 
     /// Writes a drawn slot's frame into `buf`, making the payload filler's
-    /// draws, as a packet that returns to `pool`.
+    /// draws, as a packet that returns to `pool` and carries its flow's
+    /// descriptor RSS hash.
     fn write(&mut self, slot: &Slot, mut buf: PacketBuf, pool: Mempool) -> Packet {
         let Slot {
             len,
@@ -522,6 +523,8 @@ impl TrafficGen {
         }
         let mut pkt = Packet::from_pool(buf, pool);
         pkt.ts_gen = ts;
+        // The receive descriptor's hash, as a NIC hands it to the host.
+        pkt.rss_hash = flow.rss_hash;
         self.stats.generated += 1;
         self.stats.frame_bits += (len * 8) as u64;
         pkt

@@ -224,6 +224,7 @@ impl Replay {
         buf.fill(DEFAULT_HEADROOM.min(buf.capacity() - frame.len()), frame);
         let mut pkt = Packet::from_pool(buf, pool);
         pkt.ts_gen = ts;
+        pkt.rss_hash = self.hashes[idx];
         self.emitted += 1;
         pkt
     }
@@ -235,14 +236,13 @@ impl PacketSource for Replay {
         while slots < max_slots && self.next_ts < until {
             let (idx, ts) = self.next_slot();
             slots += 1;
-            let hash = self.hashes[idx];
-            let Some(q) = port.admit(hash) else {
+            let Some(q) = port.admit(self.hashes[idx]) else {
                 continue;
             };
             match pool.alloc() {
                 Some(buf) => {
                     let pkt = self.build(idx, ts, buf, pool.clone());
-                    port.enqueue(q, hash, pkt);
+                    port.enqueue(q, pkt);
                 }
                 None => port.nombuf(),
             }

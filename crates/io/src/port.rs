@@ -163,13 +163,14 @@ impl Port {
     }
 
     /// Places a frame [`admit`](Port::admit) accepted onto RX queue `q`,
-    /// stamping its RSS hash, ingress port and queue.
+    /// stamping its ingress port and queue. The frame already carries the
+    /// RSS hash it was admitted by: every source stamps the descriptor hash
+    /// when it writes a frame.
     ///
     /// # Panics
     ///
     /// Panics if queue `q` is full, i.e. the frame was not admitted.
-    pub(crate) fn enqueue(&mut self, q: u16, hash: u32, mut pkt: Packet) {
-        pkt.rss_hash = hash;
+    pub(crate) fn enqueue(&mut self, q: u16, mut pkt: Packet) {
         pkt.port_in = self.id;
         pkt.queue_in = q;
         let pushed = self.rx_queues[usize::from(q)].push(pkt).is_ok();
@@ -183,12 +184,13 @@ impl Port {
         self.counters.rx_nombuf += 1;
     }
 
-    /// Delivers a frame that already exists: hashes its headers, then
-    /// [`admit`](Port::admit)s and enqueues it (or drops it on overflow).
-    pub fn deliver(&mut self, pkt: Packet) {
-        let hash = rss_hash(&self.hasher, pkt.data());
-        if let Some(q) = self.admit(hash) {
-            self.enqueue(q, hash, pkt);
+    /// Delivers a frame that already exists: hashes its headers and stamps
+    /// the hash, then [`admit`](Port::admit)s and enqueues it (or drops it
+    /// on overflow).
+    pub fn deliver(&mut self, mut pkt: Packet) {
+        pkt.rss_hash = rss_hash(&self.hasher, pkt.data());
+        if let Some(q) = self.admit(pkt.rss_hash) {
+            self.enqueue(q, pkt);
         }
     }
 
@@ -294,7 +296,7 @@ mod tests {
         // Two one-descriptor queues; hashes 0 and 2 steer to queue 0, 1 to 1.
         let mut port = Port::new(3, 10.0, 2, 1);
         assert_eq!(port.admit(0), Some(0));
-        port.enqueue(0, 0, udp_frame(1, 2, 64));
+        port.enqueue(0, udp_frame(1, 2, 64));
         assert_eq!(port.admit(2), None);
         assert_eq!(port.admit(1), Some(1));
         let c = port.counters();

@@ -4,21 +4,22 @@
 //! The DES NIC model steers frames into simulated queues; the live runtime
 //! needs the same flow-affine steering but across OS threads. [`RssFanout`]
 //! owns one [`spsc::Producer`] per RX queue and performs exactly the NIC's
-//! sequence — Toeplitz-hash the headers, pick a queue through the
-//! indirection table, stamp the packet's RSS metadata ([`RssFanout::steer`],
-//! the one definition of stamping), enqueue — so a flow's packets always
-//! land on the same worker, in order. The live IO threads steer a whole
-//! generated burst, stage it per destination queue, and enqueue each stage
-//! with one [`RssFanout::push_burst`]; [`RssFanout::deliver`] is the
-//! one-packet form of the same two steps.
+//! sequence — read the receive descriptor's RSS hash, pick a queue through
+//! the indirection table, stamp the packet's ingress port and queue
+//! ([`RssFanout::steer`]), enqueue — so a flow's packets always land on the
+//! same worker, in order. That is [`crate::port::Port::admit`]'s rule. As on
+//! a NIC, the hash comes with the frame: every source stamps
+//! `Packet::rss_hash` when it writes one ([`crate::port::rss_hash`] of its
+//! bytes), so steering parses no header and hashes nothing. The live IO
+//! threads steer a whole generated burst, stage it per destination queue,
+//! and enqueue each stage with one [`RssFanout::push_burst`];
+//! [`RssFanout::deliver`] is the one-packet form of the same two steps.
 
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::packet::Packet;
-use crate::port::rss_hash;
 use crate::spsc;
-use crate::toeplitz::Toeplitz;
 
 /// Entries in the RSS indirection table. Hardware RSS units use a 128-entry
 /// table ([`crate::toeplitz::queue_for_hash`] keys on `hash & 0x7f`); making
@@ -149,7 +150,6 @@ pub struct QueueCounters {
 /// multi-queue NIC's RSS unit steers frames into RX queues.
 pub struct RssFanout {
     port_id: u16,
-    hasher: Toeplitz,
     queues: Vec<spsc::Producer<Packet>>,
     counters: Vec<QueueCounters>,
     table: Arc<RssTable>,
@@ -189,7 +189,6 @@ impl RssFanout {
         let counters = vec![QueueCounters::default(); queues.len()];
         RssFanout {
             port_id,
-            hasher: Toeplitz::default(),
             queues,
             counters,
             table,
@@ -201,25 +200,18 @@ impl RssFanout {
         self.queues.len() as u16
     }
 
-    /// The queue a frame with these bytes would be steered to right now.
-    pub fn queue_for(&self, frame: &[u8]) -> u16 {
-        self.table.worker_for(rss_hash(&self.hasher, frame))
-    }
-
     /// The shared indirection table this fanout steers through.
     pub fn table(&self) -> &Arc<RssTable> {
         &self.table
     }
 
-    /// Steers one packet: Toeplitz-hashes its headers once, stamps the RSS
-    /// hash / ingress port / RX queue on it, and returns the queue the
+    /// Steers one packet by the descriptor RSS hash its source stamped:
+    /// stamps the ingress port and RX queue on it and returns the queue the
     /// indirection table currently selects. Nothing is enqueued; whoever
     /// decides the packet's fate next (an overload shedder, the enqueue)
-    /// reads the stamps instead of hashing again.
+    /// reads the stamps.
     pub fn steer(&self, pkt: &mut Packet) -> u16 {
-        let hash = rss_hash(&self.hasher, pkt.data());
-        let q = self.table.worker_for(hash);
-        pkt.rss_hash = hash;
+        let q = self.table.worker_for(pkt.rss_hash);
         pkt.port_in = self.port_id;
         pkt.queue_in = q;
         q

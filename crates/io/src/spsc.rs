@@ -11,22 +11,27 @@
 //! The implementation keeps the classic lock-free shape — two monotonically
 //! increasing cursors (`head` for the consumer, `tail` for the producer),
 //! each written by exactly one side and read by the other with
-//! acquire/release ordering — plus per-slot `Mutex<Option<T>>` cells for the
-//! payload hand-off. The workspace forbids `unsafe`, so the slot cells use a
-//! mutex instead of `UnsafeCell`; under the SPSC protocol each slot lock is
-//! provably uncontended (the producer only touches a slot the cursors show
-//! as empty, the consumer only one they show as full), so `lock()` never
-//! blocks and the cursors remain the only cross-thread synchronization that
-//! matters.
+//! acquire/release ordering — plus the payload slots, grouped into *pages*
+//! of consecutive `Option<T>` cells behind one `Mutex` each. The workspace
+//! forbids `unsafe`, so the cells sit behind a mutex instead of an
+//! `UnsafeCell`. The page length is derived from the capacity (a quarter of
+//! the ring, clamped to `[1, 64]`), never configured, so every ring has
+//! several pages. A side holds at most one page lock at a time, so there is
+//! no lock order to get wrong; the two sides meet on one page only while
+//! the ring holds less than a page, and then the loser waits for a few cell
+//! moves. The cursors remain the only cross-thread synchronization that
+//! decides what a side may touch.
 //!
 //! **The burst is the unit of synchronization.** [`Producer::push_burst`]
-//! fills as many slots as the ring has room for and publishes them with
-//! *one* release store of `tail`; [`Consumer::pop_burst`] drains up to a
-//! burst and retires it with *one* release store of `head` (the `rte_ring`
-//! bulk enqueue/dequeue). Slots, capacity, occupancy and every gauge stay
+//! fills as many slots as the ring has room for, locking each page it
+//! touches once, and publishes them with *one* release store of `tail`;
+//! [`Consumer::pop_burst`] drains up to a burst the same way and retires it
+//! with *one* release store of `head` (the `rte_ring` bulk
+//! enqueue/dequeue). A 64-item burst therefore takes one or two page locks
+//! per side, not 64. Slots, capacity, occupancy and every gauge stay
 //! packet-granular — a burst is how often the cursors move, not what the
 //! ring holds. [`Producer::push`]/[`Consumer::pop`] are the one-item forms
-//! (the offload command rings use them).
+//! (the offload command rings use them); each locks one page.
 //!
 //! **Cursor traffic is kept off the other side's cache line.** `head` and
 //! `tail` each sit on their own 64-byte line, and each half caches the last
@@ -54,7 +59,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Aligns (and thereby pads) a value to its own 64-byte cache line.
 #[derive(Debug)]
@@ -91,13 +96,46 @@ struct Control {
     /// again. Producers probe this to detect a crashed worker instead of
     /// silently accumulating `enqueue_failed` against a dead ring.
     consumer_gone: AtomicBool,
-    /// Slot count, duplicated here so observers need no generic access.
+    /// Slot count, kept here so observers need no generic access.
     capacity: usize,
 }
 
+/// One page of payload cells, on lines of its own so that the two sides
+/// locking neighbouring pages never share a lock word's line.
+type Page<T> = Line<Mutex<Box<[Option<T>]>>>;
+
 struct Inner<T> {
-    slots: Box<[Mutex<Option<T>>]>,
+    /// The slots in pages of `page_len` cells (the last may be shorter).
+    pages: Box<[Page<T>]>,
+    page_len: usize,
     ctl: Arc<Control>,
+}
+
+/// Cells per page of a ring of `capacity` slots: a quarter of the ring, so
+/// every ring has several pages, and at most one 64-item burst.
+fn page_len(capacity: usize) -> usize {
+    (capacity / 4).clamp(1, 64)
+}
+
+impl<T> Inner<T> {
+    /// Applies `f` to the `n` cells from cursor `at` on, in ring order,
+    /// taking each page's lock once. `f` runs under the page lock. A
+    /// poisoned page (a sink that panicked) is still consistent: every cell
+    /// is either filled or empty.
+    fn for_cells(&self, at: usize, n: usize, mut f: impl FnMut(&mut Option<T>)) {
+        let cap = self.ctl.capacity;
+        let mut slot = at % cap;
+        let mut left = n;
+        while left > 0 {
+            let page = &self.pages[slot / self.page_len].0;
+            let mut cells = page.lock().unwrap_or_else(PoisonError::into_inner);
+            let cells = &mut cells[slot % self.page_len..];
+            let k = cells.len().min(left);
+            cells[..k].iter_mut().for_each(&mut f);
+            left -= k;
+            slot = (slot + k) % cap;
+        }
+    }
 }
 
 /// The sending half of a bounded SPSC ring. Not `Clone`; dropping it closes
@@ -167,9 +205,17 @@ impl RingGauges {
 /// Panics if `capacity` is zero.
 pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "spsc ring capacity must be non-zero");
-    let slots = (0..capacity).map(|_| Mutex::new(None)).collect();
+    let page_len = page_len(capacity);
+    let pages = (0..capacity)
+        .step_by(page_len)
+        .map(|first| {
+            let cells = (first..capacity.min(first + page_len)).map(|_| None);
+            Line(Mutex::new(cells.collect()))
+        })
+        .collect();
     let inner = Arc::new(Inner {
-        slots,
+        pages,
+        page_len,
         ctl: Arc::new(Control {
             head: Line(AtomicUsize::new(0)),
             tail: Line(AtomicUsize::new(0)),
@@ -198,7 +244,7 @@ impl<T> Producer<T> {
     /// Free slots at `tail`, re-loading the consumer's cursor only when the
     /// cached one cannot satisfy `want`.
     fn room(&self, tail: usize, want: usize) -> usize {
-        let cap = self.inner.slots.len();
+        let cap = self.inner.ctl.capacity;
         let mut free = cap - (tail - self.cached_head.get());
         if free < want {
             // Pairs with the consumer's release store of `head`: the slots
@@ -239,14 +285,6 @@ impl<T> Producer<T> {
         failed.store(failed.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
-    fn fill(&self, at: usize, v: T) {
-        // Uncontended by protocol: the consumer will not touch this slot
-        // until it observes the tail advance in `publish`.
-        *self.inner.slots[at % self.inner.slots.len()]
-            .lock()
-            .expect("spsc slot poisoned") = Some(v);
-    }
-
     /// Enqueues `v`, or returns it back when the ring is full (counting the
     /// refusal in the ring's gauges).
     pub fn push(&self, v: T) -> Result<(), T> {
@@ -255,7 +293,10 @@ impl<T> Producer<T> {
             self.count_refusal();
             return Err(v);
         }
-        self.fill(tail, v);
+        // The consumer will not touch this cell until it observes the tail
+        // advance in `publish`.
+        let mut v = Some(v);
+        self.inner.for_cells(tail, 1, |cell| *cell = v.take());
         self.publish(tail + 1, false);
         Ok(())
     }
@@ -272,9 +313,9 @@ impl<T> Producer<T> {
         }
         let tail = self.inner.ctl.tail.0.load(Ordering::Relaxed);
         let n = self.room(tail, burst.len()).min(burst.len());
-        for (i, v) in burst.drain(..n).enumerate() {
-            self.fill(tail + i, v);
-        }
+        let mut items = burst.drain(..n);
+        self.inner.for_cells(tail, n, |cell| *cell = items.next());
+        drop(items);
         if n > 0 {
             self.publish(tail + n, !burst.is_empty());
         } else {
@@ -297,7 +338,7 @@ impl<T> Producer<T> {
 
     /// Total slot count.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.ctl.capacity
     }
 
     /// True once the consumer has been dropped: every item already queued
@@ -334,35 +375,30 @@ impl<T> Consumer<T> {
         self.cached_tail.get() - head
     }
 
-    fn take(&self, at: usize) -> Option<T> {
-        self.inner.slots[at % self.inner.slots.len()]
-            .lock()
-            .expect("spsc slot poisoned")
-            .take()
-    }
-
     /// Dequeues the oldest item, or `None` when the ring is currently empty.
     pub fn pop(&self) -> Option<T> {
         let head = self.inner.ctl.head.0.load(Ordering::Relaxed);
         if self.ready(head, 1) == 0 {
             return None;
         }
-        let v = self.take(head);
+        let mut v = None;
+        self.inner.for_cells(head, 1, |cell| v = cell.take());
         self.inner.ctl.head.0.store(head + 1, Ordering::Release);
         v
     }
 
     /// Dequeues up to `max` of the oldest items into `sink`, in order, and
     /// retires them with one release store. Returns how many were dequeued
-    /// (0 when the ring is currently empty).
+    /// (0 when the ring is currently empty). `sink` runs while the items'
+    /// page is locked, so it must not use this ring.
     pub fn pop_burst(&self, max: usize, mut sink: impl FnMut(T)) -> usize {
         let head = self.inner.ctl.head.0.load(Ordering::Relaxed);
         let n = self.ready(head, max).min(max);
-        for i in 0..n {
-            if let Some(v) = self.take(head + i) {
+        self.inner.for_cells(head, n, |cell| {
+            if let Some(v) = cell.take() {
                 sink(v);
             }
-        }
+        });
         if n > 0 {
             self.inner.ctl.head.0.store(head + n, Ordering::Release);
         }
@@ -430,6 +466,51 @@ mod tests {
             assert_eq!(rx.pop(), Some(i));
         }
         assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn pages_tile_the_ring() {
+        for (capacity, page, pages) in [(1, 1, 1), (7, 1, 7), (9, 2, 5), (32, 8, 4), (4096, 64, 64)]
+        {
+            let (tx, _rx) = channel::<u8>(capacity);
+            let inner = &tx.inner;
+            assert_eq!(
+                (inner.page_len, inner.pages.len()),
+                (page, pages),
+                "capacity {capacity}"
+            );
+            let cells: usize = inner.pages.iter().map(|p| p.0.lock().unwrap().len()).sum();
+            assert_eq!(cells, capacity);
+        }
+    }
+
+    #[test]
+    fn bursts_straddle_pages_and_a_short_last_page() {
+        // Nine slots in pages of 2, 2, 2, 2 and 1: bursts of 4 start at
+        // every offset, cross page boundaries and wrap mid-page.
+        let (tx, rx) = channel::<u32>(9);
+        let mut next = 0;
+        let mut expect = 0;
+        for _ in 0..40 {
+            let mut burst: Vec<u32> = (next..next + 4).collect();
+            assert_eq!(tx.push_burst(&mut burst), 4);
+            next += 4;
+            rx.pop_burst(3, |v| {
+                assert_eq!(v, expect);
+                expect += 1;
+            });
+            if tx.len() > 4 {
+                rx.pop_burst(4, |v| {
+                    assert_eq!(v, expect);
+                    expect += 1;
+                });
+            }
+        }
+        rx.pop_burst(9, |v| {
+            assert_eq!(v, expect);
+            expect += 1;
+        });
+        assert_eq!(expect, next);
     }
 
     #[test]

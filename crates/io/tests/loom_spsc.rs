@@ -4,7 +4,9 @@
 //! Build with `RUSTFLAGS="--cfg loom"` to enable. A producer publishes a
 //! few bursts — some larger than the ring's free space, so it must make
 //! partial progress and retry — racing a consumer that drains in bursts,
-//! then the producer drops. Under every explored interleaving:
+//! then the producer drops. The ring has four pages of two slots, so a
+//! burst locks several pages in turn and crosses page boundaries and the
+//! wrap. Under every explored interleaving:
 //!
 //! * every item is seen exactly once, in order (one release store per burst
 //!   publishes every slot written before it; the cached cursors never let a
@@ -17,11 +19,12 @@
 use loom::thread;
 use nba_io::spsc;
 
-/// Ring slots: smaller than a burst, so bursts split.
-const CAPACITY: usize = 2;
-/// Bursts the producer publishes, and items per burst.
-const BURSTS: u32 = 3;
-const BURST: u32 = 3;
+/// Ring slots: four pages of two, and smaller than two bursts.
+const CAPACITY: usize = 8;
+/// Bursts the producer publishes, and items per burst: an odd burst
+/// starts on every page offset.
+const BURSTS: u32 = 5;
+const BURST: u32 = 5;
 
 #[test]
 fn burst_handoff_delivers_every_item_once_in_order() {

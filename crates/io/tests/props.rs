@@ -10,7 +10,10 @@ use nba_io::port::rss_hash;
 use nba_io::proto::FrameBuilder;
 use nba_io::spsc;
 use nba_io::toeplitz::{queue_for_hash, Toeplitz};
-use nba_io::{IpVersion, L4Proto, Packet, PayloadFill, Port, SizeDist, TrafficConfig, TrafficGen};
+use nba_io::{
+    IpVersion, L4Proto, Packet, PacketSource, PayloadFill, Port, Replay, RssFanout, SizeDist,
+    TraceRecord, TrafficConfig, TrafficGen,
+};
 use nba_sim::Time;
 
 /// One generator shape per `kind`: v4 UDP, v4 TCP with lifetime churn and a
@@ -112,6 +115,67 @@ proptest! {
         prop_assert_eq!(c.rx_delivered, admitted);
         prop_assert!(c.rx_dropped > 0, "no slot was refused");
         prop_assert_eq!(gen.stats().generated, admitted);
+    }
+
+    /// Every source stamps the receive-descriptor hash when it writes a
+    /// frame: the packets of `generate`, of `generate_burst` through a
+    /// thread cache, and of a `Replay` (offered or by count) all carry
+    /// `port::rss_hash` of their bytes. A fanout on a boot table steers by
+    /// that stamp alone, to `queue_for_hash(hash, queues)`.
+    #[test]
+    fn every_source_stamps_the_descriptor_hash(
+        kind in 0u8..5,
+        payload in 0u8..3,
+        imix in any::<bool>(),
+        queues in 1u16..5,
+        burst in 1usize..70,
+        seed in any::<u64>(),
+    ) {
+        let cfg = traffic(kind, payload, imix, seed);
+        let nic = Toeplitz::default();
+        let stamped = |p: &Packet| -> Result<(), TestCaseError> {
+            prop_assert_eq!(p.rss_hash, rss_hash(&nic, p.data()), "{:?}", p.data());
+            Ok(())
+        };
+        let pool = Mempool::new(1 << 12);
+        let mut by_time = Vec::new();
+        TrafficGen::new(cfg.clone()).generate(Time::from_us(4), &pool, &mut |p| by_time.push(p));
+        prop_assert!(by_time.len() > 8);
+        by_time.iter().try_for_each(stamped)?;
+
+        let mut cache = MempoolCache::new(pool.clone(), 32);
+        let mut gen = TrafficGen::new(cfg);
+        let mut by_count = Vec::new();
+        while by_count.len() < by_time.len() {
+            let want = burst.min(by_time.len() - by_count.len());
+            gen.generate_burst(want, &mut cache, &mut |p| by_count.push(p));
+        }
+        by_count.iter().try_for_each(stamped)?;
+
+        // A replay of the same frames, offered to a port and asked by count.
+        let records = by_time
+            .iter()
+            .map(|p| TraceRecord { ts: p.ts_gen, frame: p.data().to_vec() })
+            .collect();
+        let mut replay = Replay::new(records, 40.0);
+        let mut port = Port::new(0, 10.0, queues, 1 << 10);
+        replay.offer(Time::from_us(4), u64::MAX, &pool, &mut port);
+        for q in 0..queues {
+            std::iter::from_fn(|| port.rx_queue(q).pop()).try_for_each(|p| stamped(&p))?;
+        }
+        let mut replayed = Vec::new();
+        replay.generate_burst(burst, &mut cache, &mut |p| replayed.push(p));
+        replayed.iter().try_for_each(stamped)?;
+
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..queues).map(|_| spsc::channel(1 << 10)).unzip();
+        let mut fanout = RssFanout::new(7, txs);
+        for p in by_count {
+            let hash = p.rss_hash;
+            let q = fanout.deliver(p).map_err(drop).expect("ring has room");
+            prop_assert_eq!(q, queue_for_hash(hash, queues));
+            let got = rxs[usize::from(q)].pop().expect("just delivered");
+            prop_assert_eq!((got.rss_hash, got.port_in, got.queue_in), (hash, 7, q));
+        }
     }
 }
 
@@ -263,10 +327,13 @@ proptest! {
     /// refused tail stays with the caller, one refusal counted), and the
     /// ring reports disconnected only after the producer is gone *and* the
     /// queue drained — the cached cursors must not hide a final push.
+    /// Capacities up to 80 have pages of up to 20 slots (a quarter of the
+    /// ring), and bursts up to 40 items, so bursts straddle page boundaries
+    /// and the wrap, and start and end mid-page.
     #[test]
     fn spsc_matches_a_bounded_fifo_model(
-        capacity in 1usize..12,
-        ops in proptest::collection::vec((0u8..4, 1usize..20), 1..120),
+        capacity in 1usize..80,
+        ops in proptest::collection::vec((0u8..4, 1usize..40), 1..160),
     ) {
         let (tx, rx) = spsc::channel::<u32>(capacity);
         let gauges = rx.gauges();

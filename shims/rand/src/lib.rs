@@ -129,10 +129,11 @@ macro_rules! impl_sample_uniform {
                     .wrapping_sub(lo as u128)
                     .wrapping_add(u128::from(inclusive));
                 let x = rng.next_u64();
-                // The same remainder either way; a 64-bit division is the
-                // cheap one, and only the full inclusive u64 range needs 65
-                // bits of span.
+                // The same remainder every way: a mask for a power-of-two
+                // span (flow tables), else a 64-bit division, the cheap
+                // one; only the full inclusive u64 range needs 65 bits.
                 let offset = match u64::try_from(span) {
+                    Ok(span) if span.is_power_of_two() => x & (span - 1),
                     Ok(span) => x % span,
                     Err(_) => x,
                 };
@@ -227,7 +228,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -249,6 +250,39 @@ mod tests {
             assert!((1024..u16::MAX).contains(&x));
             let y = r.gen_range(8usize..=24);
             assert!((8..=24).contains(&y));
+        }
+    }
+
+    #[test]
+    fn spans_reduce_to_the_plain_remainder() {
+        // Power-of-two spans take a mask, others a division: the value is
+        // `lo + x % span` either way, so every seeded stream is unchanged.
+        for span in [
+            1u64,
+            2,
+            3,
+            7,
+            64,
+            100,
+            4096,
+            16_384,
+            50_000,
+            1 << 40,
+            (1 << 40) + 1,
+        ] {
+            let mut a = SmallRng::seed_from_u64(span);
+            let mut b = SmallRng::seed_from_u64(span);
+            for _ in 0..256 {
+                let got = a.gen_range(5..5 + span);
+                assert_eq!(got, 5 + b.next_u64() % span, "span {span}");
+            }
+        }
+        let mut a = SmallRng::seed_from_u64(9);
+        let mut b = SmallRng::seed_from_u64(9);
+        for _ in 0..256 {
+            assert_eq!(a.gen_range(0usize..4096), (b.next_u64() % 4096) as usize);
+            assert_eq!(a.gen_range(-8i32..=7), -8 + (b.next_u64() % 16) as i32);
+            assert_eq!(a.gen_range(0..=u64::MAX), b.next_u64());
         }
     }
 

@@ -13,6 +13,7 @@ use nba::core::graph::GraphBuilder;
 use nba::core::lb::{self, LoadBalanceElement};
 use nba::core::runtime::live::{self, LiveConfig};
 use nba::core::runtime::{BuildCtx, PipelineBuilder};
+use nba::core::supervise::WorkerState;
 use nba::io::proto::{ether::EtherView, ipv4::Ipv4View, l4::TcpView};
 use nba::io::{L4Proto, Packet, PayloadFill, SizeDist, TrafficConfig};
 use nba::sim::GpuProfile;
@@ -264,6 +265,22 @@ fn awkward_shape(drain: bool) -> LiveConfig {
     }
 }
 
+/// A run with no fault injected loses nothing, re-steers nothing and
+/// convicts no worker. Its log may still hold Healthy↔Suspect edges: on a
+/// host with fewer cores than threads a runnable worker with backlog often
+/// waits a whole 1 ms watchdog window for a CPU.
+fn assert_clean_supervision(report: &live::LiveReport) {
+    let health = &report.health;
+    assert_eq!(health.stats.total_lost(), 0, "{health:?}");
+    assert_eq!(health.stats.resteers, 0, "{health:?}");
+    let convicted = health
+        .log
+        .events
+        .iter()
+        .find(|e| !matches!(e.to, WorkerState::Healthy | WorkerState::Suspect));
+    assert_eq!(convicted, None, "{health:?}");
+}
+
 fn run_router(cfg: &LiveConfig) -> live::LiveReport {
     let app = AppConfig {
         ports: 4,
@@ -284,7 +301,7 @@ fn live_burst_handoff_is_lossless_and_flow_ordered() {
     assert_eq!(report.rx_dropped, 0, "lossless ingress dropped at RX");
     assert_eq!(t.rx_packets, 50_000, "not every generated packet arrived");
     assert_eq!(t.tx_packets + t.dropped, 50_000, "rx = tx + dropped");
-    assert_eq!(report.health.stats.total_lost(), 0, "{:?}", report.health);
+    assert_clean_supervision(&report);
     assert_eq!(report.tx_capture.len() as u64, t.tx_packets);
     assert!(t.tx_packets > 25_000, "{t:?}");
     // Per-flow TX order equals generation order: a flow is pinned to one
@@ -321,5 +338,5 @@ fn live_nic_mode_counts_each_refused_packet_once() {
         per_shard, report.rx_dropped,
         "fanout and shard ledgers agree"
     );
-    assert_eq!(report.health.stats.total_lost(), 0, "{:?}", report.health);
+    assert_clean_supervision(&report);
 }

@@ -51,7 +51,7 @@ pub struct FlightConfig {
     /// RX events are sampled 1-in-`sample_every` (offload lifecycle events
     /// are always recorded — they are rare and are what post-mortems need).
     pub sample_every: u64,
-    /// Dump when a reporter window drops at least this many packets
+    /// Dump when a sampler window drops at least this many packets
     /// (`None` disables the drop-spike trigger).
     pub drop_spike: Option<u64>,
     /// Directory for dump JSON artifacts (`None` keeps dumps in-memory
@@ -335,8 +335,9 @@ pub(crate) fn ring_totals<G: Deref<Target = RingGauges>>(
     })
 }
 
-/// The per-shard gauges of a live run, read by the reporter thread,
-/// `/status`, `/metrics`, the supervisor tick and the teardown ledger.
+/// The per-shard gauges of a live run, read by the housekeeping loop (its
+/// sampler and supervisor tick), `/status`, `/metrics` and the teardown
+/// ledger.
 #[derive(Clone)]
 pub struct ShardGauges {
     /// RX-ring gauges, `[worker][io_thread]`. Each slot is swappable: the
@@ -393,7 +394,7 @@ pub struct StatsState {
     pub shards: ShardGauges,
     /// Ring-full drop counters, per worker.
     pub rx_drops: Arc<Vec<AtomicU64>>,
-    /// The reporter's samples so far (the `w` trajectory).
+    /// The sampler's windows so far (the `w` trajectory).
     pub samples: Arc<Mutex<Vec<TimeSample>>>,
     /// Per-worker latency-histogram shards, merged per request.
     pub latency: Arc<Vec<Mutex<LatencyHistogram>>>,
@@ -462,7 +463,7 @@ impl StatsState {
             .iter()
             .map(|s| json_f64(s.offload_fraction))
             .collect();
-        // SLO burn from the latest reporter window; null when no SLO is
+        // SLO burn from the latest sampler window; null when no SLO is
         // configured (or before the first sample).
         let slo = telemetry::slo_json(self.samples.lock().last().and_then(|s| s.slo));
         let (drift_events, drift_rel, drift_stage) = self.drift.snapshot();

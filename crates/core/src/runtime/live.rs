@@ -19,6 +19,10 @@
 //! * **The device thread** round-robins over the per-worker task rings,
 //!   aggregates batches per offloadable node, executes kernels (fault
 //!   ladder included), and returns completions.
+//! * **The calling thread** runs the control plane in one housekeeping
+//!   loop: supervisor ticks (and worker respawns), sampler windows, and
+//!   the deadline/quiesce/grace/stop sequence. A run starts no other
+//!   thread, except the stats endpoint's when one is configured.
 //!
 //! Shutdown is a graceful drain: sources stop first, workers exit once
 //! their rings are disconnected *and* drained and no offloads are in
@@ -104,8 +108,9 @@ pub struct LiveConfig {
     /// Batches aggregated per device task.
     pub aggregate: usize,
     /// Telemetry knobs. `sample_interval` is interpreted as a wall-clock
-    /// interval for the reporter thread; `trace_capacity` sizes each
-    /// worker's (and the device thread's) batch-lifecycle trace ring.
+    /// interval between the housekeeping loop's sampler windows;
+    /// `trace_capacity` sizes each worker's (and the device thread's)
+    /// batch-lifecycle trace ring.
     pub telemetry: TelemetryConfig,
     /// Fault injection plan and recovery knobs (retries, circuit breaker).
     /// Fault *times* (`die_at`/`revive_at`) are interpreted on the
@@ -134,8 +139,8 @@ pub struct LiveConfig {
     /// The decision-audit plane: balancer decision logs, per-stage offload
     /// timing, cost-model drift detection. Fully off by default.
     pub audit: crate::audit::AuditConfig,
-    /// Declarative latency/throughput budgets scored by the reporter
-    /// thread window by window (`None` = no SLO accounting).
+    /// Declarative latency/throughput budgets scored sampler window by
+    /// sampler window (`None` = no SLO accounting).
     pub slo: Option<crate::audit::SloConfig>,
     /// Overload shedding applied by IO threads (off by default: clean runs
     /// stay lossless). When armed, a packet bound for an over-threshold
@@ -211,7 +216,7 @@ pub struct LiveReport {
     /// Per-element work profiles, merged across workers (wall-clock busy
     /// time), sorted by node.
     pub elements: Vec<ElementProfile>,
-    /// Reporter-thread samples (empty when sampling is off).
+    /// Sampler windows (empty when sampling is off).
     pub samples: Vec<TimeSample>,
     /// Batch-lifecycle trace, merged across workers and the device thread,
     /// sorted by elapsed time (empty unless tracing was enabled).
@@ -273,7 +278,7 @@ pub fn run_sharded(
 }
 
 /// The run-wide handles a worker thread needs. One spawner starts the
-/// original workers and, from the supervisor thread, their replacements:
+/// original workers and, from the housekeeping loop, their replacements:
 /// both get the same context (a fresh graph replica around the rings they
 /// are handed) and run the same [`worker_loop`] — which is what makes
 /// workers respawnable.
@@ -442,9 +447,14 @@ fn worker_loop(
         if batch.is_empty() {
             core.retire(batch);
             // Graceful drain: sources closed every ring, nothing is
-            // queued, and no offloads are coming back.
+            // queued, and no offloads are coming back. A finished worker
+            // is never a re-steer target, so it stays on until every
+            // crashed shard has been convicted.
             let drained = rx.iter().all(spsc::Consumer::is_disconnected);
-            if drained && (tp.outstanding == 0 || completions_dead) {
+            if drained
+                && (tp.outstanding == 0 || completions_dead)
+                && !sp.env.health.iter().any(WorkerHealth::awaiting_conviction)
+            {
                 break;
             }
             std::thread::yield_now();
@@ -570,14 +580,15 @@ fn run_core(
     let mut io_tx: Vec<Vec<spsc::Producer<Packet>>> = (0..io_threads)
         .map(|_| Vec::with_capacity(workers))
         .collect();
+    let ring_capacity = cfg.ring_capacity.max(cfg.batch.max(1));
     for tx_of_port in io_tx.iter_mut() {
         for rx_of_worker in worker_rx.iter_mut() {
-            let (tx, rx) = spsc::channel(cfg.ring_capacity.max(cfg.batch.max(1)));
+            let (tx, rx) = spsc::channel(ring_capacity);
             tx_of_port.push(tx);
             rx_of_worker.push(rx);
         }
     }
-    // Ring-full drops, per worker (RX queue), visible to the reporter.
+    // Ring-full drops, per worker (RX queue), visible to the sampler.
     let rx_drops: Arc<Vec<AtomicU64>> = Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
 
     // ── The self-healing plane's shared state ──────────────────────────
@@ -593,7 +604,7 @@ fn run_core(
     let shed_per_worker: Arc<Vec<AtomicU64>> =
         Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
     // Ring gauges, shed counters and balancers per shard, read by the
-    // reporter, the supervisor, the stats endpoint and teardown.
+    // sampler, the supervisor, the stats endpoint and teardown.
     let shard_gauges = ShardGauges {
         rings: Arc::new(
             worker_rx
@@ -609,7 +620,7 @@ fn run_core(
         shed: shed_per_worker.clone(),
         balancers: balancers.clone(),
     };
-    // Raised by the reporter while an SLO burn-rate exceeds 1; read by the
+    // Raised by the sampler while an SLO burn-rate exceeds 1; read by the
     // IO threads' shedders when `shed.slo_coupled`.
     let slo_overload = Arc::new(AtomicBool::new(false));
     // Respawn mailboxes: the supervisor deposits fresh ring producers here
@@ -638,7 +649,7 @@ fn run_core(
     );
 
     // The always-on flight recorder and the shared state the stats
-    // endpoint reads (per-worker latency shards, reporter samples).
+    // endpoint reads (per-worker latency shards, sampler windows).
     let flight = Arc::new(FlightRecorder::new(workers, cfg.flight.clone()));
     let latency_shards: Arc<Vec<parking_lot::Mutex<LatencyHistogram>>> = Arc::new(
         (0..workers)
@@ -772,9 +783,9 @@ fn run_core(
         decision_audit: cfg.audit.decision_capacity > 0,
     };
     // Late ring registration: a respawned worker's fresh command ring
-    // reaches the device through this channel. The supervisor holds the
-    // only sender; the device keeps serving until the sender is gone *and*
-    // every registered ring is disconnected.
+    // reaches the device through this channel. The housekeeping loop holds
+    // the only sender; the device keeps serving until the sender is gone
+    // *and* every registered ring is disconnected.
     let (ring_add_tx, ring_add_rx) = channel::unbounded::<spsc::Consumer<OffloadTask>>();
     let device = std::thread::spawn(move || {
         let mut core = DeviceCore::new(0, spec_map, Default::default(), dev_env);
@@ -867,8 +878,6 @@ fn run_core(
         let io_burst = cfg.batch.max(1);
         let io_spans = spans.clone();
         let io_steer = steer_spans.clone();
-        let io_started = started;
-        let io_workers = workers;
         let io_table = rss_table.clone();
         let io_health = health.clone();
         let io_hstats = hstats.clone();
@@ -892,7 +901,7 @@ fn run_core(
                 .enabled()
                 .then(|| Shedder::new(shed_cfg, 0x5ed0_0000 + p as u64));
             // Which shards' ring disconnects were already post-mortemed.
-            let mut obituary_sent = vec![false; io_workers];
+            let mut obituary_sent = vec![false; workers];
             // Steering events live in this thread's own bounded ring
             // (rings are single-owner), merged at join time.
             let mut steer_trace = io_spans
@@ -902,9 +911,8 @@ fn run_core(
             // are steered straight into the stage of their destination
             // queue. Within a stage the order is generation order, so flow
             // affinity and per-flow order hold.
-            let mut staged: Vec<Vec<Packet>> = (0..io_workers)
-                .map(|_| Vec::with_capacity(io_burst))
-                .collect();
+            let mut staged: Vec<Vec<Packet>> =
+                (0..workers).map(|_| Vec::with_capacity(io_burst)).collect();
             // Consecutive refused pushes (lossless mode), see
             // `BACKPRESSURE_SPINS`.
             let mut refusals = 0u32;
@@ -924,7 +932,7 @@ fn run_core(
                 // Obituaries: the first sighting of a dead ring (a consumer
                 // dropped by a worker that did NOT finish) takes a flight
                 // dump — the post-mortem for "why did shard N stop".
-                for q in 0..io_workers {
+                for q in 0..workers {
                     if !obituary_sent[q]
                         && fanout.receiver_gone(q as u16)
                         && !io_health[q].done.load(Ordering::Acquire)
@@ -935,7 +943,7 @@ fn run_core(
                             &format!("ring_disconnect_shard{q}"),
                             Some(q as u32),
                             0,
-                            Time::from_secs_f64(io_started.elapsed().as_secs_f64()),
+                            Time::from_secs_f64(started.elapsed().as_secs_f64()),
                             io_fstats.snapshot(),
                         );
                     }
@@ -1027,7 +1035,7 @@ fn run_core(
                     // worker flow arrow.
                     if let (Some(alloc), Some(tr)) = (&io_spans, &mut steer_trace) {
                         if delivered > 0 {
-                            let now = Time::from_secs_f64(io_started.elapsed().as_secs_f64());
+                            let now = Time::from_secs_f64(started.elapsed().as_secs_f64());
                             let span = alloc.next();
                             io_steer[p][q].store(span, Ordering::Relaxed);
                             let ev = TraceEvent::point(now, q, 0, TraceEventKind::Steer, delivered);
@@ -1083,145 +1091,117 @@ fn run_core(
         latency: latency_shards.clone(),
         started,
     });
-    let joins: Vec<_> = worker_rx
+    let mut joins: Vec<_> = worker_rx
         .into_iter()
         .zip(task_txs)
         .enumerate()
-        .map(|(w, (rx, task_tx))| spawner.spawn(w, rx, task_tx, true))
+        .map(|(w, (rx, task_tx))| (w, spawner.spawn(w, rx, task_tx, true)))
         .collect();
 
-    // ── The supervisor thread ──────────────────────────────────────────
-    // The live driver of the shared `Supervisor`: a sleep loop that ticks
-    // it with the ring occupancies, plus the one reaction only real
-    // threads need — respawning a crashed worker. Always on: a clean run
-    // just produces an empty log. The supervisor itself is shared with
-    // this function so the report closes even if the thread is lost.
-    let scfg = cfg.fault.supervisor.clone();
-    let supervisor = Arc::new(parking_lot::Mutex::new(Supervisor::new(
-        &scfg,
+    // ── Housekeeping, on this thread ───────────────────────────────────
+    // The control plane runs here while the data plane runs on its own
+    // threads. One loop ticks the supervisor every `check_interval` (and
+    // respawns a crashed worker), closes a sampler window every
+    // `sample_interval`, and steps the run through deadline → quiesce →
+    // grace → hard stop. Workers finish early when the sources exhaust
+    // their budget; the configured duration is the deadline for unbounded
+    // runs. The supervisor is always on: a clean run just produces an
+    // empty log.
+    let scfg = &cfg.fault.supervisor;
+    let mut supervisor = Supervisor::new(
+        scfg,
         health.clone(),
         hstats.clone(),
         vec![rss_table.clone()],
         balancers.clone(),
         flow_registry.clone(),
-    )));
-    type SupervisorYield = (Vec<spsc::RingGauges>, Vec<WorkerYield>);
-    let supervisor_thread = {
-        let sup = supervisor.clone();
-        let stop = stop.clone();
-        let health = health.clone();
-        let gauges = shard_gauges.clone();
-        let spawner = spawner.clone();
-        let io_mailboxes = io_mailboxes.clone();
-        let io_pending = io_pending.clone();
-        let io_alive = io_alive.clone();
-        let ring_capacity = cfg.ring_capacity.max(cfg.batch.max(1));
-        std::thread::spawn(move || -> SupervisorYield {
-            // The only sender: dropping it at exit lets the device finish.
-            let ring_add = ring_add_tx;
-            let mut respawned = Vec::new();
-            let mut abandoned: Vec<spsc::RingGauges> = Vec::new();
-            let tick = Duration::from_nanos(scfg.check_interval.as_ns().max(1));
-            let elapsed_ns = || started.elapsed().as_nanos() as u64;
-            loop {
-                if stop.load(Ordering::Relaxed)
-                    || health.iter().all(|h| h.done.load(Ordering::Acquire))
-                {
-                    break;
-                }
-                std::thread::sleep(tick);
-                // Mop up deposits that raced an IO thread's exit: close
-                // the producers so the replacement's rings disconnect.
-                for p in 0..io_threads {
-                    if !io_alive[p].load(Ordering::Acquire) {
-                        io_mailboxes[p].lock().clear();
-                    }
-                }
-                let fired = sup.lock().tick(elapsed_ns(), |w| gauges.occupancy(w));
-                for (w, t) in fired {
-                    // Crash + respawn policy: a replacement worker with
-                    // fresh rings, a fresh graph/telemetry replica, and a
-                    // fresh command ring, re-acquiring the shard's buckets.
-                    // (Stalled-but-alive shards are never respawned — their
-                    // thread still owns the rings.)
-                    if t.to != WorkerState::Dead
-                        || t.reason != TransitionReason::Crash
-                        || !scfg.respawn
-                        || stop.load(Ordering::Relaxed)
-                    {
-                        continue;
-                    }
-                    let mut new_rx = Vec::with_capacity(io_threads);
-                    for p in 0..io_threads {
-                        let (ptx, prx) = spsc::channel(ring_capacity);
-                        // Keep the abandoned ring's gauge: whatever is
-                        // still queued there is loss, accounted at
-                        // teardown once all producers are gone.
-                        abandoned.push(std::mem::replace(
-                            &mut *gauges.rings[w][p].lock(),
-                            prx.gauges(),
-                        ));
-                        if io_alive[p].load(Ordering::Acquire) {
-                            io_mailboxes[p].lock().push((w as u16, ptx));
-                            io_pending[p].store(true, Ordering::Release);
-                        }
-                        // An exited IO thread gets no deposit: `ptx`
-                        // drops here and the ring reads as drained.
-                        new_rx.push(prx);
-                    }
-                    let (ttx, trx) = spsc::channel(TASK_RING_DEPTH);
-                    let _ = ring_add.send(trx);
-                    health[w].rearm();
-                    respawned.push((w, spawner.spawn(w, new_rx, ttx, false)));
-                    sup.lock().recovered(w, elapsed_ns());
+    );
+    // Gauges of the rings respawns replaced: whatever is still queued there
+    // is loss, accounted at teardown once all producers are gone.
+    let mut abandoned: Vec<spsc::RingGauges> = Vec::new();
+    let elapsed_ns = || started.elapsed().as_nanos() as u64;
+    let tick = Duration::from_nanos(scfg.check_interval.as_ns().max(1));
+    let mut next_tick = Instant::now() + tick;
+    let sample_every = cfg
+        .telemetry
+        .sample_interval
+        .map(|i| Duration::from_nanos(i.as_ns().max(1)));
+    let mut next_sample = sample_every.map(|every| Instant::now() + every);
+    let mut sampler = Sampler::new(slo_tracker.clone());
+    let mut prev_dropped: u64 = 0;
+    // The deadline, then (once the sources are quiesced) the end of the
+    // grace window in which rings close and workers finish queued batches
+    // and outstanding offloads.
+    let mut stop_at = started + cfg.duration;
+    let mut quiescing = false;
+    loop {
+        let now = Instant::now();
+        let drained = health.iter().all(|h| h.done.load(Ordering::Acquire));
+        if drained || now >= stop_at {
+            gen_stop.store(true, Ordering::Relaxed);
+            if drained || quiescing {
+                break;
+            }
+            quiescing = true;
+            stop_at = now + Duration::from_millis(500).max(cfg.duration / 4);
+        }
+        if now >= next_tick {
+            next_tick = now + tick;
+            // Mop up deposits that raced an IO thread's exit: close the
+            // producers so the replacement's rings disconnect.
+            for p in 0..io_threads {
+                if !io_alive[p].load(Ordering::Acquire) {
+                    io_mailboxes[p].lock().clear();
                 }
             }
-            // Replacements exit on the same stop/drain signals as the
-            // originals; their telemetry merges with everyone else's.
-            let yields = respawned
-                .into_iter()
-                .filter_map(|(w, j)| {
-                    // Died despite the in-thread containment: its
-                    // leftovers are a crashed shard's.
-                    j.join().inspect_err(|_| health[w].crash()).ok()
-                })
-                .collect();
-            (abandoned, yields)
-        })
-    };
-
-    // ── The reporter thread ────────────────────────────────────────────
-    // The wall-clock sleep loop around the shared `Sampler`; its offload
-    // fraction is the mean of the per-worker balancers.
-    let reporter = cfg.telemetry.sample_interval.map(|interval| {
-        let inspector = inspector.clone();
-        let stop = stop.clone();
-        let rx_drops = rx_drops.clone();
-        let rep_gauges = shard_gauges.clone();
-        let rep_samples = shared_samples.clone();
-        let rep_flight = flight.clone();
-        let rep_fstats = fstats.clone();
-        let rep_overload = slo_overload.clone();
-        let mut sampler = Sampler::new(slo_tracker.clone());
-        let interval = Duration::from_nanos(interval.as_ns().max(1));
-        std::thread::spawn(move || {
-            let mut prev_dropped: u64 = 0;
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                let t = Time::from_secs_f64(started.elapsed().as_secs_f64());
-                let shards = rep_gauges.snapshot();
-                let mean_w = shards.iter().map(|s| s.w).sum::<f64>() / shards.len() as f64;
-                let rx_dropped: u64 = rx_drops.iter().map(|d| d.load(Ordering::Relaxed)).sum();
-                let Some(sample) =
-                    sampler.sample(t, &inspector, rx_dropped, mean_w, Vec::new(), shards)
-                else {
+            let fired = supervisor.tick(elapsed_ns(), |w| shard_gauges.occupancy(w));
+            for (w, t) in fired {
+                // Crash + respawn policy: a replacement worker with fresh
+                // rings, a fresh graph/telemetry replica, and a fresh
+                // command ring, re-acquiring the shard's buckets.
+                // (Stalled-but-alive shards are never respawned — their
+                // thread still owns the rings.)
+                if t.to != WorkerState::Dead || t.reason != TransitionReason::Crash || !scfg.respawn
+                {
                     continue;
-                };
+                }
+                let mut new_rx = Vec::with_capacity(io_threads);
+                for p in 0..io_threads {
+                    let (ptx, prx) = spsc::channel(ring_capacity);
+                    abandoned.push(std::mem::replace(
+                        &mut *shard_gauges.rings[w][p].lock(),
+                        prx.gauges(),
+                    ));
+                    if io_alive[p].load(Ordering::Acquire) {
+                        io_mailboxes[p].lock().push((w as u16, ptx));
+                        io_pending[p].store(true, Ordering::Release);
+                    }
+                    // An exited IO thread gets no deposit: `ptx` drops here
+                    // and the ring reads as drained.
+                    new_rx.push(prx);
+                }
+                let (ttx, trx) = spsc::channel(TASK_RING_DEPTH);
+                let _ = ring_add_tx.send(trx);
+                health[w].rearm();
+                joins.push((w, spawner.spawn(w, new_rx, ttx, false)));
+                supervisor.recovered(w, elapsed_ns());
+            }
+        }
+        if next_sample.is_some_and(|due| now >= due) {
+            next_sample = sample_every.map(|every| now + every);
+            let t = Time::from_secs_f64(started.elapsed().as_secs_f64());
+            let shards = shard_gauges.snapshot();
+            // The offload fraction is the mean of the per-worker balancers.
+            let mean_w = shards.iter().map(|s| s.w).sum::<f64>() / shards.len() as f64;
+            let rx_dropped: u64 = rx_drops.iter().map(|d| d.load(Ordering::Relaxed)).sum();
+            if let Some(sample) =
+                sampler.sample(t, &inspector, rx_dropped, mean_w, Vec::new(), shards)
+            {
                 // SLO-coupled shedding: when either error budget burns
                 // faster than earned, the IO threads switch to full-rate
                 // shedding until the burn subsides.
                 if let Some(s) = &sample.slo {
-                    rep_overload.store(
+                    slo_overload.store(
                         s.latency_burn > 1.0 || s.throughput_burn > 1.0,
                         Ordering::Relaxed,
                     );
@@ -1229,34 +1209,24 @@ fn run_core(
                 // Drop-rate spike: a window losing packets faster than the
                 // configured threshold is a containment event too.
                 let dropped_now = sample.dropped + rx_dropped;
-                rep_samples.lock().push(sample);
-                if let Some(limit) = rep_flight.drop_spike() {
+                shared_samples.lock().push(sample);
+                if let Some(limit) = flight.drop_spike() {
                     if dropped_now.saturating_sub(prev_dropped) >= limit.max(1) {
-                        rep_flight.dump("drop_spike", None, 0, t, rep_fstats.snapshot());
+                        flight.dump("drop_spike", None, 0, t, fstats.snapshot());
                     }
                 }
                 prev_dropped = dropped_now;
             }
-        })
-    });
-
-    // ── Orchestration: deadline, quiesce, drain, hard stop ─────────────
-    // Workers finish early when the sources exhaust their budget; the
-    // configured duration is the deadline for unbounded runs.
-    let poll = Duration::from_millis(2);
-    let drained = || health.iter().all(|h| h.done.load(Ordering::Acquire));
-    while !drained() && started.elapsed() < cfg.duration {
-        std::thread::sleep(poll);
-    }
-    gen_stop.store(true, Ordering::Relaxed);
-    // Grace window for the graceful drain: rings close, workers finish
-    // queued batches and outstanding offloads, then exit on their own.
-    let grace_started = Instant::now();
-    let grace = Duration::from_millis(500).max(cfg.duration / 4);
-    while !drained() && grace_started.elapsed() < grace {
-        std::thread::sleep(poll);
+        }
+        let wake = next_sample
+            .map_or(next_tick, |s| s.min(next_tick))
+            .min(stop_at);
+        std::thread::sleep(wake.saturating_duration_since(Instant::now()));
     }
     stop.store(true, Ordering::Relaxed);
+    // The only late-registration sender: dropping it lets the device
+    // finish once every command ring is gone.
+    drop(ring_add_tx);
 
     // Joins: a thread that died despite the in-thread panic containment
     // costs its telemetry, never the run.
@@ -1274,9 +1244,11 @@ fn run_core(
             }
         }
     }
+    // The originals, then any replacements: they exit on the same
+    // stop/drain signals and their telemetry merges with everyone else's.
     let mut yields: Vec<WorkerYield> = Vec::new();
     let mut quarantines: Vec<(Time, Option<Time>)> = Vec::new();
-    for (w, j) in joins.into_iter().enumerate() {
+    for (w, j) in joins {
         match j.join() {
             Ok(y) => yields.push(y),
             Err(_) => {
@@ -1287,20 +1259,6 @@ fn run_core(
             }
         }
     }
-    // The supervisor thread exits on the same stop signal; its yield
-    // carries the gauges of any rings a respawn abandoned and the
-    // telemetry of the replacements.
-    let orphaned_ring: u64 = match supervisor_thread.join() {
-        Ok((abandoned, respawned)) => {
-            yields.extend(respawned);
-            ring_totals(&abandoned).0
-        }
-        Err(_) => {
-            FaultStats::add(&fstats.panics_contained, 1);
-            eprintln!("nba-live: the supervisor thread panicked; health report is partial");
-            0
-        }
-    };
     let (elements, tx_capture) = merge_yields(yields, &mut trace);
     // Latency shards live outside the worker threads (the stats endpoint
     // reads them mid-run), so a panicked worker's histogram survives.
@@ -1324,7 +1282,7 @@ fn run_core(
     // still hold their residual occupancy in the live slots; completions
     // the device finished for a worker no longer listening are stranded
     // in-flight batches, the other half of the loss window.
-    let health_report = supervisor.lock().finish(true, orphaned_ring, |w| {
+    let health_report = supervisor.finish(true, ring_totals(&abandoned).0, |w| {
         let ring = shard_gauges.occupancy(w);
         let mut flight = 0;
         while let Ok(done) = completion_channels[w].1.try_recv() {
@@ -1332,12 +1290,6 @@ fn run_core(
         }
         (ring, flight)
     });
-    if let Some(r) = reporter {
-        if r.join().is_err() {
-            FaultStats::add(&fstats.panics_contained, 1);
-            eprintln!("nba-live: the reporter thread panicked; run continues without samples");
-        }
-    }
     // Stop the stats endpoint before assembling the report (its Drop joins
     // the serve thread).
     drop(stats_server);

@@ -7,7 +7,7 @@
 //! watchdog and drives a per-shard state machine ([`ShardMonitor`]) through
 //!
 //! ```text
-//!              no progress + backlog          T stalled windows / crash
+//!          T/5 windows without progress       T stalled windows / crash
 //!   Healthy ────────────────────────▶ Suspect ────────────────────────▶ Dead
 //!      ▲                                │                                │
 //!      │ progress                       │ progress                       │ respawn / resumed
@@ -169,7 +169,8 @@ pub struct SupervisorConfig {
     /// Watchdog tick: how often each shard's heartbeat is examined.
     pub check_interval: Time,
     /// Consecutive no-progress windows (with backlog) before a shard is
-    /// declared Dead. The first such window already makes it Suspect.
+    /// declared Dead. A fifth of them (at least one, at most all but one)
+    /// makes it Suspect.
     pub stall_windows: u32,
     /// Respawn a crashed worker (fresh graph/pool/telemetry replicas) and
     /// hand its buckets back once it progresses. Stalled-but-alive workers
@@ -179,8 +180,8 @@ pub struct SupervisorConfig {
 
 /// The default stall budget is 50 ms, several scheduler quanta: a worker
 /// that is runnable but waiting for a CPU (threads outnumbering cores) is
-/// never convicted. A crash needs no budget — it is convicted at the next
-/// 1 ms tick.
+/// never convicted, and not even suspected before 10 ms. A crash needs no
+/// budget — it is convicted at the next 1 ms tick.
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
@@ -269,9 +270,12 @@ impl ShardMonitor {
             return None;
         }
         self.stalled += 1;
+        // Suspicion also needs several windows, so a runnable worker that
+        // waits one scheduler quantum for a CPU is not suspected.
+        let suspect_after = (self.stall_windows / 5).clamp(1, self.stall_windows - 1);
         if self.stalled >= self.stall_windows {
             self.force(S::Dead, TransitionReason::Stall)
-        } else if matches!(self.state, S::Healthy) {
+        } else if self.stalled >= suspect_after && matches!(self.state, S::Healthy) {
             self.force(S::Suspect, TransitionReason::Stall)
         } else {
             None
@@ -308,7 +312,7 @@ pub struct WorkerHealth {
     /// shard (a finished worker is not a dead one).
     pub done: AtomicBool,
     /// Mirror of the supervisor's [`WorkerState`] for observers
-    /// (`/metrics`, reporter).
+    /// (`/metrics`, the sampler).
     pub state: AtomicU8,
     /// Watchdog epoch: bumped by the supervisor each time it examines this
     /// shard, so observers can tell the watchdog itself is alive.
@@ -341,6 +345,13 @@ impl WorkerHealth {
     /// Worker-side: mark an unclean exit (the containment signal).
     pub fn crash(&self) {
         self.alive.store(false, Ordering::Release);
+    }
+
+    /// Has this shard crashed without the supervisor having convicted it
+    /// yet? `alive` is read before `done`, as in [`Supervisor::tick`].
+    pub fn awaiting_conviction(&self) -> bool {
+        let alive = self.alive.load(Ordering::Acquire);
+        !alive && !self.done.load(Ordering::Acquire) && self.observed_state() != WorkerState::Dead
     }
 
     /// Supervisor-side: re-arm after a respawn.
@@ -467,8 +478,9 @@ impl HealthReport {
 /// heartbeats, drives one [`ShardMonitor`] per shard, and reacts to every
 /// edge — re-steer a dead shard's RSS buckets onto survivors, invalidate a
 /// crashed shard's flows, hand the buckets back on recovery, log it all. A
-/// driver owns only the cadence (a DES timer entity, or a sleeping thread)
-/// and, in live, the respawn of a crashed worker's thread.
+/// driver owns only the cadence (a DES timer entity, or the live runtime's
+/// housekeeping loop) and, in live, the respawn of a crashed worker's
+/// thread.
 pub struct Supervisor {
     monitors: Vec<ShardMonitor>,
     log: SupervisorLog,
@@ -1007,7 +1019,7 @@ impl Shedder {
 
     /// Decides the fate of one packet about to be steered onto a ring with
     /// `occupancy` of `capacity` slots filled. `slo_overload` is the
-    /// reporter's burn-rate flag. Returns `true` to shed (drop before
+    /// sampler's burn-rate flag. Returns `true` to shed (drop before
     /// enqueue).
     pub fn should_shed(
         &mut self,
@@ -1078,6 +1090,29 @@ mod tests {
             (t.from, t.to),
             (WorkerState::Recovering, WorkerState::Healthy)
         );
+    }
+
+    #[test]
+    fn default_budget_suspects_after_a_fifth_of_its_windows() {
+        let fresh = || ShardMonitor::new(SupervisorConfig::default().stall_windows);
+        let mut m = fresh();
+        m.observe(obs(7, true, 3)); // The baseline.
+        let edges: Vec<_> = (1..=50)
+            .filter_map(|window| Some((window, m.observe(obs(7, true, 3))?.to)))
+            .collect();
+        assert_eq!(edges, [(10, WorkerState::Suspect), (50, WorkerState::Dead)]);
+        // A crash is convicted on the next observation, suspected or not.
+        for stalled in [0, 10] {
+            let mut m = fresh();
+            for _ in 0..=stalled {
+                m.observe(obs(7, true, 3));
+            }
+            let t = m.observe(obs(7, false, 3)).expect("crash");
+            assert_eq!(
+                (t.to, t.reason),
+                (WorkerState::Dead, TransitionReason::Crash)
+            );
+        }
     }
 
     #[test]

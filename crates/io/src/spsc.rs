@@ -43,7 +43,7 @@
 //!
 //! Every ring also keeps always-on occupancy statistics in its control
 //! block; [`RingGauges`] is a cheap `Clone`-able observer handle over that
-//! block, so a reporter thread can watch a ring whose two halves have long
+//! block, so a third thread can watch a ring whose two halves have long
 //! since moved into other threads. The gauges are single-writer (the
 //! producer) and live on a third line, so maintaining them costs plain
 //! loads and stores, never a read-modify-write:

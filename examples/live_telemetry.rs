@@ -1,5 +1,5 @@
 //! Runs the live (OS-thread) runtime for a moment and prints its telemetry:
-//! the merged per-element profile table, the reporter thread's time-series,
+//! the merged per-element profile table, the sampler's time-series,
 //! and the first few batch-lifecycle trace events.
 //!
 //! ```sh

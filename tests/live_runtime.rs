@@ -266,13 +266,13 @@ fn awkward_shape(drain: bool) -> LiveConfig {
 }
 
 /// A run with no fault injected loses nothing, re-steers nothing and
-/// convicts no worker. Its log may still hold Healthy↔Suspect edges: on a
-/// host with fewer cores than threads a runnable worker with backlog often
-/// waits a whole 1 ms watchdog window for a CPU.
+/// convicts no worker. Its log may still hold Healthy↔Suspect edges: this
+/// binary runs its live tests two at a time, a dozen threads on a 2-vCPU
+/// host, and a runnable worker with backlog then sometimes waits the 10 ms
+/// that make it Suspect before it gets a CPU.
 fn assert_clean_supervision(report: &live::LiveReport) {
     let health = &report.health;
-    assert_eq!(health.stats.total_lost(), 0, "{health:?}");
-    assert_eq!(health.stats.resteers, 0, "{health:?}");
+    assert!(health.stats.is_clean(), "{health:?}");
     let convicted = health
         .log
         .events

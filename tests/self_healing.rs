@@ -78,26 +78,16 @@ fn run(cfg: &LiveConfig) -> LiveReport {
     )
 }
 
-/// A fault-free run must lose nothing and never escalate to containment:
-/// no crash edges, no respawns, no sheds. Transient Healthy↔Suspect
-/// flapping is allowed — on a loaded machine a worker legitimately fails
-/// to make progress within one 500 µs watchdog window while its ring
-/// holds backlog, and the presumption self-corrects on the next tick.
+/// A fault-free run must lose nothing, shed nothing, respawn nothing and
+/// log no supervision edge: not even a Suspect one.
 #[test]
 fn clean_run_loses_nothing_and_never_contains() {
     let rep = run(&base_cfg(4));
-    assert_eq!(rep.health.stats.total_lost(), 0, "clean run lost packets");
-    assert_eq!(rep.health.stats.respawns, 0);
     assert!(
+        rep.health.is_clean(),
+        "clean run not clean: {:?}",
         rep.health
-            .log
-            .events
-            .iter()
-            .all(|e| e.reason != TransitionReason::Crash),
-        "clean run recorded a crash: {:?}",
-        rep.health.log.events
     );
-    assert!(rep.health.log.replay().is_ok());
     assert_eq!(rep.health.states.len(), 4);
 }
 

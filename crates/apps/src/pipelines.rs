@@ -28,6 +28,7 @@ use crate::ipv4::{IPLookup, RoutingTableV4};
 use crate::ipv6::{LookupIP6, RoutingTableV6};
 use crate::stateful::{
     ConnTrackFirewall, FirewallConfig, MaglevConfig, MaglevLb, Nat44, NatConfig,
+    NAT_MAX_PORTS_PER_IP,
 };
 
 /// Sizing knobs of the sample applications.
@@ -386,6 +387,15 @@ pub fn registry(ctx: &BuildCtx, app: &AppConfig) -> ElementRegistry {
             Some(v) => v.parse().map_err(|_| format!("bad {key}: {v:?}")),
         }
     }
+    /// [`num`] for a knob with a largest meaningful value: larger values
+    /// are a diagnostic, not a silent truncation.
+    fn num_at_most(params: &[String], key: &str, default: u64, max: u64) -> Result<u64, String> {
+        let v = num(params, key, default)?;
+        if v > max {
+            return Err(format!("bad {key}: {v} is out of range (at most {max})"));
+        }
+        Ok(v)
+    }
 
     let mut reg = ElementRegistry::new();
     let app_c = app.clone();
@@ -541,10 +551,17 @@ pub fn registry(ctx: &BuildCtx, app: &AppConfig) -> ElementRegistry {
         }
         reg.register("Nat44", move |p| {
             let d = NatConfig::default();
+            let max_u32 = u64::from(u32::MAX);
             Ok(Box::new(Nat44::new(NatConfig {
-                ext_ip_base: num(p, "ext_ip_base", u64::from(d.ext_ip_base))? as u32,
-                ext_ips: num(p, "ext_ips", u64::from(d.ext_ips))? as u32,
-                ports_per_ip: num(p, "ports_per_ip", u64::from(d.ports_per_ip))? as u32,
+                ext_ip_base: num_at_most(p, "ext_ip_base", u64::from(d.ext_ip_base), max_u32)?
+                    as u32,
+                ext_ips: num_at_most(p, "ext_ips", u64::from(d.ext_ips), max_u32)? as u32,
+                ports_per_ip: num_at_most(
+                    p,
+                    "ports_per_ip",
+                    u64::from(d.ports_per_ip),
+                    u64::from(NAT_MAX_PORTS_PER_IP),
+                )? as u32,
                 table: flow_table(p)?,
             })))
         });

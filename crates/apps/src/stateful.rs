@@ -13,18 +13,17 @@
 //! packet (from node-local storage), so constructing a replica — including
 //! the lint/verify spec-collection throwaway — costs nothing.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nba_core::batch::{anno, Anno, PacketResult};
+use nba_core::batch::{anno, Anno, PacketBatch, PacketResult};
 use nba_core::element::{Disposition, ElemCtx, Element, ElementEffects, HeaderFact, SlotClaim};
 use nba_core::flow::{
-    bucket_of, EvictReason, Evicted, FlowKey, FlowRegistry, FlowTable, FlowTableConfig,
-    ShardFlowState, FLOW_BUCKETS,
+    bucket_of, owner_add, owner_sub, EvictReason, Evicted, FlowKey, FlowRegistry, FlowTable,
+    FlowTableConfig, Probe, ShardFlowState, FLOW_BUCKETS,
 };
-use nba_io::checksum::internet_checksum_parts;
+use nba_io::checksum::{incremental_update, internet_checksum_parts};
 use nba_io::proto::ether::ETHER_HDR_LEN;
-use nba_io::proto::ipv4::{self, IPV4_MIN_HDR_LEN};
+use nba_io::proto::ipv4::IPV4_MIN_HDR_LEN;
 use nba_io::proto::{ipv4_pseudo_header, IPPROTO_TCP, IPPROTO_UDP, TCP_FIN, TCP_RST, TCP_SYN};
 use nba_io::Packet;
 use nba_sim::CpuProfile;
@@ -36,8 +35,6 @@ struct ParsedV4 {
     key: FlowKey,
     /// IPv4 header offset in the frame.
     ip_off: usize,
-    /// IPv4 header length.
-    ihl: usize,
     /// L4 header offset in the frame.
     l4_off: usize,
     /// L4 segment length (from the IP total length).
@@ -81,7 +78,6 @@ fn parse_v4(frame: &[u8]) -> Option<ParsedV4> {
             dst_port: u16::from_be_bytes([l4[2], l4[3]]),
         },
         ip_off,
-        ihl,
         l4_off: ip_off + ihl,
         seg_len: total - ihl,
         tcp_flags: flags_at.map_or(0, |i| l4[i]),
@@ -89,31 +85,43 @@ fn parse_v4(frame: &[u8]) -> Option<ParsedV4> {
 }
 
 /// Rewrites the source address/port of a parsed TCP/UDP frame and
-/// recomputes both the IPv4 header checksum and the L4 checksum (over the
-/// pseudo-header, so the frames stay verifiable end to end).
+/// adjusts the IPv4 header checksum and the L4 checksum for the changed
+/// words incrementally (RFC 1624 eqn. 3, as RFC 3022 §4.2 asks of a NAT):
+/// given a valid input the result equals a full recomputation, and a
+/// checksum that arrived wrong leaves wrong by the same amount. A UDP
+/// datagram sent without a checksum (0) gets a full one.
 fn rewrite_src(frame: &mut [u8], p: &ParsedV4, new_ip: u32, new_port: u16) {
+    let (old_ip, old_port) = (p.key.src_ip, p.key.src_port);
     let ip = &mut frame[p.ip_off..];
     ip[12..16].copy_from_slice(&new_ip.to_be_bytes());
-    ipv4::write_checksum(ip, p.ihl);
-    let mut pseudo = [0u8; 12];
-    pseudo.copy_from_slice(&ipv4_pseudo_header(
-        &frame[p.ip_off..p.ip_off + IPV4_MIN_HDR_LEN],
-        p.seg_len as u16,
-        p.key.proto,
-    ));
-    let l4 = &mut frame[p.l4_off..p.l4_off + p.seg_len];
-    l4[0..2].copy_from_slice(&new_port.to_be_bytes());
-    let ck_at = if p.key.proto == IPPROTO_TCP { 16 } else { 6 };
-    l4[ck_at] = 0;
-    l4[ck_at + 1] = 0;
-    let mut ck = internet_checksum_parts(&[&pseudo, l4]);
+    let ck = u16::from_be_bytes([ip[10], ip[11]]);
+    ip[10..12].copy_from_slice(&update_u32(ck, old_ip, new_ip).to_be_bytes());
+    let ck_at = p.l4_off + if p.key.proto == IPPROTO_TCP { 16 } else { 6 };
+    frame[p.l4_off..p.l4_off + 2].copy_from_slice(&new_port.to_be_bytes());
+    let old_ck = u16::from_be_bytes([frame[ck_at], frame[ck_at + 1]]);
+    let mut ck = if p.key.proto == IPPROTO_UDP && old_ck == 0 {
+        let pseudo = ipv4_pseudo_header(
+            &frame[p.ip_off..p.ip_off + IPV4_MIN_HDR_LEN],
+            p.seg_len as u16,
+            p.key.proto,
+        );
+        internet_checksum_parts(&[&pseudo, &frame[p.l4_off..p.l4_off + p.seg_len]])
+    } else {
+        // The source address is in the pseudo-header.
+        incremental_update(update_u32(old_ck, old_ip, new_ip), old_port, new_port)
+    };
     // UDP transmits an all-zero checksum as "not computed"; RFC 768 maps
     // a computed zero onto 0xffff.
     if p.key.proto == IPPROTO_UDP && ck == 0 {
         ck = 0xffff;
     }
-    let l4 = &mut frame[p.l4_off..];
-    l4[ck_at..ck_at + 2].copy_from_slice(&ck.to_be_bytes());
+    frame[ck_at..ck_at + 2].copy_from_slice(&ck.to_be_bytes());
+}
+
+/// [`incremental_update`] for a 32-bit field (two 16-bit words).
+fn update_u32(ck: u16, old: u32, new: u32) -> u16 {
+    let hi = incremental_update(ck, (old >> 16) as u16, (new >> 16) as u16);
+    incremental_update(hi, old as u16, new as u16)
 }
 
 /// The per-element attachment to the run's flow plane: the owned shard
@@ -130,7 +138,7 @@ impl FlowAttach {
         let registry = FlowRegistry::from_nls(ctx.nls);
         FlowAttach {
             table: FlowTable::new(ctx.worker, cfg, &registry),
-            shard: registry_shard(&registry, ctx.worker),
+            shard: registry.shard(ctx.worker),
             workers: registry.workers(),
         }
     }
@@ -142,11 +150,122 @@ impl FlowAttach {
     }
 }
 
-fn registry_shard(registry: &FlowRegistry, worker: usize) -> Arc<ShardFlowState> {
-    registry.shard(worker)
+/// One packet as the read-only pass leaves it: the parsed frame and, if
+/// the element tracks it, its probe into the flow table.
+struct Staged {
+    p: ParsedV4,
+    probe: Option<Probe>,
+}
+
+/// What a stateful element keeps besides its own state: the flow-table
+/// sizing, the attachment (made on the first packet), the batch's staged
+/// packets and the evictions a table operation hands back.
+struct FlowPlane {
+    cfg: FlowTableConfig,
+    attach: Option<FlowAttach>,
+    staged: Vec<Option<Staged>>,
+    evicted: Vec<Evicted>,
+}
+
+impl FlowPlane {
+    fn new(cfg: FlowTableConfig) -> FlowPlane {
+        FlowPlane {
+            cfg,
+            attach: None,
+            staged: Vec::new(),
+            evicted: Vec::new(),
+        }
+    }
+
+    fn attach(&mut self, ctx: &ElemCtx<'_>) -> &mut FlowAttach {
+        let cfg = self.cfg;
+        self.attach.get_or_insert_with(|| FlowAttach::new(ctx, cfg))
+    }
+
+    /// The attachment [`flow_step`] made before any `step` ran.
+    fn attached(&mut self) -> (&mut FlowAttach, &mut Vec<Evicted>) {
+        let at = self
+            .attach
+            .as_mut()
+            .expect("attached before the first step");
+        (at, &mut self.evicted)
+    }
+}
+
+/// A stateful element as the shared bodies see it: which key it tracks a
+/// packet under, and the per-packet step that runs its table operations.
+trait FlowElement {
+    /// The key `p` is tracked under, or `None` if the element lets `p`
+    /// through without touching the table.
+    fn key_of(p: &ParsedV4) -> Option<FlowKey>;
+
+    fn plane(&mut self) -> &mut FlowPlane;
+
+    /// Everything the element does to one packet, given its staged form
+    /// (`None`: the frame did not parse). Runs in packet order.
+    fn step(
+        &mut self,
+        worker: usize,
+        pkt: &mut Packet,
+        anno: &mut Anno,
+        staged: Option<Staged>,
+    ) -> PacketResult;
+}
+
+/// Parses one packet and hashes its key, once: the first half of the
+/// read-only pass (the probes are the second).
+fn stage<E: FlowElement>(pkt: &Packet, anno: &Anno) -> Option<Staged> {
+    let p = parse_v4(pkt.data())?;
+    let probe = E::key_of(&p).map(|key| Probe::new(bucket_of(anno.get(anno::FLOW_ID)), key));
+    Some(Staged { p, probe })
+}
+
+/// `process` of a stateful element: attach, stage and probe the packet,
+/// then step it.
+fn flow_step<E: FlowElement>(
+    el: &mut E,
+    ctx: &ElemCtx<'_>,
+    pkt: &mut Packet,
+    anno: &mut Anno,
+) -> PacketResult {
+    let table = &el.plane().attach(ctx).table;
+    let mut staged = stage::<E>(pkt, anno);
+    if let Some(Staged { probe: Some(p), .. }) = &mut staged {
+        table.probe(p);
+    }
+    el.step(ctx.worker, pkt, anno, staged)
+}
+
+/// `process_batch` of a stateful element, in two passes. The first stages
+/// every live packet, then probes every staged key in a loop of its own,
+/// so the cache misses of the batch's flow slots overlap; it only reads
+/// the table, so it cannot change what the table does. The second steps
+/// the packets in slot order, exactly as [`flow_step`] would one by one
+/// (a probe an earlier step made stale probes again).
+fn flow_batch<E: FlowElement>(el: &mut E, ctx: &ElemCtx<'_>, batch: &mut PacketBatch) {
+    if batch.is_empty() {
+        return;
+    }
+    let mut staged = std::mem::take(&mut el.plane().staged);
+    staged.extend(batch.live_mut().map(|(pkt, anno, _)| stage::<E>(pkt, anno)));
+    let table = &el.plane().attach(ctx).table;
+    for p in staged
+        .iter_mut()
+        .flatten()
+        .filter_map(|st| st.probe.as_mut())
+    {
+        table.probe(p);
+    }
+    for ((pkt, anno, result), st) in batch.live_mut().zip(staged.drain(..)) {
+        *result = el.step(ctx.worker, pkt, anno, st);
+    }
+    el.plane().staged = staged;
 }
 
 // --- NAT44 ---
+
+/// The most ports one external address offers: 1024..=65535.
+pub const NAT_MAX_PORTS_PER_IP: u32 = 64512;
 
 /// Knobs of the [`Nat44`] element.
 #[derive(Debug, Clone)]
@@ -155,8 +274,9 @@ pub struct NatConfig {
     pub ext_ip_base: u32,
     /// Consecutive external addresses in the pool.
     pub ext_ips: u32,
-    /// Ports usable per external address (allocated from 1024 upward).
-    /// The pool holds `ext_ips * ports_per_ip` mappings.
+    /// Ports usable per external address (allocated from 1024 upward, so
+    /// at most [`NAT_MAX_PORTS_PER_IP`]; [`Nat44::new`] clamps larger
+    /// values). The pool holds `ext_ips * ports_per_ip` mappings.
     pub ports_per_ip: u32,
     /// Flow-table sizing and expiry.
     pub table: FlowTableConfig,
@@ -168,7 +288,7 @@ impl Default for NatConfig {
             // 198.18.0.0/15 is reserved for benchmarking (RFC 2544).
             ext_ip_base: u32::from_be_bytes([198, 18, 0, 1]),
             ext_ips: 1,
-            ports_per_ip: 64512,
+            ports_per_ip: NAT_MAX_PORTS_PER_IP,
             table: FlowTableConfig::default(),
         }
     }
@@ -186,6 +306,42 @@ struct PortSlice {
     free: Vec<u32>,
 }
 
+/// The port-index space, split into one slice per bucket.
+struct PortPool {
+    slices: Vec<PortSlice>,
+    /// Ports per bucket slice (floor; remainder ports go unused).
+    slice_len: u32,
+}
+
+impl PortPool {
+    fn alloc(&mut self, bucket: u16) -> Option<u64> {
+        if self.slice_len == 0 {
+            return None;
+        }
+        let slice = &mut self.slices[usize::from(bucket)];
+        let off = match slice.free.pop() {
+            Some(off) => off,
+            None if slice.next < self.slice_len => {
+                slice.next += 1;
+                slice.next - 1
+            }
+            None => return None,
+        };
+        Some(u64::from(bucket) * u64::from(self.slice_len) + u64::from(off))
+    }
+
+    /// Hands the ports of `bindings` (evicted from `bucket`) back.
+    fn release(&mut self, bucket: u16, bindings: impl Iterator<Item = u64>) {
+        let base = u64::from(bucket) * u64::from(self.slice_len);
+        for idx in bindings {
+            let off = idx.wrapping_sub(base);
+            if off < u64::from(self.slice_len) {
+                self.slices[usize::from(bucket)].free.push(off as u32);
+            }
+        }
+    }
+}
+
 /// Endpoint-independent NAT44: source address/port translation with a
 /// per-bucket port pool. The binding is keyed on `(proto, src)` alone
 /// (full-cone behaviour), so every destination a host talks to reuses one
@@ -193,60 +349,111 @@ struct PortSlice {
 /// exhausted, non-TCP/UDP) drop.
 pub struct Nat44 {
     cfg: NatConfig,
-    attach: Option<FlowAttach>,
-    pools: Vec<PortSlice>,
-    /// Ports per bucket slice (floor; remainder ports go unused).
-    slice_len: u32,
-    scratch: Vec<Evicted>,
+    plane: FlowPlane,
+    ports: PortPool,
 }
 
 impl Nat44 {
     /// Creates the element; state attaches on the first packet.
+    /// `ports_per_ip` is clamped to [`NAT_MAX_PORTS_PER_IP`], so no two
+    /// port indices ever share an (address, port) mapping.
     pub fn new(cfg: NatConfig) -> Nat44 {
+        let cfg = NatConfig {
+            ports_per_ip: cfg.ports_per_ip.min(NAT_MAX_PORTS_PER_IP),
+            ..cfg
+        };
         let space = u64::from(cfg.ext_ips) * u64::from(cfg.ports_per_ip);
         let slice_len = (space / FLOW_BUCKETS as u64).min(u64::from(u32::MAX)) as u32;
         Nat44 {
+            plane: FlowPlane::new(cfg.table),
+            ports: PortPool {
+                slices: (0..FLOW_BUCKETS).map(|_| PortSlice::default()).collect(),
+                slice_len,
+            },
             cfg,
-            attach: None,
-            pools: (0..FLOW_BUCKETS).map(|_| PortSlice::default()).collect(),
-            slice_len,
-            scratch: Vec::new(),
         }
     }
 
     /// Decodes a global port index into `(external ip, external port)`.
     fn mapping_of(&self, idx: u64) -> (u32, u16) {
-        let ip = self
-            .cfg
-            .ext_ip_base
-            .wrapping_add((idx / u64::from(self.cfg.ports_per_ip)) as u32);
-        let port = 1024u32.wrapping_add((idx % u64::from(self.cfg.ports_per_ip)) as u32);
-        (ip, port.min(u32::from(u16::MAX)) as u16)
+        let per_ip = u64::from(self.cfg.ports_per_ip);
+        let ip = self.cfg.ext_ip_base.wrapping_add((idx / per_ip) as u32);
+        (ip, (1024 + idx % per_ip) as u16)
     }
 
-    fn alloc_port(&mut self, bucket: u16) -> Option<u64> {
-        if self.slice_len == 0 {
+    /// A new binding for a table miss: a port from the bucket's slice,
+    /// entered in the table. `None` when the slice or the table is full.
+    fn bind(&mut self, worker: usize, probe: &Probe) -> Option<u64> {
+        let bucket = probe.bucket();
+        let (at, evicted) = self.plane.attached();
+        let Some(idx) = self.ports.alloc(bucket) else {
+            owner_add(&at.shard.stats.table_full_drops, 1);
             return None;
-        }
-        let pool = &mut self.pools[usize::from(bucket)];
-        let off = match pool.free.pop() {
-            Some(off) => off,
-            None if pool.next < self.slice_len => {
-                pool.next += 1;
-                pool.next - 1
-            }
-            None => return None,
         };
-        Some(u64::from(bucket) * u64::from(self.slice_len) + u64::from(off))
+        let foreign = at.foreign(bucket, worker);
+        match at.table.insert_probed(probe, idx, false, foreign, evicted) {
+            Ok(()) => {
+                owner_add(&at.shard.stats.nat_ports_in_use, 1);
+                Some(idx)
+            }
+            Err(_) => {
+                // Table full: hand the port straight back.
+                self.ports.release(bucket, std::iter::once(idx));
+                None
+            }
+        }
+    }
+}
+
+impl FlowElement for Nat44 {
+    fn key_of(p: &ParsedV4) -> Option<FlowKey> {
+        // The binding ignores the destination: endpoint-independent.
+        Some(FlowKey {
+            dst_ip: 0,
+            dst_port: 0,
+            ..p.key
+        })
     }
 
-    fn release_ports(&mut self, bucket: u16) {
-        let base = u64::from(bucket) * u64::from(self.slice_len);
-        for ev in self.scratch.drain(..) {
-            let off = ev.value.wrapping_sub(base);
-            if off < u64::from(self.slice_len) {
-                self.pools[usize::from(bucket)].free.push(off as u32);
+    fn plane(&mut self) -> &mut FlowPlane {
+        &mut self.plane
+    }
+
+    fn step(
+        &mut self,
+        worker: usize,
+        pkt: &mut Packet,
+        _anno: &mut Anno,
+        staged: Option<Staged>,
+    ) -> PacketResult {
+        let Some(Staged {
+            p,
+            probe: Some(probe),
+        }) = staged
+        else {
+            return PacketResult::Drop;
+        };
+        let bucket = probe.bucket();
+        let (at, evicted) = self.plane.attached();
+        at.table.tick(bucket, evicted);
+        let idx = match at.table.lookup_probed(&probe, evicted) {
+            Some(idx) => Some(idx),
+            None => self.bind(worker, &probe),
+        };
+        // Expired bindings release their ports before we answer.
+        let (at, evicted) = self.plane.attached();
+        if !evicted.is_empty() {
+            owner_sub(&at.shard.stats.nat_ports_in_use, evicted.len() as u64);
+            self.ports
+                .release(bucket, evicted.drain(..).map(|ev| ev.value));
+        }
+        match idx {
+            Some(idx) => {
+                let (ip, port) = self.mapping_of(idx);
+                rewrite_src(pkt.data_mut(), &p, ip, port);
+                PacketResult::Out(0)
             }
+            None => PacketResult::Drop,
         }
     }
 }
@@ -267,77 +474,11 @@ impl Element for Nat44 {
         pkt: &mut Packet,
         anno: &mut Anno,
     ) -> PacketResult {
-        if self.attach.is_none() {
-            self.attach = Some(FlowAttach::new(ctx, self.cfg.table));
-        }
-        let Some(p) = parse_v4(pkt.data()) else {
-            return PacketResult::Drop;
-        };
-        let bucket = bucket_of(anno.get(anno::FLOW_ID));
-        let at = self.attach.as_mut().expect("attached above");
-        at.table.tick(bucket, &mut self.scratch);
-        // The binding ignores the destination: endpoint-independent.
-        let bind = FlowKey {
-            dst_ip: 0,
-            dst_port: 0,
-            ..p.key
-        };
-        let idx = match at.table.lookup(bucket, &bind, &mut self.scratch) {
-            Some(idx) => Some(idx),
-            None => {
-                let foreign = at.foreign(bucket, ctx.worker);
-                match self.alloc_port(bucket) {
-                    Some(idx) => {
-                        let at = self.attach.as_mut().expect("attached");
-                        match at
-                            .table
-                            .insert(bucket, bind, idx, false, foreign, &mut self.scratch)
-                        {
-                            Ok(()) => {
-                                at.shard
-                                    .stats
-                                    .nat_ports_in_use
-                                    .fetch_add(1, Ordering::Relaxed);
-                                Some(idx)
-                            }
-                            Err(_) => {
-                                // Table full: hand the port straight back.
-                                self.pools[usize::from(bucket)]
-                                    .free
-                                    .push((idx % u64::from(self.slice_len.max(1))) as u32);
-                                None
-                            }
-                        }
-                    }
-                    None => {
-                        let at = self.attach.as_ref().expect("attached");
-                        at.shard
-                            .stats
-                            .table_full_drops
-                            .fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }
-        };
-        // Expired bindings release their ports before we answer.
-        let released = self.scratch.len();
-        if released > 0 {
-            let at = self.attach.as_ref().expect("attached");
-            at.shard
-                .stats
-                .nat_ports_in_use
-                .fetch_sub(released as u64, Ordering::Relaxed);
-            self.release_ports(bucket);
-        }
-        match idx {
-            Some(idx) => {
-                let (ip, port) = self.mapping_of(idx);
-                rewrite_src(pkt.data_mut(), &p, ip, port);
-                PacketResult::Out(0)
-            }
-            None => PacketResult::Drop,
-        }
+        flow_step(self, ctx, pkt, anno)
+    }
+
+    fn process_batch(&mut self, ctx: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
+        flow_batch(self, ctx, batch);
     }
 
     fn cpu_profile(&self) -> CpuProfile {
@@ -362,7 +503,7 @@ impl std::fmt::Debug for Nat44 {
         f.debug_struct("Nat44")
             .field("ext_ips", &self.cfg.ext_ips)
             .field("ports_per_ip", &self.cfg.ports_per_ip)
-            .field("slice_len", &self.slice_len)
+            .field("slice_len", &self.ports.slice_len)
             .finish()
     }
 }
@@ -388,19 +529,90 @@ pub struct FirewallConfig {
 /// Non-TCP traffic passes untracked. A full table drops the opening SYN
 /// rather than displacing live (possibly established) entries.
 pub struct ConnTrackFirewall {
-    cfg: FirewallConfig,
-    attach: Option<FlowAttach>,
-    scratch: Vec<Evicted>,
+    plane: FlowPlane,
 }
 
 impl ConnTrackFirewall {
     /// Creates the element; state attaches on the first packet.
     pub fn new(cfg: FirewallConfig) -> ConnTrackFirewall {
         ConnTrackFirewall {
-            cfg,
-            attach: None,
-            scratch: Vec::new(),
+            plane: FlowPlane::new(cfg.table),
         }
+    }
+}
+
+impl FlowElement for ConnTrackFirewall {
+    fn key_of(p: &ParsedV4) -> Option<FlowKey> {
+        (p.key.proto == IPPROTO_TCP).then_some(p.key)
+    }
+
+    fn plane(&mut self) -> &mut FlowPlane {
+        &mut self.plane
+    }
+
+    fn step(
+        &mut self,
+        worker: usize,
+        _pkt: &mut Packet,
+        _anno: &mut Anno,
+        staged: Option<Staged>,
+    ) -> PacketResult {
+        let Some(Staged { p, probe }) = staged else {
+            return PacketResult::Drop;
+        };
+        let Some(probe) = probe else {
+            // Non-TCP passes untracked.
+            return PacketResult::Out(0);
+        };
+        let bucket = probe.bucket();
+        let (at, evicted) = self.plane.attached();
+        at.table.tick(bucket, evicted);
+        evicted.clear();
+        let flags = p.tcp_flags;
+        let tracked = at.table.lookup_probed(&probe, evicted);
+        evicted.clear();
+        let out = if flags & TCP_RST != 0 || flags & TCP_FIN != 0 {
+            match tracked {
+                Some(_) => {
+                    at.table.remove_probed(&probe, EvictReason::Closed, evicted);
+                    evicted.clear();
+                    PacketResult::Out(0)
+                }
+                None => PacketResult::Out(1),
+            }
+        } else if flags & TCP_SYN != 0 {
+            match tracked {
+                // SYN retransmit of a tracked flow: fine.
+                Some(_) => PacketResult::Out(0),
+                None => {
+                    let foreign = at.foreign(bucket, worker);
+                    match at
+                        .table
+                        .insert_probed(&probe, CT_SYN_SENT, true, foreign, evicted)
+                    {
+                        Ok(()) => {
+                            evicted.clear();
+                            PacketResult::Out(0)
+                        }
+                        // Never displace live flows for a new SYN.
+                        Err(_) => PacketResult::Drop,
+                    }
+                }
+            }
+        } else {
+            match tracked {
+                Some(CT_SYN_SENT) => {
+                    at.table.promote(&probe, CT_ESTABLISHED, false);
+                    PacketResult::Out(0)
+                }
+                Some(_) => PacketResult::Out(0),
+                None => PacketResult::Out(1),
+            }
+        };
+        if out == PacketResult::Out(1) {
+            owner_add(&at.shard.stats.out_of_state_drops, 1);
+        }
+        out
     }
 }
 
@@ -424,72 +636,11 @@ impl Element for ConnTrackFirewall {
         pkt: &mut Packet,
         anno: &mut Anno,
     ) -> PacketResult {
-        if self.attach.is_none() {
-            self.attach = Some(FlowAttach::new(ctx, self.cfg.table));
-        }
-        let Some(p) = parse_v4(pkt.data()) else {
-            return PacketResult::Drop;
-        };
-        if p.key.proto != IPPROTO_TCP {
-            return PacketResult::Out(0);
-        }
-        let bucket = bucket_of(anno.get(anno::FLOW_ID));
-        let at = self.attach.as_mut().expect("attached above");
-        at.table.tick(bucket, &mut self.scratch);
-        self.scratch.clear();
-        let flags = p.tcp_flags;
-        let tracked = at.table.lookup(bucket, &p.key, &mut self.scratch);
-        self.scratch.clear();
-        let out = if flags & TCP_RST != 0 || flags & TCP_FIN != 0 {
-            match tracked {
-                Some(_) => {
-                    at.table
-                        .remove(bucket, &p.key, EvictReason::Closed, &mut self.scratch);
-                    self.scratch.clear();
-                    PacketResult::Out(0)
-                }
-                None => PacketResult::Out(1),
-            }
-        } else if flags & TCP_SYN != 0 {
-            match tracked {
-                // SYN retransmit of a tracked flow: fine.
-                Some(_) => PacketResult::Out(0),
-                None => {
-                    let foreign = at.foreign(bucket, ctx.worker);
-                    match at.table.insert(
-                        bucket,
-                        p.key,
-                        CT_SYN_SENT,
-                        true,
-                        foreign,
-                        &mut self.scratch,
-                    ) {
-                        Ok(()) => {
-                            self.scratch.clear();
-                            PacketResult::Out(0)
-                        }
-                        // Never displace live flows for a new SYN.
-                        Err(_) => PacketResult::Drop,
-                    }
-                }
-            }
-        } else {
-            match tracked {
-                Some(CT_SYN_SENT) => {
-                    at.table.promote(bucket, &p.key, CT_ESTABLISHED, false);
-                    PacketResult::Out(0)
-                }
-                Some(_) => PacketResult::Out(0),
-                None => PacketResult::Out(1),
-            }
-        };
-        if out == PacketResult::Out(1) {
-            at.shard
-                .stats
-                .out_of_state_drops
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        out
+        flow_step(self, ctx, pkt, anno)
+    }
+
+    fn process_batch(&mut self, ctx: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
+        flow_batch(self, ctx, batch);
     }
 
     fn cpu_profile(&self) -> CpuProfile {
@@ -610,8 +761,7 @@ pub struct MaglevLb {
     cfg: MaglevConfig,
     before: BackendTable,
     after: BackendTable,
-    attach: Option<FlowAttach>,
-    scratch: Vec<Evicted>,
+    plane: FlowPlane,
 }
 
 impl MaglevLb {
@@ -636,11 +786,10 @@ impl MaglevLb {
             BackendTable::build(cfg.seed, cfg.table_size, &survivors)
         };
         MaglevLb {
+            plane: FlowPlane::new(cfg.table),
             cfg,
             before,
             after,
-            attach: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -651,6 +800,51 @@ impl MaglevLb {
         } else {
             &self.before
         }
+    }
+}
+
+impl FlowElement for MaglevLb {
+    fn key_of(p: &ParsedV4) -> Option<FlowKey> {
+        Some(p.key)
+    }
+
+    fn plane(&mut self) -> &mut FlowPlane {
+        &mut self.plane
+    }
+
+    fn step(
+        &mut self,
+        worker: usize,
+        _pkt: &mut Packet,
+        anno: &mut Anno,
+        staged: Option<Staged>,
+    ) -> PacketResult {
+        let Some(Staged {
+            probe: Some(probe), ..
+        }) = staged
+        else {
+            return PacketResult::Drop;
+        };
+        let bucket = probe.bucket();
+        let (at, evicted) = self.plane.attached();
+        at.table.tick(bucket, evicted);
+        evicted.clear();
+        let backend = match at.table.lookup_probed(&probe, evicted) {
+            Some(b) => b,
+            None => {
+                let epoch = at.table.epoch(bucket);
+                let b = u64::from(self.table_at(epoch).pick(probe.digest()));
+                let (at, evicted) = self.plane.attached();
+                let foreign = at.foreign(bucket, worker);
+                // A full table degrades to unpinned consistent hashing —
+                // the balancer never drops for lack of state.
+                let _ = at.table.insert_probed(&probe, b, false, foreign, evicted);
+                b
+            }
+        };
+        self.plane.evicted.clear();
+        anno.set(anno::IFACE_OUT, backend % u64::from(self.cfg.ports));
+        PacketResult::Out(0)
     }
 }
 
@@ -673,34 +867,11 @@ impl Element for MaglevLb {
         pkt: &mut Packet,
         anno: &mut Anno,
     ) -> PacketResult {
-        if self.attach.is_none() {
-            self.attach = Some(FlowAttach::new(ctx, self.cfg.table));
-        }
-        let Some(p) = parse_v4(pkt.data()) else {
-            return PacketResult::Drop;
-        };
-        let bucket = bucket_of(anno.get(anno::FLOW_ID));
-        let at = self.attach.as_mut().expect("attached above");
-        at.table.tick(bucket, &mut self.scratch);
-        self.scratch.clear();
-        let backend = match at.table.lookup(bucket, &p.key, &mut self.scratch) {
-            Some(b) => b,
-            None => {
-                let epoch = at.table.epoch(bucket);
-                let b = u64::from(self.table_at(epoch).pick(p.key.digest()));
-                let at = self.attach.as_mut().expect("attached");
-                let foreign = at.foreign(bucket, ctx.worker);
-                // A full table degrades to unpinned consistent hashing —
-                // the balancer never drops for lack of state.
-                let _ = at
-                    .table
-                    .insert(bucket, p.key, b, false, foreign, &mut self.scratch);
-                b
-            }
-        };
-        self.scratch.clear();
-        anno.set(anno::IFACE_OUT, backend % u64::from(self.cfg.ports));
-        PacketResult::Out(0)
+        flow_step(self, ctx, pkt, anno)
+    }
+
+    fn process_batch(&mut self, ctx: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
+        flow_batch(self, ctx, batch);
     }
 
     fn cpu_profile(&self) -> CpuProfile {
@@ -794,7 +965,7 @@ mod tests {
     fn frame_checksums_ok(frame: &[u8]) -> bool {
         let p = parse_v4(frame).expect("parseable");
         let ip = &frame[p.ip_off..];
-        if nba_io::checksum::internet_checksum(&ip[..p.ihl]) != 0 {
+        if nba_io::checksum::internet_checksum(&ip[..p.l4_off - p.ip_off]) != 0 {
             return false;
         }
         let pseudo = ipv4_pseudo_header(&ip[..IPV4_MIN_HDR_LEN], p.seg_len as u16, p.key.proto);
@@ -887,6 +1058,27 @@ mod tests {
                 run_flow(&mut nat, &nls, &insp, &mut p, 0).0,
                 PacketResult::Drop
             );
+        }
+    }
+
+    #[test]
+    fn nat_port_indices_never_share_a_mapping() {
+        for ports_per_ip in [1, 127, 64511, 64512, 64513, 70_000, u32::MAX] {
+            let nat = Nat44::new(NatConfig {
+                ext_ips: 2,
+                ports_per_ip,
+                ..NatConfig::default()
+            });
+            let indices = u64::from(nat.ports.slice_len) * FLOW_BUCKETS as u64;
+            let mut seen = std::collections::HashSet::new();
+            for idx in 0..indices {
+                let (ip, port) = nat.mapping_of(idx);
+                assert!(port >= 1024, "index {idx} maps below port 1024");
+                assert!(
+                    seen.insert((ip, port)),
+                    "ports_per_ip {ports_per_ip}: index {idx} reuses {ip:#x}:{port}"
+                );
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property tests of the application substrates: routing tables against
-//! oracles, ESP round trips for arbitrary payloads, and the header check's
-//! fast path against its full parse.
+//! oracles, ESP round trips for arbitrary payloads, the header check's
+//! fast path against its full parse, and the stateful elements' checksum
+//! rewrite and batch bodies against their full forms.
 
 use std::sync::Arc;
 
@@ -10,12 +11,17 @@ use nba_apps::common::CheckIPHeader;
 use nba_apps::ipsec::{open_esp, IPsecAES, IPsecAuthHMAC, IPsecESPEncap, SaTable};
 use nba_apps::ipv4::{RouteV4, RoutingTableV4};
 use nba_apps::ipv6::{RouteV6, RoutingTableV6};
-use nba_apps::stateful::BackendTable;
-use nba_core::batch::{Anno, PacketResult};
+use nba_apps::stateful::{
+    BackendTable, ConnTrackFirewall, FirewallConfig, MaglevConfig, MaglevLb, Nat44, NatConfig,
+};
+use nba_core::batch::{anno, Anno, PacketBatch, PacketResult};
 use nba_core::element::{ComputeMode, ElemCtx, Element};
+use nba_core::flow::{FlowOp, FlowRegistry, FlowShardSnapshot, FlowTableConfig};
 use nba_core::nls::NodeLocalStorage;
 use nba_core::stats::{Counters, SystemInspector};
+use nba_io::checksum;
 use nba_io::proto::{self, ether, ipv4::Ipv4View, FrameBuilder};
+use nba_io::proto::{IPPROTO_TCP, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN};
 use nba_io::Packet;
 use nba_sim::Time;
 
@@ -286,6 +292,378 @@ proptest! {
             prop_assert!(owned >= 1, "backend {} owns no slots", b);
             prop_assert!(owned <= fair * 4 + 8,
                 "backend {} owns {} of {} slots", b, owned, table.slots().len());
+        }
+    }
+}
+
+// --- Stateful elements ---
+
+/// The one's-complement sum of two 16-bit words.
+fn ones_add(a: u16, b: u16) -> u16 {
+    let s = u32::from(a) + u32::from(b);
+    ((s & 0xffff) + (s >> 16)) as u16
+}
+
+/// `a - b` in one's complement, reading both zeros (0 and 0xffff) as one.
+fn ones_diff(a: u16, b: u16) -> u16 {
+    match ones_add(a, !b) {
+        0xffff => 0,
+        d => d,
+    }
+}
+
+/// Where a generator frame (IHL 5) keeps its L4 checksum.
+fn l4_ck_at(frame: &[u8]) -> usize {
+    34 + if frame[23] == IPPROTO_TCP { 16 } else { 6 }
+}
+
+fn stored(frame: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([frame[at], frame[at + 1]])
+}
+
+/// The L4 checksum a full recomputation over the pseudo-header and the
+/// segment gives `frame`, before UDP's zero-to-0xffff rule.
+fn full_l4_checksum(frame: &[u8]) -> u16 {
+    let total = usize::from(u16::from_be_bytes([frame[16], frame[17]]));
+    let mut f = frame.to_vec();
+    let at = l4_ck_at(&f);
+    f[at..at + 2].fill(0);
+    let pseudo = proto::ipv4_pseudo_header(&f[14..34], (total - 20) as u16, f[23]);
+    checksum::internet_checksum_parts(&[&pseudo, &f[34..14 + total]])
+}
+
+/// The IPv4 header checksum a full recomputation gives `frame`.
+fn full_ip_checksum(frame: &[u8]) -> u16 {
+    let mut hdr = frame[14..34].to_vec();
+    hdr[10..12].fill(0);
+    checksum::internet_checksum(&hdr)
+}
+
+/// Stores a valid L4 checksum in `frame` (a computed UDP zero goes out as
+/// 0xffff), or none (0) for UDP with `udp_zero`.
+fn seal(frame: &mut [u8], udp_zero: bool) {
+    let at = l4_ck_at(frame);
+    let ck = match full_l4_checksum(frame) {
+        _ if udp_zero => 0,
+        0 if frame[23] != IPPROTO_TCP => 0xffff,
+        ck => ck,
+    };
+    frame[at..at + 2].copy_from_slice(&ck.to_be_bytes());
+}
+
+/// Where a TCP or UDP generator frame's payload starts.
+fn payload_at(tcp: bool) -> usize {
+    if tcp {
+        FrameBuilder::MIN_V4_TCP_LEN
+    } else {
+        FrameBuilder::MIN_V4_LEN
+    }
+}
+
+/// A TCP or UDP frame of `len` bytes from `src:sport`, its payload filled
+/// from `fill`, sealed by [`seal`].
+fn l4_frame(tcp: bool, len: usize, src: u32, sport: u16, fill: u64, udp_zero: bool) -> Vec<u8> {
+    let b = FrameBuilder {
+        src_port: sport,
+        dst_port: 80,
+        ..Default::default()
+    };
+    let mut f = vec![0u8; len];
+    if tcp {
+        b.build_ipv4_tcp(&mut f, len, src, 0x0808_0808, TCP_ACK, 7);
+    } else {
+        b.build_ipv4(&mut f, len, src, 0x0808_0808);
+    }
+    let mut x = fill | 1;
+    for byte in &mut f[payload_at(tcp)..] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *byte = x as u8;
+    }
+    seal(&mut f, udp_zero);
+    f
+}
+
+fn inspector() -> SystemInspector {
+    SystemInspector::new(vec![Arc::new(Counters::default())])
+}
+
+/// `frame` through a fresh `Nat44` whose pool starts at `base`, on flow
+/// `flow`: the translated frame.
+fn translate_once(frame: &[u8], base: u32, flow: u64) -> Vec<u8> {
+    let nls = NodeLocalStorage::new();
+    FlowRegistry::new().publish(&nls);
+    let insp = inspector();
+    let mut ctx = ElemCtx {
+        now: Time::ZERO,
+        compute: ComputeMode::Full,
+        nls: &nls,
+        worker: 0,
+        inspector: &insp,
+    };
+    let mut nat = Nat44::new(NatConfig {
+        ext_ip_base: base,
+        ..NatConfig::default()
+    });
+    let mut pkt = Packet::from_bytes(frame);
+    let mut a = Anno::default();
+    a.set(anno::FLOW_ID, flow);
+    assert_eq!(
+        nat.process(&mut ctx, &mut pkt, &mut a),
+        PacketResult::Out(0)
+    );
+    pkt.data().to_vec()
+}
+
+/// One packet of a stateful stream: source host, destination host, flow
+/// id (its bucket) and kind (UDP, ICMP, five TCP flag sets, or masked).
+type StreamPkt = (u8, u8, u8, u8);
+
+/// The frame of a [`StreamPkt`]. ICMP is not TCP/UDP, so every element
+/// drops it as unparseable.
+fn stream_frame(&(src, dst, _, kind): &StreamPkt) -> Vec<u8> {
+    let b = FrameBuilder {
+        src_port: 1000 + u16::from(src % 3),
+        dst_port: 80 + u16::from(dst),
+        ..Default::default()
+    };
+    let (s, d) = (0x0a00_0000 | u32::from(src), 0xc0a8_0000 | u32::from(dst));
+    let mut f = vec![0u8; 64];
+    match kind {
+        0 => b.build_ipv4(&mut f, 64, s, d),
+        1 => {
+            b.build_ipv4(&mut f, 64, s, d);
+            f[23] = 1;
+        }
+        k => {
+            let flags = [
+                TCP_SYN,
+                TCP_ACK,
+                TCP_FIN | TCP_ACK,
+                TCP_RST,
+                TCP_SYN | TCP_ACK,
+            ];
+            b.build_ipv4_tcp(&mut f, 64, s, d, flags[usize::from(k - 2) % 5], 0);
+        }
+    }
+    f
+}
+
+/// Stream kinds from this one on are masked slots: the batch body must
+/// skip them, and the per-packet run never sees them.
+const MASKED: u8 = 7;
+
+fn stateful_element(which: u8, table: FlowTableConfig, ports: u32) -> Box<dyn Element> {
+    match which {
+        0 => Box::new(Nat44::new(NatConfig {
+            ports_per_ip: ports,
+            table,
+            ..NatConfig::default()
+        })),
+        1 => Box::new(ConnTrackFirewall::new(FirewallConfig { table })),
+        _ => Box::new(MaglevLb::new(MaglevConfig {
+            backends: 4,
+            flip_epoch: 2,
+            table,
+            ..MaglevConfig::default()
+        })),
+    }
+}
+
+/// What a stream run leaves: per packet (result, frame, `IFACE_OUT`),
+/// `None` for a masked slot, plus the flow journal and the counters.
+type StreamOutcome = (
+    Vec<Option<(PacketResult, Vec<u8>, u64)>>,
+    Option<(Vec<FlowOp>, FlowShardSnapshot)>,
+);
+
+/// Runs `stream` through a fresh element on worker 0 of 2 (odd buckets
+/// are foreign, so inserts there migrate): through `process` packet by
+/// packet, or through `process_batch` in batches of `batch`.
+fn run_stream(
+    which: u8,
+    table: FlowTableConfig,
+    ports: u32,
+    stream: &[StreamPkt],
+    batch: Option<usize>,
+) -> StreamOutcome {
+    let nls = NodeLocalStorage::new();
+    let registry = FlowRegistry::new();
+    registry.set_workers(2);
+    registry.enable_journal();
+    registry.publish(&nls);
+    let insp = inspector();
+    let mut ctx = ElemCtx {
+        now: Time::ZERO,
+        compute: ComputeMode::Full,
+        nls: &nls,
+        worker: 0,
+        inspector: &insp,
+    };
+    let mut el = stateful_element(which, table, ports);
+    let mut out = Vec::new();
+    match batch {
+        None => {
+            for p in stream {
+                if p.3 >= MASKED {
+                    out.push(None);
+                    continue;
+                }
+                let mut pkt = Packet::from_bytes(&stream_frame(p));
+                let mut a = Anno::default();
+                a.set(anno::FLOW_ID, u64::from(p.2));
+                let r = el.process(&mut ctx, &mut pkt, &mut a);
+                out.push(Some((r, pkt.data().to_vec(), a.get(anno::IFACE_OUT))));
+            }
+        }
+        Some(n) => {
+            for chunk in stream.chunks(n) {
+                let mut b = PacketBatch::with_capacity(n);
+                for p in chunk {
+                    let i = b.push(Packet::from_bytes(&stream_frame(p)));
+                    b.anno_mut(i).set(anno::FLOW_ID, u64::from(p.2));
+                    if p.3 >= MASKED {
+                        b.mask(i);
+                    }
+                }
+                el.process_batch(&mut ctx, &mut b);
+                for i in 0..b.slot_count() {
+                    out.push(b.packet(i).map(|pkt| {
+                        (
+                            b.result(i),
+                            pkt.data().to_vec(),
+                            b.anno(i).get(anno::IFACE_OUT),
+                        )
+                    }));
+                }
+            }
+        }
+    }
+    let report = registry
+        .report()
+        .map(|r| (r.journal.ops.clone(), r.totals()));
+    (out, report)
+}
+
+proptest! {
+    /// NAT44's incremental checksum update (RFC 1624) equals a full
+    /// recomputation of the IPv4 and L4 checksums on TCP and UDP frames
+    /// of any length (odd segments included); a UDP datagram sent without
+    /// a checksum gets a full one, and a computed zero leaves as 0xffff
+    /// (`make_zero` aims the payload at it). An L4 checksum that arrived
+    /// wrong leaves wrong by the same amount.
+    #[test]
+    fn stateful_rewrite_checksums_equal_full_recompute(
+        tcp in any::<bool>(),
+        len in 42usize..160,
+        src in any::<u32>(),
+        sport in any::<u16>(),
+        fill in any::<u64>(),
+        base in any::<u32>(),
+        flow in any::<u64>(),
+        udp_zero in any::<bool>(),
+        make_zero in any::<bool>(),
+        corrupt in proptest::sample::select(vec![0u16, 0, 0, 1, 0x7fff, 0xfffe]),
+    ) {
+        let len = if tcp { len.max(FrameBuilder::MIN_V4_TCP_LEN) } else { len };
+        let udp_zero = udp_zero && !tcp;
+        let mut frame = l4_frame(tcp, len, src, sport, fill, udp_zero);
+        let at = l4_ck_at(&frame);
+        let word = payload_at(tcp);
+        let make_zero = make_zero && len >= word + 2;
+        if make_zero {
+            // Add the translated frame's checksum to a payload word: the
+            // translated sum becomes 0xffff, its checksum zero.
+            let c = full_l4_checksum(&translate_once(&frame, base, flow));
+            let w = ones_add(u16::from_be_bytes([frame[word], frame[word + 1]]), c);
+            frame[word..word + 2].copy_from_slice(&w.to_be_bytes());
+            seal(&mut frame, udp_zero);
+        }
+        let valid = stored(&frame, at);
+        let corrupt = if udp_zero { 0 } else { corrupt };
+        if corrupt != 0 {
+            let bad = ones_add(valid, corrupt);
+            frame[at..at + 2].copy_from_slice(&bad.to_be_bytes());
+        }
+        let sent = stored(&frame, at);
+
+        let out = translate_once(&frame, base, flow);
+        prop_assert_eq!(stored(&out, 24), full_ip_checksum(&out));
+        let full = full_l4_checksum(&out);
+        let want = if !tcp && full == 0 { 0xffff } else { full };
+        let got = stored(&out, at);
+        if make_zero {
+            prop_assert_eq!(full, 0, "the payload word did not aim the sum at zero");
+        }
+        if corrupt == 0 {
+            prop_assert_eq!(got, want, "tcp {} len {} udp_zero {}", tcp, len, udp_zero);
+        } else {
+            prop_assert_eq!(ones_diff(got, want), ones_diff(sent, valid));
+        }
+    }
+
+    /// The stateful elements' batch body equals `process` run packet by
+    /// packet over the same stream, at batch sizes 1, 7 and 64: frames,
+    /// results, `IFACE_OUT`, the flow journal op for op, and every
+    /// counter. The tables are small enough to force sweeps, lazy reaps
+    /// (TTL 0), table-full drops and NAT port exhaustion, and the same
+    /// flow often recurs within one batch.
+    #[test]
+    fn stateful_batch_body_equals_per_packet(
+        which in 0u8..3,
+        stream in proptest::collection::vec((0u8..12, 0u8..3, 0u8..6, 0u8..9), 1..250),
+        capacity in proptest::sample::select(vec![128u64, 256, 1024]),
+        ttl in 0u64..3,
+        epoch_pkts in proptest::sample::select(vec![1u64, 2, 5]),
+        ports in proptest::sample::select(vec![128u32, 256, 640]),
+    ) {
+        let table = FlowTableConfig {
+            capacity,
+            ttl_epochs: ttl,
+            embryonic_ttl_epochs: 1,
+            epoch_pkts,
+        };
+        let want = run_stream(which, table, ports, &stream, None);
+        for n in [1, 7, 64] {
+            let got = run_stream(which, table, ports, &stream, Some(n));
+            prop_assert!(got == want, "element {} batch {}: {:?} != {:?}", which, n, got, want);
+        }
+    }
+}
+
+/// The streams `stateful_batch_body_equals_per_packet` draws do reach the
+/// corners it names: sweeps and lazy reaps evict, full tables refuse
+/// inserts, NAT slices run out of ports, and re-steered inserts migrate.
+#[test]
+fn stateful_streams_reach_the_corners() {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let stream: Vec<StreamPkt> = (0..2000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let b = x.to_le_bytes();
+            (b[0] % 12, b[1] % 3, b[2] % 6, b[3] % 9)
+        })
+        .collect();
+    // TTL 0: every revisit finds its binding expired and reaps it. TTL 2
+    // with one port per bucket slice: bindings live, and slices run dry.
+    for (ttl, ports) in [(0, 640), (2, 128)] {
+        let table = FlowTableConfig {
+            capacity: 256,
+            ttl_epochs: ttl,
+            embryonic_ttl_epochs: 1,
+            epoch_pkts: 5,
+        };
+        let (_, report) = run_stream(0, table, ports, &stream, None);
+        let (_, totals) = report.expect("the stream attached a shard");
+        assert!(totals.evict_idle > 0, "ttl {ttl}: {totals:?}");
+        assert!(totals.migrated_in > 0, "ttl {ttl}: {totals:?}");
+        if ttl == 0 {
+            assert_eq!(totals.hits, 0, "{totals:?}");
+        } else {
+            assert!(totals.hits > 0 && totals.table_full_drops > 0, "{totals:?}");
         }
     }
 }

@@ -205,13 +205,63 @@ struct Bucket {
     slots: Box<[Slot]>,
     mask: usize,
     live: u32,
-    /// Packets ticked into this bucket (drives the epoch).
-    pkts: u64,
-    /// `pkts / epoch_pkts` — the bucket's logical clock.
+    /// Bumped by every insert and removal: the slot layout a [`Probe`]
+    /// found its key in is still current while this is unchanged.
+    layout: u32,
+    /// Packets left until the next epoch boundary. It counts down from
+    /// `epoch_pkts`, so the boundaries fall where `pkts % epoch_pkts == 0`
+    /// would put them, without a division per packet.
+    until_epoch: u64,
+    /// Epoch boundaries crossed so far — the bucket's logical clock.
     epoch: u64,
     /// Per-bucket op sequence number for the journal: unlike wall time it
     /// is identical across runtimes and worker counts.
     bseq: u64,
+}
+
+/// One flow key's probe into a [`FlowTable`] bucket, made once and
+/// carried through the table operations on that key: the key's digest,
+/// hashed once, and where a read-only probe found the key.
+///
+/// A batch body makes every packet's probe first, in a pass that changes
+/// nothing, so the cache misses of the batch's lookups overlap; then it
+/// runs the table operations in packet order. An operation trusts the
+/// found slot only while the bucket's slot layout is the one the probe
+/// saw (no insert or removal in between) and probes again otherwise, so
+/// a stale probe costs a re-probe, never a different answer.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe {
+    bucket: u16,
+    key: FlowKey,
+    digest: u64,
+    /// The bucket's layout generation when `found` was read; `None` if
+    /// the table was never probed.
+    seen: Option<u32>,
+    found: Option<usize>,
+}
+
+impl Probe {
+    /// A probe for `key` in `bucket` that has not looked at the table
+    /// yet: the digest only.
+    pub fn new(bucket: u16, key: FlowKey) -> Probe {
+        Probe {
+            bucket,
+            key,
+            digest: key.digest(),
+            seen: None,
+            found: None,
+        }
+    }
+
+    /// The probed bucket.
+    pub fn bucket(&self) -> u16 {
+        self.bucket
+    }
+
+    /// [`FlowKey::digest`] of the key.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
 }
 
 /// One worker's lock-free flow shard: [`FLOW_BUCKETS`] open-addressing
@@ -237,7 +287,12 @@ impl FlowTable {
             cfg,
             worker: worker as u32,
             per_bucket,
-            buckets: (0..FLOW_BUCKETS).map(|_| Bucket::default()).collect(),
+            buckets: (0..FLOW_BUCKETS)
+                .map(|_| Bucket {
+                    until_epoch: cfg.epoch_pkts,
+                    ..Bucket::default()
+                })
+                .collect(),
             shard,
         }
     }
@@ -264,25 +319,31 @@ impl FlowTable {
         if self.cfg.epoch_pkts == 0 {
             return;
         }
-        let b = usize::from(bucket);
-        self.buckets[b].pkts += 1;
-        if self.buckets[b].pkts.is_multiple_of(self.cfg.epoch_pkts) {
-            self.buckets[b].epoch += 1;
+        let b = &mut self.buckets[usize::from(bucket)];
+        b.until_epoch -= 1;
+        if b.until_epoch == 0 {
+            b.until_epoch = self.cfg.epoch_pkts;
+            b.epoch += 1;
             self.sweep(bucket, evicted);
         }
     }
 
-    fn ttl_of(&self, embryonic: bool) -> u64 {
+    /// Why an expired entry leaves: embryonic entries expire by their own
+    /// TTL when one is configured.
+    fn expiry_reason(&self, embryonic: bool) -> EvictReason {
         if embryonic && self.cfg.embryonic_ttl_epochs != 0 {
-            self.cfg.embryonic_ttl_epochs
+            EvictReason::Embryonic
         } else {
-            self.cfg.ttl_epochs
+            EvictReason::Idle
         }
     }
 
     fn expired(&self, slot: &Slot, epoch: u64) -> bool {
-        slot.state == SLOT_LIVE
-            && epoch.saturating_sub(slot.last_hit) >= self.ttl_of(slot.embryonic)
+        let ttl = match self.expiry_reason(slot.embryonic) {
+            EvictReason::Embryonic => self.cfg.embryonic_ttl_epochs,
+            _ => self.cfg.ttl_epochs,
+        };
+        slot.state == SLOT_LIVE && epoch.saturating_sub(slot.last_hit) >= ttl
     }
 
     /// Sweeps one bucket, evicting every idle-expired entry. Expiry is a
@@ -290,24 +351,37 @@ impl FlowTable {
     /// the same evictions on every runtime. Probe chains are kept intact
     /// by backward-shift compaction after each removal.
     fn sweep(&mut self, bucket: u16, evicted: &mut Vec<Evicted>) {
-        let epoch = self.buckets[usize::from(bucket)].epoch;
+        let b = usize::from(bucket);
+        let epoch = self.buckets[b].epoch;
         // Slot scan in index order: deterministic given identical insert
-        // order, which per-bucket packet sequences guarantee.
+        // order, which per-bucket packet sequences guarantee. After a
+        // removal the scan resumes at the same index: backward shift may
+        // have moved a later entry into it.
         let mut i = 0usize;
-        while i < self.buckets[usize::from(bucket)].slots.len() {
-            let slot = self.buckets[usize::from(bucket)].slots[i];
-            if self.expired(&slot, epoch) {
-                let reason = if slot.embryonic && self.cfg.embryonic_ttl_epochs != 0 {
-                    EvictReason::Embryonic
-                } else {
-                    EvictReason::Idle
-                };
-                self.remove_at(bucket, i, reason, evicted);
-                // Backward shift may have moved a later entry into `i`;
-                // re-examine the same index.
-                continue;
-            }
-            i += 1;
+        while let Some(off) = self.buckets[b].slots[i..]
+            .iter()
+            .position(|slot| self.expired(slot, epoch))
+        {
+            i += off;
+            let reason = self.expiry_reason(self.buckets[b].slots[i].embryonic);
+            self.remove_at(bucket, i, reason, evicted);
+        }
+    }
+
+    /// Records in `p` where its key is live, changing nothing in the
+    /// table: the read-only half of a batch body (see [`Probe`]).
+    pub fn probe(&self, p: &mut Probe) {
+        p.seen = Some(self.buckets[usize::from(p.bucket)].layout);
+        p.found = self.find(p);
+    }
+
+    /// The slot `p`'s key is live in: the probe's answer while the bucket
+    /// layout is unchanged, a fresh probe otherwise.
+    fn locate(&self, p: &Probe) -> Option<usize> {
+        if p.seen == Some(self.buckets[usize::from(p.bucket)].layout) {
+            p.found
+        } else {
+            self.find(p)
         }
     }
 
@@ -320,34 +394,28 @@ impl FlowTable {
         key: &FlowKey,
         evicted: &mut Vec<Evicted>,
     ) -> Option<u64> {
-        let digest = key.digest();
-        let epoch = self.buckets[usize::from(bucket)].epoch;
-        match self.probe(bucket, key, digest) {
-            Some(i) => {
-                let b = &mut self.buckets[usize::from(bucket)];
-                if epoch.saturating_sub(b.slots[i].last_hit)
-                    >= ttl_of_cfg(&self.cfg, b.slots[i].embryonic)
-                {
-                    let reason = if b.slots[i].embryonic && self.cfg.embryonic_ttl_epochs != 0 {
-                        EvictReason::Embryonic
-                    } else {
-                        EvictReason::Idle
-                    };
-                    self.remove_at(bucket, i, reason, evicted);
-                    self.shard.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-                b.slots[i].last_hit = epoch;
-                let value = b.slots[i].value;
-                self.shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-                self.journal(bucket, FlowOpKind::Hit, digest, value);
-                Some(value)
-            }
-            None => {
-                self.shard.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        self.lookup_probed(&Probe::new(bucket, *key), evicted)
+    }
+
+    /// [`lookup`](Self::lookup) through a probe made earlier.
+    pub fn lookup_probed(&mut self, p: &Probe, evicted: &mut Vec<Evicted>) -> Option<u64> {
+        let Some(i) = self.locate(p) else {
+            owner_add(&self.shard.stats.misses, 1);
+            return None;
+        };
+        let b = usize::from(p.bucket);
+        let epoch = self.buckets[b].epoch;
+        let slot = self.buckets[b].slots[i];
+        if self.expired(&slot, epoch) {
+            let reason = self.expiry_reason(slot.embryonic);
+            self.remove_at(p.bucket, i, reason, evicted);
+            owner_add(&self.shard.stats.misses, 1);
+            return None;
         }
+        self.buckets[b].slots[i].last_hit = epoch;
+        owner_add(&self.shard.stats.hits, 1);
+        self.journal(p.bucket, FlowOpKind::Hit, p.digest, slot.value);
+        Some(slot.value)
     }
 
     /// Inserts a new entry. `foreign` marks a re-steered flow arriving at
@@ -362,14 +430,25 @@ impl FlowTable {
         foreign: bool,
         evicted: &mut Vec<Evicted>,
     ) -> Result<(), TableFull> {
-        let digest = key.digest();
+        let p = Probe::new(bucket, key);
+        self.insert_probed(&p, value, embryonic, foreign, evicted)
+    }
+
+    /// [`insert`](Self::insert) through a probe made earlier (its digest
+    /// is reused; where it found the key does not matter to an insert).
+    pub fn insert_probed(
+        &mut self,
+        p: &Probe,
+        value: u64,
+        embryonic: bool,
+        foreign: bool,
+        evicted: &mut Vec<Evicted>,
+    ) -> Result<(), TableFull> {
+        let (bucket, digest) = (p.bucket, p.digest);
         let b = usize::from(bucket);
         if self.buckets[b].slots.is_empty() {
             if self.per_bucket == 0 {
-                self.shard
-                    .stats
-                    .table_full_drops
-                    .fetch_add(1, Ordering::Relaxed);
+                owner_add(&self.shard.stats.table_full_drops, 1);
                 return Err(TableFull);
             }
             // Lazy allocation: the sub-table materializes on first use.
@@ -393,41 +472,36 @@ impl FlowTable {
                 }
                 _ => {
                     if self.expired(&slot, epoch) {
-                        let reason = if slot.embryonic && self.cfg.embryonic_ttl_epochs != 0 {
-                            EvictReason::Embryonic
-                        } else {
-                            EvictReason::Idle
-                        };
+                        let reason = self.expiry_reason(slot.embryonic);
                         self.remove_at(bucket, idx, reason, evicted);
                         // Compaction may have pulled a live entry into
                         // `idx`; re-probe from scratch for simplicity.
-                        return self.insert(bucket, key, value, embryonic, foreign, evicted);
+                        return self.insert_probed(p, value, embryonic, foreign, evicted);
                     }
                 }
             }
             idx = (idx + 1) & self.buckets[b].mask;
         }
         let Some(free) = free else {
-            self.shard
-                .stats
-                .table_full_drops
-                .fetch_add(1, Ordering::Relaxed);
+            owner_add(&self.shard.stats.table_full_drops, 1);
             return Err(TableFull);
         };
         let bt = &mut self.buckets[b];
         bt.slots[free] = Slot {
             state: SLOT_LIVE,
             embryonic,
-            key,
+            key: p.key,
             digest,
             value,
             last_hit: epoch,
         };
         bt.live += 1;
-        self.shard.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        self.shard.stats.live.fetch_add(1, Ordering::Relaxed);
+        bt.layout = bt.layout.wrapping_add(1);
+        let stats = &self.shard.stats;
+        owner_add(&stats.inserts, 1);
+        owner_add(&stats.live, 1);
         if foreign {
-            self.shard.stats.migrated_in.fetch_add(1, Ordering::Relaxed);
+            owner_add(&stats.migrated_in, 1);
             self.journal(bucket, FlowOpKind::Migrate, digest, value);
         } else {
             self.journal(bucket, FlowOpKind::Insert, digest, value);
@@ -435,16 +509,15 @@ impl FlowTable {
         Ok(())
     }
 
-    /// Rewrites an entry's value and embryonic flag in place (conntrack
-    /// state promotion). Returns `false` on miss. Not journaled: the
-    /// promotion is derivable from the packet stream.
-    pub fn promote(&mut self, bucket: u16, key: &FlowKey, value: u64, embryonic: bool) -> bool {
-        let digest = key.digest();
-        match self.probe(bucket, key, digest) {
+    /// Rewrites the probed entry's value and embryonic flag in place
+    /// (conntrack state promotion). Returns `false` on miss. Not
+    /// journaled: the promotion is derivable from the packet stream.
+    pub fn promote(&mut self, p: &Probe, value: u64, embryonic: bool) -> bool {
+        match self.locate(p) {
             Some(i) => {
-                let b = &mut self.buckets[usize::from(bucket)];
-                b.slots[i].value = value;
-                b.slots[i].embryonic = embryonic;
+                let slot = &mut self.buckets[usize::from(p.bucket)].slots[i];
+                slot.value = value;
+                slot.embryonic = embryonic;
                 true
             }
             None => false,
@@ -460,26 +533,35 @@ impl FlowTable {
         reason: EvictReason,
         evicted: &mut Vec<Evicted>,
     ) -> Option<u64> {
-        let digest = key.digest();
-        let i = self.probe(bucket, key, digest)?;
-        let value = self.buckets[usize::from(bucket)].slots[i].value;
-        self.remove_at(bucket, i, reason, evicted);
+        self.remove_probed(&Probe::new(bucket, *key), reason, evicted)
+    }
+
+    /// [`remove`](Self::remove) through a probe made earlier.
+    pub fn remove_probed(
+        &mut self,
+        p: &Probe,
+        reason: EvictReason,
+        evicted: &mut Vec<Evicted>,
+    ) -> Option<u64> {
+        let i = self.locate(p)?;
+        let value = self.buckets[usize::from(p.bucket)].slots[i].value;
+        self.remove_at(p.bucket, i, reason, evicted);
         Some(value)
     }
 
-    /// Finds the live slot holding `key`, if any (expired entries are
-    /// still "found" — callers decide whether to reap).
-    fn probe(&self, bucket: u16, key: &FlowKey, digest: u64) -> Option<usize> {
-        let b = &self.buckets[usize::from(bucket)];
+    /// Finds the live slot holding the probe's key, if any (expired
+    /// entries are still "found" — callers decide whether to reap).
+    fn find(&self, p: &Probe) -> Option<usize> {
+        let b = &self.buckets[usize::from(p.bucket)];
         if b.slots.is_empty() {
             return None;
         }
-        let mut idx = (digest as usize) & b.mask;
+        let mut idx = (p.digest as usize) & b.mask;
         for _ in 0..b.slots.len() {
             let slot = &b.slots[idx];
             match slot.state {
                 SLOT_EMPTY => return None,
-                _ if slot.digest == digest && slot.key == *key => return Some(idx),
+                _ if slot.digest == p.digest && slot.key == p.key => return Some(idx),
                 _ => idx = (idx + 1) & b.mask,
             }
         }
@@ -510,12 +592,13 @@ impl FlowTable {
             EvictReason::Closed => &self.shard.stats.evict_closed,
             EvictReason::Death => &self.shard.stats.evict_death,
         };
-        stat.fetch_add(1, Ordering::Relaxed);
-        self.shard.stats.live.fetch_sub(1, Ordering::Relaxed);
+        owner_add(stat, 1);
+        owner_sub(&self.shard.stats.live, 1);
         self.journal(bucket, FlowOpKind::Evict(reason), slot.digest, slot.value);
 
         let bt = &mut self.buckets[b];
         bt.live -= 1;
+        bt.layout = bt.layout.wrapping_add(1);
         let mask = bt.mask;
         // Backward-shift deletion (Knuth 6.4R): walk the chain after `i`,
         // moving back any entry whose home position is cyclically outside
@@ -558,14 +641,6 @@ impl FlowTable {
             value,
         };
         self.shard.journal.lock().expect("flow journal").push(rec);
-    }
-}
-
-fn ttl_of_cfg(cfg: &FlowTableConfig, embryonic: bool) -> u64 {
-    if embryonic && cfg.embryonic_ttl_epochs != 0 {
-        cfg.embryonic_ttl_epochs
-    } else {
-        cfg.ttl_epochs
     }
 }
 
@@ -806,6 +881,15 @@ impl FlowOpsLog {
 
 /// Per-shard counters, all monotonic except the `live` and
 /// `nat_ports_in_use` gauges.
+///
+/// **One writer at a time.** The shard's owning worker is the only thread
+/// that writes these on the hot path, and it does so with a plain load and
+/// store ([`owner_add`], [`owner_sub`]) rather than a locked
+/// read-modify-write; readers (reports, `/metrics`) only load, so every
+/// value they see is one the owner stored. The one other writer is
+/// [`FlowRegistry::invalidate_shard`], and the supervisor calls it only on
+/// a `Crash` conviction, when the owning thread is already gone; a
+/// respawned owner starts after it.
 #[derive(Debug, Default)]
 pub struct ShardFlowStats {
     /// Successful inserts (including migrations).
@@ -833,6 +917,24 @@ pub struct ShardFlowStats {
     pub live: AtomicU64,
     /// NAT external ports currently allocated (gauge).
     pub nat_ports_in_use: AtomicU64,
+}
+
+/// Adds `n` to a shard counter from its owning thread (see
+/// [`ShardFlowStats`]): a plain load and store, no locked instruction.
+pub fn owner_add(counter: &AtomicU64, n: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
+/// Subtracts `n` from a shard gauge from its owning thread; see
+/// [`owner_add`].
+pub fn owner_sub(counter: &AtomicU64, n: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_sub(n),
+        Ordering::Relaxed,
+    );
 }
 
 /// One shard's slot in the registry: counters plus the journal sink.
@@ -1193,6 +1295,27 @@ mod tests {
     }
 
     #[test]
+    fn stale_probes_probe_again() {
+        // Two slots per bucket: every key shares one probe chain.
+        let (mut t, _reg) = table(FLOW_BUCKETS as u64 * 2, u64::MAX, 0);
+        let mut ev = Vec::new();
+        let mut a = Probe::new(4, key(1));
+        let mut b = Probe::new(4, key(2));
+        t.probe(&mut a);
+        t.probe(&mut b);
+        // Both probes saw an empty bucket; the inserts move the layout on.
+        t.insert_probed(&a, 10, false, false, &mut ev).unwrap();
+        t.insert_probed(&b, 20, false, false, &mut ev).unwrap();
+        assert_eq!(t.lookup_probed(&b, &mut ev), Some(20));
+        t.probe(&mut b);
+        // Removing `a` may shift `b` back into `a`'s slot.
+        assert_eq!(t.remove_probed(&a, EvictReason::Closed, &mut ev), Some(10));
+        assert!(t.promote(&b, 21, false));
+        assert_eq!(t.lookup_probed(&b, &mut ev), Some(21));
+        assert_eq!(t.lookup_probed(&a, &mut ev), None);
+    }
+
+    #[test]
     fn journal_roundtrips_and_replays() {
         let (mut t, reg) = table(1024, 2, 2);
         let mut ev = Vec::new();
@@ -1281,6 +1404,38 @@ mod tests {
         assert_eq!(report.totals().live, 0);
         let replay = report.journal.replay().unwrap();
         assert_eq!(replay.invalidated.get(&0).map(|s| s.len()), Some(10));
+    }
+
+    proptest::proptest! {
+        /// The countdown epoch clock crosses its boundaries where the
+        /// modulo clock it replaced did (`pkts % epoch_pkts == 0`, never for
+        /// 0), and sweeps exactly there: with a 1-epoch TTL, the entry a
+        /// bucket holds leaves at each boundary and at no other tick.
+        #[test]
+        fn countdown_clock_equals_modulo_clock(
+            epoch_pkts in proptest::sample::select(vec![0u64, 1, 2, 3, 1024, u64::MAX]),
+            picks in proptest::collection::vec(0u16..3, 0..4000),
+        ) {
+            let (mut t, _reg) = table(1024, 1, epoch_pkts);
+            let mut ev = Vec::new();
+            let mut pkts = [0u64; 3];
+            for b in 0..3u16 {
+                t.insert(b, key(u32::from(b)), 0, false, false, &mut ev).unwrap();
+            }
+            for b in picks {
+                let n = &mut pkts[usize::from(b)];
+                *n += 1;
+                let boundary = epoch_pkts != 0 && *n % epoch_pkts == 0;
+                t.tick(b, &mut ev);
+                let want = n.checked_div(epoch_pkts).unwrap_or(0);
+                proptest::prop_assert_eq!(t.epoch(b), want);
+                proptest::prop_assert_eq!(ev.len(), usize::from(boundary));
+                if boundary {
+                    ev.clear();
+                    t.insert(b, key(u32::from(b)), 0, false, false, &mut ev).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

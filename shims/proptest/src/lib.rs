@@ -24,10 +24,17 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        /// 64 cases, or as many as the `PROPTEST_CASES` environment
+        /// variable asks for (as upstream reads it), so that one CI step
+        /// can explore further than the default run.
         fn default() -> Self {
             // Lighter than upstream's 256: the workspace runs property
             // suites over simulation-heavy code in CI.
-            ProptestConfig { cases: 64 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(64);
+            ProptestConfig { cases }
         }
     }
 

@@ -15,6 +15,7 @@ use nba_apps::{pipelines, AppConfig};
 use nba_core::element::{ComputeMode, ElemCtx};
 use nba_core::flow::FlowRegistry;
 use nba_core::lb;
+use nba_core::runtime::worker::Homes;
 use nba_core::runtime::{BuildCtx, PipelineBuilder};
 use nba_core::{Counters, NodeLocalStorage, PacketBatch, SystemInspector};
 use nba_crypto::{Aes128Ctr, HmacSha1, Sha1};
@@ -164,8 +165,11 @@ fn bench_io(c: &mut Criterion) {
     // The live IO thread's per-burst work, and the worker's pop, on one
     // thread: generate 64 packets through the thread's mempool cache, steer
     // each by its descriptor hash into its queue's stage, push the stage as
-    // one burst, pop it, and recycle the buffers.
-    let mut cache = MempoolCache::new(Mempool::new(4 * BURST), BURST);
+    // one burst, pop it, and send the buffers home with the worker's exit
+    // routine.
+    let pool = Mempool::new(4 * BURST);
+    let mut cache = MempoolCache::new(pool.clone(), BURST);
+    let mut homes = Homes::new(vec![pool]);
     let mut gen = TrafficGen::new(TrafficConfig::default());
     let (ring, drain) = spsc::channel(4096);
     let mut fanout = RssFanout::new(0, vec![ring]);
@@ -179,7 +183,7 @@ fn bench_io(c: &mut Criterion) {
             });
             fanout.push_burst(0, &mut stage);
             drain.pop_burst(BURST, |p| popped.push(p));
-            Packet::recycle(popped.drain(..));
+            homes.retire(popped.drain(..));
         })
     });
     // One slot of the DES source on the modelled testbed's per-port stream
@@ -288,7 +292,7 @@ fn graph_row(c: &mut Criterion, name: &str, pipeline: PipelineBuilder, traffic: 
             held.extend(out.tx.drain(..).map(|(p, _)| p));
             assert_eq!(held.len(), BATCH, "the pipeline drops nothing here");
             shell = out.spent.take();
-            graph.recycle_tx(std::mem::take(&mut out.tx));
+            graph.recycle(&mut out);
         })
     });
     g.finish();

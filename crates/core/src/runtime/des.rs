@@ -222,7 +222,9 @@ impl Entity for WorkerEntity {
             for p in iter.by_ref().take(cfg.comp_batch) {
                 batch.push(p);
             }
-            self.core.on_batch(now, batch, 0, &mut tp);
+            // Every DES packet carries its pool handle: a contained panic
+            // frees its buffers in the unwind, and writes none off.
+            self.core.on_batch(now, batch, 0, &[], &mut tp);
         }
         self.busy_until = now + cfg.cost.cycles(tp.cycles);
         Wake::At(self.busy_until)
@@ -713,6 +715,11 @@ pub fn run_with_sources(
         .clone()
         .map(|s| Arc::new(Mutex::new(SloTracker::new(s))));
 
+    // Where a retired packet's buffer goes: its ingress port's socket pool.
+    let homes: Vec<Mempool> = (topo.ports.iter())
+        .map(|p| pools[p.socket].clone())
+        .collect();
+
     // Workers.
     let mut rx_handles: Vec<Vec<SimQueue<Packet>>> = Vec::with_capacity(total_workers);
     for w in 0..total_workers {
@@ -733,6 +740,7 @@ pub fn run_with_sources(
             health: health.clone(),
             capture: cfg.capture,
             flight: None,
+            homes: homes.clone(),
         };
         let entity = WorkerEntity {
             core: WorkerCore::new(w, graphs.remove(0), env, Some(&cfg.fault.plan)),
@@ -769,6 +777,7 @@ pub fn run_with_sources(
             drift: drift.clone(),
             gauge: Arc::default(),
             decision_audit: cfg.audit.decision_capacity > 0,
+            homes: homes.clone(),
         };
         let core = DeviceCore::new(s, specs.clone(), fuse_next.clone(), env);
         devices.push(Rc::new(RefCell::new(core)));

@@ -22,6 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use nba_gpu::{KernelFn, TaskTiming};
+use nba_io::Mempool;
 use nba_sim::{CostModel, Time};
 use parking_lot::Mutex;
 
@@ -35,6 +36,7 @@ use crate::graph::NodeId;
 use crate::introspect::FlightRecorder;
 use crate::lb::SharedBalancer;
 use crate::offload::{self, CompletedTask, OffloadTask, StagedTask};
+use crate::runtime::worker::Homes;
 use crate::stats::Counters;
 use crate::telemetry::{SpanAlloc, TraceBuffer, TraceEvent, TraceEventKind};
 
@@ -124,6 +126,9 @@ pub struct DeviceEnv {
     /// Publish a [`DecisionContext`] per launch (decision audit on). Off,
     /// the device makes no balancer calls outside breaker transitions.
     pub decision_audit: bool,
+    /// The workers' home pools ([`crate::runtime::worker::WorkerEnv::homes`]),
+    /// which write off the buffers a contained scatter panic loses.
+    pub homes: Vec<Mempool>,
 }
 
 /// A launched task whose completion is pending: the DES keeps it in flight
@@ -501,10 +506,13 @@ impl DeviceCore {
                 }
                 // A panic mid-scatter leaves the packets half-written:
                 // neither resuming nor re-running them is sound. They are
-                // dropped and counted; the workers get the shells back.
+                // dropped and counted, their homes write the buffers off,
+                // and the workers get the shells back.
                 Err(_) => {
                     fallback = true;
                     let lost: u64 = l.batches.iter().map(|b| b.len() as u64).sum();
+                    Homes::new(self.env.homes.clone())
+                        .write_off(l.batches.iter().flat_map(PacketBatch::packets));
                     FaultStats::add(&fs.panics_contained, 1);
                     FaultStats::add(&fs.dropped_batches, l.batches.len() as u64);
                     FaultStats::add(&fs.dropped_packets, lost);

@@ -411,6 +411,7 @@ impl HealthStats {
             buckets_moved: g(&self.buckets_moved),
             respawns: g(&self.respawns),
             ring_disconnects: g(&self.ring_disconnects),
+            ..HealthSnapshot::default()
         }
     }
 }
@@ -436,6 +437,14 @@ pub struct HealthSnapshot {
     pub respawns: u64,
     /// Ring-disconnect post-mortems raised.
     pub ring_disconnects: u64,
+    /// Buffers written off as lost with their packets (a contained panic,
+    /// a ring abandoned with packets queued). Set at live teardown.
+    pub buffers_lost: u64,
+    /// Buffers the live run's pools still counted as outstanding after
+    /// teardown, net of `buffers_lost`: buffers that never went home and
+    /// no ledger names. Always 0 in the DES, whose packets return their
+    /// buffers themselves.
+    pub buffers_unreturned: u64,
 }
 
 impl HealthSnapshot {
@@ -449,7 +458,8 @@ impl HealthSnapshot {
         self.shed_total() + self.lost_in_ring + self.lost_in_flight
     }
 
-    /// True when nothing was lost, shed, or re-steered.
+    /// True when nothing was lost, shed, or re-steered, and every buffer
+    /// went home.
     pub fn is_clean(&self) -> bool {
         *self == HealthSnapshot::default()
     }

@@ -120,6 +120,7 @@ fn rig(fault: FaultConfig, spec: OffloadSpec, balancers: Vec<SharedBalancer>) ->
         drift: None,
         gauge: Arc::default(),
         decision_audit: false,
+        homes: Vec::new(),
     };
     Rig {
         core: DeviceCore::new(0, HashMap::from([(NODE, spec)]), HashMap::new(), env),

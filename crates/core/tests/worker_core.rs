@@ -88,6 +88,7 @@ fn rig(plan: Option<&FaultPlan>) -> Rig {
         health: health.clone(),
         capture: true,
         flight: None,
+        homes: Vec::new(),
     };
     Rig {
         core: WorkerCore::new(0, graph(), env, plan),
@@ -138,7 +139,7 @@ impl Transport for Recording {
 fn a_full_offload_queue_runs_the_cpu_path_inline_and_conserves_packets() {
     let mut r = rig(None);
     let mut tp = Recording::default();
-    r.core.on_batch(Time::ZERO, batch(8, 0), 0, &mut tp);
+    r.core.on_batch(Time::ZERO, batch(8, 0), 0, &[], &mut tp);
 
     assert!(tp.offloaded.is_empty());
     assert_eq!(tp.sent.len(), 8, "the handed-back batch was lost");
@@ -161,8 +162,8 @@ fn completions_resume_past_the_element_or_fall_back_through_it() {
         accept: true,
         ..Recording::default()
     };
-    r.core.on_batch(Time::ZERO, batch(4, 0), 0, &mut tp);
-    r.core.on_batch(Time::ZERO, batch(4, 0), 0, &mut tp);
+    r.core.on_batch(Time::ZERO, batch(4, 0), 0, &[], &mut tp);
+    r.core.on_batch(Time::ZERO, batch(4, 0), 0, &[], &mut tp);
     assert!(tp.sent.is_empty(), "suspended batches must not transmit");
     assert_eq!(tp.offloaded.len(), 2);
 
@@ -193,8 +194,8 @@ fn completions_resume_past_the_element_or_fall_back_through_it() {
 fn a_poison_batch_is_contained_and_counted() {
     let mut r = rig(None);
     let mut tp = Recording::default();
-    r.core.on_batch(Time::ZERO, batch(3, 0xFF), 0, &mut tp);
-    r.core.on_batch(Time::ZERO, batch(2, 0), 0, &mut tp);
+    r.core.on_batch(Time::ZERO, batch(3, 0xFF), 0, &[], &mut tp);
+    r.core.on_batch(Time::ZERO, batch(2, 0), 0, &[], &mut tp);
     assert_eq!(tp.sent.len(), 2, "the worker did not survive the panic");
     let c = r.counters.snapshot();
     assert_eq!((c.rx_packets, c.tx_packets, c.dropped), (5, 2, 3));
@@ -214,7 +215,7 @@ fn the_kill_drill_fires_after_the_batch_that_crossed_the_threshold() {
     let mut r = rig(Some(&plan));
     let mut tp = Recording::default();
     assert_eq!(r.core.drill(), None);
-    r.core.on_batch(Time::ZERO, batch(8, 0), 0, &mut tp);
+    r.core.on_batch(Time::ZERO, batch(8, 0), 0, &[], &mut tp);
     assert_eq!(tp.sent.len(), 8, "the crossing batch is fully processed");
     assert!(r.health[0].alive.load(Ordering::Acquire));
     assert_eq!(r.core.drill(), Some(Drill::Kill));

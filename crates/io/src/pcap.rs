@@ -9,7 +9,7 @@ use std::io::{self, Read, Write};
 
 use nba_sim::Time;
 
-use crate::buf::{Mempool, MempoolCache, PacketBuf, DEFAULT_BUF_CAPACITY, DEFAULT_HEADROOM};
+use crate::buf::{Mempool, MempoolCache, DEFAULT_BUF_CAPACITY, DEFAULT_HEADROOM};
 use crate::packet::{Packet, WIRE_OVERHEAD_BYTES};
 use crate::port::{rss_hash, Port};
 use crate::toeplitz::Toeplitz;
@@ -31,7 +31,8 @@ pub trait PacketSource {
     fn offer(&mut self, until: Time, max_slots: u64, pool: &Mempool, port: &mut Port) -> u64;
 
     /// Emits the next `count` packets of the stream into `sink`, allocating
-    /// through the calling thread's `cache`. Returns the number emitted:
+    /// through the calling thread's `cache`. The packets carry no pool
+    /// handle: the caller sends their buffers home. Returns the number emitted:
     /// short only when the source ran out or an allocation was refused.
     fn generate_burst(
         &mut self,
@@ -219,10 +220,10 @@ impl Replay {
         (idx, ts)
     }
 
-    fn build(&mut self, idx: usize, ts: Time, mut buf: PacketBuf, pool: Mempool) -> Packet {
+    fn build(&mut self, idx: usize, ts: Time, mut pkt: Packet) -> Packet {
         let frame = &self.records[idx].frame;
+        let buf = pkt.buf_mut();
         buf.fill(DEFAULT_HEADROOM.min(buf.capacity() - frame.len()), frame);
-        let mut pkt = Packet::from_pool(buf, pool);
         pkt.ts_gen = ts;
         pkt.rss_hash = self.hashes[idx];
         self.emitted += 1;
@@ -241,7 +242,7 @@ impl PacketSource for Replay {
             };
             match pool.alloc() {
                 Some(buf) => {
-                    let pkt = self.build(idx, ts, buf, pool.clone());
+                    let pkt = self.build(idx, ts, Packet::from_pool(buf, pool.clone()));
                     port.enqueue(q, pkt);
                 }
                 None => port.nombuf(),
@@ -257,11 +258,11 @@ impl PacketSource for Replay {
         sink: &mut dyn FnMut(Packet),
     ) -> u64 {
         for emitted in 0..count {
-            let Some((buf, pool)) = cache.alloc() else {
+            let Some(buf) = cache.alloc() else {
                 return emitted as u64;
             };
             let (idx, ts) = self.next_slot();
-            sink(self.build(idx, ts, buf, pool));
+            sink(self.build(idx, ts, Packet::from_buf(buf)));
         }
         count as u64
     }
@@ -473,12 +474,17 @@ mod tests {
         assert_eq!(gen.generate_burst(12, &mut cache, &mut |p| held.push(p)), 8);
         assert_eq!(gen.stats().alloc_failures, 1);
         assert_eq!(tiny.stats().exhausted, 1, "one refused refill");
-        // Free the buffers: the stream resumes exactly where it stopped.
-        let mut frames: Vec<Vec<u8>> = held.drain(..).map(|p| p.data().to_vec()).collect();
+        // Send the buffers home: the stream resumes exactly where it stopped.
+        let mut frames: Vec<Vec<u8>> = held.iter().map(|p| p.data().to_vec()).collect();
+        tiny.free_bulk(held.drain(..).map(Packet::into_buf));
         assert_eq!(
-            gen.generate_burst(8, &mut cache, &mut |p| frames.push(p.data().to_vec())),
+            gen.generate_burst(8, &mut cache, &mut |p| {
+                frames.push(p.data().to_vec());
+                held.push(p);
+            }),
             8
         );
+        tiny.free_bulk(held.drain(..).map(Packet::into_buf));
         assert_eq!(frames[..], whole[..16]);
         drop(cache);
         assert_eq!(tiny.outstanding(), 0);

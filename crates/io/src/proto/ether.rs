@@ -63,24 +63,6 @@ pub fn swap_addresses(frame: &mut [u8]) {
     }
 }
 
-/// Overwrites the destination MAC in place.
-///
-/// # Panics
-///
-/// Panics if `frame` is shorter than the Ethernet header.
-pub fn set_dst(frame: &mut [u8], mac: [u8; 6]) {
-    frame[0..6].copy_from_slice(&mac);
-}
-
-/// Overwrites the source MAC in place.
-///
-/// # Panics
-///
-/// Panics if `frame` is shorter than the Ethernet header.
-pub fn set_src(frame: &mut [u8], mac: [u8; 6]) {
-    frame[6..12].copy_from_slice(&mac);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

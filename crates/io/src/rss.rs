@@ -195,16 +195,6 @@ impl RssFanout {
         }
     }
 
-    /// Number of RX queues.
-    pub fn queue_count(&self) -> u16 {
-        self.queues.len() as u16
-    }
-
-    /// The shared indirection table this fanout steers through.
-    pub fn table(&self) -> &Arc<RssTable> {
-        &self.table
-    }
-
     /// Steers one packet by the descriptor RSS hash its source stamped:
     /// stamps the ingress port and RX queue on it and returns the queue the
     /// indirection table currently selects. Nothing is enqueued; whoever

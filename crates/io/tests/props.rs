@@ -119,7 +119,8 @@ proptest! {
 
     /// Every source stamps the receive-descriptor hash when it writes a
     /// frame: the packets of `generate`, of `generate_burst` through a
-    /// thread cache, and of a `Replay` (offered or by count) all carry
+    /// thread cache (the same stream, pacing stamps included, whatever the
+    /// burst size), and of a `Replay` (offered or by count) all carry
     /// `port::rss_hash` of their bytes. A fanout on a boot table steers by
     /// that stamp alone, to `queue_for_hash(hash, queues)`.
     #[test]
@@ -151,6 +152,8 @@ proptest! {
             gen.generate_burst(want, &mut cache, &mut |p| by_count.push(p));
         }
         by_count.iter().try_for_each(stamped)?;
+        let frames = |ps: &[Packet]| -> Vec<_> { ps.iter().map(|p| (p.ts_gen, p.data().to_vec())).collect() };
+        prop_assert_eq!(frames(&by_count), frames(&by_time));
 
         // A replay of the same frames, offered to a port and asked by count.
         let records = by_time
@@ -228,8 +231,8 @@ proptest! {
     /// Mempool accounting never goes negative or exceeds capacity, under
     /// any interleaving of per-packet, bulk and cached allocs and frees:
     /// buffers parked in a thread cache count against the budget, a refused
-    /// refill counts `exhausted` once, and when every packet and every
-    /// cache is gone nothing is outstanding and `allocs == frees`.
+    /// refill counts `exhausted` once, and when every buffer has gone home
+    /// and every cache is gone nothing is outstanding and `allocs == frees`.
     #[test]
     fn mempool_accounting(ops in proptest::collection::vec((0u8..7, 1usize..9), 1..200)) {
         const BUDGET: usize = 16;
@@ -262,23 +265,24 @@ proptest! {
                     pool.free_bulk(held.drain(keep..));
                 }
                 4 | 5 => {
-                    // Through a cache, as a packet (the IO thread's path).
+                    // Through a cache, as a handle-free packet (the IO
+                    // thread's path).
                     if let Some(cache) = caches[usize::from(op - 4)].as_mut() {
                         let refill = cache.cached() == 0;
                         let before = pool.stats().exhausted;
                         let got = cache.alloc();
                         let refused = u64::from(refill && got.is_none());
                         prop_assert_eq!(pool.stats().exhausted - before, refused);
-                        pkts.extend(got.map(|(buf, home)| Packet::from_pool(buf, home)));
+                        pkts.extend(got.map(Packet::from_buf));
                     }
                 }
                 _ => {
-                    // A cache dies (flushes), or packets retire in bulk.
+                    // A cache dies (flushes), or packets go home in bulk.
                     if n == 1 {
                         caches[pkts.len() % 2] = None;
                     } else {
                         let keep = pkts.len().saturating_sub(n);
-                        Packet::recycle(pkts.drain(keep..));
+                        pool.free_bulk(pkts.drain(keep..).map(Packet::into_buf));
                     }
                 }
             }
@@ -288,37 +292,46 @@ proptest! {
             prop_assert_eq!(pool.available(), BUDGET - out);
         }
         pool.free_bulk(held.drain(..));
-        drop(pkts);
+        pool.free_bulk(pkts.drain(..).map(Packet::into_buf));
         drop(caches);
         prop_assert_eq!(pool.outstanding(), 0);
         let stats = pool.stats();
         prop_assert_eq!(stats.allocs, stats.frees);
     }
 
-    /// A bulk `recycle` of a burst mixing two pools and unpooled packets
-    /// returns each buffer to its own pool, whatever the interleaving.
+    /// Buffers that die with their packets are written off with `forget`,
+    /// under any interleaving with burst allocs and frees: the budget gets
+    /// them back at once, and the books close as
+    /// `allocs == frees + forgotten` with nothing outstanding.
     #[test]
-    fn recycle_returns_buffers_to_their_own_pools(
-        origins in proptest::collection::vec(0u8..3, 0..64),
+    fn forgotten_buffers_close_the_books(
+        ops in proptest::collection::vec((0u8..3, 1usize..9), 1..200),
     ) {
-        let pools = [Mempool::new(64), Mempool::new(64)];
-        let burst: Vec<Packet> = origins
-            .iter()
-            .map(|&o| match pools.get(usize::from(o)) {
-                Some(pool) => Packet::from_pool(pool.alloc().unwrap(), pool.clone()),
-                None => Packet::from_bytes(b"unpooled"),
-            })
-            .collect();
-        for (i, pool) in pools.iter().enumerate() {
-            let mine = origins.iter().filter(|&&o| usize::from(o) == i).count();
-            prop_assert_eq!(pool.outstanding(), mine);
+        const BUDGET: usize = 16;
+        let pool = Mempool::new(BUDGET);
+        let mut cache = MempoolCache::new(pool.clone(), 4);
+        let mut pkts: Vec<Packet> = Vec::new();
+        let mut lost = 0u64;
+        for (op, n) in ops {
+            let keep = pkts.len().saturating_sub(n);
+            match op {
+                0 => pkts.extend((0..n).map_while(|_| cache.alloc()).map(Packet::from_buf)),
+                1 => pool.free_bulk(pkts.drain(keep..).map(Packet::into_buf)),
+                _ => {
+                    let gone = pkts.drain(keep..).count() as u64;
+                    pool.forget(gone);
+                    lost += gone;
+                }
+            }
+            prop_assert_eq!(pool.outstanding(), pkts.len() + cache.cached());
+            prop_assert_eq!(pool.available(), BUDGET - pool.outstanding());
+            prop_assert_eq!(pool.stats().forgotten, lost);
         }
-        Packet::recycle(burst);
-        for (i, pool) in pools.iter().enumerate() {
-            let mine = origins.iter().filter(|&&o| usize::from(o) == i).count();
-            prop_assert_eq!(pool.outstanding(), 0);
-            prop_assert_eq!(pool.stats().frees, mine as u64);
-        }
+        pool.free_bulk(pkts.drain(..).map(Packet::into_buf));
+        drop(cache);
+        prop_assert_eq!(pool.outstanding(), 0);
+        let stats = pool.stats();
+        prop_assert_eq!(stats.allocs, stats.frees + stats.forgotten);
     }
 
     /// Any interleaving of `push`, `push_burst`, `pop`, `pop_burst` behaves

@@ -261,7 +261,6 @@ fn live_sweep(
                 },
                 flight: nba_core::FlightConfig {
                     dir: obs.flight_dir.clone(),
-                    ..nba_core::FlightConfig::default()
                 },
                 stats_addr: obs.stats_addr.clone(),
                 slo: obs.slo.clone(),

@@ -17,14 +17,15 @@
 //! ships them to a device thread, and [`ElementGraph::resume_offloaded`]
 //! continues the pipeline after completion.
 
+use std::sync::Arc;
+
 use nba_sim::{CostModel, CpuProfile, Time};
 
 use crate::batch::{anno, Anno, PacketBatch};
 use crate::element::{ElemCtx, Element, ElementKind};
+use crate::introspect::FlightRecorder;
 use crate::stats::Counters;
-use crate::telemetry::{
-    ElementProfile, ProfileAcc, SpanAlloc, TraceBuffer, TraceEvent, TraceEventKind,
-};
+use crate::telemetry::{ElementProfile, ProfileAcc, SpanAlloc, TraceEvent, TraceEventKind};
 
 use nba_io::Packet;
 
@@ -141,13 +142,11 @@ pub struct ElementGraph {
     policy: BranchPolicy,
     /// Per-node work accumulators (telemetry; always on, plain adds).
     profiles: Vec<ProfileAcc>,
-    /// Batch-lifecycle trace ring; `None` unless tracing was enabled
-    /// (boxed so the graph stays lean, owned so the graph stays `Send`
-    /// for the live runtime).
-    trace: Option<Box<TraceBuffer>>,
-    /// Causal span-id allocator; `Some` exactly when tracing is enabled.
-    /// Worker replicas of one run share it (see
-    /// [`ElementGraph::share_spans`]) so ids are unique run-wide.
+    /// The run's flight recorder, whose ring for this graph's worker takes
+    /// the graph's events (`None` until [`ElementGraph::attach_ring`]).
+    flight: Option<Arc<FlightRecorder>>,
+    /// Causal span-id allocator, shared by every replica of the run;
+    /// `Some` exactly when tracing is on.
     spans: Option<SpanAlloc>,
     /// Busy-time source: cycle-derived virtual time (DES) or wall clock
     /// (live runtime).
@@ -309,7 +308,7 @@ impl GraphBuilder {
             entry,
             policy: self.policy,
             profiles,
-            trace: None,
+            flight: None,
             spans: None,
             wall_profiling: false,
             work: Vec::new(),
@@ -398,22 +397,13 @@ impl ElementGraph {
             .collect()
     }
 
-    /// Enables batch-lifecycle tracing into a bounded ring of `capacity`
-    /// events (no-op when `capacity` is 0).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        if capacity > 0 {
-            self.trace = Some(Box::new(TraceBuffer::new(capacity)));
-            self.spans = Some(SpanAlloc::new());
-        }
-    }
-
-    /// Replaces this graph's span allocator with a shared one, so span ids
-    /// stay unique across every worker replica of one run. No-op unless
-    /// tracing is enabled.
-    pub fn share_spans(&mut self, alloc: SpanAlloc) {
-        if self.trace.is_some() {
-            self.spans = Some(alloc);
-        }
+    /// Attaches the graph to its worker's ring in `flight`. The ring takes
+    /// the graph's offload enqueues; `spans` (the run-wide allocator, so
+    /// ids stay unique across replicas) turns tracing on, and with it the
+    /// element, branch and drop events too.
+    pub fn attach_ring(&mut self, flight: Arc<FlightRecorder>, spans: Option<SpanAlloc>) {
+        self.flight = Some(flight);
+        self.spans = spans;
     }
 
     /// Allocates the next causal span id, or 0 when tracing is off — the
@@ -423,24 +413,17 @@ impl ElementGraph {
         self.spans.as_ref().map_or(0, |s| s.next())
     }
 
-    /// `true` while tracing is enabled.
+    /// `true` while tracing is on.
     pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
+        self.spans.is_some()
     }
 
-    /// The trace ring, so the runtime can record RX/TX/completion events
-    /// against the same buffer the traversal writes element hops into.
-    pub fn trace_mut(&mut self) -> Option<&mut TraceBuffer> {
-        self.trace.as_deref_mut()
-    }
-
-    /// Takes the accumulated trace events (arrival order), disabling
-    /// tracing.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace
-            .take()
-            .map(|b| b.into_events())
-            .unwrap_or_default()
+    /// Records `ev` into the attached ring (no-op when none is), so the
+    /// worker's RX/TX/completion events land where the traversal's do.
+    pub fn record(&self, ev: TraceEvent) {
+        if let Some(f) = &self.flight {
+            f.record(ev);
+        }
     }
 
     /// Switches busy-time accounting from cycle-derived virtual time to
@@ -589,18 +572,16 @@ impl ElementGraph {
         // Offload decision: batches tagged for a device suspend here.
         let node = &mut self.nodes[nid.0];
         if node.offloadable && batch.banno().get(anno::LB_DEVICE) > 0 {
-            if self.trace.is_some() {
+            if let Some(f) = &self.flight {
                 // The enqueue opens a child span of the batch's current
-                // span; the batch carries it to the device thread so the
-                // launch links back here.
+                // span (both 0 with tracing off); the batch carries it to
+                // the device thread so the launch links back here.
                 let parent = batch.banno().get(anno::SPAN_ID);
-                let span = self.alloc_span();
+                let span = self.spans.as_ref().map_or(0, SpanAlloc::next);
                 batch.banno_mut().set(anno::SPAN_ID, span);
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    let enqueue = TraceEventKind::OffloadEnqueue;
-                    let ev = batch_event(ctx, nid, batch, enqueue, batch.len());
-                    tr.push(ev.spans(span, parent));
-                }
+                let enqueue = TraceEventKind::OffloadEnqueue;
+                let ev = batch_event(ctx, nid, batch, enqueue, batch.len());
+                f.record(ev.spans(span, parent));
             }
             let batch = std::mem::take(batch);
             outcome.offloads.push(OffloadRequest { node: nid, batch });
@@ -628,8 +609,8 @@ impl ElementGraph {
         };
         acc.busy_ns += visit_ns;
         acc.service.record_ns(visit_ns);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.push(TraceEvent {
+        if let (Some(tr), Some(_)) = (&self.flight, &self.spans) {
+            tr.record(TraceEvent {
                 dur: Time::from_ns(visit_ns),
                 ..batch_event(ctx, nid, batch, TraceEventKind::Element, live as usize)
             });
@@ -669,9 +650,9 @@ impl ElementGraph {
             outcome.drops += drops;
             Counters::add(&counters.dropped, drops);
             self.profiles[nid.0].drops += drops;
-            if let Some(tr) = self.trace.as_deref_mut() {
+            if let (Some(tr), Some(_)) = (&self.flight, &self.spans) {
                 let drop = TraceEventKind::Drop;
-                tr.push(batch_event(ctx, nid, batch, drop, drops as usize));
+                tr.record(batch_event(ctx, nid, batch, drop, drops as usize));
             }
         }
         let live = batch.len() as u64;
@@ -689,9 +670,9 @@ impl ElementGraph {
         // 2. A real branch: the results are read again, slot by slot, and
         // each packet leaving on a port other than the kept one moves into
         // that port's fresh batch.
-        if let Some(tr) = self.trace.as_deref_mut() {
+        if let (Some(tr), Some(_)) = (&self.flight, &self.spans) {
             let branch = TraceEventKind::Branch;
-            tr.push(batch_event(ctx, nid, batch, branch, batch.len()));
+            tr.record(batch_event(ctx, nid, batch, branch, batch.len()));
         }
         let last = (ports - 1) as u8;
         // Predict reuses the input batch for the predicted port, masking
@@ -701,9 +682,9 @@ impl ElementGraph {
                 let kept = node.predicted.min(last);
                 let diverged = live - counts[usize::from(kept)];
                 if diverged > 0 {
-                    if let Some(tr) = self.trace.as_deref_mut() {
+                    if let (Some(tr), Some(_)) = (&self.flight, &self.spans) {
                         let miss = TraceEventKind::BranchMiss;
-                        tr.push(batch_event(ctx, nid, batch, miss, diverged as usize));
+                        tr.record(batch_event(ctx, nid, batch, miss, diverged as usize));
                     }
                 }
                 (Some(kept), cost.split_copy_slot + cost.mask_slot)

@@ -5,18 +5,21 @@
 //! or a balancer decision, so enabling them cannot change what a run
 //! produces (the determinism suites assert this).
 //!
-//! * [`FlightRecorder`] — an always-on, bounded, sampled ring per worker
-//!   holding the last N span events plus gauge snapshots (RX-ring depth,
-//!   `w`, outstanding offloads). On a containment event — device
-//!   quarantine, a contained worker panic, a drop-rate spike — the whole
-//!   recorder is snapshotted into a [`FlightDump`] post-mortem artifact
-//!   (and optionally a JSON file), so the events *leading up to* the
-//!   failure survive it.
+//! * [`FlightRecorder`] — one bounded event ring per worker shard, always
+//!   on. The shard's graph, its worker core and the device thread record
+//!   each event of the shard's batches once, into that ring. With tracing
+//!   on the rings take every event and are the run's trace; off, they keep
+//!   the last [`FLIGHT_EVENTS`] of a sampled tail: one RX event in
+//!   [`FLIGHT_SAMPLE_EVERY`] plus the whole offload lifecycle. On a
+//!   containment event — device quarantine, a contained worker panic, a
+//!   dead ring, a worker convicted Dead for a stall — the rings are copied
+//!   into a [`FlightDump`] post-mortem artifact (and optionally a JSON
+//!   file) beside the shard gauges read at that moment, so the events
+//!   *leading up to* the failure survive it.
 //! * [`StatsServer`] — a dependency-free TCP server (std only) serving
 //!   `GET /status` (a JSON status document) and `GET /metrics`
 //!   (Prometheus text) from a live run, poll-able mid-run.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Deref;
@@ -34,7 +37,7 @@ use crate::fault::{FaultSnapshot, FaultStats};
 use crate::lb::SharedBalancer;
 use crate::stats::{LatencyHistogram, SystemInspector};
 use crate::supervise::{HealthStats, WorkerHealth, WorkerState};
-use crate::telemetry::{self, TraceEvent};
+use crate::telemetry::{self, TraceBuffer, TraceEvent};
 use crate::telemetry::{
     json_escape, json_f64, merge_histograms, trace_event_json, ShardSample, TimeSample,
 };
@@ -43,119 +46,88 @@ use crate::telemetry::{
 // Flight recorder.
 // ---------------------------------------------------------------------------
 
-/// Flight-recorder knobs.
-#[derive(Debug, Clone)]
+/// Events each shard's ring keeps while tracing is off (tracing on, it
+/// keeps [`crate::telemetry::TelemetryConfig::trace_capacity`]).
+pub const FLIGHT_EVENTS: usize = 256;
+
+/// With tracing off, a worker records one RX event in this many. Offload
+/// lifecycle events are always recorded: they are rare, and they are what
+/// post-mortems need.
+pub const FLIGHT_SAMPLE_EVERY: u64 = 64;
+
+/// Dumps one run takes at most: a flapping device must not fill a disk.
+pub const MAX_DUMPS: u64 = 8;
+
+/// Where a run's flight dumps go.
+#[derive(Debug, Clone, Default)]
 pub struct FlightConfig {
-    /// Events retained per worker shard (older events are overwritten).
-    pub capacity: usize,
-    /// RX events are sampled 1-in-`sample_every` (offload lifecycle events
-    /// are always recorded — they are rare and are what post-mortems need).
-    pub sample_every: u64,
-    /// Dump when a sampler window drops at least this many packets
-    /// (`None` disables the drop-spike trigger).
-    pub drop_spike: Option<u64>,
     /// Directory for dump JSON artifacts (`None` keeps dumps in-memory
     /// only, still surfaced on the run report).
     pub dir: Option<PathBuf>,
-    /// Hard cap on dumps per run (a flapping device must not fill a disk).
-    pub max_dumps: usize,
 }
 
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            capacity: 256,
-            sample_every: 64,
-            drop_spike: None,
-            dir: None,
-            max_dumps: 8,
-        }
-    }
-}
+/// One shard's ring, alone on its cache lines (128 bytes covers the
+/// adjacent-line prefetch): while tracing, workers record into neighbouring
+/// shards at full rate, and a shared line would bounce between their cores.
+#[repr(align(128))]
+struct ShardRing(Mutex<TraceBuffer>);
 
-/// One worker's always-on recording state.
-#[derive(Debug, Default)]
-struct ShardFlight {
-    recent: VecDeque<TraceEvent>,
-    seen: u64,
-    overwritten: u64,
-    ring_occupancy: u64,
-    ring_high_water: u64,
-    enqueue_failed: u64,
-    w: f64,
-    outstanding: u64,
-}
-
-/// The per-shard flight recorder. Cheap enough to stay on for every live
-/// run: recording is one uncontended mutex lock and a bounded ring push.
+/// The per-shard flight recorder: one bounded [`TraceBuffer`] per worker
+/// shard. Cheap enough to stay on for every run: recording is one
+/// uncontended mutex lock and a ring push.
 pub struct FlightRecorder {
-    cfg: FlightConfig,
-    shards: Vec<Mutex<ShardFlight>>,
+    dir: Option<PathBuf>,
+    shards: Vec<ShardRing>,
+    /// The live run's shard gauges, read at dump time (`None` in the DES,
+    /// which has no rings to read: its dumps carry zero gauges).
+    gauges: Option<ShardGauges>,
     dumps: Mutex<Vec<FlightDump>>,
     quarantined: AtomicBool,
     dump_seq: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// A recorder with one shard per worker.
-    pub fn new(workers: usize, cfg: FlightConfig) -> FlightRecorder {
+    /// A recorder with one ring per worker, each `trace_capacity` events
+    /// long while tracing (`trace_capacity > 0`) and [`FLIGHT_EVENTS`]
+    /// otherwise.
+    pub fn new(
+        workers: usize,
+        trace_capacity: usize,
+        cfg: FlightConfig,
+        gauges: Option<ShardGauges>,
+    ) -> FlightRecorder {
+        let capacity = if trace_capacity > 0 {
+            trace_capacity
+        } else {
+            FLIGHT_EVENTS
+        };
         FlightRecorder {
-            shards: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
+            dir: cfg.dir,
+            shards: (0..workers.max(1))
+                .map(|_| ShardRing(Mutex::new(TraceBuffer::new(capacity))))
+                .collect(),
+            gauges,
             dumps: Mutex::new(Vec::new()),
             quarantined: AtomicBool::new(false),
             dump_seq: AtomicU64::new(0),
-            cfg,
         }
     }
 
-    /// Worker shards recorded.
-    pub fn worker_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured RX sampling period (callers gate their own sampling).
-    pub fn sample_every(&self) -> u64 {
-        self.cfg.sample_every.max(1)
-    }
-
-    /// The configured drop-spike dump threshold.
-    pub fn drop_spike(&self) -> Option<u64> {
-        self.cfg.drop_spike
-    }
-
-    /// Records one event into a shard's bounded ring.
-    pub fn record(&self, shard: usize, ev: TraceEvent) {
-        let Some(s) = self.shards.get(shard) else {
-            return;
-        };
-        let mut s = s.lock();
-        s.seen += 1;
-        if s.recent.len() >= self.cfg.capacity.max(1) {
-            s.recent.pop_front();
-            s.overwritten += 1;
+    /// Records `ev` into the ring of the shard whose batch it follows,
+    /// `ev.worker` (the worker that owned or shipped the batch).
+    pub fn record(&self, ev: TraceEvent) {
+        if let Some(ring) = self.shards.get(ev.worker as usize) {
+            ring.0.lock().push(ev);
         }
-        s.recent.push_back(ev);
     }
 
-    /// Publishes a shard's gauge snapshot (RX-ring depth, balancer `w`,
-    /// in-flight offloads) for inclusion in the next dump.
-    pub fn update_gauges(
-        &self,
-        shard: usize,
-        occupancy: u64,
-        high_water: u64,
-        enqueue_failed: u64,
-        w: f64,
-        outstanding: u64,
-    ) {
-        if let Some(s) = self.shards.get(shard) {
-            let mut s = s.lock();
-            s.ring_occupancy = occupancy;
-            s.ring_high_water = high_water;
-            s.enqueue_failed = enqueue_failed;
-            s.w = w;
-            s.outstanding = outstanding;
-        }
+    /// Every shard's retained events, shard by shard, each shard's oldest
+    /// first: the run's trace when tracing was on.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.0.lock().events())
+            .collect()
     }
 
     /// Tracks the device circuit-breaker state for dumps and `/status`.
@@ -168,9 +140,10 @@ impl FlightRecorder {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Snapshots every shard into a post-mortem dump. Returns `false` once
-    /// the per-run dump cap is reached (the trigger still counted for the
-    /// caller; we just refuse to grow without bound).
+    /// Copies every shard's ring, beside the shard gauges read now, into a
+    /// post-mortem dump. Returns `false` once the run has taken
+    /// [`MAX_DUMPS`] (the trigger still counted for the caller; we just
+    /// refuse to grow without bound).
     pub fn dump(
         &self,
         reason: &str,
@@ -180,25 +153,25 @@ impl FlightRecorder {
         faults: FaultSnapshot,
     ) -> bool {
         let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
-        if seq >= self.cfg.max_dumps as u64 {
+        if seq >= MAX_DUMPS {
             return false;
         }
-        let shards: Vec<FlightShardDump> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let s = s.lock();
+        let gauges = self.gauges.as_ref();
+        let samples = gauges.map_or_else(Vec::new, ShardGauges::snapshot);
+        let shards: Vec<FlightShardDump> = (self.shards.iter().enumerate())
+            .map(|(i, ring)| {
+                let g = samples.get(i).cloned().unwrap_or_default();
+                let ring = ring.0.lock();
                 FlightShardDump {
                     shard: i as u32,
-                    seen: s.seen,
-                    overwritten: s.overwritten,
-                    ring_occupancy: s.ring_occupancy,
-                    ring_high_water: s.ring_high_water,
-                    enqueue_failed: s.enqueue_failed,
-                    w: s.w,
-                    outstanding: s.outstanding,
-                    recent: s.recent.iter().cloned().collect(),
+                    seen: ring.len() as u64 + ring.overwritten(),
+                    overwritten: ring.overwritten(),
+                    ring_occupancy: g.ring_occupancy,
+                    ring_high_water: g.ring_high_water,
+                    enqueue_failed: g.enqueue_failed,
+                    w: g.w,
+                    outstanding: gauges.map_or(0, |g| g.outstanding[i].load(Ordering::Relaxed)),
+                    recent: ring.events(),
                 }
             })
             .collect();
@@ -211,7 +184,7 @@ impl FlightRecorder {
             faults,
             shards,
         };
-        if let Some(dir) = &self.cfg.dir {
+        if let Some(dir) = &self.dir {
             let path = dir.join(format!("flight-{seq:03}-{reason}.json"));
             if let Err(e) =
                 std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, dump.to_json()))
@@ -238,15 +211,15 @@ pub struct FlightShardDump {
     pub seen: u64,
     /// Events lost to the bounded ring before this dump.
     pub overwritten: u64,
-    /// Last published RX-ring occupancy (packets queued).
+    /// RX-ring occupancy at the dump (packets queued; 0 in the DES).
     pub ring_occupancy: u64,
-    /// Last published RX-ring high-water mark.
+    /// RX-ring high-water mark at the dump.
     pub ring_high_water: u64,
-    /// Last published enqueue-failure (ring-full drop) count.
+    /// Enqueue failures (ring-full drops) at the dump.
     pub enqueue_failed: u64,
-    /// Last published balancer offload fraction.
+    /// The shard balancer's offload fraction at the dump.
     pub w: f64,
-    /// Last published in-flight offload count.
+    /// In-flight offloads at the dump.
     pub outstanding: u64,
     /// The retained span events, oldest first.
     pub recent: Vec<TraceEvent>,
@@ -256,8 +229,9 @@ pub struct FlightShardDump {
 /// event.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
-    /// What triggered the dump: `"quarantine"`, `"worker_panic"`, or
-    /// `"drop_spike"`.
+    /// What triggered the dump: `"quarantine"`, `"worker_panic"`,
+    /// `"ring_disconnect_shard{w}"`, `"stall_shard{w}"` or
+    /// `"cost_drift_{stage}"`.
     pub reason: String,
     /// Elapsed run time at the trigger.
     pub t: Time,
@@ -336,8 +310,8 @@ pub(crate) fn ring_totals<G: Deref<Target = RingGauges>>(
 }
 
 /// The per-shard gauges of a live run, read by the housekeeping loop (its
-/// sampler and supervisor tick), `/status`, `/metrics` and the teardown
-/// ledger.
+/// sampler and supervisor tick), flight dumps, `/status`, `/metrics` and
+/// the teardown ledger.
 #[derive(Clone)]
 pub struct ShardGauges {
     /// RX-ring gauges, `[worker][io_thread]`. Each slot is swappable: the
@@ -346,6 +320,9 @@ pub struct ShardGauges {
     pub rings: Arc<Vec<Vec<Mutex<RingGauges>>>>,
     /// Packets shed toward each worker by the IO overload policy.
     pub shed: Arc<Vec<AtomicU64>>,
+    /// Offloaded batches each worker has in flight, stored by the worker
+    /// whenever the count changes.
+    pub outstanding: Arc<Vec<AtomicU64>>,
     /// Per-worker balancer handles (`w`, balancer self-description).
     pub balancers: Vec<SharedBalancer>,
 }
@@ -634,21 +611,16 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded_and_counts_overwrites() {
-        let fr = FlightRecorder::new(
-            1,
-            FlightConfig {
-                capacity: 4,
-                ..FlightConfig::default()
-            },
-        );
-        for s in 1..=7 {
-            fr.record(0, ev(s));
+        let fr = FlightRecorder::new(1, 0, FlightConfig::default(), None);
+        let extra = 3;
+        let total = FLIGHT_EVENTS as u64 + extra;
+        for s in 1..=total {
+            fr.record(ev(s));
         }
-        fr.update_gauges(0, 10, 20, 3, 0.5, 2);
         assert!(fr.dump(
             "quarantine",
             Some(0),
-            7,
+            total,
             Time::from_ms(1),
             FaultSnapshot::default()
         ));
@@ -656,35 +628,53 @@ mod tests {
         assert_eq!(dumps.len(), 1);
         let d = &dumps[0];
         assert_eq!(d.reason, "quarantine");
-        assert_eq!(d.trigger_span, 7);
+        assert_eq!(d.trigger_span, total);
         let s = &d.shards[0];
-        assert_eq!(s.seen, 7);
-        assert_eq!(s.overwritten, 3);
+        assert_eq!(s.seen, total);
+        assert_eq!(s.overwritten, extra);
         let spans: Vec<u64> = s.recent.iter().map(|e| e.span).collect();
-        assert_eq!(spans, vec![4, 5, 6, 7]);
-        assert_eq!(s.ring_occupancy, 10);
-        assert_eq!(s.ring_high_water, 20);
-        assert_eq!(s.enqueue_failed, 3);
-        assert_eq!(s.outstanding, 2);
+        assert_eq!(spans, (extra + 1..=total).collect::<Vec<_>>());
+        // No gauges to read (the DES): the dump carries zeros.
+        assert_eq!((s.ring_occupancy, s.outstanding, s.w), (0, 0, 0.0));
         let json = d.to_json();
         assert!(json.contains("\"reason\":\"quarantine\""));
-        assert!(json.contains("\"trigger_span\":7"));
+        assert!(json.contains(&format!("\"trigger_span\":{total}")));
         assert!(json.contains("\"kind\":\"rx\""));
     }
 
     #[test]
     fn dump_count_is_capped() {
-        let fr = FlightRecorder::new(
-            2,
-            FlightConfig {
-                max_dumps: 2,
-                ..FlightConfig::default()
-            },
-        );
-        assert!(fr.dump("a", None, 0, Time::ZERO, FaultSnapshot::default()));
-        assert!(fr.dump("b", None, 0, Time::ZERO, FaultSnapshot::default()));
-        assert!(!fr.dump("c", None, 0, Time::ZERO, FaultSnapshot::default()));
-        assert_eq!(fr.dumps().len(), 2);
+        let fr = FlightRecorder::new(2, 0, FlightConfig::default(), None);
+        for _ in 0..MAX_DUMPS {
+            assert!(fr.dump("a", None, 0, Time::ZERO, FaultSnapshot::default()));
+        }
+        assert!(!fr.dump("b", None, 0, Time::ZERO, FaultSnapshot::default()));
+        assert_eq!(fr.dumps().len() as u64, MAX_DUMPS);
+    }
+
+    /// A dump's gauges are the ones `/status` reads at that moment: nobody
+    /// publishes them into the recorder.
+    #[test]
+    fn dump_reads_the_shard_gauges_of_the_moment() {
+        let (state, tx) = test_state();
+        let fr = FlightRecorder::new(1, 0, FlightConfig::default(), Some(state.shards.clone()));
+        let read = |fr: &FlightRecorder| {
+            assert!(fr.dump("x", None, 0, Time::ZERO, FaultSnapshot::default()));
+            let d = fr.dumps().pop().expect("a dump");
+            let s = d.shards[0].clone();
+            let g = &state.shards.snapshot()[0];
+            assert_eq!(
+                (s.ring_occupancy, s.ring_high_water, s.enqueue_failed, s.w),
+                (g.ring_occupancy, g.ring_high_water, g.enqueue_failed, g.w)
+            );
+            (s.ring_occupancy, s.outstanding)
+        };
+        assert_eq!(read(&fr), (3, 0));
+        // The ring fills further and an offload goes out: the next dump
+        // sees both, with no call into the recorder in between.
+        tx.push(9).unwrap();
+        state.shards.outstanding[0].store(2, Ordering::Relaxed);
+        assert_eq!(read(&fr), (4, 2));
     }
 
     #[test]
@@ -697,12 +687,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let fr = FlightRecorder::new(
             1,
+            0,
             FlightConfig {
                 dir: Some(dir.clone()),
-                ..FlightConfig::default()
             },
+            None,
         );
-        fr.record(0, ev(9));
+        fr.record(ev(9));
         assert!(fr.dump(
             "worker_panic",
             Some(0),
@@ -734,7 +725,7 @@ mod tests {
         }
         rx.pop();
         rx.pop();
-        let flight = Arc::new(FlightRecorder::new(1, FlightConfig::default()));
+        let flight = Arc::new(FlightRecorder::new(1, 0, FlightConfig::default(), None));
         flight.set_quarantined(true);
         let mut hist = LatencyHistogram::new();
         hist.record_ns(1_000);
@@ -776,6 +767,7 @@ mod tests {
             shards: ShardGauges {
                 rings: Arc::new(vec![vec![Mutex::new(rx.gauges())]]),
                 shed: Arc::new(vec![AtomicU64::new(5)]),
+                outstanding: Arc::new(vec![AtomicU64::new(0)]),
                 balancers: vec![lb::shared(Box::new(FixedFraction::new(0.25)))],
             },
             rx_drops: Arc::new(vec![AtomicU64::new(7)]),

@@ -69,8 +69,8 @@ impl Entity for SourceEntity {
 
 /// What leaves the simulation when the engine is torn down: the engine
 /// owns the worker entities (and with them the graphs holding the
-/// per-element profiles, trace rings, and TX captures), so workers flush
-/// here on `Drop`.
+/// per-element profiles, and the TX captures), so workers flush here on
+/// `Drop`.
 type TelemetrySink = Rc<RefCell<Vec<WorkerYield>>>;
 
 /// One simulated worker core: the DES driver of a [`WorkerCore`]. It owns
@@ -240,8 +240,8 @@ impl Entity for WorkerEntity {
 /// the GPU timeline, the in-flight list, and the when-to-launch policy.
 struct DeviceEntity {
     cfg: RuntimeConfig,
-    /// Shared with the run assembly, which takes the device's trace and
-    /// quarantine intervals at teardown.
+    /// Shared with the run assembly, which takes the device's quarantine
+    /// intervals at teardown.
     core: Rc<RefCell<DeviceCore>>,
     tasks: SimQueue<OffloadTask>,
     gpu: Rc<RefCell<Gpu>>,
@@ -612,6 +612,18 @@ pub fn run_with_sources(
     let latencies: Vec<Rc<RefCell<LatencyHistogram>>> = (0..total_workers)
         .map(|_| Rc::new(RefCell::new(LatencyHistogram::new())))
         .collect();
+    // One span allocator for the whole run, `Some` while tracing: every
+    // worker graph and the device entities draw from it, so parent/child
+    // links are globally unique across threads of the simulated system.
+    // The flight recorder owns each worker shard's event ring; workers
+    // write theirs only while tracing, the devices always.
+    let spans: Option<SpanAlloc> = (cfg.telemetry.trace_capacity > 0).then(SpanAlloc::new);
+    let flight = Arc::new(FlightRecorder::new(
+        total_workers,
+        cfg.telemetry.trace_capacity,
+        cfg.flight.clone(),
+        None,
+    ));
     let mut graphs: Vec<ElementGraph> = Vec::with_capacity(total_workers);
     for w in 0..total_workers {
         let socket = w / wps;
@@ -630,17 +642,10 @@ pub fn run_with_sources(
             // findings refuse to start.
             crate::analysis::preflight(&g, &crate::analysis::CapacityModel::from_runtime(cfg));
         }
-        g.enable_trace(cfg.telemetry.trace_capacity);
-        graphs.push(g);
-    }
-    // One span allocator for the whole run: every worker graph and the
-    // device entities draw from it, so parent/child links are globally
-    // unique across threads of the simulated system.
-    let spans: Option<SpanAlloc> = (cfg.telemetry.trace_capacity > 0).then(SpanAlloc::new);
-    if let Some(alloc) = &spans {
-        for g in &mut graphs {
-            g.share_spans(alloc.clone());
+        if spans.is_some() {
+            g.attach_ring(flight.clone(), spans.clone());
         }
+        graphs.push(g);
     }
     let mut specs: HashMap<usize, OffloadSpec> = HashMap::new();
     let mut fuse_next: HashMap<usize, usize> = HashMap::new();
@@ -696,7 +701,6 @@ pub fn run_with_sources(
     // cores' and the sampler's exact types; the mutexes are free in a
     // single-threaded simulation). All `None` when the audit config is
     // off, so un-audited runs leave the device and sampler paths untouched.
-    // The flight recorder takes the devices' quarantine and drift dumps.
     if cfg.audit.decision_capacity > 0 {
         balancer.lock().enable_audit(cfg.audit.decision_capacity);
     }
@@ -709,7 +713,6 @@ pub fn run_with_sources(
         .drift
         .clone()
         .map(|d| Arc::new(Mutex::new(DriftDetector::new(d))));
-    let flight = Arc::new(FlightRecorder::new(total_workers, cfg.flight.clone()));
     let slo_tracker = cfg
         .slo
         .clone()
@@ -771,7 +774,6 @@ pub fn run_with_sources(
             counters: counters[s * wps].clone(),
             balancers: vec![balancer.clone()],
             spans: spans.clone(),
-            trace_capacity: cfg.telemetry.trace_capacity,
             flight: flight.clone(),
             stages: stages.clone(),
             drift: drift.clone(),
@@ -880,14 +882,15 @@ pub fn run_with_sources(
 
     // Tear the engine down so worker entities flush their telemetry.
     drop(engine);
-    let mut trace: Vec<TraceEvent> = Vec::new();
-    let (elements, tx_capture) = merge_yields(unshare(sink, "telemetry sink"), &mut trace);
+    let (elements, tx_capture) = merge_yields(unshare(sink, "telemetry sink"));
     let mut quarantines = Vec::new();
     for d in devices {
-        let (events, intervals) = unshare(d, "device core").finish();
-        trace.extend(events);
-        quarantines.extend(intervals);
+        quarantines.extend(unshare(d, "device core").finish());
     }
+    let mut trace: Vec<TraceEvent> = match spans {
+        Some(_) => flight.events(),
+        None => Vec::new(),
+    };
     trace.sort_by_key(|e| e.t);
     let samples = unshare(samples, "sample vector");
     quarantines.sort_by_key(|(start, _)| *start);

@@ -38,7 +38,7 @@ use crate::lb::SharedBalancer;
 use crate::offload::{self, CompletedTask, OffloadTask, StagedTask};
 use crate::runtime::worker::Homes;
 use crate::stats::Counters;
-use crate::telemetry::{SpanAlloc, TraceBuffer, TraceEvent, TraceEventKind};
+use crate::telemetry::{SpanAlloc, TraceEvent, TraceEventKind};
 
 /// A retryable attempt failure (device memory exhaustion): it takes the
 /// same retry-then-fallback ladder as an injected transient error.
@@ -113,9 +113,8 @@ pub struct DeviceEnv {
     pub balancers: Vec<SharedBalancer>,
     /// The run-wide span allocator (`None` unless tracing is enabled).
     pub spans: Option<SpanAlloc>,
-    /// Size of this device's batch-lifecycle trace ring (0 = off).
-    pub trace_capacity: usize,
-    /// Receives launch/retry events and the quarantine and drift dumps.
+    /// Takes the launch/retry events, each into the ring of the batch's
+    /// worker, and the quarantine and drift dumps.
     pub flight: Arc<FlightRecorder>,
     /// Per-stage offload histograms (`None` unless stage stats are on).
     pub stages: Option<Arc<Mutex<StageProfiles>>>,
@@ -180,7 +179,6 @@ pub struct DeviceCore {
     /// build without the fault machinery.
     injector: Option<FaultInjector>,
     breaker: CircuitBreaker,
-    trace: Option<TraceBuffer>,
 }
 
 impl DeviceCore {
@@ -212,7 +210,6 @@ impl DeviceCore {
             agg: BTreeMap::new(),
             injector,
             breaker: CircuitBreaker::new(env.fault.breaker_threshold, env.fault.quarantine),
-            trace: (env.trace_capacity > 0).then(|| TraceBuffer::new(env.trace_capacity)),
             env,
         }
     }
@@ -289,7 +286,7 @@ impl DeviceCore {
             let id = t.batch.banno().get(anno::TRACE_ID);
             let launch = TraceEventKind::OffloadLaunch;
             let ev = TraceEvent::point(now, t.worker, id, launch, t.batch.len());
-            self.record(t.worker, ev.at_node(node).spans(span, parent));
+            self.env.flight.record(ev.at_node(node).spans(span, parent));
         }
         // Stage 1 (enqueue_wait): how long the oldest constituent batch sat
         // in the command queue plus the aggregation buffer.
@@ -397,7 +394,9 @@ impl DeviceCore {
             let retry = TraceEventKind::OffloadRetry;
             let ev = TraceEvent::point(at, first_worker, first_batch, retry, staged.items);
             let span = self.env.spans.as_ref().map_or(0, SpanAlloc::next);
-            self.record(first_worker, ev.at_node(node).spans(span, flush_span));
+            self.env
+                .flight
+                .record(ev.at_node(node).spans(span, flush_span));
             at = be.backoff(at, self.env.fault.retry_backoff);
         };
         // Only attempts whose kernel results are actually used count as
@@ -561,11 +560,10 @@ impl DeviceCore {
         }
     }
 
-    /// Ends the device's run: its trace events and its quarantine
-    /// intervals (an open `None` end = still quarantined at teardown).
-    pub fn finish(self) -> (Vec<TraceEvent>, Vec<(Time, Option<Time>)>) {
-        let trace = self.trace.map(TraceBuffer::into_events);
-        (trace.unwrap_or_default(), self.breaker.into_intervals())
+    /// Ends the device's run: its quarantine intervals (an open `None`
+    /// end = still quarantined at teardown).
+    pub fn finish(self) -> Vec<(Time, Option<Time>)> {
+        self.breaker.into_intervals()
     }
 
     /// Health transitions reach every balancer instance once.
@@ -573,13 +571,6 @@ impl DeviceCore {
         self.env.flight.set_quarantined(!healthy);
         for b in &self.env.balancers {
             b.lock().observe_device_health(healthy);
-        }
-    }
-
-    fn record(&mut self, worker: usize, ev: TraceEvent) {
-        self.env.flight.record(worker, ev);
-        if let Some(tr) = &mut self.trace {
-            tr.push(ev);
         }
     }
 

@@ -109,8 +109,9 @@ pub struct LiveConfig {
     pub aggregate: usize,
     /// Telemetry knobs. `sample_interval` is interpreted as a wall-clock
     /// interval between the housekeeping loop's sampler windows;
-    /// `trace_capacity` sizes each worker's (and the device thread's)
-    /// batch-lifecycle trace ring.
+    /// `trace_capacity` sizes each worker shard's event ring (which its
+    /// graph, its core and the device thread write) and each IO thread's
+    /// steer ring.
     pub telemetry: TelemetryConfig,
     /// Fault injection plan and recovery knobs (retries, circuit breaker).
     /// Fault *times* (`die_at`/`revive_at`) are interpreted on the
@@ -133,8 +134,7 @@ pub struct LiveConfig {
     /// Capture a [`TxRecord`] for every transmitted packet into
     /// [`LiveReport::tx_capture`] (conformance testing only).
     pub capture: bool,
-    /// Flight-recorder knobs (the recorder itself is always on; these
-    /// bound its memory and wire its dump triggers).
+    /// Where flight dumps go (the recorder itself is always on).
     pub flight: FlightConfig,
     /// The decision-audit plane: balancer decision logs, per-stage offload
     /// timing, cost-model drift detection. Fully off by default.
@@ -218,8 +218,9 @@ pub struct LiveReport {
     pub elements: Vec<ElementProfile>,
     /// Sampler windows (empty when sampling is off).
     pub samples: Vec<TimeSample>,
-    /// Batch-lifecycle trace, merged across workers and the device thread,
-    /// sorted by elapsed time (empty unless tracing was enabled).
+    /// Batch-lifecycle trace: every worker shard's ring plus the IO
+    /// threads' steer rings, sorted by elapsed time (empty unless tracing
+    /// was enabled).
     pub trace: Vec<TraceEvent>,
     /// Fault-injection, containment, and recovery accounting.
     pub faults: FaultReport,
@@ -234,7 +235,8 @@ pub struct LiveReport {
     /// [`LiveConfig::capture`]).
     pub tx_capture: Vec<TxRecord>,
     /// Flight-recorder post-mortem dumps taken during the run (quarantine
-    /// trips, contained worker panics, drop spikes, cost drift).
+    /// trips, contained worker panics, dead rings, stall convictions, cost
+    /// drift).
     pub flight: Vec<FlightDump>,
     /// Per-stage offload decomposition, merged over the device thread's
     /// flushes (`None` unless [`crate::audit::AuditConfig::stage_stats`]).
@@ -287,16 +289,19 @@ struct WorkerSpawner {
     balancers: Vec<SharedBalancer>,
     env: WorkerEnv,
     /// The run-wide span allocator every replica shares, so ids are
-    /// globally unique across threads.
+    /// globally unique across threads (`Some` exactly while tracing).
     spans: Option<SpanAlloc>,
-    trace_capacity: usize,
     /// Schedules the original workers' kill/stall drills (replacements
     /// run drill-free).
     plan: FaultPlan,
     batch_size: usize,
     stop: Arc<AtomicBool>,
     completion_rxs: Vec<channel::Receiver<CompletedTask>>,
+    /// Owns each shard's event ring; a replacement worker's graph attaches
+    /// to its shard's existing ring.
     flight: Arc<FlightRecorder>,
+    /// Each worker's in-flight offload count, read by flight dumps.
+    outstanding: Arc<Vec<AtomicU64>>,
     /// Last steer span each IO thread published toward each worker.
     steer: Arc<Vec<Vec<AtomicU64>>>,
     /// Per-worker latency shards (outside the threads so the stats
@@ -322,10 +327,7 @@ impl WorkerSpawner {
             policy: Default::default(),
         };
         let mut graph = (self.build)(&bctx);
-        graph.enable_trace(self.trace_capacity);
-        if let Some(alloc) = &self.spans {
-            graph.share_spans(alloc.clone());
-        }
+        graph.attach_ring(self.flight.clone(), self.spans.clone());
         graph.set_wall_profiling(true);
         let core = WorkerCore::new(w, graph, self.env.clone(), drills.then_some(&self.plan));
         let sp = Arc::clone(self);
@@ -347,14 +349,24 @@ impl WorkerSpawner {
 
 /// The live transport of one worker: TX is accounting only (there is no
 /// wire), offloads go down the worker's bounded SPSC command ring.
-struct RingTransport {
+struct RingTransport<'a> {
     task_tx: spsc::Producer<OffloadTask>,
     /// In-flight offloaded batches; bounds RX so the device thread is
     /// never flooded beyond what it can return.
     outstanding: u64,
+    /// Where `outstanding` is stored for flight dumps, on every change.
+    gauge: &'a AtomicU64,
 }
 
-impl Transport for RingTransport {
+impl RingTransport<'_> {
+    /// Reaps one completion.
+    fn reaped(&mut self) {
+        self.outstanding = self.outstanding.saturating_sub(1);
+        self.gauge.store(self.outstanding, Ordering::Relaxed);
+    }
+}
+
+impl Transport for RingTransport<'_> {
     fn transmit(&mut self, burst: &[(Packet, Anno)]) -> (u64, u64) {
         let bits = burst.iter().map(|(p, a)| wire_bits(p, a)).sum();
         (burst.len() as u64, bits)
@@ -363,6 +375,7 @@ impl Transport for RingTransport {
     fn offload(&mut self, task: OffloadTask) -> Result<(), OffloadTask> {
         self.task_tx.push(task)?;
         self.outstanding += 1;
+        self.gauge.store(self.outstanding, Ordering::Relaxed);
         Ok(())
     }
 
@@ -381,13 +394,13 @@ fn worker_loop(
 ) -> WorkerYield {
     let w = core.id();
     let completion_rx = &sp.completion_rxs[w];
-    // This worker's RX-ring gauges, published to the flight recorder on
-    // each sampled batch.
-    let my_gauges: Vec<spsc::RingGauges> = rx.iter().map(spsc::Consumer::gauges).collect();
     let mut tp = RingTransport {
         task_tx,
         outstanding: 0,
+        gauge: &sp.outstanding[w],
     };
+    // A replacement starts with nothing in flight.
+    tp.gauge.store(0, Ordering::Relaxed);
     let mut completions_dead = false;
     let mut rr = 0usize;
     let mut killed = false;
@@ -417,7 +430,7 @@ fn worker_loop(
                     break;
                 }
             };
-            tp.outstanding = tp.outstanding.saturating_sub(1);
+            tp.reaped();
             sp.timed(w, || core.on_completion(now, done, &mut tp));
         }
         if tp.outstanding > MAX_OUTSTANDING && !completions_dead {
@@ -468,12 +481,7 @@ fn worker_loop(
         // The batch's causal parent: the IO thread's last steer span
         // toward this worker.
         let parent = first_src.map_or(0, |src| sp.steer[src][w].load(Ordering::Relaxed));
-        if sp.timed(w, || core.on_batch(now, batch, parent, &shares, &mut tp)) {
-            let (occ, hw, failed) = ring_totals(&my_gauges);
-            let w_now = sp.balancers[w].lock().offload_fraction();
-            sp.flight
-                .update_gauges(w, occ, hw, failed, w_now, tp.outstanding);
-        }
+        sp.timed(w, || core.on_batch(now, batch, parent, &shares, &mut tp));
     }
     // Dropping `tp.task_tx` here closes this worker's command ring: the
     // device thread's drain signal. Dropping the RX consumers flips their
@@ -618,8 +626,11 @@ fn run_core(
     // Packets shed per target worker (feeds the per-shard telemetry).
     let shed_per_worker: Arc<Vec<AtomicU64>> =
         Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
-    // Ring gauges, shed counters and balancers per shard, read by the
-    // sampler, the supervisor, the stats endpoint and teardown.
+    // Ring gauges, shed counters, in-flight offloads and balancers per
+    // shard, read by the sampler, the supervisor, flight dumps, the stats
+    // endpoint and teardown.
+    let outstanding: Arc<Vec<AtomicU64>> =
+        Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
     let shard_gauges = ShardGauges {
         rings: Arc::new(
             worker_rx
@@ -633,6 +644,7 @@ fn run_core(
                 .collect(),
         ),
         shed: shed_per_worker.clone(),
+        outstanding: outstanding.clone(),
         balancers: balancers.clone(),
     };
     // Raised by the sampler while an SLO burn-rate exceeds 1; read by the
@@ -663,9 +675,16 @@ fn run_core(
             .collect(),
     );
 
-    // The always-on flight recorder and the shared state the stats
-    // endpoint reads (per-worker latency shards, sampler windows).
-    let flight = Arc::new(FlightRecorder::new(workers, cfg.flight.clone()));
+    // The always-on flight recorder (one event ring per shard; its dumps
+    // read the shard gauges) and the shared state the stats endpoint reads
+    // (per-worker latency shards, sampler windows).
+    let trace_capacity = cfg.telemetry.trace_capacity;
+    let flight = Arc::new(FlightRecorder::new(
+        workers,
+        trace_capacity,
+        cfg.flight.clone(),
+        Some(shard_gauges.clone()),
+    ));
     let latency_shards: Arc<Vec<parking_lot::Mutex<LatencyHistogram>>> = Arc::new(
         (0..workers)
             .map(|_| parking_lot::Mutex::new(LatencyHistogram::new()))
@@ -777,11 +796,9 @@ fn run_core(
     // ── The device thread ──────────────────────────────────────────────
     // The live driver of a `DeviceCore`: it owns the wall clock and the
     // rings, and launches an aggregate when it fills or when the rings run
-    // dry. It returns the core's trace events and quarantine intervals at
-    // join time.
+    // dry. It returns the core's quarantine intervals at join time.
     let dev_stop = stop.clone();
     let dev_aggregate = cfg.aggregate.max(1);
-    let trace_capacity = cfg.telemetry.trace_capacity;
     let dev_env = DeviceEnv {
         cost: CostModel::paper_default(),
         compute: cfg.compute,
@@ -790,7 +807,6 @@ fn run_core(
         counters: counters[0].clone(),
         balancers: distinct_balancers.clone(),
         spans: spans.clone(),
-        trace_capacity,
         flight: flight.clone(),
         stages: stage_sink.clone(),
         drift: drift_det.clone(),
@@ -1081,7 +1097,8 @@ fn run_core(
             (
                 fanout.total_dropped(),
                 steer_trace
-                    .map(TraceBuffer::into_events)
+                    .as_ref()
+                    .map(TraceBuffer::events)
                     .unwrap_or_default(),
             )
             // Dropping the fanout closes every ring: the workers' drain
@@ -1105,12 +1122,12 @@ fn run_core(
             homes: io_pools.clone(),
         },
         spans: spans.clone(),
-        trace_capacity,
         plan: cfg.fault.plan.clone(),
         batch_size: cfg.batch.max(1),
         stop: stop.clone(),
         completion_rxs: completion_channels.iter().map(|(_, r)| r.clone()).collect(),
         flight: flight.clone(),
+        outstanding,
         steer: steer_spans.clone(),
         latency: latency_shards.clone(),
         started,
@@ -1153,7 +1170,6 @@ fn run_core(
         .map(|i| Duration::from_nanos(i.as_ns().max(1)));
     let mut next_sample = sample_every.map(|every| Instant::now() + every);
     let mut sampler = Sampler::new(slo_tracker.clone());
-    let mut prev_dropped: u64 = 0;
     // The deadline, then (once the sources are quiesced) the end of the
     // grace window in which rings close and workers finish queued batches
     // and outstanding offloads.
@@ -1181,6 +1197,18 @@ fn run_core(
             }
             let fired = supervisor.tick(elapsed_ns(), |w| shard_gauges.occupancy(w));
             for (w, t) in fired {
+                // A stall conviction's evidence: the shard's ring holds the
+                // time of the worker's last event before it. (A crash's is
+                // the IO threads' `ring_disconnect_shard{w}` dump.)
+                if t.to == WorkerState::Dead && t.reason == TransitionReason::Stall {
+                    flight.dump(
+                        &format!("stall_shard{w}"),
+                        Some(w as u32),
+                        0,
+                        Time::from_secs_f64(started.elapsed().as_secs_f64()),
+                        fstats.snapshot(),
+                    );
+                }
                 // Crash + respawn policy: a replacement worker with fresh
                 // rings, a fresh graph/telemetry replica, and a fresh
                 // command ring, re-acquiring the shard's buckets.
@@ -1231,16 +1259,7 @@ fn run_core(
                         Ordering::Relaxed,
                     );
                 }
-                // Drop-rate spike: a window losing packets faster than the
-                // configured threshold is a containment event too.
-                let dropped_now = sample.dropped + rx_dropped;
                 shared_samples.lock().push(sample);
-                if let Some(limit) = flight.drop_spike() {
-                    if dropped_now.saturating_sub(prev_dropped) >= limit.max(1) {
-                        flight.dump("drop_spike", None, 0, t, fstats.snapshot());
-                    }
-                }
-                prev_dropped = dropped_now;
             }
         }
         let wake = next_sample
@@ -1284,20 +1303,20 @@ fn run_core(
             }
         }
     }
-    let (elements, tx_capture) = merge_yields(yields, &mut trace);
+    let (elements, tx_capture) = merge_yields(yields);
     // Latency shards live outside the worker threads (the stats endpoint
     // reads them mid-run), so a panicked worker's histogram survives.
     let shards_latency: Vec<LatencyHistogram> =
         latency_shards.iter().map(|m| m.lock().clone()).collect();
     match device.join() {
-        Ok((t, q)) => {
-            trace.extend(t);
-            quarantines = q;
-        }
+        Ok(q) => quarantines = q,
         Err(_) => {
             FaultStats::add(&fstats.panics_contained, 1);
             eprintln!("nba-live: the device thread panicked; draining without its telemetry");
         }
+    }
+    if spans.is_some() {
+        trace.extend(flight.events());
     }
     trace.sort_by_key(|e| e.t);
     // Loss accounting, once, after every producer and consumer has exited:

@@ -114,9 +114,10 @@ pub struct RuntimeConfig {
     /// Declarative latency/throughput budgets burned down sample window by
     /// sample window (None = no SLO accounting).
     pub slo: Option<crate::audit::SloConfig>,
-    /// Flight-recorder dump policy for the device threads' quarantine and
-    /// drift dumps (DES workers record no events; a dump carries the
-    /// devices' launch/retry events, its trigger and the fault counters).
+    /// Where the device threads' quarantine and drift dumps go. DES
+    /// workers write their shard rings only while tracing, so an untraced
+    /// dump carries the devices' launch/retry events, its trigger and the
+    /// fault counters (and zero gauges: the DES has no rings to read).
     pub flight: crate::introspect::FlightConfig,
     /// Record every flow-table operation into the run's
     /// [`crate::flow::FlowOpsLog`] (conformance testing only; off by
@@ -210,8 +211,9 @@ pub struct RunReport {
     pub elements: Vec<ElementProfile>,
     /// Periodic samples over the whole run (empty when sampling is off).
     pub samples: Vec<TimeSample>,
-    /// Batch-lifecycle trace events, merged across workers/devices and
-    /// sorted by time (empty unless tracing was enabled).
+    /// Batch-lifecycle trace events: every worker shard's ring, which
+    /// holds its worker's and the devices' events for its batches, sorted
+    /// by time (empty unless tracing was enabled).
     pub trace: Vec<TraceEvent>,
     /// Whole-run counter totals (for reconciling element profiles against
     /// aggregate counters).

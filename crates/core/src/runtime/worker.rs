@@ -22,7 +22,7 @@ use crate::capture::TxRecord;
 use crate::element::{ComputeMode, ElemCtx};
 use crate::fault::{FaultPlan, FaultStats, WorkerKill, WorkerStall};
 use crate::graph::{ElementGraph, NodeId, RunOutcome};
-use crate::introspect::FlightRecorder;
+use crate::introspect::{FlightRecorder, FLIGHT_SAMPLE_EVERY};
 use crate::nls::NodeLocalStorage;
 use crate::offload::{CompletedTask, OffloadTask};
 use crate::stats::{Counters, SystemInspector};
@@ -74,8 +74,10 @@ pub struct WorkerEnv {
     pub health: Arc<Vec<WorkerHealth>>,
     /// Record a [`TxRecord`] per transmitted packet (conformance only).
     pub capture: bool,
-    /// The always-on flight recorder of a live run (`None` in the DES,
-    /// whose recorder only takes its device threads' events and dumps).
+    /// The live run's flight recorder, which takes this worker's panic
+    /// dumps (`None` in the DES, whose workers take none). Events go to
+    /// the ring the runtime attached the graph to
+    /// ([`ElementGraph::attach_ring`]).
     pub flight: Option<Arc<FlightRecorder>>,
     /// The pools retired packets go home to, indexed by
     /// [`Packet::port_in`]: one per IO thread in live, each port's socket
@@ -164,22 +166,19 @@ pub enum Drill {
     Stall(f64),
 }
 
-/// What a worker hands back at teardown: element profiles, its trace, and
-/// its conformance capture.
-pub type WorkerYield = (Vec<ElementProfile>, Vec<TraceEvent>, Vec<TxRecord>);
+/// What a worker hands back at teardown: element profiles and its
+/// conformance capture (its events are in its shard's ring).
+pub type WorkerYield = (Vec<ElementProfile>, Vec<TxRecord>);
 
-/// Folds every worker's yield into the run report's pieces: traces are
-/// appended to `trace`; returns the profiles merged by node and the
-/// concatenated captures.
+/// Folds every worker's yield into the run report's pieces: the profiles
+/// merged by node and the concatenated captures.
 pub fn merge_yields(
     yields: impl IntoIterator<Item = WorkerYield>,
-    trace: &mut Vec<TraceEvent>,
 ) -> (Vec<ElementProfile>, Vec<TxRecord>) {
     let mut profiles = Vec::new();
     let mut capture = Vec::new();
-    for (p, t, cap) in yields {
+    for (p, cap) in yields {
         profiles.push(p);
-        trace.extend(t);
         capture.extend(cap);
     }
     (merge_profiles(profiles), capture)
@@ -199,6 +198,7 @@ pub struct WorkerCore {
     stalled_done: bool,
     /// Next batch trace id (only advances while tracing is enabled).
     trace_seq: u64,
+    /// RX batches so far, the untraced ring's sampling clock.
     flight_seq: u64,
     capture: Option<Vec<TxRecord>>,
     /// The batch shell the last traversal retired, kept for the next RX
@@ -310,7 +310,7 @@ impl WorkerCore {
         let ev = TraceEvent::point(now, self.id, batch_id, kind, pkts)
             .at_node(done.node.0)
             .spans(span, parent);
-        self.record(ev);
+        self.graph.record(ev);
         let (node, batch) = (done.node, done.batch);
         let outcome = if done.fallback {
             self.run_cpu_path(now, span, node, batch)
@@ -331,9 +331,7 @@ impl WorkerCore {
     /// the batch arrived under (the IO thread's steer span in live, 0 in
     /// the DES). `shares[h]` counts the batch's handle-free packets from
     /// home `h`, as the driver pulled them (empty when every packet carries
-    /// its pool handle): what a contained panic writes off. Returns `true`
-    /// when the batch was sampled into the flight recorder — the driver's
-    /// cue to publish its ring gauges alongside.
+    /// its pool handle): what a contained panic writes off.
     pub fn on_batch<T: Transport>(
         &mut self,
         now: Time,
@@ -341,7 +339,7 @@ impl WorkerCore {
         parent: u64,
         shares: &[u64],
         tp: &mut T,
-    ) -> bool {
+    ) {
         let pkts = batch.len();
         self.rx_pulled += pkts as u64;
         self.heartbeat().advance(pkts as u64);
@@ -362,19 +360,9 @@ impl WorkerCore {
             batch.banno_mut().set(anno::SPAN_ID, span);
         }
         self.flight_seq += 1;
-        let seq = self.flight_seq;
-        let sampler = self.env.flight.as_ref();
-        let sampler = sampler.filter(|f| seq.is_multiple_of(f.sample_every()));
-        let sampled = sampler.is_some();
-        if tracing || sampled {
-            let ev = TraceEvent::point(now, self.id, batch_id, TraceEventKind::Rx, pkts)
-                .spans(span, parent);
-            if let Some(f) = sampler {
-                f.record(self.id, ev);
-            }
-            if let Some(tr) = self.graph.trace_mut() {
-                tr.push(ev);
-            }
+        if tracing || self.flight_seq.is_multiple_of(FLIGHT_SAMPLE_EVERY) {
+            let rx = TraceEvent::point(now, self.id, batch_id, TraceEventKind::Rx, pkts);
+            self.graph.record(rx.spans(span, parent));
         }
         let outcome = self.contained(now, span, pkts, shares, |g, ectx, cost, ctrs| {
             g.run_batch(ectx, cost, ctrs, batch)
@@ -382,28 +370,15 @@ impl WorkerCore {
         if let Some(o) = outcome {
             self.handle_outcome(now, o, batch_id, span, tp);
         }
-        sampled
     }
 
-    /// Takes the teardown yield (profiles, trace, capture), leaving the
-    /// core empty-handed.
+    /// Takes the teardown yield (profiles, capture), leaving the core
+    /// empty-handed.
     pub fn take_yield(&mut self) -> WorkerYield {
         (
             self.graph.profiles(),
-            self.graph.take_trace(),
             self.capture.take().unwrap_or_default(),
         )
-    }
-
-    /// Records an event in the flight recorder and the trace ring (each
-    /// when on).
-    fn record(&mut self, ev: TraceEvent) {
-        if let Some(f) = &self.env.flight {
-            f.record(self.id, ev);
-        }
-        if let Some(tr) = self.graph.trace_mut() {
-            tr.push(ev);
-        }
     }
 
     /// The handle-free packets of `batch` by home, for [`Self::contained`]
@@ -494,10 +469,10 @@ impl WorkerCore {
         // reflects pipeline depth.
         tp.charge(outcome.cycles);
         if !outcome.tx.is_empty() {
-            if let Some(tr) = self.graph.trace_mut() {
+            if self.graph.trace_enabled() {
                 let ev =
                     TraceEvent::point(now, self.id, batch_id, TraceEventKind::Tx, outcome.tx.len());
-                tr.push(ev.spans(span, 0));
+                self.graph.record(ev.spans(span, 0));
             }
             if let Some(cap) = &mut self.capture {
                 // Record the verdict before any port-count wrapping or TX
@@ -517,43 +492,26 @@ impl WorkerCore {
         for req in outcome.offloads {
             tp.charge(self.env.cost.offload_enqueue);
             Counters::add(&self.counters.offloaded_batches, 1);
-            // The graph already traced the enqueue when it suspended the
-            // batch; this copy is for the flight recorder.
-            let enq_span = req.batch.banno().get(anno::SPAN_ID);
-            let enq_id = req.batch.banno().get(anno::TRACE_ID);
-            let enq = TraceEvent::point(
-                now,
-                self.id,
-                enq_id,
-                TraceEventKind::OffloadEnqueue,
-                req.batch.len(),
-            )
-            .at_node(req.node.0)
-            .spans(enq_span, 0);
             let task = OffloadTask {
                 node: req.node,
                 worker: self.id,
                 batch: req.batch,
                 enqueued_at: now,
             };
-            match tp.offload(task) {
-                Ok(()) => {
-                    if let Some(f) = &self.env.flight {
-                        f.record(self.id, enq);
-                    }
-                }
-                Err(task) => {
-                    let fs = &self.env.fstats;
-                    FaultStats::add(&fs.fell_back_batches, 1);
-                    FaultStats::add(&fs.fell_back_packets, task.batch.len() as u64);
-                    let fb_span = self.graph.alloc_span();
-                    self.record(TraceEvent {
-                        kind: TraceEventKind::OffloadFallback,
-                        ..enq.spans(fb_span, enq_span)
-                    });
-                    if let Some(o) = self.run_cpu_path(now, fb_span, task.node, task.batch) {
-                        self.handle_outcome(now, o, enq_id, fb_span, tp);
-                    }
+            // The graph recorded the enqueue when it suspended the batch.
+            if let Err(task) = tp.offload(task) {
+                let fs = &self.env.fstats;
+                FaultStats::add(&fs.fell_back_batches, 1);
+                FaultStats::add(&fs.fell_back_packets, task.batch.len() as u64);
+                let enq_span = task.span();
+                let enq_id = task.batch.banno().get(anno::TRACE_ID);
+                let fb_span = self.graph.alloc_span();
+                let fb = TraceEventKind::OffloadFallback;
+                let ev = TraceEvent::point(now, self.id, enq_id, fb, task.batch.len());
+                self.graph
+                    .record(ev.at_node(task.node.0).spans(fb_span, enq_span));
+                if let Some(o) = self.run_cpu_path(now, fb_span, task.node, task.batch) {
+                    self.handle_outcome(now, o, enq_id, fb_span, tp);
                 }
             }
         }

@@ -11,10 +11,11 @@
 //!   every [`TelemetryConfig::sample_interval`]: windowed throughput, drop
 //!   counts, the latency EWMA, per-GPU busy fractions, and the shared
 //!   balancer's offloading fraction `w` (the Figure 12/13 traces).
-//! * **Batch-lifecycle traces** — an opt-in bounded ring of
-//!   [`TraceEvent`]s following batches from RX through element hops,
-//!   branch misses, and the offload round trip to TX. Zero overhead when
-//!   [`TelemetryConfig::trace_capacity`] is 0 (the buffer does not exist).
+//! * **Batch-lifecycle traces** — [`TraceEvent`]s following batches from
+//!   RX through element hops, branch misses, and the offload round trip to
+//!   TX, in the flight recorder's one ring per worker shard. With
+//!   [`TelemetryConfig::trace_capacity`] at 0 no span ids are stamped and
+//!   the rings keep only the recorder's sampled tail.
 //!
 //! Exporters are dependency-free: JSONL writers for each stream, and the
 //! Prometheus text rendering — every metric family written once, shared by
@@ -43,8 +44,9 @@ use crate::supervise::{HealthSnapshot, WorkerState};
 pub struct TelemetryConfig {
     /// Time-series sampling interval; `None` disables the sampler.
     pub sample_interval: Option<Time>,
-    /// Capacity (events) of each batch-lifecycle trace ring; 0 disables
-    /// tracing entirely — no buffers are allocated, no ids are stamped.
+    /// Capacity (events) of each worker shard's event ring while tracing;
+    /// 0 disables tracing — no ids are stamped, and the rings keep the
+    /// flight recorder's sampled tail only.
     pub trace_capacity: usize,
 }
 
@@ -148,7 +150,7 @@ pub fn merge_histograms(shards: impl IntoIterator<Item = LatencyHistogram>) -> L
 ///
 /// Cloning shares the counter; `next()` is a single relaxed `fetch_add`,
 /// cheap enough to sit on the traced hot path and absent from the untraced
-/// one (allocation only happens when a trace buffer exists).
+/// one (a run allocates spans only while tracing).
 #[derive(Debug, Clone, Default)]
 pub struct SpanAlloc(Arc<AtomicU64>);
 
@@ -166,7 +168,7 @@ impl SpanAlloc {
 
 /// Per-shard gauges sampled alongside each [`TimeSample`]: the state of one
 /// worker's RX ring and balancer at the sample instant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardSample {
     /// Worker (shard) index the gauges belong to.
     pub shard: u32,
@@ -404,7 +406,8 @@ impl TraceEvent {
 }
 
 /// A bounded ring of [`TraceEvent`]s: pushes never allocate past capacity,
-/// the oldest events are overwritten and counted.
+/// the oldest events are overwritten and counted. The flight recorder
+/// keeps one per worker shard, a live IO thread one for its steer events.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     events: Vec<TraceEvent>,
@@ -455,12 +458,11 @@ impl TraceBuffer {
         self.overwritten
     }
 
-    /// Consumes the ring, returning events in arrival order.
-    pub fn into_events(mut self) -> Vec<TraceEvent> {
-        if self.overwritten > 0 {
-            self.events.rotate_left(self.next);
-        }
-        self.events
+    /// The held events in arrival order (the oldest sits at `next` once
+    /// the ring has wrapped).
+    pub fn events(&self) -> Vec<TraceEvent> {
+        let (newer, older) = self.events.split_at(self.next);
+        older.iter().chain(newer).copied().collect()
     }
 }
 
@@ -1427,7 +1429,7 @@ mod tests {
         }
         assert_eq!(tb.len(), 4);
         assert_eq!(tb.overwritten(), 2);
-        let ids: Vec<u64> = tb.into_events().iter().map(|e| e.batch).collect();
+        let ids: Vec<u64> = tb.events().iter().map(|e| e.batch).collect();
         assert_eq!(ids, vec![2, 3, 4, 5]);
     }
 
@@ -1438,7 +1440,7 @@ mod tests {
             tb.push(ev(i, i));
         }
         assert_eq!(tb.overwritten(), 0);
-        let ids: Vec<u64> = tb.into_events().iter().map(|e| e.batch).collect();
+        let ids: Vec<u64> = tb.events().iter().map(|e| e.batch).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -1560,7 +1562,7 @@ mod tests {
         }
         assert_eq!(tb.len(), 4, "len saturates at capacity");
         assert_eq!(tb.overwritten(), 7, "11 pushes into 4 slots lose 7");
-        let ids: Vec<u64> = tb.into_events().iter().map(|e| e.batch).collect();
+        let ids: Vec<u64> = tb.events().iter().map(|e| e.batch).collect();
         assert_eq!(ids, vec![7, 8, 9, 10], "survivors in arrival order");
     }
 
@@ -1571,7 +1573,7 @@ mod tests {
             tb.push(ev(i, i));
         }
         assert_eq!(tb.overwritten(), 0);
-        let ids: Vec<u64> = tb.into_events().iter().map(|e| e.batch).collect();
+        let ids: Vec<u64> = tb.events().iter().map(|e| e.batch).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 

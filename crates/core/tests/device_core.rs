@@ -105,7 +105,7 @@ struct Rig {
 fn rig(fault: FaultConfig, spec: OffloadSpec, balancers: Vec<SharedBalancer>) -> Rig {
     let fstats = Arc::new(FaultStats::default());
     let counters = Arc::new(Counters::default());
-    let flight = Arc::new(FlightRecorder::new(8, FlightConfig::default()));
+    let flight = Arc::new(FlightRecorder::new(8, 64, FlightConfig::default(), None));
     let env = DeviceEnv {
         cost: CostModel::paper_default(),
         compute: ComputeMode::Full,
@@ -114,7 +114,6 @@ fn rig(fault: FaultConfig, spec: OffloadSpec, balancers: Vec<SharedBalancer>) ->
         counters: counters.clone(),
         balancers,
         spans: Some(SpanAlloc::new()),
-        trace_capacity: 64,
         flight: flight.clone(),
         stages: None,
         drift: None,
@@ -203,7 +202,7 @@ fn transient_draws_retry_the_budget_then_fall_back_untouched() {
     assert_eq!((f.fell_back_batches, f.fell_back_packets), (1, 2));
     assert_eq!(r.counters.snapshot().gpu_processed, 0);
 
-    let (events, _) = r.core.finish();
+    let events = r.flight.events();
     let of = |k| events.iter().filter(move |e| e.kind == k);
     let launch = of(TraceEventKind::OffloadLaunch).next().expect("launch");
     assert_eq!(of(TraceEventKind::OffloadRetry).count(), 2);
@@ -336,7 +335,8 @@ fn the_breaker_trips_once_blocks_without_drawing_and_readmits_on_a_probe() {
     assert_eq!(r.be.delivered.len(), 5, "one completion per batch");
 
     let probe_at = r.be.clock;
-    let (events, intervals) = r.core.finish();
+    let events = r.flight.events();
+    let intervals = r.core.finish();
     // One outage, closed by the probe: blocked admissions left no mark.
     assert_eq!(intervals, [(tripped_at, Some(probe_at))]);
     assert!(events

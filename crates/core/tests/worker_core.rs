@@ -151,7 +151,7 @@ fn a_full_offload_queue_runs_the_cpu_path_inline_and_conserves_packets() {
     assert_eq!((f.fell_back_batches, f.fell_back_packets), (1, 8));
     assert_eq!(r.health[0].progress.load(Ordering::Relaxed), 8);
     assert!(tp.cycles > 0, "modelled work was not charged");
-    let (_, _, capture) = r.core.take_yield();
+    let (_, capture) = r.core.take_yield();
     assert_eq!(capture.len(), 8, "every transmitted packet is captured");
 }
 

@@ -26,6 +26,7 @@ use nba::core::capture::{fnv1a, TxRecord};
 use nba::core::element::ComputeMode;
 use nba::core::fault::{WorkerKill, WorkerStall};
 use nba::core::flow::{bucket_of, FlowOpKind, FlowReport, FlowTableConfig};
+use nba::core::introspect::MAX_DUMPS;
 use nba::core::lb;
 use nba::core::runtime::live::LiveReport;
 use nba::core::runtime::live::{self, LiveConfig};
@@ -205,6 +206,35 @@ fn stall_plan(worker: u32, at_packet: u64, millis: f64) -> FaultConfig {
             ..SupervisorConfig::default()
         },
         ..FaultConfig::default()
+    }
+}
+
+/// Every Dead(stall) conviction in a live run's supervisor log left a
+/// `stall_shard{w}` flight dump naming worker `w`, in conviction order,
+/// until the run's dump cap.
+fn assert_stall_convictions_dumped(rep: &LiveReport, label: &str) {
+    let convicted: Vec<u32> = (rep.health.log.events.iter())
+        .filter(|e| e.to == WorkerState::Dead && e.reason == TransitionReason::Stall)
+        .map(|e| e.worker)
+        .collect();
+    let dumped: Vec<u32> = (rep.flight.iter())
+        .filter(|d| d.reason.starts_with("stall_shard"))
+        .map(|d| {
+            let w = d.trigger_worker.expect("a stall dump names its worker");
+            assert_eq!(d.reason, format!("stall_shard{w}"), "{label}");
+            w
+        })
+        .collect();
+    if (rep.flight.len() as u64) < MAX_DUMPS {
+        assert_eq!(
+            dumped, convicted,
+            "{label}: a stall conviction left no dump"
+        );
+    } else {
+        assert!(
+            convicted.starts_with(&dumped),
+            "{label}: {dumped:?} vs {convicted:?}"
+        );
     }
 }
 
@@ -625,6 +655,7 @@ fn worker_stall_drill_is_lossless() {
         "stall must never respawn"
     );
     assert!(stall_l4.health.log.replay().is_ok());
+    assert_stall_convictions_dumped(&stall_l4, "live(4)");
 }
 
 // ──────────────────────── Stateful flow plane ────────────────────────
@@ -998,6 +1029,7 @@ fn worker_stall_keeps_flow_tables_intact() {
         0,
         "live(4): stall invalidated a live worker's flows"
     );
+    assert_stall_convictions_dumped(&stall_l4, "live(4) conntrack");
 }
 
 /// The million-flow occupancy gate (CI runs it with `--ignored`):

@@ -4,19 +4,27 @@
 //! a seeded fault plan — plus the zero-overhead contract: telemetry off
 //! must leave a run bit-identical.
 
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nba::apps::{pipelines, AppConfig};
+use nba::core::batch::{anno, Anno, PacketBatch, PacketResult};
+use nba::core::element::{
+    DbInput, DbOutput, ElemCtx, Element, ElementKind, KernelIo, OffloadSpec, Postprocess,
+};
+use nba::core::graph::GraphBuilder;
+use nba::core::introspect::FLIGHT_EVENTS;
 use nba::core::json::{self, Value};
 use nba::core::runtime::live::{self, LiveConfig};
-use nba::core::runtime::{des, traffic_per_port, RuntimeConfig};
+use nba::core::runtime::{des, traffic_per_port, BuildCtx, PipelineBuilder, RuntimeConfig};
 use nba::core::telemetry::{trace_to_chrome, TelemetryConfig, TraceEventKind};
-use nba::core::{lb, FaultConfig, FaultPlan, FlightConfig};
-use nba::io::{SizeDist, TrafficConfig};
-use nba::sim::Time;
+use nba::core::{lb, FaultConfig, FaultPlan};
+use nba::io::{Packet, SizeDist, TrafficConfig};
+use nba::sim::{GpuProfile, Time};
 
 const CHROME_DEVICE_TID: u64 = 10_000;
 const CHROME_IO_TID_BASE: u64 = 20_000;
@@ -75,10 +83,6 @@ fn introspection_plane_end_to_end() {
         telemetry: TelemetryConfig {
             trace_capacity: 16_384,
             ..TelemetryConfig::default()
-        },
-        flight: FlightConfig {
-            sample_every: 16,
-            ..FlightConfig::default()
         },
         fault: FaultConfig {
             plan: FaultPlan {
@@ -285,34 +289,69 @@ fn introspection_plane_end_to_end() {
     );
 }
 
+/// Panics on every `.0`-th packet its replica sees.
+struct PanicEvery(u64, u64);
+
+impl Element for PanicEvery {
+    fn class_name(&self) -> &'static str {
+        "PanicEvery"
+    }
+    fn process(
+        &mut self,
+        _ctx: &mut ElemCtx<'_>,
+        _pkt: &mut Packet,
+        _anno: &mut Anno,
+    ) -> PacketResult {
+        self.1 += 1;
+        if self.1.is_multiple_of(self.0) {
+            panic!("injected element panic (expected in this test)");
+        }
+        PacketResult::Out(0)
+    }
+}
+
+/// Tags every batch for the device, as a balancer at `w = 1` would.
+struct ToDevice;
+
+impl Element for ToDevice {
+    fn class_name(&self) -> &'static str {
+        "ToDevice"
+    }
+    fn kind(&self) -> ElementKind {
+        ElementKind::PerBatch
+    }
+    fn process_batch(&mut self, _: &mut ElemCtx<'_>, batch: &mut PacketBatch) {
+        batch.banno_mut().set(anno::LB_DEVICE, 1);
+    }
+}
+
+/// Offloadable pass-through: a no-op kernel on the device, a no-op on
+/// the CPU.
+struct PassOffload;
+
+impl Element for PassOffload {
+    fn class_name(&self) -> &'static str {
+        "PassOffload"
+    }
+    fn process(&mut self, _: &mut ElemCtx<'_>, _: &mut Packet, _: &mut Anno) -> PacketResult {
+        PacketResult::Out(0)
+    }
+    fn offload(&self) -> Option<OffloadSpec> {
+        Some(OffloadSpec {
+            input: DbInput::WholePacket { offset: 0 },
+            output: DbOutput::InPlace { extra: 0 },
+            gpu: GpuProfile::default(),
+            kernel: Arc::new(|_: KernelIo<'_>| {}),
+            heavy: false,
+            postprocess: Postprocess::WriteBack,
+        })
+    }
+}
+
 /// The worker-panic trigger: a contained panic must leave a post-mortem
 /// dump naming the worker that died.
 #[test]
 fn worker_panic_leaves_flight_dump() {
-    use nba::core::batch::{Anno, PacketResult};
-    use nba::core::element::{ElemCtx, Element};
-    use nba::core::graph::GraphBuilder;
-    use nba::core::runtime::{BuildCtx, PipelineBuilder};
-    use std::sync::Arc;
-
-    struct PanicEvery(u64, u64);
-    impl Element for PanicEvery {
-        fn class_name(&self) -> &'static str {
-            "PanicEvery"
-        }
-        fn process(
-            &mut self,
-            _ctx: &mut ElemCtx<'_>,
-            _pkt: &mut nba::io::Packet,
-            _anno: &mut Anno,
-        ) -> PacketResult {
-            self.1 += 1;
-            if self.1.is_multiple_of(self.0) {
-                panic!("injected element panic (expected in this test)");
-            }
-            PacketResult::Out(0)
-        }
-    }
     let pipeline: PipelineBuilder = Arc::new(|_ctx: &BuildCtx| {
         let mut gb = GraphBuilder::new();
         let p = gb.add(Box::new(PanicEvery(1_000, 0)));
@@ -406,4 +445,135 @@ fn live_tracing_does_not_change_what_is_forwarded() {
     assert_eq!(off.totals.tx_packets, on.totals.tx_packets);
     assert_eq!(off.totals.dropped, on.totals.dropped);
     assert_eq!(off.rx_dropped, on.rx_dropped);
+}
+
+/// Every event is recorded once: in a traced GPU-only run, no span-opening
+/// event (steer, RX, and each offload lifecycle step) appears twice in the
+/// trace. Element, branch, drop and TX events carry their batch's current
+/// span, so they repeat a span by design and are not checked.
+#[test]
+fn traced_offload_events_are_recorded_once() {
+    let cfg = LiveConfig {
+        workers: 2,
+        duration: Duration::from_secs(20), // deadline only; drains in ms
+        max_packets: Some(6_000),
+        drain: true,
+        telemetry: TelemetryConfig {
+            trace_capacity: 1 << 16,
+            ..TelemetryConfig::default()
+        },
+        traffic: TrafficConfig {
+            size: SizeDist::Fixed(64),
+            ..TrafficConfig::default()
+        },
+        ..LiveConfig::default()
+    };
+    let report = live::run_sharded(
+        &cfg,
+        &pipelines::ipsec_gateway(&app()),
+        &lb::replicated(|| Box::new(lb::GpuOnly)),
+    );
+    assert!(report.totals.offloaded_batches > 0, "{report:?}");
+    use TraceEventKind as K;
+    let opens_span = |k: K| {
+        matches!(
+            k,
+            K::Steer
+                | K::Rx
+                | K::OffloadEnqueue
+                | K::OffloadLaunch
+                | K::OffloadRetry
+                | K::OffloadComplete
+                | K::OffloadFallback
+        )
+    };
+    let mut seen = HashSet::new();
+    for e in report
+        .trace
+        .iter()
+        .filter(|e| e.span != 0 && opens_span(e.kind))
+    {
+        assert!(
+            seen.insert((e.span, e.kind.as_str())),
+            "recorded twice: {e:?}"
+        );
+    }
+    for k in [
+        K::Rx,
+        K::OffloadEnqueue,
+        K::OffloadLaunch,
+        K::OffloadComplete,
+    ] {
+        assert!(
+            seen.iter().any(|&(_, kind)| kind == k.as_str()),
+            "no {k:?} traced"
+        );
+    }
+}
+
+/// With tracing off, a shard's ring keeps the flight recorder's sampled
+/// tail only: RX events and the offload lifecycle, span-less, at most
+/// `FLIGHT_EVENTS` of them.
+#[test]
+fn untraced_dump_holds_the_sampled_tail() {
+    let pipeline: PipelineBuilder = Arc::new(|_ctx: &BuildCtx| {
+        let mut gb = GraphBuilder::new();
+        let p = gb.add(Box::new(PanicEvery(10_000, 0)));
+        let tag = gb.add(Box::new(ToDevice));
+        let dev = gb.add(Box::new(PassOffload));
+        gb.connect(p, 0, tag);
+        gb.connect(tag, 0, dev);
+        gb.connect_exit(dev, 0);
+        gb.entry(p);
+        gb.build().expect("offload pipeline")
+    });
+    let cfg = LiveConfig {
+        workers: 2,
+        duration: Duration::from_secs(20), // deadline only; drains in ms
+        max_packets: Some(40_000),
+        drain: true,
+        ..LiveConfig::default()
+    };
+    let report = live::run(&cfg, &pipeline, &lb::shared(Box::new(lb::GpuOnly)));
+    assert!(report.totals.offloaded_batches > 0, "{report:?}");
+    let dump = report
+        .flight
+        .iter()
+        .find(|d| d.reason == "worker_panic")
+        .expect("no worker_panic dump");
+    use TraceEventKind as K;
+    for s in &dump.shards {
+        assert!(
+            s.recent.len() <= FLIGHT_EVENTS,
+            "shard {}: {}",
+            s.shard,
+            s.recent.len()
+        );
+        assert_eq!(s.seen, s.recent.len() as u64 + s.overwritten);
+        for e in &s.recent {
+            assert!(
+                matches!(
+                    e.kind,
+                    K::Rx
+                        | K::OffloadEnqueue
+                        | K::OffloadLaunch
+                        | K::OffloadRetry
+                        | K::OffloadComplete
+                        | K::OffloadFallback
+                ),
+                "shard {}: {e:?} outside the sampled tail",
+                s.shard
+            );
+            assert_eq!((e.span, e.parent), (0, 0), "tracing off stamps no span");
+        }
+    }
+    let lifecycle = |s: &nba::core::introspect::FlightShardDump| {
+        s.recent.iter().any(|e| e.kind == K::OffloadLaunch)
+    };
+    assert!(
+        dump.shards.iter().any(lifecycle),
+        "no offload lifecycle kept"
+    );
+    // The panicking worker ran long enough for its ring to wrap.
+    assert!(dump.shards.iter().any(|s| s.overwritten > 0), "{dump:?}");
 }

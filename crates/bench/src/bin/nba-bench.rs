@@ -118,50 +118,46 @@ fn pipeline_for(app: &str, a: &AppConfig) -> Option<(PipelineBuilder, bool)> {
     })
 }
 
-/// The scaled adaptive balancer used for benchmark artifacts — same
-/// algorithm as the paper's, time constants shrunk to converge within the
-/// simulated horizon (see EXPERIMENTS.md).
-fn balancer_for(mode: &str) -> Option<SharedBalancer> {
+/// A fresh balancer for `--mode`: `alb` is the scaled adaptive balancer
+/// used for benchmark artifacts — same algorithm as the paper's, time
+/// constants shrunk to converge within the simulated horizon (see
+/// EXPERIMENTS.md); a number is a fixed offload fraction in `[0, 1]`.
+/// `None` for anything else.
+fn new_balancer(mode: &str) -> Option<Box<dyn LoadBalancer>> {
     Some(match mode {
-        "alb" => lb::shared(Box::new(lb::Adaptive::new(AlbConfig {
+        "alb" => Box::new(lb::Adaptive::new(AlbConfig {
             delta: 0.08,
             update_interval: Time::from_ms(4),
             avg_window: 2,
             min_wait: 0,
             max_wait: 2,
             initial_w: 0.5,
-        }))),
-        "cpu" => lb::shared(Box::new(lb::CpuOnly)),
-        "gpu" => lb::shared(Box::new(lb::GpuOnly)),
-        w => lb::shared(Box::new(lb::FixedFraction::new(w.parse().ok()?))),
-    })
-}
-
-/// One fresh balancer instance per call — the per-worker form of
-/// [`balancer_for`], used by the sharded live runtime (`w` per worker).
-fn balancer_factory_for(mode: &str) -> Option<BalancerFactory> {
-    let make: Box<dyn Fn() -> Box<dyn LoadBalancer> + Send + Sync> = match mode {
-        "alb" => Box::new(|| {
-            Box::new(lb::Adaptive::new(AlbConfig {
-                delta: 0.08,
-                update_interval: Time::from_ms(4),
-                avg_window: 2,
-                min_wait: 0,
-                max_wait: 2,
-                initial_w: 0.5,
-            }))
-        }),
-        "cpu" => Box::new(|| Box::new(lb::CpuOnly)),
-        "gpu" => Box::new(|| Box::new(lb::GpuOnly)),
+        })),
+        "cpu" => Box::new(lb::CpuOnly),
+        "gpu" => Box::new(lb::GpuOnly),
         w => {
             let w: f64 = w.parse().ok()?;
             if !(0.0..=1.0).contains(&w) {
                 return None;
             }
-            Box::new(move || Box::new(lb::FixedFraction::new(w)))
+            Box::new(lb::FixedFraction::new(w))
         }
-    };
-    Some(lb::replicated(move || make()))
+    })
+}
+
+/// One balancer shared by every worker (the DES runs one global `w`).
+fn balancer_for(mode: &str) -> Option<SharedBalancer> {
+    new_balancer(mode).map(lb::shared)
+}
+
+/// One fresh balancer instance per worker — the per-worker form of
+/// [`balancer_for`], used by the sharded live runtime (`w` per worker).
+fn balancer_factory_for(mode: &str) -> Option<BalancerFactory> {
+    new_balancer(mode)?;
+    let mode = mode.to_owned();
+    Some(lb::replicated(move || {
+        new_balancer(&mode).expect("mode validated above")
+    }))
 }
 
 /// The DES sweep machine: one socket with exactly `workers` worker cores
@@ -245,7 +241,7 @@ fn live_sweep(
     traffic: &TrafficConfig,
     fault: &nba_core::FaultConfig,
     obs: &ObsOpts,
-) -> Option<Vec<ScalePoint>> {
+) -> Vec<ScalePoint> {
     let duration = std::time::Duration::from_millis(if q { 200 } else { 1000 });
     counts
         .iter()
@@ -267,7 +263,7 @@ fn live_sweep(
                 shed: obs.shed,
                 ..LiveConfig::default()
             };
-            let factory = balancer_factory_for(mode)?;
+            let factory = balancer_factory_for(mode).expect("mode validated earlier");
             let r = live::run_sharded(&cfg, pipeline, &factory);
             println!(
                 "  live workers={n}: measured {:.2} Gbps ({:.2} Mpps)",
@@ -289,13 +285,13 @@ fn live_sweep(
                     h.stats.lost_in_flight,
                 );
             }
-            Some(ScalePoint {
+            ScalePoint {
                 workers: n as u64,
                 tx_mpps: r.mpps,
                 tx_gbps: r.gbps,
-            })
+            }
         })
-        .collect::<Option<Vec<_>>>()
+        .collect()
 }
 
 /// The live-runtime scaling acceptance check: with enough host cores,
@@ -422,7 +418,7 @@ fn cmd_run(args: &[String]) -> i32 {
         return 2;
     };
     let Some(balancer) = balancer_for(&mode) else {
-        eprintln!("unknown mode '{mode}' (expected alb|cpu|gpu|<fraction>)");
+        eprintln!("unknown mode '{mode}' (expected alb|cpu|gpu|<fraction in [0, 1]>)");
         return 2;
     };
     let traffic = traffic_per_port(
@@ -471,13 +467,7 @@ fn cmd_run(args: &[String]) -> i32 {
         println!("{app}: scaling sweep ({runtime}), workers {counts:?}");
         let series = match runtime.as_str() {
             "des" => des_sweep(&counts, &cfg, &pipeline, &mode, &per_port),
-            "live" => match live_sweep(&counts, q, &pipeline, &mode, &per_port, &cfg.fault, &obs) {
-                Some(s) => s,
-                None => {
-                    eprintln!("unknown mode '{mode}' (expected alb|cpu|gpu|<fraction>)");
-                    return 2;
-                }
-            },
+            "live" => live_sweep(&counts, q, &pipeline, &mode, &per_port, &cfg.fault, &obs),
             other => {
                 eprintln!("unknown runtime '{other}' (expected des|live)");
                 return 2;
@@ -818,4 +808,24 @@ fn main() {
         _ => usage(),
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn modes_parse_once_for_both_balancer_forms() {
+        for ok in ["alb", "cpu", "gpu", "0", "0.5", "1"] {
+            assert!(balancer_for(ok).is_some(), "{ok}");
+            assert!(balancer_factory_for(ok).is_some(), "{ok}");
+        }
+        let w = balancer_for("0.25").unwrap().lock().offload_fraction();
+        assert_eq!(w, 0.25);
+        // Out of range or not a number: a usage error, never a panic.
+        for bad in ["1.5", "-0.1", "nan", "inf", "fast", ""] {
+            assert!(balancer_for(bad).is_none(), "{bad}");
+            assert!(balancer_factory_for(bad).is_none(), "{bad}");
+        }
+    }
 }

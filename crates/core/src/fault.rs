@@ -16,7 +16,7 @@
 //!    its hill-climb.
 //!
 //! Fault *injection* (the seeded [`FaultPlan`]/[`FaultInjector`]) lives in
-//! the GPU crate next to the shim it breaks; this module owns detection,
+//! the GPU crate next to the timeline it breaks; this module owns detection,
 //! recovery policy, and accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,7 +2,7 @@
 //!
 //! When a device thread picks up an aggregated offload task, it
 //! *preprocesses* the input datablock (gathers the declared byte ranges of
-//! every packet into one page-locked buffer), ships it through the GPU shim,
+//! every packet into one page-locked buffer), runs the kernel over it,
 //! and *postprocesses* the output (scatters results back into packets or
 //! annotations). The declarative [`DbInput`]/[`DbOutput`] formats let the
 //! framework do all buffer management — the safety and optimization
@@ -68,7 +68,7 @@ impl CompletedTask {
     }
 }
 
-/// A gathered input block ready for the GPU shim.
+/// A gathered input block ready for the device.
 #[derive(Debug)]
 pub struct StagedTask {
     /// Staged input (header + offset tables + item bytes).

@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use parking_lot::Mutex;
 
-use nba_gpu::{Gpu, KernelFn, TaskTiming, TimelineStats};
+use nba_gpu::{KernelFn, TaskTiming, Timeline, TimelineStats};
 use nba_io::{
     Mempool, Packet, PacketSource, Port, PortHandle, RssTable, TrafficConfig, TrafficGen,
 };
@@ -27,7 +27,7 @@ use crate::introspect::FlightRecorder;
 use crate::lb::SharedBalancer;
 use crate::nls::NodeLocalStorage;
 use crate::offload::{CompletedTask, OffloadTask, StagedTask};
-use crate::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv, Launched, Retryable};
+use crate::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv, Launched};
 use crate::runtime::worker::{
     merge_yields, wire_bits, Drill, Transport, WorkerCore, WorkerEnv, WorkerYield,
 };
@@ -38,6 +38,9 @@ use crate::telemetry::{Sampler, SpanAlloc, TimeSample, TraceEvent};
 
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Command queues (streams) of each simulated GPU: a GTX 680 exposes 16.
+const GPU_STREAMS: u32 = 16;
 
 /// A traffic source feeding one port (synthetic generator or trace replay).
 /// It offers the port every slot of each window; the port admits or
@@ -244,7 +247,8 @@ struct DeviceEntity {
     /// intervals at teardown.
     core: Rc<RefCell<DeviceCore>>,
     tasks: SimQueue<OffloadTask>,
-    gpu: Rc<RefCell<Gpu>>,
+    /// The socket's GPU; the sampler reads its busy time too.
+    timeline: Rc<RefCell<Timeline>>,
     /// Launched tasks whose D2H copy (or failure verdict) has not landed.
     inflight: Vec<Launched>,
     /// Per-worker completion queues (worker `w` is engine entity `w`).
@@ -262,7 +266,7 @@ struct SimDevice<'a> {
     /// Work charged so far this step.
     cycles: u64,
     cfg: &'a RuntimeConfig,
-    gpu: &'a RefCell<Gpu>,
+    timeline: &'a RefCell<Timeline>,
     tasks: &'a SimQueue<OffloadTask>,
     completions: &'a [SimQueue<CompletedTask>],
     counters: &'a Counters,
@@ -295,15 +299,18 @@ impl DeviceBackend for SimDevice<'_> {
         lane_ns: f64,
         kernel: &KernelFn,
         output: &mut [u8],
-    ) -> Result<TaskTiming, Retryable> {
-        let mut gpu = self.gpu.borrow_mut();
-        // Device memory exhaustion is a real transient.
-        gpu.run_task(at, &staged.input, staged.items, lane_ns, output, kernel)
-            .map_err(|_oom| Retryable)
+    ) -> TaskTiming {
+        // The kernel runs first: one that panics books nothing.
+        kernel(&staged.input, output, staged.items);
+        let mut timeline = self.timeline.borrow_mut();
+        let stream = timeline.best_stream();
+        timeline.submit(at, stream, staged.input.len(), lane_ns, output.len())
     }
 
     fn abort(&mut self, at: Time, h2d_bytes: usize) -> Time {
-        let _ = self.gpu.borrow_mut().abort_task(at, h2d_bytes);
+        let mut timeline = self.timeline.borrow_mut();
+        let stream = timeline.best_stream();
+        timeline.submit_aborted(at, stream, h2d_bytes);
         // Nothing comes back: the failure surfaces at the watchdog deadline.
         at + self.cfg.fault.watchdog
     }
@@ -313,7 +320,7 @@ impl DeviceBackend for SimDevice<'_> {
     }
 
     fn gauges(&self, now: Time) -> (u64, f64) {
-        let busy = self.gpu.borrow().stats().kernel_busy_fraction(now);
+        let busy = self.timeline.borrow().stats().kernel_busy_fraction(now);
         (self.tasks.len() as u64, busy)
     }
 
@@ -337,7 +344,7 @@ impl Entity for DeviceEntity {
             now,
             cycles: 0,
             cfg,
-            gpu: &self.gpu,
+            timeline: &self.timeline,
             tasks: &self.tasks,
             completions: &self.completions,
             counters: &self.counters,
@@ -424,7 +431,7 @@ struct SamplerEntity {
     inspector: SystemInspector,
     balancer: SharedBalancer,
     ports: Vec<PortHandle>,
-    gpus: Vec<Rc<RefCell<Gpu>>>,
+    gpus: Vec<Rc<RefCell<Timeline>>>,
     prev_gpu: Vec<TimelineStats>,
     samples: Rc<RefCell<Vec<TimeSample>>>,
 }
@@ -508,8 +515,8 @@ fn unshare<T>(rc: Rc<RefCell<T>>, what: &str) -> T {
 ///
 /// # Panics
 ///
-/// Panics on inconsistent configuration (more workers than cores, traffic
-/// list not matching the port count).
+/// Panics on inconsistent configuration (more workers than cores, a socket
+/// without exactly one GPU, traffic list not matching the port count).
 pub fn run(
     cfg: &RuntimeConfig,
     build: &PipelineBuilder,
@@ -530,8 +537,8 @@ pub fn run(
 ///
 /// # Panics
 ///
-/// Panics on inconsistent configuration (more workers than cores, source
-/// list not matching the port count).
+/// Panics on inconsistent configuration (more workers than cores, a socket
+/// without exactly one GPU, source list not matching the port count).
 pub fn run_with_sources(
     cfg: &RuntimeConfig,
     build: &PipelineBuilder,
@@ -551,9 +558,24 @@ pub fn run_with_sources(
             "reserve one core per socket for the device thread"
         );
     }
+    // Socket `s`'s device thread drives socket `s`'s GPU.
+    let sockets = topo.sockets.len();
+    let per_socket: Vec<usize> = (0..sockets).map(|s| topo.gpus_on_socket(s).len()).collect();
+    assert!(
+        topo.gpus.len() == sockets && per_socket.iter().all(|&n| n == 1),
+        "the DES needs exactly one GPU per socket: topology.gpus lists {}, per socket {per_socket:?}",
+        topo.gpus.len()
+    );
+    let gpus: Vec<Rc<RefCell<Timeline>>> = (0..sockets)
+        .map(|_| {
+            Rc::new(RefCell::new(Timeline::new(
+                cfg.cost.gpu.clone(),
+                GPU_STREAMS,
+            )))
+        })
+        .collect();
 
     let mut engine = Engine::new();
-    let sockets = topo.sockets.len();
     let wps = cfg.workers_per_socket as usize;
     let total_workers = sockets * wps;
 
@@ -684,9 +706,6 @@ pub fn run_with_sources(
     // Device entities (placeholder ids patched after workers are added:
     // engine ids are assigned in insertion order, so compute them upfront).
     // Entity layout: [workers 0..W) [devices W..W+S) [sources ...].
-    let gpus: Vec<Rc<RefCell<Gpu>>> = (0..sockets)
-        .map(|_| Rc::new(RefCell::new(Gpu::gtx680(cfg.cost.gpu.clone()))))
-        .collect();
     let device_ids: Vec<EntityId> = (0..sockets).map(|s| EntityId(total_workers + s)).collect();
 
     // Telemetry plumbing: the drop-time sink for worker-held state and the
@@ -787,7 +806,7 @@ pub fn run_with_sources(
             cfg: cfg.clone(),
             core: devices[s].clone(),
             tasks: offload_qs[s].clone(),
-            gpu: gpu.clone(),
+            timeline: gpu.clone(),
             inflight: Vec::new(),
             completions: completion_qs.clone(),
             counters: counters[s * wps].clone(),
@@ -943,5 +962,77 @@ pub fn run_with_sources(
         flight: flight.dumps(),
         health,
         flows: flow_registry.report(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+
+    /// An entity that runs `f` once, inside an engine step: the only place
+    /// a [`Ctx`], and with it a [`SimDevice`], exists.
+    struct Once<F>(Option<F>);
+
+    impl<F: FnOnce(&mut Ctx)> Entity for Once<F> {
+        fn step(&mut self, _now: Time, ctx: &mut Ctx) -> Wake {
+            if let Some(f) = self.0.take() {
+                f(ctx);
+            }
+            Wake::Done
+        }
+    }
+
+    #[test]
+    fn a_panicking_kernel_books_nothing_and_a_good_one_books_once() {
+        let cfg = RuntimeConfig::test_default();
+        let timeline = Rc::new(RefCell::new(Timeline::new(cfg.cost.gpu.clone(), 1)));
+        let tl = timeline.clone();
+        let attempts = move |ctx: &mut Ctx| {
+            let mut be = SimDevice {
+                now: Time::ZERO,
+                cycles: 0,
+                cfg: &cfg,
+                timeline: &tl,
+                tasks: &SimQueue::unbounded(),
+                completions: &[],
+                counters: &Counters::default(),
+                ctx,
+            };
+            let staged = StagedTask {
+                input: vec![7; 64],
+                out_len: 64,
+                items: 64,
+                lane_ns: 640.0,
+                in_bytes: 64,
+            };
+            let (now, mut output) = (Time::ZERO, vec![0; 64]);
+            let poison = || be.attempt(now, &staged, 640.0, &|_, _, _| panic!(), &mut output);
+            assert!(catch_unwind(AssertUnwindSafe(poison)).is_err());
+            assert_eq!(tl.borrow().stats().tasks, 0, "a panicking kernel submitted");
+
+            let copy = |i: &[u8], o: &mut [u8], _| o.copy_from_slice(i);
+            let t = be.attempt(now, &staged, 640.0, &copy, &mut output);
+            assert_eq!(output, staged.input);
+            assert!(t.d2h_done > t.kernel_done && t.kernel_done > t.h2d_done);
+        };
+        let mut engine = Engine::new();
+        engine.add(Box::new(Once(Some(attempts))), Time::ZERO);
+        engine.run_until(Time::from_ms(1));
+        let stats = timeline.borrow().stats();
+        assert_eq!((stats.tasks, stats.h2d_bytes, stats.d2h_bytes), (1, 64, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "per socket [2, 0]")]
+    fn a_topology_without_one_gpu_per_socket_is_rejected() {
+        let mut cfg = RuntimeConfig::test_default();
+        cfg.topology = nba_sim::Topology::paper_testbed();
+        cfg.topology.gpus[1].socket = 0;
+        let build: PipelineBuilder = Arc::new(|_: &BuildCtx| unreachable!("rejected before"));
+        let lb = crate::lb::shared(Box::new(crate::lb::CpuOnly));
+        let traffic = crate::runtime::traffic_per_port(&cfg.topology, &TrafficConfig::default());
+        run(&cfg, &build, &lb, &traffic);
     }
 }

@@ -40,11 +40,6 @@ use crate::runtime::worker::Homes;
 use crate::stats::Counters;
 use crate::telemetry::{SpanAlloc, TraceEvent, TraceEventKind};
 
-/// A retryable attempt failure (device memory exhaustion): it takes the
-/// same retry-then-fallback ladder as an injected transient error.
-#[derive(Debug)]
-pub struct Retryable;
-
 /// How one attempt executes and how time passes. Generic (never `dyn`) so
 /// each runtime's device step monomorphises around its own backend.
 pub trait DeviceBackend {
@@ -73,7 +68,7 @@ pub trait DeviceBackend {
         lane_ns: f64,
         kernel: &KernelFn,
         output: &mut [u8],
-    ) -> Result<TaskTiming, Retryable>;
+    ) -> TaskTiming;
 
     /// An attempt doomed by a timeout or a dead device: charges what it
     /// wasted (the H2D copy went out before anything could fail) and
@@ -342,12 +337,12 @@ impl DeviceCore {
         };
 
         // Attempt loop: each kernel attempt consumes one fault draw.
-        // Transient errors (and allocation failures) retry with backoff up
-        // to the configured bound; timeouts and device death abort the
-        // task; corrupt output completes normally and is caught by the
-        // scatter-time length check; a panicking kernel is contained so
-        // one poison batch cannot take the device thread — and with it
-        // every offloading worker — down.
+        // Transient errors retry with backoff up to the configured bound;
+        // timeouts and device death abort the task; corrupt output
+        // completes normally and is caught by the scatter-time length
+        // check; a panicking kernel is contained so one poison batch
+        // cannot take the device thread — and with it every offloading
+        // worker — down.
         // `Err` carries when the failure becomes visible.
         let fs = Arc::clone(&self.env.fstats);
         let mut corrupted = false;
@@ -367,7 +362,7 @@ impl DeviceCore {
                 other => {
                     let run = || be.attempt(at, &staged, lane_ns, &run_kernel, &mut output);
                     match catch_unwind(AssertUnwindSafe(run)) {
-                        Ok(Ok(t)) => {
+                        Ok(t) => {
                             if other == Some(FaultKind::CorruptOutput) {
                                 FaultStats::add(&fs.injected_corrupt, 1);
                                 corrupted = true;
@@ -376,7 +371,6 @@ impl DeviceCore {
                             }
                             break Ok(t);
                         }
-                        Ok(Err(Retryable)) => {}
                         Err(_) => {
                             FaultStats::add(&fs.panics_contained, 1);
                             break Err(at);
@@ -384,8 +378,8 @@ impl DeviceCore {
                     }
                 }
             }
-            // Falling out of the match means the attempt was retryable:
-            // back off and redraw, or — the retry budget spent — fail.
+            // Falling out of the match means a transient error: back off
+            // and redraw, or — the retry budget spent — fail.
             if retries_left == 0 {
                 break Err(at);
             }

@@ -53,7 +53,7 @@ use crate::introspect::{
 use crate::lb::{BalancerFactory, SharedBalancer};
 use crate::nls::NodeLocalStorage;
 use crate::offload::{CompletedTask, OffloadTask, StagedTask};
-use crate::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv, Retryable};
+use crate::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv};
 use crate::runtime::worker::{
     merge_yields, wire_bits, Drill, Homes, Transport, WorkerCore, WorkerEnv, WorkerYield,
 };
@@ -530,15 +530,15 @@ impl DeviceBackend for WallDevice<'_> {
         _lane_ns: f64,
         kernel: &KernelFn,
         output: &mut [u8],
-    ) -> Result<TaskTiming, Retryable> {
+    ) -> TaskTiming {
         let t0 = Instant::now();
         kernel(&staged.input, output, staged.items);
         let done = at + Time::from_ns(t0.elapsed().as_nanos() as u64);
-        Ok(TaskTiming {
+        TaskTiming {
             h2d_done: at,
             kernel_done: done,
             d2h_done: done,
-        })
+        }
     }
 
     fn abort(&mut self, _at: Time, _h2d_bytes: usize) -> Time {

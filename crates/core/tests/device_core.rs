@@ -13,7 +13,7 @@ use nba_core::graph::NodeId;
 use nba_core::introspect::{FlightConfig, FlightRecorder};
 use nba_core::lb::{self, LoadBalancer, SharedBalancer};
 use nba_core::offload::{CompletedTask, OffloadTask, StagedTask};
-use nba_core::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv, Retryable};
+use nba_core::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv};
 use nba_core::stats::Counters;
 use nba_core::telemetry::{SpanAlloc, TraceEventKind};
 use nba_gpu::{KernelFn, TaskTiming};
@@ -69,14 +69,14 @@ impl DeviceBackend for Recording {
         _lane_ns: f64,
         kernel: &KernelFn,
         output: &mut [u8],
-    ) -> Result<TaskTiming, Retryable> {
+    ) -> TaskTiming {
         self.attempts += 1;
         kernel(&staged.input, output, staged.items);
-        Ok(TaskTiming {
+        TaskTiming {
             h2d_done: at,
             kernel_done: at,
             d2h_done: at,
-        })
+        }
     }
     fn abort(&mut self, at: Time, _h2d_bytes: usize) -> Time {
         self.aborts += 1;

@@ -1,133 +1,86 @@
-//! `loom` model of the offload command-queue handoff (the live runtime's
-//! worker → device-thread → worker round trip, `runtime/live.rs`).
+//! `loom` model of the offload round trip of the live runtime
+//! (`runtime/live.rs`): worker → device thread → worker.
 //!
-//! Build with `RUSTFLAGS="--cfg loom"` to enable. The model re-implements
-//! the handoff protocol over loom-instrumented primitives: N workers push
-//! tagged offload tasks into one shared command queue; the device thread
-//! drains it and routes each completion back to the originating worker's
-//! completion queue. The properties checked under every explored
+//! Build with `RUSTFLAGS="--cfg loom"` to enable. The model runs the
+//! runtime's own pieces: each worker owns one `nba_io::spsc` task ring and
+//! one `crossbeam::channel` completion queue. A worker pushes its tagged
+//! tasks — a task that meets a full ring completes inline, the live CPU
+//! fallback — drops its producer, the device's drain signal, and reaps its
+//! completions. The device thread round-robins over the rings, routes
+//! each task back to the completion queue of the worker that pushed it,
+//! and exits by the live rule: a scan that pulled nothing while every task
+//! ring `is_disconnected`. Dropping the senders on exit disconnects the
+//! completion queues. The properties checked under every explored
 //! interleaving:
 //!
-//! * every submitted task is completed exactly once (none lost, none
-//!   duplicated, none misrouted), and
-//! * both sides terminate — no deadlock or lost wakeup between the
-//!   `Condvar` waits and the disconnect handshake.
+//! * every submitted task is completed exactly once to its own worker
+//!   (none lost, none duplicated, none misrouted), and
+//! * both sides terminate — the device does not exit while a ring still
+//!   holds a task, and no worker waits on a completion that never comes.
 #![cfg(loom)]
 
-use std::collections::VecDeque;
-
-use loom::sync::atomic::{AtomicBool, Ordering};
-use loom::sync::{Arc, Condvar, Mutex};
+use crossbeam::channel;
 use loom::thread;
+use nba_io::spsc;
 
 /// Workers submitting offload tasks (loom models few threads well).
 const WORKERS: usize = 2;
-/// Tasks each worker submits.
-const TASKS: usize = 2;
-
-/// The shared command queue: tasks tagged with their origin worker, plus a
-/// closed flag the producers raise when done (the channel-disconnect
-/// analogue of the runtime's `drop(task_tx)`).
-struct CommandQueue {
-    state: Mutex<(VecDeque<(usize, usize)>, usize)>, // (queue, open producers)
-    ready: Condvar,
-}
-
-impl CommandQueue {
-    fn new(producers: usize) -> CommandQueue {
-        CommandQueue {
-            state: Mutex::new((VecDeque::new(), producers)),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, task: (usize, usize)) {
-        self.state.lock().unwrap().0.push_back(task);
-        self.ready.notify_one();
-    }
-
-    fn close_one(&self) {
-        self.state.lock().unwrap().1 -= 1;
-        self.ready.notify_one();
-    }
-
-    /// Pops the next task; `None` once every producer closed and the queue
-    /// drained (the device thread's exit condition).
-    fn pop(&self) -> Option<(usize, usize)> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(t) = st.0.pop_front() {
-                return Some(t);
-            }
-            if st.1 == 0 {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap();
-        }
-    }
-}
-
-/// One worker's completion queue (device → worker direction).
-struct CompletionQueue {
-    done: Mutex<Vec<usize>>,
-    ready: Condvar,
-    closed: AtomicBool,
-}
-
-impl CompletionQueue {
-    fn new() -> CompletionQueue {
-        CompletionQueue {
-            done: Mutex::new(Vec::new()),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-}
+/// Tasks each worker submits: more than its ring holds, so some
+/// interleavings take the inline fallback.
+const TASKS: usize = 3;
+/// Slots of each task ring.
+const RING: usize = 2;
 
 #[test]
-fn offload_handoff_completes_every_task_exactly_once() {
+fn offload_round_trip_completes_every_task_once_to_its_worker() {
     loom::model(|| {
-        let commands = Arc::new(CommandQueue::new(WORKERS));
-        let completions: Arc<Vec<CompletionQueue>> =
-            Arc::new((0..WORKERS).map(|_| CompletionQueue::new()).collect());
+        let (producers, rings): (Vec<_>, Vec<_>) = (0..WORKERS)
+            .map(|_| spsc::channel::<(usize, usize)>(RING))
+            .unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..WORKERS).map(|_| channel::unbounded::<usize>()).unzip();
 
-        // The device thread: drain, complete, route back by origin tag.
-        let device = {
-            let commands = Arc::clone(&commands);
-            let completions = Arc::clone(&completions);
-            thread::spawn(move || {
-                while let Some((worker, seq)) = commands.pop() {
-                    let cq = &completions[worker];
-                    cq.done.lock().unwrap().push(seq);
-                    cq.ready.notify_one();
+        // The device thread: round-robin over the task rings, complete,
+        // route back by origin tag; exit once a scan finds every ring
+        // drained and closed.
+        let device = thread::spawn(move || loop {
+            let mut pulled = 0;
+            for ring in &rings {
+                while let Some((worker, seq)) = ring.pop() {
+                    pulled += 1;
+                    senders[worker].send(seq).expect("worker reaps");
                 }
-                for cq in completions.iter() {
-                    cq.closed.store(true, Ordering::Release);
-                    cq.ready.notify_one();
+            }
+            if pulled == 0 {
+                if rings.iter().all(spsc::Consumer::is_disconnected) {
+                    break;
                 }
-            })
-        };
+                thread::yield_now();
+            }
+        });
 
-        // Workers: submit, signal done, then reap their own completions.
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                let commands = Arc::clone(&commands);
-                let completions = Arc::clone(&completions);
+        // Workers: submit, drop the producer, then reap their own
+        // completions until they have all of them or the device is gone.
+        let workers: Vec<_> = (producers.into_iter().zip(receivers).enumerate())
+            .map(|(w, (tx, done))| {
                 thread::spawn(move || {
+                    let mut seqs = Vec::new();
                     for seq in 0..TASKS {
-                        commands.push((w, seq));
+                        if tx.push((w, seq)).is_err() {
+                            seqs.push(seq);
+                        }
                     }
-                    commands.close_one();
-                    let cq = &completions[w];
-                    let mut got = cq.done.lock().unwrap();
-                    while got.len() < TASKS && !cq.closed.load(Ordering::Acquire) {
-                        got = cq.ready.wait(got).unwrap();
+                    drop(tx);
+                    while seqs.len() < TASKS {
+                        match done.try_recv() {
+                            Ok(seq) => seqs.push(seq),
+                            Err(channel::TryRecvError::Empty) => thread::yield_now(),
+                            Err(channel::TryRecvError::Disconnected) => break,
+                        }
                     }
-                    let mut seqs = got.clone();
-                    drop(got);
-                    seqs.sort_unstable();
                     // Exactly once, correctly routed: this worker's own
                     // sequence numbers, each present a single time.
+                    seqs.sort_unstable();
                     assert_eq!(seqs, (0..TASKS).collect::<Vec<_>>());
                 })
             })

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the device shim.
+//! Deterministic fault injection for the simulated device.
 //!
 //! A [`FaultPlan`] makes the simulated accelerator fail in *typed*,
 //! *reproducible* ways: per-attempt probabilities for timeouts, transient

@@ -104,11 +104,6 @@ impl Timeline {
         }
     }
 
-    /// Number of streams.
-    pub fn stream_count(&self) -> u32 {
-        self.stream_free_at.len() as u32
-    }
-
     /// The stream that will be free earliest (device threads round-robin
     /// over the pool; picking the earliest-free is equivalent and simpler).
     pub fn best_stream(&self) -> StreamId {
@@ -191,20 +186,6 @@ impl Timeline {
     /// A copy of the utilization counters.
     pub fn stats(&self) -> TimelineStats {
         self.stats
-    }
-
-    /// When the compute engine frees up (a backpressure signal: device
-    /// threads stop aggregating once the GPU falls behind).
-    pub fn kernel_free_at(&self) -> Time {
-        self.kernel_free_at
-    }
-
-    /// When the busiest engine frees up (copy engines included) — the
-    /// device-thread backpressure signal.
-    pub fn free_at(&self) -> Time {
-        self.kernel_free_at
-            .max(self.h2d_free_at)
-            .max(self.d2h_free_at)
     }
 }
 

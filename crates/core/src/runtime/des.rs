@@ -984,12 +984,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panicking_kernel_books_nothing_and_a_good_one_books_once() {
+    /// Runs `f` on a [`SimDevice`] inside one engine step, with a 64-byte
+    /// staged task holding `0..64`, and returns what the device's timeline
+    /// booked.
+    fn on_device(f: impl FnOnce(&mut SimDevice<'_>, &StagedTask) + 'static) -> TimelineStats {
         let cfg = RuntimeConfig::test_default();
         let timeline = Rc::new(RefCell::new(Timeline::new(cfg.cost.gpu.clone(), 1)));
         let tl = timeline.clone();
-        let attempts = move |ctx: &mut Ctx| {
+        let step = move |ctx: &mut Ctx| {
             let mut be = SimDevice {
                 now: Time::ZERO,
                 cycles: 0,
@@ -1001,27 +1003,53 @@ mod tests {
                 ctx,
             };
             let staged = StagedTask {
-                input: vec![7; 64],
+                input: (0..64).collect(),
                 out_len: 64,
                 items: 64,
                 lane_ns: 640.0,
                 in_bytes: 64,
             };
-            let (now, mut output) = (Time::ZERO, vec![0; 64]);
-            let poison = || be.attempt(now, &staged, 640.0, &|_, _, _| panic!(), &mut output);
-            assert!(catch_unwind(AssertUnwindSafe(poison)).is_err());
-            assert_eq!(tl.borrow().stats().tasks, 0, "a panicking kernel submitted");
-
-            let copy = |i: &[u8], o: &mut [u8], _| o.copy_from_slice(i);
-            let t = be.attempt(now, &staged, 640.0, &copy, &mut output);
-            assert_eq!(output, staged.input);
-            assert!(t.d2h_done > t.kernel_done && t.kernel_done > t.h2d_done);
+            f(&mut be, &staged);
         };
         let mut engine = Engine::new();
-        engine.add(Box::new(Once(Some(attempts))), Time::ZERO);
+        engine.add(Box::new(Once(Some(step))), Time::ZERO);
         engine.run_until(Time::from_ms(1));
         let stats = timeline.borrow().stats();
+        stats
+    }
+
+    #[test]
+    fn a_panicking_kernel_books_nothing_and_a_good_one_books_once() {
+        let stats = on_device(|be, staged| {
+            let mut output = vec![0; staged.out_len];
+            let poison = || be.attempt(Time::ZERO, staged, 640.0, &|_, _, _| panic!(), &mut output);
+            assert!(catch_unwind(AssertUnwindSafe(poison)).is_err());
+            assert_eq!(
+                be.timeline.borrow().stats().tasks,
+                0,
+                "a panicking kernel submitted"
+            );
+
+            let copy = |i: &[u8], o: &mut [u8], _| o.copy_from_slice(i);
+            be.attempt(Time::ZERO, staged, 640.0, &copy, &mut output);
+        });
         assert_eq!((stats.tasks, stats.h2d_bytes, stats.d2h_bytes), (1, 64, 64));
+    }
+
+    #[test]
+    fn a_kernel_writes_the_output_block_and_stages_complete_in_order() {
+        let stats = on_device(|be, staged| {
+            let mut output = vec![0; staged.out_len];
+            let bump = |i: &[u8], o: &mut [u8], n: usize| {
+                for k in 0..n {
+                    o[k] = i[k].wrapping_add(1);
+                }
+            };
+            let t = be.attempt(Time::ZERO, staged, 640.0, &bump, &mut output);
+            assert!(output.iter().enumerate().all(|(k, &v)| v == k as u8 + 1));
+            assert!(t.d2h_done > t.kernel_done && t.kernel_done > t.h2d_done);
+        });
+        assert_eq!(stats.tasks, 1);
     }
 
     #[test]

@@ -616,36 +616,13 @@ pub fn pipeline_from_config(src: &str, app: &AppConfig) -> PipelineBuilder {
     })
 }
 
-/// The canonical IPv4 router configuration (matches [`ipv4_router`]).
-pub const IPV4_CONFIG: &str = r#"
-    src :: FromInput();
-    chk :: CheckIPHeader();
-    lb  :: LoadBalance();
-    rt  :: IPLookup();
-    ttl :: DecIPTTL();
-    out :: ToOutput();
+/// The canonical IPv4 router configuration, the shipped
+/// `examples/click/ipv4.click` (matches [`ipv4_router`]).
+pub const IPV4_CONFIG: &str = include_str!("../../../examples/click/ipv4.click");
 
-    src -> chk;
-    chk [0] -> lb -> rt -> ttl -> out;
-    chk [1] -> Discard;
-"#;
-
-/// The canonical IPsec gateway configuration (matches [`ipsec_gateway`]).
-pub const IPSEC_CONFIG: &str = r#"
-    src   :: FromInput();
-    chk   :: CheckIPHeader();
-    rt    :: IPLookup();
-    ttl   :: DecIPTTL();
-    encap :: IPsecESPEncap();
-    lb    :: LoadBalance();
-    aes   :: IPsecAES();
-    auth  :: IPsecAuthHMAC();
-    out   :: ToOutput();
-
-    src -> chk;
-    chk [0] -> rt -> ttl -> encap -> lb -> aes -> auth -> out;
-    chk [1] -> Discard;
-"#;
+/// The canonical IPsec gateway configuration, the shipped
+/// `examples/click/ipsec.click` (matches [`ipsec_gateway`]).
+pub const IPSEC_CONFIG: &str = include_str!("../../../examples/click/ipsec.click");
 
 /// A config-language error example used in docs/tests.
 pub fn build_from_config_str(

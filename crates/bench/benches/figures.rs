@@ -1,67 +1,15 @@
-//! Regenerates every paper figure/table (run by `cargo bench`).
-//!
-//! Honors `NBA_QUICK=1` for reduced sweeps.
+//! Regenerates every paper figure/table (`cargo bench --bench figures`),
+//! or the ones named (`cargo bench --bench figures -- fig12`), through the
+//! dispatch `nba-bench repro` uses. Honors `NBA_QUICK=1` for reduced
+//! sweeps; an unknown name exits 2.
 
-use nba_bench::experiments::{self, ExpOpts};
+use std::process::ExitCode;
 
-fn main() {
-    // `cargo bench` passes --bench; a filter argument selects one figure.
-    let args: Vec<String> = std::env::args()
+fn main() -> ExitCode {
+    // `cargo bench` passes --bench; the other arguments name experiments.
+    let names: Vec<String> = std::env::args()
         .skip(1)
         .filter(|a| !a.starts_with('-'))
         .collect();
-    let opts = ExpOpts::from_env();
-    if args.is_empty() {
-        experiments::all(opts);
-        return;
-    }
-    for a in &args {
-        run_one(a, opts);
-    }
-}
-
-fn run_one(name: &str, opts: ExpOpts) {
-    match name {
-        "table3" => experiments::table3(),
-        "fig1" => {
-            experiments::fig1(opts);
-        }
-        "fig2" => {
-            experiments::fig2(opts);
-        }
-        "fig9" => {
-            experiments::fig9(opts);
-        }
-        "fig10" => {
-            experiments::fig10(opts);
-        }
-        "fig11" => {
-            experiments::fig11(opts);
-        }
-        "fig12" => {
-            experiments::fig12(opts);
-        }
-        "fig13" => {
-            experiments::fig13(opts);
-        }
-        "fig14" => {
-            experiments::fig14(opts);
-        }
-        "composition" => {
-            experiments::composition(opts);
-        }
-        "aggregation" => {
-            experiments::ablation_aggregation(opts);
-        }
-        "datablock" => {
-            experiments::ablation_datablock(opts);
-        }
-        "bounded" => {
-            experiments::bounded_latency(opts);
-        }
-        other => eprintln!(
-            "unknown experiment {other:?}; known: table3 fig1 fig2 fig9 fig10 fig11 fig12 \
-             fig13 fig14 composition aggregation datablock bounded"
-        ),
-    }
+    ExitCode::from(nba_bench::experiments::repro(&names))
 }

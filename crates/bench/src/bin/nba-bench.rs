@@ -1,5 +1,6 @@
-//! Continuous-benchmarking CLI: canonical `BENCH_*.json` artifacts and the
-//! regression gate.
+//! The bench harness's one command line: canonical `BENCH_*.json`
+//! artifacts, the regression gate, static analysis and the paper's
+//! figures.
 //!
 //! Usage:
 //!
@@ -29,10 +30,24 @@
 //!   Renders a balancer decision log (written by `run --audit N
 //!   --audit-out PATH`) as a human-readable timeline, after verifying the
 //!   log replays bit-exactly through a fresh balancer.
+//! * `nba-bench lint [--json] [--deny-warnings] [--timing]
+//!   [--max-overhead=PCT] <config.click>...`
+//!   Builds each pipeline configuration and runs the analysis a runtime
+//!   preflight runs, without starting a run (see `nba_bench::lint`).
+//! * `nba-bench repro [experiment...]`
+//!   Regenerates the named paper figures/tables, every one when none is
+//!   named (`table3`, `fig1` ... `fig14`, `composition`, `aggregation`,
+//!   `datablock`, `bounded`); `NBA_QUICK=1` shrinks the sweeps.
 //!
 //! Observability flags on `run`: `--trace N` sizes the batch-lifecycle
 //! trace rings (0 = off, the default — tracing-off runs are bit-identical
-//! to a build without telemetry), `--stats-addr HOST:PORT` serves the
+//! to a build without telemetry); `--export KIND=PATH[,KIND=PATH..]`
+//! writes renderings of the DES run, `-` meaning stdout after the summary
+//! lines: `elements` (per-element profile table), `series` (time series as
+//! JSONL, `w` against time), `trace` (batch-lifecycle trace as JSONL),
+//! `chrome` (the trace in Chrome Trace Event Format for Perfetto) and
+//! `prom` (the run in Prometheus text format) — `trace` and `chrome` need
+//! `--trace N`; `--stats-addr HOST:PORT` serves the
 //! live stats endpoint during live runs, `--flight-dir DIR` writes
 //! flight-recorder post-mortem dumps there. `--audit N` turns the
 //! decision-audit plane fully on (decision log of N records, per-stage
@@ -47,44 +62,24 @@
 //! config produce identical reports — baselines under `bench/baselines/`
 //! are machine-independent.
 
-use nba_apps::stateful::NatConfig;
-use nba_apps::{pipelines, AppConfig};
+use nba_bench::cli::{self, opt, parsed, positionals, Mode};
+use nba_bench::experiments::{self, ExpOpts};
+use nba_bench::lint;
 use nba_bench::report::{compare, BenchReport, ScalePoint, Tolerances};
-use nba_core::lb::{self, AlbConfig, BalancerFactory, LoadBalancer, SharedBalancer};
 use nba_core::runtime::live::{self, LiveConfig};
-use nba_core::runtime::{des, traffic_per_port, PipelineBuilder, RuntimeConfig};
+use nba_core::runtime::{des, traffic_per_port, PipelineBuilder, RunReport, RuntimeConfig};
+use nba_core::telemetry::{
+    profile_table, report_to_prometheus, samples_to_jsonl, trace_to_chrome, trace_to_jsonl,
+};
 use nba_io::{IpVersion, L4Proto, SizeDist, TrafficConfig};
 use nba_sim::topology::{GpuSpec, PortSpec, SocketSpec};
 use nba_sim::{Time, Topology};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  nba-bench run <ipv4|ipv6|ipsec|ids|nat> [--out PATH] [--mode alb|cpu|gpu|<w>] [--faults SPEC] [--workers N,M,..] [--runtime des|live] [--trace N] [--stats-addr HOST:PORT] [--flight-dir DIR] [--audit N] [--audit-out PATH] [--slo SPEC] [--shed SPEC]\n  nba-bench compare <baseline.json> <current.json> [--tol-throughput R] [--tol-latency R] [--tol-w A]\n  nba-bench top <addr> [--interval MS] [--count N]\n  nba-bench explain <decisions.jsonl>"
+        "usage:\n  nba-bench run <ipv4|ipv6|ipsec|ids|nat> [--out PATH] [--mode alb|cpu|gpu|<w>] [--faults SPEC] [--workers N,M,..] [--runtime des|live] [--trace N] [--export KIND=PATH,..] [--stats-addr HOST:PORT] [--flight-dir DIR] [--audit N] [--audit-out PATH] [--slo SPEC] [--shed SPEC]\n  nba-bench compare <baseline.json> <current.json> [--tol-throughput R] [--tol-latency R] [--tol-w A]\n  nba-bench top <addr> [--interval MS] [--count N]\n  nba-bench explain <decisions.jsonl>\n  nba-bench lint [--json] [--deny-warnings] [--timing] [--max-overhead=PCT] <config.click>...\n  nba-bench repro [experiment...]"
     );
     std::process::exit(2);
-}
-
-/// Positional arguments: everything that is neither a `--flag` nor the
-/// value of the space-separated `--flag value` form (every flag here
-/// takes a value, so the token after a `--flag` belongs to it).
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-        } else if let Some(flag) = a.strip_prefix("--") {
-            skip = !flag.contains('=');
-        } else {
-            out.push(a.as_str());
-        }
-    }
-    out
-}
-
-/// True when `NBA_QUICK` asks for shortened smoke windows.
-fn quick() -> bool {
-    std::env::var("NBA_QUICK").is_ok_and(|v| v != "0")
 }
 
 /// The canonical benchmark configuration. Quick mode shrinks the windows
@@ -103,61 +98,45 @@ fn bench_cfg(q: bool) -> RuntimeConfig {
     }
 }
 
-/// Resolves an app name to its pipeline builder and IP version.
-fn pipeline_for(app: &str, a: &AppConfig) -> Option<(PipelineBuilder, bool)> {
-    Some(match app {
-        "ipv4" | "v4" => (pipelines::ipv4_router(a), false),
-        "ipv6" | "v6" => (pipelines::ipv6_router(a), true),
-        "ipsec" => (pipelines::ipsec_gateway(a), false),
-        "ids" => (pipelines::ids(a).0, false),
-        // The stateful NAT44 app: per-worker flow shards behind the
-        // default table geometry. Its artifact carries the schema-v5
-        // `flows` section (live occupancy, evictions, hygiene drops).
-        "nat" => (pipelines::nat44(&NatConfig::default()), false),
-        _ => return None,
-    })
+/// What `run --export` can write from the DES run, by name.
+const EXPORTS: [&str; 5] = ["elements", "series", "trace", "chrome", "prom"];
+
+/// Parses `--export KIND=PATH[,KIND=PATH..]` (`-` is stdout).
+fn parse_exports(spec: &str) -> Result<Vec<(&str, &str)>, String> {
+    spec.split(',')
+        .map(|kv| match kv.split_once('=') {
+            Some((kind, path)) if EXPORTS.contains(&kind) && !path.is_empty() => Ok((kind, path)),
+            _ => Err(format!(
+                "--export: expected {}=PATH, got '{kv}'",
+                EXPORTS.join("|")
+            )),
+        })
+        .collect()
 }
 
-/// A fresh balancer for `--mode`: `alb` is the scaled adaptive balancer
-/// used for benchmark artifacts — same algorithm as the paper's, time
-/// constants shrunk to converge within the simulated horizon (see
-/// EXPERIMENTS.md); a number is a fixed offload fraction in `[0, 1]`.
-/// `None` for anything else.
-fn new_balancer(mode: &str) -> Option<Box<dyn LoadBalancer>> {
-    Some(match mode {
-        "alb" => Box::new(lb::Adaptive::new(AlbConfig {
-            delta: 0.08,
-            update_interval: Time::from_ms(4),
-            avg_window: 2,
-            min_wait: 0,
-            max_wait: 2,
-            initial_w: 0.5,
-        })),
-        "cpu" => Box::new(lb::CpuOnly),
-        "gpu" => Box::new(lb::GpuOnly),
-        w => {
-            let w: f64 = w.parse().ok()?;
-            if !(0.0..=1.0).contains(&w) {
-                return None;
-            }
-            Box::new(lb::FixedFraction::new(w))
-        }
-    })
+/// Renders one export of the DES run.
+fn render_export(kind: &str, r: &RunReport) -> String {
+    match kind {
+        "elements" => profile_table(&r.elements),
+        "series" => samples_to_jsonl(&r.samples),
+        "trace" => trace_to_jsonl(&r.trace),
+        "chrome" => trace_to_chrome(&r.trace, &r.elements),
+        _ => report_to_prometheus(r),
+    }
 }
 
-/// One balancer shared by every worker (the DES runs one global `w`).
-fn balancer_for(mode: &str) -> Option<SharedBalancer> {
-    new_balancer(mode).map(lb::shared)
-}
-
-/// One fresh balancer instance per worker — the per-worker form of
-/// [`balancer_for`], used by the sharded live runtime (`w` per worker).
-fn balancer_factory_for(mode: &str) -> Option<BalancerFactory> {
-    new_balancer(mode)?;
-    let mode = mode.to_owned();
-    Some(lb::replicated(move || {
-        new_balancer(&mode).expect("mode validated above")
-    }))
+/// Parses `--workers N,M,..`: worker counts in `1..=64`.
+fn parse_counts(list: &str) -> Result<Vec<usize>, String> {
+    match list
+        .split(',')
+        .map(|s| s.trim().parse::<usize>())
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(c) if !c.is_empty() && c.iter().all(|&n| (1..=64).contains(&n)) => Ok(c),
+        _ => Err(format!(
+            "--workers: expected a comma-separated list of counts in 1..=64, got '{list}'"
+        )),
+    }
 }
 
 /// The DES sweep machine: one socket with exactly `workers` worker cores
@@ -187,7 +166,7 @@ fn des_sweep(
     counts: &[usize],
     cfg: &RuntimeConfig,
     pipeline: &PipelineBuilder,
-    mode: &str,
+    mode: Mode,
     traffic: &TrafficConfig,
 ) -> Vec<ScalePoint> {
     counts
@@ -198,7 +177,7 @@ fn des_sweep(
                 workers_per_socket: n as u32,
                 ..cfg.clone()
             };
-            let balancer = balancer_for(mode).expect("mode validated earlier");
+            let balancer = mode.shared();
             let traffic = traffic_per_port(&cfg.topology, traffic);
             let r = des::run(&cfg, pipeline, &balancer, &traffic);
             println!(
@@ -237,7 +216,7 @@ fn live_sweep(
     counts: &[usize],
     q: bool,
     pipeline: &PipelineBuilder,
-    mode: &str,
+    mode: Mode,
     traffic: &TrafficConfig,
     fault: &nba_core::FaultConfig,
     obs: &ObsOpts,
@@ -263,7 +242,7 @@ fn live_sweep(
                 shed: obs.shed,
                 ..LiveConfig::default()
             };
-            let factory = balancer_factory_for(mode).expect("mode validated earlier");
+            let factory = mode.replicated();
             let r = live::run_sharded(&cfg, pipeline, &factory);
             println!(
                 "  live workers={n}: measured {:.2} Gbps ({:.2} Mpps)",
@@ -322,159 +301,118 @@ fn check_live_speedup(series: &[ScalePoint]) -> bool {
     true
 }
 
+/// Prints `e` and returns exit status 2, the status of every usage, parse
+/// or I/O error.
+fn fail(e: impl std::fmt::Display) -> i32 {
+    eprintln!("{e}");
+    2
+}
+
 fn cmd_run(args: &[String]) -> i32 {
-    let Some(&app) = positionals(args).first() else {
+    let Some(&name) = positionals(args).first() else {
         usage();
     };
-    let opt = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-            })
-    };
-    let mode = opt("--mode").unwrap_or_else(|| "alb".to_string());
-    // Canonical app name so ipv4 and v4 produce the same artifact.
-    let app = match app {
-        "v4" => "ipv4",
-        "v6" => "ipv6",
-        other => other,
-    };
-    let out_path = opt("--out").unwrap_or_else(|| format!("BENCH_{app}.json"));
-
-    let q = quick();
+    let q = ExpOpts::from_env().quick;
     let mut cfg = bench_cfg(q);
+    // Canonical app name so ipv4 and v4 produce the same artifact.
+    let (app, pipeline, v6) = match cli::app(name, &experiments::base_app(&cfg)) {
+        Ok(a) => a,
+        Err(e) => return fail(e),
+    };
+    let mode_name = opt(args, "--mode").unwrap_or("alb");
+    let mode: Mode = match mode_name.parse() {
+        Ok(m) => m,
+        Err(e) => return fail(e),
+    };
+    let out_path = opt(args, "--out").map_or_else(|| format!("BENCH_{app}.json"), str::to_owned);
     let mut obs = ObsOpts {
-        stats_addr: opt("--stats-addr"),
-        flight_dir: opt("--flight-dir").map(std::path::PathBuf::from),
+        stats_addr: opt(args, "--stats-addr").map(str::to_owned),
+        flight_dir: opt(args, "--flight-dir").map(std::path::PathBuf::from),
         ..ObsOpts::default()
     };
-    if let Some(n) = opt("--trace") {
-        match n.parse::<usize>() {
-            Ok(cap) => obs.trace = cap,
-            Err(_) => {
-                eprintln!("--trace: expected a ring capacity, got '{n}'");
-                return 2;
-            }
-        }
+    match parsed(args, "--trace") {
+        Ok(cap) => obs.trace = cap.unwrap_or(0),
+        Err(e) => return fail(e),
     }
     // Tracing rides the same knob in both runtimes; the config digest
     // excludes telemetry, so traced and untraced artifacts stay diffable.
     cfg.telemetry.trace_capacity = obs.trace;
-    if let Some(spec) = opt("--faults") {
+    let exports = match opt(args, "--export").map(parse_exports).transpose() {
+        Ok(e) => e.unwrap_or_default(),
+        Err(e) => return fail(e),
+    };
+    if obs.trace == 0 && exports.iter().any(|&(k, _)| k == "trace" || k == "chrome") {
+        return fail("--export trace/chrome needs --trace N (the trace rings are off)");
+    }
+    if let Some(spec) = opt(args, "--faults") {
         // The spanned parser points at the exact offending byte range.
-        match nba_core::parse_faults_flag(&spec) {
+        match nba_core::parse_faults_flag(spec) {
             Ok(plan) => cfg.fault.plan = plan,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
+            Err(e) => return fail(e),
         }
     }
-    if let Some(spec) = opt("--shed") {
-        match nba_core::ShedConfig::parse(&spec) {
+    if let Some(spec) = opt(args, "--shed") {
+        match nba_core::ShedConfig::parse(spec) {
             Ok(shed) => obs.shed = shed,
-            Err(e) => {
-                eprintln!("--shed: {e}");
-                return 2;
-            }
+            Err(e) => return fail(format!("--shed: {e}")),
         }
     }
-    if let Some(n) = opt("--audit") {
-        match n.parse::<usize>() {
-            Ok(cap) if cap > 0 => cfg.audit = nba_core::audit::AuditConfig::full(cap),
-            _ => {
-                eprintln!("--audit: expected a decision-log capacity > 0, got '{n}'");
-                return 2;
-            }
-        }
+    match parsed::<usize>(args, "--audit") {
+        Ok(None) => {}
+        Ok(Some(cap)) if cap > 0 => cfg.audit = nba_core::audit::AuditConfig::full(cap),
+        _ => return fail("--audit: expected a decision-log capacity > 0"),
     }
-    let audit_out = opt("--audit-out");
+    let audit_out = opt(args, "--audit-out");
     if audit_out.is_some() && !cfg.audit.enabled() {
-        eprintln!("--audit-out needs --audit N to record decisions");
-        return 2;
+        return fail("--audit-out needs --audit N to record decisions");
     }
-    if let Some(spec) = opt("--slo") {
-        match nba_core::audit::SloConfig::parse(&spec) {
+    if let Some(spec) = opt(args, "--slo") {
+        match nba_core::audit::SloConfig::parse(spec) {
             Ok(slo) => {
                 cfg.slo = Some(slo.clone());
                 obs.slo = Some(slo);
             }
-            Err(e) => {
-                eprintln!("--slo: {e}");
-                return 2;
-            }
+            Err(e) => return fail(format!("--slo: {e}")),
         }
     }
-    let appcfg = AppConfig {
-        ports: cfg.topology.ports.len() as u16,
-        ..AppConfig::default()
+    // The optional throughput-vs-workers sweep, validated before any run.
+    let sweep = match opt(args, "--workers").map(parse_counts).transpose() {
+        Ok(counts) => counts,
+        Err(e) => return fail(e),
     };
-    let Some((pipeline, v6)) = pipeline_for(app, &appcfg) else {
-        eprintln!("unknown app '{app}' (expected ipv4|ipv6|ipsec|ids|nat)");
-        return 2;
-    };
-    let Some(balancer) = balancer_for(&mode) else {
-        eprintln!("unknown mode '{mode}' (expected alb|cpu|gpu|<fraction in [0, 1]>)");
-        return 2;
-    };
-    let traffic = traffic_per_port(
-        &cfg.topology,
-        &TrafficConfig {
-            offered_gbps: 10.0,
-            size: SizeDist::Fixed(64),
-            ip_version: if v6 { IpVersion::V6 } else { IpVersion::V4 },
-            // The stateful app needs real connections: TCP so the
-            // generator emits SYNs and the tables see handshakes, not an
-            // undifferentiated packet stream.
-            l4: if app == "nat" {
-                L4Proto::Tcp
-            } else {
-                TrafficConfig::default().l4
-            },
-            ..TrafficConfig::default()
+    let runtime = opt(args, "--runtime").unwrap_or("des");
+    if !["des", "live"].contains(&runtime) {
+        return fail(format!("unknown runtime '{runtime}' (expected des|live)"));
+    }
+    let per_port = TrafficConfig {
+        offered_gbps: 10.0,
+        size: SizeDist::Fixed(64),
+        ip_version: if v6 { IpVersion::V6 } else { IpVersion::V4 },
+        // The stateful app needs real connections: TCP so the generator
+        // emits SYNs and the tables see handshakes, not an undifferentiated
+        // packet stream.
+        l4: if app == "nat" {
+            L4Proto::Tcp
+        } else {
+            TrafficConfig::default().l4
         },
-    );
-    let r = des::run(&cfg, &pipeline, &balancer, &traffic);
+        ..TrafficConfig::default()
+    };
+    let traffic = traffic_per_port(&cfg.topology, &per_port);
+    let r = des::run(&cfg, &pipeline, &mode.shared(), &traffic);
     let mut report = BenchReport::from_run(app, &cfg, &r, q);
 
     // Optional throughput-vs-workers sweep (the paper's per-core scaling
     // axis), appended to the artifact as the schema-v3 `scaling` section.
-    if let Some(list) = opt("--workers") {
-        let counts: Vec<usize> = match list
-            .split(',')
-            .map(|s| s.trim().parse::<usize>())
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(c) if !c.is_empty() && c.iter().all(|&n| (1..=64).contains(&n)) => c,
-            _ => {
-                eprintln!(
-                    "--workers: expected a comma-separated list of counts in 1..=64, got '{list}'"
-                );
-                return 2;
-            }
-        };
-        let runtime = opt("--runtime").unwrap_or_else(|| "des".to_string());
-        let per_port = TrafficConfig {
-            offered_gbps: 10.0,
-            size: SizeDist::Fixed(64),
-            ip_version: if v6 { IpVersion::V6 } else { IpVersion::V4 },
-            ..TrafficConfig::default()
-        };
+    if let Some(counts) = sweep {
         println!("{app}: scaling sweep ({runtime}), workers {counts:?}");
-        let series = match runtime.as_str() {
-            "des" => des_sweep(&counts, &cfg, &pipeline, &mode, &per_port),
-            "live" => live_sweep(&counts, q, &pipeline, &mode, &per_port, &cfg.fault, &obs),
-            other => {
-                eprintln!("unknown runtime '{other}' (expected des|live)");
-                return 2;
-            }
+        let series = if runtime == "live" {
+            live_sweep(&counts, q, &pipeline, mode, &per_port, &cfg.fault, &obs)
+        } else {
+            des_sweep(&counts, &cfg, &pipeline, mode, &per_port)
         };
         let live_ok = runtime != "live" || check_live_speedup(&series);
-        report = report.with_scaling(&runtime, series);
+        report = report.with_scaling(runtime, series);
         if !live_ok {
             // Still write the artifact so the failure is inspectable.
             let _ = std::fs::write(&out_path, report.to_json());
@@ -483,8 +421,7 @@ fn cmd_run(args: &[String]) -> i32 {
     }
 
     if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return 2;
+        return fail(format!("cannot write {out_path}: {e}"));
     }
     println!(
         "{app}: DES-modelled {:.2} Gbps ({:.2} Mpps), p50 {}ns p99 {}ns, w {:.3} -> {out_path}",
@@ -541,19 +478,25 @@ fn cmd_run(args: &[String]) -> i32 {
     }
     if let Some(path) = audit_out {
         let Some(log) = &r.decisions else {
-            eprintln!(
-                "--audit-out: the run produced no decision log (mode '{mode}' never updates w?)"
-            );
-            return 2;
+            return fail(format!(
+                "--audit-out: the run produced no decision log (mode '{mode_name}' never updates w?)"
+            ));
         };
-        if let Err(e) = std::fs::write(&path, log.to_jsonl()) {
-            eprintln!("cannot write {path}: {e}");
-            return 2;
+        if let Err(e) = std::fs::write(path, log.to_jsonl()) {
+            return fail(format!("cannot write {path}: {e}"));
         }
         println!(
             "{app}: {} balancer decisions -> {path} (render with `nba-bench explain {path}`)",
             log.records.len()
         );
+    }
+    for (kind, path) in exports {
+        let text = render_export(kind, &r);
+        if path == "-" {
+            print!("{text}");
+        } else if let Err(e) = std::fs::write(path, text) {
+            return fail(format!("cannot write {path}: {e}"));
+        }
     }
     0
 }
@@ -566,17 +509,11 @@ fn cmd_explain(args: &[String]) -> i32 {
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return 2;
-        }
+        Err(e) => return fail(format!("cannot read {path}: {e}")),
     };
     let log = match nba_core::audit::DecisionLog::from_jsonl(&text) {
         Ok(l) => l,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return 2;
-        }
+        Err(e) => return fail(format!("{path}: {e}")),
     };
     // Replay the recorded inputs through a fresh balancer: the log is
     // trustworthy only if it reproduces itself bit for bit.
@@ -604,49 +541,25 @@ fn cmd_compare(args: &[String]) -> i32 {
     let [base_path, cur_path] = positionals(args)[..] else {
         usage();
     };
-    let tol_of = |name: &str, default: f64| -> f64 {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-            })
-            .map(|v| match v.parse() {
-                Ok(f) => f,
-                Err(_) => {
-                    eprintln!("{name}: not a number: {v}");
-                    std::process::exit(2);
-                }
-            })
-            .unwrap_or(default)
-    };
-    let defaults = Tolerances::default();
-    let tol = Tolerances {
-        throughput_rel: tol_of("--tol-throughput", defaults.throughput_rel),
-        latency_rel: tol_of("--tol-latency", defaults.latency_rel),
-        w_abs: tol_of("--tol-w", defaults.w_abs),
-        ..defaults
-    };
-    let load = |path: &str| -> BenchReport {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match BenchReport::parse(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
+    let mut tol = Tolerances::default();
+    for (name, value) in [
+        ("--tol-throughput", &mut tol.throughput_rel),
+        ("--tol-latency", &mut tol.latency_rel),
+        ("--tol-w", &mut tol.w_abs),
+    ] {
+        match parsed(args, name) {
+            Ok(v) => *value = v.unwrap_or(*value),
+            Err(e) => return fail(e),
         }
+    }
+    let load = |path: &str| -> Result<BenchReport, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        BenchReport::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let base = load(base_path);
-    let cur = load(cur_path);
+    let (base, cur) = match (load(base_path), load(cur_path)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => return fail(e),
+    };
     let c = compare(&base, &cur, &tol);
     print!("{}", c.render());
     i32::from(c.regressed())
@@ -753,41 +666,34 @@ fn render_top(doc: &nba_core::json::Value) -> String {
     out
 }
 
+/// `top`'s polling interval in milliseconds and its snapshot count.
+fn top_opts(args: &[String]) -> Result<(u64, u64), String> {
+    // `--interval-ms` is the older spelling of `--interval`.
+    let interval_flag = if opt(args, "--interval").is_some() {
+        "--interval"
+    } else {
+        "--interval-ms"
+    };
+    let interval = parsed(args, interval_flag)?.unwrap_or(1000);
+    Ok((interval, parsed(args, "--count")?.unwrap_or(1)))
+}
+
 fn cmd_top(args: &[String]) -> i32 {
     let [addr] = positionals(args)[..] else {
         usage();
     };
-    let opt = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-            })
+    let (interval, count) = match top_opts(args) {
+        Ok(o) => o,
+        Err(e) => return fail(e),
     };
-    let interval = opt("--interval")
-        .or_else(|| opt("--interval-ms"))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1000);
-    let count = opt("--count")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1);
     for i in 0..count.max(1) {
         let body = match fetch(addr, "/status") {
             Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
+            Err(e) => return fail(e),
         };
         let doc = match nba_core::json::parse(&body) {
             Ok(d) => d,
-            Err(e) => {
-                eprintln!("{addr}: bad /status JSON: {e:?}");
-                return 2;
-            }
+            Err(e) => return fail(format!("{addr}: bad /status JSON: {e:?}")),
         };
         print!("{}", render_top(&doc));
         if i + 1 < count {
@@ -805,6 +711,11 @@ fn main() {
         Some("compare") => cmd_compare(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
+        Some("lint") => match lint::run(&args[1..], &mut std::io::stdout()) {
+            Ok(status) => status.into(),
+            Err(e) => fail(format!("stdout: {e}")),
+        },
+        Some("repro") => experiments::repro(&args[1..]).into(),
         _ => usage(),
     };
     std::process::exit(code);
@@ -814,18 +725,67 @@ fn main() {
 mod tests {
     use super::*;
 
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_owned).collect()
+    }
+
     #[test]
     fn modes_parse_once_for_both_balancer_forms() {
         for ok in ["alb", "cpu", "gpu", "0", "0.5", "1"] {
-            assert!(balancer_for(ok).is_some(), "{ok}");
-            assert!(balancer_factory_for(ok).is_some(), "{ok}");
+            let mode: Mode = ok.parse().unwrap();
+            mode.shared();
+            mode.replicated()(0);
         }
-        let w = balancer_for("0.25").unwrap().lock().offload_fraction();
+        let w = "0.25"
+            .parse::<Mode>()
+            .unwrap()
+            .shared()
+            .lock()
+            .offload_fraction();
         assert_eq!(w, 0.25);
         // Out of range or not a number: a usage error, never a panic.
-        for bad in ["1.5", "-0.1", "nan", "inf", "fast", ""] {
-            assert!(balancer_for(bad).is_none(), "{bad}");
-            assert!(balancer_factory_for(bad).is_none(), "{bad}");
+        for bad in ["1.5", "-0.1", "nan", "inf", "fast", "foo", ""] {
+            let e = bad.parse::<Mode>().unwrap_err();
+            assert!(e.starts_with(&format!("unknown mode '{bad}'")), "{e}");
+            assert_eq!(cmd_run(&args(&format!("ipv4 --mode {bad}x"))), 2);
         }
+    }
+
+    #[test]
+    fn malformed_run_arguments_exit_2_before_running() {
+        for bad in [
+            "ipv5",
+            "v4 --mode 1.5",
+            "ipv4 --trace many",
+            "ipv4 --export svg=x",
+            "ipv4 --export chrome=t.json",
+            "ipv4 --workers 0,2",
+            "ipv4 --runtime gpu",
+            "ipv4 --audit 0",
+            "ipv4 --audit-out d.jsonl",
+        ] {
+            assert_eq!(cmd_run(&args(bad)), 2, "{bad}");
+        }
+        assert_eq!(
+            parse_exports("chrome=t.json,prom=-").unwrap(),
+            [("chrome", "t.json"), ("prom", "-")]
+        );
+        assert!(parse_exports("prom=").is_err());
+    }
+
+    #[test]
+    fn top_values_that_do_not_parse_are_usage_errors() {
+        assert_eq!(top_opts(&args("a:1")), Ok((1000, 1)));
+        assert_eq!(top_opts(&args("a:1 --interval-ms 5 --count=3")), Ok((5, 3)));
+        for bad in [
+            "a:1 --count x",
+            "a:1 --count -1",
+            "a:1 --interval 1s",
+            "a:1 --interval-ms=fast",
+        ] {
+            let e = top_opts(&args(bad)).unwrap_err();
+            assert!(e.contains("cannot parse"), "{bad}: {e}");
+        }
+        assert_eq!(cmd_compare(&args("a.json b.json --tol-w wide")), 2);
     }
 }

@@ -13,6 +13,7 @@ use nba_core::runtime::{des, traffic_per_port, RuntimeConfig};
 use nba_io::{IpVersion, SizeDist, TrafficConfig};
 use nba_sim::Time;
 
+use crate::cli::{self, Mode};
 use crate::table::Table;
 
 /// Global experiment options.
@@ -80,33 +81,22 @@ fn caida(cfg: &RuntimeConfig) -> Vec<TrafficConfig> {
     )
 }
 
-fn cpu_only() -> SharedBalancer {
-    lb::shared(Box::new(lb::CpuOnly))
-}
-
-fn gpu_only() -> SharedBalancer {
-    lb::shared(Box::new(lb::GpuOnly))
-}
-
-fn fixed_w(w: f64) -> SharedBalancer {
-    lb::shared(Box::new(lb::FixedFraction::new(w)))
-}
-
-/// The scaled ALB configuration used in simulation (same algorithm as the
-/// paper's 0.2 s / δ=4 % defaults, time constants shrunk to fit the
-/// simulated horizon; documented in EXPERIMENTS.md).
-fn sim_alb(initial_w: f64) -> SharedBalancer {
+/// The scaled ALB configuration used in simulation, `nba-bench --mode alb`
+/// included (same algorithm as the paper's 0.2 s / δ=4 % defaults, time
+/// constants shrunk to fit the simulated horizon; documented in
+/// EXPERIMENTS.md).
+pub fn sim_alb() -> AlbConfig {
     // The observation cadence must exceed the offload pipeline's response
     // time (several ms at large frames), exactly why the paper grows its
     // waiting interval with w.
-    lb::shared(Box::new(lb::Adaptive::new(AlbConfig {
+    AlbConfig {
         delta: 0.08,
         update_interval: Time::from_ms(4),
         avg_window: 2,
         min_wait: 0,
         max_wait: 2,
-        initial_w,
-    })))
+        initial_w: 0.5,
+    }
 }
 
 // --- Figure 1 / Figure 10: the batch-split problem and branch prediction ---
@@ -141,7 +131,7 @@ pub fn split_experiment(opts: ExpOpts) -> Vec<SplitRow> {
     };
     let ports = cfg.topology.ports.len() as u16;
     let traffic = line_rate(&cfg, 64, false);
-    let baseline = des::run(&cfg, &pipelines::echo(ports), &cpu_only(), &traffic).tx_gbps;
+    let baseline = des::run(&cfg, &pipelines::echo(ports), &Mode::Cpu.shared(), &traffic).tx_gbps;
     let mut rows = Vec::new();
     for &pct in ratios {
         let minority = pct as f64 / 100.0;
@@ -152,7 +142,7 @@ pub fn split_experiment(opts: ExpOpts) -> Vec<SplitRow> {
         let split = des::run(
             &split_cfg,
             &pipelines::branch_echo(minority, ports),
-            &cpu_only(),
+            &Mode::Cpu.shared(),
             &traffic,
         )
         .tx_gbps;
@@ -163,7 +153,7 @@ pub fn split_experiment(opts: ExpOpts) -> Vec<SplitRow> {
         let masked = des::run(
             &mask_cfg,
             &pipelines::branch_echo(minority, ports),
-            &cpu_only(),
+            &Mode::Cpu.shared(),
             &traffic,
         )
         .tx_gbps;
@@ -235,7 +225,7 @@ pub fn fig2(opts: ExpOpts) -> Vec<(f64, f64)> {
     };
     let mut rows = Vec::new();
     for w in steps {
-        let r = des::run(&cfg, &pipeline, &fixed_w(w), &traffic);
+        let r = des::run(&cfg, &pipeline, &Mode::Fixed(w).shared(), &traffic);
         rows.push((w, r.tx_gbps));
     }
     println!("== Figure 2: IPsec gateway vs offloading fraction (CAIDA-like mix) ==");
@@ -282,7 +272,7 @@ pub fn fig9(_opts: ExpOpts) -> Vec<(String, [f64; 3])> {
                 pipelines::ipv4_router(&app)
             };
             let traffic = line_rate(&cfg, frame, v6);
-            out[i] = des::run(&cfg, &pipeline, &cpu_only(), &traffic).tx_gbps;
+            out[i] = des::run(&cfg, &pipeline, &Mode::Cpu.shared(), &traffic).tx_gbps;
         }
         rows.push((label, out));
     }
@@ -320,7 +310,7 @@ pub fn composition(_opts: ExpOpts) -> Vec<(usize, f64, f64)> {
         let r = des::run(
             &cfg,
             &pipelines::noop_chain(noops, ports),
-            &cpu_only(),
+            &Mode::Cpu.shared(),
             &traffic,
         );
         rows.push((
@@ -373,7 +363,7 @@ pub fn fig11(opts: ExpOpts) -> Vec<ScalingSeries> {
                 } else {
                     pipelines::ipv4_router(&app)
                 };
-                let balancer = if gpu { gpu_only() } else { cpu_only() };
+                let balancer = if gpu { Mode::Gpu } else { Mode::Cpu }.shared();
                 let traffic = line_rate(&cfg, 64, v6);
                 let r = des::run(&cfg, &pipeline, &balancer, &traffic);
                 series.push((w, r.tx_gbps));
@@ -450,8 +440,8 @@ pub fn fig12(opts: ExpOpts) -> Vec<SizeSweepSeries> {
         for &size in sizes {
             let size = if v6 { size.max(64) } else { size };
             let traffic = line_rate(&cfg, size, v6);
-            let c = des::run(&cfg, &pipeline, &cpu_only(), &traffic).tx_gbps;
-            let g = des::run(&cfg, &pipeline, &gpu_only(), &traffic).tx_gbps;
+            let c = des::run(&cfg, &pipeline, &Mode::Cpu.shared(), &traffic).tx_gbps;
+            let g = des::run(&cfg, &pipeline, &Mode::Gpu.shared(), &traffic).tx_gbps;
             rows.push((size, c, g));
         }
         out.push((name.to_owned(), rows));
@@ -500,21 +490,15 @@ pub struct AlbCase {
 
 /// Figure 13: ALB vs manually-tuned vs CPU/GPU-only across workloads.
 pub fn fig13(opts: ExpOpts) -> Vec<AlbCase> {
-    enum App {
-        V4,
-        V6,
-        Ipsec,
-        Ids,
-    }
-    let cases: Vec<(&str, App, Option<usize>)> = vec![
-        ("IPv4, 64B", App::V4, Some(64)),
-        ("IPv6, 64B", App::V6, Some(64)),
-        ("IPsec, 64B", App::Ipsec, Some(64)),
-        ("IPsec, 256B", App::Ipsec, Some(256)),
-        ("IPsec, 512B", App::Ipsec, Some(512)),
-        ("IPsec, 1024B", App::Ipsec, Some(1024)),
-        ("IDS, 64B", App::Ids, Some(64)),
-        ("IPsec, CAIDA", App::Ipsec, None),
+    let cases = [
+        ("IPv4, 64B", "ipv4", Some(64)),
+        ("IPv6, 64B", "ipv6", Some(64)),
+        ("IPsec, 64B", "ipsec", Some(64)),
+        ("IPsec, 256B", "ipsec", Some(256)),
+        ("IPsec, 512B", "ipsec", Some(512)),
+        ("IPsec, 1024B", "ipsec", Some(1024)),
+        ("IDS, 64B", "ids", Some(64)),
+        ("IPsec, CAIDA", "ipsec", None),
     ];
     let sweep: Vec<f64> = if opts.quick {
         vec![0.0, 0.5, 1.0]
@@ -524,14 +508,8 @@ pub fn fig13(opts: ExpOpts) -> Vec<AlbCase> {
     let cfg = base_cfg();
     let app = base_app(&cfg);
     let mut out = Vec::new();
-    for (label, kind, size) in cases {
-        let pipeline = match kind {
-            App::V4 => pipelines::ipv4_router(&app),
-            App::V6 => pipelines::ipv6_router(&app),
-            App::Ipsec => pipelines::ipsec_gateway(&app),
-            App::Ids => pipelines::ids(&app).0,
-        };
-        let v6 = matches!(kind, App::V6);
+    for (label, name, size) in cases {
+        let (_, pipeline, v6) = cli::app(name, &app).expect("a known app");
         let traffic = match size {
             Some(s) => line_rate(&cfg, s, v6),
             None => caida(&cfg),
@@ -540,7 +518,7 @@ pub fn fig13(opts: ExpOpts) -> Vec<AlbCase> {
         let mut cpu = 0.0;
         let mut gpu = 0.0;
         for &w in &sweep {
-            let g = des::run(&cfg, &pipeline, &fixed_w(w), &traffic).tx_gbps;
+            let g = des::run(&cfg, &pipeline, &Mode::Fixed(w).shared(), &traffic).tx_gbps;
             if w == 0.0 {
                 cpu = g;
             }
@@ -558,7 +536,7 @@ pub fn fig13(opts: ExpOpts) -> Vec<AlbCase> {
             measure: Time::from_ms(28),
             ..cfg.clone()
         };
-        let balancer = sim_alb(0.5);
+        let balancer = Mode::Alb.shared();
         let r = des::run(&alb_cfg, &pipeline, &balancer, &traffic);
         out.push(AlbCase {
             label: label.to_owned(),
@@ -675,7 +653,7 @@ pub fn fig14(_opts: ExpOpts) -> Vec<LatencyRow> {
             if gpu && case.cpu_only_case {
                 continue;
             }
-            let balancer = if gpu { gpu_only() } else { cpu_only() };
+            let balancer = if gpu { Mode::Gpu } else { Mode::Cpu }.shared();
             let r = des::run(&cfg, &case.pipeline, &balancer, &case.traffic);
             rows.push(LatencyRow {
                 label: case.label.clone(),
@@ -763,7 +741,7 @@ pub fn ablation_aggregation(opts: ExpOpts) -> Vec<(usize, f64, f64)> {
             ..base_cfg()
         };
         let traffic = line_rate(&cfg, 64, false);
-        let r = des::run(&cfg, &pipeline, &gpu_only(), &traffic);
+        let r = des::run(&cfg, &pipeline, &Mode::Gpu.shared(), &traffic);
         rows.push((agg, r.tx_gbps, r.latency.mean().as_us_f64()));
     }
     println!("== Ablation: offload aggregation size (IPsec GPU-only, 64 B) ==");
@@ -794,7 +772,7 @@ pub fn ablation_datablock(_opts: ExpOpts) -> Vec<(usize, f64, f64)> {
                 ..base_cfg()
             };
             let traffic = line_rate(&cfg, size, false);
-            out[i] = des::run(&cfg, &pipeline, &gpu_only(), &traffic).tx_gbps;
+            out[i] = des::run(&cfg, &pipeline, &Mode::Gpu.shared(), &traffic).tx_gbps;
         }
         rows.push((size, out[0], out[1]));
     }
@@ -834,14 +812,7 @@ pub fn bounded_latency(_opts: ExpOpts) -> Vec<(String, f64, f64, f64)> {
     // and the bound cannot help (the regime §7 wants to escape).
     let traffic = fixed(&cfg, 64, false, 0.75);
     let alb = |bound: Option<Time>| -> SharedBalancer {
-        let inner = lb::Adaptive::new(AlbConfig {
-            delta: 0.08,
-            update_interval: Time::from_ms(4),
-            avg_window: 2,
-            min_wait: 0,
-            max_wait: 2,
-            initial_w: 0.5,
-        });
+        let inner = lb::Adaptive::new(sim_alb());
         match bound {
             None => lb::shared(Box::new(inner)),
             Some(b) => lb::shared(Box::new(lb::LatencyBounded::new(inner, b))),
@@ -882,19 +853,72 @@ pub fn bounded_latency(_opts: ExpOpts) -> Vec<(String, f64, f64, f64)> {
     rows
 }
 
-/// Runs every experiment in order.
-pub fn all(opts: ExpOpts) {
-    table3();
-    fig1(opts);
-    fig2(opts);
-    fig9(opts);
-    composition(opts);
-    fig10(opts);
-    fig11(opts);
-    fig12(opts);
-    fig13(opts);
-    fig14(opts);
-    ablation_aggregation(opts);
-    ablation_datablock(opts);
-    bounded_latency(opts);
+/// An experiment: its name and how to run it.
+pub type Experiment = (&'static str, fn(ExpOpts));
+
+/// Every experiment by name, in the order a bare `repro` runs them.
+pub const EXPERIMENTS: [Experiment; 13] = [
+    ("table3", |_| table3()),
+    ("fig1", |o| drop(fig1(o))),
+    ("fig2", |o| drop(fig2(o))),
+    ("fig9", |o| drop(fig9(o))),
+    ("composition", |o| drop(composition(o))),
+    ("fig10", |o| drop(fig10(o))),
+    ("fig11", |o| drop(fig11(o))),
+    ("fig12", |o| drop(fig12(o))),
+    ("fig13", |o| drop(fig13(o))),
+    ("fig14", |o| drop(fig14(o))),
+    ("aggregation", |o| drop(ablation_aggregation(o))),
+    ("datablock", |o| drop(ablation_datablock(o))),
+    ("bounded", |o| drop(bounded_latency(o))),
+];
+
+/// Looks up the named experiments, all of them when `names` is empty; an
+/// unknown name is an error naming the known ones.
+pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<fn(ExpOpts)>, String> {
+    if names.is_empty() {
+        return Ok(EXPERIMENTS.map(|(_, run)| run).to_vec());
+    }
+    let find = |n: &str| {
+        let known = || EXPERIMENTS.map(|(name, _)| name).join(" ");
+        let hit = EXPERIMENTS.iter().find(|(name, _)| *name == n);
+        hit.map(|&(_, run)| run)
+            .ok_or_else(|| format!("unknown experiment '{n}'; known: {}", known()))
+    };
+    names.iter().map(|n| find(n.as_ref())).collect()
+}
+
+/// `nba-bench repro [exp...]` and `cargo bench --bench figures [exp...]`:
+/// runs the named experiments (every one when none is named) under the
+/// `NBA_QUICK` options. Returns the exit status: 2, running nothing, when
+/// a name is unknown.
+pub fn repro<S: AsRef<str>>(names: &[S]) -> u8 {
+    match select(names) {
+        Ok(runs) => {
+            let opts = ExpOpts::from_env();
+            runs.into_iter().for_each(|run| run(opts));
+            0
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            2
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_experiments_are_usage_errors_and_run_nothing() {
+        assert_eq!(select::<&str>(&[]).unwrap().len(), EXPERIMENTS.len());
+        assert_eq!(select(&["table3", "fig13"]).unwrap().len(), 2);
+        let e = select(&["table3", "fig99"]).err().unwrap();
+        assert!(
+            e.starts_with("unknown experiment 'fig99'; known: table3 fig1"),
+            "{e}"
+        );
+        assert_eq!(repro(&["fig99"]), 2);
+    }
 }

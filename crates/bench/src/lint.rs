@@ -1,7 +1,7 @@
-//! The one implementation behind both static-analysis front ends,
-//! `nba-lint` and `probe --check`: build each configuration file, run the
-//! analyser over it against the live runtime's default capacity model,
-//! and print the report.
+//! `nba-bench lint`, the static-analysis front end: build each
+//! configuration file, run the analyser over it against the live runtime's
+//! default capacity model, and print the report — the one analysis a
+//! runtime preflight runs, without starting a run.
 //!
 //! Flags:
 //!
@@ -34,16 +34,9 @@ use nba_core::runtime::live::LiveConfig;
 use nba_core::runtime::BuildCtx;
 
 /// Runs the front end over `args` (flags and configuration files), printing
-/// reports to `out` and per-file errors to stderr. `prog` names the front
-/// end in the usage message; `deny_warnings` is the front end's default
-/// for `--deny-warnings`. Returns the exit status.
-pub fn run(
-    prog: &str,
-    args: &[String],
-    deny_warnings: bool,
-    out: &mut dyn Write,
-) -> io::Result<u8> {
-    let (mut json, mut deny, mut timing) = (false, deny_warnings, false);
+/// reports to `out` and per-file errors to stderr. Returns the exit status.
+pub fn run(args: &[String], out: &mut dyn Write) -> io::Result<u8> {
+    let (mut json, mut deny, mut timing) = (false, false, false);
     let mut max_overhead: Option<f64> = None;
     let mut files: Vec<&str> = Vec::new();
     for a in args {
@@ -54,14 +47,14 @@ pub fn run(
             flag if flag.starts_with("--") => {
                 match flag.strip_prefix("--max-overhead=").map(str::parse) {
                     Some(Ok(pct)) => max_overhead = Some(pct),
-                    _ => return Ok(usage(prog)),
+                    _ => return Ok(usage()),
                 }
             }
             file => files.push(file),
         }
     }
     if files.is_empty() {
-        return Ok(usage(prog));
+        return Ok(usage());
     }
 
     // A throwaway build context: the analyser instantiates elements only to
@@ -147,9 +140,9 @@ pub fn run(
     Ok(u8::from(failed))
 }
 
-fn usage(prog: &str) -> u8 {
+fn usage() -> u8 {
     eprintln!(
-        "usage: {prog} [--json] [--deny-warnings] [--timing] [--max-overhead=PCT] \
+        "usage: nba-bench lint [--json] [--deny-warnings] [--timing] [--max-overhead=PCT] \
          <config.click>..."
     );
     2
@@ -160,7 +153,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_front_ends_print_one_json_object_per_line_per_file() {
+    fn json_prints_one_object_per_line_per_file() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/click");
         let mut files: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
@@ -169,15 +162,12 @@ mod tests {
             .collect();
         files.sort();
         assert!(!files.is_empty());
-        let mut args = vec!["--json".to_owned()];
+        let mut args = vec!["--json".to_owned(), "--deny-warnings".to_owned()];
         args.extend(files.iter().cloned());
 
-        let (mut lint, mut check) = (Vec::new(), Vec::new());
-        assert_eq!(run("nba-lint", &args, false, &mut lint).unwrap(), 0);
-        assert_eq!(run("probe --check", &args, true, &mut check).unwrap(), 0);
-        assert_eq!(lint, check, "the two front ends disagree");
-
-        let text = String::from_utf8(lint).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(run(&args, &mut out).unwrap(), 0);
+        let text = String::from_utf8(out).unwrap();
         assert!(text.ends_with('\n'));
         let lines: Vec<&str> = text.split_terminator('\n').collect();
         assert_eq!(lines.len(), files.len(), "{text}");
@@ -189,9 +179,16 @@ mod tests {
 
     #[test]
     fn removed_flags_are_usage_errors() {
-        for flag in ["--deep", "--workers=2", "--ring=64", "--drain"] {
+        for flag in [
+            "--deep",
+            "--workers=2",
+            "--ring=64",
+            "--drain",
+            "--max-overhead=x",
+        ] {
             let args = [flag.to_owned(), "x.click".to_owned()];
-            assert_eq!(run("nba-lint", &args, false, &mut Vec::new()).unwrap(), 2);
+            assert_eq!(run(&args, &mut Vec::new()).unwrap(), 2);
         }
+        assert_eq!(run(&["--json".to_owned()], &mut Vec::new()).unwrap(), 2);
     }
 }

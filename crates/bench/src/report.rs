@@ -17,7 +17,7 @@
 //! All latency fields are nanoseconds with the `_ns` suffix (see
 //! DESIGN.md, "Units").
 
-use nba_core::json::{self, Value};
+use nba_core::json::{self, bool_field, f64_field, str_field, u64_field, Value};
 use nba_core::runtime::{RunReport, RuntimeConfig};
 use nba_core::stats::LatencyHistogram;
 use nba_core::telemetry::{json_escape, json_f64, TimeSample};
@@ -374,21 +374,18 @@ pub fn config_digest(cfg: &RuntimeConfig) -> String {
 
 /// `git rev-parse HEAD`, or `"unknown"` outside a repository.
 pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    command_line("git", &["rev-parse", "HEAD"])
 }
 
 /// `rustc --version`, or `"unknown"`.
 pub fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
+    command_line("rustc", &["--version"])
+}
+
+/// The trimmed stdout of a successful `cmd args`, or `"unknown"`.
+fn command_line(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -712,295 +709,181 @@ impl BenchReport {
     /// Parses a report back from JSON, validating the schema version.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let obj = v.as_obj().ok_or("report is not a JSON object")?;
-        let need = |k: &str| -> Result<&Value, String> {
-            obj.get(k).ok_or_else(|| format!("missing field '{k}'"))
-        };
-        let u64_of = |k: &str| -> Result<u64, String> {
-            need(k)?
-                .as_u64()
-                .ok_or_else(|| format!("field '{k}' is not a non-negative integer"))
-        };
-        let f64_of = |k: &str| -> Result<f64, String> {
-            need(k)?
-                .as_f64()
-                .ok_or_else(|| format!("field '{k}' is not a number"))
-        };
-        let str_of = |k: &str| -> Result<String, String> {
-            Ok(need(k)?
-                .as_str()
-                .ok_or_else(|| format!("field '{k}' is not a string"))?
-                .to_string())
-        };
-        let schema_version = u64_of("schema_version")?;
+        if v.as_obj().is_none() {
+            return Err("report is not a JSON object".to_owned());
+        }
+        let schema_version = u64_field(&v, "schema_version")?;
         if schema_version != SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {schema_version} (this build reads {SCHEMA_VERSION})"
             ));
         }
-        let lat = need("latency")?;
-        let lat_u64 = |k: &str| -> Result<u64, String> {
-            lat.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("latency.{k} missing or not an integer"))
-        };
-        let bal = need("balancer")?;
-        let final_w = bal
-            .get("final_w")
-            .and_then(Value::as_f64)
-            .ok_or("balancer.final_w missing or not a number")?;
-        let settle_ns = match bal.get("settle_ns") {
-            Some(Value::Null) | None => None,
-            Some(v) => Some(v.as_u64().ok_or("balancer.settle_ns is not an integer")?),
-        };
-        let mut trajectory = Vec::new();
-        if let Some(traj) = bal.get("trajectory").and_then(Value::as_arr) {
-            for p in traj {
-                trajectory.push(WPoint {
-                    t_ns: p
-                        .get("t_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("trajectory point missing t_ns")?,
-                    w: p.get("w")
-                        .and_then(Value::as_f64)
-                        .ok_or("trajectory point missing w")?,
-                });
-            }
-        }
-        let f = need("faults")?;
-        let mut faults = FaultsSection::default();
-        let fu = |k: &str| -> Result<u64, String> {
-            f.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("faults.{k} missing or not an integer"))
-        };
-        faults.injected = fu("injected")?;
-        faults.retried = fu("retried")?;
-        faults.fell_back_packets = fu("fell_back_packets")?;
-        faults.dropped_packets = fu("dropped_packets")?;
-        faults.panics_contained = fu("panics_contained")?;
-        if let Some(spans) = f.get("quarantines").and_then(Value::as_arr) {
-            for q in spans {
-                faults.quarantines.push(QuarantineSpan {
-                    start_ns: q
-                        .get("start_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("quarantine span missing start_ns")?,
-                    end_ns: match q.get("end_ns") {
-                        Some(Value::Null) | None => None,
-                        Some(v) => Some(v.as_u64().ok_or("quarantine end_ns is not an integer")?),
-                    },
-                });
-            }
-        }
-        // Scaling is optional: sweeps write it, single runs don't.
-        let mut scaling = None;
-        if let Some(sc) = obj.get("scaling") {
-            let runtime = sc
-                .get("runtime")
-                .and_then(Value::as_str)
-                .ok_or("scaling.runtime missing or not a string")?
-                .to_string();
-            let mut series = Vec::new();
-            for p in sc
-                .get("series")
-                .and_then(Value::as_arr)
-                .ok_or("scaling.series missing or not an array")?
-            {
-                series.push(ScalePoint {
-                    workers: p
-                        .get("workers")
-                        .and_then(Value::as_u64)
-                        .ok_or("scaling point missing workers")?,
-                    tx_mpps: p
-                        .get("tx_mpps")
-                        .and_then(Value::as_f64)
-                        .ok_or("scaling point missing tx_mpps")?,
-                    tx_gbps: p
-                        .get("tx_gbps")
-                        .and_then(Value::as_f64)
-                        .ok_or("scaling point missing tx_gbps")?,
-                });
-            }
-            scaling = Some(ScalingSection { runtime, series });
-        }
-        // The audit sections are optional: audited runs write them, plain
-        // runs don't.
-        let mut offload_stages = None;
-        if let Some(st) = obj.get("offload_stages") {
-            let tasks = st
-                .get("tasks")
-                .and_then(Value::as_u64)
-                .ok_or("offload_stages.tasks missing or not an integer")?;
-            let mut stages = Vec::new();
-            for r in st
-                .get("stages")
-                .and_then(Value::as_arr)
-                .ok_or("offload_stages.stages missing or not an array")?
-            {
-                stages.push(StageRow {
-                    stage: r
-                        .get("stage")
-                        .and_then(Value::as_str)
-                        .ok_or("stage row missing name")?
-                        .to_string(),
-                    mean_ns: r
-                        .get("mean_ns")
-                        .and_then(Value::as_f64)
-                        .ok_or("stage row missing mean_ns")?,
-                    p99_ns: r
-                        .get("p99_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("stage row missing p99_ns")?,
-                    total_ns: r
-                        .get("total_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("stage row missing total_ns")?,
-                });
-            }
-            offload_stages = Some(OffloadStagesSection { tasks, stages });
-        }
-        let mut drift = None;
-        if let Some(d) = obj.get("drift") {
-            drift = Some(DriftSection {
-                tasks: d
-                    .get("tasks")
-                    .and_then(Value::as_u64)
-                    .ok_or("drift.tasks missing or not an integer")?,
-                rel_err: d
-                    .get("rel_err")
-                    .and_then(Value::as_f64)
-                    .ok_or("drift.rel_err missing or not a number")?,
-                events: d
-                    .get("events")
-                    .and_then(Value::as_u64)
-                    .ok_or("drift.events missing or not an integer")?,
-                worst_stage: match d.get("worst_stage") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or("drift.worst_stage is not a string")?
-                            .to_string(),
-                    ),
-                },
-                worst_excess_ns: d
-                    .get("worst_excess_ns")
-                    .and_then(Value::as_f64)
-                    .ok_or("drift.worst_excess_ns missing or not a number")?,
-            });
-        }
-        let mut slo = None;
-        if let Some(sl) = obj.get("slo") {
-            let su = |k: &str| -> Result<u64, String> {
-                sl.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("slo.{k} missing or not an integer"))
-            };
-            let sf = |k: &str| -> Result<f64, String> {
-                sl.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("slo.{k} missing or not a number"))
-            };
-            slo = Some(SloSection {
-                latency_ns: match sl.get("latency_ns") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => Some(v.as_u64().ok_or("slo.latency_ns is not an integer")?),
-                },
-                min_mpps: match sl.get("min_mpps") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => Some(v.as_f64().ok_or("slo.min_mpps is not a number")?),
-                },
-                error_budget: sf("error_budget")?,
-                windows: su("windows")?,
-                latency_violations: su("latency_violations")?,
-                throughput_violations: su("throughput_violations")?,
-                latency_burn: sf("latency_burn")?,
-                throughput_burn: sf("throughput_burn")?,
-                met: matches!(sl.get("met"), Some(Value::Bool(true))),
-            });
-        }
-        let mut flows = None;
-        if let Some(fl) = obj.get("flows") {
-            let flu = |k: &str| -> Result<u64, String> {
-                fl.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("flows.{k} missing or not an integer"))
-            };
-            flows = Some(FlowsSection {
-                live: flu("live")?,
-                inserts: flu("inserts")?,
-                hits: flu("hits")?,
-                misses: flu("misses")?,
-                evict_idle: flu("evict_idle")?,
-                evict_embryonic: flu("evict_embryonic")?,
-                evict_closed: flu("evict_closed")?,
-                evict_death: flu("evict_death")?,
-                migrated_in: flu("migrated_in")?,
-                table_full_drops: flu("table_full_drops")?,
-                out_of_state_drops: flu("out_of_state_drops")?,
-                nat_ports_in_use: flu("nat_ports_in_use")?,
-            });
-        }
-        let mut elements = Vec::new();
-        for e in need("elements")?
-            .as_arr()
-            .ok_or("elements is not an array")?
-        {
-            let eu = |k: &str| -> Result<u64, String> {
-                e.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("element field '{k}' missing or not an integer"))
-            };
-            elements.push(ElementReport {
-                node: eu("node")?,
-                element: e
-                    .get("element")
-                    .and_then(Value::as_str)
-                    .ok_or("element missing name")?
-                    .to_string(),
-                batches: eu("batches")?,
-                packets: eu("packets")?,
-                drops: eu("drops")?,
-                busy_ns: eu("busy_ns")?,
-                p50_ns: eu("p50_ns")?,
-                p99_ns: eu("p99_ns")?,
-            });
-        }
+        let lat = section(&v, "latency")?;
+        let bal = section(&v, "balancer")?;
+        let f = section(&v, "faults")?;
         Ok(BenchReport {
             schema_version,
-            app: str_of("app")?,
-            git_sha: str_of("git_sha")?,
-            rustc: str_of("rustc")?,
-            config_digest: str_of("config_digest")?,
-            quick: matches!(need("quick")?, Value::Bool(true)),
-            duration_ns: u64_of("duration_ns")?,
-            offered_gbps: f64_of("offered_gbps")?,
-            tx_gbps: f64_of("tx_gbps")?,
-            tx_mpps: f64_of("tx_mpps")?,
-            rx_dropped: u64_of("rx_dropped")?,
+            app: str_field(&v, "app")?.to_owned(),
+            git_sha: str_field(&v, "git_sha")?.to_owned(),
+            rustc: str_field(&v, "rustc")?.to_owned(),
+            config_digest: str_field(&v, "config_digest")?.to_owned(),
+            quick: bool_field(&v, "quick")?,
+            duration_ns: u64_field(&v, "duration_ns")?,
+            offered_gbps: f64_field(&v, "offered_gbps")?,
+            tx_gbps: f64_field(&v, "tx_gbps")?,
+            tx_mpps: f64_field(&v, "tx_mpps")?,
+            rx_dropped: u64_field(&v, "rx_dropped")?,
             latency: LatencySummary {
-                p50_ns: lat_u64("p50_ns")?,
-                p90_ns: lat_u64("p90_ns")?,
-                p99_ns: lat_u64("p99_ns")?,
-                p999_ns: lat_u64("p999_ns")?,
-                mean_ns: lat_u64("mean_ns")?,
-                max_ns: lat_u64("max_ns")?,
-                count: lat_u64("count")?,
+                p50_ns: u64_field(lat, "p50_ns")?,
+                p90_ns: u64_field(lat, "p90_ns")?,
+                p99_ns: u64_field(lat, "p99_ns")?,
+                p999_ns: u64_field(lat, "p999_ns")?,
+                mean_ns: u64_field(lat, "mean_ns")?,
+                max_ns: u64_field(lat, "max_ns")?,
+                count: u64_field(lat, "count")?,
             },
             balancer: BalancerReport {
-                final_w,
-                settle_ns,
-                trajectory,
+                final_w: f64_field(bal, "final_w")?,
+                settle_ns: nullable(bal, "settle_ns", u64_field)?,
+                trajectory: each(bal, "trajectory", |p| {
+                    Ok(WPoint {
+                        t_ns: u64_field(p, "t_ns")?,
+                        w: f64_field(p, "w")?,
+                    })
+                })?,
             },
-            faults,
-            elements,
-            scaling,
-            offload_stages,
-            drift,
-            slo,
-            flows,
+            faults: FaultsSection {
+                injected: u64_field(f, "injected")?,
+                retried: u64_field(f, "retried")?,
+                fell_back_packets: u64_field(f, "fell_back_packets")?,
+                dropped_packets: u64_field(f, "dropped_packets")?,
+                panics_contained: u64_field(f, "panics_contained")?,
+                quarantines: each(f, "quarantines", |q| {
+                    Ok(QuarantineSpan {
+                        start_ns: u64_field(q, "start_ns")?,
+                        end_ns: nullable(q, "end_ns", u64_field)?,
+                    })
+                })?,
+            },
+            elements: each(&v, "elements", |e| {
+                Ok(ElementReport {
+                    node: u64_field(e, "node")?,
+                    element: str_field(e, "element")?.to_owned(),
+                    batches: u64_field(e, "batches")?,
+                    packets: u64_field(e, "packets")?,
+                    drops: u64_field(e, "drops")?,
+                    busy_ns: u64_field(e, "busy_ns")?,
+                    p50_ns: u64_field(e, "p50_ns")?,
+                    p99_ns: u64_field(e, "p99_ns")?,
+                })
+            })?,
+            // The sections below are optional: sweeps write `scaling`,
+            // audited runs the audit sections, the stateful apps `flows`.
+            scaling: optional(&v, "scaling", |sc| {
+                Ok(ScalingSection {
+                    runtime: str_field(sc, "runtime")?.to_owned(),
+                    series: each(sc, "series", |p| {
+                        Ok(ScalePoint {
+                            workers: u64_field(p, "workers")?,
+                            tx_mpps: f64_field(p, "tx_mpps")?,
+                            tx_gbps: f64_field(p, "tx_gbps")?,
+                        })
+                    })?,
+                })
+            })?,
+            offload_stages: optional(&v, "offload_stages", |st| {
+                Ok(OffloadStagesSection {
+                    tasks: u64_field(st, "tasks")?,
+                    stages: each(st, "stages", |r| {
+                        Ok(StageRow {
+                            stage: str_field(r, "stage")?.to_owned(),
+                            mean_ns: f64_field(r, "mean_ns")?,
+                            p99_ns: u64_field(r, "p99_ns")?,
+                            total_ns: u64_field(r, "total_ns")?,
+                        })
+                    })?,
+                })
+            })?,
+            drift: optional(&v, "drift", |d| {
+                Ok(DriftSection {
+                    tasks: u64_field(d, "tasks")?,
+                    rel_err: f64_field(d, "rel_err")?,
+                    events: u64_field(d, "events")?,
+                    worst_stage: nullable(d, "worst_stage", str_field)?.map(str::to_owned),
+                    worst_excess_ns: f64_field(d, "worst_excess_ns")?,
+                })
+            })?,
+            slo: optional(&v, "slo", |sl| {
+                Ok(SloSection {
+                    latency_ns: nullable(sl, "latency_ns", u64_field)?,
+                    min_mpps: nullable(sl, "min_mpps", f64_field)?,
+                    error_budget: f64_field(sl, "error_budget")?,
+                    windows: u64_field(sl, "windows")?,
+                    latency_violations: u64_field(sl, "latency_violations")?,
+                    throughput_violations: u64_field(sl, "throughput_violations")?,
+                    latency_burn: f64_field(sl, "latency_burn")?,
+                    throughput_burn: f64_field(sl, "throughput_burn")?,
+                    met: bool_field(sl, "met")?,
+                })
+            })?,
+            flows: optional(&v, "flows", |fl| {
+                Ok(FlowsSection {
+                    live: u64_field(fl, "live")?,
+                    inserts: u64_field(fl, "inserts")?,
+                    hits: u64_field(fl, "hits")?,
+                    misses: u64_field(fl, "misses")?,
+                    evict_idle: u64_field(fl, "evict_idle")?,
+                    evict_embryonic: u64_field(fl, "evict_embryonic")?,
+                    evict_closed: u64_field(fl, "evict_closed")?,
+                    evict_death: u64_field(fl, "evict_death")?,
+                    migrated_in: u64_field(fl, "migrated_in")?,
+                    table_full_drops: u64_field(fl, "table_full_drops")?,
+                    out_of_state_drops: u64_field(fl, "out_of_state_drops")?,
+                    nat_ports_in_use: u64_field(fl, "nat_ports_in_use")?,
+                })
+            })?,
         })
     }
+}
+
+/// The nested object `key` of `v`.
+fn section<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
+    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+}
+
+/// `parse` over the optional section `key` of `v`: `None` when absent.
+fn optional<T>(
+    v: &Value,
+    key: &str,
+    parse: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    v.get(key).map(parse).transpose()
+}
+
+/// `field(v, key)`, or `None` when `key` is absent or null.
+fn nullable<'a, T>(
+    v: &'a Value,
+    key: &str,
+    field: impl Fn(&'a Value, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(_) => field(v, key).map(Some),
+    }
+}
+
+/// `parse` over every item of the array `key` of `v`.
+fn each<T>(
+    v: &Value,
+    key: &str,
+    parse: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    section(v, key)?
+        .as_arr()
+        .ok_or_else(|| format!("field '{key}' is not an array"))?
+        .iter()
+        .map(parse)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1263,24 +1146,14 @@ pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Compa
             },
         });
     };
-    fault_gate(
-        &mut c.rows,
-        "faults_injected",
-        base.faults.injected,
-        cur.faults.injected,
-    );
-    fault_gate(
-        &mut c.rows,
-        "fault_dropped_pkts",
-        base.faults.dropped_packets,
-        cur.faults.dropped_packets,
-    );
-    fault_gate(
-        &mut c.rows,
-        "panics_contained",
-        base.faults.panics_contained,
-        cur.faults.panics_contained,
-    );
+    let (bf, cf) = (&base.faults, &cur.faults);
+    for (metric, bv, cv) in [
+        ("faults_injected", bf.injected, cf.injected),
+        ("fault_dropped_pkts", bf.dropped_packets, cf.dropped_packets),
+        ("panics_contained", bf.panics_contained, cf.panics_contained),
+    ] {
+        fault_gate(&mut c.rows, metric, bv, cv);
+    }
 
     // Scaling sweep: gate each worker count's throughput against the
     // same worker count in the baseline (floor, like the headline
@@ -1342,24 +1215,21 @@ pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Compa
                 cu.live as f64,
                 tol.throughput_rel,
             );
-            fault_gate(
-                &mut c.rows,
-                "flow_table_full_drops",
-                b.table_full_drops,
-                cu.table_full_drops,
-            );
-            fault_gate(
-                &mut c.rows,
-                "flow_evict_death",
-                b.evict_death,
-                cu.evict_death,
-            );
-            fault_gate(
-                &mut c.rows,
-                "flow_out_of_state_drops",
-                b.out_of_state_drops,
-                cu.out_of_state_drops,
-            );
+            for (metric, bv, cv) in [
+                (
+                    "flow_table_full_drops",
+                    b.table_full_drops,
+                    cu.table_full_drops,
+                ),
+                ("flow_evict_death", b.evict_death, cu.evict_death),
+                (
+                    "flow_out_of_state_drops",
+                    b.out_of_state_drops,
+                    cu.out_of_state_drops,
+                ),
+            ] {
+                fault_gate(&mut c.rows, metric, bv, cv);
+            }
             for (metric, bv, cv) in [
                 ("flow_inserts", b.inserts, cu.inserts),
                 ("flow_evictions", b.evictions_total(), cu.evictions_total()),

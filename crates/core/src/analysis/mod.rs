@@ -1,4 +1,4 @@
-//! The static analyser behind `nba-lint`: one pass pipeline over one
+//! The static analyser behind `nba-bench lint`: one pass pipeline over one
 //! graph model.
 //!
 //! NBA's design rests on invariants the Rust compiler cannot see: the

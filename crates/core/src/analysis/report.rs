@@ -295,7 +295,7 @@ impl LintReport {
     }
 
     /// The whole report as one JSON object on one line (machine-readable
-    /// `nba-lint --json` output; dependency-free like the telemetry
+    /// `nba-bench lint --json` output; dependency-free like the telemetry
     /// exporters). The envelope carries [`SCHEMA_VERSION`] so consumers
     /// can detect format changes; the exact bytes are pinned by a
     /// golden-file test (`crates/core/tests/lint_json_golden.rs`).

@@ -173,14 +173,6 @@ impl PacketBatch {
         self.slots.get_mut(i).and_then(|s| s.as_mut())
     }
 
-    /// Borrows packet and annotation of slot `i` together.
-    pub fn packet_and_anno_mut(&mut self, i: usize) -> Option<(&mut Packet, &mut Anno)> {
-        match (self.slots.get_mut(i), self.annos.get_mut(i)) {
-            (Some(Some(p)), Some(a)) => Some((p, a)),
-            _ => None,
-        }
-    }
-
     /// The annotation set of slot `i`.
     ///
     /// # Panics

@@ -107,6 +107,13 @@ pub fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
     }
 }
 
+/// The number field `key`.
+pub fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
+    let got = v.get(key);
+    got.and_then(Value::as_f64)
+        .ok_or_else(|| format!("field `{key}`: expected number, got {got:?}"))
+}
+
 /// The string field `key`.
 pub fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
     match v.get(key) {
@@ -517,6 +524,10 @@ mod tests {
         assert!(u64_field(&v, "missing").is_err());
         assert!(str_field(&v, "n").is_err());
         assert_eq!(bool_field(&v, "b"), Ok(true));
+        assert_eq!(f64_field(&v, "frac"), Ok(3.5));
+        assert_eq!(f64_field(&v, "neg"), Ok(-3.0));
+        assert!(f64_field(&v, "big").is_err());
+        assert!(f64_field(&v, "missing").is_err());
         let bits = parse(&format!("{{\"x\":\"{}\"}}", f64_to_bits_hex(-0.0))).unwrap();
         assert_eq!(
             f64_bits_field(&bits, "x").map(f64::to_bits),

@@ -12,7 +12,7 @@
 //!   problem, and batch-level branch prediction,
 //! * [`config`] — the Click configuration language dialect (quoted
 //!   parameters) with an element registry,
-//! * [`analysis`] — the static analyser behind `nba-lint`: one pass
+//! * [`analysis`] — the static analyser behind `nba-bench lint`: one pass
 //!   pipeline over one graph model (structural, annotation-slot,
 //!   datablock, branch-shape, and path-sensitive checks, plus static
 //!   queue-law capacity checks over the runtime configurations) with

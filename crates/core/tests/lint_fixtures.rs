@@ -1,6 +1,6 @@
 //! One failing fixture pipeline per analyser diagnostic code, asserting
 //! both the stable code and the configuration source line it points at —
-//! the contract `probe --check` and editor integrations build on.
+//! the contract `nba-bench lint` and editor integrations build on.
 
 use std::sync::Arc;
 

@@ -45,7 +45,6 @@ pub struct AhoCorasick {
     /// the state's rank among the match states.
     out_start: Vec<u32>,
     out_flat: Vec<u32>,
-    pattern_lens: Vec<usize>,
 }
 
 impl AhoCorasick {
@@ -186,7 +185,6 @@ impl AhoCorasick {
             first_match: plain * classes,
             out_start,
             out_flat,
-            pattern_lens: patterns.iter().map(|p| p.as_ref().len()).collect(),
         }
     }
 
@@ -198,11 +196,6 @@ impl AhoCorasick {
     /// Size of the transition table in bytes.
     pub fn table_bytes(&self) -> usize {
         std::mem::size_of_val(&self.delta[..])
-    }
-
-    /// Number of patterns compiled in.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_lens.len()
     }
 
     /// Advances one DFA step (exposed so the GPU kernel can run the same
@@ -336,11 +329,6 @@ impl AhoCorasick {
     /// `true` if any pattern occurs in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
         self.first_match(haystack).is_some()
-    }
-
-    /// Length of pattern `i`.
-    pub fn pattern_len(&self, i: usize) -> usize {
-        self.pattern_lens[i]
     }
 }
 

@@ -754,23 +754,6 @@ impl Regex {
     pub fn step(&self, state: u32, byte: u8) -> u32 {
         self.delta[state as usize * 256 + usize::from(byte)]
     }
-
-    /// The start state (for the GPU kernel).
-    pub fn start_state(&self) -> u32 {
-        self.start
-    }
-
-    /// `true` if `state` is accepting mid-input.
-    #[inline]
-    pub fn is_accepting(&self, state: u32) -> bool {
-        state != DEAD && self.accepting[state as usize]
-    }
-
-    /// `true` if `state` accepts at end of input (for `$` patterns).
-    #[inline]
-    pub fn is_accepting_at_end(&self, state: u32) -> bool {
-        state != DEAD && self.accepting_at_end[state as usize]
-    }
 }
 
 #[cfg(test)]

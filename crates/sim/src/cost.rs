@@ -182,11 +182,6 @@ impl CostModel {
         Time::from_ps(((n as f64) * 1_000.0 / self.cpu_ghz).round() as u64)
     }
 
-    /// Converts fractional cycles into virtual time.
-    pub fn cycles_f64(&self, n: f64) -> Time {
-        Time::from_ps((n * 1_000.0 / self.cpu_ghz).round() as u64)
-    }
-
     /// The paper-calibrated default model (see `EXPERIMENTS.md` §Calibration).
     pub fn paper_default() -> CostModel {
         CostModel {

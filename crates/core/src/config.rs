@@ -23,6 +23,14 @@
 //! [`crate::batch::anno::IFACE_OUT`] annotation), and the drop sink. They
 //! carry the hardware resource mapping so user elements never need
 //! multi-edge branches for resource selection (§3.2, Figure 5).
+//!
+//! **Node numbering.** An element gets its node id ([`NodeId`]) when a
+//! connection first mentions it, not when it is declared: ids count from 0
+//! in the order connections appear, each chain read left to right. In the
+//! example above `chk` is node 0 and `rt` node 1, whatever order the
+//! declarations come in. A declared element no connection mentions is not
+//! a node at all (`NBA001`). These ids name nodes in element profiles, bench
+//! artifacts and diagnostics.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -707,6 +715,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn nodes_are_numbered_by_first_connection_not_declaration() {
+        let checked = build_graph_checked(
+            r#"
+            src :: FromInput();
+            a :: NoOp();
+            b :: TwoWay();
+            out :: ToOutput();
+            src -> b;
+            b [0] -> a -> out;
+            b [1] -> Discard;
+            "#,
+            &registry(),
+            BranchPolicy::Predict,
+        )
+        .unwrap();
+        assert_eq!(checked.source.node_names, ["b", "a"]);
+        assert_eq!(checked.graph.element(NodeId(0)).class_name(), "TwoWay");
+        assert_eq!(checked.graph.element(NodeId(1)).class_name(), "NoOp");
     }
 
     #[test]

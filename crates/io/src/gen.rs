@@ -164,7 +164,7 @@ impl Default for TrafficConfig {
     }
 }
 
-/// One flow identity, with the RSS hash a NIC computes from its frames.
+/// One flow identity: the addresses and ports its frames carry.
 #[derive(Debug, Clone, Copy)]
 struct Flow {
     src_v4: u32,
@@ -173,14 +173,13 @@ struct Flow {
     dst_v6: u128,
     src_port: u16,
     dst_port: u16,
-    /// The receive-descriptor hash: `port::rss_hash` of every frame this
-    /// identity sends (the 4-tuple for UDP, the addresses for TCP).
-    rss_hash: u32,
 }
 
 impl Flow {
-    /// Draws a random identity and hashes it the way the NIC will.
-    fn draw(rng: &mut SmallRng, cfg: &TrafficConfig, nic: &Toeplitz) -> Flow {
+    /// Draws a random identity, with the receive-descriptor hash the NIC
+    /// computes from every frame it sends: `port::rss_hash` of the 4-tuple
+    /// for UDP, of the addresses for TCP.
+    fn draw(rng: &mut SmallRng, cfg: &TrafficConfig, nic: &Toeplitz) -> (Flow, u32) {
         let src_v4 = rng.gen();
         let dst_v4 = rng.gen();
         // Randomize all 96 bits below the documentation /32 so prefixes at
@@ -194,16 +193,26 @@ impl Flow {
             (IpVersion::V4, L4Proto::Tcp) => nic.hash_ipv4(src_v4, dst_v4),
             (IpVersion::V6, _) => nic.hash_ipv6_l4(src_v6, dst_v6, src_port, dst_port),
         };
-        Flow {
+        let flow = Flow {
             src_v4,
             dst_v4,
             src_v6,
             dst_v6,
             src_port,
             dst_port,
-            rss_hash,
-        }
+        };
+        (flow, rss_hash)
     }
+}
+
+/// Whose identity a slot's frame carries.
+#[derive(Debug, Clone, Copy)]
+enum Sender {
+    /// Flow `i` of the table, unchanged until the slot is written.
+    Table(usize),
+    /// An identity in no table: a SYN-flood source, or a flow that expired
+    /// at this slot (churn has already put its successor in the table).
+    Gone(Flow),
 }
 
 /// One slot of the stream, drawn but not yet written: everything its frame
@@ -212,13 +221,15 @@ impl Flow {
 struct Slot {
     len: usize,
     ts: Time,
-    flow: Flow,
+    /// The sender's receive-descriptor hash: all the port's admission reads.
+    hash: u32,
+    sender: Sender,
     tcp_flags: u8,
     tcp_seq: u32,
 }
 
 /// Generator statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
     /// Frames built. A slot the port refused builds none.
     pub generated: u64,
@@ -245,14 +256,22 @@ struct FlowState {
 /// can be refused by the NIC before it writes anything. A slot makes the
 /// same draws whether it is written, refused or short of a buffer, so one
 /// seed is one stream.
+///
+/// The flow table is split by who reads it. A refused slot reads one `u32`
+/// of `hashes`; the identity in `flows` is read only to write a frame, and
+/// `state` only when the traffic has a lifecycle.
 pub struct TrafficGen {
     cfg: TrafficConfig,
     rng: SmallRng,
     /// The NIC's hasher (`Port` hashes with the default key), for the
     /// descriptor hash of every flow identity drawn.
     nic: Toeplitz,
+    /// Each flow's receive-descriptor hash.
+    hashes: Vec<u32>,
+    /// Each flow's identity.
     flows: Vec<Flow>,
-    /// Per-flow lifecycle state (TCP flags, lifetime churn).
+    /// Per-flow lifecycle state (TCP flags, lifetime churn); empty when
+    /// the traffic has none (UDP flows that live forever).
     state: Vec<FlowState>,
     /// Cumulative Zipf weights (empty when uniform).
     zipf_cdf: Vec<f64>,
@@ -280,9 +299,9 @@ impl TrafficGen {
         );
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let nic = Toeplitz::default();
-        let flows = (0..cfg.flows)
+        let (flows, hashes) = (0..cfg.flows)
             .map(|_| Flow::draw(&mut rng, &cfg, &nic))
-            .collect::<Vec<_>>();
+            .unzip();
         let zipf_cdf = if cfg.zipf_alpha > 0.0 {
             let mut acc = 0.0;
             let mut cdf = Vec::with_capacity(cfg.flows);
@@ -297,11 +316,13 @@ impl TrafficGen {
         } else {
             Vec::new()
         };
-        let state = vec![FlowState::default(); cfg.flows];
+        let lifecycle = cfg.l4 == L4Proto::Tcp || cfg.flow_lifetime_pkts > 0;
+        let state = vec![FlowState::default(); if lifecycle { cfg.flows } else { 0 }];
         TrafficGen {
             cfg,
             rng,
             nic,
+            hashes,
             flows,
             state,
             zipf_cdf,
@@ -330,20 +351,20 @@ impl TrafficGen {
     fn pick_flow(&mut self) -> usize {
         if self.cfg.sequential {
             // `seq` was already advanced for this packet.
-            ((self.seq - 1) % self.flows.len() as u64) as usize
+            ((self.seq - 1) % self.hashes.len() as u64) as usize
         } else if self.zipf_cdf.is_empty() {
-            self.rng.gen_range(0..self.flows.len())
+            self.rng.gen_range(0..self.hashes.len())
         } else {
             let u: f64 = self.rng.gen();
             self.zipf_cdf
                 .partition_point(|&c| c < u)
-                .min(self.flows.len() - 1)
+                .min(self.hashes.len() - 1)
         }
     }
 
     /// Draws a fresh flow identity (lifetime churn replacement, SYN-flood
     /// source).
-    fn fresh_flow(&mut self) -> Flow {
+    fn fresh_flow(&mut self) -> (Flow, u32) {
         Flow::draw(&mut self.rng, &self.cfg, &self.nic)
     }
 
@@ -361,8 +382,8 @@ impl TrafficGen {
         while slots < max_slots && self.next_ts < until {
             let slot = self.draw();
             slots += 1;
-            let Some(q) = port.admit(slot.flow.rss_hash) else {
-                self.skip_payload(&slot);
+            let Some(q) = port.admit(slot.hash) else {
+                self.skip_payload(slot.len);
                 continue;
             };
             match pool.alloc() {
@@ -428,9 +449,9 @@ impl TrafficGen {
     }
 
     /// Draws the next slot: samples its frame length, advances the pacing
-    /// clock and sequence number, and picks its flow, advancing that flow's
-    /// lifecycle. Every draw of the slot but the payload filler's happens
-    /// here.
+    /// clock and sequence number, and picks its flow, reading its hash and,
+    /// if the traffic has a lifecycle, advancing it. Every draw of the slot
+    /// but the payload filler's happens here.
     fn draw(&mut self) -> Slot {
         let len = self.cfg.size.sample(&mut self.rng).max(self.min_len());
         let ts = self.next_ts;
@@ -449,40 +470,51 @@ impl TrafficGen {
             && self.cfg.syn_flood_per_mille > 0
             && self.rng.gen_range(0..1000) < self.cfg.syn_flood_per_mille;
         if flood {
+            let (flow, hash) = self.fresh_flow();
             return Slot {
                 len,
                 ts,
-                flow: self.fresh_flow(),
+                hash,
+                sender: Sender::Gone(flow),
                 tcp_flags: proto::TCP_SYN,
                 tcp_seq: 0,
             };
         }
         let idx = self.pick_flow();
-        let pkts = self.state[idx].pkts;
+        let hash = self.hashes[idx];
+        let mut slot = Slot {
+            len,
+            ts,
+            hash,
+            sender: Sender::Table(idx),
+            tcp_flags: 0,
+            tcp_seq: 0,
+        };
+        let Some(state) = self.state.get_mut(idx) else {
+            // No lifecycle: nothing to advance, and a UDP frame carries
+            // no TCP fields.
+            return slot;
+        };
+        let pkts = state.pkts;
         let last = self.cfg.flow_lifetime_pkts > 0 && pkts + 1 >= self.cfg.flow_lifetime_pkts;
-        let tcp_flags = if pkts == 0 {
+        slot.tcp_flags = if pkts == 0 {
             proto::TCP_SYN
         } else if last {
             proto::TCP_FIN | proto::TCP_ACK
         } else {
             proto::TCP_ACK | proto::TCP_PSH
         };
-        let flow = self.flows[idx];
+        slot.tcp_seq = pkts as u32;
         if last {
             // Lifetime churn: the flow expires; a fresh identity arrives in
             // its slot.
-            self.flows[idx] = self.fresh_flow();
-            self.state[idx] = FlowState::default();
+            *state = FlowState::default();
+            slot.sender = Sender::Gone(self.flows[idx]);
+            (self.flows[idx], self.hashes[idx]) = self.fresh_flow();
         } else {
-            self.state[idx].pkts = pkts + 1;
+            state.pkts = pkts + 1;
         }
-        Slot {
-            len,
-            ts,
-            flow,
-            tcp_flags,
-            tcp_seq: pkts as u32,
-        }
+        slot
     }
 
     /// Writes a drawn slot's frame into `pkt`'s buffer, making the payload
@@ -492,10 +524,15 @@ impl TrafficGen {
         let Slot {
             len,
             ts,
-            flow,
+            hash,
+            sender,
             tcp_flags,
             tcp_seq,
         } = *slot;
+        let flow = match sender {
+            Sender::Table(idx) => self.flows[idx],
+            Sender::Gone(flow) => flow,
+        };
         let frame = pkt.buf_mut().set_region(DEFAULT_HEADROOM, len);
         self.builder.src_port = flow.src_port;
         self.builder.dst_port = flow.dst_port;
@@ -524,7 +561,7 @@ impl TrafficGen {
         }
         pkt.ts_gen = ts;
         // The receive descriptor's hash, as a NIC hands it to the host.
-        pkt.rss_hash = flow.rss_hash;
+        pkt.rss_hash = hash;
         self.stats.generated += 1;
         self.stats.frame_bits += (len * 8) as u64;
         pkt
@@ -534,7 +571,7 @@ impl TrafficGen {
     /// draws still made, so an exhausted pool changes no later frame.
     fn lose(&mut self, slot: &Slot) {
         self.stats.alloc_failures += 1;
-        self.skip_payload(slot);
+        self.skip_payload(slot.len);
     }
 
     /// Where the payload filler starts: past the UDP headers. TCP bodies
@@ -575,15 +612,15 @@ impl TrafficGen {
     }
 
     /// Makes the draws [`fill_payload`](Self::fill_payload) would make for
-    /// the slot's body, writing nothing.
-    fn skip_payload(&mut self, slot: &Slot) {
+    /// the body of a `len`-byte frame, writing nothing.
+    fn skip_payload(&mut self, len: usize) {
         let Some(hdr_len) = self.body_offset() else {
             return;
         };
         if matches!(self.cfg.payload, PayloadFill::Zeros) {
             return;
         }
-        let body_len = slot.len - hdr_len;
+        let body_len = len - hdr_len;
         for _ in 0..body_len.div_ceil(8) {
             self.rng.gen::<u64>();
         }
@@ -613,13 +650,239 @@ impl TrafficGen {
     }
 }
 
+/// The generator as it was before its flow table was split: one array of
+/// records, each holding the identity and its hash; every slot copies its
+/// flow's record and reads and writes its lifecycle state, whatever the
+/// traffic. Kept only as the oracle the generator is checked against. It
+/// wraps a [`TrafficGen`] for what the split left alone (sizes, pacing
+/// fields, the payload filler, statistics) and keeps its own table, drawn
+/// afresh from the seed.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy)]
+    struct OracleSlot {
+        len: usize,
+        ts: Time,
+        flow: (Flow, u32),
+        tcp_flags: u8,
+        tcp_seq: u32,
+    }
+
+    pub(super) struct OracleGen {
+        g: TrafficGen,
+        flows: Vec<(Flow, u32)>,
+        state: Vec<FlowState>,
+    }
+
+    impl OracleGen {
+        pub(super) fn new(cfg: TrafficConfig) -> OracleGen {
+            let mut rng = SmallRng::seed_from_u64(cfg.seed);
+            let nic = Toeplitz::default();
+            let flows = (0..cfg.flows)
+                .map(|_| Flow::draw(&mut rng, &cfg, &nic))
+                .collect();
+            let state = vec![FlowState::default(); cfg.flows];
+            OracleGen {
+                g: TrafficGen::new(cfg),
+                flows,
+                state,
+            }
+        }
+
+        pub(super) fn stats(&self) -> GenStats {
+            self.g.stats
+        }
+
+        pub(super) fn offer(
+            &mut self,
+            until: Time,
+            max_slots: u64,
+            pool: &Mempool,
+            port: &mut Port,
+        ) -> u64 {
+            let mut slots = 0;
+            while slots < max_slots && self.g.next_ts < until {
+                let slot = self.draw();
+                slots += 1;
+                let Some(q) = port.admit(slot.flow.1) else {
+                    self.g.skip_payload(slot.len);
+                    continue;
+                };
+                match pool.alloc() {
+                    Some(buf) => {
+                        let pkt = self.write(&slot, Packet::from_pool(buf, pool.clone()));
+                        port.enqueue(q, pkt);
+                    }
+                    None => {
+                        port.nombuf();
+                        self.lose(&slot);
+                    }
+                }
+            }
+            slots
+        }
+
+        pub(super) fn generate(
+            &mut self,
+            until: Time,
+            pool: &Mempool,
+            sink: &mut dyn FnMut(Packet),
+        ) -> u64 {
+            let mut emitted = 0;
+            while self.g.next_ts < until {
+                let slot = self.draw();
+                match pool.alloc() {
+                    Some(buf) => {
+                        emitted += 1;
+                        sink(self.write(&slot, Packet::from_pool(buf, pool.clone())));
+                    }
+                    None => self.lose(&slot),
+                }
+            }
+            emitted
+        }
+
+        pub(super) fn generate_burst(
+            &mut self,
+            count: usize,
+            cache: &mut MempoolCache,
+            sink: &mut dyn FnMut(Packet),
+        ) -> u64 {
+            for emitted in 0..count {
+                let Some(buf) = cache.alloc() else {
+                    self.g.stats.alloc_failures += 1;
+                    return emitted as u64;
+                };
+                let slot = self.draw();
+                sink(self.write(&slot, Packet::from_buf(buf)));
+            }
+            count as u64
+        }
+
+        fn pick_flow(&mut self) -> usize {
+            let g = &mut self.g;
+            if g.cfg.sequential {
+                ((g.seq - 1) % self.flows.len() as u64) as usize
+            } else if g.zipf_cdf.is_empty() {
+                g.rng.gen_range(0..self.flows.len())
+            } else {
+                let u: f64 = g.rng.gen();
+                g.zipf_cdf
+                    .partition_point(|&c| c < u)
+                    .min(self.flows.len() - 1)
+            }
+        }
+
+        fn draw(&mut self) -> OracleSlot {
+            let g = &mut self.g;
+            let len = g.cfg.size.sample(&mut g.rng).max(g.min_len());
+            let ts = g.next_ts;
+            if g.gap.0 != len {
+                let wire_bits = ((len + WIRE_OVERHEAD_BYTES) * 8) as f64;
+                g.gap = (
+                    len,
+                    Time::from_secs_f64(wire_bits / (g.cfg.offered_gbps * 1e9)),
+                );
+            }
+            g.next_ts += g.gap.1;
+            g.seq += 1;
+            let flood = g.cfg.l4 == L4Proto::Tcp
+                && g.cfg.syn_flood_per_mille > 0
+                && g.rng.gen_range(0..1000) < g.cfg.syn_flood_per_mille;
+            if flood {
+                return OracleSlot {
+                    len,
+                    ts,
+                    flow: g.fresh_flow(),
+                    tcp_flags: proto::TCP_SYN,
+                    tcp_seq: 0,
+                };
+            }
+            let idx = self.pick_flow();
+            let g = &mut self.g;
+            let pkts = self.state[idx].pkts;
+            let last = g.cfg.flow_lifetime_pkts > 0 && pkts + 1 >= g.cfg.flow_lifetime_pkts;
+            let tcp_flags = if pkts == 0 {
+                proto::TCP_SYN
+            } else if last {
+                proto::TCP_FIN | proto::TCP_ACK
+            } else {
+                proto::TCP_ACK | proto::TCP_PSH
+            };
+            let flow = self.flows[idx];
+            if last {
+                self.flows[idx] = g.fresh_flow();
+                self.state[idx] = FlowState::default();
+            } else {
+                self.state[idx].pkts = pkts + 1;
+            }
+            OracleSlot {
+                len,
+                ts,
+                flow,
+                tcp_flags,
+                tcp_seq: pkts as u32,
+            }
+        }
+
+        fn write(&mut self, slot: &OracleSlot, mut pkt: Packet) -> Packet {
+            let OracleSlot {
+                len,
+                ts,
+                flow: (flow, rss_hash),
+                tcp_flags,
+                tcp_seq,
+            } = *slot;
+            let g = &mut self.g;
+            let frame = pkt.buf_mut().set_region(DEFAULT_HEADROOM, len);
+            g.builder.src_port = flow.src_port;
+            g.builder.dst_port = flow.dst_port;
+            match (g.cfg.ip_version, g.cfg.l4) {
+                (IpVersion::V4, L4Proto::Udp) => {
+                    g.builder.build_ipv4(frame, len, flow.src_v4, flow.dst_v4);
+                }
+                (IpVersion::V4, L4Proto::Tcp) => {
+                    g.builder.build_ipv4_tcp(
+                        frame,
+                        len,
+                        flow.src_v4,
+                        flow.dst_v4,
+                        tcp_flags,
+                        tcp_seq,
+                    );
+                }
+                (IpVersion::V6, _) => {
+                    g.builder.build_ipv6(frame, len, flow.src_v6, flow.dst_v6);
+                }
+            }
+            if let Some(hdr_len) = g.body_offset() {
+                g.fill_payload(&mut frame[hdr_len..]);
+            }
+            pkt.ts_gen = ts;
+            pkt.rss_hash = rss_hash;
+            g.stats.generated += 1;
+            g.stats.frame_bits += (len * 8) as u64;
+            pkt
+        }
+
+        fn lose(&mut self, slot: &OracleSlot) {
+            self.g.stats.alloc_failures += 1;
+            self.g.skip_payload(slot.len);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::PortCounters;
     use crate::proto::{
         ether::EtherView, ipv4::Ipv4View, ipv6::Ipv6View, l4::TcpView, IPPROTO_TCP, TCP_ACK,
         TCP_FIN, TCP_PSH, TCP_SYN,
     };
+    use proptest::prelude::*;
 
     fn run_gen(cfg: TrafficConfig, until: Time) -> (Vec<Packet>, GenStats) {
         let pool = Mempool::new(1 << 20);
@@ -938,5 +1201,169 @@ mod tests {
         assert_eq!(kept.len(), 4);
         assert!(kept[0].ts_gen >= Time::from_us(20));
         kept.iter().for_each(same_slot_in_whole);
+    }
+
+    /// A traffic shape from drawn knobs. `l4`: IPv4 UDP, IPv6 UDP, TCP
+    /// (IPv4 only), TCP with a SYN flood. `size`: fixed, IMIX, CAIDA-like,
+    /// uniform. `payload`: zeros, ASCII, a planted needle (TCP bodies are
+    /// never filled). `order`: random, Zipf, sequential.
+    fn shape(
+        (l4, size, payload, order): (u8, u8, u8, u8),
+        (len, spread): (usize, usize),
+        (flows, lifetime, flood): (usize, u64, u32),
+        seed: u64,
+    ) -> TrafficConfig {
+        TrafficConfig {
+            offered_gbps: 40.0,
+            size: match size {
+                0 => SizeDist::Fixed(len),
+                1 => SizeDist::Imix,
+                2 => SizeDist::CaidaLike,
+                _ => SizeDist::Uniform {
+                    min: len,
+                    max: len + spread,
+                },
+            },
+            ip_version: if l4 == 1 {
+                IpVersion::V6
+            } else {
+                IpVersion::V4
+            },
+            flows,
+            zipf_alpha: if order == 1 { 1.1 } else { 0.0 },
+            payload: match payload {
+                0 => PayloadFill::Zeros,
+                1 => PayloadFill::Ascii,
+                _ => PayloadFill::Plant {
+                    needle: NEEDLE.to_vec(),
+                    every: 3,
+                },
+            },
+            seed,
+            l4: if l4 >= 2 { L4Proto::Tcp } else { L4Proto::Udp },
+            flow_lifetime_pkts: lifetime,
+            syn_flood_per_mille: if l4 == 3 { flood } else { 0 },
+            sequential: order == 2,
+        }
+    }
+
+    /// What a packet says: its frame, pacing stamp, descriptor hash and
+    /// ingress port and queue.
+    type Seen = (Vec<u8>, Time, u32, u16, u16);
+
+    fn seen(p: &Packet) -> Seen {
+        (
+            p.data().to_vec(),
+            p.ts_gen,
+            p.rss_hash,
+            p.port_in,
+            p.queue_in,
+        )
+    }
+
+    /// A call's return value (slots offered, packets emitted), recorded in
+    /// line with the packets.
+    fn returned(n: u64) -> Seen {
+        (Vec::new(), Time::ZERO, n as u32, 0, 0)
+    }
+
+    /// Runs `generate` through a 24-buffer pool whose packets are held for
+    /// three half-microsecond windows at a time, so the pool runs dry.
+    fn by_time(
+        mut generate: impl FnMut(Time, &Mempool, &mut dyn FnMut(Packet)) -> u64,
+    ) -> Vec<Seen> {
+        let pool = Mempool::new(24);
+        let (mut held, mut out) = (Vec::new(), Vec::new());
+        for step in 1..=18 {
+            let n = generate(Time::from_ns(step * 500), &pool, &mut |p| held.push(p));
+            out.push(returned(n));
+            if step % 3 == 0 {
+                out.extend(held.drain(..).map(|p| seen(&p)));
+            }
+        }
+        out
+    }
+
+    /// Runs `generate_burst` through a thread cache over a 24-buffer pool,
+    /// in bursts of 1 to 16, sending the buffers home every third burst.
+    fn by_count(
+        mut burst: impl FnMut(usize, &mut MempoolCache, &mut dyn FnMut(Packet)) -> u64,
+    ) -> Vec<Seen> {
+        let pool = Mempool::new(24);
+        let mut cache = MempoolCache::new(pool.clone(), 8);
+        let (mut held, mut out) = (Vec::new(), Vec::new());
+        for round in 1..=30 {
+            let n = burst(1 + round * 7 % 16, &mut cache, &mut |p| held.push(p));
+            out.push(returned(n));
+            if round % 3 == 0 {
+                out.extend(held.iter().map(seen));
+                pool.free_bulk(held.drain(..).map(Packet::into_buf));
+            }
+        }
+        out
+    }
+
+    /// Offers half-microsecond windows to a port of `queues` four-descriptor
+    /// queues over a 6-buffer pool. Every third window the queues are
+    /// drained and what they held is kept until the next drain, so slots
+    /// are refused and admitted ones find the pool dry.
+    fn by_port(
+        queues: u16,
+        mut offer: impl FnMut(Time, &Mempool, &mut Port) -> u64,
+    ) -> (Vec<Seen>, PortCounters) {
+        let pool = Mempool::new(6);
+        let mut port = Port::new(0, 10.0, queues, 4);
+        let (mut held, mut out) = (Vec::new(), Vec::new());
+        for step in 1..=18 {
+            let n = offer(Time::from_ns(step * 500), &pool, &mut port);
+            out.push(returned(n));
+            if step % 3 == 0 {
+                held.clear();
+                for q in 0..queues {
+                    while let Some(p) = port.rx_queue(q).pop() {
+                        out.push(seen(&p));
+                        held.push(p);
+                    }
+                }
+            }
+        }
+        (out, port.counters())
+    }
+
+    proptest! {
+        /// The split flow table writes the stream the one-record-per-flow
+        /// generator wrote, bit for bit, by time, by count and offered to a
+        /// port that refuses slots and a pool that runs dry: the same
+        /// frames, stamps, hashes, queues, per-window counts, generator
+        /// statistics and port counters.
+        #[test]
+        fn stream_equals_the_oracle(
+            knobs in (0u8..4, 0u8..4, 0u8..3, 0u8..3),
+            sizes in (40usize..400, 0usize..1100),
+            table in (1usize..40, 0u64..10, 0u32..600),
+            churn in any::<bool>(),
+            queues in 1u16..4,
+            seed in any::<u64>(),
+        ) {
+            let (flows, lifetime, flood) = table;
+            let cfg = shape(knobs, sizes, (flows, if churn { lifetime + 1 } else { 0 }, flood), seed);
+
+            let (mut gen, mut old) = (TrafficGen::new(cfg.clone()), oracle::OracleGen::new(cfg.clone()));
+            prop_assert_eq!(by_time(|t, pool, sink| gen.generate(t, pool, sink)),
+                by_time(|t, pool, sink| old.generate(t, pool, sink)));
+            prop_assert_eq!(gen.stats(), old.stats());
+
+            let (mut gen, mut old) = (TrafficGen::new(cfg.clone()), oracle::OracleGen::new(cfg.clone()));
+            prop_assert_eq!(by_count(|n, cache, sink| gen.generate_burst(n, cache, sink)),
+                by_count(|n, cache, sink| old.generate_burst(n, cache, sink)));
+            prop_assert_eq!(gen.stats(), old.stats());
+
+            let (mut gen, mut old) = (TrafficGen::new(cfg.clone()), oracle::OracleGen::new(cfg));
+            let (seen_new, counters_new) = by_port(queues, |t, pool, port| gen.offer(t, u64::MAX, pool, port));
+            let (seen_old, counters_old) = by_port(queues, |t, pool, port| old.offer(t, u64::MAX, pool, port));
+            prop_assert_eq!(seen_new, seen_old);
+            prop_assert_eq!(counters_new, counters_old);
+            prop_assert_eq!(gen.stats(), old.stats());
+        }
     }
 }

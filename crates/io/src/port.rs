@@ -28,7 +28,7 @@ use crate::rss::RssTable;
 use crate::toeplitz::{queue_for_hash, Toeplitz};
 
 /// Counters of one port.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortCounters {
     /// Frames delivered into RX queues.
     pub rx_delivered: u64,

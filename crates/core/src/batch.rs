@@ -247,17 +247,6 @@ impl PacketBatch {
             .map(|(i, _)| i)
     }
 
-    /// Reads the first data byte of every live packet, one independent
-    /// load each, so that the batch's header misses can overlap instead of
-    /// arriving one per packet inside the first element that parses them.
-    /// Safe Rust has no prefetch; `black_box` keeps the loads. Changes
-    /// nothing.
-    pub fn warm_headers(&self) {
-        for pkt in self.slots.iter().flatten() {
-            std::hint::black_box(pkt.data().first().copied());
-        }
-    }
-
     /// The live packets, in slot order.
     pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> + '_ {
         self.slots.iter().flatten()

@@ -225,10 +225,6 @@ impl Entity for WorkerEntity {
             for p in iter.by_ref().take(cfg.comp_batch) {
                 batch.push(p);
             }
-            // The frames were written when the source admitted them, many
-            // packets ago: fetch their headers together rather than one
-            // miss per packet in the first parsing element.
-            batch.warm_headers();
             // Every DES packet carries its pool handle: a contained panic
             // frees its buffers in the unwind, and writes none off.
             self.core.on_batch(now, batch, 0, &[], &mut tp);

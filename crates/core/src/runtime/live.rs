@@ -89,6 +89,18 @@ pub const MAX_OUTSTANDING: u64 = 32;
 const BACKPRESSURE_SPINS: u32 = 64;
 const BACKPRESSURE_NAP: Duration = Duration::from_micros(50);
 
+/// The offload waits block on the event that ends them: a worker at its
+/// in-flight cap on its completion channel, the idle device thread in
+/// `park`. The token of `unpark` (and the channel's mutex) rules out lost
+/// wake-ups, so this cap on both is only a safety net: it bounds how late
+/// a blocked thread sees the stop flag, a drill, or a command ring that
+/// closed in a panic unwind, which nobody signals.
+const OFFLOAD_WAIT_CAP: Duration = Duration::from_millis(1);
+
+/// Tasks the device thread pulls from each command ring per scan, in
+/// units of its aggregation depth.
+const SCAN_QUOTA: usize = 4;
+
 /// Configuration of a live run.
 #[derive(Clone)]
 pub struct LiveConfig {
@@ -297,6 +309,9 @@ struct WorkerSpawner {
     batch_size: usize,
     stop: Arc<AtomicBool>,
     completion_rxs: Vec<channel::Receiver<CompletedTask>>,
+    /// The device thread, unparked by every command a worker pushes and by
+    /// a worker's exit (which closes its command ring).
+    device: std::thread::Thread,
     /// Owns each shard's event ring; a replacement worker's graph attaches
     /// to its shard's existing ring.
     flight: Arc<FlightRecorder>,
@@ -334,6 +349,11 @@ impl WorkerSpawner {
         std::thread::spawn(move || worker_loop(core, rx, task_tx, &sp))
     }
 
+    /// Wall time since run start, as the `Time` the cores take.
+    fn now(&self) -> Time {
+        Time::from_secs_f64(self.started.elapsed().as_secs_f64())
+    }
+
     /// Runs one graph dispatch and records its wall time as batch service
     /// time: into the worker's latency shard and, in nanoseconds (the unit
     /// convention shared with the DES runtime), into the latency EWMA.
@@ -356,6 +376,8 @@ struct RingTransport<'a> {
     outstanding: u64,
     /// Where `outstanding` is stored for flight dumps, on every change.
     gauge: &'a AtomicU64,
+    /// The device thread, woken by each push.
+    device: &'a std::thread::Thread,
 }
 
 impl RingTransport<'_> {
@@ -374,6 +396,7 @@ impl Transport for RingTransport<'_> {
 
     fn offload(&mut self, task: OffloadTask) -> Result<(), OffloadTask> {
         self.task_tx.push(task)?;
+        self.device.unpark();
         self.outstanding += 1;
         self.gauge.store(self.outstanding, Ordering::Relaxed);
         Ok(())
@@ -398,6 +421,7 @@ fn worker_loop(
         task_tx,
         outstanding: 0,
         gauge: &sp.outstanding[w],
+        device: &sp.device,
     };
     // A replacement starts with nothing in flight.
     tp.gauge.store(0, Ordering::Relaxed);
@@ -418,7 +442,7 @@ fn worker_loop(
             }
             None => {}
         }
-        let now = Time::from_secs_f64(sp.started.elapsed().as_secs_f64());
+        let now = sp.now();
         // 1. Completions (their outcomes may re-offload at the next
         // offloadable element in the chain).
         loop {
@@ -434,8 +458,17 @@ fn worker_loop(
             sp.timed(w, || core.on_completion(now, done, &mut tp));
         }
         if tp.outstanding > MAX_OUTSTANDING && !completions_dead {
-            // Wait for completions instead of flooding the device.
-            std::thread::yield_now();
+            // At the cap: block until the device returns a batch instead
+            // of flooding it, and leave the CPU to it meanwhile.
+            match completion_rx.recv_timeout(OFFLOAD_WAIT_CAP) {
+                Ok(done) => {
+                    tp.reaped();
+                    let now = sp.now();
+                    sp.timed(w, || core.on_completion(now, done, &mut tp));
+                }
+                Err(channel::RecvTimeoutError::Timeout) => {}
+                Err(channel::RecvTimeoutError::Disconnected) => completions_dead = true,
+            }
             continue;
         }
         // 2. Pull one batch from this worker's RX rings: a burst from each
@@ -497,6 +530,9 @@ fn worker_loop(
         // 2-vCPU Xeon VM peaked at 19.1–19.4 MiB RSS against 14.5–16.6.
         core.release_homes();
     }
+    // The device thread may be parked: wake it to see the ring closed.
+    drop(tp);
+    sp.device.unpark();
     core.take_yield()
 }
 
@@ -559,6 +595,29 @@ impl DeviceBackend for WallDevice<'_> {
         // left in the channel as lost in flight.
         let _ = self.senders[done.worker].send(done);
     }
+}
+
+/// One scan of the device thread over the per-worker command rings: from
+/// ring `scan % rings.len()` round-robin, at most `quota` tasks from each
+/// ring, each handed to `take`. Every ring gets the same share of a loaded
+/// scan and the first ring rotates, so one flooding worker cannot starve
+/// the others' offloads. Returns the tasks pulled.
+fn scan_rings<T>(
+    rings: &[spsc::Consumer<T>],
+    scan: usize,
+    quota: usize,
+    mut take: impl FnMut(T),
+) -> usize {
+    let mut pulled = 0;
+    for i in 0..rings.len() {
+        let ring = &rings[(scan + i) % rings.len()];
+        for _ in 0..quota {
+            let Some(task) = ring.pop() else { break };
+            take(task);
+            pulled += 1;
+        }
+    }
+    pulled
 }
 
 /// The engine under [`run`]/[`run_sharded`]: `balancers[w]` is worker `w`'s
@@ -823,6 +882,7 @@ fn run_core(
         let mut core = DeviceCore::new(0, spec_map, Default::default(), dev_env);
         let mut task_rings = task_rings;
         let mut ring_add_open = true;
+        let mut scans = 0usize;
         // Live completes a launch at once: the kernel already ran on this
         // thread, there is no device timeline to wait on.
         let flush = |core: &mut DeviceCore, node: usize, be: &mut WallDevice<'_>| {
@@ -844,22 +904,13 @@ fn run_core(
                 rings: &task_rings,
                 senders: &completion_senders,
             };
-            // Round-robin over the per-worker command rings so one flooding
-            // worker cannot starve the others' offloads.
-            let mut pulled = 0usize;
-            for ring in &task_rings {
-                while let Some(task) = ring.pop() {
-                    pulled += 1;
-                    let node = task.node.0;
-                    if core.push(be.now(), task) >= dev_aggregate {
-                        flush(&mut core, node, &mut be);
-                    }
-                    // Bound one scan so aggregation stays fair under load.
-                    if pulled >= 4 * dev_aggregate {
-                        break;
-                    }
+            scans = scans.wrapping_add(1);
+            let pulled = scan_rings(&task_rings, scans, SCAN_QUOTA * dev_aggregate, |task| {
+                let node = task.node.0;
+                if core.push(be.now(), task) >= dev_aggregate {
+                    flush(&mut core, node, &mut be);
                 }
-            }
+            });
             if pulled == 0 {
                 // Idle: flush partial aggregates so nothing starves, then
                 // exit once every worker closed its command ring.
@@ -871,7 +922,9 @@ fn run_core(
                 {
                     break;
                 }
-                std::thread::sleep(Duration::from_micros(200));
+                // A push, a closed ring, a registration or the stop flag
+                // unparks; a wake-up that came since the scan returns at once.
+                std::thread::park_timeout(OFFLOAD_WAIT_CAP);
             }
         }
         core.finish()
@@ -1126,6 +1179,7 @@ fn run_core(
         batch_size: cfg.batch.max(1),
         stop: stop.clone(),
         completion_rxs: completion_channels.iter().map(|(_, r)| r.clone()).collect(),
+        device: device.thread().clone(),
         flight: flight.clone(),
         outstanding,
         steer: steer_spans.clone(),
@@ -1235,6 +1289,7 @@ fn run_core(
                 }
                 let (ttx, trx) = spsc::channel(TASK_RING_DEPTH);
                 let _ = ring_add_tx.send(trx);
+                device.thread().unpark();
                 health[w].rearm();
                 joins.push((w, spawner.spawn(w, new_rx, ttx, false)));
                 supervisor.recovered(w, elapsed_ns());
@@ -1269,8 +1324,10 @@ fn run_core(
     }
     stop.store(true, Ordering::Relaxed);
     // The only late-registration sender: dropping it lets the device
-    // finish once every command ring is gone.
+    // finish once every command ring is gone. Wake it to see that and the
+    // stop flag.
     drop(ring_add_tx);
+    device.thread().unpark();
 
     // Joins: a thread that died despite the in-thread panic containment
     // costs its telemetry, never the run.
@@ -1407,5 +1464,32 @@ fn run_core(
         decisions,
         health: health_report,
         flows: flow_registry.report(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_loaded_device_scan_shares_equally_and_rotates() {
+        const QUOTA: usize = 8;
+        let (txs, rings): (Vec<_>, Vec<_>) = (0..2).map(|_| spsc::channel::<usize>(1024)).unzip();
+        for (r, tx) in txs.iter().enumerate() {
+            for _ in 0..1000 {
+                tx.push(r).unwrap();
+            }
+        }
+        let mut taken = [0usize; 2];
+        for scan in 0..10 {
+            let mut first = None;
+            let pulled = scan_rings(&rings, scan, QUOTA, |r| {
+                first.get_or_insert(r);
+                taken[r] += 1;
+            });
+            assert_eq!(pulled, 2 * QUOTA, "scan {scan}");
+            assert_eq!(first, Some(scan % 2), "scan {scan} starts at the next ring");
+            assert_eq!(taken[0], taken[1], "after scan {scan}");
+        }
     }
 }

@@ -4,19 +4,28 @@
 //! Build with `RUSTFLAGS="--cfg loom"` to enable. The model runs the
 //! runtime's own pieces: each worker owns one `nba_io::spsc` task ring and
 //! one `crossbeam::channel` completion queue. A worker pushes its tagged
-//! tasks — a task that meets a full ring completes inline, the live CPU
-//! fallback — drops its producer, the device's drain signal, and reaps its
-//! completions. The device thread round-robins over the rings, routes
-//! each task back to the completion queue of the worker that pushed it,
-//! and exits by the live rule: a scan that pulled nothing while every task
-//! ring `is_disconnected`. Dropping the senders on exit disconnects the
-//! completion queues. The properties checked under every explored
+//! tasks and unparks the device after each — a task that meets a full ring
+//! completes inline, the live CPU fallback. At its in-flight cap it blocks
+//! in `recv` on its completion queue. Once it has submitted everything it
+//! drops its producer, the device's drain signal, unparks the device, and
+//! blocks in `recv` for the rest of its completions. The device thread
+//! scans the rings round-robin, routes each task back to the completion
+//! queue of the worker that pushed it, and parks when a scan pulls
+//! nothing. It exits by the live rule: a scan that pulled nothing while
+//! every task ring `is_disconnected`. Dropping the senders on exit
+//! disconnects the completion queues. Both waits are untimed here, where
+//! the runtime caps them, so a lost wake-up hangs the model instead of
+//! passing on a timer. The properties checked under every explored
 //! interleaving:
 //!
 //! * every submitted task is completed exactly once to its own worker
-//!   (none lost, none duplicated, none misrouted), and
+//!   (none lost, none duplicated, none misrouted),
 //! * both sides terminate — the device does not exit while a ring still
-//!   holds a task, and no worker waits on a completion that never comes.
+//!   holds a task, and no worker waits on a completion that never comes,
+//!   and
+//! * no lost wake-up — a parked device is woken by every push and by
+//!   every closed ring, and a worker blocked at its cap by every
+//!   completion.
 #![cfg(loom)]
 
 use crossbeam::channel;
@@ -29,7 +38,10 @@ const WORKERS: usize = 2;
 /// interleavings take the inline fallback.
 const TASKS: usize = 3;
 /// Slots of each task ring.
-const RING: usize = 2;
+const RING: usize = 1;
+/// A worker with more than this many tasks in flight blocks on its
+/// completions (the live `MAX_OUTSTANDING`).
+const CAP: usize = 1;
 
 #[test]
 fn offload_round_trip_completes_every_task_once_to_its_worker() {
@@ -40,42 +52,58 @@ fn offload_round_trip_completes_every_task_once_to_its_worker() {
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..WORKERS).map(|_| channel::unbounded::<usize>()).unzip();
 
-        // The device thread: round-robin over the task rings, complete,
-        // route back by origin tag; exit once a scan finds every ring
-        // drained and closed.
-        let device = thread::spawn(move || loop {
-            let mut pulled = 0;
-            for ring in &rings {
-                while let Some((worker, seq)) = ring.pop() {
-                    pulled += 1;
-                    senders[worker].send(seq).expect("worker reaps");
+        // The device thread: round-robin over the task rings from a
+        // rotating start, complete, route back by origin tag; park when a
+        // scan finds nothing, exit once it finds every ring drained and
+        // closed.
+        let device = thread::spawn(move || {
+            let mut scan = 0;
+            loop {
+                let mut pulled = 0;
+                for i in 0..rings.len() {
+                    while let Some((worker, seq)) = rings[(scan + i) % rings.len()].pop() {
+                        pulled += 1;
+                        senders[worker].send(seq).expect("worker reaps");
+                    }
                 }
-            }
-            if pulled == 0 {
-                if rings.iter().all(spsc::Consumer::is_disconnected) {
-                    break;
+                scan += 1;
+                if pulled == 0 {
+                    if rings.iter().all(spsc::Consumer::is_disconnected) {
+                        break;
+                    }
+                    thread::park();
                 }
-                thread::yield_now();
             }
         });
 
-        // Workers: submit, drop the producer, then reap their own
-        // completions until they have all of them or the device is gone.
+        // Workers: submit (blocking at the cap), drop the producer, then
+        // reap their own completions until they have all of them or the
+        // device is gone.
         let workers: Vec<_> = (producers.into_iter().zip(receivers).enumerate())
             .map(|(w, (tx, done))| {
+                let dev = device.thread().clone();
                 thread::spawn(move || {
                     let mut seqs = Vec::new();
+                    let mut outstanding = 0;
                     for seq in 0..TASKS {
-                        if tx.push((w, seq)).is_err() {
-                            seqs.push(seq);
+                        while outstanding > CAP {
+                            seqs.push(done.recv().expect("the device completes"));
+                            outstanding -= 1;
+                        }
+                        match tx.push((w, seq)) {
+                            Ok(()) => {
+                                dev.unpark();
+                                outstanding += 1;
+                            }
+                            Err(_) => seqs.push(seq),
                         }
                     }
                     drop(tx);
+                    dev.unpark();
                     while seqs.len() < TASKS {
-                        match done.try_recv() {
+                        match done.recv() {
                             Ok(seq) => seqs.push(seq),
-                            Err(channel::TryRecvError::Empty) => thread::yield_now(),
-                            Err(channel::TryRecvError::Disconnected) => break,
+                            Err(_) => break,
                         }
                     }
                     // Exactly once, correctly routed: this worker's own

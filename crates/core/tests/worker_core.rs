@@ -76,10 +76,6 @@ struct Rig {
 }
 
 fn rig(plan: Option<&FaultPlan>) -> Rig {
-    rig_with(graph(), plan)
-}
-
-fn rig_with(graph: ElementGraph, plan: Option<&FaultPlan>) -> Rig {
     let counters = Arc::new(Counters::default());
     let fstats = Arc::new(FaultStats::default());
     let health = Arc::new(vec![WorkerHealth::new()]);
@@ -95,7 +91,7 @@ fn rig_with(graph: ElementGraph, plan: Option<&FaultPlan>) -> Rig {
         homes: Vec::new(),
     };
     Rig {
-        core: WorkerCore::new(0, graph, env, plan),
+        core: WorkerCore::new(0, graph(), env, plan),
         counters,
         fstats,
         health,
@@ -227,64 +223,4 @@ fn the_kill_drill_fires_after_the_batch_that_crossed_the_threshold() {
         !r.health[0].alive.load(Ordering::Acquire),
         "no crash signal"
     );
-}
-
-/// Drops an empty frame and inverts the last byte of any other.
-struct DropEmpty;
-
-impl Element for DropEmpty {
-    fn class_name(&self) -> &'static str {
-        "DropEmpty"
-    }
-    fn process(&mut self, _: &mut ElemCtx<'_>, pkt: &mut Packet, _: &mut Anno) -> PacketResult {
-        let Some(last) = pkt.data_mut().last_mut() else {
-            return PacketResult::Drop;
-        };
-        *last ^= 0xFF;
-        PacketResult::Out(0)
-    }
-}
-
-#[test]
-fn warming_the_headers_changes_no_outcome() {
-    let cpu_graph = || {
-        let mut b = GraphBuilder::new();
-        b.add(Box::new(DropEmpty));
-        b.build().expect("graph")
-    };
-    let frames: [&[u8]; 2] = [&[], &[0x45, 0, 0x0F]];
-    let batch = || {
-        let mut b = PacketBatch::with_capacity(frames.len());
-        for f in frames {
-            b.push(Packet::from_bytes(f));
-        }
-        b
-    };
-
-    // The batch warmed and run through the worker step, as the DES worker
-    // runs it...
-    let mut r = rig_with(cpu_graph(), None);
-    let mut tp = Recording::default();
-    let warmed = batch();
-    warmed.warm_headers();
-    r.core.on_batch(Time::ZERO, warmed, 0, &[], &mut tp);
-    // ...and the bare graph on the same batch, unwarmed.
-    let (nls, counters) = (NodeLocalStorage::new(), Counters::default());
-    let inspector = SystemInspector::new(vec![]);
-    let mut ctx = ElemCtx {
-        now: Time::ZERO,
-        compute: ComputeMode::Full,
-        nls: &nls,
-        worker: 0,
-        inspector: &inspector,
-    };
-    let cost = CostModel::paper_default();
-    let bare = cpu_graph().run_batch(&mut ctx, &cost, &counters, batch());
-
-    let bare_tx: Vec<Vec<u8>> = bare.tx.iter().map(|(p, _)| p.data().to_vec()).collect();
-    assert_eq!(tp.sent, bare_tx);
-    assert_eq!(tp.sent, vec![vec![0x45, 0, 0xF0]]);
-    let c = r.counters.snapshot();
-    assert_eq!((c.rx_packets, c.tx_packets, c.dropped), (2, 1, bare.drops));
-    assert_eq!(r.fstats.snapshot().panics_contained, 0);
 }

@@ -20,6 +20,9 @@ pub mod channel {
         items: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `ready`: a send with none waiting skips the
+        /// wake-up (a futex call per message otherwise).
+        waiting: usize,
     }
 
     /// Creates an unbounded channel.
@@ -29,6 +32,7 @@ pub mod channel {
                 items: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                waiting: 0,
             }),
             ready: Condvar::new(),
         });
@@ -71,8 +75,11 @@ pub mod channel {
                 return Err(SendError(value));
             }
             st.items.push_back(value);
+            let waiting = st.waiting > 0;
             drop(st);
-            self.0.ready.notify_one();
+            if waiting {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -121,8 +128,10 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.waiting += 1;
                 let (guard, timed_out) = self.0.ready.wait_timeout(st, deadline - now).unwrap();
                 st = guard;
+                st.waiting -= 1;
                 if timed_out.timed_out() && st.items.is_empty() {
                     return if st.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -143,7 +152,9 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
+                st.waiting += 1;
                 st = self.0.ready.wait(st).unwrap();
+                st.waiting -= 1;
             }
         }
     }
@@ -191,10 +202,109 @@ pub mod channel {
         #[test]
         fn timeout_expires_without_messages() {
             let (_tx, rx) = unbounded::<u32>();
+            let t0 = Instant::now();
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
             );
+            assert!(t0.elapsed() >= Duration::from_millis(5));
+        }
+
+        /// Far longer than any wake-up takes, even on one busy CPU, and far
+        /// shorter than the 60 s the blocked receivers ask for: a receiver
+        /// slower than this was woken by its timeout, not by the sender.
+        const PROMPT: Duration = Duration::from_secs(10);
+
+        fn waiters<T>(rx: &Receiver<T>) -> usize {
+            rx.0.queue.lock().unwrap().waiting
+        }
+
+        /// Polls until `n` receivers are blocked in the channel.
+        fn await_waiters<T>(rx: &Receiver<T>, n: usize) {
+            let t0 = Instant::now();
+            while waiters(rx) != n {
+                assert!(t0.elapsed() < PROMPT, "{} waiters, not {n}", waiters(rx));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// A receiver blocked in `recv_timeout(60 s)` on its own thread;
+        /// joins to its result and how long it waited.
+        fn blocked_receiver(
+            rx: Receiver<u32>,
+        ) -> std::thread::JoinHandle<(Result<u32, RecvTimeoutError>, Duration)> {
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                let got = rx.recv_timeout(Duration::from_secs(60));
+                (got, t0.elapsed())
+            })
+        }
+
+        #[test]
+        fn a_send_wakes_a_blocked_receiver_promptly() {
+            let (tx, rx) = unbounded();
+            let h = blocked_receiver(rx.clone());
+            await_waiters(&rx, 1);
+            tx.send(7).unwrap();
+            let (got, waited) = h.join().unwrap();
+            assert_eq!(got, Ok(7));
+            assert!(waited < PROMPT, "woken after {waited:?}");
+            assert_eq!(waiters(&rx), 0);
+        }
+
+        #[test]
+        fn dropping_the_last_sender_wakes_a_blocked_receiver() {
+            let (tx, rx) = unbounded::<u32>();
+            let tx2 = tx.clone();
+            let h = blocked_receiver(rx.clone());
+            await_waiters(&rx, 1);
+            drop(tx);
+            drop(tx2);
+            let (got, waited) = h.join().unwrap();
+            assert_eq!(got, Err(RecvTimeoutError::Disconnected));
+            assert!(waited < PROMPT, "woken after {waited:?}");
+        }
+
+        #[test]
+        fn a_timed_out_wait_leaves_no_waiter_behind() {
+            let (tx, rx) = unbounded();
+            assert_eq!(
+                rx.recv_timeout(Duration::from_millis(1)),
+                Err(RecvTimeoutError::Timeout)
+            );
+            assert_eq!(waiters(&rx), 0);
+            // A later blocked receiver is still counted, so a send still
+            // wakes it.
+            let h = blocked_receiver(rx.clone());
+            await_waiters(&rx, 1);
+            tx.send(3).unwrap();
+            let (got, waited) = h.join().unwrap();
+            assert_eq!(got, Ok(3));
+            assert!(waited < PROMPT, "woken after {waited:?}");
+        }
+
+        #[test]
+        fn with_two_receivers_each_message_arrives_once() {
+            const N: u32 = 1000;
+            let (tx, rx) = unbounded();
+            let drain = |rx: Receiver<u32>| {
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Ok(v) = rx.recv_timeout(Duration::from_secs(60)) {
+                        got.push(v);
+                    }
+                    got
+                })
+            };
+            let (a, b) = (drain(rx.clone()), drain(rx));
+            for i in 0..N {
+                tx.send(i).unwrap();
+            }
+            drop(tx);
+            let mut all = a.join().unwrap();
+            all.extend(b.join().unwrap());
+            all.sort_unstable();
+            assert_eq!(all, (0..N).collect::<Vec<_>>());
         }
 
         #[test]

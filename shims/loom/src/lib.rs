@@ -27,7 +27,7 @@ where
 
 pub mod thread {
     //! Model-aware threads (plain OS threads in the shim).
-    pub use std::thread::{spawn, yield_now, JoinHandle};
+    pub use std::thread::{park, spawn, yield_now, JoinHandle};
 }
 
 pub mod sync {

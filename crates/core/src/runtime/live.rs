@@ -79,23 +79,15 @@ pub const TASK_RING_DEPTH: usize = 1024;
 /// `NBA051` deadlock-freedom law checks against.
 pub const MAX_OUTSTANDING: u64 = 32;
 
-/// Lossless backpressure: how many consecutive refusals of a full ring the
-/// IO thread answers with a bare yield before it naps between retries, and
-/// the nap. Spinning on a ring the worker cannot drain any faster only burns
-/// the core. A worker that keeps pace frees a burst of slots within a dozen
-/// or so yields, so the spin phase covers it and only a worker-bound run
-/// naps; a default ring holds a millisecond of work or more at every rate
-/// the benchmark measures, so a nap this short never lets it run dry.
-const BACKPRESSURE_SPINS: u32 = 64;
-const BACKPRESSURE_NAP: Duration = Duration::from_micros(50);
-
-/// The offload waits block on the event that ends them: a worker at its
-/// in-flight cap on its completion channel, the idle device thread in
-/// `park`. The token of `unpark` (and the channel's mutex) rules out lost
-/// wake-ups, so this cap on both is only a safety net: it bounds how late
-/// a blocked thread sees the stop flag, a drill, or a command ring that
-/// closed in a panic unwind, which nobody signals.
-const OFFLOAD_WAIT_CAP: Duration = Duration::from_millis(1);
+/// The live runtime's blocking waits end on the event that ends them: a
+/// worker at its in-flight cap on its completion channel, the idle device
+/// thread in `park`, a lossless IO thread refused by a full RX ring in
+/// [`spsc::Producer::wait_for_room`] until its worker has drained half the
+/// ring. The token of `unpark` (and the channel's mutex) rules out lost
+/// wake-ups, so this cap on all three is only a safety net: it bounds how
+/// late a blocked thread sees the stop flag, a drill, or a command ring
+/// that closed in a panic unwind, which nobody signals.
+const WAIT_CAP: Duration = Duration::from_millis(1);
 
 /// Tasks the device thread pulls from each command ring per scan, in
 /// units of its aggregation depth.
@@ -139,8 +131,9 @@ pub struct LiveConfig {
     /// a budget the run becomes a fixed, seed-determined workload — the
     /// differential suite's mode.
     pub max_packets: Option<u64>,
-    /// Lossless ingress: a full RX ring blocks the IO thread (backpressure)
-    /// instead of dropping (NIC semantics). Used with `max_packets` so
+    /// Lossless ingress: a full RX ring parks the IO thread until its
+    /// worker has drained half of it (backpressure) instead of dropping
+    /// (NIC semantics). Used with `max_packets` so
     /// every generated packet is processed exactly once.
     pub drain: bool,
     /// Capture a [`TxRecord`] for every transmitted packet into
@@ -460,7 +453,7 @@ fn worker_loop(
         if tp.outstanding > MAX_OUTSTANDING && !completions_dead {
             // At the cap: block until the device returns a batch instead
             // of flooding it, and leave the CPU to it meanwhile.
-            match completion_rx.recv_timeout(OFFLOAD_WAIT_CAP) {
+            match completion_rx.recv_timeout(WAIT_CAP) {
                 Ok(done) => {
                     tp.reaped();
                     let now = sp.now();
@@ -762,12 +755,12 @@ fn run_core(
         task_txs.push(tx);
         task_rings.push(rx);
     }
-    let completion_channels: Vec<(
-        channel::Sender<CompletedTask>,
-        channel::Receiver<CompletedTask>,
-    )> = (0..workers).map(|_| channel::unbounded()).collect();
-    let completion_senders: Vec<channel::Sender<CompletedTask>> =
-        completion_channels.iter().map(|(s, _)| s.clone()).collect();
+    // Completion channels, one per worker. The device thread takes the
+    // senders and holds the only ones, so its exit (a panic outside its
+    // containment included) disconnects every worker's channel.
+    let (completion_senders, completion_rxs): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| channel::unbounded::<CompletedTask>())
+        .unzip();
 
     // Collect offload specs from a throwaway replica.
     let mut spec_map: std::collections::HashMap<usize, OffloadSpec> = Default::default();
@@ -924,7 +917,7 @@ fn run_core(
                 }
                 // A push, a closed ring, a registration or the stop flag
                 // unparks; a wake-up that came since the scan returns at once.
-                std::thread::park_timeout(OFFLOAD_WAIT_CAP);
+                std::thread::park_timeout(WAIT_CAP);
             }
         }
         core.finish()
@@ -1001,9 +994,6 @@ fn run_core(
             // affinity and per-flow order hold.
             let mut staged: Vec<Vec<Packet>> =
                 (0..workers).map(|_| Vec::with_capacity(io_burst)).collect();
-            // Consecutive refused pushes (lossless mode), see
-            // `BACKPRESSURE_SPINS`.
-            let mut refusals = 0u32;
             while !gen_stop.load(Ordering::Relaxed) && !stop.load(Ordering::Relaxed) {
                 if source.exhausted() {
                     break;
@@ -1078,7 +1068,6 @@ fn run_core(
                     std::thread::yield_now();
                     continue;
                 }
-                let mut congested = false;
                 for (q, stage) in staged.iter_mut().enumerate() {
                     if stage.is_empty() {
                         continue;
@@ -1088,32 +1077,28 @@ fn run_core(
                     // One ring publish per (burst, queue); whatever a full
                     // ring refuses gets one of three outcomes.
                     loop {
-                        let accepted = fanout.push_burst(q16, stage);
-                        if accepted > 0 {
-                            delivered += accepted;
-                            refusals = 0;
-                        }
+                        delivered += fanout.push_burst(q16, stage);
                         if stage.is_empty() {
                             break;
                         }
                         let refused = stage.len() as u64;
                         if fanout.receiver_gone(q16) {
                             // Full ring with a dead consumer: backpressure
-                            // would spin forever. Give the packets up,
+                            // would wait forever. Give the packets up,
                             // attributed with the ring's other losses.
                             HealthStats::add(&io_hstats.lost_in_ring, refused);
-                        } else {
-                            congested = true;
-                            if drain && !stop.load(Ordering::Relaxed) {
-                                // Lossless mode: backpressure, retry.
-                                refusals = refusals.saturating_add(1);
-                                if refusals <= BACKPRESSURE_SPINS {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::thread::sleep(BACKPRESSURE_NAP);
+                        } else if drain && !stop.load(Ordering::Relaxed) {
+                            // Lossless mode: backpressure. Park until the
+                            // worker has drained half the ring (or died),
+                            // then retry; a timed-out wait only looks at
+                            // the stop flag and waits again.
+                            while !fanout.wait_for_room(q16, WAIT_CAP) {
+                                if stop.load(Ordering::Relaxed) {
+                                    break;
                                 }
-                                continue;
                             }
+                            continue;
+                        } else {
                             // NIC semantics: full RX ring drops.
                             fanout.count_drops(q16, refused);
                             rx_drops[q].fetch_add(refused, Ordering::Relaxed);
@@ -1134,11 +1119,6 @@ fn run_core(
                             tr.push(ev.at_node(p).spans(span, 0));
                         }
                     }
-                }
-                if congested {
-                    // The pipeline is the bottleneck; don't spin the
-                    // generator flat out against full rings.
-                    std::thread::yield_now();
                 }
             }
             // Any replacement rings deposited but never swapped in must
@@ -1178,7 +1158,7 @@ fn run_core(
         plan: cfg.fault.plan.clone(),
         batch_size: cfg.batch.max(1),
         stop: stop.clone(),
-        completion_rxs: completion_channels.iter().map(|(_, r)| r.clone()).collect(),
+        completion_rxs,
         device: device.thread().clone(),
         flight: flight.clone(),
         outstanding,
@@ -1389,10 +1369,20 @@ fn run_core(
     let mut health_report = supervisor.finish(true, orphaned, |w| {
         let ring = shard_gauges.occupancy(w);
         let mut flight = 0;
-        while let Ok(mut done) = completion_channels[w].1.try_recv() {
-            flight += done.batch.len() as u64;
-            done.batch.drain_packets_into(&mut stranded);
-            homes.retire(stranded.drain(..));
+        loop {
+            match spawner.completion_rxs[w].try_recv() {
+                Ok(mut done) => {
+                    flight += done.batch.len() as u64;
+                    done.batch.drain_packets_into(&mut stranded);
+                    homes.retire(stranded.drain(..));
+                }
+                Err(e) => {
+                    // The device thread has been joined: its senders are
+                    // gone, so the channel must read disconnected.
+                    debug_assert_eq!(e, channel::TryRecvError::Disconnected);
+                    break;
+                }
+            }
         }
         (ring, flight)
     });

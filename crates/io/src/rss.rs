@@ -17,6 +17,7 @@
 
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::packet::Packet;
 use crate::spsc;
@@ -210,12 +211,21 @@ impl RssFanout {
     /// Enqueues steered packets bound for queue `q` from the front of
     /// `staged`, in order, with one ring publish; returns how many the ring
     /// took. Whatever a full ring refused stays in `staged` so the caller
-    /// chooses NIC semantics (count drops) or lossless semantics (back off
-    /// and retry).
+    /// chooses NIC semantics (count drops) or lossless semantics
+    /// ([`wait_for_room`](Self::wait_for_room), then retry).
     pub fn push_burst(&mut self, q: u16, staged: &mut Vec<Packet>) -> usize {
         let n = self.queues[usize::from(q)].push_burst(staged);
         self.counters[usize::from(q)].delivered += n as u64;
         n
+    }
+
+    /// Parks the calling thread until queue `q`'s worker has drained its
+    /// ring to half or is gone, for at most `timeout` (see
+    /// [`spsc::Producer::wait_for_room`]); `false` when the timeout ran
+    /// out first. The lossless answer to a refused
+    /// [`push_burst`](Self::push_burst).
+    pub fn wait_for_room(&self, q: u16, timeout: Duration) -> bool {
+        self.queues[usize::from(q)].wait_for_room(timeout)
     }
 
     /// Steers and enqueues one packet ([`steer`](Self::steer), then a

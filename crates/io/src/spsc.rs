@@ -56,10 +56,30 @@
 //! * `enqueue_failed` — push *attempts* the ring refused in whole or in
 //!   part: a refused `push` counts one, a `push_burst` that could not place
 //!   its whole burst counts one however many items were left over.
+//!
+//! **A refused producer can wait for progress.** A producer that must not
+//! drop what a full ring refused calls [`Producer::wait_for_room`]: it
+//! marks itself waiting, re-checks, and parks until the consumer has
+//! drained the ring to its *low watermark*, half the capacity, or has been
+//! dropped. A retire that leaves the ring at or under the watermark reads
+//! the waiting flag once, after it publishes `head`, and unparks the
+//! producer only when the flag is set, clearing the flag as it does: one
+//! wake-up per half ring, not one per burst. The flag and `head` form a
+//! Dekker pair: each side stores its own with `SeqCst` and then loads the
+//! other's with `SeqCst`, so at least one of them sees the other, and a
+//! wake-up is never lost. A retire that leaves the ring above the
+//! watermark skips the flag and the fence: no waiting producer is due a
+//! wake-up yet. Dropping the consumer wakes a waiting producer too, so it
+//! sees [`Producer::is_receiver_gone`] at once. The wait's timeout is a
+//! safety net for the caller's own stop conditions, not a poll: a producer
+//! that waits out its timeout has not been refused again, and gets `false`
+//! back to decide whether to wait more.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Aligns (and thereby pads) a value to its own 64-byte cache line.
 #[derive(Debug)]
@@ -96,8 +116,31 @@ struct Control {
     /// again. Producers probe this to detect a crashed worker instead of
     /// silently accumulating `enqueue_failed` against a dead ring.
     consumer_gone: AtomicBool,
+    /// Set while the producer waits in [`Producer::wait_for_room`]; the
+    /// consumer clears it when it wakes the producer.
+    producer_waiting: AtomicBool,
+    /// The waiting producer's thread, for the consumer to unpark.
+    producer_thread: Mutex<Option<Thread>>,
     /// Slot count, kept here so observers need no generic access.
     capacity: usize,
+}
+
+impl Control {
+    /// The occupancy a waiting producer is woken at: half the ring.
+    fn low_watermark(&self) -> usize {
+        self.capacity / 2
+    }
+
+    /// Unparks the producer waiting in [`Producer::wait_for_room`], if one
+    /// still waits (the flag is taken, so each wait gets one wake-up).
+    fn wake_producer(&self) {
+        if self.producer_waiting.swap(false, Ordering::SeqCst) {
+            let thread = self.producer_thread.lock();
+            if let Some(t) = thread.unwrap_or_else(PoisonError::into_inner).as_ref() {
+                t.unpark();
+            }
+        }
+    }
 }
 
 /// One page of payload cells, on lines of its own so that the two sides
@@ -225,6 +268,8 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
             }),
             closed: AtomicBool::new(false),
             consumer_gone: AtomicBool::new(false),
+            producer_waiting: AtomicBool::new(false),
+            producer_thread: Mutex::new(None),
             capacity,
         }),
     });
@@ -324,6 +369,42 @@ impl<T> Producer<T> {
         n
     }
 
+    /// Blocks until the consumer has drained the ring to its low watermark
+    /// (half the capacity) or has been dropped, or until `timeout` elapses.
+    /// Returns `false` on the timeout alone. Meant for after a refusal: it
+    /// returns at once when the ring is already at the watermark, so a
+    /// caller that retries after it is refused at most once per half ring
+    /// of progress.
+    pub fn wait_for_room(&self, timeout: Duration) -> bool {
+        let ctl = &self.inner.ctl;
+        let deadline = Instant::now() + timeout;
+        *ctl.producer_thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
+        let woken = loop {
+            // Re-armed on every round: the consumer takes the flag when it
+            // wakes us, and a wake-up may also be a stale or spurious one.
+            // SeqCst store, then SeqCst loads: the Dekker pair with the
+            // consumer's retire and drop.
+            ctl.producer_waiting.store(true, Ordering::SeqCst);
+            if ctl.consumer_gone.load(Ordering::SeqCst) {
+                break true;
+            }
+            let tail = ctl.tail.0.load(Ordering::Relaxed);
+            self.cached_head.set(ctl.head.0.load(Ordering::SeqCst));
+            if tail - self.cached_head.get() <= ctl.low_watermark() {
+                break true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break false;
+            }
+            std::thread::park_timeout(deadline - now);
+        };
+        ctl.producer_waiting.store(false, Ordering::SeqCst);
+        woken
+    }
+
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
         let tail = self.inner.ctl.tail.0.load(Ordering::Relaxed);
@@ -375,6 +456,32 @@ impl<T> Consumer<T> {
         self.cached_tail.get() - head
     }
 
+    /// Retires every slot before `head` (one publish, releasing the slots
+    /// to the producer), then wakes a waiting producer once the ring is at
+    /// its low watermark. `SeqCst` store, then `SeqCst` load of the flag:
+    /// the Dekker pair with [`Producer::wait_for_room`]. The flag is read
+    /// once per retire at or under the watermark, and `tail` only while
+    /// the flag is set (a waiting producer pushes nothing, so that load is
+    /// exact).
+    fn retire(&self, head: usize) {
+        let ctl = &self.inner.ctl;
+        if head + ctl.low_watermark() < self.cached_tail.get() {
+            // Above the watermark even by the cached `tail`, which is never
+            // ahead of the real one: no waiting producer is due a wake-up,
+            // and the retire that brings the ring down to the watermark
+            // looks at the flag. A plain release store spares the consumer
+            // the full fence on the upper half of the ring.
+            ctl.head.0.store(head, Ordering::Release);
+            return;
+        }
+        ctl.head.0.store(head, Ordering::SeqCst);
+        if ctl.producer_waiting.load(Ordering::SeqCst)
+            && ctl.tail.0.load(Ordering::Acquire) - head <= ctl.low_watermark()
+        {
+            ctl.wake_producer();
+        }
+    }
+
     /// Dequeues the oldest item, or `None` when the ring is currently empty.
     pub fn pop(&self) -> Option<T> {
         let head = self.inner.ctl.head.0.load(Ordering::Relaxed);
@@ -383,7 +490,7 @@ impl<T> Consumer<T> {
         }
         let mut v = None;
         self.inner.for_cells(head, 1, |cell| v = cell.take());
-        self.inner.ctl.head.0.store(head + 1, Ordering::Release);
+        self.retire(head + 1);
         v
     }
 
@@ -400,7 +507,7 @@ impl<T> Consumer<T> {
             }
         });
         if n > 0 {
-            self.inner.ctl.head.0.store(head + n, Ordering::Release);
+            self.retire(head + n);
         }
         n
     }
@@ -437,7 +544,13 @@ impl<T> Consumer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        self.inner.ctl.consumer_gone.store(true, Ordering::Release);
+        // SeqCst, then the flag: the same Dekker pair as `retire`, so a
+        // producer waiting on a ring nobody will drain again hears of it.
+        let ctl = &self.inner.ctl;
+        ctl.consumer_gone.store(true, Ordering::SeqCst);
+        if ctl.producer_waiting.load(Ordering::SeqCst) {
+            ctl.wake_producer();
+        }
     }
 }
 #[cfg(test)]
@@ -644,6 +757,106 @@ mod tests {
         assert_eq!(g.high_water(), 1);
     }
 
+    /// Far longer than any wake-up takes, even on one busy CPU, and far
+    /// shorter than the 60 s the blocked producers ask for: a producer
+    /// slower than this was woken by its timeout, not by the consumer.
+    const PROMPT: Duration = Duration::from_secs(10);
+
+    fn waiting(g: &RingGauges) -> bool {
+        g.ctl.producer_waiting.load(Ordering::SeqCst)
+    }
+
+    /// Polls until the producer of `g`'s ring is waiting.
+    fn await_waiting(g: &RingGauges) {
+        let t0 = Instant::now();
+        while !waiting(g) {
+            assert!(t0.elapsed() < PROMPT, "the producer never waited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A producer blocked in `wait_for_room(60 s)` on its own thread;
+    /// joins to its result, how long it waited, and the producer.
+    fn blocked_producer(
+        tx: Producer<u32>,
+    ) -> std::thread::JoinHandle<(bool, Duration, Producer<u32>)> {
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let woken = tx.wait_for_room(Duration::from_secs(60));
+            (woken, t0.elapsed(), tx)
+        })
+    }
+
+    /// A full ring of `capacity` slots.
+    fn full(capacity: usize) -> (Producer<u32>, Consumer<u32>) {
+        let (tx, rx) = channel(capacity);
+        let mut burst: Vec<u32> = (0..capacity as u32 + 1).collect();
+        assert_eq!(tx.push_burst(&mut burst), capacity);
+        (tx, rx)
+    }
+
+    #[test]
+    fn a_parked_producer_wakes_once_the_ring_is_drained_to_half() {
+        let (tx, rx) = full(8);
+        let g = rx.gauges();
+        let h = blocked_producer(tx);
+        await_waiting(&g);
+        // Three of eight drained: five queued, still above the watermark.
+        assert_eq!(rx.pop_burst(3, drop), 3);
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!h.is_finished(), "woken above the watermark");
+        assert!(waiting(&g), "the flag must outlive a drain above half");
+        // The fourth brings the ring to half: one wake-up.
+        assert_eq!(rx.pop(), Some(3));
+        let (woken, waited, tx) = h.join().unwrap();
+        assert!(woken, "timed out instead of being woken");
+        assert!(waited < PROMPT, "woken after {waited:?}");
+        assert!(!waiting(&g));
+        assert_eq!(tx.len(), 4);
+    }
+
+    #[test]
+    fn dropping_the_consumer_wakes_a_parked_producer() {
+        let (tx, rx) = full(8);
+        let g = rx.gauges();
+        let h = blocked_producer(tx);
+        await_waiting(&g);
+        drop(rx);
+        let (woken, waited, tx) = h.join().unwrap();
+        assert!(woken, "timed out instead of being woken");
+        assert!(waited < PROMPT, "woken after {waited:?}");
+        assert!(tx.is_receiver_gone());
+        assert_eq!(tx.len(), 8, "nothing was drained");
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_no_waiting_flag_behind() {
+        let (tx, rx) = full(8);
+        let g = rx.gauges();
+        let t0 = Instant::now();
+        assert!(!tx.wait_for_room(Duration::from_millis(5)));
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+        assert!(!waiting(&g));
+        // A later wait still registers, so a drain to half still wakes it.
+        let h = blocked_producer(tx);
+        await_waiting(&g);
+        assert_eq!(rx.pop_burst(4, drop), 4);
+        let (woken, waited, _tx) = h.join().unwrap();
+        assert!(woken, "timed out instead of being woken");
+        assert!(waited < PROMPT, "woken after {waited:?}");
+        assert!(!waiting(&g));
+    }
+
+    #[test]
+    fn a_ring_already_at_half_does_not_park() {
+        let (tx, rx) = full(8);
+        assert_eq!(rx.pop_burst(4, drop), 4);
+        let t0 = Instant::now();
+        assert!(tx.wait_for_room(Duration::from_secs(60)));
+        assert!(t0.elapsed() < PROMPT);
+        assert!(!waiting(&rx.gauges()));
+    }
+
     #[test]
     fn cross_thread_stress_preserves_sequence() {
         let (tx, rx) = channel::<u64>(64);
@@ -705,5 +918,42 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(expect, N, "disconnect hid queued items");
         assert!(gauges.high_water() <= gauges.capacity());
+    }
+
+    #[test]
+    fn cross_thread_parked_producer_is_never_stranded() {
+        // The burst stress with a producer that parks on every refusal: a
+        // lost wake-up strands it for the whole 60 s, and the run counts
+        // one refusal per half ring of progress at most.
+        let (tx, rx) = channel::<u64>(64);
+        const N: u64 = 200_000;
+        let producer = std::thread::spawn(move || {
+            let mut next = 0u64;
+            let mut burst = Vec::with_capacity(48);
+            while next < N || !burst.is_empty() {
+                while burst.len() < 1 + (next % 48) as usize && next < N {
+                    burst.push(next);
+                    next += 1;
+                }
+                tx.push_burst(&mut burst);
+                if !burst.is_empty() {
+                    assert!(tx.wait_for_room(Duration::from_secs(60)), "stranded");
+                }
+            }
+        });
+        let mut expect = 0u64;
+        let gauges = rx.gauges();
+        while !rx.is_disconnected() {
+            let got = rx.pop_burst(32, |v| {
+                assert_eq!(v, expect, "ring reordered or duplicated");
+                expect += 1;
+            });
+            if got == 0 {
+                std::thread::yield_now();
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(expect, N, "disconnect hid queued items");
+        assert!(gauges.enqueue_failed() <= N.div_ceil(32) + 1);
     }
 }

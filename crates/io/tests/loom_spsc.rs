@@ -14,7 +14,16 @@
 //! * the consumer terminates: `is_disconnected` turns true only after the
 //!   producer is gone *and* the last burst — possibly published right before
 //!   the drop — has been drained.
+//!
+//! A second model parks the producer on a full 2-slot ring
+//! (`Producer::wait_for_room`, the lossless IO thread's backpressure)
+//! against a consumer that pops one item, lets the producer refill the
+//! ring, and drops. The producer is woken once by the pop (the ring is at
+//! its watermark of one) and, parked again on the refilled ring, once by
+//! the drop: no wake-up is lost, so no wait runs out its timeout.
 #![cfg(loom)]
+
+use std::time::{Duration, Instant};
 
 use loom::thread;
 use nba_io::spsc;
@@ -58,5 +67,52 @@ fn burst_handoff_delivers_every_item_once_in_order() {
         producer.join().unwrap();
         let seen = consumer.join().unwrap();
         assert_eq!(seen, (0..BURSTS * BURST).collect::<Vec<_>>());
+    });
+}
+
+/// Far longer than a wake-up takes: a wait that runs this out was never
+/// woken (it may still return `true`, having seen the consumer's drop on
+/// its last look).
+const PROMPT: Duration = Duration::from_secs(10);
+
+#[test]
+fn a_parked_producer_is_woken_by_the_drain_and_by_the_drop() {
+    loom::model(|| {
+        let (tx, rx) = spsc::channel::<u32>(2);
+
+        let producer = thread::spawn(move || {
+            let mut next = 0;
+            loop {
+                if tx.push(next).is_ok() {
+                    next += 1;
+                    continue;
+                }
+                if tx.is_receiver_gone() {
+                    break next;
+                }
+                let t0 = Instant::now();
+                tx.wait_for_room(PROMPT);
+                assert!(
+                    t0.elapsed() < PROMPT,
+                    "a parked producer missed its wake-up"
+                );
+            }
+        });
+
+        let consumer = thread::spawn(move || {
+            while rx.len() < 2 {
+                thread::yield_now();
+            }
+            assert_eq!(rx.pop(), Some(0));
+            // Let the producer refill the ring and park on it again.
+            while rx.len() < 2 {
+                thread::yield_now();
+            }
+            thread::yield_now();
+            // `rx` drops here: the last wake-up the producer gets.
+        });
+
+        consumer.join().unwrap();
+        assert_eq!(producer.join().unwrap(), 3, "two fills of a 2-slot ring");
     });
 }

@@ -451,3 +451,48 @@ fn live_nic_mode_counts_each_refused_packet_once() {
     );
     assert_clean_supervision(&report);
 }
+
+/// Lossless backpressure is paid for in progress, not in retries: an IO
+/// thread refused by a full ring parks until its worker has drained the
+/// ring to half, and the next refusal needs a full ring again. So a
+/// worker-bound run (NAT44 behind one IO thread, 64 slots) counts at most
+/// one refusal per half ring delivered, plus one, in the ring's
+/// `enqueue_failed` gauge, whatever the host's speed or load. A producer
+/// that retried on a timer would count one per retry.
+#[test]
+fn lossless_backpressure_refuses_once_per_half_ring() {
+    const PACKETS: u64 = 60_000;
+    const RING: u64 = 64;
+    let cfg = LiveConfig {
+        workers: 1,
+        io_threads: 1,
+        ring_capacity: RING as usize,
+        batch: 64,
+        max_packets: Some(PACKETS),
+        drain: true,
+        duration: Duration::from_secs(60), // deadline only
+        traffic: TrafficConfig {
+            l4: L4Proto::Tcp,
+            ..TrafficConfig::default()
+        },
+        ..live_cfg()
+    };
+    let nat = nba::apps::stateful::NatConfig::default();
+    let report = live::run(
+        &cfg,
+        &pipelines::nat44(&nat),
+        &lb::shared(Box::new(lb::CpuOnly)),
+    );
+    let delivered = report.totals.rx_packets;
+    assert_eq!(delivered, PACKETS, "{:?}", report.totals);
+    // The gauge `io.spsc.enqueue_failed_per_kpkt` reads: cumulative, so
+    // the last sampler window holds the run's count.
+    let refused: u64 = report
+        .samples
+        .last()
+        .map_or(0, |s| s.shards.iter().map(|sh| sh.enqueue_failed).sum());
+    assert!(
+        refused <= delivered.div_ceil(RING / 2) + 1,
+        "{refused} refusals for {delivered} packets through a {RING}-slot ring"
+    );
+}

@@ -1,15 +1,16 @@
 //! Static queue-law checks (the `NBA05x` family).
 //!
-//! The live runtime's steering stage is a network of bounded queues: each
-//! IO thread RSS-steers frames into one bounded SPSC RX ring per
-//! worker, each worker feeds a bounded SPSC task ring toward the device
-//! thread, and the device thread aggregates batches before launching a
+//! The live runtime's steering stage is a network of queues: each IO
+//! thread RSS-steers frames into one bounded SPSC RX ring per worker,
+//! every worker sends its offloads onto the device thread's one command
+//! queue, and the device thread aggregates batches before launching a
 //! kernel. Whether that network can deadlock or must drop under burst is
 //! decidable from the configured depths alone, before any thread starts:
 //!
-//! * **Deadlock freedom** rests on two invariants: workers never block on
-//!   a full task ring (they fall back to the CPU path inline), and the
-//!   device thread can always assemble — or idle-flush — an aggregate.
+//! * **Deadlock freedom** rests on two invariants. Workers never block on
+//!   the command queue: it never refuses a live device, and the in-flight
+//!   cap bounds what it holds, for live and DES alike. And the device
+//!   thread can always assemble — or idle-flush — an aggregate.
 //!   The latter is only *guaranteed* by the queue law
 //!   `aggregate ≤ in-flight cap`: if a full aggregate needs more batches
 //!   than the producers are ever allowed to have in flight, every offload
@@ -22,7 +23,7 @@
 //!   thread (lossless drain mode) under a legal workload (`NBA050`).
 
 use super::{Code, Diagnostic, LintReport};
-use crate::runtime::live::{LiveConfig, MAX_OUTSTANDING, TASK_RING_DEPTH};
+use crate::runtime::live::{LiveConfig, MAX_OUTSTANDING};
 use crate::runtime::RuntimeConfig;
 
 /// The queue shape of one run, extracted from a runtime configuration.
@@ -38,8 +39,6 @@ pub struct CapacityModel {
     pub batch: usize,
     /// Depth of each IO→worker SPSC RX ring.
     pub ring_depth: usize,
-    /// Depth of each worker→device SPSC task ring.
-    pub task_ring_depth: usize,
     /// Batches the device thread aggregates into one kernel launch.
     pub aggregate: usize,
     /// Total offloaded batches the producers may have in flight before
@@ -62,7 +61,6 @@ impl CapacityModel {
             io_threads: cfg.io_threads.max(1),
             batch,
             ring_depth: cfg.ring_capacity.max(batch),
-            task_ring_depth: TASK_RING_DEPTH,
             aggregate: cfg.aggregate.max(1),
             inflight_cap: workers as u64 * MAX_OUTSTANDING,
             lossless: cfg.drain,
@@ -70,15 +68,13 @@ impl CapacityModel {
     }
 
     /// The queue shape of a DES run: the RX descriptor ring plays the
-    /// SPSC ring, the device backlog bound plays the in-flight cap, and
-    /// the worker→device queue is unbounded in simulation.
+    /// SPSC ring and the device backlog bound plays the in-flight cap.
     pub fn from_runtime(cfg: &RuntimeConfig) -> CapacityModel {
         CapacityModel {
             workers: cfg.workers_per_socket.max(1) as usize,
             io_threads: 1,
             batch: cfg.comp_batch.max(cfg.io_batch).max(1),
             ring_depth: cfg.rxq_depth.max(1),
-            task_ring_depth: usize::MAX,
             aggregate: cfg.offload_aggregate.max(1),
             inflight_cap: cfg.device_backlog_batches as u64,
             lossless: false,

@@ -12,13 +12,13 @@
 //!   per worker, the `rte_ring` analog).
 //! * **Workers** each own their RX ring consumers, their packet batches,
 //!   their own [`ElementGraph`] replica with per-worker telemetry, their
-//!   own latency-histogram shard (merged losslessly at report time), their
-//!   own share of the offload command queue (a bounded SPSC task ring to
-//!   the device thread), and their own load balancer — `w` is per-worker
-//!   state, as in NBA's per-thread ALB.
-//! * **The device thread** round-robins over the per-worker task rings,
-//!   aggregates batches per offloadable node, executes kernels (fault
-//!   ladder included), and returns completions.
+//!   own latency-histogram shard (merged losslessly at report time), a
+//!   sender on the device thread's one offload command queue, and their
+//!   own load balancer — `w` is per-worker state, as in NBA's per-thread
+//!   ALB.
+//! * **The device thread** takes tasks from the command queue in arrival
+//!   order, aggregates batches per offloadable node, executes kernels
+//!   (fault ladder included), and returns completions.
 //! * **The calling thread** runs the control plane in one housekeeping
 //!   loop: supervisor ticks (and worker respawns), sampler windows, and
 //!   the deadline/quiesce/grace/stop sequence. A run starts no other
@@ -26,7 +26,7 @@
 //!
 //! Shutdown is a graceful drain: sources stop first, workers exit once
 //! their rings are disconnected *and* drained and no offloads are in
-//! flight, then the device thread exits once every task ring is gone.
+//! flight, then the device thread exits once every command sender is gone.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,30 +68,20 @@ use crate::telemetry::{
     TraceEvent, TraceEventKind,
 };
 
-/// Offload command-queue depth per worker (batches in flight to the device
-/// thread; a full ring falls back to the CPU path inline). Public so the
-/// static capacity checker ([`crate::analysis`]) models the same depth the
-/// runtime allocates.
-pub const TASK_RING_DEPTH: usize = 1024;
-
-/// Max in-flight offloaded batches per worker before RX pauses. Public for
-/// the same reason: `workers × MAX_OUTSTANDING` is the in-flight cap the
-/// `NBA051` deadlock-freedom law checks against.
+/// Max in-flight offloaded batches per worker before RX pauses. Public so
+/// the static capacity checker ([`crate::analysis`]) checks the `NBA051`
+/// deadlock-freedom law against the cap the runtime enforces.
 pub const MAX_OUTSTANDING: u64 = 32;
 
 /// The live runtime's blocking waits end on the event that ends them: a
 /// worker at its in-flight cap on its completion channel, the idle device
-/// thread in `park`, a lossless IO thread refused by a full RX ring in
-/// [`spsc::Producer::wait_for_room`] until its worker has drained half the
-/// ring. The token of `unpark` (and the channel's mutex) rules out lost
-/// wake-ups, so this cap on all three is only a safety net: it bounds how
-/// late a blocked thread sees the stop flag, a drill, or a command ring
-/// that closed in a panic unwind, which nobody signals.
+/// thread on the command queue, a lossless IO thread refused by a full RX
+/// ring in [`spsc::Producer::wait_for_room`] until its worker has drained
+/// half the ring. The channel's mutex and the ring's Dekker pair rule out
+/// lost wake-ups, so this cap on all three is only a safety net: it bounds
+/// how late a blocked thread sees the stop flag or a drill, which nobody
+/// signals.
 const WAIT_CAP: Duration = Duration::from_millis(1);
-
-/// Tasks the device thread pulls from each command ring per scan, in
-/// units of its aggregation depth.
-const SCAN_QUOTA: usize = 4;
 
 /// Configuration of a live run.
 #[derive(Clone)]
@@ -302,9 +292,6 @@ struct WorkerSpawner {
     batch_size: usize,
     stop: Arc<AtomicBool>,
     completion_rxs: Vec<channel::Receiver<CompletedTask>>,
-    /// The device thread, unparked by every command a worker pushes and by
-    /// a worker's exit (which closes its command ring).
-    device: std::thread::Thread,
     /// Owns each shard's event ring; a replacement worker's graph attaches
     /// to its shard's existing ring.
     flight: Arc<FlightRecorder>,
@@ -319,12 +306,12 @@ struct WorkerSpawner {
 }
 
 impl WorkerSpawner {
-    /// Starts worker `w` over RX rings `rx` and command ring `task_tx`.
+    /// Starts worker `w` over RX rings `rx` and command sender `task_tx`.
     fn spawn(
         self: &Arc<Self>,
         w: usize,
         rx: Vec<spsc::Consumer<Packet>>,
-        task_tx: spsc::Producer<OffloadTask>,
+        task_tx: channel::Sender<OffloadTask>,
         drills: bool,
     ) -> std::thread::JoinHandle<WorkerYield> {
         let bctx = BuildCtx {
@@ -361,16 +348,14 @@ impl WorkerSpawner {
 }
 
 /// The live transport of one worker: TX is accounting only (there is no
-/// wire), offloads go down the worker's bounded SPSC command ring.
+/// wire), offloads go onto the device thread's command queue.
 struct RingTransport<'a> {
-    task_tx: spsc::Producer<OffloadTask>,
+    task_tx: channel::Sender<OffloadTask>,
     /// In-flight offloaded batches; bounds RX so the device thread is
     /// never flooded beyond what it can return.
     outstanding: u64,
     /// Where `outstanding` is stored for flight dumps, on every change.
     gauge: &'a AtomicU64,
-    /// The device thread, woken by each push.
-    device: &'a std::thread::Thread,
 }
 
 impl RingTransport<'_> {
@@ -388,8 +373,8 @@ impl Transport for RingTransport<'_> {
     }
 
     fn offload(&mut self, task: OffloadTask) -> Result<(), OffloadTask> {
-        self.task_tx.push(task)?;
-        self.device.unpark();
+        // Refused only once the device thread is gone.
+        self.task_tx.send(task).map_err(|e| e.0)?;
         self.outstanding += 1;
         self.gauge.store(self.outstanding, Ordering::Relaxed);
         Ok(())
@@ -405,7 +390,7 @@ impl Transport for RingTransport<'_> {
 fn worker_loop(
     mut core: WorkerCore,
     rx: Vec<spsc::Consumer<Packet>>,
-    task_tx: spsc::Producer<OffloadTask>,
+    task_tx: channel::Sender<OffloadTask>,
     sp: &WorkerSpawner,
 ) -> WorkerYield {
     let w = core.id();
@@ -414,7 +399,6 @@ fn worker_loop(
         task_tx,
         outstanding: 0,
         gauge: &sp.outstanding[w],
-        device: &sp.device,
     };
     // A replacement starts with nothing in flight.
     tp.gauge.store(0, Ordering::Relaxed);
@@ -509,9 +493,9 @@ fn worker_loop(
         let parent = first_src.map_or(0, |src| sp.steer[src][w].load(Ordering::Relaxed));
         sp.timed(w, || core.on_batch(now, batch, parent, &shares, &mut tp));
     }
-    // Dropping `tp.task_tx` here closes this worker's command ring: the
-    // device thread's drain signal. Dropping the RX consumers flips their
-    // `consumer_gone` flags — the IO threads' obituary.
+    // Dropping `tp.task_tx` drops one command sender: the last one's drop
+    // is the device thread's drain signal. Dropping the RX consumers flips
+    // their `consumer_gone` flags — the IO threads' obituary.
     if !killed {
         // (A killed worker's heartbeat already carries the containment
         // signal; it did not finish its drain, and the orchestrator must
@@ -523,9 +507,6 @@ fn worker_loop(
         // 2-vCPU Xeon VM peaked at 19.1–19.4 MiB RSS against 14.5–16.6.
         core.release_homes();
     }
-    // The device thread may be parked: wake it to see the ring closed.
-    drop(tp);
-    sp.device.unpark();
     core.take_yield()
 }
 
@@ -535,7 +516,7 @@ fn worker_loop(
 /// known at once — there is no simulated clock to wait out a watchdog on.
 struct WallDevice<'a> {
     started: Instant,
-    rings: &'a [spsc::Consumer<OffloadTask>],
+    queue: &'a channel::Receiver<OffloadTask>,
     senders: &'a [channel::Sender<CompletedTask>],
 }
 
@@ -580,7 +561,7 @@ impl DeviceBackend for WallDevice<'_> {
     }
 
     fn gauges(&self, _now: Time) -> (u64, f64) {
-        (self.rings.iter().map(|r| r.len() as u64).sum(), 0.0)
+        (self.queue.len() as u64, 0.0)
     }
 
     fn deliver(&mut self, done: CompletedTask) {
@@ -588,29 +569,6 @@ impl DeviceBackend for WallDevice<'_> {
         // left in the channel as lost in flight.
         let _ = self.senders[done.worker].send(done);
     }
-}
-
-/// One scan of the device thread over the per-worker command rings: from
-/// ring `scan % rings.len()` round-robin, at most `quota` tasks from each
-/// ring, each handed to `take`. Every ring gets the same share of a loaded
-/// scan and the first ring rotates, so one flooding worker cannot starve
-/// the others' offloads. Returns the tasks pulled.
-fn scan_rings<T>(
-    rings: &[spsc::Consumer<T>],
-    scan: usize,
-    quota: usize,
-    mut take: impl FnMut(T),
-) -> usize {
-    let mut pulled = 0;
-    for i in 0..rings.len() {
-        let ring = &rings[(scan + i) % rings.len()];
-        for _ in 0..quota {
-            let Some(task) = ring.pop() else { break };
-            take(task);
-            pulled += 1;
-        }
-    }
-    pulled
 }
 
 /// The engine under [`run`]/[`run_sharded`]: `balancers[w]` is worker `w`'s
@@ -702,19 +660,12 @@ fn run_core(
     // Raised by the sampler while an SLO burn-rate exceeds 1; read by the
     // IO threads' shedders when `shed.slo_coupled`.
     let slo_overload = Arc::new(AtomicBool::new(false));
-    // Respawn mailboxes: the supervisor deposits fresh ring producers here
-    // ((queue, producer) pairs); each IO thread drains its own mailbox when
-    // its pending flag is raised and swaps the producers into its fanout.
-    type Mailbox = parking_lot::Mutex<Vec<(u16, spsc::Producer<Packet>)>>;
-    let io_mailboxes: Arc<Vec<Mailbox>> =
-        Arc::new((0..io_threads).map(|_| Mailbox::default()).collect());
-    let io_pending: Arc<Vec<AtomicBool>> =
-        Arc::new((0..io_threads).map(|_| AtomicBool::new(false)).collect());
-    // Which IO threads are still running: the supervisor never deposits
-    // into (and mops up) the mailbox of an exited one, so replacement
-    // rings always end up with their producers dropped.
-    let io_alive: Arc<Vec<AtomicBool>> =
-        Arc::new((0..io_threads).map(|_| AtomicBool::new(true)).collect());
+    // Respawn mailboxes, one channel per IO thread: the supervisor sends a
+    // respawned worker's fresh ring producers ((queue, producer) pairs),
+    // the IO thread swaps them into its fanout.
+    let (io_mailboxes, io_mailbox_rxs): (Vec<_>, Vec<_>) = (0..io_threads)
+        .map(|_| channel::unbounded::<(u16, spsc::Producer<Packet>)>())
+        .unzip();
 
     // Causal span tracing: one allocator for the whole run (workers, IO
     // threads, and the device thread draw from it), plus the last steer
@@ -745,16 +696,11 @@ fn run_core(
     let shared_samples: Arc<parking_lot::Mutex<Vec<TimeSample>>> =
         Arc::new(parking_lot::Mutex::new(Vec::new()));
 
-    // Offload command queues: one bounded SPSC task ring per worker
-    // (worker produces, device thread consumes — each worker owns its
-    // share of the device's command queue).
-    let mut task_rings: Vec<spsc::Consumer<OffloadTask>> = Vec::with_capacity(workers);
-    let mut task_txs: Vec<spsc::Producer<OffloadTask>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = spsc::channel(TASK_RING_DEPTH);
-        task_txs.push(tx);
-        task_rings.push(rx);
-    }
+    // The offload command queue: every worker sends on a clone of
+    // `task_tx`, the device thread alone receives. The in-flight cap bounds
+    // it at workers × (MAX_OUTSTANDING + 1) tasks. The housekeeping loop
+    // keeps `task_tx` itself, to clone for respawned workers.
+    let (task_tx, task_rx) = channel::unbounded::<OffloadTask>();
     // Completion channels, one per worker. The device thread takes the
     // senders and holds the only ones, so its exit (a panic outside its
     // containment included) disconnects every worker's channel.
@@ -846,9 +792,9 @@ fn run_core(
     });
 
     // ── The device thread ──────────────────────────────────────────────
-    // The live driver of a `DeviceCore`: it owns the wall clock and the
-    // rings, and launches an aggregate when it fills or when the rings run
-    // dry. It returns the core's quarantine intervals at join time.
+    // The live driver of a `DeviceCore` over the command queue: it owns the
+    // wall clock, and launches an aggregate when it fills or when the queue
+    // runs dry. It returns the core's quarantine intervals at join time.
     let dev_stop = stop.clone();
     let dev_aggregate = cfg.aggregate.max(1);
     let dev_env = DeviceEnv {
@@ -866,16 +812,13 @@ fn run_core(
         decision_audit: cfg.audit.decision_capacity > 0,
         homes: io_pools.clone(),
     };
-    // Late ring registration: a respawned worker's fresh command ring
-    // reaches the device through this channel. The housekeeping loop holds
-    // the only sender; the device keeps serving until the sender is gone
-    // *and* every registered ring is disconnected.
-    let (ring_add_tx, ring_add_rx) = channel::unbounded::<spsc::Consumer<OffloadTask>>();
     let device = std::thread::spawn(move || {
         let mut core = DeviceCore::new(0, spec_map, Default::default(), dev_env);
-        let mut task_rings = task_rings;
-        let mut ring_add_open = true;
-        let mut scans = 0usize;
+        let mut be = WallDevice {
+            started,
+            queue: &task_rx,
+            senders: &completion_senders,
+        };
         // Live completes a launch at once: the kernel already ran on this
         // thread, there is no device timeline to wait on.
         let flush = |core: &mut DeviceCore, node: usize, be: &mut WallDevice<'_>| {
@@ -884,40 +827,28 @@ fn run_core(
             }
         };
         loop {
-            // Adopt any freshly registered rings (worker respawns).
-            while ring_add_open {
-                match ring_add_rx.try_recv() {
-                    Ok(ring) => task_rings.push(ring),
-                    Err(channel::TryRecvError::Empty) => break,
-                    Err(channel::TryRecvError::Disconnected) => ring_add_open = false,
+            let task = match task_rx.try_recv() {
+                Ok(task) => task,
+                Err(empty_or_gone) => {
+                    // Idle: flush partial aggregates so nothing starves,
+                    // then exit, or wait for a send or the last sender's drop.
+                    for node in core.nodes() {
+                        flush(&mut core, node, &mut be);
+                    }
+                    if empty_or_gone == channel::TryRecvError::Disconnected
+                        || dev_stop.load(Ordering::Relaxed)
+                    {
+                        break;
+                    }
+                    match task_rx.recv_timeout(WAIT_CAP) {
+                        Ok(task) => task,
+                        Err(_) => continue,
+                    }
                 }
-            }
-            let mut be = WallDevice {
-                started,
-                rings: &task_rings,
-                senders: &completion_senders,
             };
-            scans = scans.wrapping_add(1);
-            let pulled = scan_rings(&task_rings, scans, SCAN_QUOTA * dev_aggregate, |task| {
-                let node = task.node.0;
-                if core.push(be.now(), task) >= dev_aggregate {
-                    flush(&mut core, node, &mut be);
-                }
-            });
-            if pulled == 0 {
-                // Idle: flush partial aggregates so nothing starves, then
-                // exit once every worker closed its command ring.
-                for node in core.nodes() {
-                    flush(&mut core, node, &mut be);
-                }
-                if (!ring_add_open && task_rings.iter().all(spsc::Consumer::is_disconnected))
-                    || dev_stop.load(Ordering::Relaxed)
-                {
-                    break;
-                }
-                // A push, a closed ring, a registration or the stop flag
-                // unparks; a wake-up that came since the scan returns at once.
-                std::thread::park_timeout(WAIT_CAP);
+            let node = task.node.0;
+            if core.push(be.now(), task) >= dev_aggregate {
+                flush(&mut core, node, &mut be);
             }
         }
         core.finish()
@@ -940,7 +871,7 @@ fn run_core(
             }
         }
     };
-    for (p, producers) in io_tx.into_iter().enumerate() {
+    for (p, (producers, mailbox)) in io_tx.into_iter().zip(io_mailbox_rxs).enumerate() {
         let traffic = TrafficConfig {
             seed: cfg
                 .traffic
@@ -963,9 +894,6 @@ fn run_core(
         let io_flight = flight.clone();
         let io_shed_per_worker = shed_per_worker.clone();
         let io_slo_overload = slo_overload.clone();
-        let io_mailbox = io_mailboxes.clone();
-        let io_pending = io_pending.clone();
-        let io_alive = io_alive.clone();
         let shed_cfg = cfg.shed;
         let pool = io_pools[p].clone();
         io_joins.push(std::thread::spawn(move || -> (u64, Vec<TraceEvent>) {
@@ -999,13 +927,11 @@ fn run_core(
                     break;
                 }
                 // Worker respawn: swap in the fresh rings the supervisor
-                // deposited (the abandoned producers close on drop; their
+                // sent (the abandoned producers close on drop; their
                 // leftovers are accounted at teardown).
-                if io_pending[p].swap(false, Ordering::AcqRel) {
-                    for (q, producer) in io_mailbox[p].lock().drain(..) {
-                        drop(fanout.replace_queue(q, producer));
-                        obituary_sent[usize::from(q)] = false;
-                    }
+                while let Ok((q, producer)) = mailbox.try_recv() {
+                    drop(fanout.replace_queue(q, producer));
+                    obituary_sent[usize::from(q)] = false;
                 }
                 // Obituaries: the first sighting of a dead ring (a consumer
                 // dropped by a worker that did NOT finish) takes a flight
@@ -1121,12 +1047,6 @@ fn run_core(
                     }
                 }
             }
-            // Any replacement rings deposited but never swapped in must
-            // close now (their producers drop), or a respawned worker
-            // would wait forever on a ring nobody feeds. The supervisor
-            // mops up deposits racing this clear, keyed on the flag.
-            io_mailbox[p].lock().clear();
-            io_alive[p].store(false, Ordering::Release);
             (
                 fanout.total_dropped(),
                 steer_trace
@@ -1135,7 +1055,10 @@ fn run_core(
                     .unwrap_or_default(),
             )
             // Dropping the fanout closes every ring: the workers' drain
-            // signal.
+            // signal. Dropping the mailbox closes every replacement ring
+            // sent but never swapped in, which a respawned worker would
+            // otherwise wait on forever (a later send hands its producer
+            // back to the supervisor to drop).
         }));
     }
 
@@ -1159,7 +1082,6 @@ fn run_core(
         batch_size: cfg.batch.max(1),
         stop: stop.clone(),
         completion_rxs,
-        device: device.thread().clone(),
         flight: flight.clone(),
         outstanding,
         steer: steer_spans.clone(),
@@ -1168,9 +1090,8 @@ fn run_core(
     });
     let mut joins: Vec<_> = worker_rx
         .into_iter()
-        .zip(task_txs)
         .enumerate()
-        .map(|(w, (rx, task_tx))| (w, spawner.spawn(w, rx, task_tx, true)))
+        .map(|(w, rx)| (w, spawner.spawn(w, rx, task_tx.clone(), true)))
         .collect();
 
     // ── Housekeeping, on this thread ───────────────────────────────────
@@ -1222,13 +1143,6 @@ fn run_core(
         }
         if now >= next_tick {
             next_tick = now + tick;
-            // Mop up deposits that raced an IO thread's exit: close the
-            // producers so the replacement's rings disconnect.
-            for p in 0..io_threads {
-                if !io_alive[p].load(Ordering::Acquire) {
-                    io_mailboxes[p].lock().clear();
-                }
-            }
             let fired = supervisor.tick(elapsed_ns(), |w| shard_gauges.occupancy(w));
             for (w, t) in fired {
                 // A stall conviction's evidence: the shard's ring holds the
@@ -1244,8 +1158,8 @@ fn run_core(
                     );
                 }
                 // Crash + respawn policy: a replacement worker with fresh
-                // rings, a fresh graph/telemetry replica, and a fresh
-                // command ring, re-acquiring the shard's buckets.
+                // rings, a fresh graph/telemetry replica, and its own
+                // command-queue sender, re-acquiring the shard's buckets.
                 // (Stalled-but-alive shards are never respawned — their
                 // thread still owns the rings.)
                 if t.to != WorkerState::Dead || t.reason != TransitionReason::Crash || !scfg.respawn
@@ -1253,25 +1167,19 @@ fn run_core(
                     continue;
                 }
                 let mut new_rx = Vec::with_capacity(io_threads);
-                for p in 0..io_threads {
+                for (p, mailbox) in io_mailboxes.iter().enumerate() {
                     let (ptx, prx) = spsc::channel(ring_capacity);
                     abandoned.push((
                         p,
                         std::mem::replace(&mut *shard_gauges.rings[w][p].lock(), prx.gauges()),
                     ));
-                    if io_alive[p].load(Ordering::Acquire) {
-                        io_mailboxes[p].lock().push((w as u16, ptx));
-                        io_pending[p].store(true, Ordering::Release);
-                    }
-                    // An exited IO thread gets no deposit: `ptx` drops here
-                    // and the ring reads as drained.
+                    // An exited IO thread's mailbox hands `ptx` back: it
+                    // drops here and the ring reads as drained.
+                    let _ = mailbox.send((w as u16, ptx));
                     new_rx.push(prx);
                 }
-                let (ttx, trx) = spsc::channel(TASK_RING_DEPTH);
-                let _ = ring_add_tx.send(trx);
-                device.thread().unpark();
                 health[w].rearm();
-                joins.push((w, spawner.spawn(w, new_rx, ttx, false)));
+                joins.push((w, spawner.spawn(w, new_rx, task_tx.clone(), false)));
                 supervisor.recovered(w, elapsed_ns());
             }
         }
@@ -1303,11 +1211,9 @@ fn run_core(
         std::thread::sleep(wake.saturating_duration_since(Instant::now()));
     }
     stop.store(true, Ordering::Relaxed);
-    // The only late-registration sender: dropping it lets the device
-    // finish once every command ring is gone. Wake it to see that and the
-    // stop flag.
-    drop(ring_add_tx);
-    device.thread().unpark();
+    // The spare sender: dropping it lets the device finish once every
+    // worker's sender is gone too.
+    drop(task_tx);
 
     // Joins: a thread that died despite the in-thread panic containment
     // costs its telemetry, never the run.
@@ -1454,32 +1360,5 @@ fn run_core(
         decisions,
         health: health_report,
         flows: flow_registry.report(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_loaded_device_scan_shares_equally_and_rotates() {
-        const QUOTA: usize = 8;
-        let (txs, rings): (Vec<_>, Vec<_>) = (0..2).map(|_| spsc::channel::<usize>(1024)).unzip();
-        for (r, tx) in txs.iter().enumerate() {
-            for _ in 0..1000 {
-                tx.push(r).unwrap();
-            }
-        }
-        let mut taken = [0usize; 2];
-        for scan in 0..10 {
-            let mut first = None;
-            let pulled = scan_rings(&rings, scan, QUOTA, |r| {
-                first.get_or_insert(r);
-                taken[r] += 1;
-            });
-            assert_eq!(pulled, 2 * QUOTA, "scan {scan}");
-            assert_eq!(first, Some(scan % 2), "scan {scan} starts at the next ring");
-            assert_eq!(taken[0], taken[1], "after scan {scan}");
-        }
     }
 }

@@ -31,7 +31,8 @@
 //! per side, not 64. Slots, capacity, occupancy and every gauge stay
 //! packet-granular — a burst is how often the cursors move, not what the
 //! ring holds. [`Producer::push`]/[`Consumer::pop`] are the one-item forms
-//! (the offload command rings use them); each locks one page.
+//! (no runtime path uses them; benchmarks and tests do); each locks one
+//! page.
 //!
 //! **Cursor traffic is kept off the other side's cache line.** `head` and
 //! `tail` each sit on their own 64-byte line, and each half caches the last

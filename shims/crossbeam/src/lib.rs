@@ -103,6 +103,16 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
+        /// Messages queued right now.
+        pub fn len(&self) -> usize {
+            self.0.queue.lock().unwrap().items.len()
+        }
+
+        /// Whether no message is queued right now.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
         /// Dequeues a message if one is waiting.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.0.queue.lock().unwrap();
@@ -167,8 +177,14 @@ pub mod channel {
     }
 
     impl<T> Drop for Receiver<T> {
+        /// The last receiver drops what is still queued, as crossbeam's
+        /// channels do, once the lock is released: nobody can read it.
         fn drop(&mut self) {
-            self.0.queue.lock().unwrap().receivers -= 1;
+            let mut st = self.0.queue.lock().unwrap();
+            st.receivers -= 1;
+            let orphans = (st.receivers == 0).then(|| std::mem::take(&mut st.items));
+            drop(st);
+            drop(orphans);
         }
     }
 
@@ -197,6 +213,39 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(1)),
                 Err(RecvTimeoutError::Disconnected)
             );
+        }
+
+        #[test]
+        fn len_counts_queued_messages() {
+            let (tx, rx) = unbounded();
+            assert!(rx.is_empty());
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            assert_eq!((rx.len(), rx.is_empty()), (2, false));
+            rx.try_recv().unwrap();
+            assert_eq!(rx.len(), 1);
+        }
+
+        #[test]
+        fn a_send_without_receivers_hands_the_message_back() {
+            let (tx, rx) = unbounded();
+            let rx2 = rx.clone();
+            drop(rx);
+            assert_eq!(tx.send(1), Ok(()), "one receiver is left");
+            drop(rx2);
+            assert_eq!(tx.send(2), Err(SendError(2)));
+        }
+
+        #[test]
+        fn dropping_the_last_receiver_drops_what_is_queued() {
+            let (tx, rx) = unbounded();
+            let (producer, consumer) = nba_io::spsc::channel::<u32>(4);
+            assert!(tx.send(producer).is_ok());
+            let rx2 = rx.clone();
+            drop(rx);
+            assert!(!consumer.is_disconnected(), "a receiver still holds it");
+            drop(rx2);
+            assert!(consumer.is_disconnected(), "the queued producer dropped");
         }
 
         #[test]

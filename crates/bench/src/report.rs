@@ -271,8 +271,8 @@ impl FlowsSection {
 const SETTLE_BAND: f64 = 0.05;
 
 /// Settle time from a sampled trajectory: the time of the first sample
-/// after which every later sample stays within [`SETTLE_BAND`] of the
-/// final fraction.
+/// after which every later sample stays within `SETTLE_BAND` (±0.05) of
+/// the final fraction.
 pub fn settle_time_ns(samples: &[TimeSample], final_w: f64) -> Option<u64> {
     if samples.is_empty() {
         return None;

@@ -17,7 +17,7 @@
 //! writer registry, forward reachability, exit-reaching nodes, labels and
 //! source lines — and runs a worklist fixpoint over it, propagating an
 //! [`AbsState`] (per-slot write lattice, must-hold header facts, may-rewrite
-//! datablock effects; see [`domain`]) along every edge. The passes then
+//! datablock effects; see the `domain` module) along every edge. The passes then
 //! run in a fixed order over that one model:
 //!
 //! * **structural** (`NBA00x`) — unreachable nodes, cycles, exit coverage,
@@ -36,7 +36,7 @@
 //!   ports no abstract state can take, edges from exit-reaching code into
 //!   a subgraph that can only drop, header-dependent elements reachable
 //!   before validation,
-//! * **capacity** (`NBA05x`, [`capacity`]) — static queue laws over a
+//! * **capacity** (`NBA05x`, the `capacity` module) — static queue laws over a
 //!   run's [`CapacityModel`], when one is given.
 //!
 //! Each diagnostic is emitted once, at its final severity and text, with a

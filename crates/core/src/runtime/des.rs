@@ -9,35 +9,28 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-
-use parking_lot::Mutex;
+use std::sync::Arc;
 
 use nba_gpu::{KernelFn, TaskTiming, Timeline, TimelineStats};
 use nba_io::{
     Mempool, Packet, PacketSource, Port, PortHandle, RssTable, TrafficConfig, TrafficGen,
 };
 use nba_sim::{Ctx, Engine, Entity, EntityId, SimQueue, Time, Wake};
+use parking_lot::Mutex;
 
-use crate::audit::{DriftDetector, SloTracker, StageProfiles};
+use crate::analysis::CapacityModel;
 use crate::batch::{anno, Anno};
-use crate::element::{DbInput, DbOutput, OffloadSpec, Postprocess};
-use crate::fault::FaultStats;
-use crate::graph::{ElementGraph, NodeId, OutEdge};
-use crate::introspect::FlightRecorder;
+use crate::graph::ElementGraph;
 use crate::lb::SharedBalancer;
 use crate::nls::NodeLocalStorage;
 use crate::offload::{CompletedTask, OffloadTask, StagedTask};
-use crate::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv, Launched};
-use crate::runtime::worker::{
-    merge_yields, wire_bits, Drill, Transport, WorkerCore, WorkerEnv, WorkerYield,
-};
-use crate::runtime::{BuildCtx, PipelineBuilder, RunReport, RuntimeConfig};
+use crate::runtime::assembly::{read_replica, Planes, Shape};
+use crate::runtime::device::{DeviceBackend, DeviceCore, Launched};
+use crate::runtime::worker::{merge_yields, wire_bits, Drill, Transport, WorkerCore, WorkerYield};
+use crate::runtime::{PipelineBuilder, RunReport, RuntimeConfig};
 use crate::stats::{Counters, LatencyHistogram, SystemInspector};
-use crate::supervise::{HealthStats, Supervisor, WorkerHealth};
-use crate::telemetry::{Sampler, SpanAlloc, TimeSample, TraceEvent};
-
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::supervise::Supervisor;
+use crate::telemetry::{Sampler, TimeSample};
 
 /// Command queues (streams) of each simulated GPU: a GTX 680 exposes 16.
 const GPU_STREAMS: u32 = 16;
@@ -92,7 +85,8 @@ struct WorkerEntity {
     /// Outbound offload tasks to the node's device thread.
     offload_q: SimQueue<OffloadTask>,
     device_entity: EntityId,
-    latency: Rc<RefCell<LatencyHistogram>>,
+    /// Every worker's latency shard; this worker records into its own.
+    latency: Arc<Vec<Mutex<LatencyHistogram>>>,
     /// The worker core is busy until this time; early wakes are deferred
     /// (the engine may deliver completion wakes mid-"computation").
     busy_until: Time,
@@ -114,7 +108,7 @@ struct SimTransport<'a> {
     cfg: &'a RuntimeConfig,
     ports: &'a [PortHandle],
     counters: &'a Counters,
-    latency: &'a RefCell<LatencyHistogram>,
+    latency: &'a Mutex<LatencyHistogram>,
     offload_q: &'a SimQueue<OffloadTask>,
     device_entity: EntityId,
     ctx: &'a mut Ctx,
@@ -127,6 +121,7 @@ impl Transport for SimTransport<'_> {
         // so far, so TX (and therefore latency) reflects pipeline depth.
         let tx_at = self.now + cost.cycles(self.cycles);
         let (mut sent, mut bits, mut burst_ports) = (0, 0, 0u64);
+        let mut latency = self.latency.lock();
         for (pkt, anno_set) in burst {
             let out_port = anno_set.get(anno::IFACE_OUT) as usize % self.ports.len();
             burst_ports |= 1 << (out_port % 64);
@@ -139,7 +134,7 @@ impl Transport for SimTransport<'_> {
                 if self.now >= self.cfg.warmup {
                     let lat = done_at.saturating_sub(Time::from_ps(anno_set.get(anno::TIMESTAMP)))
                         + self.cfg.external_latency;
-                    self.latency.borrow_mut().record(lat);
+                    latency.record(lat);
                     self.counters.observe_latency(lat.as_ns());
                 }
             }
@@ -182,7 +177,7 @@ impl Entity for WorkerEntity {
             cfg,
             ports: &self.ports,
             counters: &self.counters,
-            latency: &self.latency,
+            latency: &self.latency[self.core.id()],
             offload_q: &self.offload_q,
             device_entity: self.device_entity,
             ctx,
@@ -579,24 +574,32 @@ pub fn run_with_sources(
     let wps = cfg.workers_per_socket as usize;
     let total_workers = sockets * wps;
 
-    // Shared infrastructure.
+    // Shared infrastructure. Where a retired packet's buffer goes: its
+    // ingress port's socket pool.
     let pools: Vec<Mempool> = (0..sockets).map(|_| Mempool::new(cfg.pool_size)).collect();
-    let nls: Vec<NodeLocalStorage> = (0..sockets).map(|_| NodeLocalStorage::new()).collect();
-    // One flow registry spans every socket (workers are numbered globally,
-    // so shard ownership is unambiguous); stateful elements attach to it
-    // through their socket's node-local storage.
-    let flow_registry = crate::flow::FlowRegistry::new();
-    flow_registry.set_workers(total_workers);
-    if cfg.flow_journal {
-        flow_registry.enable_journal();
-    }
-    for n in &nls {
-        flow_registry.publish(n);
-    }
-    let counters: Vec<Arc<Counters>> = (0..total_workers)
-        .map(|_| Arc::new(Counters::default()))
+    let homes: Vec<Mempool> = (topo.ports.iter())
+        .map(|p| pools[p.socket].clone())
         .collect();
-    let inspector = SystemInspector::new(counters.clone());
+    // The run's planes (the live runtime's exact structs; the atomics and
+    // mutexes are free in a single-threaded simulation). Workers write
+    // their shard rings only while tracing, the devices always.
+    let planes = Planes::new(Shape {
+        balancers: vec![balancer.clone(); total_workers],
+        nls: (0..sockets).map(|_| NodeLocalStorage::new()).collect(),
+        homes,
+        cost: cfg.cost.clone(),
+        compute: cfg.compute,
+        capture: cfg.capture,
+        fault: cfg.fault.clone(),
+        trace_capacity: cfg.telemetry.trace_capacity,
+        flight: cfg.flight.clone(),
+        gauges: None,
+        worker_flight: false,
+        audit: cfg.audit.clone(),
+        slo: cfg.slo.clone(),
+        flow_journal: cfg.flow_journal,
+    });
+    let inspector = &planes.inspector;
     // Per-socket RSS indirection tables, shared by every port on the
     // socket. Boot state is identical to the static demux, so a clean run
     // is bit-for-bit the same; only a supervisor re-steer changes it.
@@ -614,15 +617,6 @@ pub fn run_with_sources(
         })
         .collect();
 
-    // Worker heartbeats + shed/loss accounting (the live runtime's exact
-    // structs; the atomics are free in a single-threaded simulation).
-    let health: Arc<Vec<WorkerHealth>> = Arc::new(
-        (0..total_workers)
-            .map(|_| WorkerHealth::new())
-            .collect::<Vec<_>>(),
-    );
-    let hstats: Arc<HealthStats> = Arc::new(HealthStats::default());
-
     // Queues between workers and device threads.
     let offload_qs: Vec<SimQueue<OffloadTask>> =
         (0..sockets).map(|_| SimQueue::unbounded()).collect();
@@ -630,78 +624,12 @@ pub fn run_with_sources(
         .map(|_| SimQueue::bounded(8192))
         .collect();
 
-    // Build pipeline replicas and capture the offload specs from a replica.
-    let latencies: Vec<Rc<RefCell<LatencyHistogram>>> = (0..total_workers)
-        .map(|_| Rc::new(RefCell::new(LatencyHistogram::new())))
+    // Build pipeline replicas and read the offload specs from the first.
+    let mut graphs: Vec<ElementGraph> = (0..total_workers)
+        .map(|w| planes.replica(w, build, cfg.branch_policy))
         .collect();
-    // One span allocator for the whole run, `Some` while tracing: every
-    // worker graph and the device entities draw from it, so parent/child
-    // links are globally unique across threads of the simulated system.
-    // The flight recorder owns each worker shard's event ring; workers
-    // write theirs only while tracing, the devices always.
-    let spans: Option<SpanAlloc> = (cfg.telemetry.trace_capacity > 0).then(SpanAlloc::new);
-    let flight = Arc::new(FlightRecorder::new(
-        total_workers,
-        cfg.telemetry.trace_capacity,
-        cfg.flight.clone(),
-        None,
-    ));
-    let mut graphs: Vec<ElementGraph> = Vec::with_capacity(total_workers);
-    for w in 0..total_workers {
-        let socket = w / wps;
-        let bctx = BuildCtx {
-            worker: w,
-            socket,
-            nls: nls[socket].clone(),
-            balancer: balancer.clone(),
-            policy: cfg.branch_policy,
-        };
-        let mut g = build(&bctx);
-        if w == 0 {
-            // Mandatory preflight on the first replica (all replicas are
-            // clones of one pipeline): the full analysis over this run's
-            // capacity model. Warnings are logged; Error-severity
-            // findings refuse to start.
-            crate::analysis::preflight(&g, &crate::analysis::CapacityModel::from_runtime(cfg));
-        }
-        if spans.is_some() {
-            g.attach_ring(flight.clone(), spans.clone());
-        }
-        graphs.push(g);
-    }
-    let mut specs: HashMap<usize, OffloadSpec> = HashMap::new();
-    let mut fuse_next: HashMap<usize, usize> = HashMap::new();
-    {
-        let g = &mut graphs[0];
-        for n in 0..g.len() {
-            if let Some(spec) = g.element_mut(NodeId(n)).offload() {
-                specs.insert(n, spec);
-            }
-        }
-        if cfg.datablock_reuse {
-            // Fuse N -> M when M directly follows N and consumes exactly
-            // the datablock N produced in place.
-            for (&n, spec) in &specs {
-                let Some(OutEdge::Node(m)) = g.out_edge(NodeId(n), 0) else {
-                    continue;
-                };
-                let Some(next) = specs.get(&m.0) else {
-                    continue;
-                };
-                let in_place = matches!(spec.output, DbOutput::InPlace { extra: 0 })
-                    && matches!(next.output, DbOutput::InPlace { extra: 0 })
-                    && spec.postprocess == Postprocess::WriteBack
-                    && next.postprocess == Postprocess::WriteBack;
-                let same_block = matches!(
-                    (&spec.input, &next.input),
-                    (DbInput::WholePacket { offset: a }, DbInput::WholePacket { offset: b }) if a == b
-                );
-                if in_place && same_block {
-                    fuse_next.insert(n, m.0);
-                }
-            }
-        }
-    }
+    let capacity = CapacityModel::from_runtime(cfg);
+    let (specs, fuse_next) = read_replica(&mut graphs[0], &capacity, cfg.datablock_reuse);
 
     // Device entities (placeholder ids patched after workers are added:
     // engine ids are assigned in insertion order, so compute them upfront).
@@ -713,38 +641,9 @@ pub fn run_with_sources(
     let sink: TelemetrySink = Rc::default();
     let samples: Rc<RefCell<Vec<TimeSample>>> = Rc::new(RefCell::new(Vec::new()));
 
-    // Shared fault accounting.
-    let fstats: Arc<FaultStats> = Arc::new(FaultStats::default());
-
-    // Decision-audit plane: shared stage/drift/SLO handles (the device
-    // cores' and the sampler's exact types; the mutexes are free in a
-    // single-threaded simulation). All `None` when the audit config is
-    // off, so un-audited runs leave the device and sampler paths untouched.
-    if cfg.audit.decision_capacity > 0 {
-        balancer.lock().enable_audit(cfg.audit.decision_capacity);
-    }
-    let stages = cfg
-        .audit
-        .stage_stats
-        .then(|| Arc::new(Mutex::new(StageProfiles::new())));
-    let drift = cfg
-        .audit
-        .drift
-        .clone()
-        .map(|d| Arc::new(Mutex::new(DriftDetector::new(d))));
-    let slo_tracker = cfg
-        .slo
-        .clone()
-        .map(|s| Arc::new(Mutex::new(SloTracker::new(s))));
-
-    // Where a retired packet's buffer goes: its ingress port's socket pool.
-    let homes: Vec<Mempool> = (topo.ports.iter())
-        .map(|p| pools[p.socket].clone())
-        .collect();
-
     // Workers.
     let mut rx_handles: Vec<Vec<SimQueue<Packet>>> = Vec::with_capacity(total_workers);
-    for w in 0..total_workers {
+    for (w, graph) in graphs.into_iter().enumerate() {
         let socket = w / wps;
         let local = w % wps;
         let rx: Vec<SimQueue<Packet>> = topo
@@ -753,28 +652,18 @@ pub fn run_with_sources(
             .map(|p| ports[p].borrow().rx_queue(local as u16))
             .collect();
         rx_handles.push(rx.clone());
-        let env = WorkerEnv {
-            nls: nls[socket].clone(),
-            inspector: inspector.clone(),
-            cost: cfg.cost.clone(),
-            compute: cfg.compute,
-            fstats: fstats.clone(),
-            health: health.clone(),
-            capture: cfg.capture,
-            flight: None,
-            homes: homes.clone(),
-        };
+        let env = planes.worker_env(w);
         let entity = WorkerEntity {
-            core: WorkerCore::new(w, graphs.remove(0), env, Some(&cfg.fault.plan)),
+            core: WorkerCore::new(w, graph, env, Some(&cfg.fault.plan)),
             cfg: cfg.clone(),
-            counters: counters[w].clone(),
+            counters: inspector.worker(w).clone(),
             rx,
             rx_rr: w,
             ports: ports.clone(),
             completions: completion_qs[w].clone(),
             offload_q: offload_qs[socket].clone(),
             device_entity: device_ids[socket],
-            latency: latencies[w].clone(),
+            latency: planes.latency.clone(),
             busy_until: Time::ZERO,
             sink: sink.clone(),
         };
@@ -785,21 +674,7 @@ pub fn run_with_sources(
     // Device threads.
     let mut devices: Vec<Rc<RefCell<DeviceCore>>> = Vec::with_capacity(sockets);
     for (s, gpu) in gpus.iter().enumerate() {
-        let env = DeviceEnv {
-            cost: cfg.cost.clone(),
-            compute: cfg.compute,
-            fault: cfg.fault.clone(),
-            fstats: fstats.clone(),
-            counters: counters[s * wps].clone(),
-            balancers: vec![balancer.clone()],
-            spans: spans.clone(),
-            flight: flight.clone(),
-            stages: stages.clone(),
-            drift: drift.clone(),
-            gauge: Arc::default(),
-            decision_audit: cfg.audit.decision_capacity > 0,
-            homes: homes.clone(),
-        };
+        let env = planes.device_env(s);
         let core = DeviceCore::new(s, specs.clone(), fuse_next.clone(), env);
         devices.push(Rc::new(RefCell::new(core)));
         let entity = DeviceEntity {
@@ -809,7 +684,7 @@ pub fn run_with_sources(
             timeline: gpu.clone(),
             inflight: Vec::new(),
             completions: completion_qs.clone(),
-            counters: counters[s * wps].clone(),
+            counters: inspector.worker(s * wps).clone(),
             busy_until: Time::ZERO,
         };
         let id = engine.add_idle(Box::new(entity));
@@ -834,14 +709,7 @@ pub fn run_with_sources(
     // The supervisor: the same `Supervisor` the live runtime's supervisor
     // thread drives, always on (a clean run just produces an empty log).
     let scfg = &cfg.fault.supervisor;
-    let supervisor = Rc::new(RefCell::new(Supervisor::new(
-        scfg,
-        health.clone(),
-        hstats,
-        rss_tables,
-        vec![balancer.clone(); total_workers],
-        flow_registry.clone(),
-    )));
+    let supervisor = Rc::new(RefCell::new(planes.supervisor(scfg, rss_tables)));
     engine.add(
         Box::new(SupervisorEntity {
             interval: Time::from_ns(scfg.check_interval.as_ns().max(1)),
@@ -858,7 +726,7 @@ pub fn run_with_sources(
         let entity = SamplerEntity {
             interval,
             horizon,
-            sampler: Sampler::new(slo_tracker.clone()),
+            sampler: Sampler::new(planes.slo.clone()),
             inspector: inspector.clone(),
             balancer: balancer.clone(),
             ports: ports.clone(),
@@ -893,10 +761,6 @@ pub fn run_with_sources(
 
     let window = end - start;
     let dur = cfg.measure;
-    let mut latency = LatencyHistogram::new();
-    for l in &latencies {
-        latency.merge(&l.borrow());
-    }
     let offered_packets = offered_end - offered_start;
 
     // Tear the engine down so worker entities flush their telemetry.
@@ -906,13 +770,7 @@ pub fn run_with_sources(
     for d in devices {
         quarantines.extend(unshare(d, "device core").finish());
     }
-    let mut trace: Vec<TraceEvent> = match spans {
-        Some(_) => flight.events(),
-        None => Vec::new(),
-    };
-    trace.sort_by_key(|e| e.t);
     let samples = unshare(samples, "sample vector");
-    quarantines.sort_by_key(|(start, _)| *start);
 
     // Self-healing loss accounting: whatever a crashed shard left behind —
     // packets still queued in its RX rings and completions it never
@@ -928,12 +786,9 @@ pub fn run_with_sources(
     });
 
     let tx_mpps = window.tx_packets as f64 / dur.as_secs_f64() / 1e6;
-    // Each `lock()` gets its own statement: temporaries in struct-literal
-    // field initializers live until the end of the whole literal, so two
-    // guards in one literal would deadlock the non-reentrant mutex.
-    balancer.lock().flush_decision_clock(end.tx_packets);
+    let closed = planes.close(Vec::new(), quarantines, end.tx_packets, tx_mpps);
+    // After the decision clock's last flush.
     let final_w = balancer.lock().offload_fraction();
-    let decisions = balancer.lock().take_audit_log();
     RunReport {
         duration: dur,
         tx_gbps: window.tx_frame_bits as f64 / dur.as_secs_f64() / 1e9,
@@ -943,25 +798,22 @@ pub fn run_with_sources(
         rx_dropped,
         rx_nombuf,
         window,
-        slo: slo_tracker.map(|tr| tr.lock().report(latency.percentile_ns(99.0), tx_mpps)),
-        latency,
+        slo: closed.slo,
+        latency: closed.latency,
         final_w,
         gpu: gpus.iter().map(|g| g.borrow().stats()).collect(),
         elements,
         samples,
-        trace,
+        trace: closed.trace,
         totals: end,
-        faults: crate::fault::FaultReport {
-            snapshot: fstats.snapshot(),
-            quarantines,
-        },
+        faults: closed.faults,
         tx_capture,
-        stages: stages.map(|s| s.lock().clone()),
-        drift: drift.map(|d| d.lock().report()),
-        decisions,
-        flight: flight.dumps(),
+        stages: closed.stages,
+        drift: closed.drift,
+        decisions: closed.decisions.into_iter().next(),
+        flight: closed.flight,
         health,
-        flows: flow_registry.report(),
+        flows: closed.flows,
     }
 }
 
@@ -970,6 +822,7 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use super::*;
+    use crate::runtime::BuildCtx;
 
     /// An entity that runs `f` once, inside an engine step: the only place
     /// a [`Ctx`], and with it a [`SimDevice`], exists.

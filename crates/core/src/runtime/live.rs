@@ -11,11 +11,11 @@
 //!   per-flow order is preserved — into one of N bounded SPSC rings (one
 //!   per worker, the `rte_ring` analog).
 //! * **Workers** each own their RX ring consumers, their packet batches,
-//!   their own [`ElementGraph`] replica with per-worker telemetry, their
-//!   own latency-histogram shard (merged losslessly at report time), a
-//!   sender on the device thread's one offload command queue, and their
-//!   own load balancer — `w` is per-worker state, as in NBA's per-thread
-//!   ALB.
+//!   their own [`ElementGraph`](crate::graph::ElementGraph) replica with
+//!   per-worker telemetry, their own latency-histogram shard (merged
+//!   losslessly at report time), a sender on the device thread's one
+//!   offload command queue, and their own load balancer — `w` is
+//!   per-worker state, as in NBA's per-thread ALB.
 //! * **The device thread** takes tasks from the command queue in arrival
 //!   order, aggregates batches per offloadable node, executes kernels
 //!   (fault ladder included), and returns completions.
@@ -41,31 +41,30 @@ use nba_io::{
 };
 use nba_sim::{CostModel, Time};
 
-use crate::audit::{DecisionLog, DriftDetector, DriftGauge, SloTracker, StageProfiles};
+use crate::analysis::CapacityModel;
 use crate::batch::Anno;
 use crate::capture::TxRecord;
-use crate::element::{ComputeMode, OffloadSpec};
+use crate::element::ComputeMode;
 use crate::fault::{FaultConfig, FaultPlan, FaultReport, FaultStats};
-use crate::graph::NodeId;
 use crate::introspect::{
-    ring_totals, FlightConfig, FlightDump, FlightRecorder, ShardGauges, StatsServer, StatsState,
+    ring_totals, FlightConfig, FlightDump, ShardGauges, StatsServer, StatsState,
 };
 use crate::lb::{BalancerFactory, SharedBalancer};
 use crate::nls::NodeLocalStorage;
 use crate::offload::{CompletedTask, OffloadTask, StagedTask};
-use crate::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv};
+use crate::runtime::assembly::{read_replica, Planes, Shape};
+use crate::runtime::device::{DeviceBackend, DeviceCore};
 use crate::runtime::worker::{
-    merge_yields, wire_bits, Drill, Homes, Transport, WorkerCore, WorkerEnv, WorkerYield,
+    merge_yields, wire_bits, Drill, Homes, Transport, WorkerCore, WorkerYield,
 };
-use crate::runtime::{BuildCtx, PipelineBuilder};
-use crate::stats::{Counters, LatencyHistogram, Snapshot, SystemInspector};
+use crate::runtime::{port_traffic, PipelineBuilder};
+use crate::stats::{LatencyHistogram, Snapshot};
 use crate::supervise::{
-    traffic_class, HealthReport, HealthStats, ShedConfig, ShedPolicy, Shedder, Supervisor,
-    TransitionReason, WorkerHealth, WorkerState,
+    traffic_class, HealthReport, HealthStats, ShedConfig, ShedPolicy, Shedder, TransitionReason,
+    WorkerHealth, WorkerState,
 };
 use crate::telemetry::{
-    merge_histograms, ElementProfile, Sampler, SpanAlloc, TelemetryConfig, TimeSample, TraceBuffer,
-    TraceEvent, TraceEventKind,
+    ElementProfile, Sampler, TelemetryConfig, TimeSample, TraceBuffer, TraceEvent, TraceEventKind,
 };
 
 /// Max in-flight offloaded batches per worker before RX pauses. Public so
@@ -281,27 +280,19 @@ pub fn run_sharded(
 /// workers respawnable.
 struct WorkerSpawner {
     build: PipelineBuilder,
-    balancers: Vec<SharedBalancer>,
-    env: WorkerEnv,
-    /// The run-wide span allocator every replica shares, so ids are
-    /// globally unique across threads (`Some` exactly while tracing).
-    spans: Option<SpanAlloc>,
+    /// The run's planes; a replacement worker's graph attaches to its
+    /// shard's existing flight ring.
+    planes: Arc<Planes>,
     /// Schedules the original workers' kill/stall drills (replacements
     /// run drill-free).
     plan: FaultPlan,
     batch_size: usize,
     stop: Arc<AtomicBool>,
     completion_rxs: Vec<channel::Receiver<CompletedTask>>,
-    /// Owns each shard's event ring; a replacement worker's graph attaches
-    /// to its shard's existing ring.
-    flight: Arc<FlightRecorder>,
     /// Each worker's in-flight offload count, read by flight dumps.
     outstanding: Arc<Vec<AtomicU64>>,
     /// Last steer span each IO thread published toward each worker.
     steer: Arc<Vec<Vec<AtomicU64>>>,
-    /// Per-worker latency shards (outside the threads so the stats
-    /// endpoint can merge them mid-run).
-    latency: Arc<Vec<parking_lot::Mutex<LatencyHistogram>>>,
     started: Instant,
 }
 
@@ -314,17 +305,10 @@ impl WorkerSpawner {
         task_tx: channel::Sender<OffloadTask>,
         drills: bool,
     ) -> std::thread::JoinHandle<WorkerYield> {
-        let bctx = BuildCtx {
-            worker: w,
-            socket: 0,
-            nls: self.env.nls.clone(),
-            balancer: self.balancers[w].clone(),
-            policy: Default::default(),
-        };
-        let mut graph = (self.build)(&bctx);
-        graph.attach_ring(self.flight.clone(), self.spans.clone());
+        let mut graph = self.planes.replica(w, &self.build, Default::default());
         graph.set_wall_profiling(true);
-        let core = WorkerCore::new(w, graph, self.env.clone(), drills.then_some(&self.plan));
+        let env = self.planes.worker_env(w);
+        let core = WorkerCore::new(w, graph, env, drills.then_some(&self.plan));
         let sp = Arc::clone(self);
         std::thread::spawn(move || worker_loop(core, rx, task_tx, &sp))
     }
@@ -341,8 +325,8 @@ impl WorkerSpawner {
         let t0 = Instant::now();
         let r = dispatch();
         let spent = t0.elapsed().as_nanos() as u64;
-        self.env.inspector.worker(w).observe_latency(spent);
-        self.latency[w].lock().record_ns(spent);
+        self.planes.inspector.worker(w).observe_latency(spent);
+        self.planes.latency[w].lock().record_ns(spent);
         r
     }
 }
@@ -393,7 +377,7 @@ fn worker_loop(
     task_tx: channel::Sender<OffloadTask>,
     sp: &WorkerSpawner,
 ) -> WorkerYield {
-    let w = core.id();
+    let (w, health) = (core.id(), &sp.planes.health);
     let completion_rx = &sp.completion_rxs[w];
     let mut tp = RingTransport {
         task_tx,
@@ -481,7 +465,7 @@ fn worker_loop(
             let drained = rx.iter().all(spsc::Consumer::is_disconnected);
             if drained
                 && (tp.outstanding == 0 || completions_dead)
-                && !sp.env.health.iter().any(WorkerHealth::awaiting_conviction)
+                && !health.iter().any(WorkerHealth::awaiting_conviction)
             {
                 break;
             }
@@ -571,6 +555,17 @@ impl DeviceBackend for WallDevice<'_> {
     }
 }
 
+/// Joins `thread`. One that died despite the in-thread panic containment
+/// costs its output, never the run.
+fn join<T>(thread: std::thread::JoinHandle<T>, fstats: &FaultStats, what: &str) -> Option<T> {
+    let out = thread.join().ok();
+    if out.is_none() {
+        FaultStats::add(&fstats.panics_contained, 1);
+        eprintln!("nba-live: {what} panicked; draining without its telemetry");
+    }
+    out
+}
+
 /// The engine under [`run`]/[`run_sharded`]: `balancers[w]` is worker `w`'s
 /// balancer handle (possibly all clones of one shared instance).
 fn run_core(
@@ -581,20 +576,6 @@ fn run_core(
     let workers = cfg.workers.max(1);
     let io_threads = cfg.io_threads.max(1);
     assert_eq!(balancers.len(), workers);
-    let nls = NodeLocalStorage::new();
-    // The flow plane: stateful elements attach their shards through
-    // node-local storage; the supervisor invalidates a dead worker's
-    // shard; teardown reads the report.
-    let flow_registry = crate::flow::FlowRegistry::new();
-    flow_registry.set_workers(workers);
-    if cfg.flow_journal {
-        flow_registry.enable_journal();
-    }
-    flow_registry.publish(&nls);
-    let counters: Vec<Arc<Counters>> = (0..workers)
-        .map(|_| Arc::new(Counters::default()))
-        .collect();
-    let inspector = SystemInspector::new(counters.clone());
     // `gen_stop` quiesces the sources; `stop` is the hard override that
     // ends every thread regardless of drain state.
     let gen_stop = Arc::new(AtomicBool::new(false));
@@ -624,15 +605,9 @@ fn run_core(
     // Ring-full drops, per worker (RX queue), visible to the sampler.
     let rx_drops: Arc<Vec<AtomicU64>> = Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
 
-    // ── The self-healing plane's shared state ──────────────────────────
     // The swappable RSS indirection table every IO thread steers through
     // (boot state ≡ the fixed-function modulo, so clean runs are untouched).
     let rss_table: Arc<RssTable> = Arc::new(RssTable::new(workers as u16));
-    // Per-shard heartbeats, watched by the supervisor.
-    let health: Arc<Vec<WorkerHealth>> =
-        Arc::new((0..workers).map(|_| WorkerHealth::new()).collect());
-    // Loss/shed/recovery accounting.
-    let hstats: Arc<HealthStats> = Arc::new(HealthStats::default());
     // Packets shed per target worker (feeds the per-shard telemetry).
     let shed_per_worker: Arc<Vec<AtomicU64>> =
         Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
@@ -657,6 +632,28 @@ fn run_core(
         outstanding: outstanding.clone(),
         balancers: balancers.clone(),
     };
+    // The run's planes. The flight recorder is always on: every worker
+    // writes its shard ring and takes its panic dumps, and dumps read the
+    // shard gauges.
+    let trace_capacity = cfg.telemetry.trace_capacity;
+    let planes = Arc::new(Planes::new(Shape {
+        balancers: balancers.clone(),
+        nls: vec![NodeLocalStorage::new()],
+        homes: io_pools.clone(),
+        cost: CostModel::paper_default(),
+        compute: cfg.compute,
+        capture: cfg.capture,
+        fault: cfg.fault.clone(),
+        trace_capacity,
+        flight: cfg.flight.clone(),
+        gauges: Some(shard_gauges.clone()),
+        worker_flight: true,
+        audit: cfg.audit.clone(),
+        slo: cfg.slo.clone(),
+        flow_journal: cfg.flow_journal,
+    }));
+    let (inspector, health) = (&planes.inspector, &planes.health);
+    let (fstats, flight) = (&planes.fstats, &planes.flight);
     // Raised by the sampler while an SLO burn-rate exceeds 1; read by the
     // IO threads' shedders when `shed.slo_coupled`.
     let slo_overload = Arc::new(AtomicBool::new(false));
@@ -666,33 +663,14 @@ fn run_core(
     let (io_mailboxes, io_mailbox_rxs): (Vec<_>, Vec<_>) = (0..io_threads)
         .map(|_| channel::unbounded::<(u16, spsc::Producer<Packet>)>())
         .unzip();
-
-    // Causal span tracing: one allocator for the whole run (workers, IO
-    // threads, and the device thread draw from it), plus the last steer
-    // span each IO thread published toward each worker — the parent link an
-    // RX event attaches to.
-    let spans: Option<SpanAlloc> = (cfg.telemetry.trace_capacity > 0).then(SpanAlloc::new);
+    // The last steer span each IO thread published toward each worker: the
+    // parent link an RX event attaches to.
     let steer_spans: Arc<Vec<Vec<AtomicU64>>> = Arc::new(
         (0..io_threads)
             .map(|_| (0..workers).map(|_| AtomicU64::new(0)).collect())
             .collect(),
     );
-
-    // The always-on flight recorder (one event ring per shard; its dumps
-    // read the shard gauges) and the shared state the stats endpoint reads
-    // (per-worker latency shards, sampler windows).
-    let trace_capacity = cfg.telemetry.trace_capacity;
-    let flight = Arc::new(FlightRecorder::new(
-        workers,
-        trace_capacity,
-        cfg.flight.clone(),
-        Some(shard_gauges.clone()),
-    ));
-    let latency_shards: Arc<Vec<parking_lot::Mutex<LatencyHistogram>>> = Arc::new(
-        (0..workers)
-            .map(|_| parking_lot::Mutex::new(LatencyHistogram::new()))
-            .collect(),
-    );
+    // Sampler windows, which the stats endpoint reads too.
     let shared_samples: Arc<parking_lot::Mutex<Vec<TimeSample>>> =
         Arc::new(parking_lot::Mutex::new(Vec::new()));
 
@@ -708,56 +686,12 @@ fn run_core(
         .map(|_| channel::unbounded::<CompletedTask>())
         .unzip();
 
-    // Collect offload specs from a throwaway replica.
-    let mut spec_map: std::collections::HashMap<usize, OffloadSpec> = Default::default();
-    {
-        let bctx = BuildCtx {
-            worker: 0,
-            socket: 0,
-            nls: nls.clone(),
-            balancer: balancers[0].clone(),
-            policy: Default::default(),
-        };
-        let mut g = build(&bctx);
-        // Mandatory preflight on this replica (the workers build clones
-        // of the same pipeline): the full analysis over this run's
-        // capacity model. Warnings are logged; Error-severity findings
-        // refuse to start.
-        crate::analysis::preflight(&g, &crate::analysis::CapacityModel::from_live(cfg));
-        for n in 0..g.len() {
-            if let Some(s) = g.element_mut(NodeId(n)).offload() {
-                spec_map.insert(n, s);
-            }
-        }
-    }
-
-    // Shared fault accounting across workers and the device thread.
-    let fstats: Arc<FaultStats> = Arc::new(FaultStats::default());
-
-    // Decision-audit plane. Auditing is enabled once per distinct balancer
-    // instance (per worker in sharded mode, once in shared mode); the
-    // stage/drift sinks are shared between the device thread, the stats
-    // endpoint, and the final report.
-    let distinct_balancers = crate::lb::distinct(&balancers);
-    if cfg.audit.decision_capacity > 0 {
-        for b in &distinct_balancers {
-            b.lock().enable_audit(cfg.audit.decision_capacity);
-        }
-    }
-    let stage_sink: Option<Arc<parking_lot::Mutex<StageProfiles>>> = cfg
-        .audit
-        .stage_stats
-        .then(|| Arc::new(parking_lot::Mutex::new(StageProfiles::new())));
-    let drift_det: Option<Arc<parking_lot::Mutex<DriftDetector>>> = cfg
-        .audit
-        .drift
-        .clone()
-        .map(|d| Arc::new(parking_lot::Mutex::new(DriftDetector::new(d))));
-    let drift_gauge: Arc<DriftGauge> = Arc::new(DriftGauge::default());
-    let slo_tracker: Option<Arc<parking_lot::Mutex<SloTracker>>> = cfg
-        .slo
-        .clone()
-        .map(|s| Arc::new(parking_lot::Mutex::new(SloTracker::new(s))));
+    // Read the offload specs from a throwaway replica.
+    let (spec_map, _) = read_replica(
+        &mut planes.replica(0, build, Default::default()),
+        &CapacityModel::from_live(cfg),
+        false,
+    );
 
     // One epoch for every thread's trace/sample timestamps.
     let started = Instant::now();
@@ -773,11 +707,11 @@ fn run_core(
             shards: shard_gauges.clone(),
             rx_drops: rx_drops.clone(),
             samples: shared_samples.clone(),
-            latency: latency_shards.clone(),
-            drift: drift_gauge.clone(),
+            latency: planes.latency.clone(),
+            drift: planes.drift_gauge.clone(),
             health: health.clone(),
-            hstats: hstats.clone(),
-            flows: flow_registry.clone(),
+            hstats: planes.hstats.clone(),
+            flows: planes.flows.clone(),
         };
         match StatsServer::start(addr, state) {
             Ok(server) => {
@@ -797,21 +731,7 @@ fn run_core(
     // runs dry. It returns the core's quarantine intervals at join time.
     let dev_stop = stop.clone();
     let dev_aggregate = cfg.aggregate.max(1);
-    let dev_env = DeviceEnv {
-        cost: CostModel::paper_default(),
-        compute: cfg.compute,
-        fault: cfg.fault.clone(),
-        fstats: fstats.clone(),
-        counters: counters[0].clone(),
-        balancers: distinct_balancers.clone(),
-        spans: spans.clone(),
-        flight: flight.clone(),
-        stages: stage_sink.clone(),
-        drift: drift_det.clone(),
-        gauge: drift_gauge.clone(),
-        decision_audit: cfg.audit.decision_capacity > 0,
-        homes: io_pools.clone(),
-    };
+    let dev_env = planes.device_env(0);
     let device = std::thread::spawn(move || {
         let mut core = DeviceCore::new(0, spec_map, Default::default(), dev_env);
         let mut be = WallDevice {
@@ -872,26 +792,16 @@ fn run_core(
         }
     };
     for (p, (producers, mailbox)) in io_tx.into_iter().zip(io_mailbox_rxs).enumerate() {
-        let traffic = TrafficConfig {
-            seed: cfg
-                .traffic
-                .seed
-                .wrapping_add((p as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            ..cfg.traffic.clone()
-        };
+        let traffic = port_traffic(&cfg.traffic, p);
         let budget = budget_share(p);
         let gen_stop = gen_stop.clone();
         let stop = stop.clone();
         let rx_drops = rx_drops.clone();
         let drain = cfg.drain;
         let io_burst = cfg.batch.max(1);
-        let io_spans = spans.clone();
+        let io = planes.clone();
         let io_steer = steer_spans.clone();
         let io_table = rss_table.clone();
-        let io_health = health.clone();
-        let io_hstats = hstats.clone();
-        let io_fstats = fstats.clone();
-        let io_flight = flight.clone();
         let io_shed_per_worker = shed_per_worker.clone();
         let io_slo_overload = slo_overload.clone();
         let shed_cfg = cfg.shed;
@@ -913,7 +823,8 @@ fn run_core(
             let mut obituary_sent = vec![false; workers];
             // Steering events live in this thread's own bounded ring
             // (rings are single-owner), merged at join time.
-            let mut steer_trace = io_spans
+            let mut steer_trace = io
+                .spans
                 .as_ref()
                 .map(|_| TraceBuffer::new(trace_capacity.max(1)));
             // The burst arena, reused every iteration: generated packets
@@ -936,19 +847,19 @@ fn run_core(
                 // Obituaries: the first sighting of a dead ring (a consumer
                 // dropped by a worker that did NOT finish) takes a flight
                 // dump — the post-mortem for "why did shard N stop".
-                for q in 0..workers {
-                    if !obituary_sent[q]
+                for (q, sent) in obituary_sent.iter_mut().enumerate() {
+                    if !*sent
                         && fanout.receiver_gone(q as u16)
-                        && !io_health[q].done.load(Ordering::Acquire)
+                        && !io.health[q].done.load(Ordering::Acquire)
                     {
-                        obituary_sent[q] = true;
-                        HealthStats::add(&io_hstats.ring_disconnects, 1);
-                        io_flight.dump(
+                        *sent = true;
+                        HealthStats::add(&io.hstats.ring_disconnects, 1);
+                        io.flight.dump(
                             &format!("ring_disconnect_shard{q}"),
                             Some(q as u32),
                             0,
                             Time::from_secs_f64(started.elapsed().as_secs_f64()),
-                            io_fstats.snapshot(),
+                            io.fstats.snapshot(),
                         );
                     }
                 }
@@ -974,9 +885,9 @@ fn run_core(
                             io_slo_overload.load(Ordering::Relaxed),
                         ) {
                             let counter = match sh.policy() {
-                                ShedPolicy::DropTail => &io_hstats.shed_drop_tail,
-                                ShedPolicy::Priority => &io_hstats.shed_priority,
-                                ShedPolicy::Probabilistic => &io_hstats.shed_probabilistic,
+                                ShedPolicy::DropTail => &io.hstats.shed_drop_tail,
+                                ShedPolicy::Priority => &io.hstats.shed_priority,
+                                ShedPolicy::Probabilistic => &io.hstats.shed_probabilistic,
                             };
                             HealthStats::add(counter, 1);
                             io_shed_per_worker[usize::from(q)].fetch_add(1, Ordering::Relaxed);
@@ -1012,7 +923,7 @@ fn run_core(
                             // Full ring with a dead consumer: backpressure
                             // would wait forever. Give the packets up,
                             // attributed with the ring's other losses.
-                            HealthStats::add(&io_hstats.lost_in_ring, refused);
+                            HealthStats::add(&io.hstats.lost_in_ring, refused);
                         } else if drain && !stop.load(Ordering::Relaxed) {
                             // Lossless mode: backpressure. Park until the
                             // worker has drained half the ring (or died),
@@ -1036,7 +947,7 @@ fn run_core(
                     // parent link the next RX event on that worker attaches
                     // to, giving the Chrome exporter its IO-thread ->
                     // worker flow arrow.
-                    if let (Some(alloc), Some(tr)) = (&io_spans, &mut steer_trace) {
+                    if let (Some(alloc), Some(tr)) = (&io.spans, &mut steer_trace) {
                         if delivered > 0 {
                             let now = Time::from_secs_f64(started.elapsed().as_secs_f64());
                             let span = alloc.next();
@@ -1065,27 +976,13 @@ fn run_core(
     // ── Worker threads ─────────────────────────────────────────────────
     let spawner = Arc::new(WorkerSpawner {
         build: build.clone(),
-        balancers: balancers.clone(),
-        env: WorkerEnv {
-            nls: nls.clone(),
-            inspector: inspector.clone(),
-            cost: CostModel::paper_default(),
-            compute: cfg.compute,
-            fstats: fstats.clone(),
-            health: health.clone(),
-            capture: cfg.capture,
-            flight: Some(flight.clone()),
-            homes: io_pools.clone(),
-        },
-        spans: spans.clone(),
+        planes: planes.clone(),
         plan: cfg.fault.plan.clone(),
         batch_size: cfg.batch.max(1),
         stop: stop.clone(),
         completion_rxs,
-        flight: flight.clone(),
         outstanding,
         steer: steer_spans.clone(),
-        latency: latency_shards.clone(),
         started,
     });
     let mut joins: Vec<_> = worker_rx
@@ -1104,14 +1001,7 @@ fn run_core(
     // runs. The supervisor is always on: a clean run just produces an
     // empty log.
     let scfg = &cfg.fault.supervisor;
-    let mut supervisor = Supervisor::new(
-        scfg,
-        health.clone(),
-        hstats.clone(),
-        vec![rss_table.clone()],
-        balancers.clone(),
-        flow_registry.clone(),
-    );
+    let mut supervisor = planes.supervisor(scfg, vec![rss_table.clone()]);
     // Gauges of the rings respawns replaced, by feeding IO thread: whatever
     // is still queued there is loss, accounted at teardown once all
     // producers are gone.
@@ -1124,7 +1014,7 @@ fn run_core(
         .sample_interval
         .map(|i| Duration::from_nanos(i.as_ns().max(1)));
     let mut next_sample = sample_every.map(|every| Instant::now() + every);
-    let mut sampler = Sampler::new(slo_tracker.clone());
+    let mut sampler = Sampler::new(planes.slo.clone());
     // The deadline, then (once the sources are quiesced) the end of the
     // grace window in which rings close and workers finish queued batches
     // and outstanding offloads.
@@ -1191,7 +1081,7 @@ fn run_core(
             let mean_w = shards.iter().map(|s| s.w).sum::<f64>() / shards.len() as f64;
             let rx_dropped: u64 = rx_drops.iter().map(|d| d.load(Ordering::Relaxed)).sum();
             if let Some(sample) =
-                sampler.sample(t, &inspector, rx_dropped, mean_w, Vec::new(), shards)
+                sampler.sample(t, inspector, rx_dropped, mean_w, Vec::new(), shards)
             {
                 // SLO-coupled shedding: when either error budget burns
                 // faster than earned, the IO threads switch to full-rate
@@ -1215,53 +1105,26 @@ fn run_core(
     // worker's sender is gone too.
     drop(task_tx);
 
-    // Joins: a thread that died despite the in-thread panic containment
-    // costs its telemetry, never the run.
+    // Joins. The originals, then any replacements: they exit on the same
+    // stop/drain signals and their telemetry merges with everyone else's.
     let mut rx_dropped: u64 = 0;
     let mut trace: Vec<TraceEvent> = Vec::new();
     for j in io_joins {
-        match j.join() {
-            Ok((drops, steer_events)) => {
-                rx_dropped += drops;
-                trace.extend(steer_events);
-            }
-            Err(_) => {
-                FaultStats::add(&fstats.panics_contained, 1);
-                eprintln!("nba-live: an IO thread panicked; draining without its counters");
-            }
+        if let Some((drops, steer_events)) = join(j, fstats, "an IO thread") {
+            rx_dropped += drops;
+            trace.extend(steer_events);
         }
     }
-    // The originals, then any replacements: they exit on the same
-    // stop/drain signals and their telemetry merges with everyone else's.
     let mut yields: Vec<WorkerYield> = Vec::new();
-    let mut quarantines: Vec<(Time, Option<Time>)> = Vec::new();
     for (w, j) in joins {
-        match j.join() {
-            Ok(y) => yields.push(y),
-            Err(_) => {
-                // Its leftovers are a crashed shard's.
-                health[w].crash();
-                FaultStats::add(&fstats.panics_contained, 1);
-                eprintln!("nba-live: a worker thread panicked; draining without its telemetry");
-            }
+        match join(j, fstats, "a worker thread") {
+            Some(y) => yields.push(y),
+            // Its leftovers are a crashed shard's.
+            None => health[w].crash(),
         }
     }
     let (elements, tx_capture) = merge_yields(yields);
-    // Latency shards live outside the worker threads (the stats endpoint
-    // reads them mid-run), so a panicked worker's histogram survives.
-    let shards_latency: Vec<LatencyHistogram> =
-        latency_shards.iter().map(|m| m.lock().clone()).collect();
-    match device.join() {
-        Ok(q) => quarantines = q,
-        Err(_) => {
-            FaultStats::add(&fstats.panics_contained, 1);
-            eprintln!("nba-live: the device thread panicked; draining without its telemetry");
-        }
-    }
-    if spans.is_some() {
-        trace.extend(flight.events());
-    }
-    trace.sort_by_key(|e| e.t);
+    let quarantines = join(device, fstats, "the device thread").unwrap_or_default();
     // Loss accounting, once, after every producer and consumer has exited:
     // packets still queued toward a worker that never drained them are
     // attributed loss, never silent loss. Abandoned rings (replaced on
@@ -1326,17 +1189,8 @@ fn run_core(
             rx_dropped: rx_drops[w].load(Ordering::Relaxed),
         })
         .collect();
-    // Decision audit logs, one per distinct balancer instance, in worker
-    // order (the shared-balancer mode yields exactly one).
-    let decisions: Vec<DecisionLog> = distinct_balancers
-        .iter()
-        .filter_map(|b| {
-            b.lock().flush_decision_clock(totals.tx_packets);
-            b.lock().take_audit_log()
-        })
-        .collect();
-    let latency = merge_histograms(shards_latency);
     let mpps = totals.tx_packets as f64 / elapsed.as_secs_f64() / 1e6;
+    let closed = planes.close(trace, quarantines, totals.tx_packets, mpps);
     LiveReport {
         elapsed,
         totals,
@@ -1344,21 +1198,18 @@ fn run_core(
         gbps: totals.tx_frame_bits as f64 / elapsed.as_secs_f64() / 1e9,
         elements,
         samples,
-        trace,
-        faults: FaultReport {
-            snapshot: fstats.snapshot(),
-            quarantines,
-        },
-        slo: slo_tracker.map(|tr| tr.lock().report(latency.percentile_ns(99.0), mpps)),
-        latency,
+        trace: closed.trace,
+        faults: closed.faults,
+        slo: closed.slo,
+        latency: closed.latency,
         rx_dropped,
         shards,
         tx_capture,
-        flight: flight.dumps(),
-        stages: stage_sink.map(|s| s.lock().clone()),
-        drift: drift_det.map(|d| d.lock().report()),
-        decisions,
+        flight: closed.flight,
+        stages: closed.stages,
+        drift: closed.drift,
+        decisions: closed.decisions,
         health: health_report,
-        flows: flow_registry.report(),
+        flows: closed.flows,
     }
 }

@@ -9,7 +9,11 @@
 //!   clock and transport.
 //! * [`device`] — the device step both of them drive: they differ only in
 //!   clock, launch policy and how one attempt executes.
+//! * `assembly` — the run-wide planes both of them build and close the
+//!   same way: counters, health, faults, flows, spans, the flight
+//!   recorder, the audit and SLO sinks.
 
+mod assembly;
 pub mod des;
 pub mod device;
 pub mod live;
@@ -256,11 +260,13 @@ impl RunReport {
 /// Convenience: one traffic config replicated across every port.
 pub fn traffic_per_port(topology: &Topology, t: &TrafficConfig) -> Vec<TrafficConfig> {
     (0..topology.ports.len())
-        .map(|i| TrafficConfig {
-            seed: t
-                .seed
-                .wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            ..t.clone()
-        })
+        .map(|i| port_traffic(t, i))
         .collect()
+}
+
+/// Port `i`'s traffic (in live, IO thread `i`'s): `t` reseeded from
+/// `t.seed`, so each draws its own reproducible stream.
+pub(crate) fn port_traffic(t: &TrafficConfig, i: usize) -> TrafficConfig {
+    let seed = (t.seed).wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    TrafficConfig { seed, ..t.clone() }
 }

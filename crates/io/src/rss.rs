@@ -32,14 +32,14 @@ pub const RSS_BUCKETS: usize = 128;
 /// run.
 ///
 /// The boot-time assignment `entry[i] = i % workers` reduces to exactly the
-/// modulo steering of [`queue_for_hash`], so a run where nothing fails is
-/// bit-identical to the fixed-function path. When a worker dies, the
-/// supervisor atomically reassigns *only that worker's buckets* onto
-/// survivors ([`RssTable::remap_dead`]) — flows hashing to untouched buckets
-/// keep their affinity — and a recovered worker re-acquires its home buckets
-/// ([`RssTable::restore`]). Lookups are single relaxed loads; rewrites are
-/// per-entry atomic stores, so IO threads never lock and never observe a
-/// torn table.
+/// modulo steering of [`crate::toeplitz::queue_for_hash`], so a run where
+/// nothing fails is bit-identical to the fixed-function path. When a worker
+/// dies, the supervisor atomically reassigns *only that worker's buckets*
+/// onto survivors ([`RssTable::remap_dead`]) — flows hashing to untouched
+/// buckets keep their affinity — and a recovered worker re-acquires its
+/// home buckets ([`RssTable::restore`]). Lookups are single relaxed loads;
+/// rewrites are per-entry atomic stores, so IO threads never lock and never
+/// observe a torn table.
 #[derive(Debug)]
 pub struct RssTable {
     entries: Vec<AtomicU16>,
@@ -49,7 +49,7 @@ pub struct RssTable {
 
 impl RssTable {
     /// Builds the boot table for `workers` queues: `entry[i] = i % workers`,
-    /// the same mapping [`queue_for_hash`] computes.
+    /// the same mapping [`crate::toeplitz::queue_for_hash`] computes.
     ///
     /// # Panics
     ///
@@ -159,7 +159,7 @@ pub struct RssFanout {
 impl RssFanout {
     /// Creates a fanout for `port_id` over the given per-queue rings, with
     /// its own private boot-state indirection table (steering identical to
-    /// [`queue_for_hash`]).
+    /// [`crate::toeplitz::queue_for_hash`]).
     ///
     /// # Panics
     ///

@@ -4,18 +4,26 @@
 //! [`DecisionRecord`] streams for the same seeded workload; the log must
 //! replay bit-exactly through a fresh balancer; and a seeded fault storm
 //! must trip the cost-model drift detector and raise a flight dump naming
-//! the offending stage.
+//! the offending stage. Both runtimes build and close the audit, SLO,
+//! trace and flow planes through one run assembly, so each plane is off on
+//! both by default and reports on both when it is on.
 
 use std::time::Duration;
 
 use nba::apps::{pipelines, AppConfig};
-use nba::core::audit::{replay, AuditConfig, DecisionClock, DecisionLog, DriftConfig};
+use nba::core::audit::{
+    replay, AuditConfig, DecisionClock, DecisionLog, DriftConfig, SloConfig, StageProfiles,
+};
 use nba::core::element::ComputeMode;
+use nba::core::flow::FlowReport;
 use nba::core::lb::{self, AlbConfig, LoadBalancer};
 use nba::core::runtime::live::{self, LiveConfig};
 use nba::core::runtime::{des, PipelineBuilder, RuntimeConfig};
+use nba::core::telemetry::TraceEvent;
 use nba::core::{FaultConfig, FaultPlan};
-use nba::io::{IpVersion, Limited, PacketSource, PayloadFill, SizeDist, TrafficConfig, TrafficGen};
+use nba::io::{
+    IpVersion, L4Proto, Limited, PacketSource, PayloadFill, SizeDist, TrafficConfig, TrafficGen,
+};
 use nba::sim::topology::{GpuSpec, PortSpec, SocketSpec};
 use nba::sim::{Time, Topology};
 
@@ -112,18 +120,23 @@ fn des_decisions(build: &PipelineBuilder) -> DecisionLog {
     report.decisions.expect("audited balancer must keep a log")
 }
 
-/// One live run with a single audited worker; returns its decision log.
-fn live_decisions(build: &PipelineBuilder) -> DecisionLog {
-    let cfg = LiveConfig {
+/// A draining live run with one worker over `traffic`, `BUDGET` packets.
+fn live_cfg(traffic: TrafficConfig) -> LiveConfig {
+    LiveConfig {
         workers: 1,
         duration: Duration::from_secs(20), // deadline only; drains in ms
-        traffic: traffic(),
+        traffic,
         compute: ComputeMode::Full,
         io_threads: 1,
         max_packets: Some(BUDGET),
         drain: true,
         ..LiveConfig::default()
-    };
+    }
+}
+
+/// One live run with a single audited worker; returns its decision log.
+fn live_decisions(build: &PipelineBuilder) -> DecisionLog {
+    let cfg = live_cfg(traffic());
     let factory = lb::replicated(|| Box::new(audited_adaptive()) as Box<dyn LoadBalancer>);
     let report = live::run_sharded(&cfg, build, &factory);
     assert_eq!(report.rx_dropped, 0, "draining live run must be lossless");
@@ -256,8 +269,9 @@ fn seeded_fault_storm_trips_drift_detector_with_flight_dump() {
     );
 }
 
-/// A clean, un-audited run stays clean: no stage stats, no drift report,
-/// no decision log, no flight dumps — the all-off default really is off.
+/// A clean, un-audited run stays clean on both runtimes: no stage stats,
+/// no drift report, no SLO verdict, no decision log, no flight dumps — the
+/// all-off default really is off.
 #[test]
 fn audit_plane_is_fully_off_by_default() {
     let cfg = des_cfg(FaultConfig::default());
@@ -274,4 +288,128 @@ fn audit_plane_is_fully_off_by_default() {
     assert!(report.slo.is_none());
     assert!(report.decisions.is_none());
     assert!(report.flight.is_empty());
+
+    let live = live::run(
+        &live_cfg(traffic()),
+        &router(),
+        &lb::shared(Box::new(lb::FixedFraction::new(0.5))),
+    );
+    assert!(live.stages.is_none(), "live(1) kept stage stats");
+    assert!(live.drift.is_none(), "live(1) kept a drift report");
+    assert!(live.slo.is_none(), "live(1) kept an SLO verdict");
+    assert!(live.decisions.is_empty(), "live(1) kept a decision log");
+    assert!(live.flight.is_empty(), "live(1) took flight dumps");
+}
+
+/// The router behind a NAT44 stage: stateful (every packet is a flow-table
+/// operation) and offloading (the route lookup), so one run exercises
+/// every plane.
+const NAT_ROUTER: &str = "
+src :: FromInput();
+chk :: CheckIPHeader();
+nat :: Nat44(\"ext_ips=4\", \"ports_per_ip=16384\", \"capacity=4096\");
+lb  :: LoadBalance();
+rt  :: IPLookup();
+ttl :: DecIPTTL();
+out :: ToOutput();
+
+src -> chk;
+chk [0] -> nat -> lb -> rt -> ttl -> out;
+chk [1] -> Discard;
+";
+
+/// What one report carries of the run's planes, whichever runtime made it.
+struct Planes<'a> {
+    stages: Option<&'a StageProfiles>,
+    drift: bool,
+    slo: bool,
+    decisions: Vec<&'a DecisionLog>,
+    trace: &'a [TraceEvent],
+    flows: Option<&'a FlowReport>,
+}
+
+fn assert_every_plane(label: &str, p: Planes<'_>) {
+    let stages = p
+        .stages
+        .unwrap_or_else(|| panic!("{label}: no stage stats"));
+    assert!(stages.tasks > 0, "{label}: no offload task decomposed");
+    assert!(p.drift, "{label}: no drift report");
+    assert!(p.slo, "{label}: no SLO verdict");
+    assert_eq!(p.decisions.len(), 1, "{label}: one balancer, one log");
+    assert!(
+        !p.decisions[0].records.is_empty(),
+        "{label}: the decision log is empty"
+    );
+    assert!(!p.trace.is_empty(), "{label}: tracing was on, no events");
+    let flows = p.flows.unwrap_or_else(|| panic!("{label}: no flow report"));
+    assert!(
+        !flows.journal.canonical().is_empty(),
+        "{label}: the flow journal is empty"
+    );
+    if let Err(e) = flows.journal.replay() {
+        panic!("{label}: flow journal does not replay: {e}");
+    }
+}
+
+/// Every plane on — the full decision audit, an SLO, tracing and the flow
+/// journal, over a stateful pipeline that offloads — and every one reports,
+/// on the DES and on live(1) alike.
+#[test]
+fn every_plane_reports_on_both_runtimes() {
+    let app = AppConfig {
+        ports: 4,
+        v4_routes: 2048,
+        ..AppConfig::default()
+    };
+    let build = pipelines::pipeline_from_config(NAT_ROUTER, &app);
+    let tcp = TrafficConfig {
+        l4: L4Proto::Tcp,
+        ..traffic()
+    };
+    let audit = AuditConfig::full(LOG_CAPACITY);
+    let slo = SloConfig::parse("p99=50ms,budget=0.1").expect("SLO parses");
+
+    let mut cfg = des_cfg(FaultConfig::default());
+    cfg.audit = audit.clone();
+    cfg.slo = Some(slo.clone());
+    cfg.telemetry.trace_capacity = 4096;
+    cfg.flow_journal = true;
+    let source = Limited::new(TrafficGen::new(tcp.clone()), BUDGET);
+    let des = des::run_with_sources(
+        &cfg,
+        &build,
+        &lb::shared(Box::new(audited_adaptive())),
+        vec![Box::new(source) as Box<dyn PacketSource>],
+        tcp.offered_gbps,
+    );
+    assert_every_plane(
+        "DES",
+        Planes {
+            stages: des.stages.as_ref(),
+            drift: des.drift.is_some(),
+            slo: des.slo.is_some(),
+            decisions: des.decisions.iter().collect(),
+            trace: &des.trace,
+            flows: des.flows.as_ref(),
+        },
+    );
+
+    let mut cfg = live_cfg(tcp);
+    cfg.audit = audit;
+    cfg.slo = Some(slo);
+    cfg.telemetry.trace_capacity = 4096;
+    cfg.flow_journal = true;
+    let factory = lb::replicated(|| Box::new(audited_adaptive()) as Box<dyn LoadBalancer>);
+    let live = live::run_sharded(&cfg, &build, &factory);
+    assert_every_plane(
+        "live(1)",
+        Planes {
+            stages: live.stages.as_ref(),
+            drift: live.drift.is_some(),
+            slo: live.slo.is_some(),
+            decisions: live.decisions.iter().collect(),
+            trace: &live.trace,
+            flows: live.flows.as_ref(),
+        },
+    );
 }

@@ -104,8 +104,10 @@ impl RoutingTableV4 {
 
     /// Generates a random-but-reproducible table: a default route plus
     /// `n` prefixes spread over /8../28 (a few percent beyond /24 to
-    /// exercise `TBLlong`), next hops in `0..next_hops`.
+    /// exercise `TBLlong`), next hops in `0..next_hops`. `next_hops` is
+    /// clamped to `1..=0x7fff`, the next-hop ids the table can hold.
     pub fn random(seed: u64, n: usize, next_hops: u16) -> RoutingTableV4 {
+        let next_hops = next_hops.clamp(1, NO_ROUTE);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut routes = vec![RouteV4 {
             prefix: 0,

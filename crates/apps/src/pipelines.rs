@@ -6,13 +6,22 @@
 //! database, IDS automata) are process-global caches keyed by their seeds —
 //! the simulated equivalent of building them once at startup and sharing
 //! through node-local storage.
+//!
+//! Each shipped pipeline has one definition, its `examples/click` file: the
+//! IPv4 and IPv6 routers, both IPsec gateways, the IDS and the L2 forwarder
+//! build their file's text ([`IPV4_CONFIG`] and siblings) through
+//! [`pipeline_from_config`] and the [`registry`], so node ids are those the
+//! configuration language assigns. The stateful builders ([`nat44`],
+//! [`conntrack_fw`], [`maglev_lb`]) take typed configs and stay hand-wired;
+//! their files share their shape with example parameters. The experiment
+//! builders ([`branch_echo`], [`echo`], [`noop_chain`]) have no file.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use nba_core::config::{build_graph, ConfigError, ElementRegistry};
-use nba_core::graph::{ElementGraph, GraphBuilder};
+use nba_core::config::{build_graph, ElementRegistry};
+use nba_core::graph::GraphBuilder;
 use nba_core::lb::LoadBalanceElement;
 use nba_core::runtime::{BuildCtx, PipelineBuilder};
 
@@ -32,7 +41,7 @@ use crate::stateful::{
 };
 
 /// Sizing knobs of the sample applications.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AppConfig {
     /// Output NIC ports next hops map onto.
     pub ports: u16,
@@ -86,7 +95,7 @@ fn cached<K: Hash + Eq, V>(cache: &TableCache<K, V>, key: K, build: impl FnOnce(
 pub fn v4_table(seed: u64, routes: usize, hops: u16) -> Arc<RoutingTableV4> {
     static CACHE: TableCache<(u64, usize, u16), RoutingTableV4> = OnceLock::new();
     cached(&CACHE, (seed, routes, hops), || {
-        RoutingTableV4::random(seed, routes, hops.max(1) * 4)
+        RoutingTableV4::random(seed, routes, hops.max(1).saturating_mul(4))
     })
 }
 
@@ -94,7 +103,7 @@ pub fn v4_table(seed: u64, routes: usize, hops: u16) -> Arc<RoutingTableV4> {
 pub fn v6_table(seed: u64, routes: usize, hops: u16) -> Arc<RoutingTableV6> {
     static CACHE: TableCache<(u64, usize, u16), RoutingTableV6> = OnceLock::new();
     cached(&CACHE, (seed, routes, hops), || {
-        RoutingTableV6::random(seed, routes, hops.max(1) * 4)
+        RoutingTableV6::random(seed, routes, hops.max(1).saturating_mul(4))
     })
 }
 
@@ -114,135 +123,37 @@ pub fn rule_set(seed: u64, literals: usize, regexes: usize) -> Arc<RuleSet> {
 
 // --- Pipelines (Figure 8) ---
 
-/// IPv4 router: `CheckIPHeader -> LB -> IPLookup -> DecIPTTL` (Fig. 8a).
+/// IPv4 router (Fig. 8a): [`IPV4_CONFIG`],
+/// `CheckIPHeader -> LB -> IPLookup -> DecIPTTL`.
 pub fn ipv4_router(app: &AppConfig) -> PipelineBuilder {
-    let app = app.clone();
-    Arc::new(move |ctx: &BuildCtx| {
-        let table = v4_table(app.seed, app.v4_routes, app.ports);
-        let mut gb = GraphBuilder::new();
-        gb.branch_policy(ctx.policy);
-        let chk = gb.add(Box::new(CheckIPHeader));
-        let lb = gb.add(Box::new(LoadBalanceElement::new(ctx.balancer.clone())));
-        let rt = gb.add(Box::new(IPLookup::new(table, app.ports)));
-        let ttl = gb.add(Box::new(DecIPTTL));
-        gb.connect(chk, 0, lb);
-        gb.connect_discard(chk, 1);
-        gb.connect(lb, 0, rt);
-        gb.connect(rt, 0, ttl);
-        gb.connect_exit(ttl, 0);
-        gb.entry(chk);
-        gb.build().expect("ipv4 pipeline")
-    })
+    pipeline_from_config(IPV4_CONFIG, app)
 }
 
-/// IPv6 router: `CheckIP6Header -> LB -> LookupIP6 -> DecIP6HLIM` (Fig. 8b).
+/// IPv6 router (Fig. 8b): [`IPV6_CONFIG`],
+/// `CheckIP6Header -> LB -> LookupIP6 -> DecIP6HLIM`.
 pub fn ipv6_router(app: &AppConfig) -> PipelineBuilder {
-    let app = app.clone();
-    Arc::new(move |ctx: &BuildCtx| {
-        let table = v6_table(app.seed, app.v6_routes, app.ports);
-        let mut gb = GraphBuilder::new();
-        gb.branch_policy(ctx.policy);
-        let chk = gb.add(Box::new(CheckIP6Header));
-        let lb = gb.add(Box::new(LoadBalanceElement::new(ctx.balancer.clone())));
-        let rt = gb.add(Box::new(LookupIP6::new(table, app.ports)));
-        let hlim = gb.add(Box::new(DecIP6HLIM));
-        gb.connect(chk, 0, lb);
-        gb.connect_discard(chk, 1);
-        gb.connect(lb, 0, rt);
-        gb.connect(rt, 0, hlim);
-        gb.connect_exit(hlim, 0);
-        gb.entry(chk);
-        gb.build().expect("ipv6 pipeline")
-    })
+    pipeline_from_config(IPV6_CONFIG, app)
 }
 
-/// IPsec gateway: routing + `IPsecESPEncap -> LB -> IPsecAES ->
-/// IPsecAuthHMAC` (Fig. 8c).
+/// IPsec gateway (Fig. 8c): [`IPSEC_CONFIG`], routing then
+/// `IPsecESPEncap -> LB -> IPsecAES -> IPsecAuthHMAC`.
 pub fn ipsec_gateway(app: &AppConfig) -> PipelineBuilder {
-    let app = app.clone();
-    Arc::new(move |ctx: &BuildCtx| {
-        let table = v4_table(app.seed, app.v4_routes, app.ports);
-        let sa = sa_table(app.seed);
-        let mut gb = GraphBuilder::new();
-        gb.branch_policy(ctx.policy);
-        let chk = gb.add(Box::new(CheckIPHeader));
-        let rt = gb.add(Box::new(IPLookup::new(table, app.ports)));
-        let ttl = gb.add(Box::new(DecIPTTL));
-        let encap = gb.add(Box::new(IPsecESPEncap::new(sa.clone())));
-        let lb = gb.add(Box::new(LoadBalanceElement::new(ctx.balancer.clone())));
-        let aes = gb.add(Box::new(IPsecAES::new(sa.clone())));
-        let auth = gb.add(Box::new(IPsecAuthHMAC::new(sa)));
-        gb.connect(chk, 0, rt);
-        gb.connect_discard(chk, 1);
-        gb.connect(rt, 0, ttl);
-        gb.connect(ttl, 0, encap);
-        gb.connect(encap, 0, lb);
-        gb.connect(lb, 0, aes);
-        gb.connect(aes, 0, auth);
-        gb.connect_exit(auth, 0);
-        gb.entry(chk);
-        gb.build().expect("ipsec pipeline")
-    })
+    pipeline_from_config(IPSEC_CONFIG, app)
 }
 
-/// The receive side of the IPsec gateway: verify, decrypt, decapsulate,
-/// then route the recovered inner packet (the inverse of
-/// [`ipsec_gateway`]; both crypto stages are offloadable).
+/// The receive side of the IPsec gateway: [`IPSEC_DECAP_CONFIG`], verify,
+/// decrypt, decapsulate, then route the recovered inner packet (the
+/// inverse of [`ipsec_gateway`]; both crypto stages are offloadable).
 pub fn ipsec_decap_gateway(app: &AppConfig) -> PipelineBuilder {
-    let app = app.clone();
-    Arc::new(move |ctx: &BuildCtx| {
-        let table = v4_table(app.seed, app.v4_routes, app.ports);
-        let sa = sa_table(app.seed);
-        let mut gb = GraphBuilder::new();
-        gb.branch_policy(ctx.policy);
-        let chk = gb.add(Box::new(CheckIPHeader));
-        let lb = gb.add(Box::new(LoadBalanceElement::new(ctx.balancer.clone())));
-        let verify = gb.add(Box::new(IPsecAuthVerify::new(sa.clone())));
-        let decrypt = gb.add(Box::new(IPsecDecrypt::new(sa)));
-        let decap = gb.add(Box::new(IPsecESPDecap));
-        let rt = gb.add(Box::new(IPLookup::new(table, app.ports)));
-        let ttl = gb.add(Box::new(DecIPTTL));
-        gb.connect(chk, 0, lb);
-        gb.connect_discard(chk, 1);
-        gb.connect(lb, 0, verify);
-        gb.connect(verify, 0, decrypt);
-        gb.connect(decrypt, 0, decap);
-        gb.connect(decap, 0, rt);
-        gb.connect(rt, 0, ttl);
-        gb.connect_exit(ttl, 0);
-        gb.entry(chk);
-        gb.build().expect("ipsec decap pipeline")
-    })
+    pipeline_from_config(IPSEC_DECAP_CONFIG, app)
 }
 
-/// IDS: `CheckIPHeader -> LB -> ACMatch -> (RegexMatch) -> IDSAlert`
-/// (Fig. 8d). Returns the shared alert counters for assertions/reports.
+/// IDS (Fig. 8d): [`IDS_CONFIG`],
+/// `CheckIPHeader -> LB -> ACMatch -> (RegexMatch) -> IDSAlert`. Returns
+/// the alert counters that both `IDSAlert` stages of every replica bump.
 pub fn ids(app: &AppConfig) -> (PipelineBuilder, Arc<AlertCounters>) {
-    let app = app.clone();
-    let counters = Arc::new(AlertCounters::default());
-    let counters2 = counters.clone();
-    let builder: PipelineBuilder = Arc::new(move |ctx: &BuildCtx| {
-        let rules = rule_set(app.seed, app.ids_literals, app.ids_regexes);
-        let mut gb = GraphBuilder::new();
-        gb.branch_policy(ctx.policy);
-        let chk = gb.add(Box::new(CheckIPHeader));
-        let lb = gb.add(Box::new(LoadBalanceElement::new(ctx.balancer.clone())));
-        let ac = gb.add(Box::new(ACMatch::new(rules.clone())));
-        let re = gb.add(Box::new(RegexMatch::new(rules)));
-        let alert = gb.add(Box::new(IDSAlert::new(counters2.clone(), app.ports)));
-        let alert2 = gb.add(Box::new(IDSAlert::new(counters2.clone(), app.ports)));
-        gb.connect(chk, 0, lb);
-        gb.connect_discard(chk, 1);
-        gb.connect(lb, 0, ac);
-        gb.connect(ac, 0, alert);
-        gb.connect(ac, 1, re);
-        gb.connect(re, 0, alert2);
-        gb.connect_exit(alert, 0);
-        gb.connect_exit(alert2, 0);
-        gb.entry(chk);
-        gb.build().expect("ids pipeline")
-    });
-    (builder, counters)
+    let alerts = Arc::new(AlertCounters::default());
+    (config_pipeline(IDS_CONFIG, app, alerts.clone()), alerts)
 }
 
 /// NAT44: `CheckIPHeader -> Nat44` — stateful source translation over the
@@ -297,16 +208,16 @@ pub fn maglev_lb(cfg: &MaglevConfig) -> PipelineBuilder {
     })
 }
 
-/// Minimal L2 forwarder (the §4.6 latency baseline).
+/// Minimal L2 forwarder (the §4.6 latency baseline): [`L2FWD_CONFIG`]
+/// over `ports` output ports.
 pub fn l2fwd(ports: u16) -> PipelineBuilder {
-    Arc::new(move |ctx: &BuildCtx| {
-        let mut gb = GraphBuilder::new();
-        gb.branch_policy(ctx.policy);
-        let fwd = gb.add(Box::new(L2Forward::new(ports)));
-        gb.connect_exit(fwd, 0);
-        gb.entry(fwd);
-        gb.build().expect("l2fwd pipeline")
-    })
+    pipeline_from_config(
+        L2FWD_CONFIG,
+        &AppConfig {
+            ports,
+            ..AppConfig::default()
+        },
+    )
 }
 
 /// The synthetic two-path branch of Figures 1/10: a weighted branch into
@@ -369,11 +280,22 @@ fn alignment_seed(worker: usize) -> u64 {
 // --- The configuration-language registry ---
 
 /// Builds the element registry for a worker's [`BuildCtx`], exposing every
-/// application element to the Click-dialect configuration language.
+/// application element to the Click-dialect configuration language. The
+/// `IDSAlert` stages it builds share one fresh set of alert counters.
 ///
 /// Table-backed elements take parameters of the form `"key=value"`:
-/// `IPLookup("routes=65536", "ports=8", "seed=42")`.
+/// `IPLookup("routes=65536", "ports=8", "seed=42")`. A value out of its
+/// element's range is a configuration error, never a truncation.
 pub fn registry(ctx: &BuildCtx, app: &AppConfig) -> ElementRegistry {
+    registry_with_alerts(ctx, app, &Arc::default())
+}
+
+/// [`registry`] whose `IDSAlert` stages count into `alerts`.
+fn registry_with_alerts(
+    ctx: &BuildCtx,
+    app: &AppConfig,
+    alerts: &Arc<AlertCounters>,
+) -> ElementRegistry {
     fn param(params: &[String], key: &str) -> Option<String> {
         params.iter().find_map(|p| {
             p.strip_prefix(key)
@@ -387,20 +309,43 @@ pub fn registry(ctx: &BuildCtx, app: &AppConfig) -> ElementRegistry {
             Some(v) => v.parse().map_err(|_| format!("bad {key}: {v:?}")),
         }
     }
-    /// [`num`] for a knob with a largest meaningful value: larger values
-    /// are a diagnostic, not a silent truncation.
-    fn num_at_most(params: &[String], key: &str, default: u64, max: u64) -> Result<u64, String> {
+    type Range = std::ops::RangeInclusive<u64>;
+    /// [`num`] for a knob with a range of meaningful values: other values
+    /// are a diagnostic, not a silent truncation or a constructor panic.
+    fn num_in(params: &[String], key: &str, default: u64, range: Range) -> Result<u64, String> {
         let v = num(params, key, default)?;
-        if v > max {
-            return Err(format!("bad {key}: {v} is out of range (at most {max})"));
+        if !range.contains(&v) {
+            let (min, max) = range.into_inner();
+            return Err(format!("bad {key}: {v} is out of range ({min}..={max})"));
         }
         Ok(v)
     }
+    /// An output-port count, `ports=` (1..=65535).
+    fn ports(params: &[String], default: u16) -> Result<u16, String> {
+        Ok(num_in(params, "ports", u64::from(default), 1..=u64::from(u16::MAX))? as u16)
+    }
+    /// An annotation colour, `color=` (`min`..=255).
+    fn color(params: &[String], min: u64) -> Result<u8, String> {
+        Ok(num_in(params, "color", 1, min..=u64::from(u8::MAX))? as u8)
+    }
+
+    /// The shared flow-table knobs: `capacity=`, `ttl=`, `embryonic_ttl=`,
+    /// `epoch=` (packets per bucket epoch).
+    fn flow_table(p: &[String]) -> Result<nba_core::flow::FlowTableConfig, String> {
+        let d = nba_core::flow::FlowTableConfig::default();
+        Ok(nba_core::flow::FlowTableConfig {
+            capacity: num(p, "capacity", d.capacity)?,
+            ttl_epochs: num(p, "ttl", d.ttl_epochs)?,
+            embryonic_ttl_epochs: num(p, "embryonic_ttl", d.embryonic_ttl_epochs)?,
+            epoch_pkts: num(p, "epoch", d.epoch_pkts)?,
+        })
+    }
 
     let mut reg = ElementRegistry::new();
-    let app_c = app.clone();
+    let app = *app;
     let balancer = ctx.balancer.clone();
     let worker = ctx.worker;
+    let alerts = alerts.clone();
 
     reg.register("NoOp", |_| Ok(Box::new(NoOp)));
     reg.register("CheckIPHeader", |_| Ok(Box::new(CheckIPHeader)));
@@ -412,192 +357,126 @@ pub fn registry(ctx: &BuildCtx, app: &AppConfig) -> ElementRegistry {
     });
     reg.register("Classifier", |_| Ok(Box::new(Classifier)));
     reg.register("Paint", |p: &[String]| {
-        let color = num(p, "color", 1)? as u8;
-        if color == 0 {
-            return Err("paint color must be 1..=255".to_owned());
-        }
-        Ok(Box::new(Paint::new(color)))
+        Ok(Box::new(Paint::new(color(p, 1)?)))
     });
     reg.register("CheckPaint", |p: &[String]| {
-        let color = num(p, "color", 1)? as u8;
-        Ok(Box::new(CheckPaint::new(color)))
+        Ok(Box::new(CheckPaint::new(color(p, 0)?)))
     });
     reg.register("PacketCounter", |_| {
         Ok(Box::new(PacketCounter::new(std::sync::Arc::new(
             crate::common::CounterStats::default(),
         ))))
     });
-    {
-        let app = app_c.clone();
-        reg.register("L2Forward", move |p| {
-            let ports = num(p, "ports", u64::from(app.ports))? as u16;
-            Ok(Box::new(L2Forward::new(ports)))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("RoundRobinOutput", move |p| {
-            let ports = num(p, "ports", u64::from(app.ports))? as u16;
-            Ok(Box::new(RoundRobinOutput::new(ports)))
-        });
-    }
-    {
-        reg.register("RandomWeightedBranch", move |p| {
-            let pm = param(p, "minority")
-                .unwrap_or_else(|| "0.5".to_owned())
-                .parse::<f64>()
-                .map_err(|e| e.to_string())?;
-            Ok(Box::new(RandomWeightedBranch::new(
-                pm,
-                alignment_seed(worker),
-            )))
-        });
-    }
-    {
-        let balancer = balancer.clone();
-        reg.register("LoadBalance", move |_| {
-            Ok(Box::new(LoadBalanceElement::new(balancer.clone())))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IPLookup", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            let routes = num(p, "routes", app.v4_routes as u64)? as usize;
-            let ports = num(p, "ports", u64::from(app.ports))? as u16;
-            Ok(Box::new(IPLookup::new(
-                v4_table(seed, routes, ports),
-                ports,
-            )))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("LookupIP6", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            let routes = num(p, "routes", app.v6_routes as u64)? as usize;
-            let ports = num(p, "ports", u64::from(app.ports))? as u16;
-            Ok(Box::new(LookupIP6::new(
-                v6_table(seed, routes, ports),
-                ports,
-            )))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IPsecESPEncap", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            Ok(Box::new(IPsecESPEncap::new(sa_table(seed))))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IPsecAES", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            Ok(Box::new(IPsecAES::new(sa_table(seed))))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IPsecAuthHMAC", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            Ok(Box::new(IPsecAuthHMAC::new(sa_table(seed))))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IPsecAuthVerify", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            Ok(Box::new(IPsecAuthVerify::new(sa_table(seed))))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IPsecDecrypt", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            Ok(Box::new(IPsecDecrypt::new(sa_table(seed))))
-        });
-    }
-    reg.register("IPsecESPDecap", |_| Ok(Box::new(IPsecESPDecap)));
-    {
-        let app = app_c.clone();
-        reg.register("ACMatch", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            let lits = num(p, "literals", app.ids_literals as u64)? as usize;
-            let res = num(p, "regexes", app.ids_regexes as u64)? as usize;
-            Ok(Box::new(ACMatch::new(rule_set(seed, lits, res))))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("RegexMatch", move |p| {
-            let seed = num(p, "seed", app.seed)?;
-            let lits = num(p, "literals", app.ids_literals as u64)? as usize;
-            let res = num(p, "regexes", app.ids_regexes as u64)? as usize;
-            Ok(Box::new(RegexMatch::new(rule_set(seed, lits, res))))
-        });
-    }
-    {
-        // Shared flow-table knobs: `capacity=`, `ttl=`, `embryonic_ttl=`,
-        // `epoch=` (packets per bucket epoch).
-        fn flow_table(p: &[String]) -> Result<nba_core::flow::FlowTableConfig, String> {
-            let d = nba_core::flow::FlowTableConfig::default();
-            Ok(nba_core::flow::FlowTableConfig {
-                capacity: num(p, "capacity", d.capacity)?,
-                ttl_epochs: num(p, "ttl", d.ttl_epochs)?,
-                embryonic_ttl_epochs: num(p, "embryonic_ttl", d.embryonic_ttl_epochs)?,
-                epoch_pkts: num(p, "epoch", d.epoch_pkts)?,
-            })
+    reg.register("L2Forward", move |p| {
+        Ok(Box::new(L2Forward::new(ports(p, app.ports)?)))
+    });
+    reg.register("RoundRobinOutput", move |p| {
+        Ok(Box::new(RoundRobinOutput::new(ports(p, app.ports)?)))
+    });
+    reg.register("RandomWeightedBranch", move |p| {
+        let pm = param(p, "minority")
+            .unwrap_or_else(|| "0.5".to_owned())
+            .parse::<f64>()
+            .map_err(|e| e.to_string())?;
+        if !(0.0..=1.0).contains(&pm) {
+            return Err(format!("bad minority: {pm} is out of range ([0, 1])"));
         }
-        reg.register("Nat44", move |p| {
-            let d = NatConfig::default();
-            let max_u32 = u64::from(u32::MAX);
-            Ok(Box::new(Nat44::new(NatConfig {
-                ext_ip_base: num_at_most(p, "ext_ip_base", u64::from(d.ext_ip_base), max_u32)?
-                    as u32,
-                ext_ips: num_at_most(p, "ext_ips", u64::from(d.ext_ips), max_u32)? as u32,
-                ports_per_ip: num_at_most(
-                    p,
-                    "ports_per_ip",
-                    u64::from(d.ports_per_ip),
-                    u64::from(NAT_MAX_PORTS_PER_IP),
-                )? as u32,
-                table: flow_table(p)?,
-            })))
-        });
-        reg.register("ConnTrackFirewall", move |p| {
-            Ok(Box::new(ConnTrackFirewall::new(FirewallConfig {
-                table: flow_table(p)?,
-            })))
-        });
-        let app = app_c.clone();
-        reg.register("MaglevLb", move |p| {
-            let d = MaglevConfig::default();
-            // The clamps bound table construction (O(table × backends)
-            // rendezvous hashes, twice) so no configuration can stall
-            // graph assembly.
-            Ok(Box::new(MaglevLb::new(MaglevConfig {
-                backends: num(p, "backends", u64::from(d.backends))?.clamp(1, 512) as u32,
-                table_size: num(p, "table", u64::from(d.table_size))?.clamp(1, 1 << 17) as u32,
-                ports: num(p, "ports", u64::from(app.ports))?.clamp(1, u64::from(u16::MAX)) as u16,
-                seed: num(p, "seed", d.seed)?,
-                flip_epoch: num(p, "flip_epoch", d.flip_epoch)?,
-                flip_remove: num(p, "flip_remove", u64::from(d.flip_remove))? as u32,
-                table: flow_table(p)?,
-            })))
-        });
-    }
-    {
-        let app = app_c.clone();
-        reg.register("IDSAlert", move |p| {
-            let ports = num(p, "ports", u64::from(app.ports))? as u16;
-            // Config-built alert stages get their own counters.
-            Ok(Box::new(IDSAlert::new(
-                Arc::new(AlertCounters::default()),
-                ports,
-            )))
-        });
-    }
+        Ok(Box::new(RandomWeightedBranch::new(
+            pm,
+            alignment_seed(worker),
+        )))
+    });
+    reg.register("LoadBalance", move |_| {
+        Ok(Box::new(LoadBalanceElement::new(balancer.clone())))
+    });
+    reg.register("IPLookup", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        let routes = num(p, "routes", app.v4_routes as u64)? as usize;
+        let ports = ports(p, app.ports)?;
+        Ok(Box::new(IPLookup::new(
+            v4_table(seed, routes, ports),
+            ports,
+        )))
+    });
+    reg.register("LookupIP6", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        let routes = num(p, "routes", app.v6_routes as u64)? as usize;
+        let ports = ports(p, app.ports)?;
+        Ok(Box::new(LookupIP6::new(
+            v6_table(seed, routes, ports),
+            ports,
+        )))
+    });
+    reg.register("IPsecESPEncap", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        Ok(Box::new(IPsecESPEncap::new(sa_table(seed))))
+    });
+    reg.register("IPsecAES", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        Ok(Box::new(IPsecAES::new(sa_table(seed))))
+    });
+    reg.register("IPsecAuthHMAC", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        Ok(Box::new(IPsecAuthHMAC::new(sa_table(seed))))
+    });
+    reg.register("IPsecAuthVerify", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        Ok(Box::new(IPsecAuthVerify::new(sa_table(seed))))
+    });
+    reg.register("IPsecDecrypt", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        Ok(Box::new(IPsecDecrypt::new(sa_table(seed))))
+    });
+    reg.register("IPsecESPDecap", |_| Ok(Box::new(IPsecESPDecap)));
+    reg.register("ACMatch", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        let lits = num(p, "literals", app.ids_literals as u64)? as usize;
+        let res = num(p, "regexes", app.ids_regexes as u64)? as usize;
+        Ok(Box::new(ACMatch::new(rule_set(seed, lits, res))))
+    });
+    reg.register("RegexMatch", move |p| {
+        let seed = num(p, "seed", app.seed)?;
+        let lits = num(p, "literals", app.ids_literals as u64)? as usize;
+        let res = num(p, "regexes", app.ids_regexes as u64)? as usize;
+        Ok(Box::new(RegexMatch::new(rule_set(seed, lits, res))))
+    });
+    reg.register("Nat44", move |p| {
+        let d = NatConfig::default();
+        let u32s = 0..=u64::from(u32::MAX);
+        let per_ip = 0..=u64::from(NAT_MAX_PORTS_PER_IP);
+        Ok(Box::new(Nat44::new(NatConfig {
+            ext_ip_base: num_in(p, "ext_ip_base", u64::from(d.ext_ip_base), u32s.clone())? as u32,
+            ext_ips: num_in(p, "ext_ips", u64::from(d.ext_ips), u32s)? as u32,
+            ports_per_ip: num_in(p, "ports_per_ip", u64::from(d.ports_per_ip), per_ip)? as u32,
+            table: flow_table(p)?,
+        })))
+    });
+    reg.register("ConnTrackFirewall", move |p| {
+        Ok(Box::new(ConnTrackFirewall::new(FirewallConfig {
+            table: flow_table(p)?,
+        })))
+    });
+    reg.register("MaglevLb", move |p| {
+        let d = MaglevConfig::default();
+        // The clamps bound table construction (O(table × backends)
+        // rendezvous hashes, twice) so no configuration can stall
+        // graph assembly.
+        Ok(Box::new(MaglevLb::new(MaglevConfig {
+            backends: num(p, "backends", u64::from(d.backends))?.clamp(1, 512) as u32,
+            table_size: num(p, "table", u64::from(d.table_size))?.clamp(1, 1 << 17) as u32,
+            ports: num(p, "ports", u64::from(app.ports))?.clamp(1, u64::from(u16::MAX)) as u16,
+            seed: num(p, "seed", d.seed)?,
+            flip_epoch: num(p, "flip_epoch", d.flip_epoch)?,
+            flip_remove: num(p, "flip_remove", u64::from(d.flip_remove))? as u32,
+            table: flow_table(p)?,
+        })))
+    });
+    reg.register("IDSAlert", move |p| {
+        Ok(Box::new(IDSAlert::new(
+            alerts.clone(),
+            ports(p, app.ports)?,
+        )))
+    });
     reg
 }
 
@@ -605,31 +484,40 @@ pub fn registry(ctx: &BuildCtx, app: &AppConfig) -> ElementRegistry {
 /// registry resolves classes and shared tables; parse errors surface at
 /// build time.
 pub fn pipeline_from_config(src: &str, app: &AppConfig) -> PipelineBuilder {
+    config_pipeline(src, app, Arc::default())
+}
+
+/// [`pipeline_from_config`] whose `IDSAlert` stages, in every replica,
+/// count into `alerts`.
+fn config_pipeline(src: &str, app: &AppConfig, alerts: Arc<AlertCounters>) -> PipelineBuilder {
     let src = src.to_owned();
-    let app = app.clone();
+    let app = *app;
     Arc::new(move |ctx: &BuildCtx| {
-        let reg = registry(ctx, &app);
-        match build_graph(&src, &reg, ctx.policy) {
-            Ok(g) => g,
-            Err(e) => panic!("pipeline configuration error: {e}"),
-        }
+        let reg = registry_with_alerts(ctx, &app, &alerts);
+        build_graph(&src, &reg, ctx.policy)
+            .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
     })
 }
 
-/// The canonical IPv4 router configuration, the shipped
-/// `examples/click/ipv4.click` (matches [`ipv4_router`]).
+/// The IPv4 router, the shipped `examples/click/ipv4.click`
+/// ([`ipv4_router`]).
 pub const IPV4_CONFIG: &str = include_str!("../../../examples/click/ipv4.click");
 
-/// The canonical IPsec gateway configuration, the shipped
-/// `examples/click/ipsec.click` (matches [`ipsec_gateway`]).
+/// The IPv6 router, the shipped `examples/click/ipv6.click`
+/// ([`ipv6_router`]).
+pub const IPV6_CONFIG: &str = include_str!("../../../examples/click/ipv6.click");
+
+/// The IPsec gateway, the shipped `examples/click/ipsec.click`
+/// ([`ipsec_gateway`]).
 pub const IPSEC_CONFIG: &str = include_str!("../../../examples/click/ipsec.click");
 
-/// A config-language error example used in docs/tests.
-pub fn build_from_config_str(
-    src: &str,
-    ctx: &BuildCtx,
-    app: &AppConfig,
-) -> Result<ElementGraph, ConfigError> {
-    let reg = registry(ctx, app);
-    build_graph(src, &reg, ctx.policy)
-}
+/// The IPsec receive side, the shipped `examples/click/ipsec_decap.click`
+/// ([`ipsec_decap_gateway`]).
+pub const IPSEC_DECAP_CONFIG: &str = include_str!("../../../examples/click/ipsec_decap.click");
+
+/// The IDS, the shipped `examples/click/ids.click` ([`ids`]).
+pub const IDS_CONFIG: &str = include_str!("../../../examples/click/ids.click");
+
+/// The L2 forwarder, the shipped `examples/click/l2fwd.click`
+/// ([`l2fwd`]).
+pub const L2FWD_CONFIG: &str = include_str!("../../../examples/click/l2fwd.click");

@@ -1,9 +1,10 @@
 //! The live runtime: the same pipelines on real OS threads, sharded the way
 //! the paper shards its live system (§3, Figures 2 and 6).
 //!
-//! This is not the measurement vehicle (the DES runtime is); it exists to
-//! show the framework is a real concurrent system. The data plane is
-//! shared-nothing and receive-side scaled:
+//! The DES runtime models the paper's testbed; this runtime measures the
+//! host. Its wall-clock packet rate is what the repo benchmark
+//! (`benchmark/`) reports as `mpps` for every workload but the DES one.
+//! The data plane is shared-nothing and receive-side scaled:
 //!
 //! * **IO threads** play the NIC: each owns a deterministic traffic source
 //!   and an [`RssFanout`] that steers every frame by the RSS hash its

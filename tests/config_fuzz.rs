@@ -140,6 +140,24 @@ proptest! {
         prop_assert!(check_never_panics(&src).is_ok(), "{:?}", check_never_panics(&src));
     }
 
+    /// Mutations of the other shipped pipeline definitions never panic:
+    /// the IPv6 router, the IPsec receive side, the IDS (the one shipped
+    /// config with a branch and two exits) and the L2 forwarder.
+    #[test]
+    fn mutated_shipped_definitions_never_panic(
+        which in 0usize..4,
+        ops in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..24),
+    ) {
+        let base = [
+            pipelines::IPV6_CONFIG,
+            pipelines::IPSEC_DECAP_CONFIG,
+            pipelines::IDS_CONFIG,
+            pipelines::L2FWD_CONFIG,
+        ][which];
+        let src = mutate(base, &ops);
+        prop_assert!(check_never_panics(&src).is_ok(), "{:?}", check_never_panics(&src));
+    }
+
     /// Mutations of the stateful-app configs never panic. These exercise
     /// quoted `key=value` parameters and the two-output firewall, which
     /// the older shipped configs don't have.
@@ -222,7 +240,11 @@ proptest! {
 fn shipped_configs_are_clean() {
     for src in [
         pipelines::IPV4_CONFIG,
+        pipelines::IPV6_CONFIG,
         pipelines::IPSEC_CONFIG,
+        pipelines::IPSEC_DECAP_CONFIG,
+        pipelines::IDS_CONFIG,
+        pipelines::L2FWD_CONFIG,
         NAT44_SRC,
         FW_SRC,
         MAGLEV_SRC,
@@ -230,5 +252,60 @@ fn shipped_configs_are_clean() {
         let checked =
             build_graph_checked(src, &registry(), Default::default()).expect("shipped config");
         assert!(checked.report.first_error().is_none());
+    }
+}
+
+/// Parameters outside an element's range are configuration errors on the
+/// declaring line — never a constructor panic, never a silent truncation —
+/// and the range ends build.
+#[test]
+fn out_of_range_parameters_are_config_errors() {
+    let rejected = [
+        r#"L2Forward("ports=0")"#,
+        r#"IPLookup("ports=0")"#,
+        r#"LookupIP6("ports=0")"#,
+        r#"RoundRobinOutput("ports=0")"#,
+        r#"IDSAlert("ports=0")"#,
+        r#"L2Forward("ports=65536")"#,
+        r#"IPLookup("ports=65536")"#,
+        r#"LookupIP6("ports=65536")"#,
+        r#"RoundRobinOutput("ports=65536")"#,
+        r#"IDSAlert("ports=65536")"#,
+        r#"RandomWeightedBranch("minority=2")"#,
+        r#"RandomWeightedBranch("minority=-0.5")"#,
+        r#"RandomWeightedBranch("minority=NaN")"#,
+        r#"Paint("color=0")"#,
+        r#"Paint("color=257")"#,
+        r#"CheckPaint("color=256")"#,
+    ];
+    let accepted = [
+        r#"L2Forward("ports=1")"#,
+        r#"L2Forward("ports=65535")"#,
+        r#"IPLookup("ports=65535", "routes=16")"#,
+        r#"LookupIP6("ports=65535", "routes=16")"#,
+        r#"RoundRobinOutput("ports=65535")"#,
+        r#"IDSAlert("ports=65535")"#,
+        r#"RandomWeightedBranch("minority=0")"#,
+        r#"RandomWeightedBranch("minority=1")"#,
+        r#"Paint("color=1")"#,
+        r#"Paint("color=255")"#,
+        r#"CheckPaint("color=0")"#,
+        r#"CheckPaint("color=255")"#,
+    ];
+    let src = |decl: &str| format!("src :: FromInput();\nx :: {decl};\nsrc -> x -> ToOutput;\n");
+    let reg = registry();
+    for decl in rejected {
+        match build_graph_checked(&src(decl), &reg, Default::default()) {
+            Ok(_) => panic!("{decl}: built"),
+            Err(e) => {
+                assert!(e.msg.contains("out of range"), "{decl}: {e}");
+                assert_eq!(e.line, 2, "{decl}: {e}");
+            }
+        }
+    }
+    for decl in accepted {
+        if let Err(e) = build_graph_checked(&src(decl), &reg, Default::default()) {
+            panic!("{decl}: {e}");
+        }
     }
 }

@@ -20,8 +20,8 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use nba_core::config::{build_graph, ElementRegistry};
-use nba_core::graph::GraphBuilder;
+use nba_core::config::{CheckedGraph, Config, ConfigError, ElementRegistry};
+use nba_core::graph::{BranchPolicy, GraphBuilder};
 use nba_core::lb::LoadBalanceElement;
 use nba_core::runtime::{BuildCtx, PipelineBuilder};
 
@@ -488,14 +488,29 @@ pub fn pipeline_from_config(src: &str, app: &AppConfig) -> PipelineBuilder {
 }
 
 /// [`pipeline_from_config`] whose `IDSAlert` stages, in every replica,
-/// count into `alerts`.
+/// count into `alerts`. The text is parsed once, here, and only the first
+/// replica per branch policy is linted: every replica of one text is the
+/// same graph, so that replica's verdict (a lint error names its source
+/// line) stands for the rest.
 fn config_pipeline(src: &str, app: &AppConfig, alerts: Arc<AlertCounters>) -> PipelineBuilder {
-    let src = src.to_owned();
+    let config = Config::parse(src);
+    let verdicts: Mutex<Vec<(BranchPolicy, Result<(), ConfigError>)>> = Mutex::default();
     let app = *app;
     Arc::new(move |ctx: &BuildCtx| {
         let reg = registry_with_alerts(ctx, &app, &alerts);
-        build_graph(&src, &reg, ctx.policy)
-            .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
+        let replica = config.as_ref().map_err(Clone::clone).and_then(|config| {
+            let mut verdicts = verdicts.lock().expect("lint verdicts poisoned");
+            if let Some((_, verdict)) = verdicts.iter().find(|(p, _)| *p == ctx.policy) {
+                return verdict
+                    .clone()
+                    .and_then(|()| config.build_unlinted(&reg, ctx.policy));
+            }
+            let first = config.build_checked(&reg, ctx.policy);
+            let first = first.and_then(CheckedGraph::into_sound);
+            verdicts.push((ctx.policy, first.as_ref().map(|_| ()).map_err(Clone::clone)));
+            first
+        });
+        replica.unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
     })
 }
 

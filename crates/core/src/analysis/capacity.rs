@@ -10,12 +10,12 @@
 //! * **Deadlock freedom** rests on two invariants. Workers never block on
 //!   the command queue: it never refuses a live device, and the in-flight
 //!   cap bounds what it holds, for live and DES alike. And the device
-//!   thread can always assemble — or idle-flush — an aggregate.
-//!   The latter is only *guaranteed* by the queue law
+//!   thread can always assemble — or launch at its deadline — an
+//!   aggregate. A full one is only *guaranteed* by the queue law
 //!   `aggregate ≤ in-flight cap`: if a full aggregate needs more batches
 //!   than the producers are ever allowed to have in flight, every offload
-//!   depends on the idle-flush timeout path and the proof collapses
-//!   (`NBA051`, an error).
+//!   waits out the aggregation deadline and the proof collapses (`NBA051`,
+//!   an error).
 //! * **Burst absorption**: RSS steering is flow-affine, so the worst-case
 //!   burst sends an entire IO batch to a single worker while that worker
 //!   is busy with a previous batch. A ring shallower than `2 × batch`
@@ -23,7 +23,7 @@
 //!   thread (lossless drain mode) under a legal workload (`NBA050`).
 
 use super::{Code, Diagnostic, LintReport};
-use crate::runtime::live::{LiveConfig, MAX_OUTSTANDING};
+use crate::runtime::live::{LiveConfig, DEVICE_AGGREGATE, MAX_OUTSTANDING};
 use crate::runtime::RuntimeConfig;
 
 /// The queue shape of one run, extracted from a runtime configuration.
@@ -52,7 +52,8 @@ pub struct CapacityModel {
 impl CapacityModel {
     /// The queue shape of a live run, mirroring `live::run_core`'s
     /// allocation arithmetic (ring depth is raised to at least one batch;
-    /// the in-flight cap is `workers × MAX_OUTSTANDING`).
+    /// the in-flight cap is `workers × MAX_OUTSTANDING`; the device
+    /// aggregates `DEVICE_AGGREGATE` batches).
     pub fn from_live(cfg: &LiveConfig) -> CapacityModel {
         let workers = cfg.workers.max(1);
         let batch = cfg.batch.max(1);
@@ -61,7 +62,7 @@ impl CapacityModel {
             io_threads: cfg.io_threads.max(1),
             batch,
             ring_depth: cfg.ring_capacity.max(batch),
-            aggregate: cfg.aggregate.max(1),
+            aggregate: DEVICE_AGGREGATE,
             inflight_cap: workers as u64 * MAX_OUTSTANDING,
             lossless: cfg.drain,
         }
@@ -113,7 +114,7 @@ pub fn check_capacity(model: &CapacityModel) -> LintReport {
     // NBA051: the steering stage's deadlock-freedom proof. A full device
     // aggregate must fit within the batches the producers are allowed to
     // have in flight; otherwise a full aggregate can never assemble and
-    // every offload round-trip hangs off the idle-flush timeout path.
+    // every offload round-trip hangs off the aggregation deadline.
     if model.aggregate as u64 > model.inflight_cap {
         report.diagnostics.push(Diagnostic::new(
             Code::SteeringDeadlock,
@@ -177,7 +178,6 @@ mod tests {
             batch: 0,
             io_threads: 0,
             ring_capacity: 0,
-            aggregate: 0,
             ..LiveConfig::default()
         };
         let m = CapacityModel::from_live(&cfg);

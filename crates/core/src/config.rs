@@ -270,26 +270,80 @@ pub struct CheckedGraph {
     pub source: SourceMap,
 }
 
+impl CheckedGraph {
+    /// The graph, or — when the `nba-lint` report holds an `Error` — that
+    /// first error as a [`ConfigError`] with its source line.
+    pub fn into_sound(self) -> Result<ElementGraph, ConfigError> {
+        if let Some(e) = self.report.first_error() {
+            return Err(ConfigError {
+                msg: format!("[{}] {}", e.code, e.message),
+                line: e.line.unwrap_or(1),
+            });
+        }
+        Ok(self.graph)
+    }
+}
+
+/// Configuration text parsed once, ready to wire into any number of
+/// replicas: every replica of one text is the same graph.
+#[derive(Debug)]
+pub struct Config {
+    decls: HashMap<String, Decl>,
+    conns: Vec<Conn>,
+}
+
+impl Config {
+    /// Parses configuration text; syntax errors fail with their line.
+    pub fn parse(src: &str) -> Result<Config, ConfigError> {
+        let (decls, conns) = parse(src)?;
+        Ok(Config { decls, conns })
+    }
+
+    /// Wires one replica and runs the `nba-lint` static verifier over it
+    /// (see [`build_graph_checked`]).
+    pub fn build_checked(
+        &self,
+        registry: &ElementRegistry,
+        policy: BranchPolicy,
+    ) -> Result<CheckedGraph, ConfigError> {
+        let (graph, source, pre) = assemble(&self.decls, &self.conns, registry, policy)?;
+        let mut report = LintReport { diagnostics: pre };
+        report
+            .diagnostics
+            .extend(crate::analysis::analyze(&graph, Some(&source), None).diagnostics);
+        Ok(CheckedGraph {
+            graph,
+            report,
+            source,
+        })
+    }
+
+    /// Wires one replica without linting it: for the replicas after one
+    /// whose [`Config::build_checked`] verdict already stands for them.
+    /// Wiring errors (unknown classes, bad parameters) still fail.
+    pub fn build_unlinted(
+        &self,
+        registry: &ElementRegistry,
+        policy: BranchPolicy,
+    ) -> Result<ElementGraph, ConfigError> {
+        Ok(assemble(&self.decls, &self.conns, registry, policy)?.0)
+    }
+}
+
 /// Parses a configuration and builds a ready-to-run graph, rejecting any
 /// pipeline the `nba-lint` static verifier finds unsound (`Error`-severity
 /// diagnostics become [`ConfigError`]s with the offending source line;
 /// warnings are available via [`build_graph_checked`]).
 ///
 /// Each call produces an independent replica (the runtime builds one per
-/// worker thread, §3.2 "replicated pipelines").
+/// worker thread, §3.2 "replicated pipelines"); [`Config`] parses once for
+/// many.
 pub fn build_graph(
     src: &str,
     registry: &ElementRegistry,
     policy: BranchPolicy,
 ) -> Result<ElementGraph, ConfigError> {
-    let checked = build_graph_checked(src, registry, policy)?;
-    if let Some(e) = checked.report.first_error() {
-        return Err(ConfigError {
-            msg: format!("[{}] {}", e.code, e.message),
-            line: e.line.unwrap_or(1),
-        });
-    }
-    Ok(checked.graph)
+    build_graph_checked(src, registry, policy)?.into_sound()
 }
 
 /// Like [`build_graph`], but returns the full `nba-lint` report and the
@@ -302,17 +356,7 @@ pub fn build_graph_checked(
     registry: &ElementRegistry,
     policy: BranchPolicy,
 ) -> Result<CheckedGraph, ConfigError> {
-    let (decls, conns) = parse(src)?;
-    let (graph, source, pre) = assemble(&decls, &conns, registry, policy)?;
-    let mut report = LintReport { diagnostics: pre };
-    report
-        .diagnostics
-        .extend(crate::analysis::analyze(&graph, Some(&source), None).diagnostics);
-    Ok(CheckedGraph {
-        graph,
-        report,
-        source,
-    })
+    Config::parse(src)?.build_checked(registry, policy)
 }
 
 #[allow(clippy::type_complexity)]

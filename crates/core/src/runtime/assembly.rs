@@ -116,12 +116,20 @@ impl Planes {
                 b.lock().enable_audit(audit.decision_capacity);
             }
         }
+        // Armed before any thread starts: no survivor finishes ahead of a
+        // scheduled kill (`WorkerHealth::awaiting_conviction`).
+        let health: Vec<WorkerHealth> = (0..workers).map(|_| WorkerHealth::new()).collect();
+        for (w, h) in health.iter().enumerate() {
+            if shape.fault.plan.kill_for(w as u32).is_some() {
+                h.arm_kill();
+            }
+        }
         Planes {
             distinct,
             per_socket: (workers / shape.nls.len()).max(1),
             flows,
             inspector: SystemInspector::new(counters),
-            health: Arc::new((0..workers).map(|_| WorkerHealth::new()).collect()),
+            health: Arc::new(health),
             hstats: Arc::default(),
             fstats: Arc::default(),
             latency: Arc::new((0..workers).map(|_| Mutex::default()).collect()),

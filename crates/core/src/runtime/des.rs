@@ -25,7 +25,7 @@ use crate::lb::SharedBalancer;
 use crate::nls::NodeLocalStorage;
 use crate::offload::{CompletedTask, OffloadTask, StagedTask};
 use crate::runtime::assembly::{read_replica, Planes, Shape};
-use crate::runtime::device::{DeviceBackend, DeviceCore, Launched};
+use crate::runtime::device::{DeviceBackend, DeviceCore, LaunchPolicy};
 use crate::runtime::worker::{merge_yields, wire_bits, Drill, Transport, WorkerCore, WorkerYield};
 use crate::runtime::{PipelineBuilder, RunReport, RuntimeConfig};
 use crate::stats::{Counters, LatencyHistogram, SystemInspector};
@@ -233,42 +233,38 @@ impl Entity for WorkerEntity {
     }
 }
 
-/// The device thread of one NUMA node (§3.2: one per node per device): the
-/// DES driver of a [`DeviceCore`]. It owns the virtual clock (`busy_until`),
-/// the GPU timeline, the in-flight list, and the when-to-launch policy.
+/// The device thread of one NUMA node (§3.2: one per node per device): it
+/// steps a [`DeviceCore`] and owns the virtual clock (`busy_until`) and the
+/// wait; the core decides when to launch.
 struct DeviceEntity {
-    cfg: RuntimeConfig,
     /// Shared with the run assembly, which takes the device's quarantine
     /// intervals at teardown.
     core: Rc<RefCell<DeviceCore>>,
-    tasks: SimQueue<OffloadTask>,
-    /// The socket's GPU; the sampler reads its busy time too.
-    timeline: Rc<RefCell<Timeline>>,
-    /// Launched tasks whose D2H copy (or failure verdict) has not landed.
-    inflight: Vec<Launched>,
-    /// Per-worker completion queues (worker `w` is engine entity `w`).
-    completions: Vec<SimQueue<CompletedTask>>,
-    counters: Arc<Counters>,
+    dev: SimDevice,
     /// The device-thread core is busy until this time.
     busy_until: Time,
 }
 
-/// The timeline backend of one device step: attempts run on the simulated
+/// The timeline backend of the device step: attempts run on the simulated
 /// GPU's copy/compute engines, CPU-side work is priced in cycles that
 /// become the device core's busy time, and waiting costs nothing.
-struct SimDevice<'a> {
+struct SimDevice {
+    /// The step's start.
     now: Time,
     /// Work charged so far this step.
     cycles: u64,
-    cfg: &'a RuntimeConfig,
-    timeline: &'a RefCell<Timeline>,
-    tasks: &'a SimQueue<OffloadTask>,
-    completions: &'a [SimQueue<CompletedTask>],
-    counters: &'a Counters,
-    ctx: &'a mut Ctx,
+    cfg: RuntimeConfig,
+    tasks: SimQueue<OffloadTask>,
+    /// The socket's GPU; the sampler reads its busy time too.
+    timeline: Rc<RefCell<Timeline>>,
+    /// Per-worker completion queues (worker `w` is engine entity `w`).
+    completions: Vec<SimQueue<CompletedTask>>,
+    counters: Arc<Counters>,
+    /// The workers this step's completions wake, and when.
+    wakes: Vec<(EntityId, Time)>,
 }
 
-impl DeviceBackend for SimDevice<'_> {
+impl DeviceBackend for SimDevice {
     fn now(&self) -> Time {
         self.now + self.cfg.cost.cycles(self.cycles)
     }
@@ -314,9 +310,16 @@ impl DeviceBackend for SimDevice<'_> {
         at + dur
     }
 
-    fn gauges(&self, now: Time) -> (u64, f64) {
-        let busy = self.timeline.borrow().stats().kernel_busy_fraction(now);
-        (self.tasks.len() as u64, busy)
+    fn poll(&mut self) -> Option<OffloadTask> {
+        self.tasks.pop()
+    }
+
+    fn queued(&self) -> usize {
+        self.tasks.len()
+    }
+
+    fn busy_share(&self, now: Time) -> f64 {
+        self.timeline.borrow().stats().kernel_busy_fraction(now)
     }
 
     fn deliver(&mut self, done: CompletedTask) {
@@ -324,7 +327,7 @@ impl DeviceBackend for SimDevice<'_> {
         if let Err(lost) = self.completions[worker].push(done) {
             Counters::add(&self.counters.dropped, lost.batch.len() as u64);
         }
-        self.ctx.wake(EntityId(worker), at);
+        self.wakes.push((EntityId(worker), at));
     }
 }
 
@@ -333,77 +336,19 @@ impl Entity for DeviceEntity {
         if now < self.busy_until {
             return Wake::At(self.busy_until);
         }
-        let cfg = &self.cfg;
-        let mut core = self.core.borrow_mut();
-        let mut be = SimDevice {
-            now,
-            cycles: 0,
-            cfg,
-            timeline: &self.timeline,
-            tasks: &self.tasks,
-            completions: &self.completions,
-            counters: &self.counters,
-            ctx,
-        };
-
-        // 1. Postprocess tasks whose D2H copy has landed.
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].ready_at <= now {
-                core.complete(now, self.inflight.swap_remove(i), &mut be);
-            } else {
-                i += 1;
-            }
+        let dev = &mut self.dev;
+        (dev.now, dev.cycles) = (now, 0);
+        let wake = self.core.borrow_mut().step(now, dev);
+        for (worker, at) in dev.wakes.drain(..) {
+            ctx.wake(worker, at);
         }
-
-        // 2. Drain newly arrived tasks into the aggregation buffers, unless
-        // the buffered backlog already exceeds the cap (then tasks stay in
-        // the queue, whose depth gates RX at the workers — overload
-        // backpressure).
-        while core.backlog() < cfg.device_backlog_batches {
-            let Some(task) = self.tasks.pop() else {
-                break;
-            };
-            be.cycles += cfg.cost.offload_dequeue;
-            core.push(now, task);
-        }
-
-        // 3. Launch aggregates: full ones immediately, partial ones once
-        // their oldest batch has waited out the aggregation timeout — and
-        // only while the GPU compute engine is not too far behind (§3.3
-        // aggregation; the backlog cap turns saturation into queue growth
-        // rather than unbounded in-flight work).
-        let mut next_deadline: Option<Time> = None;
-        for node in core.nodes() {
-            while let Some((oldest, held)) = core.pending(node) {
-                let gpu_behind = self.inflight.len() >= cfg.gpu_max_inflight;
-                let deadline = oldest + cfg.offload_agg_timeout;
-                if gpu_behind || !(held >= cfg.offload_aggregate || now >= deadline) {
-                    if !gpu_behind {
-                        next_deadline = Some(next_deadline.map_or(deadline, |d| d.min(deadline)));
-                    }
-                    break;
-                }
-                let launched = core.launch(now, node, cfg.offload_aggregate, &mut be);
-                self.inflight.extend(launched);
-            }
-        }
-
-        // 4. Sleep until the next D2H completion, aggregation deadline, or
-        // — work remaining and in-flight slots free — a short re-run.
-        // (Blocked on in-flight tasks, the next D2H completion is what
-        // frees a slot.)
-        let cycles = be.cycles;
-        let next_pp = self.inflight.iter().map(|l| l.ready_at).min();
-        let work_left = core.backlog() > 0 || !self.tasks.is_empty();
-        let soon = (work_left && self.inflight.len() < cfg.gpu_max_inflight)
-            .then(|| now + Time::from_us(5));
-        let wake = [next_pp, next_deadline, soon].into_iter().flatten().min();
-        let busy_until = now + cfg.cost.cycles(cycles);
+        // Sleep until the core next has work, but not before the device
+        // core has spent the work this step charged.
+        let busy_until = now + dev.cfg.cost.cycles(dev.cycles);
         self.busy_until = busy_until;
         match wake {
             Some(t) => Wake::At(t.max(busy_until)),
-            None if cycles > 0 => Wake::At(busy_until),
+            None if dev.cycles > 0 => Wake::At(busy_until),
             None => Wake::Idle,
         }
     }
@@ -673,18 +618,29 @@ pub fn run_with_sources(
 
     // Device threads.
     let mut devices: Vec<Rc<RefCell<DeviceCore>>> = Vec::with_capacity(sockets);
+    let policy = LaunchPolicy {
+        aggregate: cfg.offload_aggregate,
+        timeout: cfg.offload_agg_timeout,
+        max_inflight: cfg.gpu_max_inflight,
+        backlog: cfg.device_backlog_batches,
+    };
     for (s, gpu) in gpus.iter().enumerate() {
         let env = planes.device_env(s);
-        let core = DeviceCore::new(s, specs.clone(), fuse_next.clone(), env);
+        let core = DeviceCore::new(s, specs.clone(), fuse_next.clone(), policy, env);
         devices.push(Rc::new(RefCell::new(core)));
-        let entity = DeviceEntity {
+        let dev = SimDevice {
+            now: Time::ZERO,
+            cycles: 0,
             cfg: cfg.clone(),
-            core: devices[s].clone(),
             tasks: offload_qs[s].clone(),
             timeline: gpu.clone(),
-            inflight: Vec::new(),
             completions: completion_qs.clone(),
             counters: inspector.worker(s * wps).clone(),
+            wakes: Vec::new(),
+        };
+        let entity = DeviceEntity {
+            core: devices[s].clone(),
+            dev,
             busy_until: Time::ZERO,
         };
         let id = engine.add_idle(Box::new(entity));
@@ -824,49 +780,29 @@ mod tests {
     use super::*;
     use crate::runtime::BuildCtx;
 
-    /// An entity that runs `f` once, inside an engine step: the only place
-    /// a [`Ctx`], and with it a [`SimDevice`], exists.
-    struct Once<F>(Option<F>);
-
-    impl<F: FnOnce(&mut Ctx)> Entity for Once<F> {
-        fn step(&mut self, _now: Time, ctx: &mut Ctx) -> Wake {
-            if let Some(f) = self.0.take() {
-                f(ctx);
-            }
-            Wake::Done
-        }
-    }
-
-    /// Runs `f` on a [`SimDevice`] inside one engine step, with a 64-byte
-    /// staged task holding `0..64`, and returns what the device's timeline
-    /// booked.
-    fn on_device(f: impl FnOnce(&mut SimDevice<'_>, &StagedTask) + 'static) -> TimelineStats {
+    /// Runs `f` on a [`SimDevice`] with a 64-byte staged task holding
+    /// `0..64`, and returns what the device's timeline booked.
+    fn on_device(f: impl FnOnce(&mut SimDevice, &StagedTask)) -> TimelineStats {
         let cfg = RuntimeConfig::test_default();
         let timeline = Rc::new(RefCell::new(Timeline::new(cfg.cost.gpu.clone(), 1)));
-        let tl = timeline.clone();
-        let step = move |ctx: &mut Ctx| {
-            let mut be = SimDevice {
-                now: Time::ZERO,
-                cycles: 0,
-                cfg: &cfg,
-                timeline: &tl,
-                tasks: &SimQueue::unbounded(),
-                completions: &[],
-                counters: &Counters::default(),
-                ctx,
-            };
-            let staged = StagedTask {
-                input: (0..64).collect(),
-                out_len: 64,
-                items: 64,
-                lane_ns: 640.0,
-                in_bytes: 64,
-            };
-            f(&mut be, &staged);
+        let mut be = SimDevice {
+            now: Time::ZERO,
+            cycles: 0,
+            cfg,
+            tasks: SimQueue::unbounded(),
+            timeline: timeline.clone(),
+            completions: Vec::new(),
+            counters: Arc::default(),
+            wakes: Vec::new(),
         };
-        let mut engine = Engine::new();
-        engine.add(Box::new(Once(Some(step))), Time::ZERO);
-        engine.run_until(Time::from_ms(1));
+        let staged = StagedTask {
+            input: (0..64).collect(),
+            out_len: 64,
+            items: 64,
+            lane_ns: 640.0,
+            in_bytes: 64,
+        };
+        f(&mut be, &staged);
         let stats = timeline.borrow().stats();
         stats
     }

@@ -1,21 +1,21 @@
-//! The device step (§3.2–3.3), written once: aggregate offload tasks per
-//! node, gather the datablock, launch with the degradation ladder, scatter,
-//! and hand every batch back to its worker.
+//! The device step (§3.2–3.3), written once: drain the command queue,
+//! aggregate offload tasks per node, decide when to launch, gather the
+//! datablock, launch with the degradation ladder, scatter, and hand every
+//! batch back to its worker.
 //!
-//! Both runtimes drive a [`DeviceCore`]. Everything a device thread
-//! *decides* is here — the aggregation buffers, breaker admission, launch
+//! Both runtimes drive a [`DeviceCore`] through [`DeviceCore::step`].
+//! Everything a device thread *decides* is here — the launch rule over a
+//! [`LaunchPolicy`], the aggregation buffers, breaker admission, launch
 //! span stamping, the attempt/retry loop over the seeded fault draws, panic
 //! containment, the scatter-time corruption check, the breaker verdict and
 //! its fan-out to the balancers, the seven-stage record, drift detection
 //! and its flight dump, decision-context publication, fallback accounting,
 //! and the rule that every accepted batch yields exactly one
-//! [`CompletedTask`]. A driver supplies *when to launch* (its calls to
-//! [`DeviceCore::launch`]), the clock (the `now` it passes in), and a
-//! [`DeviceBackend`]: how one attempt executes and how time passes — a GPU
-//! timeline with a watchdog in the DES, a synchronous host kernel timed
-//! with `Instant` in live. A change to the ladder or to offload auditing is
-//! an edit to this file, and DES↔live device conformance holds by
-//! construction.
+//! [`CompletedTask`]. Each runtime supplies the policy's values, the clock
+//! and the wait, and a [`DeviceBackend`]: the command queue, how one attempt
+//! executes and how time passes — a GPU timeline with a watchdog in the
+//! DES, a synchronous host kernel timed with `Instant` in live. DES↔live
+//! device conformance holds by construction.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,10 +80,15 @@ pub trait DeviceBackend {
     /// attempt begins.
     fn backoff(&mut self, at: Time, dur: Time) -> Time;
 
-    /// `(tasks queued behind the aggregation buffers, device busy fraction
-    /// since run start)`: explanation payload of the decision audit, read
-    /// only when it is on.
-    fn gauges(&self, now: Time) -> (u64, f64);
+    /// Takes the next task off the command queue; `None` when it is empty.
+    fn poll(&mut self) -> Option<OffloadTask>;
+
+    /// Tasks waiting in the command queue, behind the aggregation buffers.
+    fn queued(&self) -> usize;
+
+    /// Device busy fraction since run start: explanation payload of the
+    /// decision audit, read only when it is on.
+    fn busy_share(&self, now: Time) -> f64;
 
     /// Hands a finished batch back to its worker.
     fn deliver(&mut self, done: CompletedTask);
@@ -125,8 +130,24 @@ pub struct DeviceEnv {
     pub homes: Vec<Mempool>,
 }
 
-/// A launched task whose completion is pending: the DES keeps it in flight
-/// until [`Launched::ready_at`], live completes it at once.
+/// When the device step launches (§3.3 aggregation; upstream NBA's
+/// `COPROC_PPDEPTH`): the DES takes it from its
+/// [`RuntimeConfig`](crate::runtime::RuntimeConfig), live from constants
+/// that describe its device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaunchPolicy {
+    /// Batches per task; a full aggregate launches at once.
+    pub aggregate: usize,
+    /// How long a partial aggregate waits for more batches.
+    pub timeout: Time,
+    /// Launches in flight at most; a due launch waits for a completion.
+    pub max_inflight: usize,
+    /// Batches buffered before the step stops draining the command queue.
+    pub backlog: usize,
+}
+
+/// A launched task whose completion is pending until
+/// [`Launched::ready_at`].
 pub struct Launched {
     /// When the result (or, for a failed task, the failure verdict) becomes
     /// visible to the device thread.
@@ -169,6 +190,9 @@ pub struct DeviceCore {
     /// order, so a run with several offloadable nodes is a pure function
     /// of its seed.
     agg: BTreeMap<usize, (Time, Vec<OffloadTask>)>,
+    policy: LaunchPolicy,
+    /// Launched tasks whose result (or failure verdict) has not landed.
+    inflight: Vec<Launched>,
     /// `None` when the plan injects no device faults: the clean path makes
     /// no draws, keeps no breaker state, and stays bit-identical to a
     /// build without the fault machinery.
@@ -178,11 +202,12 @@ pub struct DeviceCore {
 
 impl DeviceCore {
     /// Device number `device` of the run, serving the offloadable nodes in
-    /// `specs`.
+    /// `specs` and launching by `policy`.
     pub fn new(
         device: usize,
         specs: HashMap<usize, OffloadSpec>,
         fuse_next: HashMap<usize, usize>,
+        policy: LaunchPolicy,
         env: DeviceEnv,
     ) -> DeviceCore {
         let plan = &env.fault.plan;
@@ -203,20 +228,68 @@ impl DeviceCore {
             specs,
             fuse_next,
             agg: BTreeMap::new(),
+            policy,
+            inflight: Vec::new(),
             injector,
             breaker: CircuitBreaker::new(env.fault.breaker_threshold, env.fault.quarantine),
             env,
         }
     }
 
-    /// Buffers an accepted task; returns how many its node now holds.
-    pub fn push(&mut self, now: Time, task: OffloadTask) -> usize {
+    /// One step of the device thread at `now`: completes the launches whose
+    /// result has landed, drains the command queue up to the backlog cap,
+    /// and launches, in node order, every aggregate that is full or past
+    /// its deadline while in-flight work is under its cap. Returns when it
+    /// next has work: the earliest result or deadline, or — work left and
+    /// a launch slot free — a 5 µs re-run.
+    pub fn step<B: DeviceBackend>(&mut self, now: Time, be: &mut B) -> Option<Time> {
+        let p = self.policy;
+        while let Some(i) = self.inflight.iter().position(|l| l.ready_at <= now) {
+            let done = self.inflight.swap_remove(i);
+            self.complete(now, done, be);
+        }
+        // Past the backlog cap, tasks stay queued: the queue's depth gates
+        // RX at the workers (overload backpressure).
+        while self.backlog() < p.backlog {
+            let Some(task) = be.poll() else {
+                break;
+            };
+            let began = be.now();
+            be.charge(self.env.cost.offload_dequeue, began);
+            self.push(now, task);
+        }
+        let mut next_deadline: Option<Time> = None;
+        let mut node = self.agg.keys().next().copied();
+        while let Some(n) = node {
+            while let Some((oldest, buf)) = self.agg.get(&n).filter(|(_, b)| !b.is_empty()) {
+                let behind = self.inflight.len() >= p.max_inflight;
+                let deadline = *oldest + p.timeout;
+                if behind || !(buf.len() >= p.aggregate || now >= deadline) {
+                    if !behind {
+                        next_deadline = Some(next_deadline.map_or(deadline, |d| d.min(deadline)));
+                    }
+                    break;
+                }
+                let launched = self.launch(now, n, p.aggregate, be);
+                self.inflight.extend(launched);
+            }
+            node = self.agg.range(n + 1..).next().map(|(&k, _)| k);
+        }
+        let next_ready = self.inflight.iter().map(|l| l.ready_at).min();
+        let work_left = self.backlog() > 0 || be.queued() > 0;
+        let rerun = work_left && self.inflight.len() < p.max_inflight;
+        let rerun = rerun.then(|| now + Time::from_us(5));
+        let wake = [next_ready, next_deadline, rerun];
+        wake.into_iter().flatten().min()
+    }
+
+    /// Buffers an accepted task.
+    pub fn push(&mut self, now: Time, task: OffloadTask) {
         let (oldest, buf) = self.agg.entry(task.node.0).or_default();
         if buf.is_empty() {
             *oldest = now;
         }
         buf.push(task);
-        buf.len()
     }
 
     /// Batches buffered across all aggregates.
@@ -224,19 +297,8 @@ impl DeviceCore {
         self.agg.values().map(|(_, v)| v.len()).sum()
     }
 
-    /// The nodes that have (or had) an aggregate, in launch order.
-    pub fn nodes(&self) -> Vec<usize> {
-        self.agg.keys().copied().collect()
-    }
-
-    /// `(arrival of the oldest batch, batches held)` of a non-empty
-    /// aggregate — what a launch policy decides on.
-    pub fn pending(&self, node: usize) -> Option<(Time, usize)> {
-        let (oldest, buf) = self.agg.get(&node)?;
-        (!buf.is_empty()).then_some((*oldest, buf.len()))
-    }
-
-    /// Launches up to `max` buffered batches of `node` as one device task.
+    /// Launches up to `max` buffered batches of `node` as one device task,
+    /// outside the launch policy (the runtimes call [`DeviceCore::step`]).
     /// `None` when nothing went in flight: the aggregate was empty, or
     /// every batch was already handed back for its worker's CPU path.
     pub fn launch<B: DeviceBackend>(
@@ -433,11 +495,10 @@ impl DeviceCore {
         // Publish the decision inputs the balancers cite in their next
         // audit records (reads only; un-audited runs make no such calls).
         if self.env.decision_audit {
-            let (queued, gpu_busy) = be.gauges(now);
             let items = staged.items.max(1) as f64;
             let ctx = DecisionContext {
-                queue_depth: queued + self.backlog() as u64,
-                gpu_busy,
+                queue_depth: (be.queued() + self.backlog()) as u64,
+                gpu_busy: be.busy_share(now),
                 // Serial single-lane kernel time per item: the CPU-side
                 // cost proxy the device run amortizes away.
                 predicted_cpu_ns_per_pkt: lane_ns / items,

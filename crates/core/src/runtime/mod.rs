@@ -7,8 +7,9 @@
 //!   demonstrating the framework as an actual concurrent packet processor.
 //! * [`worker`] — the worker step both of them drive: they differ only in
 //!   clock and transport.
-//! * [`device`] — the device step both of them drive: they differ only in
-//!   clock, launch policy and how one attempt executes.
+//! * [`device`] — the device step, its launch policy included, both of
+//!   them drive: they differ only in clock, the policy's values and how
+//!   one attempt executes.
 //! * `assembly` — the run-wide planes both of them build and close the
 //!   same way: counters, health, faults, flows, spans, the flight
 //!   recorder, the audit and SLO sinks.

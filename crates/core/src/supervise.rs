@@ -317,6 +317,10 @@ pub struct WorkerHealth {
     /// Watchdog epoch: bumped by the supervisor each time it examines this
     /// shard, so observers can tell the watchdog itself is alive.
     pub epoch: AtomicU64,
+    /// Set while a kill drill is scheduled for this shard and has not
+    /// fired ([`WorkerHealth::arm_kill`]); cleared when the shard crashes
+    /// or finishes.
+    pub kill_pending: AtomicBool,
 }
 
 impl WorkerHealth {
@@ -340,16 +344,31 @@ impl WorkerHealth {
     pub fn finish(&self) {
         self.done.store(true, Ordering::Release);
         self.alive.store(false, Ordering::Release);
+        self.kill_pending.store(false, Ordering::Release);
     }
 
-    /// Worker-side: mark an unclean exit (the containment signal).
+    /// Worker-side: mark an unclean exit (the containment signal). A kill
+    /// drill that fires lands here, so its shard stops counting as pending
+    /// only once the crash pair is visible.
     pub fn crash(&self) {
         self.alive.store(false, Ordering::Release);
+        self.kill_pending.store(false, Ordering::Release);
     }
 
-    /// Has this shard crashed without the supervisor having convicted it
-    /// yet? `alive` is read before `done`, as in [`Supervisor::tick`].
+    /// Run-assembly side: a kill drill is scheduled for this shard.
+    pub fn arm_kill(&self) {
+        self.kill_pending.store(true, Ordering::Release);
+    }
+
+    /// Will this shard crash, or has it crashed, without the supervisor
+    /// having convicted it yet? A shard whose kill drill is armed but has
+    /// not fired counts: until it fires, no survivor may finish and leave
+    /// its buckets without a re-steer target. `kill_pending` is read
+    /// first, then `alive` before `done`, as in [`Supervisor::tick`].
     pub fn awaiting_conviction(&self) -> bool {
+        if self.kill_pending.load(Ordering::Acquire) {
+            return true;
+        }
         let alive = self.alive.load(Ordering::Acquire);
         !alive && !self.done.load(Ordering::Acquire) && self.observed_state() != WorkerState::Dead
     }

@@ -1,8 +1,8 @@
 //! `runtime::device::DeviceCore` driven through a recording `DeviceBackend`
 //! — no threads, no engine, no GPU timeline: the device step both runtimes
-//! share, on a clock the test sets by hand.
+//! share, its launch policy included, on a clock the test sets by hand.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use nba_core::graph::NodeId;
 use nba_core::introspect::{FlightConfig, FlightRecorder};
 use nba_core::lb::{self, LoadBalancer, SharedBalancer};
 use nba_core::offload::{CompletedTask, OffloadTask, StagedTask};
-use nba_core::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv};
+use nba_core::runtime::device::{DeviceBackend, DeviceCore, DeviceEnv, LaunchPolicy};
 use nba_core::stats::Counters;
 use nba_core::telemetry::{SpanAlloc, TraceEventKind};
 use nba_gpu::{KernelFn, TaskTiming};
@@ -46,6 +46,10 @@ fn upper_spec(postprocess: Postprocess) -> OffloadSpec {
 #[derive(Default)]
 struct Recording {
     clock: Time,
+    /// The command queue the step drains.
+    queue: VecDeque<OffloadTask>,
+    /// How long after its attempt a launch's result lands.
+    latency: Time,
     attempts: usize,
     aborts: usize,
     backoffs: Vec<Time>,
@@ -75,7 +79,7 @@ impl DeviceBackend for Recording {
         TaskTiming {
             h2d_done: at,
             kernel_done: at,
-            d2h_done: at,
+            d2h_done: at + self.latency,
         }
     }
     fn abort(&mut self, at: Time, _h2d_bytes: usize) -> Time {
@@ -86,8 +90,14 @@ impl DeviceBackend for Recording {
         self.backoffs.push(dur);
         at + dur
     }
-    fn gauges(&self, _now: Time) -> (u64, f64) {
-        (0, 0.0)
+    fn poll(&mut self) -> Option<OffloadTask> {
+        self.queue.pop_front()
+    }
+    fn queued(&self) -> usize {
+        self.queue.len()
+    }
+    fn busy_share(&self, _now: Time) -> f64 {
+        0.0
     }
     fn deliver(&mut self, done: CompletedTask) {
         self.delivered.push(done);
@@ -102,7 +112,25 @@ struct Rig {
     flight: Arc<FlightRecorder>,
 }
 
+/// Aggregates of 8, a 100 µs deadline, two launches in flight, 64 batches
+/// buffered.
+const POLICY: LaunchPolicy = LaunchPolicy {
+    aggregate: 8,
+    timeout: Time::from_us(100),
+    max_inflight: 2,
+    backlog: 64,
+};
+
 fn rig(fault: FaultConfig, spec: OffloadSpec, balancers: Vec<SharedBalancer>) -> Rig {
+    policy_rig(POLICY, fault, spec, balancers)
+}
+
+fn policy_rig(
+    policy: LaunchPolicy,
+    fault: FaultConfig,
+    spec: OffloadSpec,
+    balancers: Vec<SharedBalancer>,
+) -> Rig {
     let fstats = Arc::new(FaultStats::default());
     let counters = Arc::new(Counters::default());
     let flight = Arc::new(FlightRecorder::new(8, 64, FlightConfig::default(), None));
@@ -122,7 +150,13 @@ fn rig(fault: FaultConfig, spec: OffloadSpec, balancers: Vec<SharedBalancer>) ->
         homes: Vec::new(),
     };
     Rig {
-        core: DeviceCore::new(0, HashMap::from([(NODE, spec)]), HashMap::new(), env),
+        core: DeviceCore::new(
+            0,
+            HashMap::from([(NODE, spec)]),
+            HashMap::new(),
+            policy,
+            env,
+        ),
         be: Recording::default(),
         fstats,
         counters,
@@ -391,4 +425,146 @@ fn a_panic_mid_scatter_returns_the_shells_and_counts_the_packets() {
     assert_eq!((f.panics_contained, f.dropped_batches), (1, 2));
     assert_eq!(f.dropped_packets, 3);
     assert_eq!(r.counters.snapshot().dropped, 3, "rx = tx + dropped holds");
+}
+
+// ── The launch policy, driven through `DeviceCore::step` ───────────────
+
+/// A clean rig under `policy` whose launches land `latency` after their
+/// attempt, with `queued` one-packet tasks waiting in the command queue.
+fn stepper(policy: LaunchPolicy, latency: Time, queued: usize) -> Rig {
+    let spec = upper_spec(Postprocess::WriteBack);
+    let mut r = policy_rig(policy, FaultConfig::default(), spec, vec![]);
+    r.be.latency = latency;
+    r.be.queue.extend((0..queued).map(|w| task(w, &[b"abc"])));
+    r
+}
+
+impl Rig {
+    /// Steps the core at `at` (the backend's clock moves there too).
+    fn step_at(&mut self, at: Time) -> Option<Time> {
+        self.be.clock = at;
+        self.core.step(at, &mut self.be)
+    }
+}
+
+#[test]
+fn a_full_aggregate_launches_at_once() {
+    let mut r = stepper(POLICY, Time::from_us(10), 8);
+    assert_eq!(r.step_at(Time::ZERO), Some(Time::from_us(10)));
+    assert_eq!(r.be.attempts, 1, "a full aggregate waited");
+    assert_eq!(r.core.backlog(), 0);
+    assert!(
+        r.be.delivered.is_empty(),
+        "completed before its result landed"
+    );
+
+    // The result lands: every batch comes back processed, and with nothing
+    // left the step has no next time.
+    assert_eq!(r.step_at(Time::from_us(10)), None);
+    assert_eq!(r.be.delivered.len(), 8);
+    assert!(r.be.delivered.iter().all(|d| !d.fallback));
+    assert_eq!(frames(&r.be.delivered[0]), [b"ABC".to_vec()]);
+}
+
+#[test]
+fn a_partial_aggregate_waits_for_its_deadline_then_launches() {
+    let mut r = stepper(POLICY, Time::ZERO, 3);
+    r.step_at(Time::ZERO);
+    assert_eq!((r.be.attempts, r.core.backlog()), (0, 3));
+    r.step_at(Time::from_us(99));
+    assert_eq!(r.be.attempts, 0, "a partial launched before its deadline");
+
+    r.step_at(Time::from_us(100));
+    assert_eq!((r.be.attempts, r.core.backlog()), (1, 0));
+    r.step_at(Time::from_us(100));
+    assert_eq!(r.be.delivered.len(), 3, "one task carried all three");
+}
+
+#[test]
+fn the_inflight_cap_defers_a_due_launch_until_a_completion() {
+    let policy = LaunchPolicy {
+        aggregate: 2,
+        max_inflight: 1,
+        ..POLICY
+    };
+    let mut r = stepper(policy, Time::from_us(10), 4);
+    r.step_at(Time::ZERO);
+    assert_eq!(r.be.attempts, 1);
+    assert_eq!(r.core.backlog(), 2, "the second full aggregate is held");
+    r.step_at(Time::from_us(5));
+    assert_eq!(r.be.attempts, 1, "launched past the in-flight cap");
+
+    // The completion frees the slot: the held aggregate launches in the
+    // same step.
+    r.step_at(Time::from_us(10));
+    assert_eq!((r.be.attempts, r.be.delivered.len()), (2, 2));
+    assert_eq!(r.core.backlog(), 0);
+}
+
+#[test]
+fn the_backlog_cap_leaves_tasks_queued() {
+    let policy = LaunchPolicy {
+        aggregate: 3,
+        max_inflight: 1,
+        backlog: 3,
+        ..POLICY
+    };
+    let mut r = stepper(policy, Time::from_us(10), 5);
+    r.step_at(Time::ZERO);
+    assert_eq!(r.be.attempts, 1, "the drained aggregate is full");
+    assert_eq!(r.be.queue.len(), 2, "drained past the backlog cap");
+
+    // Drained only after the launch made room: two batches, a partial.
+    r.step_at(Time::from_us(10));
+    assert_eq!((r.be.queue.len(), r.core.backlog()), (0, 2));
+    assert_eq!(r.be.attempts, 1);
+}
+
+#[test]
+fn the_step_returns_the_earliest_ready_time_or_deadline() {
+    let idle = &mut stepper(POLICY, Time::ZERO, 0);
+    assert_eq!(idle.step_at(Time::ZERO), None, "no work, no next time");
+
+    // Two launches at the in-flight cap: the earlier result is next.
+    let policy = LaunchPolicy {
+        aggregate: 1,
+        ..POLICY
+    };
+    let mut r = stepper(policy, Time::from_us(30), 1);
+    r.step_at(Time::ZERO);
+    r.be.queue.push_back(task(1, &[b"de"]));
+    r.be.latency = Time::from_us(10);
+    assert_eq!(r.step_at(Time::from_us(5)), Some(Time::from_us(15)));
+    r.be.queue.push_back(task(2, &[b"f"]));
+    assert_eq!(
+        r.step_at(Time::from_us(6)),
+        Some(Time::from_us(15)),
+        "a queued task moved the wake ahead of a completion"
+    );
+    assert_eq!(r.be.attempts, 2, "launched past the in-flight cap");
+
+    // A partial with an in-flight slot free: its deadline, or sooner the
+    // step's short re-run while work is left.
+    let mut r = stepper(POLICY, Time::ZERO, 1);
+    assert_eq!(r.step_at(Time::ZERO), Some(Time::from_us(5)));
+    assert_eq!(r.step_at(Time::from_us(98)), Some(Time::from_us(100)));
+}
+
+#[test]
+fn stepping_at_each_returned_time_brings_every_batch_back() {
+    let policy = LaunchPolicy {
+        max_inflight: 1,
+        backlog: 2,
+        ..POLICY
+    };
+    let mut r = stepper(policy, Time::from_us(10), 5);
+    let mut at = Time::ZERO;
+    while let Some(next) = r.step_at(at) {
+        assert!(next > at, "a step at {at:?} asked to run again at once");
+        at = next;
+    }
+    assert_eq!(r.be.delivered.len(), 5, "a batch was left behind");
+    assert!(r.be.delivered.iter().all(|d| !d.fallback));
+    assert_eq!((r.be.queue.len(), r.core.backlog()), (0, 0));
+    assert_eq!(r.be.attempts, 3, "two partials of two, then one");
 }

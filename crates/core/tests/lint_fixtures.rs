@@ -393,11 +393,13 @@ fn nba050_ring_under_burst_bound() {
 
 #[test]
 fn nba051_aggregate_exceeds_inflight_cap() {
-    let m = CapacityModel::from_live(&LiveConfig {
-        workers: 1,
+    let m = CapacityModel {
         aggregate: 64,
-        ..LiveConfig::default()
-    });
+        ..CapacityModel::from_live(&LiveConfig {
+            workers: 1,
+            ..LiveConfig::default()
+        })
+    };
     let r = check_capacity(&m);
     let hits: Vec<_> = r.with_code(Code::SteeringDeadlock).collect();
     assert_eq!(hits.len(), 1, "{}", r.render_text());

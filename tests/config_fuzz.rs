@@ -218,15 +218,17 @@ proptest! {
     ) {
         use nba::core::runtime::live::LiveConfig;
         use nba::core::analysis::{check_capacity, CapacityModel};
-        let m = CapacityModel::from_live(&LiveConfig {
-            workers,
-            batch,
-            ring_capacity: ring,
+        let m = CapacityModel {
             aggregate,
-            io_threads,
-            drain,
-            ..LiveConfig::default()
-        });
+            ..CapacityModel::from_live(&LiveConfig {
+                workers,
+                batch,
+                ring_capacity: ring,
+                io_threads,
+                drain,
+                ..LiveConfig::default()
+            })
+        };
         // Every diagnostic the law checks emit is one of the NBA05x pair.
         for d in &check_capacity(&m).diagnostics {
             prop_assert!(matches!(d.code.as_str(), "NBA050" | "NBA051"), "{d}");

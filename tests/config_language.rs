@@ -73,6 +73,31 @@ fn config_errors_surface_with_location() {
     assert!(err.msg.contains("bad routes"), "{err}");
 }
 
+/// A config pipeline lints only its first replica, yet a lint error fails
+/// every replica of it, naming its source line.
+#[test]
+fn a_lint_error_fails_every_replica_naming_its_line() {
+    let (_cfg, app) = cfg_and_app();
+    // `b` is declared and wired but unreachable from the source (NBA001).
+    let build = pipelines::pipeline_from_config(
+        "src :: FromInput();\na :: NoOp();\nb :: NoOp();\nsrc -> a -> ToOutput;\nb -> ToOutput;",
+        &app,
+    );
+    for worker in 0..2 {
+        let bctx = BuildCtx {
+            worker,
+            socket: 0,
+            nls: nba::core::nls::NodeLocalStorage::new(),
+            balancer: lb::shared(Box::new(lb::CpuOnly)),
+            policy: Default::default(),
+        };
+        let replica = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&bctx)));
+        let err = replica.expect_err("an unsound replica built");
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("line 3: [NBA001]"), "replica {worker}: {msg}");
+    }
+}
+
 #[test]
 fn registry_lists_all_application_elements() {
     let (_cfg, app) = cfg_and_app();
